@@ -222,10 +222,10 @@ mod tests {
         seconds: u64,
         seed: u64,
         rebind: Option<SimDuration>,
-    ) -> Simulator<CompressionNode> {
+    ) -> ShardedSim<CompressionNode> {
         let space = IdentifierSpace::new(id_bits).unwrap();
         let rebind_every = rebind;
-        let mut sim = SimBuilder::new(seed)
+        let mut sim = ShardedSimBuilder::new(seed)
             .radio(RadioConfig::radiometrix_rpc())
             .range(100.0)
             .build(move |id: NodeId| {

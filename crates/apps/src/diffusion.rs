@@ -593,10 +593,10 @@ pub fn run_line(
     config: DiffusionConfig,
     duration: SimDuration,
     seed: u64,
-) -> Simulator<DiffusionNode> {
+) -> ShardedSim<DiffusionNode> {
     assert!(hops >= 1, "need at least one hop");
     let nodes = hops + 1;
-    let mut sim = SimBuilder::new(seed)
+    let mut sim = ShardedSimBuilder::new(seed)
         .radio(RadioConfig::radiometrix_rpc())
         .mac(MacConfig::csma())
         .range(60.0)
@@ -738,7 +738,7 @@ mod tests {
         // middle. Each sink floods its own ephemeral code; the source
         // answers both; relays keep one gradient per code.
         let config = DiffusionConfig::default();
-        let mut sim = SimBuilder::new(33)
+        let mut sim = ShardedSimBuilder::new(33)
             .radio(RadioConfig::radiometrix_rpc())
             .mac(MacConfig::csma())
             .range(60.0)
@@ -777,7 +777,7 @@ mod tests {
         // A node that never heard an interest has no gradient and must
         // not forward data.
         let config = DiffusionConfig::default();
-        let mut sim = SimBuilder::new(7)
+        let mut sim = ShardedSimBuilder::new(7)
             .range(60.0)
             .build(move |id: NodeId| DiffusionNode::new(DiffusionRole::Relay, config, id.0));
         sim.add_node_at(Position::new(0.0, 0.0));

@@ -268,9 +268,9 @@ mod tests {
     use super::*;
 
     /// n sensors (half interesting) + 1 sink, full mesh.
-    fn run(sensors: usize, id_bits: u8, seconds: u64, seed: u64) -> Simulator<ReinforcementNode> {
+    fn run(sensors: usize, id_bits: u8, seconds: u64, seed: u64) -> ShardedSim<ReinforcementNode> {
         let space = IdentifierSpace::new(id_bits).unwrap();
-        let mut sim = SimBuilder::new(seed)
+        let mut sim = ShardedSimBuilder::new(seed)
             .radio(RadioConfig::radiometrix_rpc())
             .range(100.0)
             .build(move |id: NodeId| {

@@ -299,11 +299,12 @@ pub fn run_cluster(
     config: CentralAllocConfig,
     duration: SimDuration,
     seed: u64,
-) -> Simulator<CentralAllocNode> {
-    let mut sim = SimBuilder::new(seed)
+) -> ShardedSim<CentralAllocNode> {
+    let mut sim = ShardedSimBuilder::new(seed)
         .radio(RadioConfig::radiometrix_rpc())
         .mac(MacConfig::csma())
         .range(100.0)
+        .shards(retri_aff::default_shards())
         .build(move |id: NodeId| {
             if id.index() == 0 {
                 CentralAllocNode::controller(config)
@@ -352,7 +353,7 @@ mod tests {
         // The paper's Section 7 contrast with WINS: no controller, no
         // addresses, no communication.
         let config = CentralAllocConfig::default();
-        let mut sim = SimBuilder::new(2)
+        let mut sim = ShardedSimBuilder::new(2)
             .radio(RadioConfig::radiometrix_rpc())
             .range(100.0)
             .build(move |id: NodeId| {
@@ -410,7 +411,7 @@ mod tests {
     #[test]
     fn churned_client_rebinds_at_linear_cost() {
         let config = CentralAllocConfig::default();
-        let mut sim = SimBuilder::new(4)
+        let mut sim = ShardedSimBuilder::new(4)
             .radio(RadioConfig::radiometrix_rpc())
             .range(100.0)
             .build(move |id: NodeId| {

@@ -356,11 +356,12 @@ pub fn run_mesh(
     config: DynamicAddrConfig,
     duration: SimDuration,
     seed: u64,
-) -> Simulator<DynamicAddrNode> {
-    let mut sim = SimBuilder::new(seed)
+) -> ShardedSim<DynamicAddrNode> {
+    let mut sim = ShardedSimBuilder::new(seed)
         .radio(RadioConfig::radiometrix_rpc())
         .mac(MacConfig::csma())
         .range(100.0)
+        .shards(retri_aff::default_shards())
         .build(move |_| DynamicAddrNode::new(config));
     let topo = Topology::full_mesh(n, 100.0);
     for id in topo.node_ids() {
@@ -436,7 +437,7 @@ mod tests {
         // Kill and rebirth one node repeatedly: every rebirth pays
         // listen + claim again.
         let config = DynamicAddrConfig::default();
-        let mut sim = SimBuilder::new(4)
+        let mut sim = ShardedSimBuilder::new(4)
             .radio(RadioConfig::radiometrix_rpc())
             .range(100.0)
             .build(move |_| DynamicAddrNode::new(config));

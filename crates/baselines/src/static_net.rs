@@ -266,10 +266,11 @@ impl StaticTestbed {
         let seq_bits = self.seq_bits;
         let ttl = self.reassembly_ttl_micros;
         let wire_for_factory = wire.clone();
-        let mut sim = SimBuilder::new(seed)
+        let mut sim = ShardedSimBuilder::new(seed)
             .radio(radio)
             .mac(self.mac)
             .range(100.0)
+            .shards(retri_aff::default_shards())
             .build(move |id: NodeId| {
                 if id.index() < transmitters {
                     StaticNode::Sender(StaticSender::new(

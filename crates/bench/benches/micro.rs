@@ -106,7 +106,7 @@ fn bench_simulator(c: &mut Criterion) {
     }
     c.bench_function("simulator_10_nodes_1s", |b| {
         b.iter(|| {
-            let mut sim = SimBuilder::new(7).build(|_| Ping);
+            let mut sim = ShardedSimBuilder::new(7).build(|_| Ping);
             let topo = retri_netsim::topology::Topology::full_mesh(10, 100.0);
             for id in topo.node_ids() {
                 sim.add_node_at(topo.position(id));

@@ -8,8 +8,7 @@
 
 use retri_aff::sender::{Workload, WorkloadMode};
 use retri_aff::{AffNode, AffReceiver, AffSender, SelectorPolicy, Testbed, WireConfig};
-use retri_baselines::dynamic_alloc::{run_mesh, DynamicAddrConfig};
-use retri_baselines::StaticAllocator;
+use retri_baselines::{DynamicAddrConfig, DynamicAddrNode, StaticAllocator};
 use retri_model::lengths::{DurationClass, MixedLengthModel};
 use retri_model::listening::ListeningModel;
 use retri_model::stats::Summary;
@@ -55,15 +54,16 @@ pub fn run_aff_scenario(
     mode: WorkloadMode,
     stop: SimTime,
     seed: u64,
-) -> Simulator<AffNode> {
+) -> ShardedSim<AffNode> {
     let wire = WireConfig::aff(retri::IdentifierSpace::new(id_bits).expect("valid width"));
     let radio = RadioConfig::radiometrix_rpc();
     let specs_owned: Vec<NodeSpec> = specs.to_vec();
     let wire_for_factory = wire.clone();
-    let mut sim = SimBuilder::new(seed)
+    let mut sim = ShardedSimBuilder::new(seed)
         .radio(radio)
         .mac(MacConfig::csma())
         .range(100.0)
+        .shards(retri_aff::default_shards())
         .build(move |id: NodeId| match specs_owned[id.index()].role {
             Role::Sender { packet_bytes } => {
                 let workload = Workload {
@@ -94,7 +94,7 @@ pub fn run_aff_scenario(
     sim
 }
 
-fn receiver_loss(sim: &Simulator<AffNode>, receiver: NodeId) -> f64 {
+fn receiver_loss(sim: &ShardedSim<AffNode>, receiver: NodeId) -> f64 {
     sim.protocol(receiver)
         .as_receiver()
         .expect("node is the receiver")
@@ -344,6 +344,55 @@ fn churn_point(churn: Option<u64>, control: u64, data: u64) -> ChurnPoint {
 /// The churn periods both allocation studies sweep.
 const CHURN_PERIODS: [Option<u64>; 4] = [None, Some(120), Some(60), Some(30)];
 
+/// Runs an allocation protocol on a full mesh of `nodes` for `run_secs`
+/// and returns the network's `(control, data)` bits sent. Under a churn
+/// period, nodes `first_victim..nodes` take turns at 5 s outages, the
+/// first at `period` seconds and the next every `period / nodes + 1`
+/// seconds after.
+fn churned_bits<P, F>(
+    seed: u64,
+    nodes: usize,
+    first_victim: u32,
+    churn: Option<u64>,
+    run_secs: u64,
+    factory: F,
+    bits: impl Fn(&P) -> (u64, u64),
+) -> (u64, u64)
+where
+    P: Protocol + Send,
+    F: FnMut(NodeId) -> P + 'static,
+{
+    let mut sim = ShardedSimBuilder::new(seed)
+        .radio(RadioConfig::radiometrix_rpc())
+        .mac(MacConfig::csma())
+        .range(100.0)
+        .shards(retri_aff::default_shards())
+        .build(factory);
+    let topo = Topology::full_mesh(nodes, 100.0);
+    for id in topo.node_ids() {
+        sim.add_node_at(topo.position(id));
+    }
+    if let Some(period) = churn {
+        let mut at = period;
+        let mut victim = first_victim;
+        while at + 5 < run_secs {
+            sim.schedule_set_alive(SimTime::from_secs(at), NodeId(victim), false);
+            sim.schedule_set_alive(SimTime::from_secs(at + 5), NodeId(victim), true);
+            victim = if victim + 1 == nodes as u32 {
+                first_victim
+            } else {
+                victim + 1
+            };
+            at += period / nodes as u64 + 1;
+        }
+    }
+    sim.run_until(SimTime::from_secs(run_secs));
+    sim.node_ids().fold((0, 0), |(control, data), id| {
+        let (c, d) = bits(sim.protocol(id));
+        (control + c, data + d)
+    })
+}
+
 /// Sweeps churn for an 8-node mesh running the dynamic local-address
 /// allocation protocol with the paper's low-rate sensor workload.
 ///
@@ -358,7 +407,6 @@ const CHURN_PERIODS: [Option<u64>; 4] = [None, Some(120), Some(60), Some(30)];
 /// regardless of effort.
 #[must_use]
 pub fn dynamic_churn(level: EffortLevel) -> Provenance<ChurnPoint> {
-    let nodes = 8usize;
     let run_secs = (level.trial_secs() * 10).max(120);
     let runs = harness::run_trials(
         "ablation_dynamic_addr",
@@ -366,38 +414,18 @@ pub fn dynamic_churn(level: EffortLevel) -> Provenance<ChurnPoint> {
         &CHURN_PERIODS,
         |&churn, trial| {
             let config = DynamicAddrConfig::default();
-            let sim = if let Some(period) = churn {
-                let mut sim = SimBuilder::new(trial.seed)
-                    .radio(RadioConfig::radiometrix_rpc())
-                    .mac(MacConfig::csma())
-                    .range(100.0)
-                    .build(move |_| retri_baselines::DynamicAddrNode::new(config));
-                let topo = Topology::full_mesh(nodes, 100.0);
-                for id in topo.node_ids() {
-                    sim.add_node_at(topo.position(id));
-                }
-                // Stagger deaths round-robin across nodes.
-                let mut at = period;
-                let mut victim = 0u32;
-                while at + 5 < run_secs {
-                    sim.schedule_set_alive(SimTime::from_secs(at), NodeId(victim), false);
-                    sim.schedule_set_alive(SimTime::from_secs(at + 5), NodeId(victim), true);
-                    victim = (victim + 1) % nodes as u32;
-                    at += period / nodes as u64 + 1;
-                }
-                sim.run_until(SimTime::from_secs(run_secs));
-                sim
-            } else {
-                run_mesh(nodes, config, SimDuration::from_secs(run_secs), trial.seed)
-            };
-            let mut control = 0u64;
-            let mut data = 0u64;
-            for id in sim.node_ids() {
-                let stats = sim.protocol(id).stats();
-                control += stats.control_bits_sent;
-                data += stats.data_bits_sent;
-            }
-            (control, data)
+            churned_bits(
+                trial.seed,
+                8,
+                0,
+                churn,
+                run_secs,
+                move |_| DynamicAddrNode::new(config),
+                |node: &DynamicAddrNode| {
+                    let stats = node.stats();
+                    (stats.control_bits_sent, stats.data_bits_sent)
+                },
+            )
         },
     );
     let mut provenance = Provenance::new("ablation_dynamic_addr", level);
@@ -410,14 +438,15 @@ pub fn dynamic_churn(level: EffortLevel) -> Provenance<ChurnPoint> {
 }
 
 /// The centralized (WINS-style) comparator at the same churn levels:
-/// a controller assigns addresses on request.
+/// a controller (node 0, never churned — losing it is the
+/// single-point-of-failure experiment, shown separately) assigns
+/// addresses to 7 clients on request.
 ///
 /// Experiment id: `ablation_central_addr`; one trial per cell, like
 /// [`dynamic_churn`].
 #[must_use]
 pub fn central_churn(level: EffortLevel) -> Provenance<ChurnPoint> {
-    use retri_baselines::central_alloc::{run_cluster, CentralAllocConfig, CentralAllocNode};
-    let clients = 7usize; // 8 nodes total, matching the dynamic mesh
+    use retri_baselines::{CentralAllocConfig, CentralAllocNode};
     let run_secs = (level.trial_secs() * 10).max(120);
     let runs = harness::run_trials(
         "ablation_central_addr",
@@ -425,51 +454,24 @@ pub fn central_churn(level: EffortLevel) -> Provenance<ChurnPoint> {
         &CHURN_PERIODS,
         |&churn, trial| {
             let config = CentralAllocConfig::default();
-            let sim = if let Some(period) = churn {
-                let mut sim = SimBuilder::new(trial.seed)
-                    .radio(RadioConfig::radiometrix_rpc())
-                    .mac(MacConfig::csma())
-                    .range(100.0)
-                    .build(move |id: NodeId| {
-                        if id.index() == 0 {
-                            CentralAllocNode::controller(config)
-                        } else {
-                            CentralAllocNode::client(config)
-                        }
-                    });
-                let topo = Topology::full_mesh(clients + 1, 100.0);
-                for id in topo.node_ids() {
-                    sim.add_node_at(topo.position(id));
-                }
-                // Same staggered churn pattern as the dynamic mesh, but
-                // never killing the controller (that would be the
-                // single-point-of-failure experiment, shown separately).
-                let mut at = period;
-                let mut victim = 1u32;
-                while at + 5 < run_secs {
-                    sim.schedule_set_alive(SimTime::from_secs(at), NodeId(victim), false);
-                    sim.schedule_set_alive(SimTime::from_secs(at + 5), NodeId(victim), true);
-                    victim = victim % clients as u32 + 1;
-                    at += period / (clients + 1) as u64 + 1;
-                }
-                sim.run_until(SimTime::from_secs(run_secs));
-                sim
-            } else {
-                run_cluster(
-                    clients,
-                    config,
-                    SimDuration::from_secs(run_secs),
-                    trial.seed,
-                )
-            };
-            let mut control = 0u64;
-            let mut data = 0u64;
-            for id in sim.node_ids() {
-                let stats = sim.protocol(id).stats();
-                control += stats.control_bits_sent;
-                data += stats.data_bits_sent;
-            }
-            (control, data)
+            churned_bits(
+                trial.seed,
+                8,
+                1,
+                churn,
+                run_secs,
+                move |id: NodeId| {
+                    if id.index() == 0 {
+                        CentralAllocNode::controller(config)
+                    } else {
+                        CentralAllocNode::client(config)
+                    }
+                },
+                |node: &CentralAllocNode| {
+                    let stats = node.stats();
+                    (stats.control_bits_sent, stats.data_bits_sent)
+                },
+            )
         },
     );
     let mut provenance = Provenance::new("ablation_central_addr", level);

@@ -31,7 +31,7 @@ use retri_aff::reassembly::ReassemblyStats;
 use retri_aff::receiver::ReceiverStats;
 use retri_aff::roles::ObservedTrialResult;
 use retri_aff::sender::SenderStats;
-use retri_netsim::sim::MediumStats;
+use retri_netsim::prelude::MediumStats;
 use retri_netsim::topology::Position;
 use retri_netsim::trace::{LossReason, TraceEvent};
 use retri_netsim::{NodeId, SimTime};

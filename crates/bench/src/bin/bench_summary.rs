@@ -183,7 +183,7 @@ fn run_suite(args: &Args) -> Value {
                     "description".to_string(),
                     Value::String(w.description.to_string()),
                 ),
-                // Simulator trials folded into each timed batch — NOT
+                // Simulation trials folded into each timed batch — NOT
                 // the number of wall-clock samples; that is the
                 // measurement's `reps` / `samples_ns` length.
                 ("trials_per_rep".to_string(), Value::UInt(w.trials)),

@@ -250,14 +250,9 @@ impl Protocol for Saturator {
     }
 }
 
-fn sim_dense_mesh(seed: u64, quick: bool) {
-    // ALOHA, not CSMA: with carrier sense the mesh serializes onto one
-    // transmission at a time and the benchmark measures the event heap.
-    // Without it, all 32 radios keep overlapping transmissions on the
-    // air, so every delivery judgment works against a full medium —
-    // the hot path this workload exists to watch.
-    let sim_secs = if quick { 10 } else { 60 };
-    let mut sim = SimBuilder::new(seed)
+/// The 32-node full mesh of saturating ALOHA senders.
+fn dense_mesh(seed: u64) -> ShardedSim<Saturator> {
+    let mut sim = ShardedSimBuilder::new(seed)
         .mac(MacConfig::aloha())
         .range(100.0)
         .build(|_| Saturator { payload_bytes: 27 });
@@ -265,6 +260,17 @@ fn sim_dense_mesh(seed: u64, quick: bool) {
     for id in topo.node_ids() {
         sim.add_node_at(topo.position(id));
     }
+    sim
+}
+
+fn sim_dense_mesh(seed: u64, quick: bool) {
+    // ALOHA, not CSMA: with carrier sense the mesh serializes onto one
+    // transmission at a time and the benchmark measures the event heap.
+    // Without it, all 32 radios keep overlapping transmissions on the
+    // air, so every delivery judgment works against a full medium —
+    // the hot path this workload exists to watch.
+    let sim_secs = if quick { 10 } else { 60 };
+    let mut sim = dense_mesh(seed);
     sim.run_until(SimTime::from_secs(sim_secs));
     assert!(sim.stats().frames_sent > 0);
     std::hint::black_box(sim.stats());
@@ -278,14 +284,7 @@ fn sim_dense_mesh_obs(seed: u64, quick: bool) {
     // obs-on overhead.
     let sim_secs = if quick { 10 } else { 60 };
     let obs = Obs::enabled();
-    let mut sim = SimBuilder::new(seed)
-        .mac(MacConfig::aloha())
-        .range(100.0)
-        .build(|_| Saturator { payload_bytes: 27 });
-    let topo = Topology::full_mesh(32, 100.0);
-    for id in topo.node_ids() {
-        sim.add_node_at(topo.position(id));
-    }
+    let mut sim = dense_mesh(seed);
     sim.enable_obs(&obs);
     sim.run_until(SimTime::from_secs(sim_secs));
     let snapshot = obs.snapshot().expect("obs is enabled");
@@ -299,7 +298,7 @@ fn sim_dense_mesh_obs(seed: u64, quick: bool) {
 
 fn sim_hidden_triple(seed: u64, quick: bool) {
     let sim_secs = if quick { 60 } else { 240 };
-    let mut sim = SimBuilder::new(seed)
+    let mut sim = ShardedSimBuilder::new(seed)
         .mac(MacConfig::csma())
         .range(100.0)
         .build(|id| Saturator {
@@ -332,7 +331,9 @@ impl Protocol for SparseSender {
 
 fn sim_sparse_grid(seed: u64, quick: bool) {
     let sim_secs = if quick { 20 } else { 60 };
-    let mut sim = SimBuilder::new(seed).range(60.0).build(|_| SparseSender);
+    let mut sim = ShardedSimBuilder::new(seed)
+        .range(60.0)
+        .build(|_| SparseSender);
     let topo = Topology::grid(20, 20, 50.0, 60.0);
     for id in topo.node_ids() {
         sim.add_node_at(topo.position(id));
@@ -437,7 +438,7 @@ impl Protocol for DfaSaturator {
 /// One saturated-clique run under `mac`: 16 [`DfaSaturator`] nodes in
 /// RF range of each other for `sim_secs` simulated seconds.
 fn dfa_clique_run(seed: u64, sim_secs: u64, mac: MacConfig) -> (MediumStats, DfaStats) {
-    let mut sim = SimBuilder::new(seed)
+    let mut sim = ShardedSimBuilder::new(seed)
         .mac(mac)
         .range(100.0)
         .build(|_| DfaSaturator::new());

@@ -1,16 +1,16 @@
 //! Deterministic seed-stream derivation.
 //!
 //! A reproducible experiment often needs *several* independent RNG
-//! streams from one root seed — the simulator's main stream, the fault
-//! channel, per-trial workloads — without any stream's draws moving
-//! when another stream is enabled. This module gives every consumer the
-//! same derivation: absorb a textual label into the root seed through
-//! SplitMix64, one byte at a time.
+//! streams from one root seed — per-trial workloads, an injected
+//! adversary, the service's minting shards — without any stream's draws
+//! moving when another stream is enabled. This module gives every
+//! consumer the same derivation: absorb a textual label into the root
+//! seed through SplitMix64, one byte at a time.
 //!
 //! The derivation is identical to the benchmark harness's
 //! `trial_seed` absorption step, and `retri-netsim` re-implements it
-//! locally (label `"netsim.fault"`) to keep its dependency surface at
-//! `rand` alone; a cross-crate test pins the two implementations
+//! locally (label `"netsim.adversary"`) to keep its dependency surface
+//! at `rand` alone; a cross-crate test pins the two implementations
 //! together.
 
 /// Derives the seed of a named sub-stream from a root seed.

@@ -21,9 +21,8 @@
 //! encoding.
 //!
 //! All adversary randomness (injection jitter) comes from a dedicated
-//! RNG stream seeded with [`adversary_stream_seed`] — mirroring the
-//! fault channel's [`crate::fault::fault_stream_seed`] — so adding an
-//! adversary never moves a draw of the simulator's main RNG and
+//! RNG stream seeded with [`adversary_stream_seed`], so adding an
+//! adversary never moves a draw of any node's engine streams and
 //! adversary-free runs stay byte-identical to builds that predate this
 //! module.
 
@@ -44,7 +43,7 @@ const INJECT_TICK: u64 = 1;
 /// Derives the seed of the dedicated adversary RNG stream from the
 /// simulation seed.
 ///
-/// The derivation mirrors [`crate::fault::fault_stream_seed`]: start
+/// The derivation mirrors the benchmark harness's `trial_seed`: start
 /// from the root seed and absorb each byte of [`ADVERSARY_STREAM_LABEL`]
 /// through SplitMix64. Crates that depend on `retri` can compute the
 /// same value as `retri::seed::stream_seed(seed, "netsim.adversary")`;
@@ -283,8 +282,6 @@ mod tests {
         let derived = adversary_stream_seed(42);
         assert_ne!(derived, 42);
         assert_ne!(derived, adversary_stream_seed(43));
-        // Distinct from the fault stream of the same root seed.
-        assert_ne!(derived, crate::fault::fault_stream_seed(42));
         // Stable: this value is provenance; changing it invalidates
         // recorded adversarial runs.
         assert_eq!(adversary_stream_seed(0), {

@@ -15,41 +15,17 @@
 //! - **partition windows**: time intervals during which frames crossing
 //!   a node-group boundary are severed deterministically.
 //!
-//! All random fault decisions are drawn from a *dedicated* RNG stream
-//! seeded with [`fault_stream_seed`] — a SplitMix64 absorption of the
-//! label [`FAULT_STREAM_LABEL`] into the simulation seed — so enabling
-//! faults never moves a draw of the simulator's main RNG, and a run
-//! with [`FaultModel::none`] stays byte-identical to one with no fault
-//! model at all.
+//! All random fault decisions are drawn from each receiver's
+//! *dedicated* fault stream (see [`crate::shard`]), so enabling faults
+//! never moves a draw of any other stream, and a run with
+//! [`FaultModel::none`] stays byte-identical to one with no fault model
+//! at all.
 
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::node::NodeId;
 use crate::time::SimTime;
-
-/// Label absorbed into the simulation seed to derive the fault RNG
-/// stream (see [`fault_stream_seed`]).
-pub const FAULT_STREAM_LABEL: &str = "netsim.fault";
-
-/// Derives the seed of the dedicated fault RNG stream from the
-/// simulation seed.
-///
-/// The derivation mirrors the benchmark harness's `trial_seed`: start
-/// from the root seed and absorb each byte of [`FAULT_STREAM_LABEL`]
-/// through SplitMix64. Crates that depend on `retri` can compute the
-/// same value as `retri::seed::stream_seed(seed, "netsim.fault")`;
-/// `netsim` re-derives it locally to keep its dependency surface at
-/// `rand` alone.
-#[must_use]
-pub fn fault_stream_seed(seed: u64) -> u64 {
-    let mut state = seed;
-    for &byte in FAULT_STREAM_LABEL.as_bytes() {
-        state ^= u64::from(byte);
-        state = rand::splitmix64(&mut state);
-    }
-    state
-}
 
 /// Channel quality while the Gilbert–Elliott process sits in one state.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -331,16 +307,6 @@ impl FaultModel {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-
-    #[test]
-    fn fault_stream_differs_from_root_seed() {
-        // The derived stream must not collide with the main RNG's seed,
-        // and must be a pure function of the root seed.
-        assert_ne!(fault_stream_seed(0), 0);
-        assert_ne!(fault_stream_seed(42), 42);
-        assert_eq!(fault_stream_seed(42), fault_stream_seed(42));
-        assert_ne!(fault_stream_seed(42), fault_stream_seed(43));
-    }
 
     #[test]
     fn none_model_is_inert() {

@@ -6,7 +6,7 @@
 //! experiments actually depend on:
 //!
 //! - a **broadcast medium** with limited radio range, so hidden
-//!   terminals arise naturally ([`medium`]);
+//!   terminals arise naturally ([`topology`], [`shard`]);
 //! - **RF frame collisions**: overlapping transmissions audible at the
 //!   same receiver corrupt each other;
 //! - **half-duplex radios** with small, fixed maximum frame sizes (the
@@ -15,14 +15,17 @@
 //! - **per-bit energy metering**, because in sensor networks *every bit
 //!   transmitted reduces the lifetime of the network* ([`energy`]);
 //! - **network dynamics**: scheduled node movement, death, and birth
-//!   ([`topology`], [`sim`]);
+//!   ([`topology`], [`shard`]);
 //! - **adversarial nodes**: an identifier-predicting eavesdropper that
 //!   injects forged frames through a protocol-supplied codec
 //!   ([`adversary`]).
 //!
-//! Everything is driven by a single seeded RNG, so a whole experiment is
-//! reproducible from `(seed, configuration)` — which is what lets the
-//! statistical validation of the paper's Figure 4 run in CI.
+//! One engine, [`ShardedSim`], runs every simulation. Every random draw
+//! comes from a per-node stream derived from the builder seed and the
+//! node id, so a whole experiment is reproducible from
+//! `(seed, configuration)` — and identical at any shard count — which
+//! is what lets the statistical validation of the paper's Figure 4 run
+//! in CI.
 //!
 //! # Quick start
 //!
@@ -46,7 +49,7 @@
 //!     fn on_timer(&mut self, _ctx: &mut Context<'_>, _timer: Timer) {}
 //! }
 //!
-//! let mut sim = SimBuilder::new(42)
+//! let mut sim = ShardedSimBuilder::new(42)
 //!     .radio(RadioConfig::radiometrix_rpc())
 //!     .build(|_| Beacon { heard: 0 });
 //! // Two nodes 10 m apart, well within range.
@@ -64,12 +67,10 @@ pub mod energy;
 pub mod fault;
 pub mod frame;
 pub mod mac;
-pub mod medium;
 pub mod node;
 pub(crate) mod obs;
 pub mod radio;
 pub mod shard;
-pub mod sim;
 pub mod time;
 pub mod topology;
 pub mod trace;
@@ -84,9 +85,9 @@ pub mod prelude {
     pub use crate::node::{Context, NodeId, Protocol, Timer};
     pub use crate::radio::RadioConfig;
     pub use crate::shard::{
-        DegreeBalanced, GridHash, ShardStrategy, ShardedSim, ShardedSimBuilder, SpatialStripes,
+        DegreeBalanced, GridHash, MediumStats, ShardStrategy, ShardedSim, ShardedSimBuilder,
+        SpatialStripes,
     };
-    pub use crate::sim::{MediumStats, SimBuilder, Simulator};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{Position, Topology};
 }
@@ -101,6 +102,5 @@ pub use shard::{
     DegreeBalanced, GridHash, ShardStrategy, ShardedSim, ShardedSimBuilder, SpatialStripes,
     MIN_NODES_PER_SHARD,
 };
-pub use sim::{SimBuilder, Simulator};
 pub use time::{SimDuration, SimTime};
 pub use topology::Position;

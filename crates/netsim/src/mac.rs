@@ -83,7 +83,7 @@ impl DfaConfig {
 }
 
 /// Counters the Dynamic-Frame Aloha engine keeps per run, reported
-/// separately from [`crate::sim::MediumStats`] so non-DFA provenance is
+/// separately from [`crate::shard::MediumStats`] so non-DFA provenance is
 /// unchanged.
 ///
 /// The per-slot feedback DFA classically exposes is recoverable from

@@ -5,12 +5,11 @@
 //! is one atomic update on a pre-resolved cell, and the cost when it
 //! is off is nothing at all: the simulator stores `Option<NetsimObs>` and a
 //! disabled run never constructs one (see
-//! [`Simulator::enable_obs`](crate::sim::Simulator::enable_obs)).
+//! [`ShardedSim::enable_obs`](crate::shard::ShardedSim::enable_obs)).
 //!
-//! Metrics are pure observations: no recording call touches the main
-//! or fault RNG streams, so enabling observability can never change
-//! simulation output. `sim.rs` proves this with an obs-on-equals-
-//! obs-off stats test.
+//! Metrics are pure observations: no recording call touches any RNG
+//! stream, so enabling observability can never change simulation
+//! output. `shard.rs` proves this with an obs-on-equals-obs-off test.
 
 use retri_obs::{Counter, Gauge, Obs, SpanTracker};
 

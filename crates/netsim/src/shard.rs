@@ -1,12 +1,15 @@
-//! Spatially sharded, deterministic parallel simulation engine.
+//! The deterministic windowed simulation engine.
 //!
-//! [`ShardedSim`] partitions a topology into `K` spatial shards — nodes
-//! are grid-bucketed by position — each with its own event heaps and
-//! scratch state, and advances them on a pool of scoped worker threads
-//! under *conservative lookahead* synchronization: every shard runs
+//! [`ShardedSim`] is the crate's simulation engine. It partitions a
+//! topology into `K` spatial shards (one by default) — nodes are
+//! grid-bucketed by position — each with its own event heaps and
+//! scratch state, and advances them window by window under
+//! *conservative lookahead* synchronization: every shard runs
 //! independently inside a window `[T, T + L)` and the shards exchange
 //! cross-shard work (new transmissions) at barrier epochs between
-//! windows.
+//! windows. Large topologies run the shards on scoped worker threads;
+//! small ones, and every single-shard run, execute the same windows
+//! inline on the calling thread.
 //!
 //! The lookahead bound `L` is the MAC turnaround delay: a protocol
 //! callback running at time `t` enqueues its frame on the MAC at
@@ -15,10 +18,10 @@
 //! in a window are merged, numbered, and broadcast at the epoch barrier,
 //! and every delivery of a frame happens at its airtime end — always a
 //! later window than the one that emitted the frame under ALOHA, and
-//! under a globally ordered serial MAC phase for carrier-sense MACs
-//! (carrier sense has zero lookahead, so the MAC phase of a CSMA run is
-//! executed as a single cross-shard merge in event order; the receive
-//! phase still runs fully parallel).
+//! under a globally ordered MAC phase for carrier-sense MACs (carrier
+//! sense has zero lookahead, so the MAC phase of a CSMA run is executed
+//! as a single cross-shard merge in event order; the receive phase
+//! still runs fully parallel).
 //!
 //! # Determinism
 //!
@@ -37,21 +40,24 @@
 //! - Within a window, every heap pop is ordered by an explicit
 //!   `(time, lane, a, b)` key with no insertion-order component.
 //! - Per-node counters (timer handles, MAC event sequence numbers,
-//!   transmission indices) replace the serial engine's global counters.
+//!   transmission indices) replace global counters.
 //!
 //! A single-shard run executes the *same* windowed algorithm with the
 //! same per-node streams, so `--shards 1` is the reference output, not a
-//! different engine. The serial [`crate::sim::Simulator`] draws from one
-//! global RNG and therefore produces a (deterministic) stream of its
-//! own; workloads choose one engine and stay on it.
+//! different engine.
 //!
 //! # Interference bookkeeping
 //!
-//! One global [`AirView`] replaces the serial `Medium`: a dense record
+//! The merging thread owns the authoritative air view: a dense record
 //! deque plus per-grid-cell and per-node sequence indexes (cell size =
 //! radio range, so a 3×3 cell scan covers every in-range interferer).
-//! It is only mutated by the merging thread (and by the globally ordered
-//! CSMA MAC phase) and read concurrently by the receive phase.
+//! Each cell also counts its transmissions still on the air, so carrier
+//! sense skips silent cells and stops once it has seen them all. The
+//! view is mutated only at epoch barriers and by the globally ordered
+//! CSMA MAC phase. Inline runs judge deliveries against it directly;
+//! threaded runs judge against per-shard ghost replicas holding only the
+//! records within one cell ring of a shard's nodes, so the receive phase
+//! takes no lock.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
@@ -67,21 +73,20 @@ use crate::energy::EnergyMeter;
 use crate::fault::{ChurnEvent, FaultModel};
 use crate::frame::{Frame, FramePayload};
 use crate::mac::{DfaConfig, DfaStats, FrameSizing, MacConfig};
-use crate::medium::{DeliveryFailure, Verdict};
 use crate::node::{Command, Context, NodeId, Protocol, Timer, TimerHandle};
 use crate::obs::NetsimObs;
 use crate::radio::{DutyCycle, RadioConfig};
-use crate::sim::{align_up, MediumStats};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{Position, Topology};
 use crate::trace::{LossReason, TraceEvent, Tracer};
 
 /// Derives the seed of one of a node's dedicated RNG streams.
 ///
-/// Mirrors [`crate::fault::fault_stream_seed`]: fold the label bytes and
-/// then the node id (little-endian) through SplitMix64. Distinct labels
-/// and distinct nodes land in unrelated streams, and the derivation
-/// depends only on `(seed, label, node)` — never on shard placement.
+/// Mirrors [`crate::adversary::adversary_stream_seed`]: fold the label
+/// bytes and then the node id (little-endian) through SplitMix64.
+/// Distinct labels and distinct nodes land in unrelated streams, and the
+/// derivation depends only on `(seed, label, node)` — never on shard
+/// placement.
 fn node_stream_seed(seed: u64, label: &str, node: NodeId) -> u64 {
     let mut state = seed;
     for &byte in label.as_bytes() {
@@ -93,6 +98,71 @@ fn node_stream_seed(seed: u64, label: &str, node: NodeId) -> u64 {
         state = rand::splitmix64(&mut state);
     }
     state
+}
+
+/// Medium-level counters for a whole run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+pub struct MediumStats {
+    /// Frames handed to the air.
+    pub frames_sent: u64,
+    /// Successful frame deliveries (one per receiver).
+    pub deliveries: u64,
+    /// Deliveries lost to overlapping transmissions.
+    pub rf_collisions: u64,
+    /// Deliveries missed because the receiver was itself transmitting.
+    pub half_duplex_losses: u64,
+    /// Deliveries lost to the independent random-loss draw.
+    pub random_losses: u64,
+    /// Deliveries missed because the receiver's radio was duty-cycled
+    /// off.
+    pub sleep_misses: u64,
+    /// Deliveries erased outright by the fault channel.
+    pub fault_erasures: u64,
+    /// Deliveries severed by a fault-model partition window.
+    pub partition_losses: u64,
+    /// Deliveries that arrived with at least one flipped payload bit
+    /// (included in `deliveries`: the frame did reach the protocol).
+    pub corrupted_deliveries: u64,
+    /// Total payload bits flipped across all corrupted deliveries.
+    pub flipped_bits: u64,
+}
+
+impl core::fmt::Display for MediumStats {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(
+            f,
+            "{} sent, {} delivered, {} RF-collided, {} half-duplex, {} random losses, \
+             {} sleep misses, {} fault erasures, {} partition losses, {} corrupted ({} bits)",
+            self.frames_sent,
+            self.deliveries,
+            self.rf_collisions,
+            self.half_duplex_losses,
+            self.random_losses,
+            self.sleep_misses,
+            self.fault_erasures,
+            self.partition_losses,
+            self.corrupted_deliveries,
+            self.flipped_bits
+        )
+    }
+}
+
+/// The next multiple of `slot` at or after `t` — the absolute slot grid
+/// every DFA node aligns its frames to.
+fn align_up(t: SimTime, slot: SimDuration) -> SimTime {
+    let step = slot.as_micros();
+    debug_assert!(step > 0, "validated by MacConfig::validate");
+    SimTime::from_micros(t.as_micros().div_ceil(step) * step)
+}
+
+/// Per-receiver delivery verdict for one transmission.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    Delivered,
+    /// Lost on the air: [`LossReason::HalfDuplex`],
+    /// [`LossReason::RfCollision`] or [`LossReason::RandomLoss`].
+    Failed(LossReason),
 }
 
 /// Sorting key of a buffered trace event: `(microseconds, lane, a, b)`.
@@ -153,22 +223,30 @@ enum MacKind {
     Try { node: NodeId },
 }
 
-/// A MAC-phase event, ordered by `(at, lane, a, b)` where node-owned
-/// lanes use `a` = node id and `b` = a per-node event counter, and the
-/// dynamics lane uses `a` = the global dynamic index.
+/// A phase event, ordered by `(at, lane, a, b)`. In the MAC phase,
+/// node-owned lanes use `a` = node id and `b` = a per-node event
+/// counter, and the dynamics lane uses `a` = the global dynamic index.
 #[derive(Debug)]
-struct MacEvent {
+struct Event<K> {
     at: SimTime,
     lane: u8,
     a: u64,
     b: u64,
-    kind: MacKind,
+    kind: K,
 }
 
-impl MacEvent {
+/// A MAC-phase event.
+type MacEvent = Event<MacKind>;
+/// A receive-phase event.
+type RxEvent = Event<RxKind>;
+
+impl<K> Event<K> {
     fn key(&self) -> (SimTime, u8, u64, u64) {
         (self.at, self.lane, self.a, self.b)
     }
+}
+
+impl MacEvent {
     /// The node this event is pinned to, if it is node-owned (dynamics
     /// are broadcast and stay put on shard rebalancing).
     fn node(&self) -> Option<NodeId> {
@@ -181,18 +259,18 @@ impl MacEvent {
     }
 }
 
-impl PartialEq for MacEvent {
+impl<K> PartialEq for Event<K> {
     fn eq(&self, other: &Self) -> bool {
         self.key() == other.key()
     }
 }
-impl Eq for MacEvent {}
-impl PartialOrd for MacEvent {
+impl<K> Eq for Event<K> {}
+impl<K> PartialOrd for Event<K> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for MacEvent {
+impl<K> Ord for Event<K> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap: invert so the smallest key pops
         // first.
@@ -221,20 +299,7 @@ enum RxKind {
     DfaFeedback { seq: u64, sender: NodeId },
 }
 
-/// A receive-phase event, ordered by `(at, lane, a, b)`.
-#[derive(Debug)]
-struct RxEvent {
-    at: SimTime,
-    lane: u8,
-    a: u64,
-    b: u64,
-    kind: RxKind,
-}
-
 impl RxEvent {
-    fn key(&self) -> (SimTime, u8, u64, u64) {
-        (self.at, self.lane, self.a, self.b)
-    }
     fn node(&self) -> Option<NodeId> {
         match self.kind {
             RxKind::Start { node } | RxKind::Timer { node, .. } => Some(node),
@@ -243,23 +308,6 @@ impl RxEvent {
             RxKind::DfaFeedback { sender, .. } => Some(sender),
             RxKind::Dynamics { .. } | RxKind::Deliver { .. } => None,
         }
-    }
-}
-
-impl PartialEq for RxEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for RxEvent {}
-impl PartialOrd for RxEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for RxEvent {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.key().cmp(&self.key())
     }
 }
 
@@ -307,8 +355,7 @@ struct AirRecord {
     /// the origin cell).
     cell: (i64, i64),
     /// Whether the transmission's MAC `TxEnd` has run (clears carrier
-    /// sense; judgments ignore this flag, exactly like the serial
-    /// medium).
+    /// sense; delivery judgments ignore this flag).
     ended: bool,
 }
 
@@ -335,11 +382,21 @@ impl AirRecord {
 }
 
 /// Read-only delivery-judgment queries over some view of the air —
-/// implemented by the global [`AirView`] (serial windows) and by the
+/// implemented by the global [`AirView`] (inline windows) and by the
 /// per-shard [`GhostAir`] replicas (threaded windows), so the receive
 /// phase is lock-free either way.
 trait AirReads {
     fn get(&self, seq: u64) -> Option<&AirRecord>;
+
+    /// Retained records `node` sent, by ascending sequence number.
+    fn sent_by(&self, node: NodeId) -> Option<&VecDeque<u64>>;
+
+    /// Retained records that started in grid `cell`, by ascending
+    /// sequence number.
+    fn started_in(&self, cell: (i64, i64)) -> Option<&VecDeque<u64>>;
+
+    /// The grid pitch (= radio range).
+    fn cell_size(&self) -> f64;
 
     /// Whether `node`'s own radio is transmitting during `[start, end)`,
     /// other than `exclude_seq` (half-duplex check).
@@ -349,7 +406,14 @@ trait AirReads {
         start: SimTime,
         end: SimTime,
         exclude_seq: u64,
-    ) -> bool;
+    ) -> bool {
+        self.sent_by(node).is_some_and(|seqs| {
+            seqs.iter().any(|&seq| {
+                let record = self.get(seq).expect("indexed record retained");
+                seq != exclude_seq && record.overlaps(start, end)
+            })
+        })
+    }
 
     /// Whether any foreign transmission audible at `receiver` overlaps
     /// `[start, end)` other than `exclude_seq`.
@@ -361,10 +425,30 @@ trait AirReads {
         end: SimTime,
         exclude_seq: u64,
         topology: &Topology,
-    ) -> bool;
+    ) -> bool {
+        let (cx, cy) = cell_of(position, self.cell_size());
+        for dx in -1..=1 {
+            for dy in -1..=1 {
+                let Some(seqs) = self.started_in((cx + dx, cy + dy)) else {
+                    continue;
+                };
+                for &seq in seqs {
+                    let record = self.get(seq).expect("indexed record retained");
+                    if seq != exclude_seq
+                        && record.sender != receiver
+                        && record.overlaps(start, end)
+                        && topology.in_range(record.sender, receiver)
+                    {
+                        return true;
+                    }
+                }
+            }
+        }
+        false
+    }
 
-    /// Per-receiver delivery verdict — the serial medium's precedence
-    /// verbatim: half-duplex, then RF collision, then random loss.
+    /// Per-receiver delivery verdict, in precedence order: half-duplex,
+    /// then RF collision, then random loss.
     fn judge(
         &self,
         seq: u64,
@@ -376,37 +460,44 @@ trait AirReads {
     ) -> Verdict {
         let record = self.get(seq).expect("judging unknown transmission");
         if self.transmitting_during(receiver, record.start, record.end, seq) {
-            Verdict::Failed(DeliveryFailure::HalfDuplex)
+            Verdict::Failed(LossReason::HalfDuplex)
         } else if self.interference_at(receiver, position, record.start, record.end, seq, topology)
         {
-            Verdict::Failed(DeliveryFailure::RfCollision)
+            Verdict::Failed(LossReason::RfCollision)
         } else if loss_draw < frame_loss {
-            Verdict::Failed(DeliveryFailure::RandomLoss)
+            Verdict::Failed(LossReason::RandomLoss)
         } else {
             Verdict::Delivered
         }
     }
 }
 
-/// The single, global view of the air shared by all shards.
+/// The authoritative view of the air, owned by the merging thread.
 ///
-/// Mirrors the serial [`crate::medium::Medium`] verdict logic exactly,
-/// but indexes records by the sender's grid cell (cell size = radio
-/// range) so interference queries scan a 3×3 neighborhood instead of
-/// every concurrent transmission — the property that makes the shared
-/// read-only view cheap at 10k nodes.
+/// Indexes records by the sender's grid cell (cell size = radio range)
+/// so interference queries scan a 3×3 neighborhood instead of every
+/// concurrent transmission — the property that makes the view cheap at
+/// 10k nodes.
 #[derive(Debug)]
 struct AirView {
     cell_size: f64,
     /// Retained records in seq order; `records[i]` has `base_seq + i`.
     records: VecDeque<AirRecord>,
     base_seq: u64,
-    /// Per-cell record sequence numbers, in insertion (= seq) order.
-    cells: HashMap<(i64, i64), VecDeque<u64>>,
+    cells: HashMap<(i64, i64), AirCell>,
     /// Per-sender record sequence numbers, indexed by node.
     by_node: Vec<VecDeque<u64>>,
-    /// Longest airtime ever inserted, in microseconds (monotone).
-    max_airtime_micros: u64,
+    /// Records still on the air, summed over every cell.
+    on_air: u32,
+}
+
+/// One grid cell of the [`AirView`] index.
+#[derive(Debug, Default)]
+struct AirCell {
+    /// Retained record sequence numbers, in insertion (= seq) order.
+    seqs: VecDeque<u64>,
+    /// How many of those records are still on the air (not ended).
+    on_air: u32,
 }
 
 impl AirView {
@@ -417,24 +508,12 @@ impl AirView {
             base_seq: 0,
             cells: HashMap::new(),
             by_node: Vec::new(),
-            max_airtime_micros: 0,
+            on_air: 0,
         }
-    }
-
-    fn cell_of(&self, position: Position) -> (i64, i64) {
-        (
-            (position.x / self.cell_size).floor() as i64,
-            (position.y / self.cell_size).floor() as i64,
-        )
     }
 
     fn add_node(&mut self) {
         self.by_node.push(VecDeque::new());
-    }
-
-    fn get(&self, seq: u64) -> Option<&AirRecord> {
-        let index = usize::try_from(seq.checked_sub(self.base_seq)?).ok()?;
-        self.records.get(index)
     }
 
     fn insert(&mut self, record: AirRecord) {
@@ -443,24 +522,34 @@ impl AirView {
             self.base_seq + self.records.len() as u64,
             "records must be inserted in sequence order"
         );
-        self.max_airtime_micros = self
-            .max_airtime_micros
-            .max(record.end.since(record.start).as_micros());
-        self.cells
-            .entry(record.cell)
-            .or_default()
-            .push_back(record.seq);
+        let cell = self.cells.entry(record.cell).or_default();
+        cell.seqs.push_back(record.seq);
+        cell.on_air += 1;
+        self.on_air += 1;
         self.by_node[record.sender.index()].push_back(record.seq);
         self.records.push_back(record);
     }
 
     fn mark_ended(&mut self, seq: u64) {
         let index = usize::try_from(seq - self.base_seq).expect("record index fits usize");
-        self.records[index].ended = true;
+        let record = &mut self.records[index];
+        debug_assert!(!record.ended, "transmission {seq} ended twice");
+        record.ended = true;
+        self.cells
+            .get_mut(&record.cell)
+            .expect("cell index present")
+            .on_air -= 1;
+        self.on_air -= 1;
     }
 
     /// CSMA carrier sense: whether `listener` (at `position`) hears any
     /// ongoing foreign transmission at `now`.
+    ///
+    /// Visits only on-air records: a record satisfying
+    /// `start <= now < end` cannot have ended (its `TxEnd` runs at
+    /// `end > now`), so a silent air answers at once, cells with no
+    /// on-air record are skipped, and the newest-first walk of a cell
+    /// stops after its `on_air` un-ended records.
     fn busy_for(
         &self,
         listener: NodeId,
@@ -468,22 +557,32 @@ impl AirView {
         now: SimTime,
         topology: &Topology,
     ) -> bool {
-        let (cx, cy) = self.cell_of(position);
+        if self.on_air == 0 {
+            return false;
+        }
+        let (cx, cy) = cell_of(position, self.cell_size);
         for dx in -1..=1 {
             for dy in -1..=1 {
-                let Some(seqs) = self.cells.get(&(cx + dx, cy + dy)) else {
+                let Some(cell) = self.cells.get(&(cx + dx, cy + dy)) else {
                     continue;
                 };
-                for &seq in seqs {
+                let mut remaining = cell.on_air;
+                for &seq in cell.seqs.iter().rev() {
+                    if remaining == 0 {
+                        break;
+                    }
                     let record = self.get(seq).expect("indexed record retained");
-                    if !record.ended
-                        && record.sender != listener
+                    if record.ended {
+                        continue;
+                    }
+                    if record.sender != listener
                         && record.start <= now
                         && record.end > now
                         && topology.in_range(record.sender, listener)
                     {
                         return true;
                     }
+                    remaining -= 1;
                 }
             }
         }
@@ -504,9 +603,15 @@ impl AirView {
                 .cells
                 .get_mut(&record.cell)
                 .expect("cell index present");
-            let popped = cell.pop_front();
+            let popped = cell.seqs.pop_front();
             debug_assert_eq!(popped, Some(record.seq));
-            if cell.is_empty() {
+            if !record.ended {
+                // Only carrier-sense runs end records (`mark_ended`);
+                // the rest leave the on-air count here.
+                cell.on_air -= 1;
+                self.on_air -= 1;
+            }
+            if cell.seqs.is_empty() {
                 self.cells.remove(&record.cell);
             }
             let by_node = &mut self.by_node[record.sender.index()];
@@ -518,53 +623,20 @@ impl AirView {
 
 impl AirReads for AirView {
     fn get(&self, seq: u64) -> Option<&AirRecord> {
-        AirView::get(self, seq)
+        let index = usize::try_from(seq.checked_sub(self.base_seq)?).ok()?;
+        self.records.get(index)
     }
 
-    fn transmitting_during(
-        &self,
-        node: NodeId,
-        start: SimTime,
-        end: SimTime,
-        exclude_seq: u64,
-    ) -> bool {
-        let Some(seqs) = self.by_node.get(node.index()) else {
-            return false;
-        };
-        seqs.iter().any(|&seq| {
-            let record = AirView::get(self, seq).expect("indexed record retained");
-            seq != exclude_seq && record.overlaps(start, end)
-        })
+    fn sent_by(&self, node: NodeId) -> Option<&VecDeque<u64>> {
+        self.by_node.get(node.index())
     }
 
-    fn interference_at(
-        &self,
-        receiver: NodeId,
-        position: Position,
-        start: SimTime,
-        end: SimTime,
-        exclude_seq: u64,
-        topology: &Topology,
-    ) -> bool {
-        let (cx, cy) = self.cell_of(position);
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                let Some(seqs) = self.cells.get(&(cx + dx, cy + dy)) else {
-                    continue;
-                };
-                for &seq in seqs {
-                    let record = AirView::get(self, seq).expect("indexed record retained");
-                    if seq != exclude_seq
-                        && record.sender != receiver
-                        && record.overlaps(start, end)
-                        && topology.in_range(record.sender, receiver)
-                    {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
+    fn started_in(&self, cell: (i64, i64)) -> Option<&VecDeque<u64>> {
+        self.cells.get(&cell).map(|indexed| &indexed.seqs)
+    }
+
+    fn cell_size(&self) -> f64 {
+        self.cell_size
     }
 }
 
@@ -662,13 +734,6 @@ impl GhostAir {
             }
         }
     }
-
-    fn cell_of(&self, position: Position) -> (i64, i64) {
-        (
-            (position.x / self.cell_size).floor() as i64,
-            (position.y / self.cell_size).floor() as i64,
-        )
-    }
 }
 
 impl AirReads for GhostAir {
@@ -676,50 +741,16 @@ impl AirReads for GhostAir {
         self.records.get(&seq)
     }
 
-    fn transmitting_during(
-        &self,
-        node: NodeId,
-        start: SimTime,
-        end: SimTime,
-        exclude_seq: u64,
-    ) -> bool {
-        let Some(seqs) = self.by_node.get(&node.0) else {
-            return false;
-        };
-        seqs.iter().any(|&seq| {
-            let record = &self.records[&seq];
-            seq != exclude_seq && record.overlaps(start, end)
-        })
+    fn sent_by(&self, node: NodeId) -> Option<&VecDeque<u64>> {
+        self.by_node.get(&node.0)
     }
 
-    fn interference_at(
-        &self,
-        receiver: NodeId,
-        position: Position,
-        start: SimTime,
-        end: SimTime,
-        exclude_seq: u64,
-        topology: &Topology,
-    ) -> bool {
-        let (cx, cy) = self.cell_of(position);
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                let Some(seqs) = self.cells.get(&(cx + dx, cy + dy)) else {
-                    continue;
-                };
-                for &seq in seqs {
-                    let record = &self.records[&seq];
-                    if seq != exclude_seq
-                        && record.sender != receiver
-                        && record.overlaps(start, end)
-                        && topology.in_range(record.sender, receiver)
-                    {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
+    fn started_in(&self, cell: (i64, i64)) -> Option<&VecDeque<u64>> {
+        self.cells.get(&cell)
+    }
+
+    fn cell_size(&self) -> f64 {
+        self.cell_size
     }
 }
 
@@ -1150,7 +1181,7 @@ impl<P: Protocol> ShardCore<P> {
             // same-window carrier senses must hear it.
             let seq = *cs.next_seq;
             *cs.next_seq += 1;
-            let cell = cs.air.cell_of(pos);
+            let cell = cell_of(pos, cs.air.cell_size);
             cs.air.insert(AirRecord {
                 seq,
                 sender: node,
@@ -1267,10 +1298,9 @@ impl<P: Protocol> ShardCore<P> {
         }
     }
 
-    /// Sender-side DFA slot feedback, mirroring the serial engine's
-    /// `tx_end`: the transmission collided iff a foreign audible
-    /// transmission overlapped its airtime. A collided frame is
-    /// requeued, and either way the sender re-contends at its frame
+    /// Sender-side DFA slot feedback: the transmission collided iff a
+    /// foreign audible transmission overlapped its airtime. A collided
+    /// frame is requeued, and either way the sender re-contends at its frame
     /// boundary — pushed past the current window so the retry never
     /// lands behind this window's already-run MAC phase (the boundary
     /// `window_end(at, lookahead)` depends only on the lookahead, so
@@ -1315,8 +1345,8 @@ impl<P: Protocol> ShardCore<P> {
     }
 
     /// Judges delivery of transmission `seq` to every owned neighbor of
-    /// `sender`, in node id order — the serial engine's `tx_end`
-    /// receiver loop with per-receiver RNG streams.
+    /// `sender`, in node id order, each receiver drawing from its own
+    /// RNG streams.
     fn deliver<A: AirReads>(
         &mut self,
         at: SimTime,
@@ -1387,25 +1417,24 @@ impl<P: Protocol> ShardCore<P> {
                 &self.topo_rx,
             );
             match verdict {
-                Verdict::Failed(failure) => {
-                    match failure {
-                        DeliveryFailure::HalfDuplex => self.stats.half_duplex_losses += 1,
-                        DeliveryFailure::RfCollision => {
-                            self.nodes[local]
-                                .meter
-                                .record_rx(bits_on_air, airtime_micros);
+                Verdict::Failed(reason) => {
+                    if reason == LossReason::HalfDuplex {
+                        self.stats.half_duplex_losses += 1;
+                    } else {
+                        // The receiver's radio was listening: it paid
+                        // for the corrupted or dropped frame.
+                        self.nodes[local]
+                            .meter
+                            .record_rx(bits_on_air, airtime_micros);
+                        if reason == LossReason::RfCollision {
                             self.stats.rf_collisions += 1;
-                        }
-                        DeliveryFailure::RandomLoss => {
-                            self.nodes[local]
-                                .meter
-                                .record_rx(bits_on_air, airtime_micros);
+                        } else {
                             self.stats.random_losses += 1;
                         }
                     }
                     if let Some(o) = obs {
-                        o.drop_for(failure.into());
-                        if !matches!(failure, DeliveryFailure::HalfDuplex) {
+                        o.drop_for(reason);
+                        if reason != LossReason::HalfDuplex {
                             o.energy_rx_nj.shift(rx_nj);
                         }
                     }
@@ -1414,7 +1443,7 @@ impl<P: Protocol> ShardCore<P> {
                         from: sender,
                         to: receiver,
                         seq,
-                        reason: failure.into(),
+                        reason,
                     });
                 }
                 Verdict::Delivered => {
@@ -1585,7 +1614,7 @@ impl<P: Protocol> ShardCore<P> {
 }
 
 /// Grid cell of a position at the given pitch (the radio range).
-fn strategy_cell_of(position: Position, cell_size: f64) -> (i64, i64) {
+fn cell_of(position: Position, cell_size: f64) -> (i64, i64) {
     (
         (position.x / cell_size).floor() as i64,
         (position.y / cell_size).floor() as i64,
@@ -1631,7 +1660,7 @@ impl ShardStrategy for GridHash {
     fn assign(&self, topology: &Topology, cell_size: f64, shards: usize) -> Vec<u32> {
         topology
             .node_ids()
-            .map(|id| grid_hash_shard(strategy_cell_of(topology.position(id), cell_size), shards))
+            .map(|id| grid_hash_shard(cell_of(topology.position(id), cell_size), shards))
             .collect()
     }
 }
@@ -1652,7 +1681,7 @@ impl ShardStrategy for SpatialStripes {
     fn assign(&self, topology: &Topology, cell_size: f64, shards: usize) -> Vec<u32> {
         let mut order: Vec<((i64, i64), NodeId)> = topology
             .node_ids()
-            .map(|id| (strategy_cell_of(topology.position(id), cell_size), id))
+            .map(|id| (cell_of(topology.position(id), cell_size), id))
             .collect();
         order.sort_unstable_by_key(|&(cell, id)| (cell, id.0));
         let n = order.len().max(1);
@@ -1702,10 +1731,32 @@ impl ShardStrategy for DegreeBalanced {
 
 /// Configures and constructs a [`ShardedSim`].
 ///
-/// Mirrors [`crate::sim::SimBuilder`], plus the sharding knobs:
-/// [`shards`](Self::shards), [`lookahead`](Self::lookahead) (the MAC
-/// turnaround delay that bounds the synchronization window), and
-/// [`strategy`](Self::strategy) (node-to-shard placement).
+/// Besides the radio, MAC, range, and fault model, the builder sets the
+/// sharding knobs: [`shards`](Self::shards),
+/// [`lookahead`](Self::lookahead) (the MAC turnaround delay that bounds
+/// the synchronization window), and [`strategy`](Self::strategy)
+/// (node-to-shard placement).
+///
+/// # Examples
+///
+/// ```
+/// use retri_netsim::prelude::*;
+///
+/// struct Quiet;
+/// impl Protocol for Quiet {
+///     fn on_start(&mut self, _ctx: &mut Context<'_>) {}
+///     fn on_frame(&mut self, _ctx: &mut Context<'_>, _frame: &Frame) {}
+///     fn on_timer(&mut self, _ctx: &mut Context<'_>, _timer: Timer) {}
+/// }
+///
+/// let mut sim = ShardedSimBuilder::new(1)
+///     .radio(RadioConfig::radiometrix_rpc())
+///     .mac(MacConfig::csma())
+///     .range(100.0)
+///     .build(|_id| Quiet);
+/// sim.add_node_at(Position::new(0.0, 0.0));
+/// sim.run_until(SimTime::from_secs(1));
+/// ```
 #[derive(Debug)]
 pub struct ShardedSimBuilder {
     seed: u64,
@@ -1932,28 +1983,11 @@ impl<P> core::fmt::Debug for ShardedSim<P> {
 }
 
 impl<P: Protocol> ShardedSim<P> {
-    /// The grid cell owning shard for a position. Placement only
-    /// affects load balance, never output.
-    fn shard_of(&self, position: Position) -> usize {
-        if self.cores.len() == 1 {
-            return 0;
-        }
-        let cell = self.air.cell_of(position);
-        let mut state = (cell.0 as u64) ^ (cell.1 as u64).rotate_left(32) ^ 0x9E37_79B9_7F4A_7C15;
-        state = rand::splitmix64(&mut state);
-        usize::try_from(state % self.cores.len() as u64).expect("shard index fits usize")
-    }
-
     /// Adds a node at `position` using the builder's factory; its
     /// `on_start` runs at the current time.
     pub fn add_node_at(&mut self, position: Position) -> NodeId {
-        let id = self.master.add(position);
-        for core in &mut self.cores {
-            core.topo_mac.add(position);
-            core.topo_rx.add(position);
-        }
-        let protocol = (self.factory)(id);
-        self.admit(id, protocol)
+        let protocol = (self.factory)(NodeId(self.owner.len() as u32));
+        self.add_node_with(position, protocol)
     }
 
     /// Adds a node with an explicitly constructed protocol instance.
@@ -1966,20 +2000,19 @@ impl<P: Protocol> ShardedSim<P> {
         self.admit(id, protocol)
     }
 
-    /// Registers an already-present topology node with the engine.
+    /// Registers an already-present topology node with the engine. It
+    /// joins shard 0; the placement strategy moves it at the start of
+    /// the next run (placement only affects load balance, never output).
     fn admit(&mut self, id: NodeId, protocol: P) -> NodeId {
         debug_assert_eq!(id.index(), self.owner.len());
         self.placement_dirty = true;
         self.interest_valid = false;
-        let shard = self.shard_of(self.master.position(id));
-        let local = self.cores[shard].nodes.len() as u32;
-        self.owner.push((shard as u32, local));
+        let core = &mut self.cores[0];
+        self.owner.push((0, core.nodes.len() as u32));
         self.air.add_node();
-        self.cores[shard]
-            .nodes
-            .push(LocalNode::new(self.seed, id, protocol));
+        core.nodes.push(LocalNode::new(self.seed, id, protocol));
         let at = self.now;
-        self.cores[shard].rx_heap.push(RxEvent {
+        core.rx_heap.push(RxEvent {
             at,
             lane: LANE_R_START,
             a: u64::from(id.0),
@@ -2380,7 +2413,7 @@ impl<P: Protocol> ShardedSim<P> {
         for index in 0..self.owner.len() {
             let node = NodeId(index as u32);
             let shard = self.owner[index].0 as usize;
-            let (cx, cy) = self.air.cell_of(self.master.position(node));
+            let (cx, cy) = cell_of(self.master.position(node), self.air.cell_size);
             for dx in -1..=1 {
                 for dy in -1..=1 {
                     *self.cores[shard]
@@ -2536,8 +2569,8 @@ fn backfill_gained_cell<P: Protocol>(
     cell: (i64, i64),
     since: SimTime,
 ) {
-    if let Some(seqs) = air.cells.get(&cell) {
-        for &seq in seqs {
+    if let Some(indexed) = air.cells.get(&cell) {
+        for &seq in &indexed.seqs {
             ghost_route(core, air, seq, since);
         }
     }
@@ -2620,8 +2653,8 @@ fn apply_interest_decrements<P: Protocol>(
 }
 
 /// The globally ordered MAC phase of carrier-sense runs: a cross-shard
-/// merge in global event order, so carrier sense observes exactly the
-/// serial order (zero lookahead).
+/// merge in global event order, so carrier sense observes every earlier
+/// transmission start (zero lookahead).
 ///
 /// The merge keeps one cursor per shard in a min-heap. `dispatch_mac`
 /// only ever pushes follow-up events onto the shard it ran on, so after
@@ -2729,7 +2762,7 @@ fn assign_and_broadcast<P: Protocol>(
             o.tx_span_start(seq, p.start.as_micros());
         }
         if let Some(frame) = p.frame {
-            let cell = air.cell_of(p.pos);
+            let cell = cell_of(p.pos, air.cell_size);
             air.insert(AirRecord {
                 seq,
                 sender: p.node,
@@ -3887,5 +3920,682 @@ mod tests {
                 assert!(seen.insert(node_stream_seed(42, label, NodeId(node))));
             }
         }
+    }
+
+    // -----------------------------------------------------------------
+    // Air-view judgments, driven directly: the verdict precedence and
+    // the carrier-sense and pruning bookkeeping, without an engine.
+    // -----------------------------------------------------------------
+
+    fn probe(src: u32) -> Frame {
+        // Encode the full u32 little-endian: `src as u8` would alias every
+        // node id >= 256 onto the same probe payload.
+        Frame::new(
+            NodeId(src),
+            FramePayload::from_bytes(src.to_le_bytes().to_vec()).unwrap(),
+        )
+    }
+
+    fn t(micros: u64) -> SimTime {
+        SimTime::from_micros(micros)
+    }
+
+    fn air_for(topo: &Topology) -> AirView {
+        let mut air = AirView::new(topo.range());
+        for _ in topo.node_ids() {
+            air.add_node();
+        }
+        air
+    }
+
+    /// Publishes a transmission of `sender` over `[start, end)` the way
+    /// the epoch barrier does; returns its sequence number.
+    fn tx(air: &mut AirView, topo: &Topology, sender: NodeId, start: u64, end: u64) -> u64 {
+        let seq = air.base_seq + air.records.len() as u64;
+        let cell = cell_of(topo.position(sender), air.cell_size);
+        air.insert(AirRecord {
+            seq,
+            sender,
+            start: t(start),
+            end: t(end),
+            bits_on_air: 8,
+            frame: Arc::new(probe(sender.0)),
+            cell,
+            ended: false,
+        });
+        seq
+    }
+
+    /// The verdict for `receiver` on a lossless radio.
+    fn verdict(air: &AirView, topo: &Topology, seq: u64, receiver: NodeId) -> Verdict {
+        air.judge(seq, receiver, topo.position(receiver), 0.9, 0.0, topo)
+    }
+
+    /// a --- r --- b with a and b mutually hidden.
+    fn hidden() -> (Topology, NodeId, NodeId, NodeId) {
+        let (topo, (a, r, b)) = Topology::hidden_terminal(100.0);
+        (topo, a, r, b)
+    }
+
+    #[test]
+    fn clean_delivery() {
+        let (topo, a, r, _) = hidden();
+        let mut air = air_for(&topo);
+        let seq = tx(&mut air, &topo, a, 0, 100);
+        assert_eq!(verdict(&air, &topo, seq, r), Verdict::Delivered);
+    }
+
+    #[test]
+    fn random_loss_applies_after_collision_checks() {
+        let (topo, a, r, _) = hidden();
+        let mut air = air_for(&topo);
+        let seq = tx(&mut air, &topo, a, 0, 100);
+        let position = topo.position(r);
+        assert_eq!(
+            air.judge(seq, r, position, 0.05, 0.1, &topo),
+            Verdict::Failed(LossReason::RandomLoss)
+        );
+        assert_eq!(
+            air.judge(seq, r, position, 0.5, 0.1, &topo),
+            Verdict::Delivered
+        );
+    }
+
+    #[test]
+    fn hidden_terminals_collide_at_receiver() {
+        let (topo, a, r, b) = hidden();
+        let mut air = air_for(&topo);
+        let sa = tx(&mut air, &topo, a, 0, 100);
+        let sb = tx(&mut air, &topo, b, 50, 150);
+        // Both frames are corrupted at r.
+        for seq in [sa, sb] {
+            assert_eq!(
+                verdict(&air, &topo, seq, r),
+                Verdict::Failed(LossReason::RfCollision)
+            );
+        }
+    }
+
+    #[test]
+    fn touching_intervals_do_not_overlap() {
+        let (topo, a, r, b) = hidden();
+        let mut air = air_for(&topo);
+        let sa = tx(&mut air, &topo, a, 0, 100);
+        let sb = tx(&mut air, &topo, b, 100, 200);
+        // [0,100) and [100,200) share only the boundary instant.
+        assert_eq!(verdict(&air, &topo, sa, r), Verdict::Delivered);
+        assert_eq!(verdict(&air, &topo, sb, r), Verdict::Delivered);
+    }
+
+    #[test]
+    fn out_of_range_interferer_is_harmless() {
+        // b transmits at the same time as a, but far outside r's range.
+        let mut topo = Topology::new(50.0);
+        let a = topo.add(Position::new(0.0, 0.0));
+        let r = topo.add(Position::new(40.0, 0.0));
+        let b = topo.add(Position::new(500.0, 0.0));
+        let mut air = air_for(&topo);
+        let sa = tx(&mut air, &topo, a, 0, 100);
+        let _sb = tx(&mut air, &topo, b, 0, 100);
+        assert_eq!(verdict(&air, &topo, sa, r), Verdict::Delivered);
+    }
+
+    #[test]
+    fn half_duplex_receiver_misses_frames() {
+        let (topo, a, r, _) = hidden();
+        let mut air = air_for(&topo);
+        let sa = tx(&mut air, &topo, a, 0, 100);
+        // r itself transmits during a's frame.
+        let _sr = tx(&mut air, &topo, r, 20, 60);
+        assert_eq!(
+            verdict(&air, &topo, sa, r),
+            Verdict::Failed(LossReason::HalfDuplex)
+        );
+    }
+
+    #[test]
+    fn long_transmission_still_found_behind_later_short_ones() {
+        // A long frame keeps interfering while several later short
+        // frames come and go; neither the judgment nor carrier sense may
+        // lose it behind them.
+        let (topo, a, r, b) = hidden();
+        let mut air = air_for(&topo);
+        let _long = tx(&mut air, &topo, a, 0, 1000);
+        for i in 0..5u64 {
+            let short = tx(&mut air, &topo, b, 100 + i * 10, 105 + i * 10);
+            air.mark_ended(short);
+        }
+        let late = tx(&mut air, &topo, b, 900, 950);
+        assert_eq!(
+            verdict(&air, &topo, late, r),
+            Verdict::Failed(LossReason::RfCollision)
+        );
+        air.mark_ended(late);
+        assert!(air.busy_for(r, topo.position(r), t(960), &topo));
+    }
+
+    #[test]
+    fn carrier_sense_hears_in_range_transmissions_only() {
+        let (topo, a, r, b) = hidden();
+        let mut air = air_for(&topo);
+        let _ = tx(&mut air, &topo, a, 0, 100);
+        assert!(air.busy_for(r, topo.position(r), t(50), &topo));
+        // b cannot hear a: the channel sounds idle — the hidden-terminal
+        // precondition.
+        assert!(!air.busy_for(b, topo.position(b), t(50), &topo));
+        // After the transmission ends the channel is idle for everyone.
+        assert!(!air.busy_for(r, topo.position(r), t(100), &topo));
+    }
+
+    #[test]
+    fn own_transmission_does_not_trip_carrier_sense() {
+        let (topo, a, _, _) = hidden();
+        let mut air = air_for(&topo);
+        let _ = tx(&mut air, &topo, a, 0, 100);
+        assert!(!air.busy_for(a, topo.position(a), t(50), &topo));
+    }
+
+    #[test]
+    fn ended_records_clear_carrier_sense_but_stay_judgeable() {
+        let (topo, a, r, _) = hidden();
+        let mut air = air_for(&topo);
+        let seq = tx(&mut air, &topo, a, 0, 100);
+        assert!(air.busy_for(r, topo.position(r), t(50), &topo));
+        air.mark_ended(seq);
+        // Ended records are invisible to carrier sense even before any
+        // pruning, whatever the probe time...
+        assert!(!air.busy_for(r, topo.position(r), t(50), &topo));
+        // ...but still judgeable: a later overlapping frame must still
+        // see the collision.
+        let other = tx(&mut air, &topo, r, 90, 190);
+        assert_eq!(
+            verdict(&air, &topo, other, a),
+            Verdict::Failed(LossReason::HalfDuplex)
+        );
+    }
+
+    #[test]
+    fn on_air_counts_follow_insert_end_and_prune() {
+        let (topo, a, r, b) = hidden();
+        let mut air = air_for(&topo);
+        let on_air = |air: &AirView, node: NodeId| {
+            air.cells
+                .get(&cell_of(topo.position(node), air.cell_size))
+                .map_or(0, |cell| cell.on_air)
+        };
+        let sa = tx(&mut air, &topo, a, 0, 100);
+        let _sb = tx(&mut air, &topo, b, 10, 110);
+        assert_eq!((on_air(&air, a), on_air(&air, b)), (1, 1));
+        air.mark_ended(sa);
+        assert_eq!((on_air(&air, a), air.on_air), (0, 1));
+        // a's cell has nothing left on the air; b's still does.
+        assert!(!air.busy_for(b, topo.position(b), t(50), &topo));
+        assert!(air.busy_for(r, topo.position(r), t(50), &topo));
+        // Pruning an un-ended record releases its count too.
+        air.prune(t(500));
+        assert!(air.cells.is_empty(), "every record pruned");
+        assert_eq!((on_air(&air, b), air.on_air), (0, 0));
+    }
+
+    #[test]
+    fn record_lookup_survives_pruning() {
+        let (topo, a, _, b) = hidden();
+        let mut air = air_for(&topo);
+        let sa = tx(&mut air, &topo, a, 0, 100);
+        let sb = tx(&mut air, &topo, b, 500, 600);
+        air.prune(t(300));
+        assert_eq!(air.records.len(), 1);
+        assert!(air.get(sa).is_none(), "pruned record must be gone");
+        let kept = air.get(sb).expect("recent record retained");
+        assert_eq!(kept.seq, sb);
+        assert_eq!(kept.sender, b);
+    }
+
+    #[test]
+    fn probe_payloads_distinguish_wide_node_ids() {
+        // Regression: the helper used to truncate the source id to u8,
+        // so nodes 255, 256, and 511 all probed with indistinguishable
+        // payloads (0xFF, 0x00, 0xFF) and record-attribution bugs for
+        // ids >= 256 were invisible to the air-view tests.
+        let wide = [255u32, 256, 511];
+        let frames: Vec<Frame> = wide.iter().map(|&id| probe(id)).collect();
+        for (i, &id) in wide.iter().enumerate() {
+            assert_eq!(frames[i].src, NodeId(id));
+            let bytes = frames[i].payload.bytes();
+            assert_eq!(
+                u32::from_le_bytes(bytes.try_into().unwrap()),
+                id,
+                "payload must round-trip the full u32 id"
+            );
+            for j in (i + 1)..wide.len() {
+                assert_ne!(
+                    frames[i].payload, frames[j].payload,
+                    "ids {} and {} must not alias",
+                    wide[i], wide[j]
+                );
+            }
+        }
+        // End-to-end: a large topology keeps wide ids attributed to the
+        // right sender through the air view.
+        let mut topo = Topology::new(50.0);
+        for i in 0..512u32 {
+            topo.add(Position::new(f64::from(i) * 1000.0, 0.0));
+        }
+        let mut air = air_for(&topo);
+        let seq = tx(&mut air, &topo, NodeId(511), 0, 100);
+        let record = air.get(seq).expect("record retained");
+        assert_eq!(record.sender, NodeId(511));
+        assert_eq!(record.frame.src, NodeId(511));
+        assert_eq!(
+            u32::from_le_bytes(record.frame.payload.bytes().try_into().unwrap()),
+            511
+        );
+    }
+
+    // -----------------------------------------------------------------
+    // Whole-engine behaviour on one shard.
+    // -----------------------------------------------------------------
+
+    #[test]
+    fn csma_serializes_mutually_audible_senders() {
+        // Two senders in range of each other and of a receiver: carrier
+        // sense + random backoff should avoid almost all collisions.
+        let obs = Obs::enabled();
+        let mut sim = ShardedSimBuilder::new(3)
+            .mac(MacConfig::csma())
+            .build(|id| Chatter {
+                to_send: if id != NodeId(2) { 20 } else { 0 },
+                heard: 0,
+                payload_bytes: 27,
+            });
+        sim.enable_obs(&obs);
+        sim.add_node_at(Position::new(0.0, 0.0));
+        sim.add_node_at(Position::new(10.0, 0.0));
+        sim.add_node_at(Position::new(5.0, 5.0));
+        sim.run_until(SimTime::from_secs(30));
+        let heard = sim.protocol(NodeId(2)).heard;
+        assert!(heard >= 38, "receiver heard only {heard}/40");
+        // The backoff metrics count the carrier-sense deferrals.
+        let snap = obs.snapshot().expect("enabled");
+        let backoffs = snap.counter("netsim_mac_backoffs_total");
+        let slots = snap.counter("netsim_mac_backoff_slots_total");
+        assert!(backoffs > 0, "two saturating senders must defer");
+        assert!(slots >= backoffs, "every backoff waits at least one slot");
+    }
+
+    #[test]
+    fn energy_meters_account_tx_and_rx() {
+        let mut sim = two_node(6, MacConfig::csma(), 1);
+        sim.run_until(SimTime::from_secs(2));
+        let sender = sim.meter(NodeId(0));
+        let receiver = sim.meter(NodeId(1));
+        let bits_per_frame = sim.radio().bits_on_air(80); // 10-byte payload
+        assert_eq!(sender.tx_bits(), 3 * bits_per_frame);
+        assert_eq!(receiver.rx_bits(), 3 * bits_per_frame);
+        assert_eq!(sim.total_meter().tx_bits(), 3 * bits_per_frame);
+    }
+
+    #[test]
+    fn movement_breaks_connectivity_mid_run() {
+        let mut sim = ShardedSimBuilder::new(8).range(50.0).build(|_| Chatter {
+            to_send: 0,
+            heard: 0,
+            payload_bytes: 5,
+        });
+        let a = sim.add_node_at(Position::new(0.0, 0.0));
+        let b = sim.add_node_at(Position::new(10.0, 0.0));
+        // Move b away after 1 s, then add a sender next to a.
+        sim.schedule_move(SimTime::from_secs(1), b, Position::new(400.0, 0.0));
+        sim.run_until(SimTime::from_secs(2));
+        sim.add_node_with(
+            Position::new(0.0, 0.0),
+            Chatter {
+                to_send: 2,
+                heard: 0,
+                payload_bytes: 5,
+            },
+        );
+        sim.run_until(SimTime::from_secs(4));
+        assert_eq!(sim.protocol(b).heard, 0, "moved node must not hear");
+        // a (still at origin) hears the new sender.
+        assert_eq!(sim.protocol(a).heard, 2);
+    }
+
+    #[test]
+    fn duty_cycled_receiver_misses_frames_while_asleep() {
+        // Sender streams frames; receiver listens 10% of each 100 ms.
+        let mut sim = ShardedSimBuilder::new(21).build(|id| Chatter {
+            to_send: if id == NodeId(0) { 40 } else { 0 },
+            heard: 0,
+            payload_bytes: 27,
+        });
+        sim.add_node_at(Position::new(0.0, 0.0));
+        let rx = sim.add_node_at(Position::new(10.0, 0.0));
+        sim.set_duty_cycle(
+            rx,
+            Some(DutyCycle::new(
+                SimDuration::from_millis(100),
+                0.1,
+                SimDuration::ZERO,
+            )),
+        );
+        sim.run_until(SimTime::from_secs(10));
+        let stats = sim.stats();
+        assert!(stats.sleep_misses > 0, "{stats}");
+        assert!(
+            sim.protocol(rx).heard < 40,
+            "a 10% duty cycle cannot hear everything"
+        );
+        assert_eq!(
+            stats.deliveries
+                + stats.sleep_misses
+                + stats.rf_collisions
+                + stats.half_duplex_losses
+                + stats.random_losses,
+            40,
+            "every attempt lands in exactly one bucket: {stats}"
+        );
+        // Sleeping saves receive energy.
+        let bits_per_frame = sim.radio().bits_on_air(27 * 8);
+        assert!(sim.meter(rx).rx_bits() < 40 * bits_per_frame);
+    }
+
+    #[test]
+    fn full_duty_cycle_hears_everything() {
+        let mut sim = two_node(22, MacConfig::csma(), 1);
+        sim.set_duty_cycle(
+            NodeId(1),
+            Some(DutyCycle::new(
+                SimDuration::from_millis(50),
+                1.0,
+                SimDuration::ZERO,
+            )),
+        );
+        sim.run_until(SimTime::from_secs(2));
+        assert_eq!(sim.protocol(NodeId(1)).heard, 3);
+        assert_eq!(sim.stats().sleep_misses, 0);
+    }
+
+    #[test]
+    fn tracer_records_losses_with_reasons() {
+        let mut sim = ShardedSimBuilder::new(31)
+            .radio(RadioConfig::radiometrix_rpc().with_frame_loss(1.0))
+            .build(|id| Chatter {
+                to_send: if id == NodeId(0) { 3 } else { 0 },
+                heard: 0,
+                payload_bytes: 5,
+            });
+        sim.add_node_at(Position::new(0.0, 0.0));
+        sim.add_node_at(Position::new(10.0, 0.0));
+        sim.enable_trace(64);
+        sim.run_until(SimTime::from_secs(2));
+        let tracer = sim.tracer().expect("enabled above");
+        let random_losses = tracer
+            .events()
+            .filter(|e| {
+                matches!(
+                    e,
+                    TraceEvent::Lost {
+                        reason: LossReason::RandomLoss,
+                        ..
+                    }
+                )
+            })
+            .count();
+        assert_eq!(random_losses, 3);
+        assert_eq!(sim.stats().random_losses, 3);
+        assert_eq!(sim.protocol(NodeId(1)).heard, 0);
+    }
+
+    /// The two-node chatter pair under `faults`, node 0 sending
+    /// `to_send` frames of `payload_bytes`.
+    fn faulty_pair(
+        seed: u64,
+        faults: FaultModel,
+        to_send: u32,
+        payload_bytes: usize,
+    ) -> ShardedSim<Chatter> {
+        let mut sim = ShardedSimBuilder::new(seed)
+            .faults(faults)
+            .build(move |id| Chatter {
+                to_send: if id == NodeId(0) { to_send } else { 0 },
+                heard: 0,
+                payload_bytes,
+            });
+        sim.add_node_at(Position::new(0.0, 0.0));
+        sim.add_node_at(Position::new(10.0, 0.0));
+        sim
+    }
+
+    #[test]
+    fn fault_erasure_drops_frames_without_moving_the_mac_schedule() {
+        let erase_all = FaultModel::none().with_channel(GilbertElliott::iid(ChannelState {
+            bit_error_rate: 0.0,
+            frame_erasure: 1.0,
+        }));
+        let mut base = two_node(13, MacConfig::csma(), 1);
+        let mut faulty = faulty_pair(13, erase_all, 3, 10);
+        base.run_until(SimTime::from_secs(2));
+        faulty.run_until(SimTime::from_secs(2));
+        assert_eq!(faulty.protocol(NodeId(1)).heard, 0);
+        assert_eq!(faulty.stats().fault_erasures, 3);
+        assert_eq!(faulty.stats().deliveries, 0);
+        // Fault draws come from their own streams: the MAC schedule,
+        // and hence the sender's meter, match the clean run.
+        assert_eq!(base.stats().frames_sent, faulty.stats().frames_sent);
+        assert_eq!(base.meter(NodeId(0)), faulty.meter(NodeId(0)));
+    }
+
+    #[test]
+    fn bit_errors_corrupt_deliveries_and_are_traced() {
+        // BER 1.0 flips every payload bit: frames still arrive, but
+        // every delivery is counted and traced as corrupted.
+        let flip_all = FaultModel::none().with_channel(GilbertElliott::iid(ChannelState {
+            bit_error_rate: 1.0,
+            frame_erasure: 0.0,
+        }));
+        let mut sim = faulty_pair(14, flip_all, 3, 10);
+        sim.enable_trace(64);
+        sim.run_until(SimTime::from_secs(2));
+        assert_eq!(sim.protocol(NodeId(1)).heard, 3);
+        let stats = sim.stats();
+        assert_eq!(stats.deliveries, 3);
+        assert_eq!(stats.corrupted_deliveries, 3);
+        assert_eq!(stats.flipped_bits, 3 * 80);
+        let corrupted = sim
+            .tracer()
+            .expect("enabled above")
+            .events()
+            .filter(|e| {
+                matches!(
+                    e,
+                    TraceEvent::Corrupted {
+                        flipped_bits: 80,
+                        ..
+                    }
+                )
+            })
+            .count();
+        assert_eq!(corrupted, 3);
+    }
+
+    #[test]
+    fn partition_window_severs_cross_group_frames() {
+        // The sender bursts 40 back-to-back frames (~7 ms each); the
+        // first 100 ms are partitioned, so early frames are severed and
+        // later ones delivered.
+        let faults = FaultModel::none().with_partition(PartitionWindow::new(
+            SimTime::ZERO,
+            SimTime::from_millis(100),
+            vec![NodeId(0)],
+        ));
+        let mut sim = faulty_pair(15, faults, 40, 27);
+        sim.enable_trace(128);
+        sim.run_until(SimTime::from_secs(10));
+        let stats = sim.stats();
+        assert!(stats.partition_losses > 0, "{stats}");
+        assert!(stats.deliveries > 0, "{stats}");
+        assert_eq!(stats.partition_losses + stats.deliveries, 40, "{stats}");
+        assert_eq!(
+            u64::from(sim.protocol(NodeId(1)).heard),
+            stats.deliveries,
+            "partitioned frames never reach the protocol"
+        );
+        assert!(sim.tracer().expect("enabled above").events().any(|e| {
+            matches!(
+                e,
+                TraceEvent::Lost {
+                    reason: LossReason::Partitioned,
+                    ..
+                }
+            )
+        }));
+    }
+
+    #[test]
+    fn fault_model_churn_kills_and_revives_on_schedule() {
+        // The receiver dies before any frame lands and revives at
+        // 100 ms, partway through the sender's ~300 ms burst.
+        let faults = FaultModel::none()
+            .with_churn_event(SimTime::from_micros(1), NodeId(1), false)
+            .with_churn_event(SimTime::from_millis(100), NodeId(1), true);
+        let mut sim = faulty_pair(16, faults, 40, 27);
+        sim.run_until(SimTime::from_secs(10));
+        let heard = sim.protocol(NodeId(1)).heard;
+        assert!(heard > 0, "revived node must hear again");
+        assert!(heard < 40, "dead interval must cost frames: {heard}");
+    }
+
+    #[test]
+    fn every_attempt_lands_in_exactly_one_bucket_under_faults() {
+        let faults = FaultModel::none()
+            .with_channel(GilbertElliott::bursty(
+                ChannelState::clean(),
+                ChannelState {
+                    bit_error_rate: 0.01,
+                    frame_erasure: 0.5,
+                },
+                0.2,
+                0.3,
+            ))
+            .with_partition(PartitionWindow::new(
+                SimTime::from_millis(100),
+                SimTime::from_millis(250),
+                vec![NodeId(0)],
+            ));
+        let mut sim = faulty_pair(17, faults, 60, 27);
+        sim.run_until(SimTime::from_secs(20));
+        let stats = sim.stats();
+        assert!(stats.fault_erasures > 0, "{stats}");
+        assert!(stats.partition_losses > 0, "{stats}");
+        assert_eq!(
+            stats.deliveries
+                + stats.sleep_misses
+                + stats.rf_collisions
+                + stats.half_duplex_losses
+                + stats.random_losses
+                + stats.fault_erasures
+                + stats.partition_losses,
+            60,
+            "every attempt lands in exactly one bucket: {stats}"
+        );
+        assert!(
+            stats.corrupted_deliveries <= stats.deliveries,
+            "corruption is a flavor of delivery, not a loss: {stats}"
+        );
+    }
+
+    #[test]
+    fn obs_counters_match_medium_stats() {
+        let faults = FaultModel::none().with_channel(GilbertElliott::iid(ChannelState {
+            bit_error_rate: 0.001,
+            frame_erasure: 0.3,
+        }));
+        let obs = Obs::enabled();
+        let mut sim = faulty_pair(40, faults, 30, 27);
+        sim.enable_obs(&obs);
+        sim.run_until(SimTime::from_secs(20));
+        let stats = sim.stats();
+        let snap = obs.snapshot().expect("enabled");
+        assert_eq!(snap.counter("netsim_frames_sent_total"), stats.frames_sent);
+        assert_eq!(snap.counter("netsim_deliveries_total"), stats.deliveries);
+        assert_eq!(
+            snap.counter_with("netsim_drops_total", &[("reason", "fault_erasure")]),
+            Some(stats.fault_erasures)
+        );
+        assert_eq!(
+            snap.counter("netsim_corrupted_deliveries_total"),
+            stats.corrupted_deliveries
+        );
+        assert_eq!(
+            snap.counter("netsim_flipped_bits_total"),
+            stats.flipped_bits
+        );
+        // Airtime counter and completed spans agree with frames sent.
+        assert_eq!(
+            snap.counter("netsim_tx_airtime_completed_total"),
+            stats.frames_sent
+        );
+        let spans = snap
+            .histogram_with("netsim_tx_airtime_micros", &[])
+            .expect("span histogram registered");
+        assert_eq!(spans.count(), stats.frames_sent);
+        assert!(
+            (spans.sum() - snap.counter("netsim_airtime_micros_total") as f64).abs() < 1e-6,
+            "span durations must sum to total airtime"
+        );
+        // Energy gauges agree with the meters.
+        let total = sim.total_meter();
+        assert!(
+            (snap.gauge("netsim_energy_tx_nj") - total.tx_energy_nj(&sim.radio().energy)).abs()
+                < 1e-6
+        );
+        assert!(
+            (snap.gauge("netsim_energy_rx_nj") - total.rx_energy_nj(&sim.radio().energy)).abs()
+                < 1e-6
+        );
+    }
+
+    #[test]
+    fn obs_on_run_is_identical_to_obs_off() {
+        // Metrics are pure observations: the RNG streams, stats, and
+        // meters of an observed run must equal the unobserved run.
+        let mut plain = two_node(41, MacConfig::csma(), 1);
+        let mut observed = two_node(41, MacConfig::csma(), 1);
+        let obs = Obs::enabled();
+        observed.enable_obs(&obs);
+        plain.run_until(SimTime::from_secs(2));
+        observed.run_until(SimTime::from_secs(2));
+        assert_eq!(digest(&plain), digest(&observed));
+        assert_eq!(plain.meter(NodeId(0)), observed.meter(NodeId(0)));
+        assert_eq!(plain.meter(NodeId(1)), observed.meter(NodeId(1)));
+        // And attaching a *disabled* handle stays on the None path.
+        let mut disabled = two_node(41, MacConfig::csma(), 1);
+        disabled.enable_obs(&Obs::disabled());
+        disabled.run_until(SimTime::from_secs(2));
+        assert_eq!(digest(&plain), digest(&disabled));
+    }
+
+    #[test]
+    fn oversized_send_is_rejected_at_send_time() {
+        struct BigSender {
+            result: Option<Result<(), crate::frame::FrameError>>,
+        }
+        impl Protocol for BigSender {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                let payload = FramePayload::from_bytes(vec![0; 28]).unwrap();
+                self.result = Some(ctx.send(payload));
+            }
+            fn on_frame(&mut self, _ctx: &mut Context<'_>, _frame: &Frame) {}
+            fn on_timer(&mut self, _ctx: &mut Context<'_>, _timer: Timer) {}
+        }
+        let mut sim = ShardedSimBuilder::new(11).build(|_| BigSender { result: None });
+        let n = sim.add_node_at(Position::new(0.0, 0.0));
+        sim.run_until(SimTime::from_millis(1));
+        assert!(matches!(
+            sim.protocol(n).result,
+            Some(Err(crate::frame::FrameError::TooLarge { .. }))
+        ));
+        assert_eq!(sim.stats().frames_sent, 0);
     }
 }

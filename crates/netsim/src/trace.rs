@@ -5,7 +5,7 @@
 //! changes. Protocol authors use it to answer "what actually happened
 //! on the air?" without instrumenting their own code, and tests use it
 //! to assert fine-grained causality that the aggregate
-//! [`crate::sim::MediumStats`] cannot express.
+//! [`crate::shard::MediumStats`] cannot express.
 //!
 //! Alongside the ring buffer the tracer maintains an *index* in a
 //! [`retri_obs::Registry`]: monotonic recorded/evicted counters per
@@ -16,13 +16,12 @@
 //! still describe the *retained window* — the linear scans are gone.
 //!
 //! Tracing is off by default (zero cost); enable it with
-//! [`crate::sim::Simulator::enable_trace`].
+//! [`crate::shard::ShardedSim::enable_trace`].
 
 use std::collections::{HashMap, VecDeque};
 
 use retri_obs::{CounterId, Registry, Snapshot};
 
-use crate::medium::DeliveryFailure;
 use crate::node::NodeId;
 use crate::time::SimTime;
 use crate::topology::Position;
@@ -150,16 +149,6 @@ impl LossReason {
             LossReason::Asleep => 3,
             LossReason::FaultErasure => 4,
             LossReason::Partitioned => 5,
-        }
-    }
-}
-
-impl From<DeliveryFailure> for LossReason {
-    fn from(failure: DeliveryFailure) -> Self {
-        match failure {
-            DeliveryFailure::RfCollision => LossReason::RfCollision,
-            DeliveryFailure::HalfDuplex => LossReason::HalfDuplex,
-            DeliveryFailure::RandomLoss => LossReason::RandomLoss,
         }
     }
 }
@@ -478,22 +467,6 @@ mod tests {
             }
         }
         assert!(tracer.dropped() > 0, "the test must exercise eviction");
-    }
-
-    #[test]
-    fn loss_reasons_convert_from_medium_failures() {
-        assert_eq!(
-            LossReason::from(DeliveryFailure::RfCollision),
-            LossReason::RfCollision
-        );
-        assert_eq!(
-            LossReason::from(DeliveryFailure::HalfDuplex),
-            LossReason::HalfDuplex
-        );
-        assert_eq!(
-            LossReason::from(DeliveryFailure::RandomLoss),
-            LossReason::RandomLoss
-        );
     }
 
     #[test]

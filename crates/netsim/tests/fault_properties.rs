@@ -35,8 +35,8 @@ impl Protocol for Burst {
     fn on_timer(&mut self, _ctx: &mut Context<'_>, _timer: Timer) {}
 }
 
-fn burst_sim(seed: u64, faults: Option<FaultModel>) -> Simulator<Burst> {
-    let mut builder = SimBuilder::new(seed);
+fn burst_sim(seed: u64, faults: Option<FaultModel>) -> ShardedSim<Burst> {
+    let mut builder = ShardedSimBuilder::new(seed);
     if let Some(faults) = faults {
         builder = builder.faults(faults);
     }

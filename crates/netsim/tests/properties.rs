@@ -22,13 +22,13 @@ impl Protocol for Chatter {
     fn on_timer(&mut self, _ctx: &mut Context<'_>, _timer: Timer) {}
 }
 
-fn build_sim(seed: u64, nodes: usize, per_node: u32, loss: f64, csma: bool) -> Simulator<Chatter> {
+fn build_sim(seed: u64, nodes: usize, per_node: u32, loss: f64, csma: bool) -> ShardedSim<Chatter> {
     let mac = if csma {
         MacConfig::csma()
     } else {
         MacConfig::aloha()
     };
-    let mut sim = SimBuilder::new(seed)
+    let mut sim = ShardedSimBuilder::new(seed)
         .radio(RadioConfig::radiometrix_rpc().with_frame_loss(loss))
         .mac(mac)
         .range(100.0)
@@ -61,7 +61,7 @@ fn large_sparse_network_simulates_quickly() {
             ctx.set_timer(SimDuration::from_secs(5), 0);
         }
     }
-    let mut sim = SimBuilder::new(77).range(60.0).build(|_| Sparse);
+    let mut sim = ShardedSimBuilder::new(77).range(60.0).build(|_| Sparse);
     // A 20x20 grid, 400 nodes, nearest-neighbor connectivity.
     let topo = retri_netsim::topology::Topology::grid(20, 20, 50.0, 60.0);
     for id in topo.node_ids() {
@@ -259,7 +259,7 @@ proptest! {
     /// network).
     #[test]
     fn quiet_network_is_lossless(seed in any::<u64>(), nodes in 2usize..6) {
-        let mut sim = SimBuilder::new(seed)
+        let mut sim = ShardedSimBuilder::new(seed)
             .range(100.0)
             .build(|id| Chatter { per_node: if id == NodeId(0) { 7 } else { 0 }, heard: 0 });
         let topo = Topology::full_mesh(nodes, 100.0);

@@ -17,7 +17,7 @@ use retri_netsim::topology::Topology;
 fn main() {
     const SENDERS: usize = 6;
     let space = IdentifierSpace::new(6).expect("6-bit codes");
-    let mut sim = SimBuilder::new(7)
+    let mut sim = ShardedSimBuilder::new(7)
         .radio(RadioConfig::radiometrix_rpc())
         .range(150.0)
         .build(move |id: NodeId| {

@@ -28,7 +28,7 @@ fn main() {
             period: SimDuration::from_millis(900),
         },
     };
-    let mut sim = SimBuilder::new(911)
+    let mut sim = ShardedSimBuilder::new(911)
         .radio(radio)
         .mac(MacConfig::csma())
         .range(100.0)

@@ -71,7 +71,7 @@ impl Protocol for Station {
 
 fn main() {
     const STATIONS: usize = 6;
-    let mut sim = SimBuilder::new(0xF1E1D)
+    let mut sim = ShardedSimBuilder::new(0xF1E1D)
         .radio(RadioConfig::radiometrix_rpc())
         .mac(MacConfig::csma())
         .range(150.0)

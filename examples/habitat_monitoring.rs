@@ -20,7 +20,7 @@ use retri_netsim::topology::Topology;
 fn main() {
     const SENSORS: usize = 12;
     let space = IdentifierSpace::new(8).expect("8-bit identifiers");
-    let mut sim = SimBuilder::new(1870)
+    let mut sim = ShardedSimBuilder::new(1870)
         .radio(RadioConfig::radiometrix_rpc())
         .range(120.0)
         .build(move |id: NodeId| {

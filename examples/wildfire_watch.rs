@@ -14,7 +14,7 @@ use retri_netsim::prelude::*;
 fn main() {
     const SIDE: usize = 5;
     let config = DiffusionConfig::default();
-    let mut sim = SimBuilder::new(1610)
+    let mut sim = ShardedSimBuilder::new(1610)
         .radio(RadioConfig::radiometrix_rpc())
         .mac(MacConfig::csma())
         .range(60.0) // 50 m grid spacing: nearest-neighbor links only

@@ -38,7 +38,7 @@ fn compression_savings_match_arithmetic() {
     // bytes, versus (3 + attrs) bytes every time uncompressed.
     let space = retri::IdentifierSpace::new(12).unwrap();
     let attrs_len = 20usize;
-    let mut sim = SimBuilder::new(21)
+    let mut sim = ShardedSimBuilder::new(21)
         .radio(RadioConfig::radiometrix_rpc())
         .range(100.0)
         .build(move |id: NodeId| {
@@ -90,7 +90,7 @@ fn reinforcement_misdirection_scales_with_id_width() {
     let run = |bits: u8, seed: u64| {
         let space = retri::IdentifierSpace::new(bits).unwrap();
         let sensors = 8usize;
-        let mut sim = SimBuilder::new(seed)
+        let mut sim = ShardedSimBuilder::new(seed)
             .radio(RadioConfig::radiometrix_rpc())
             .range(100.0)
             .build(move |id: NodeId| {

@@ -170,17 +170,3 @@ fn fault_matrix_accounts_for_every_injected_fault() {
         "{partition:?}"
     );
 }
-
-#[test]
-fn fault_stream_derivation_matches_the_core_seed_split() {
-    // netsim re-derives the "netsim.fault" stream locally to keep its
-    // dependency surface minimal; the derivation must stay identical
-    // to the shared labeled-stream split in the core crate.
-    for seed in [0u64, 1, 42, 0x1CDC_2001, u64::MAX] {
-        assert_eq!(
-            retri_netsim::fault::fault_stream_seed(seed),
-            retri::seed::stream_seed(seed, "netsim.fault"),
-            "seed {seed}"
-        );
-    }
-}

@@ -98,7 +98,7 @@ fn run_churn_trial(seed: u64) -> (Vec<Vec<u8>>, u64, u64) {
             .with_churn_event(SimTime::from_millis(2_530 + 4_000 * cycle), NodeId(1), true);
     }
     let wire_for_factory = wire.clone();
-    let mut sim = SimBuilder::new(seed)
+    let mut sim = ShardedSimBuilder::new(seed)
         .mac(MacConfig::csma())
         .range(100.0)
         .faults(faults)

@@ -33,7 +33,7 @@ fn run_scenario(
         },
     };
     let wire_for_factory = wire.clone();
-    let mut sim = SimBuilder::new(seed)
+    let mut sim = ShardedSimBuilder::new(seed)
         .radio(radio)
         .mac(MacConfig::csma())
         .range(100.0)
