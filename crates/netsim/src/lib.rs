@@ -75,6 +75,19 @@ pub mod time;
 pub mod topology;
 pub mod trace;
 
+/// Scenario tests of the whole simulator, run through its public API.
+#[cfg(test)]
+mod sim {
+    mod tests;
+}
+
+/// Verdict, carrier-sense and pruning tests of the shared air medium,
+/// driven by hand without an engine.
+#[cfg(test)]
+mod medium {
+    mod tests;
+}
+
 /// Commonly used simulator types, importable in one line.
 pub mod prelude {
     pub use crate::adversary::{AdversaryStats, Eavesdropper, EavesdropperConfig, InjectionCodec};

@@ -3261,16 +3261,18 @@ impl<P: Protocol + Send> ShardedSim<P> {
     }
 }
 
+/// Test doubles shared by the engine's unit tests and the crate's
+/// `sim` and `medium` scenario tests: a chatty protocol and a
+/// hand-driven air view.
 #[cfg(test)]
-mod tests {
+pub(crate) mod testkit {
     use super::*;
-    use crate::fault::{ChannelState, GilbertElliott, PartitionWindow};
 
     /// Sends `to_send` frames at start; counts frames heard.
-    struct Chatter {
-        to_send: u32,
-        heard: u32,
-        payload_bytes: usize,
+    pub(crate) struct Chatter {
+        pub(crate) to_send: u32,
+        pub(crate) heard: u32,
+        pub(crate) payload_bytes: usize,
     }
 
     impl Protocol for Chatter {
@@ -3285,6 +3287,114 @@ mod tests {
         }
         fn on_timer(&mut self, _ctx: &mut Context<'_>, _timer: Timer) {}
     }
+
+    /// A frame from `src` whose payload is the full `u32` id,
+    /// little-endian: `src as u8` would alias every node id >= 256 onto
+    /// the same probe payload.
+    pub(crate) fn probe(src: u32) -> Frame {
+        Frame::new(
+            NodeId(src),
+            FramePayload::from_bytes(src.to_le_bytes().to_vec()).unwrap(),
+        )
+    }
+
+    /// An air view over a fixed topology, driven by hand: tests publish
+    /// transmissions over explicit microsecond intervals, then judge,
+    /// carrier-sense and prune them without running an engine.
+    pub(crate) struct AirScript {
+        pub(super) air: AirView,
+        pub(super) topo: Topology,
+    }
+
+    impl AirScript {
+        pub(crate) fn new(topo: Topology) -> Self {
+            let mut air = AirView::new(topo.range());
+            for _ in topo.node_ids() {
+                air.add_node();
+            }
+            AirScript { air, topo }
+        }
+
+        /// Publishes a probe transmission of `sender` over
+        /// `[start, end)` µs the way the epoch barrier does; returns its
+        /// sequence number.
+        pub(crate) fn tx(&mut self, sender: NodeId, start: u64, end: u64) -> u64 {
+            let seq = self.air.base_seq + self.air.records.len() as u64;
+            self.air.insert(AirRecord {
+                seq,
+                sender,
+                start: SimTime::from_micros(start),
+                end: SimTime::from_micros(end),
+                bits_on_air: 8,
+                frame: Arc::new(probe(sender.0)),
+                cell: cell_of(self.topo.position(sender), self.air.cell_size),
+                ended: false,
+            });
+            seq
+        }
+
+        /// Runs the MAC `TxEnd` of transmission `seq`.
+        pub(crate) fn end(&mut self, seq: u64) {
+            self.air.mark_ended(seq);
+        }
+
+        /// `receiver`'s verdict on `seq` on a lossless radio: `Ok` for a
+        /// delivery, else the loss reason.
+        pub(crate) fn verdict(&self, seq: u64, receiver: NodeId) -> Result<(), LossReason> {
+            self.judge(seq, receiver, 0.9, 0.0)
+        }
+
+        /// `receiver`'s verdict on `seq` when the random-loss draw is
+        /// `loss_draw` and the radio drops frames with probability
+        /// `frame_loss`.
+        pub(crate) fn judge(
+            &self,
+            seq: u64,
+            receiver: NodeId,
+            loss_draw: f64,
+            frame_loss: f64,
+        ) -> Result<(), LossReason> {
+            let position = self.topo.position(receiver);
+            match self
+                .air
+                .judge(seq, receiver, position, loss_draw, frame_loss, &self.topo)
+            {
+                Verdict::Delivered => Ok(()),
+                Verdict::Failed(reason) => Err(reason),
+            }
+        }
+
+        /// CSMA carrier sense of `listener` at `now` µs.
+        pub(crate) fn busy_for(&self, listener: NodeId, now: u64) -> bool {
+            let position = self.topo.position(listener);
+            self.air
+                .busy_for(listener, position, SimTime::from_micros(now), &self.topo)
+        }
+
+        /// Drops the records that ended before `horizon` µs.
+        pub(crate) fn prune(&mut self, horizon: u64) {
+            self.air.prune(SimTime::from_micros(horizon));
+        }
+
+        /// How many records the view retains.
+        pub(crate) fn retained(&self) -> usize {
+            self.air.records.len()
+        }
+
+        /// The sender and frame of retained record `seq`.
+        pub(crate) fn record(&self, seq: u64) -> Option<(NodeId, &Frame)> {
+            self.air
+                .get(seq)
+                .map(|record| (record.sender, record.frame.as_ref()))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testkit::{AirScript, Chatter};
+    use super::*;
+    use crate::fault::{ChannelState, GilbertElliott, PartitionWindow};
 
     fn two_node(seed: u64, mac: MacConfig, shards: usize) -> ShardedSim<Chatter> {
         let mut sim = ShardedSimBuilder::new(seed)
@@ -3922,680 +4032,25 @@ mod tests {
         }
     }
 
-    // -----------------------------------------------------------------
-    // Air-view judgments, driven directly: the verdict precedence and
-    // the carrier-sense and pruning bookkeeping, without an engine.
-    // -----------------------------------------------------------------
-
-    fn probe(src: u32) -> Frame {
-        // Encode the full u32 little-endian: `src as u8` would alias every
-        // node id >= 256 onto the same probe payload.
-        Frame::new(
-            NodeId(src),
-            FramePayload::from_bytes(src.to_le_bytes().to_vec()).unwrap(),
-        )
-    }
-
-    fn t(micros: u64) -> SimTime {
-        SimTime::from_micros(micros)
-    }
-
-    fn air_for(topo: &Topology) -> AirView {
-        let mut air = AirView::new(topo.range());
-        for _ in topo.node_ids() {
-            air.add_node();
-        }
-        air
-    }
-
-    /// Publishes a transmission of `sender` over `[start, end)` the way
-    /// the epoch barrier does; returns its sequence number.
-    fn tx(air: &mut AirView, topo: &Topology, sender: NodeId, start: u64, end: u64) -> u64 {
-        let seq = air.base_seq + air.records.len() as u64;
-        let cell = cell_of(topo.position(sender), air.cell_size);
-        air.insert(AirRecord {
-            seq,
-            sender,
-            start: t(start),
-            end: t(end),
-            bits_on_air: 8,
-            frame: Arc::new(probe(sender.0)),
-            cell,
-            ended: false,
-        });
-        seq
-    }
-
-    /// The verdict for `receiver` on a lossless radio.
-    fn verdict(air: &AirView, topo: &Topology, seq: u64, receiver: NodeId) -> Verdict {
-        air.judge(seq, receiver, topo.position(receiver), 0.9, 0.0, topo)
-    }
-
-    /// a --- r --- b with a and b mutually hidden.
-    fn hidden() -> (Topology, NodeId, NodeId, NodeId) {
-        let (topo, (a, r, b)) = Topology::hidden_terminal(100.0);
-        (topo, a, r, b)
-    }
-
-    #[test]
-    fn clean_delivery() {
-        let (topo, a, r, _) = hidden();
-        let mut air = air_for(&topo);
-        let seq = tx(&mut air, &topo, a, 0, 100);
-        assert_eq!(verdict(&air, &topo, seq, r), Verdict::Delivered);
-    }
-
-    #[test]
-    fn random_loss_applies_after_collision_checks() {
-        let (topo, a, r, _) = hidden();
-        let mut air = air_for(&topo);
-        let seq = tx(&mut air, &topo, a, 0, 100);
-        let position = topo.position(r);
-        assert_eq!(
-            air.judge(seq, r, position, 0.05, 0.1, &topo),
-            Verdict::Failed(LossReason::RandomLoss)
-        );
-        assert_eq!(
-            air.judge(seq, r, position, 0.5, 0.1, &topo),
-            Verdict::Delivered
-        );
-    }
-
-    #[test]
-    fn hidden_terminals_collide_at_receiver() {
-        let (topo, a, r, b) = hidden();
-        let mut air = air_for(&topo);
-        let sa = tx(&mut air, &topo, a, 0, 100);
-        let sb = tx(&mut air, &topo, b, 50, 150);
-        // Both frames are corrupted at r.
-        for seq in [sa, sb] {
-            assert_eq!(
-                verdict(&air, &topo, seq, r),
-                Verdict::Failed(LossReason::RfCollision)
-            );
-        }
-    }
-
-    #[test]
-    fn touching_intervals_do_not_overlap() {
-        let (topo, a, r, b) = hidden();
-        let mut air = air_for(&topo);
-        let sa = tx(&mut air, &topo, a, 0, 100);
-        let sb = tx(&mut air, &topo, b, 100, 200);
-        // [0,100) and [100,200) share only the boundary instant.
-        assert_eq!(verdict(&air, &topo, sa, r), Verdict::Delivered);
-        assert_eq!(verdict(&air, &topo, sb, r), Verdict::Delivered);
-    }
-
-    #[test]
-    fn out_of_range_interferer_is_harmless() {
-        // b transmits at the same time as a, but far outside r's range.
-        let mut topo = Topology::new(50.0);
-        let a = topo.add(Position::new(0.0, 0.0));
-        let r = topo.add(Position::new(40.0, 0.0));
-        let b = topo.add(Position::new(500.0, 0.0));
-        let mut air = air_for(&topo);
-        let sa = tx(&mut air, &topo, a, 0, 100);
-        let _sb = tx(&mut air, &topo, b, 0, 100);
-        assert_eq!(verdict(&air, &topo, sa, r), Verdict::Delivered);
-    }
-
-    #[test]
-    fn half_duplex_receiver_misses_frames() {
-        let (topo, a, r, _) = hidden();
-        let mut air = air_for(&topo);
-        let sa = tx(&mut air, &topo, a, 0, 100);
-        // r itself transmits during a's frame.
-        let _sr = tx(&mut air, &topo, r, 20, 60);
-        assert_eq!(
-            verdict(&air, &topo, sa, r),
-            Verdict::Failed(LossReason::HalfDuplex)
-        );
-    }
-
-    #[test]
-    fn long_transmission_still_found_behind_later_short_ones() {
-        // A long frame keeps interfering while several later short
-        // frames come and go; neither the judgment nor carrier sense may
-        // lose it behind them.
-        let (topo, a, r, b) = hidden();
-        let mut air = air_for(&topo);
-        let _long = tx(&mut air, &topo, a, 0, 1000);
-        for i in 0..5u64 {
-            let short = tx(&mut air, &topo, b, 100 + i * 10, 105 + i * 10);
-            air.mark_ended(short);
-        }
-        let late = tx(&mut air, &topo, b, 900, 950);
-        assert_eq!(
-            verdict(&air, &topo, late, r),
-            Verdict::Failed(LossReason::RfCollision)
-        );
-        air.mark_ended(late);
-        assert!(air.busy_for(r, topo.position(r), t(960), &topo));
-    }
-
-    #[test]
-    fn carrier_sense_hears_in_range_transmissions_only() {
-        let (topo, a, r, b) = hidden();
-        let mut air = air_for(&topo);
-        let _ = tx(&mut air, &topo, a, 0, 100);
-        assert!(air.busy_for(r, topo.position(r), t(50), &topo));
-        // b cannot hear a: the channel sounds idle — the hidden-terminal
-        // precondition.
-        assert!(!air.busy_for(b, topo.position(b), t(50), &topo));
-        // After the transmission ends the channel is idle for everyone.
-        assert!(!air.busy_for(r, topo.position(r), t(100), &topo));
-    }
-
-    #[test]
-    fn own_transmission_does_not_trip_carrier_sense() {
-        let (topo, a, _, _) = hidden();
-        let mut air = air_for(&topo);
-        let _ = tx(&mut air, &topo, a, 0, 100);
-        assert!(!air.busy_for(a, topo.position(a), t(50), &topo));
-    }
-
-    #[test]
-    fn ended_records_clear_carrier_sense_but_stay_judgeable() {
-        let (topo, a, r, _) = hidden();
-        let mut air = air_for(&topo);
-        let seq = tx(&mut air, &topo, a, 0, 100);
-        assert!(air.busy_for(r, topo.position(r), t(50), &topo));
-        air.mark_ended(seq);
-        // Ended records are invisible to carrier sense even before any
-        // pruning, whatever the probe time...
-        assert!(!air.busy_for(r, topo.position(r), t(50), &topo));
-        // ...but still judgeable: a later overlapping frame must still
-        // see the collision.
-        let other = tx(&mut air, &topo, r, 90, 190);
-        assert_eq!(
-            verdict(&air, &topo, other, a),
-            Verdict::Failed(LossReason::HalfDuplex)
-        );
-    }
-
     #[test]
     fn on_air_counts_follow_insert_end_and_prune() {
-        let (topo, a, r, b) = hidden();
-        let mut air = air_for(&topo);
-        let on_air = |air: &AirView, node: NodeId| {
-            air.cells
-                .get(&cell_of(topo.position(node), air.cell_size))
-                .map_or(0, |cell| cell.on_air)
+        let (topo, (a, r, b)) = Topology::hidden_terminal(100.0);
+        let mut script = AirScript::new(topo);
+        let on_air = |script: &AirScript, node: NodeId| {
+            let cell = cell_of(script.topo.position(node), script.air.cell_size);
+            script.air.cells.get(&cell).map_or(0, |cell| cell.on_air)
         };
-        let sa = tx(&mut air, &topo, a, 0, 100);
-        let _sb = tx(&mut air, &topo, b, 10, 110);
-        assert_eq!((on_air(&air, a), on_air(&air, b)), (1, 1));
-        air.mark_ended(sa);
-        assert_eq!((on_air(&air, a), air.on_air), (0, 1));
+        let sa = script.tx(a, 0, 100);
+        let _sb = script.tx(b, 10, 110);
+        assert_eq!((on_air(&script, a), on_air(&script, b)), (1, 1));
+        script.end(sa);
+        assert_eq!((on_air(&script, a), script.air.on_air), (0, 1));
         // a's cell has nothing left on the air; b's still does.
-        assert!(!air.busy_for(b, topo.position(b), t(50), &topo));
-        assert!(air.busy_for(r, topo.position(r), t(50), &topo));
+        assert!(!script.busy_for(b, 50));
+        assert!(script.busy_for(r, 50));
         // Pruning an un-ended record releases its count too.
-        air.prune(t(500));
-        assert!(air.cells.is_empty(), "every record pruned");
-        assert_eq!((on_air(&air, b), air.on_air), (0, 0));
-    }
-
-    #[test]
-    fn record_lookup_survives_pruning() {
-        let (topo, a, _, b) = hidden();
-        let mut air = air_for(&topo);
-        let sa = tx(&mut air, &topo, a, 0, 100);
-        let sb = tx(&mut air, &topo, b, 500, 600);
-        air.prune(t(300));
-        assert_eq!(air.records.len(), 1);
-        assert!(air.get(sa).is_none(), "pruned record must be gone");
-        let kept = air.get(sb).expect("recent record retained");
-        assert_eq!(kept.seq, sb);
-        assert_eq!(kept.sender, b);
-    }
-
-    #[test]
-    fn probe_payloads_distinguish_wide_node_ids() {
-        // Regression: the helper used to truncate the source id to u8,
-        // so nodes 255, 256, and 511 all probed with indistinguishable
-        // payloads (0xFF, 0x00, 0xFF) and record-attribution bugs for
-        // ids >= 256 were invisible to the air-view tests.
-        let wide = [255u32, 256, 511];
-        let frames: Vec<Frame> = wide.iter().map(|&id| probe(id)).collect();
-        for (i, &id) in wide.iter().enumerate() {
-            assert_eq!(frames[i].src, NodeId(id));
-            let bytes = frames[i].payload.bytes();
-            assert_eq!(
-                u32::from_le_bytes(bytes.try_into().unwrap()),
-                id,
-                "payload must round-trip the full u32 id"
-            );
-            for j in (i + 1)..wide.len() {
-                assert_ne!(
-                    frames[i].payload, frames[j].payload,
-                    "ids {} and {} must not alias",
-                    wide[i], wide[j]
-                );
-            }
-        }
-        // End-to-end: a large topology keeps wide ids attributed to the
-        // right sender through the air view.
-        let mut topo = Topology::new(50.0);
-        for i in 0..512u32 {
-            topo.add(Position::new(f64::from(i) * 1000.0, 0.0));
-        }
-        let mut air = air_for(&topo);
-        let seq = tx(&mut air, &topo, NodeId(511), 0, 100);
-        let record = air.get(seq).expect("record retained");
-        assert_eq!(record.sender, NodeId(511));
-        assert_eq!(record.frame.src, NodeId(511));
-        assert_eq!(
-            u32::from_le_bytes(record.frame.payload.bytes().try_into().unwrap()),
-            511
-        );
-    }
-
-    // -----------------------------------------------------------------
-    // Whole-engine behaviour on one shard.
-    // -----------------------------------------------------------------
-
-    #[test]
-    fn csma_serializes_mutually_audible_senders() {
-        // Two senders in range of each other and of a receiver: carrier
-        // sense + random backoff should avoid almost all collisions.
-        let obs = Obs::enabled();
-        let mut sim = ShardedSimBuilder::new(3)
-            .mac(MacConfig::csma())
-            .build(|id| Chatter {
-                to_send: if id != NodeId(2) { 20 } else { 0 },
-                heard: 0,
-                payload_bytes: 27,
-            });
-        sim.enable_obs(&obs);
-        sim.add_node_at(Position::new(0.0, 0.0));
-        sim.add_node_at(Position::new(10.0, 0.0));
-        sim.add_node_at(Position::new(5.0, 5.0));
-        sim.run_until(SimTime::from_secs(30));
-        let heard = sim.protocol(NodeId(2)).heard;
-        assert!(heard >= 38, "receiver heard only {heard}/40");
-        // The backoff metrics count the carrier-sense deferrals.
-        let snap = obs.snapshot().expect("enabled");
-        let backoffs = snap.counter("netsim_mac_backoffs_total");
-        let slots = snap.counter("netsim_mac_backoff_slots_total");
-        assert!(backoffs > 0, "two saturating senders must defer");
-        assert!(slots >= backoffs, "every backoff waits at least one slot");
-    }
-
-    #[test]
-    fn energy_meters_account_tx_and_rx() {
-        let mut sim = two_node(6, MacConfig::csma(), 1);
-        sim.run_until(SimTime::from_secs(2));
-        let sender = sim.meter(NodeId(0));
-        let receiver = sim.meter(NodeId(1));
-        let bits_per_frame = sim.radio().bits_on_air(80); // 10-byte payload
-        assert_eq!(sender.tx_bits(), 3 * bits_per_frame);
-        assert_eq!(receiver.rx_bits(), 3 * bits_per_frame);
-        assert_eq!(sim.total_meter().tx_bits(), 3 * bits_per_frame);
-    }
-
-    #[test]
-    fn movement_breaks_connectivity_mid_run() {
-        let mut sim = ShardedSimBuilder::new(8).range(50.0).build(|_| Chatter {
-            to_send: 0,
-            heard: 0,
-            payload_bytes: 5,
-        });
-        let a = sim.add_node_at(Position::new(0.0, 0.0));
-        let b = sim.add_node_at(Position::new(10.0, 0.0));
-        // Move b away after 1 s, then add a sender next to a.
-        sim.schedule_move(SimTime::from_secs(1), b, Position::new(400.0, 0.0));
-        sim.run_until(SimTime::from_secs(2));
-        sim.add_node_with(
-            Position::new(0.0, 0.0),
-            Chatter {
-                to_send: 2,
-                heard: 0,
-                payload_bytes: 5,
-            },
-        );
-        sim.run_until(SimTime::from_secs(4));
-        assert_eq!(sim.protocol(b).heard, 0, "moved node must not hear");
-        // a (still at origin) hears the new sender.
-        assert_eq!(sim.protocol(a).heard, 2);
-    }
-
-    #[test]
-    fn duty_cycled_receiver_misses_frames_while_asleep() {
-        // Sender streams frames; receiver listens 10% of each 100 ms.
-        let mut sim = ShardedSimBuilder::new(21).build(|id| Chatter {
-            to_send: if id == NodeId(0) { 40 } else { 0 },
-            heard: 0,
-            payload_bytes: 27,
-        });
-        sim.add_node_at(Position::new(0.0, 0.0));
-        let rx = sim.add_node_at(Position::new(10.0, 0.0));
-        sim.set_duty_cycle(
-            rx,
-            Some(DutyCycle::new(
-                SimDuration::from_millis(100),
-                0.1,
-                SimDuration::ZERO,
-            )),
-        );
-        sim.run_until(SimTime::from_secs(10));
-        let stats = sim.stats();
-        assert!(stats.sleep_misses > 0, "{stats}");
-        assert!(
-            sim.protocol(rx).heard < 40,
-            "a 10% duty cycle cannot hear everything"
-        );
-        assert_eq!(
-            stats.deliveries
-                + stats.sleep_misses
-                + stats.rf_collisions
-                + stats.half_duplex_losses
-                + stats.random_losses,
-            40,
-            "every attempt lands in exactly one bucket: {stats}"
-        );
-        // Sleeping saves receive energy.
-        let bits_per_frame = sim.radio().bits_on_air(27 * 8);
-        assert!(sim.meter(rx).rx_bits() < 40 * bits_per_frame);
-    }
-
-    #[test]
-    fn full_duty_cycle_hears_everything() {
-        let mut sim = two_node(22, MacConfig::csma(), 1);
-        sim.set_duty_cycle(
-            NodeId(1),
-            Some(DutyCycle::new(
-                SimDuration::from_millis(50),
-                1.0,
-                SimDuration::ZERO,
-            )),
-        );
-        sim.run_until(SimTime::from_secs(2));
-        assert_eq!(sim.protocol(NodeId(1)).heard, 3);
-        assert_eq!(sim.stats().sleep_misses, 0);
-    }
-
-    #[test]
-    fn tracer_records_losses_with_reasons() {
-        let mut sim = ShardedSimBuilder::new(31)
-            .radio(RadioConfig::radiometrix_rpc().with_frame_loss(1.0))
-            .build(|id| Chatter {
-                to_send: if id == NodeId(0) { 3 } else { 0 },
-                heard: 0,
-                payload_bytes: 5,
-            });
-        sim.add_node_at(Position::new(0.0, 0.0));
-        sim.add_node_at(Position::new(10.0, 0.0));
-        sim.enable_trace(64);
-        sim.run_until(SimTime::from_secs(2));
-        let tracer = sim.tracer().expect("enabled above");
-        let random_losses = tracer
-            .events()
-            .filter(|e| {
-                matches!(
-                    e,
-                    TraceEvent::Lost {
-                        reason: LossReason::RandomLoss,
-                        ..
-                    }
-                )
-            })
-            .count();
-        assert_eq!(random_losses, 3);
-        assert_eq!(sim.stats().random_losses, 3);
-        assert_eq!(sim.protocol(NodeId(1)).heard, 0);
-    }
-
-    /// The two-node chatter pair under `faults`, node 0 sending
-    /// `to_send` frames of `payload_bytes`.
-    fn faulty_pair(
-        seed: u64,
-        faults: FaultModel,
-        to_send: u32,
-        payload_bytes: usize,
-    ) -> ShardedSim<Chatter> {
-        let mut sim = ShardedSimBuilder::new(seed)
-            .faults(faults)
-            .build(move |id| Chatter {
-                to_send: if id == NodeId(0) { to_send } else { 0 },
-                heard: 0,
-                payload_bytes,
-            });
-        sim.add_node_at(Position::new(0.0, 0.0));
-        sim.add_node_at(Position::new(10.0, 0.0));
-        sim
-    }
-
-    #[test]
-    fn fault_erasure_drops_frames_without_moving_the_mac_schedule() {
-        let erase_all = FaultModel::none().with_channel(GilbertElliott::iid(ChannelState {
-            bit_error_rate: 0.0,
-            frame_erasure: 1.0,
-        }));
-        let mut base = two_node(13, MacConfig::csma(), 1);
-        let mut faulty = faulty_pair(13, erase_all, 3, 10);
-        base.run_until(SimTime::from_secs(2));
-        faulty.run_until(SimTime::from_secs(2));
-        assert_eq!(faulty.protocol(NodeId(1)).heard, 0);
-        assert_eq!(faulty.stats().fault_erasures, 3);
-        assert_eq!(faulty.stats().deliveries, 0);
-        // Fault draws come from their own streams: the MAC schedule,
-        // and hence the sender's meter, match the clean run.
-        assert_eq!(base.stats().frames_sent, faulty.stats().frames_sent);
-        assert_eq!(base.meter(NodeId(0)), faulty.meter(NodeId(0)));
-    }
-
-    #[test]
-    fn bit_errors_corrupt_deliveries_and_are_traced() {
-        // BER 1.0 flips every payload bit: frames still arrive, but
-        // every delivery is counted and traced as corrupted.
-        let flip_all = FaultModel::none().with_channel(GilbertElliott::iid(ChannelState {
-            bit_error_rate: 1.0,
-            frame_erasure: 0.0,
-        }));
-        let mut sim = faulty_pair(14, flip_all, 3, 10);
-        sim.enable_trace(64);
-        sim.run_until(SimTime::from_secs(2));
-        assert_eq!(sim.protocol(NodeId(1)).heard, 3);
-        let stats = sim.stats();
-        assert_eq!(stats.deliveries, 3);
-        assert_eq!(stats.corrupted_deliveries, 3);
-        assert_eq!(stats.flipped_bits, 3 * 80);
-        let corrupted = sim
-            .tracer()
-            .expect("enabled above")
-            .events()
-            .filter(|e| {
-                matches!(
-                    e,
-                    TraceEvent::Corrupted {
-                        flipped_bits: 80,
-                        ..
-                    }
-                )
-            })
-            .count();
-        assert_eq!(corrupted, 3);
-    }
-
-    #[test]
-    fn partition_window_severs_cross_group_frames() {
-        // The sender bursts 40 back-to-back frames (~7 ms each); the
-        // first 100 ms are partitioned, so early frames are severed and
-        // later ones delivered.
-        let faults = FaultModel::none().with_partition(PartitionWindow::new(
-            SimTime::ZERO,
-            SimTime::from_millis(100),
-            vec![NodeId(0)],
-        ));
-        let mut sim = faulty_pair(15, faults, 40, 27);
-        sim.enable_trace(128);
-        sim.run_until(SimTime::from_secs(10));
-        let stats = sim.stats();
-        assert!(stats.partition_losses > 0, "{stats}");
-        assert!(stats.deliveries > 0, "{stats}");
-        assert_eq!(stats.partition_losses + stats.deliveries, 40, "{stats}");
-        assert_eq!(
-            u64::from(sim.protocol(NodeId(1)).heard),
-            stats.deliveries,
-            "partitioned frames never reach the protocol"
-        );
-        assert!(sim.tracer().expect("enabled above").events().any(|e| {
-            matches!(
-                e,
-                TraceEvent::Lost {
-                    reason: LossReason::Partitioned,
-                    ..
-                }
-            )
-        }));
-    }
-
-    #[test]
-    fn fault_model_churn_kills_and_revives_on_schedule() {
-        // The receiver dies before any frame lands and revives at
-        // 100 ms, partway through the sender's ~300 ms burst.
-        let faults = FaultModel::none()
-            .with_churn_event(SimTime::from_micros(1), NodeId(1), false)
-            .with_churn_event(SimTime::from_millis(100), NodeId(1), true);
-        let mut sim = faulty_pair(16, faults, 40, 27);
-        sim.run_until(SimTime::from_secs(10));
-        let heard = sim.protocol(NodeId(1)).heard;
-        assert!(heard > 0, "revived node must hear again");
-        assert!(heard < 40, "dead interval must cost frames: {heard}");
-    }
-
-    #[test]
-    fn every_attempt_lands_in_exactly_one_bucket_under_faults() {
-        let faults = FaultModel::none()
-            .with_channel(GilbertElliott::bursty(
-                ChannelState::clean(),
-                ChannelState {
-                    bit_error_rate: 0.01,
-                    frame_erasure: 0.5,
-                },
-                0.2,
-                0.3,
-            ))
-            .with_partition(PartitionWindow::new(
-                SimTime::from_millis(100),
-                SimTime::from_millis(250),
-                vec![NodeId(0)],
-            ));
-        let mut sim = faulty_pair(17, faults, 60, 27);
-        sim.run_until(SimTime::from_secs(20));
-        let stats = sim.stats();
-        assert!(stats.fault_erasures > 0, "{stats}");
-        assert!(stats.partition_losses > 0, "{stats}");
-        assert_eq!(
-            stats.deliveries
-                + stats.sleep_misses
-                + stats.rf_collisions
-                + stats.half_duplex_losses
-                + stats.random_losses
-                + stats.fault_erasures
-                + stats.partition_losses,
-            60,
-            "every attempt lands in exactly one bucket: {stats}"
-        );
-        assert!(
-            stats.corrupted_deliveries <= stats.deliveries,
-            "corruption is a flavor of delivery, not a loss: {stats}"
-        );
-    }
-
-    #[test]
-    fn obs_counters_match_medium_stats() {
-        let faults = FaultModel::none().with_channel(GilbertElliott::iid(ChannelState {
-            bit_error_rate: 0.001,
-            frame_erasure: 0.3,
-        }));
-        let obs = Obs::enabled();
-        let mut sim = faulty_pair(40, faults, 30, 27);
-        sim.enable_obs(&obs);
-        sim.run_until(SimTime::from_secs(20));
-        let stats = sim.stats();
-        let snap = obs.snapshot().expect("enabled");
-        assert_eq!(snap.counter("netsim_frames_sent_total"), stats.frames_sent);
-        assert_eq!(snap.counter("netsim_deliveries_total"), stats.deliveries);
-        assert_eq!(
-            snap.counter_with("netsim_drops_total", &[("reason", "fault_erasure")]),
-            Some(stats.fault_erasures)
-        );
-        assert_eq!(
-            snap.counter("netsim_corrupted_deliveries_total"),
-            stats.corrupted_deliveries
-        );
-        assert_eq!(
-            snap.counter("netsim_flipped_bits_total"),
-            stats.flipped_bits
-        );
-        // Airtime counter and completed spans agree with frames sent.
-        assert_eq!(
-            snap.counter("netsim_tx_airtime_completed_total"),
-            stats.frames_sent
-        );
-        let spans = snap
-            .histogram_with("netsim_tx_airtime_micros", &[])
-            .expect("span histogram registered");
-        assert_eq!(spans.count(), stats.frames_sent);
-        assert!(
-            (spans.sum() - snap.counter("netsim_airtime_micros_total") as f64).abs() < 1e-6,
-            "span durations must sum to total airtime"
-        );
-        // Energy gauges agree with the meters.
-        let total = sim.total_meter();
-        assert!(
-            (snap.gauge("netsim_energy_tx_nj") - total.tx_energy_nj(&sim.radio().energy)).abs()
-                < 1e-6
-        );
-        assert!(
-            (snap.gauge("netsim_energy_rx_nj") - total.rx_energy_nj(&sim.radio().energy)).abs()
-                < 1e-6
-        );
-    }
-
-    #[test]
-    fn obs_on_run_is_identical_to_obs_off() {
-        // Metrics are pure observations: the RNG streams, stats, and
-        // meters of an observed run must equal the unobserved run.
-        let mut plain = two_node(41, MacConfig::csma(), 1);
-        let mut observed = two_node(41, MacConfig::csma(), 1);
-        let obs = Obs::enabled();
-        observed.enable_obs(&obs);
-        plain.run_until(SimTime::from_secs(2));
-        observed.run_until(SimTime::from_secs(2));
-        assert_eq!(digest(&plain), digest(&observed));
-        assert_eq!(plain.meter(NodeId(0)), observed.meter(NodeId(0)));
-        assert_eq!(plain.meter(NodeId(1)), observed.meter(NodeId(1)));
-        // And attaching a *disabled* handle stays on the None path.
-        let mut disabled = two_node(41, MacConfig::csma(), 1);
-        disabled.enable_obs(&Obs::disabled());
-        disabled.run_until(SimTime::from_secs(2));
-        assert_eq!(digest(&plain), digest(&disabled));
-    }
-
-    #[test]
-    fn oversized_send_is_rejected_at_send_time() {
-        struct BigSender {
-            result: Option<Result<(), crate::frame::FrameError>>,
-        }
-        impl Protocol for BigSender {
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                let payload = FramePayload::from_bytes(vec![0; 28]).unwrap();
-                self.result = Some(ctx.send(payload));
-            }
-            fn on_frame(&mut self, _ctx: &mut Context<'_>, _frame: &Frame) {}
-            fn on_timer(&mut self, _ctx: &mut Context<'_>, _timer: Timer) {}
-        }
-        let mut sim = ShardedSimBuilder::new(11).build(|_| BigSender { result: None });
-        let n = sim.add_node_at(Position::new(0.0, 0.0));
-        sim.run_until(SimTime::from_millis(1));
-        assert!(matches!(
-            sim.protocol(n).result,
-            Some(Err(crate::frame::FrameError::TooLarge { .. }))
-        ));
-        assert_eq!(sim.stats().frames_sent, 0);
+        script.prune(500);
+        assert!(script.air.cells.is_empty(), "every record pruned");
+        assert_eq!((on_air(&script, b), script.air.on_air), (0, 0));
     }
 }
