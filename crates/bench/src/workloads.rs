@@ -578,7 +578,7 @@ fn sim_mesh_100k_sharded(seed: u64, quick: bool) {
 /// single frame at a phase scattered over a 10 s horizon, so any given
 /// run simulates a *sparse* slice of the population — the regime the
 /// paper's Eq. 4 was never measured in, and exactly the shape the
-/// O(active) engine work (window skipping, delta-routed ghosts) exists
+/// O(active) engine work (window skipping, delta-routed deliveries) exists
 /// for. Cost must track the ~1.5% of nodes whose phase falls inside
 /// the horizon, not the million-node topology.
 struct ScatterSender;

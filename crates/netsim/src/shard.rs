@@ -48,22 +48,35 @@
 //!
 //! # Interference bookkeeping
 //!
-//! The merging thread owns the authoritative air view: a dense record
-//! deque plus per-grid-cell and per-node sequence indexes (cell size =
-//! radio range, so a 3×3 cell scan covers every in-range interferer).
-//! Each cell also counts its transmissions still on the air, so carrier
+//! One air view holds every transmission record: a dense record deque
+//! plus per-grid-cell and per-node sequence indexes (cell size = radio
+//! range, so a 3×3 cell scan covers every in-range interferer). Each
+//! cell also counts its transmissions still on the air, so carrier
 //! sense skips silent cells and stops once it has seen them all. The
-//! view is mutated only at epoch barriers and by the globally ordered
-//! CSMA MAC phase. Inline runs judge deliveries against it directly;
-//! threaded runs judge against per-shard ghost replicas holding only the
-//! records within one cell ring of a shard's nodes, so the receive phase
-//! takes no lock.
+//! view is written only while every shard is parked between phases —
+//! by the globally ordered CSMA MAC phase, the epoch barrier and
+//! pruning — and is read-only during the receive phase, so every shard
+//! judges its deliveries against it directly (threaded runs share it
+//! behind a read lock that is never contended).
+//!
+//! Delivery *events*, by contrast, are routed: each shard keeps an
+//! interest set of the grid cells within one ring of its nodes, and the
+//! barrier hands a transmission's `Deliver` event only to the shards
+//! interested in its origin cell.
+//!
+//! # Window loop
+//!
+//! One loop runs every window: window-start dynamics, the MAC phase,
+//! the epoch barrier, the receive phase, and pruning. The per-shard
+//! halves are methods of the shard core and the rest runs on the
+//! calling thread; inline and threaded runs differ only in whether the
+//! per-shard halves run in a `for` loop or on parked worker threads.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering as AtomicOrdering};
+use std::sync::{Barrier, Mutex, PoisonError, RwLock};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -338,10 +351,7 @@ impl Ord for MasterDyn {
     }
 }
 
-/// One transmission record in the shared air view.
-///
-/// The frame body is behind an `Arc` so per-shard ghost replicas share
-/// it instead of deep-copying payload bytes.
+/// One transmission record in the air view.
 #[derive(Debug)]
 struct AirRecord {
     seq: u64,
@@ -349,7 +359,7 @@ struct AirRecord {
     start: SimTime,
     end: SimTime,
     bits_on_air: u64,
-    frame: Arc<Frame>,
+    frame: Frame,
     /// Grid cell of the sender at transmission start (the interference
     /// scan bucket; a sender relocating mid-flight keeps its record in
     /// the origin cell).
@@ -363,116 +373,9 @@ impl AirRecord {
     fn overlaps(&self, start: SimTime, end: SimTime) -> bool {
         self.start < end && self.end > start
     }
-
-    /// A copy for a shard-local ghost view. The `ended` flag is MAC
-    /// phase state and never consulted by receive-phase judgments, so
-    /// ghosts pin it to `false`.
-    fn ghost_copy(&self) -> AirRecord {
-        AirRecord {
-            seq: self.seq,
-            sender: self.sender,
-            start: self.start,
-            end: self.end,
-            bits_on_air: self.bits_on_air,
-            frame: Arc::clone(&self.frame),
-            cell: self.cell,
-            ended: false,
-        }
-    }
 }
 
-/// Read-only delivery-judgment queries over some view of the air —
-/// implemented by the global [`AirView`] (inline windows) and by the
-/// per-shard [`GhostAir`] replicas (threaded windows), so the receive
-/// phase is lock-free either way.
-trait AirReads {
-    fn get(&self, seq: u64) -> Option<&AirRecord>;
-
-    /// Retained records `node` sent, by ascending sequence number.
-    fn sent_by(&self, node: NodeId) -> Option<&VecDeque<u64>>;
-
-    /// Retained records that started in grid `cell`, by ascending
-    /// sequence number.
-    fn started_in(&self, cell: (i64, i64)) -> Option<&VecDeque<u64>>;
-
-    /// The grid pitch (= radio range).
-    fn cell_size(&self) -> f64;
-
-    /// Whether `node`'s own radio is transmitting during `[start, end)`,
-    /// other than `exclude_seq` (half-duplex check).
-    fn transmitting_during(
-        &self,
-        node: NodeId,
-        start: SimTime,
-        end: SimTime,
-        exclude_seq: u64,
-    ) -> bool {
-        self.sent_by(node).is_some_and(|seqs| {
-            seqs.iter().any(|&seq| {
-                let record = self.get(seq).expect("indexed record retained");
-                seq != exclude_seq && record.overlaps(start, end)
-            })
-        })
-    }
-
-    /// Whether any foreign transmission audible at `receiver` overlaps
-    /// `[start, end)` other than `exclude_seq`.
-    fn interference_at(
-        &self,
-        receiver: NodeId,
-        position: Position,
-        start: SimTime,
-        end: SimTime,
-        exclude_seq: u64,
-        topology: &Topology,
-    ) -> bool {
-        let (cx, cy) = cell_of(position, self.cell_size());
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                let Some(seqs) = self.started_in((cx + dx, cy + dy)) else {
-                    continue;
-                };
-                for &seq in seqs {
-                    let record = self.get(seq).expect("indexed record retained");
-                    if seq != exclude_seq
-                        && record.sender != receiver
-                        && record.overlaps(start, end)
-                        && topology.in_range(record.sender, receiver)
-                    {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
-    }
-
-    /// Per-receiver delivery verdict, in precedence order: half-duplex,
-    /// then RF collision, then random loss.
-    fn judge(
-        &self,
-        seq: u64,
-        receiver: NodeId,
-        position: Position,
-        loss_draw: f64,
-        frame_loss: f64,
-        topology: &Topology,
-    ) -> Verdict {
-        let record = self.get(seq).expect("judging unknown transmission");
-        if self.transmitting_during(receiver, record.start, record.end, seq) {
-            Verdict::Failed(LossReason::HalfDuplex)
-        } else if self.interference_at(receiver, position, record.start, record.end, seq, topology)
-        {
-            Verdict::Failed(LossReason::RfCollision)
-        } else if loss_draw < frame_loss {
-            Verdict::Failed(LossReason::RandomLoss)
-        } else {
-            Verdict::Delivered
-        }
-    }
-}
-
-/// The authoritative view of the air, owned by the merging thread.
+/// The view of the air every shard judges against.
 ///
 /// Indexes records by the sender's grid cell (cell size = radio range)
 /// so interference queries scan a 3×3 neighborhood instead of every
@@ -540,6 +443,82 @@ impl AirView {
             .expect("cell index present")
             .on_air -= 1;
         self.on_air -= 1;
+    }
+
+    fn get(&self, seq: u64) -> Option<&AirRecord> {
+        let index = usize::try_from(seq.checked_sub(self.base_seq)?).ok()?;
+        self.records.get(index)
+    }
+
+    /// Whether `node`'s own radio is transmitting during `[start, end)`,
+    /// other than `exclude_seq` (half-duplex check).
+    fn transmitting_during(
+        &self,
+        node: NodeId,
+        start: SimTime,
+        end: SimTime,
+        exclude_seq: u64,
+    ) -> bool {
+        self.by_node[node.index()].iter().any(|&seq| {
+            let record = self.get(seq).expect("indexed record retained");
+            seq != exclude_seq && record.overlaps(start, end)
+        })
+    }
+
+    /// Whether any foreign transmission audible at `receiver` overlaps
+    /// `[start, end)` other than `exclude_seq`.
+    fn interference_at(
+        &self,
+        receiver: NodeId,
+        position: Position,
+        start: SimTime,
+        end: SimTime,
+        exclude_seq: u64,
+        topology: &Topology,
+    ) -> bool {
+        let (cx, cy) = cell_of(position, self.cell_size);
+        for dx in -1..=1 {
+            for dy in -1..=1 {
+                let Some(cell) = self.cells.get(&(cx + dx, cy + dy)) else {
+                    continue;
+                };
+                for &seq in &cell.seqs {
+                    let record = self.get(seq).expect("indexed record retained");
+                    if seq != exclude_seq
+                        && record.sender != receiver
+                        && record.overlaps(start, end)
+                        && topology.in_range(record.sender, receiver)
+                    {
+                        return true;
+                    }
+                }
+            }
+        }
+        false
+    }
+
+    /// Per-receiver delivery verdict, in precedence order: half-duplex,
+    /// then RF collision, then random loss.
+    fn judge(
+        &self,
+        seq: u64,
+        receiver: NodeId,
+        position: Position,
+        loss_draw: f64,
+        frame_loss: f64,
+        topology: &Topology,
+    ) -> Verdict {
+        let record = self.get(seq).expect("judging unknown transmission");
+        if self.transmitting_during(receiver, record.start, record.end, seq) {
+            Verdict::Failed(LossReason::HalfDuplex)
+        } else if self.interference_at(receiver, position, record.start, record.end, seq, topology)
+        {
+            Verdict::Failed(LossReason::RfCollision)
+        } else if loss_draw < frame_loss {
+            Verdict::Failed(LossReason::RandomLoss)
+        } else {
+            Verdict::Delivered
+        }
     }
 
     /// CSMA carrier sense: whether `listener` (at `position`) hears any
@@ -621,139 +600,6 @@ impl AirView {
     }
 }
 
-impl AirReads for AirView {
-    fn get(&self, seq: u64) -> Option<&AirRecord> {
-        let index = usize::try_from(seq.checked_sub(self.base_seq)?).ok()?;
-        self.records.get(index)
-    }
-
-    fn sent_by(&self, node: NodeId) -> Option<&VecDeque<u64>> {
-        self.by_node.get(node.index())
-    }
-
-    fn started_in(&self, cell: (i64, i64)) -> Option<&VecDeque<u64>> {
-        self.cells.get(&cell).map(|indexed| &indexed.seqs)
-    }
-
-    fn cell_size(&self) -> f64 {
-        self.cell_size
-    }
-}
-
-/// A shard-local replica of the air records the shard can possibly
-/// need for receive-phase judgments — the "ghost cells" of the shard's
-/// boundary. Maintained by the merging thread at epoch barriers, read
-/// (and pruned) exclusively by the owning shard, so the threaded
-/// receive phase never touches a shared lock.
-///
-/// A record is replicated only to shards whose nodes occupy a grid
-/// cell within one ring of the sender's cell — every receiver and
-/// every interferable pair sits within one cell of its counterpart
-/// because the cell size equals the radio range. Scheduled mobility
-/// and churn are delta-routed: when a move changes which cells a
-/// shard's interest set covers, only that shard receives the in-flight
-/// records of the gained cells (a backfill), instead of every record
-/// being broadcast to every shard.
-#[derive(Debug, Default)]
-struct GhostAir {
-    cell_size: f64,
-    /// Live records in ascending-seq order (mirrors the global view's
-    /// retention window for this shard's subset).
-    order: VecDeque<u64>,
-    records: HashMap<u64, AirRecord>,
-    /// Per-cell record seqs, ascending.
-    cells: HashMap<(i64, i64), VecDeque<u64>>,
-    /// Per-sender record seqs, ascending.
-    by_node: HashMap<u32, VecDeque<u64>>,
-}
-
-impl GhostAir {
-    fn clear(&mut self, cell_size: f64) {
-        self.cell_size = cell_size;
-        self.order.clear();
-        self.records.clear();
-        self.cells.clear();
-        self.by_node.clear();
-    }
-
-    /// Whether the replica already holds `seq` — the dedup check for
-    /// interest-delta backfills (a cell can be lost and later regained
-    /// while a record from it is still in flight).
-    fn contains(&self, seq: u64) -> bool {
-        self.records.contains_key(&seq)
-    }
-
-    /// Inserts a record. Barrier routing appends in ascending seq order
-    /// (O(1)); interest-delta backfills may arrive out of order and pay
-    /// a sorted insert instead.
-    fn insert(&mut self, record: &AirRecord) {
-        debug_assert!(
-            !self.contains(record.seq),
-            "ghost records are inserted at most once"
-        );
-        Self::ordered_push(&mut self.order, record.seq);
-        Self::ordered_push(self.cells.entry(record.cell).or_default(), record.seq);
-        Self::ordered_push(self.by_node.entry(record.sender.0).or_default(), record.seq);
-        self.records.insert(record.seq, record.ghost_copy());
-    }
-
-    fn ordered_push(deque: &mut VecDeque<u64>, seq: u64) {
-        if deque.back().is_none_or(|&last| last < seq) {
-            deque.push_back(seq);
-        } else {
-            let at = deque
-                .binary_search(&seq)
-                .expect_err("seq not already present");
-            deque.insert(at, seq);
-        }
-    }
-
-    /// Mirrors [`AirView::prune`]: drops front records ended before
-    /// `horizon`, stopping at the first retained one.
-    fn prune(&mut self, horizon: SimTime) {
-        while let Some(&seq) = self.order.front() {
-            let record = &self.records[&seq];
-            if record.end >= horizon {
-                break;
-            }
-            self.order.pop_front();
-            let record = self.records.remove(&seq).expect("ordered record present");
-            if let Some(cell) = self.cells.get_mut(&record.cell) {
-                let popped = cell.pop_front();
-                debug_assert_eq!(popped, Some(seq));
-                if cell.is_empty() {
-                    self.cells.remove(&record.cell);
-                }
-            }
-            if let Some(by_node) = self.by_node.get_mut(&record.sender.0) {
-                let popped = by_node.pop_front();
-                debug_assert_eq!(popped, Some(seq));
-                if by_node.is_empty() {
-                    self.by_node.remove(&record.sender.0);
-                }
-            }
-        }
-    }
-}
-
-impl AirReads for GhostAir {
-    fn get(&self, seq: u64) -> Option<&AirRecord> {
-        self.records.get(&seq)
-    }
-
-    fn sent_by(&self, node: NodeId) -> Option<&VecDeque<u64>> {
-        self.by_node.get(&node.0)
-    }
-
-    fn started_in(&self, cell: (i64, i64)) -> Option<&VecDeque<u64>> {
-        self.cells.get(&cell)
-    }
-
-    fn cell_size(&self) -> f64 {
-        self.cell_size
-    }
-}
-
 /// A transmission begun inside the current window, pending global
 /// sequence assignment (ALOHA) or already numbered (CSMA, whose MAC
 /// phase runs in global order and numbers immediately).
@@ -771,24 +617,7 @@ struct PendingTx {
     pos: Position,
     seq: Option<u64>,
     /// `None` when the record is already in the air view (CSMA).
-    frame: Option<Arc<Frame>>,
-}
-
-/// A buffered airtime-span end (observability only). Spans end in the
-/// same window their transmission starts when the airtime is shorter
-/// than the lookahead, in which case the sequence number is not yet
-/// assigned at `TxEnd` time.
-#[derive(Debug)]
-enum SpanEnd {
-    Known {
-        at_micros: u64,
-        seq: u64,
-    },
-    Pending {
-        at_micros: u64,
-        node: NodeId,
-        tx_idx: u64,
-    },
+    frame: Option<Frame>,
 }
 
 /// Per-node state owned by exactly one shard.
@@ -817,7 +646,8 @@ struct LocalNode<P> {
     /// Counts this node's transmissions.
     tx_count: u64,
     /// `(tx_idx, seq)` pairs of in-flight transmissions whose global
-    /// sequence number is known; consumed by `TxEnd`.
+    /// sequence number is known and whose `TxEnd` has not run yet;
+    /// consumed by `TxEnd`.
     assigned: VecDeque<(u64, u64)>,
     /// DFA only: the slot this node committed to transmit in within its
     /// current frame (the `MacTry` wakeup is on the heap).
@@ -871,6 +701,12 @@ struct EngineCtx<'a> {
 }
 
 impl EngineCtx<'_> {
+    /// Whether an event at `at` belongs to the window ending at `t_end`
+    /// — the bound of every phase drain.
+    fn in_window(&self, at: SimTime, t_end: SimTime) -> bool {
+        at < t_end && at <= self.deadline
+    }
+
     /// Local index of `node` on shard `shard` (which must own it).
     fn local(&self, shard: usize, node: NodeId) -> usize {
         let (s, l) = self.owner[node.index()];
@@ -899,7 +735,9 @@ struct ShardCore<P> {
     topo_mac: Topology,
     topo_rx: Topology,
     outbox: Vec<PendingTx>,
-    span_ends: Vec<SpanEnd>,
+    /// `(at_micros, seq)` airtime-span ends of numbered transmissions,
+    /// buffered for the epoch barrier (observability only).
+    span_ends: Vec<(u64, u64)>,
     stats: MediumStats,
     /// Dynamic-Frame Aloha counters for this shard's owned nodes
     /// (frames/slots counted at the draw, outcomes at the feedback).
@@ -907,14 +745,10 @@ struct ShardCore<P> {
     trace_buf: Vec<(TraceKey, TraceEvent)>,
     commands: Vec<Command>,
     receiver_scratch: Vec<NodeId>,
-    /// Shard-local air replica for the threaded receive phase (serial
-    /// multi-shard windows maintain it too, so the replicas survive
-    /// engine switches without a rebuild).
-    ghost: GhostAir,
     /// Grid cells within one ring of any owned node — the cells whose
-    /// air records this shard may need — refcounted by how many owned
-    /// nodes contribute each cell, so a move patches the set with a
-    /// ±1-ring delta instead of a full rebuild.
+    /// transmissions this shard may have to deliver — refcounted by how
+    /// many owned nodes contribute each cell, so a move patches the set
+    /// with a ±1-ring delta instead of a full rebuild.
     interest: HashMap<(i64, i64), u32>,
     /// Windows this shard fast-forwarded through without dispatching a
     /// single event (no queued MAC work, no pending receive events).
@@ -941,16 +775,15 @@ impl<P: Protocol> ShardCore<P> {
             trace_buf: Vec::new(),
             commands: Vec::new(),
             receiver_scratch: Vec::new(),
-            ghost: GhostAir::default(),
             interest: HashMap::new(),
             windows_skipped: 0,
             mac_was_idle: true,
         }
     }
 
-    /// The shard's next pending event time across both phases — the
-    /// next-activity time the epoch barrier carries so idle shards can
-    /// be fast-forwarded deterministically.
+    /// The shard's next pending event time across both phases — its
+    /// next-activity time, from which the window loop picks the next
+    /// window, so idle stretches are fast-forwarded deterministically.
     fn next_at(&self) -> Option<SimTime> {
         match (self.mac_heap.peek(), self.rx_heap.peek()) {
             (Some(m), Some(r)) => Some(m.at.min(r.at)),
@@ -958,26 +791,6 @@ impl<P: Protocol> ShardCore<P> {
             (None, Some(r)) => Some(r.at),
             (None, None) => None,
         }
-    }
-
-    /// Whether the MAC phase would dispatch nothing in this window.
-    /// A shard idle in both phases cannot produce or observe anything
-    /// in the window: in-flight airtime always has a pending `TxEnd`
-    /// and every ghost record that matters comes with a pending
-    /// `Deliver`, so heap emptiness is the complete skip test.
-    fn mac_idle(&self, t_end: SimTime, deadline: SimTime) -> bool {
-        !self
-            .mac_heap
-            .peek()
-            .is_some_and(|e| e.at < t_end && e.at <= deadline)
-    }
-
-    /// Whether the receive phase would dispatch nothing in this window.
-    fn rx_idle(&self, t_end: SimTime, deadline: SimTime) -> bool {
-        !self
-            .rx_heap
-            .peek()
-            .is_some_and(|e| e.at < t_end && e.at <= deadline)
     }
 
     /// Pushes a node-owned MAC event, stamped with the node's private
@@ -994,14 +807,18 @@ impl<P: Protocol> ShardCore<P> {
         });
     }
 
-    /// Drains this shard's MAC events inside `[.., t_end)` (ALOHA: no
-    /// carrier sense, fully shard-parallel; new transmissions buffer in
-    /// the outbox for the epoch barrier).
-    fn run_phase1(&mut self, ctx: &EngineCtx<'_>, t_end: SimTime, obs: Option<&NetsimObs>) {
+    /// This shard's MAC phase of the window ending at `t_end` for MACs
+    /// without carrier sense: no cross-shard state is touched, so the
+    /// shards run it in parallel, and new transmissions buffer in the
+    /// outbox for the epoch barrier. Records whether the shard had
+    /// anything to dispatch.
+    fn mac_phase(&mut self, ctx: &EngineCtx<'_>, t_end: SimTime, obs: Option<&NetsimObs>) {
+        self.mac_was_idle = true;
         while let Some(ev) = self.mac_heap.peek() {
-            if ev.at >= t_end || ev.at > ctx.deadline {
+            if !ctx.in_window(ev.at, t_end) {
                 break;
             }
+            self.mac_was_idle = false;
             let ev = self.mac_heap.pop().expect("peeked above");
             self.dispatch_mac(ev, ctx, None, obs);
         }
@@ -1045,22 +862,16 @@ impl<P: Protocol> ShardCore<P> {
             MacKind::TxEnd { node, tx_idx } => {
                 let local = ctx.local(self.index, node);
                 self.nodes[local].transmitting = false;
-                let seq = self.nodes[local].take_assigned(tx_idx);
-                if let (Some(cs), Some(seq)) = (csma.as_mut(), seq) {
-                    cs.air.mark_ended(seq);
-                }
-                if obs.is_some() {
-                    self.span_ends.push(match seq {
-                        Some(seq) => SpanEnd::Known {
-                            at_micros: at.as_micros(),
-                            seq,
-                        },
-                        None => SpanEnd::Pending {
-                            at_micros: at.as_micros(),
-                            node,
-                            tx_idx,
-                        },
-                    });
+                // No number yet means the transmission started in this
+                // window: the epoch barrier numbers it and closes its
+                // span itself.
+                if let Some(seq) = self.nodes[local].take_assigned(tx_idx) {
+                    if let Some(cs) = csma.as_mut() {
+                        cs.air.mark_ended(seq);
+                    }
+                    if obs.is_some() {
+                        self.span_ends.push((at.as_micros(), seq));
+                    }
                 }
                 if ctx.mac.dfa_config().is_none() {
                     // Next frame, after the inter-frame space. Under DFA
@@ -1173,7 +984,7 @@ impl<P: Protocol> ShardCore<P> {
             airtime_micros: airtime.as_micros(),
             pos,
             seq: None,
-            frame: Some(Arc::new(Frame::new(node, payload))),
+            frame: Some(Frame::new(node, payload)),
         };
         if let Some(cs) = csma.as_mut() {
             // Carrier-sense MACs run this phase in global event order,
@@ -1205,41 +1016,65 @@ impl<P: Protocol> ShardCore<P> {
         );
     }
 
-    /// Drains this shard's receive events inside `[.., t_end)` — fully
-    /// shard-parallel; the air view is read-only here.
-    fn run_phase2<A: AirReads>(
+    /// This shard's receive phase of the window ending at `t_end`,
+    /// judged against the air view (read-only here, so the shards run
+    /// it in parallel). Returns the shard's next-activity time.
+    ///
+    /// A window in which neither phase had anything to dispatch counts
+    /// as skipped. Heap emptiness is the complete test: in-flight
+    /// airtime always has a pending `TxEnd`, and every transmission the
+    /// shard must judge comes with a pending `Deliver`.
+    fn rx_phase(
         &mut self,
         ctx: &EngineCtx<'_>,
         t_end: SimTime,
-        air: &A,
+        air: &AirView,
         obs: Option<&NetsimObs>,
-    ) {
+    ) -> Option<SimTime> {
+        let mut rx_was_idle = true;
         while let Some(ev) = self.rx_heap.peek() {
-            if ev.at >= t_end || ev.at > ctx.deadline {
+            if !ctx.in_window(ev.at, t_end) {
                 break;
             }
+            rx_was_idle = false;
             let ev = self.rx_heap.pop().expect("peeked above");
+            if let RxKind::Deliver { .. } = ev.kind {
+                // Routing may hand a shard one transmission more than
+                // once: when its interest set loses and regains the
+                // origin cell, or when a mover's record reaches it again.
+                // Every copy of one `Deliver { seq }` has the key `(end,
+                // LANE_R_DELIVER, seq, 0)`, which no other event shares,
+                // and routing runs only between phases and never for a
+                // record already past its end, so every copy is on the
+                // heap before the first one pops. Keys pop in order and
+                // nothing dispatched in between can push a smaller key,
+                // so the copies pop back to back: drop the rest here and
+                // judge the transmission once.
+                while self
+                    .rx_heap
+                    .peek()
+                    .is_some_and(|next| next.key() == ev.key())
+                {
+                    self.rx_heap.pop();
+                }
+            }
             self.dispatch_rx(ev, ctx, air, obs);
         }
-    }
-
-    /// The threaded receive phase: reads this shard's own ghost air
-    /// replica, so no shared state (and no lock) is touched.
-    fn run_phase2_ghost(&mut self, ctx: &EngineCtx<'_>, t_end: SimTime, obs: Option<&NetsimObs>) {
-        let ghost = std::mem::take(&mut self.ghost);
-        self.run_phase2(ctx, t_end, &ghost, obs);
-        self.ghost = ghost;
+        if self.mac_was_idle && rx_was_idle {
+            self.windows_skipped += 1;
+        }
+        self.next_at()
     }
 
     fn owns(&self, ctx: &EngineCtx<'_>, node: NodeId) -> bool {
         ctx.owner[node.index()].0 as usize == self.index
     }
 
-    fn dispatch_rx<A: AirReads>(
+    fn dispatch_rx(
         &mut self,
         ev: RxEvent,
         ctx: &EngineCtx<'_>,
-        air: &A,
+        air: &AirView,
         obs: Option<&NetsimObs>,
     ) {
         let at = ev.at;
@@ -1305,13 +1140,13 @@ impl<P: Protocol> ShardCore<P> {
     /// lands behind this window's already-run MAC phase (the boundary
     /// `window_end(at, lookahead)` depends only on the lookahead, so
     /// the deferral is shard-count invariant).
-    fn dfa_feedback<A: AirReads>(
+    fn dfa_feedback(
         &mut self,
         at: SimTime,
         seq: u64,
         sender: NodeId,
         ctx: &EngineCtx<'_>,
-        air: &A,
+        air: &AirView,
     ) {
         let record = air.get(seq).expect("feedback record retained");
         let position = self.topo_rx.position(sender);
@@ -1347,13 +1182,13 @@ impl<P: Protocol> ShardCore<P> {
     /// Judges delivery of transmission `seq` to every owned neighbor of
     /// `sender`, in node id order, each receiver drawing from its own
     /// RNG streams.
-    fn deliver<A: AirReads>(
+    fn deliver(
         &mut self,
         at: SimTime,
         seq: u64,
         sender: NodeId,
         ctx: &EngineCtx<'_>,
-        air: &A,
+        air: &AirView,
         obs: Option<&NetsimObs>,
     ) {
         let mut receivers = std::mem::take(&mut self.receiver_scratch);
@@ -1475,7 +1310,7 @@ impl<P: Protocol> ShardCore<P> {
                             continue;
                         }
                         if fault.bit_error_rate > 0.0 {
-                            let mut mangled = (*record.frame).clone();
+                            let mut mangled = record.frame.clone();
                             let mut flipped = 0u64;
                             for bit in 0..mangled.payload.bits() {
                                 if state.fault_rng.gen_range(0.0..1.0) < fault.bit_error_rate {
@@ -1621,121 +1456,32 @@ fn cell_of(position: Position, cell_size: f64) -> (i64, i64) {
     )
 }
 
-/// A policy assigning every node to one of `K` shard cores.
-///
-/// Placement is pure load balancing: the merged event stream is
-/// invariant in it (the shard-count invariance tests pin this), so a
-/// strategy is free to optimize for locality or balance without
-/// touching correctness. The engine re-runs the strategy at the start
-/// of a run whenever nodes were added or dynamics changed the
-/// topology.
-pub trait ShardStrategy: std::fmt::Debug + Send {
-    /// A short stable name (for logs and bench metadata).
-    fn name(&self) -> &'static str;
-
-    /// Maps each node (indexed by id) to a shard in `0..shards`.
-    /// `cell_size` is the interference-grid pitch (= radio range).
-    fn assign(&self, topology: &Topology, cell_size: f64, shards: usize) -> Vec<u32>;
-}
-
-/// Hash the node's grid cell with SplitMix64 — the original placement.
-/// Stateless and incremental (a node's shard never depends on the other
-/// nodes), but adjacent cells usually land on different shards, so most
-/// radio neighborhoods straddle a shard boundary and nearly every
-/// record must be replicated to several ghosts.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct GridHash;
-
-fn grid_hash_shard(cell: (i64, i64), shards: usize) -> u32 {
-    let mut state = (cell.0 as u64) ^ (cell.1 as u64).rotate_left(32) ^ 0x9E37_79B9_7F4A_7C15;
-    state = rand::splitmix64(&mut state);
-    u32::try_from(state % shards as u64).expect("shard index fits u32")
-}
-
-impl ShardStrategy for GridHash {
-    fn name(&self) -> &'static str {
-        "grid-hash"
+/// Node-to-shard placement: sorts nodes by grid cell (column-major,
+/// node id as tiebreak) and cuts the order into `shards` equal
+/// contiguous stripes, returning each node's shard (indexed by id).
+/// Neighboring cells share a stripe except at the K − 1 cut lines, so
+/// cross-shard deliveries concentrate on thin boundaries. Placement is
+/// pure load balancing: the merged event stream is invariant in it.
+fn spatial_stripes(topology: &Topology, cell_size: f64, shards: usize) -> Vec<u32> {
+    let mut order: Vec<((i64, i64), NodeId)> = topology
+        .node_ids()
+        .map(|id| (cell_of(topology.position(id), cell_size), id))
+        .collect();
+    order.sort_unstable_by_key(|&(cell, id)| (cell, id.0));
+    let n = order.len().max(1);
+    let mut out = vec![0u32; order.len()];
+    for (rank, (_, id)) in order.into_iter().enumerate() {
+        out[id.index()] = u32::try_from(rank * shards / n).expect("shard index fits u32");
     }
-
-    fn assign(&self, topology: &Topology, cell_size: f64, shards: usize) -> Vec<u32> {
-        topology
-            .node_ids()
-            .map(|id| grid_hash_shard(cell_of(topology.position(id), cell_size), shards))
-            .collect()
-    }
-}
-
-/// Sort nodes by grid cell (column-major, node id as tiebreak) and cut
-/// the order into `K` equal contiguous stripes. Neighboring cells share
-/// a stripe except at the K − 1 cut lines, so cross-shard deliveries —
-/// and ghost replication — concentrate on thin boundaries instead of
-/// being scattered everywhere. The default strategy.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SpatialStripes;
-
-impl ShardStrategy for SpatialStripes {
-    fn name(&self) -> &'static str {
-        "spatial-stripes"
-    }
-
-    fn assign(&self, topology: &Topology, cell_size: f64, shards: usize) -> Vec<u32> {
-        let mut order: Vec<((i64, i64), NodeId)> = topology
-            .node_ids()
-            .map(|id| (cell_of(topology.position(id), cell_size), id))
-            .collect();
-        order.sort_unstable_by_key(|&(cell, id)| (cell, id.0));
-        let n = order.len().max(1);
-        let mut out = vec![0u32; order.len()];
-        for (rank, (_, id)) in order.into_iter().enumerate() {
-            out[id.index()] = u32::try_from(rank * shards / n).expect("shard index fits u32");
-        }
-        out
-    }
-}
-
-/// Greedy bin packing by radio degree: nodes in descending degree
-/// order (id as tiebreak), each to the shard with the smallest degree
-/// sum so far. Evens out very uneven densities at the cost of ignoring
-/// locality entirely — best when a few hotspot cells dominate the
-/// receive-phase work.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DegreeBalanced;
-
-impl ShardStrategy for DegreeBalanced {
-    fn name(&self) -> &'static str {
-        "degree-balanced"
-    }
-
-    fn assign(&self, topology: &Topology, _cell_size: f64, shards: usize) -> Vec<u32> {
-        let mut order: Vec<(usize, NodeId)> = topology
-            .node_ids()
-            .map(|id| (topology.neighbors(id).count(), id))
-            .collect();
-        order.sort_unstable_by_key(|&(degree, id)| (Reverse(degree), id.0));
-        let mut load = vec![0usize; shards];
-        let mut out = vec![0u32; order.len()];
-        for (degree, id) in order {
-            let mut best = 0;
-            for (shard, &l) in load.iter().enumerate().skip(1) {
-                if l < load[best] {
-                    best = shard;
-                }
-            }
-            out[id.index()] = u32::try_from(best).expect("shard index fits u32");
-            // A degree-0 node still costs its MAC events: weight 1.
-            load[best] += degree.max(1);
-        }
-        out
-    }
+    out
 }
 
 /// Configures and constructs a [`ShardedSim`].
 ///
 /// Besides the radio, MAC, range, and fault model, the builder sets the
-/// sharding knobs: [`shards`](Self::shards),
+/// sharding knobs: [`shards`](Self::shards) and
 /// [`lookahead`](Self::lookahead) (the MAC turnaround delay that bounds
-/// the synchronization window), and [`strategy`](Self::strategy)
-/// (node-to-shard placement).
+/// the synchronization window).
 ///
 /// # Examples
 ///
@@ -1766,7 +1512,6 @@ pub struct ShardedSimBuilder {
     faults: FaultModel,
     shards: usize,
     lookahead: SimDuration,
-    strategy: Box<dyn ShardStrategy>,
 }
 
 impl ShardedSimBuilder {
@@ -1782,7 +1527,6 @@ impl ShardedSimBuilder {
             faults: FaultModel::none(),
             shards: 1,
             lookahead: SimDuration::from_micros(500),
-            strategy: Box::new(SpatialStripes),
         }
     }
 
@@ -1825,15 +1569,6 @@ impl ShardedSimBuilder {
     pub fn shards(mut self, shards: usize) -> Self {
         assert!(shards >= 1, "need at least one shard");
         self.shards = shards;
-        self
-    }
-
-    /// Sets the node-to-shard placement strategy (default:
-    /// [`SpatialStripes`]). Placement only affects load balance and
-    /// ghost-replication volume, never output.
-    #[must_use]
-    pub fn strategy(mut self, strategy: Box<dyn ShardStrategy>) -> Self {
-        self.strategy = strategy;
         self
     }
 
@@ -1885,10 +1620,8 @@ impl ShardedSimBuilder {
             merge_scratch: Vec::new(),
             force_serial: false,
             force_threads: false,
-            strategy: self.strategy,
             placement_dirty: false,
             interest_valid: false,
-            ghosts_valid: false,
             windows_executed: 0,
         };
         let churn: Vec<ChurnEvent> = sim.faults.churn().to_vec();
@@ -1954,7 +1687,6 @@ pub struct ShardedSim<P> {
     merge_scratch: Vec<PendingTx>,
     force_serial: bool,
     force_threads: bool,
-    strategy: Box<dyn ShardStrategy>,
     /// Whether node placement may be stale (nodes added or dynamics
     /// applied since the last rebalance).
     placement_dirty: bool,
@@ -1963,10 +1695,6 @@ pub struct ShardedSim<P> {
     /// incrementally; node adds and ownership rebalances invalidate
     /// them (full rebuild at the next run).
     interest_valid: bool,
-    /// Whether the per-shard ghost replicas hold exactly the retained
-    /// records their interest sets select. Invalidated together with
-    /// the interest sets.
-    ghosts_valid: bool,
     /// Windows actually executed (a window runs only when some shard
     /// has an event in it — fully idle stretches are skipped in O(1)).
     windows_executed: u64,
@@ -2001,8 +1729,8 @@ impl<P: Protocol> ShardedSim<P> {
     }
 
     /// Registers an already-present topology node with the engine. It
-    /// joins shard 0; the placement strategy moves it at the start of
-    /// the next run (placement only affects load balance, never output).
+    /// joins shard 0; placement moves it at the start of the next run
+    /// (placement only affects load balance, never output).
     fn admit(&mut self, id: NodeId, protocol: P) -> NodeId {
         debug_assert_eq!(id.index(), self.owner.len());
         self.placement_dirty = true;
@@ -2284,20 +2012,23 @@ impl<P: Protocol> ShardedSim<P> {
             && self.owner.len() >= self.cores.len() * MIN_NODES_PER_SHARD
     }
 
-    /// Re-buckets node ownership via the placement strategy, moving
-    /// node state and node-owned events between shards. Called at the
-    /// start of every run (and skipped unless nodes were added or
-    /// dynamics ran since the last rebalance) so churn-heavy workloads
-    /// keep their balance. Placement never affects output, so this is
-    /// purely a load-balance step.
+    /// Re-buckets node ownership into spatial stripes (see
+    /// [`spatial_stripes`]). Called at the start of every run (and
+    /// skipped unless nodes were added or dynamics ran since the last
+    /// rebalance) so churn-heavy workloads keep their balance. Placement
+    /// never affects output, so this is purely a load-balance step.
     fn rebalance_ownership(&mut self) {
         if self.cores.len() <= 1 || self.owner.is_empty() || !self.placement_dirty {
             return;
         }
+        let desired = spatial_stripes(&self.master, self.air.cell_size, self.cores.len());
+        self.reassign(&desired);
+    }
+
+    /// Moves every node to shard `desired[id]`, together with its state
+    /// and its node-owned events.
+    fn reassign(&mut self, desired: &[u32]) {
         self.placement_dirty = false;
-        let desired: Vec<u32> =
-            self.strategy
-                .assign(&self.master, self.air.cell_size, self.cores.len());
         debug_assert_eq!(desired.len(), self.owner.len());
         debug_assert!(desired.iter().all(|&s| (s as usize) < self.cores.len()));
         if desired
@@ -2307,9 +2038,8 @@ impl<P: Protocol> ShardedSim<P> {
         {
             return;
         }
-        // Ownership actually moves: interest refcounts and ghost
-        // replicas reflect the old placement, so both rebuild at the
-        // start of the run.
+        // Ownership actually moves: the interest refcounts reflect the
+        // old placement, so they rebuild at the start of the run.
         self.interest_valid = false;
         let mut slots: Vec<Option<LocalNode<P>>> = (0..self.owner.len()).map(|_| None).collect();
         let mut mac_orphans: Vec<MacEvent> = Vec::new();
@@ -2402,8 +2132,8 @@ impl<P: Protocol> ShardedSim<P> {
     /// within one ring of any owned node, refcounted per contributing
     /// node. A record whose origin cell is outside a shard's interest
     /// can neither be received by nor interfere at any node the shard
-    /// owns (cell size = radio range), so barrier fan-out and ghost
-    /// replication are filtered by it. Only placement changes (node
+    /// owns (cell size = radio range), so the barrier's delivery fan-out
+    /// is filtered by it. Only placement changes (node
     /// adds, ownership rebalances) pay this full rebuild; scheduled
     /// moves patch the refcounts incrementally as they execute.
     fn build_interest(&mut self) {
@@ -2424,41 +2154,6 @@ impl<P: Protocol> ShardedSim<P> {
             }
         }
     }
-
-    /// Rebuilds every shard's ghost replica from the retained global
-    /// records, filtered by the (freshly rebuilt) interest sets. Paid
-    /// only when placement changed; steady-state windows maintain the
-    /// replicas incrementally at the barrier and prune them by airtime
-    /// horizon.
-    fn rebuild_ghosts(&mut self) {
-        for core in &mut self.cores {
-            core.ghost.clear(self.air.cell_size);
-        }
-        for record in &self.air.records {
-            for core in &mut self.cores {
-                if core.interest.contains_key(&record.cell) {
-                    core.ghost.insert(record);
-                }
-            }
-        }
-    }
-}
-
-/// The earliest pending event across all shards and both phases.
-fn global_min<P: Protocol>(cores: &[&mut ShardCore<P>]) -> Option<SimTime> {
-    let mut min: Option<SimTime> = None;
-    for core in cores {
-        for at in core
-            .mac_heap
-            .peek()
-            .map(|e| e.at)
-            .into_iter()
-            .chain(core.rx_heap.peek().map(|e| e.at))
-        {
-            min = Some(min.map_or(at, |m| m.min(at)));
-        }
-    }
-    min
 }
 
 /// End of the synchronization window containing `at`: windows tile the
@@ -2470,98 +2165,11 @@ fn window_end(at: SimTime, lookahead: SimDuration) -> SimTime {
     SimTime::from_micros((at.as_micros() / l + 1) * l)
 }
 
-/// How epoch-barrier products (delivery events, ghost records) fan out
-/// across shard cores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FanOut {
-    /// Every core gets every delivery event and (when ghosts are on)
-    /// every air record. Only used for single-shard runs, where there
-    /// is nothing to filter.
-    Broadcast,
-    /// Only cores whose interest set contains the record's origin grid
-    /// cell. The cell size equals the radio range, so every receiver
-    /// and every interferable pair sits within one cell ring of its
-    /// counterpart, and a delivery event routed to a non-interested
-    /// core would be a no-op (it owns no neighbor of the sender).
-    /// Scheduled dynamics stay safe because every move patches the
-    /// owning shard's interest refcounts as it executes and backfills
-    /// the in-flight records of any cell the set gains — see
-    /// [`apply_master_dynamics`].
-    Interest,
-}
-
-/// Applies master-topology dynamics scheduled inside the window
-/// (`at < t_end`) at the window's *start*, delta-routing their
-/// consequences when interest routing is on:
-///
-/// - a move patches the owning shard's ±1-ring interest refcounts —
-///   the new ring's increments land immediately (cells going 0→1 get a
-///   backfill of their in-flight records), while the old ring's
-///   decrements are deferred to just after this window's barrier, so
-///   the barrier routes this window's publications with the union of
-///   pre- and post-move interest (conservative, hence safe for frames
-///   that start before and end after the move);
-/// - the mover's own in-flight records are routed to every shard
-///   interested in the destination cell, because a relocating sender
-///   keeps its records indexed under their origin cells.
-///
-/// Returns the deferred interest decrements, to be applied by
-/// [`apply_interest_decrements`] after the window's barrier.
-#[allow(clippy::too_many_arguments)]
-fn apply_master_dynamics<P: Protocol>(
-    master_dyn: &mut BinaryHeap<MasterDyn>,
-    master: &mut Topology,
-    cores: &mut [&mut ShardCore<P>],
-    air: &AirView,
-    owner: &[(u32, u32)],
-    t_end: SimTime,
-    deadline: SimTime,
-    interest_routing: bool,
-) -> Vec<(usize, (i64, i64))> {
-    let mut deferred: Vec<(usize, (i64, i64))> = Vec::new();
-    while let Some(next) = master_dyn.peek() {
-        if next.at >= t_end || next.at > deadline {
-            break;
-        }
-        let dynamic = master_dyn.pop().expect("peeked above");
-        match dynamic.action {
-            DynAction::Move { node, to } => {
-                let (old_cell, new_cell) = master.set_position_tracked(node, to);
-                if !interest_routing || old_cell == new_cell {
-                    continue;
-                }
-                let shard = owner[node.index()].0 as usize;
-                for dx in -1..=1 {
-                    for dy in -1..=1 {
-                        deferred.push((shard, (old_cell.0 + dx, old_cell.1 + dy)));
-                    }
-                }
-                for dx in -1..=1 {
-                    for dy in -1..=1 {
-                        let cell = (new_cell.0 + dx, new_cell.1 + dy);
-                        let count = cores[shard].interest.entry(cell).or_insert(0);
-                        *count += 1;
-                        if *count == 1 {
-                            backfill_gained_cell(cores[shard], air, master, cell, dynamic.at);
-                        }
-                    }
-                }
-                route_mover_records(cores, air, node, new_cell, dynamic.at);
-            }
-            DynAction::SetAlive { node, alive } => master.set_alive(node, alive),
-        }
-    }
-    deferred
-}
-
-/// Routes the retained records a shard newly needs because its
-/// interest set gained `cell`: records *originating* in the cell, plus
-/// in-flight records of senders *currently located* in it (a sender
-/// that relocated mid-flight keeps its record indexed under the origin
-/// cell, so the origin scan alone would miss it). Each record arrives
-/// with its pending delivery event; records already delivered before
-/// the move instant are skipped — they were judged at the pre-move
-/// position, which the pre-move interest covered.
+/// Routes the delivery events a shard newly needs because its interest
+/// set gained `cell`: those of records *originating* in the cell, plus
+/// those of in-flight records of senders *currently located* in it (a
+/// sender that relocated mid-flight keeps its record indexed under the
+/// origin cell, so the origin scan alone would miss it).
 fn backfill_gained_cell<P: Protocol>(
     core: &mut ShardCore<P>,
     air: &AirView,
@@ -2571,14 +2179,12 @@ fn backfill_gained_cell<P: Protocol>(
 ) {
     if let Some(indexed) = air.cells.get(&cell) {
         for &seq in &indexed.seqs {
-            ghost_route(core, air, seq, since);
+            route_deliver(core, air, seq, since);
         }
     }
     for node in master.nodes_in(cell) {
-        if let Some(seqs) = air.by_node.get(node.index()) {
-            for &seq in seqs {
-                ghost_route(core, air, seq, since);
-            }
+        for &seq in &air.by_node[node.index()] {
+            route_deliver(core, air, seq, since);
         }
     }
 }
@@ -2593,34 +2199,28 @@ fn route_mover_records<P: Protocol>(
     new_cell: (i64, i64),
     since: SimTime,
 ) {
-    let Some(seqs) = air.by_node.get(node.index()) else {
-        return;
-    };
+    let seqs = &air.by_node[node.index()];
     if seqs.is_empty() {
         return;
     }
-    let seqs: Vec<u64> = seqs.iter().copied().collect();
     for core in cores.iter_mut() {
-        if !core.interest.contains_key(&new_cell) {
-            continue;
-        }
-        for &seq in &seqs {
-            ghost_route(core, air, seq, since);
+        if core.interest.contains_key(&new_cell) {
+            for &seq in seqs {
+                route_deliver(core, air, seq, since);
+            }
         }
     }
 }
 
-/// Copies one retained record into a shard's ghost replica together
-/// with its pending delivery event, unless the record already ended
-/// before `since` or the replica already holds it (ghost membership
-/// and the pending event always travel together, so the membership
-/// test also dedups the event).
-fn ghost_route<P: Protocol>(core: &mut ShardCore<P>, air: &AirView, seq: u64, since: SimTime) {
+/// Pushes the delivery event of retained record `seq` onto a shard,
+/// unless the record ended before `since` — it was then delivered at
+/// the pre-move positions, which the pre-move interest covered. The
+/// shard may already hold the event; the receive phase drops the copy.
+fn route_deliver<P: Protocol>(core: &mut ShardCore<P>, air: &AirView, seq: u64, since: SimTime) {
     let record = air.get(seq).expect("indexed record retained");
-    if record.end < since || core.ghost.contains(seq) {
+    if record.end < since {
         return;
     }
-    core.ghost.insert(record);
     core.rx_heap.push(RxEvent {
         at: record.end,
         lane: LANE_R_DELIVER,
@@ -2634,8 +2234,8 @@ fn ghost_route<P: Protocol>(core: &mut ShardCore<P>, air: &AirView, seq: u64, si
 }
 
 /// Applies the interest decrements a window's dynamics deferred (see
-/// [`apply_master_dynamics`]), dropping cells whose refcount reaches
-/// zero. Runs after the window's barrier has routed with the
+/// [`Conductor::apply_dynamics`]), dropping cells whose refcount
+/// reaches zero. Runs after the window's barrier has routed with the
 /// conservative union.
 fn apply_interest_decrements<P: Protocol>(
     cores: &mut [&mut ShardCore<P>],
@@ -2652,6 +2252,9 @@ fn apply_interest_decrements<P: Protocol>(
     }
 }
 
+/// Min-heap entry in the k-way merge: (event sort key, shard index).
+type MergeCursor = Reverse<((SimTime, u8, u64, u64), usize)>;
+
 /// The globally ordered MAC phase of carrier-sense runs: a cross-shard
 /// merge in global event order, so carrier sense observes every earlier
 /// transmission start (zero lookahead).
@@ -2660,10 +2263,7 @@ fn apply_interest_decrements<P: Protocol>(
 /// only ever pushes follow-up events onto the shard it ran on, so after
 /// each pop only that one cursor needs refreshing — O(log K) per event
 /// instead of an O(K) peek scan.
-/// Min-heap entry in the k-way merge: (event sort key, shard index).
-type MergeCursor = Reverse<((SimTime, u8, u64, u64), usize)>;
-
-fn run_phase1_csma<P: Protocol>(
+fn csma_mac_phase<P: Protocol>(
     cores: &mut [&mut ShardCore<P>],
     air: &mut AirView,
     next_seq: &mut u64,
@@ -2671,12 +2271,11 @@ fn run_phase1_csma<P: Protocol>(
     t_end: SimTime,
     obs: Option<&NetsimObs>,
 ) {
-    let in_window = |ev: &MacEvent| ev.at < t_end && ev.at <= ctx.deadline;
     let mut cursors: BinaryHeap<MergeCursor> = BinaryHeap::with_capacity(cores.len());
     for (i, core) in cores.iter_mut().enumerate() {
         core.mac_was_idle = true;
         if let Some(ev) = core.mac_heap.peek() {
-            if in_window(ev) {
+            if ctx.in_window(ev.at, t_end) {
                 core.mac_was_idle = false;
                 cursors.push(Reverse((ev.key(), i)));
             }
@@ -2689,161 +2288,455 @@ fn run_phase1_csma<P: Protocol>(
             .expect("cursor tracks a peeked event");
         cores[i].dispatch_mac(ev, ctx, Some(CsmaAir { air, next_seq }), obs);
         if let Some(ev) = cores[i].mac_heap.peek() {
-            if in_window(ev) {
+            if ctx.in_window(ev.at, t_end) {
                 cursors.push(Reverse((ev.key(), i)));
             }
         }
     }
 }
 
-/// The epoch barrier ("barrier A"): merge per-shard outboxes in
-/// canonical order, assign global sequence numbers, record stats,
-/// traces, and metrics, publish air records, and route delivery events
-/// (and, on threaded runs, ghost records) to the shards that can
-/// possibly need them.
-#[allow(clippy::too_many_arguments)]
-fn assign_and_broadcast<P: Protocol>(
-    cores: &mut [&mut ShardCore<P>],
-    air: &mut AirView,
-    next_seq: &mut u64,
-    frames_sent: &mut u64,
-    trace_main: &mut Vec<(TraceKey, TraceEvent)>,
-    merge: &mut Vec<PendingTx>,
-    mut obs: Option<&mut NetsimObs>,
-    owner: &[(u32, u32)],
-    tracing: bool,
-    tx_nj_per_bit: f64,
-    fan_out: FanOut,
-    ghosts: bool,
-    dfa: bool,
+/// How the per-shard steps of a window run: in a loop on the calling
+/// thread ([`Inline`]) or on parked worker threads ([`Workers`]).
+/// [`Conductor::run`] is the one window loop over either.
+trait Crew<P> {
+    /// Runs `f` on the calling thread with exclusive access to every
+    /// shard core and the air view — the steps between phases.
+    fn exclusive<R>(&mut self, f: impl FnOnce(&mut [&mut ShardCore<P>], &mut AirView) -> R) -> R;
+
+    /// Every shard's [`ShardCore::mac_phase`] for the window ending at
+    /// `t_end`.
+    fn mac_phase(&mut self, t_end: SimTime, obs: Option<&NetsimObs>);
+
+    /// Every shard's [`ShardCore::rx_phase`] for the window ending at
+    /// `t_end`; returns the earliest next-activity time of any shard.
+    fn rx_phase(&mut self, t_end: SimTime, obs: Option<&NetsimObs>) -> Option<SimTime>;
+}
+
+/// Runs the per-shard steps one shard after another on the calling
+/// thread.
+struct Inline<'a, P> {
+    cores: Vec<&'a mut ShardCore<P>>,
+    air: &'a mut AirView,
+    ctx: &'a EngineCtx<'a>,
+}
+
+impl<P: Protocol> Crew<P> for Inline<'_, P> {
+    fn exclusive<R>(&mut self, f: impl FnOnce(&mut [&mut ShardCore<P>], &mut AirView) -> R) -> R {
+        f(&mut self.cores, self.air)
+    }
+
+    fn mac_phase(&mut self, t_end: SimTime, obs: Option<&NetsimObs>) {
+        for core in &mut self.cores {
+            core.mac_phase(self.ctx, t_end, obs);
+        }
+    }
+
+    fn rx_phase(&mut self, t_end: SimTime, obs: Option<&NetsimObs>) -> Option<SimTime> {
+        // `min` drains the iterator, so every shard runs its phase.
+        self.cores
+            .iter_mut()
+            .filter_map(|core| core.rx_phase(self.ctx, t_end, self.air, obs))
+            .min()
+    }
+}
+
+// Worker phases announced through `Hub::phase`.
+const PHASE_MAC: u8 = 0;
+const PHASE_RX: u8 = 1;
+const PHASE_STOP: u8 = 2;
+
+/// Why no shard core or air view lock is ever found poisoned.
+const POISONED: &str = "a panic holding this lock is re-raised before it is taken again";
+
+/// What the calling thread and the worker threads share. The atomics
+/// are `Relaxed`: every store is followed by a wait on `go` or `done`
+/// before the matching load, and the barrier orders the two.
+struct Hub {
+    /// Releases the parked workers into the announced phase.
+    go: Barrier,
+    /// Every worker finished the phase and parked again.
+    done: Barrier,
+    phase: AtomicU8,
+    t_end_micros: AtomicU64,
+    /// Each shard's next-activity time in µs (`u64::MAX` for none),
+    /// published at the end of its receive phase.
+    next_slots: Vec<AtomicU64>,
+    /// The first panic a worker caught, re-raised on the calling thread.
+    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
+}
+
+/// Runs the per-shard steps on one worker thread per shard.
+///
+/// The workers park at [`Hub::go`], run the announced phase on their
+/// own core, and park again at [`Hub::done`]; the calling thread's
+/// steps run while they are parked. The air view therefore needs no
+/// replica: its read-write lock is never contended — workers read it
+/// during the receive phase, the calling thread writes it in between.
+struct Workers<'a, P> {
+    cores: &'a [Mutex<&'a mut ShardCore<P>>],
+    air: &'a RwLock<&'a mut AirView>,
+    hub: &'a Hub,
+}
+
+impl<P> Workers<'_, P> {
+    fn run_phase(&mut self, phase: u8, t_end: SimTime) {
+        self.hub
+            .t_end_micros
+            .store(t_end.as_micros(), AtomicOrdering::Relaxed);
+        self.hub.phase.store(phase, AtomicOrdering::Relaxed);
+        self.hub.go.wait();
+        self.hub.done.wait();
+        let caught = self
+            .hub
+            .panic
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(payload) = caught {
+            std::panic::resume_unwind(payload);
+        }
+    }
+}
+
+impl<P> Drop for Workers<'_, P> {
+    /// Releases the workers for good — also while unwinding from a
+    /// panic, which would otherwise leave them parked at `go` and the
+    /// thread scope waiting on them forever.
+    fn drop(&mut self) {
+        self.hub.phase.store(PHASE_STOP, AtomicOrdering::Relaxed);
+        self.hub.go.wait();
+    }
+}
+
+impl<P: Protocol> Crew<P> for Workers<'_, P> {
+    fn exclusive<R>(&mut self, f: impl FnOnce(&mut [&mut ShardCore<P>], &mut AirView) -> R) -> R {
+        // Uncontended: every worker is parked.
+        let mut guards: Vec<_> = self
+            .cores
+            .iter()
+            .map(|core| core.lock().expect(POISONED))
+            .collect();
+        let mut cores: Vec<&mut ShardCore<P>> = guards.iter_mut().map(|g| &mut ***g).collect();
+        let mut air = self.air.write().expect(POISONED);
+        f(&mut cores, &mut air)
+    }
+
+    fn mac_phase(&mut self, t_end: SimTime, obs: Option<&NetsimObs>) {
+        debug_assert!(obs.is_none(), "observability runs inline");
+        self.run_phase(PHASE_MAC, t_end);
+    }
+
+    fn rx_phase(&mut self, t_end: SimTime, obs: Option<&NetsimObs>) -> Option<SimTime> {
+        debug_assert!(obs.is_none(), "observability runs inline");
+        self.run_phase(PHASE_RX, t_end);
+        let next = self
+            .hub
+            .next_slots
+            .iter()
+            .map(|slot| slot.load(AtomicOrdering::Relaxed))
+            .min()
+            .unwrap_or(u64::MAX);
+        (next != u64::MAX).then(|| SimTime::from_micros(next))
+    }
+}
+
+/// A worker thread's loop: runs the announced phase on shard `index`
+/// until told to stop. A panic is caught and handed to the calling
+/// thread, so every worker still reaches every barrier.
+fn worker<P: Protocol>(
+    index: usize,
+    core: &Mutex<&mut ShardCore<P>>,
+    air: &RwLock<&mut AirView>,
+    ctx: &EngineCtx<'_>,
+    hub: &Hub,
 ) {
-    merge.clear();
-    let mut have_span_ends = false;
-    for core in cores.iter_mut() {
-        merge.append(&mut core.outbox);
-        have_span_ends |= !core.span_ends.is_empty();
-    }
-    // Quiet windows (no transmissions started, nothing to resolve) skip
-    // the whole barrier body.
-    if merge.is_empty() && !have_span_ends {
-        return;
-    }
-    merge.sort_unstable_by_key(|p| (p.start, p.node.0, p.tx_idx));
-    for p in merge.drain(..) {
-        let seq = match p.seq {
-            Some(seq) => seq,
-            None => {
-                let seq = *next_seq;
-                *next_seq += 1;
-                let (shard, local) = owner[p.node.index()];
-                cores[shard as usize].nodes[local as usize]
-                    .assigned
-                    .push_back((p.tx_idx, seq));
-                seq
-            }
-        };
-        *frames_sent += 1;
-        if tracing {
-            trace_main.push((
-                (p.start.as_micros(), LANE_T_TX, seq, 0),
-                TraceEvent::TxStart {
-                    at: p.start,
-                    node: p.node,
-                    seq,
-                    bits: p.bits_on_air,
-                },
-            ));
-        }
-        if let Some(o) = obs.as_deref_mut() {
-            o.frames_sent.inc();
-            o.tx_bits.add(p.bits_on_air);
-            o.airtime_micros.add(p.airtime_micros);
-            o.energy_tx_nj.shift(p.bits_on_air as f64 * tx_nj_per_bit);
-            o.tx_span_start(seq, p.start.as_micros());
-        }
-        if let Some(frame) = p.frame {
-            let cell = cell_of(p.pos, air.cell_size);
-            air.insert(AirRecord {
-                seq,
-                sender: p.node,
-                start: p.start,
-                end: p.end,
-                bits_on_air: p.bits_on_air,
-                frame,
-                cell,
-                ended: false,
-            });
-        }
-        // CSMA transmissions were inserted during the MAC phase, ALOHA
-        // ones just above — either way the record is published now.
-        let record = air.get(seq).expect("record published at this barrier");
-        for core in cores.iter_mut() {
-            if fan_out == FanOut::Interest && !core.interest.contains_key(&record.cell) {
-                continue;
-            }
-            if ghosts {
-                core.ghost.insert(record);
-            }
-            core.rx_heap.push(RxEvent {
-                at: p.end,
-                lane: LANE_R_DELIVER,
-                a: seq,
-                b: 0,
-                kind: RxKind::Deliver {
-                    seq,
-                    sender: p.node,
-                },
-            });
-        }
-        if dfa {
-            // Sender-side slot feedback, routed only to the sender's
-            // owner shard. Its ghost always holds the record: the
-            // owner's interest set covers the sender's own cell (the
-            // window's conservative pre-move ∪ post-move union when the
-            // sender relocated mid-window).
-            let (shard, _) = owner[p.node.index()];
-            cores[shard as usize].rx_heap.push(RxEvent {
-                at: p.end,
-                lane: LANE_R_FEEDBACK,
-                a: seq,
-                b: 0,
-                kind: RxKind::DfaFeedback {
-                    seq,
-                    sender: p.node,
-                },
-            });
-        }
-    }
-    // Airtime spans (observability only): resolve ends buffered during
-    // the MAC phase, now that every same-window start has its number.
-    if let Some(o) = obs {
-        let mut pending: Vec<SpanEnd> = Vec::new();
-        for core in cores.iter_mut() {
-            pending.append(&mut core.span_ends);
-        }
-        if pending.is_empty() {
+    loop {
+        hub.go.wait();
+        let phase = hub.phase.load(AtomicOrdering::Relaxed);
+        if phase == PHASE_STOP {
             return;
         }
-        let mut ends: Vec<(u64, u64)> = Vec::with_capacity(pending.len());
-        for end in pending {
-            match end {
-                SpanEnd::Known { at_micros, seq } => ends.push((at_micros, seq)),
-                SpanEnd::Pending {
-                    at_micros,
-                    node,
-                    tx_idx,
-                } => {
-                    let (shard, local) = owner[node.index()];
-                    let seq = cores[shard as usize].nodes[local as usize]
-                        .take_assigned(tx_idx)
-                        .expect("same-window transmission numbered at this barrier");
-                    ends.push((at_micros, seq));
+        let t_end = SimTime::from_micros(hub.t_end_micros.load(AtomicOrdering::Relaxed));
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let mut core = core.lock().expect(POISONED);
+            if phase == PHASE_MAC {
+                core.mac_phase(ctx, t_end, None);
+            } else {
+                let air = air.read().expect(POISONED);
+                let next = core.rx_phase(ctx, t_end, &air, None);
+                hub.next_slots[index].store(
+                    next.map_or(u64::MAX, SimTime::as_micros),
+                    AtomicOrdering::Relaxed,
+                );
+            }
+        }));
+        if let Err(payload) = result {
+            hub.panic
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get_or_insert(payload);
+        }
+        hub.done.wait();
+    }
+}
+
+/// The calling thread's half of the window loop — master dynamics, the
+/// CSMA MAC phase, the epoch barrier and pruning, every step that runs
+/// while the shards are parked — and the state those steps own.
+struct Conductor<'a> {
+    ctx: &'a EngineCtx<'a>,
+    master: &'a mut Topology,
+    master_dyn: &'a mut BinaryHeap<MasterDyn>,
+    next_seq: &'a mut u64,
+    frames_sent: &'a mut u64,
+    trace_main: &'a mut Vec<(TraceKey, TraceEvent)>,
+    merge: &'a mut Vec<PendingTx>,
+    obs: Option<&'a mut NetsimObs>,
+    windows_executed: &'a mut u64,
+}
+
+impl Conductor<'_> {
+    /// Executes every window with a pending event up to the deadline.
+    fn run<P: Protocol>(&mut self, crew: &mut impl Crew<P>) {
+        let ctx = self.ctx;
+        let slack = ctx.radio.airtime(ctx.radio.max_frame_bytes as u32 * 8) * 2;
+        let mut next = crew.exclusive(|cores, _| cores.iter().filter_map(|c| c.next_at()).min());
+        while let Some(at) = next.filter(|&at| at <= ctx.deadline) {
+            let t_end = window_end(at, ctx.lookahead);
+            *self.windows_executed += 1;
+            // Window start: master dynamics scheduled inside this window
+            // execute now, patching interest refcounts and routing
+            // deliveries as they go. Nothing in the window body reads
+            // the master topology, so start-of-window application is
+            // equivalent to the phases' own in-order replays.
+            let mut deferred = Vec::new();
+            if self
+                .master_dyn
+                .peek()
+                .is_some_and(|d| ctx.in_window(d.at, t_end))
+            {
+                deferred = crew.exclusive(|cores, air| self.apply_dynamics(cores, air, t_end));
+            }
+            if ctx.mac.carrier_sense {
+                crew.exclusive(|cores, air| {
+                    csma_mac_phase(cores, air, self.next_seq, ctx, t_end, self.obs.as_deref());
+                });
+            } else {
+                crew.mac_phase(t_end, self.obs.as_deref());
+            }
+            crew.exclusive(|cores, air| {
+                self.barrier(cores, air, t_end);
+                // The barrier routed this window's publications with the
+                // conservative pre-move ∪ post-move interest; the
+                // pre-move halves retire now.
+                apply_interest_decrements(cores, &deferred);
+            });
+            next = crew.rx_phase(t_end, self.obs.as_deref());
+            // Air garbage collection, once no shard reads the view.
+            let horizon = SimTime::from_micros(t_end.as_micros().saturating_sub(slack.as_micros()));
+            crew.exclusive(|_, air| air.prune(horizon));
+        }
+    }
+
+    /// Applies master-topology dynamics scheduled inside the window at
+    /// the window's *start*, delta-routing their delivery consequences
+    /// when the run has more than one shard:
+    ///
+    /// - a move patches the owning shard's ±1-ring interest refcounts —
+    ///   the new ring's increments land immediately (cells going 0→1
+    ///   get the delivery events of their in-flight records), while the
+    ///   old ring's decrements are deferred to just after this window's
+    ///   barrier, so the barrier routes this window's publications with
+    ///   the union of pre- and post-move interest (conservative, hence
+    ///   safe for frames that start before and end after the move);
+    /// - the mover's own in-flight records are routed to every shard
+    ///   interested in the destination cell, because a relocating
+    ///   sender keeps its records indexed under their origin cells.
+    ///
+    /// Returns the deferred interest decrements, to be applied by
+    /// [`apply_interest_decrements`] after the window's barrier.
+    fn apply_dynamics<P: Protocol>(
+        &mut self,
+        cores: &mut [&mut ShardCore<P>],
+        air: &AirView,
+        t_end: SimTime,
+    ) -> Vec<(usize, (i64, i64))> {
+        let routed = cores.len() > 1;
+        let mut deferred: Vec<(usize, (i64, i64))> = Vec::new();
+        while let Some(next) = self.master_dyn.peek() {
+            if !self.ctx.in_window(next.at, t_end) {
+                break;
+            }
+            let dynamic = self.master_dyn.pop().expect("peeked above");
+            match dynamic.action {
+                DynAction::Move { node, to } => {
+                    let (old_cell, new_cell) = self.master.set_position_tracked(node, to);
+                    if !routed || old_cell == new_cell {
+                        continue;
+                    }
+                    let shard = self.ctx.owner[node.index()].0 as usize;
+                    for dx in -1..=1 {
+                        for dy in -1..=1 {
+                            deferred.push((shard, (old_cell.0 + dx, old_cell.1 + dy)));
+                        }
+                    }
+                    for dx in -1..=1 {
+                        for dy in -1..=1 {
+                            let cell = (new_cell.0 + dx, new_cell.1 + dy);
+                            let count = cores[shard].interest.entry(cell).or_insert(0);
+                            *count += 1;
+                            if *count == 1 {
+                                backfill_gained_cell(
+                                    cores[shard],
+                                    air,
+                                    self.master,
+                                    cell,
+                                    dynamic.at,
+                                );
+                            }
+                        }
+                    }
+                    route_mover_records(cores, air, node, new_cell, dynamic.at);
                 }
+                DynAction::SetAlive { node, alive } => self.master.set_alive(node, alive),
             }
         }
-        ends.sort_unstable();
-        for (at_micros, seq) in ends {
-            o.tx_span_end(seq, at_micros);
+        deferred
+    }
+
+    /// The epoch barrier: merges the shards' outboxes in canonical
+    /// order, numbers the transmissions, records stats, traces and
+    /// metrics, publishes the air records, and routes each delivery
+    /// event to the shards that can possibly need it.
+    ///
+    /// Every receiver and every interferable pair sits within one cell
+    /// ring of its counterpart (cell size = radio range), so a delivery
+    /// event for a shard whose interest set lacks the record's origin
+    /// cell would be a no-op: the shard owns no neighbor of the sender.
+    /// Single-shard runs skip the filter.
+    fn barrier<P: Protocol>(
+        &mut self,
+        cores: &mut [&mut ShardCore<P>],
+        air: &mut AirView,
+        t_end: SimTime,
+    ) {
+        let ctx = self.ctx;
+        let merge = &mut *self.merge;
+        merge.clear();
+        let mut have_span_ends = false;
+        for core in cores.iter_mut() {
+            merge.append(&mut core.outbox);
+            have_span_ends |= !core.span_ends.is_empty();
+        }
+        // Quiet windows (no transmissions started, nothing to resolve)
+        // skip the whole barrier body.
+        if merge.is_empty() && !have_span_ends {
+            return;
+        }
+        merge.sort_unstable_by_key(|p| (p.start, p.node.0, p.tx_idx));
+        let routed = cores.len() > 1;
+        // `(at_micros, seq)` airtime-span ends (observability only).
+        let mut span_ends: Vec<(u64, u64)> = Vec::new();
+        for p in merge.drain(..) {
+            let seq = match p.seq {
+                Some(seq) => seq,
+                None => {
+                    let seq = *self.next_seq;
+                    *self.next_seq += 1;
+                    if ctx.in_window(p.end, t_end) {
+                        // Its `TxEnd` already ran in this window's MAC
+                        // phase, before the number existed, so nothing
+                        // will consume an assignment: close the span
+                        // here instead.
+                        if self.obs.is_some() {
+                            span_ends.push((p.end.as_micros(), seq));
+                        }
+                    } else {
+                        let (shard, local) = ctx.owner[p.node.index()];
+                        cores[shard as usize].nodes[local as usize]
+                            .assigned
+                            .push_back((p.tx_idx, seq));
+                    }
+                    seq
+                }
+            };
+            *self.frames_sent += 1;
+            if ctx.tracing {
+                self.trace_main.push((
+                    (p.start.as_micros(), LANE_T_TX, seq, 0),
+                    TraceEvent::TxStart {
+                        at: p.start,
+                        node: p.node,
+                        seq,
+                        bits: p.bits_on_air,
+                    },
+                ));
+            }
+            if let Some(o) = self.obs.as_deref_mut() {
+                o.frames_sent.inc();
+                o.tx_bits.add(p.bits_on_air);
+                o.airtime_micros.add(p.airtime_micros);
+                o.energy_tx_nj
+                    .shift(p.bits_on_air as f64 * ctx.radio.energy.tx_nj_per_bit);
+                o.tx_span_start(seq, p.start.as_micros());
+            }
+            if let Some(frame) = p.frame {
+                let cell = cell_of(p.pos, air.cell_size);
+                air.insert(AirRecord {
+                    seq,
+                    sender: p.node,
+                    start: p.start,
+                    end: p.end,
+                    bits_on_air: p.bits_on_air,
+                    frame,
+                    cell,
+                    ended: false,
+                });
+            }
+            // CSMA transmissions were inserted during the MAC phase, ALOHA
+            // ones just above — either way the record is published now.
+            let cell = air.get(seq).expect("record published at this barrier").cell;
+            for core in cores.iter_mut() {
+                if routed && !core.interest.contains_key(&cell) {
+                    continue;
+                }
+                core.rx_heap.push(RxEvent {
+                    at: p.end,
+                    lane: LANE_R_DELIVER,
+                    a: seq,
+                    b: 0,
+                    kind: RxKind::Deliver {
+                        seq,
+                        sender: p.node,
+                    },
+                });
+            }
+            if ctx.mac.dfa_config().is_some() {
+                // Sender-side slot feedback, routed only to the sender's
+                // owner shard, which judges it against the air view at
+                // the transmission's end.
+                let (shard, _) = ctx.owner[p.node.index()];
+                cores[shard as usize].rx_heap.push(RxEvent {
+                    at: p.end,
+                    lane: LANE_R_FEEDBACK,
+                    a: seq,
+                    b: 0,
+                    kind: RxKind::DfaFeedback {
+                        seq,
+                        sender: p.node,
+                    },
+                });
+            }
+        }
+        // Close the airtime spans of this window's `TxEnd`s in time order.
+        if let Some(o) = self.obs.as_deref_mut() {
+            for core in cores.iter_mut() {
+                span_ends.append(&mut core.span_ends);
+            }
+            span_ends.sort_unstable();
+            for (at_micros, seq) in span_ends {
+                o.tx_span_end(seq, at_micros);
+            }
         }
     }
 }
@@ -2862,33 +2755,16 @@ impl<P: Protocol + Send> ShardedSim<P> {
     /// re-raised on the caller).
     pub fn run_until(&mut self, deadline: SimTime) {
         self.rebalance_ownership();
-        // Multi-shard runs always route barrier products by interest:
-        // scheduled dynamics patch the refcounted sets incrementally as
-        // they execute (see `apply_master_dynamics`), so only placement
-        // changes pay a full rebuild. The ghost replicas are likewise
-        // maintained across runs — serial multi-shard windows keep them
-        // warm so an engine switch (threads toggling on or off between
-        // calls) never observes a stale replica.
-        let fan_out = if self.cores.len() > 1 {
-            if !self.interest_valid {
-                self.build_interest();
-                self.interest_valid = true;
-                self.ghosts_valid = false;
-            }
-            if !self.ghosts_valid {
-                self.rebuild_ghosts();
-                self.ghosts_valid = true;
-            }
-            FanOut::Interest
-        } else {
-            FanOut::Broadcast
-        };
-        let dyn_before = self.master_dyn.len();
-        if self.uses_worker_threads() {
-            self.run_windows_parallel(deadline, fan_out);
-        } else {
-            self.run_windows_serial(deadline, fan_out);
+        // Multi-shard runs route delivery events by interest: scheduled
+        // dynamics patch the refcounted sets incrementally as they
+        // execute (see `Conductor::apply_dynamics`), so only placement
+        // changes pay a full rebuild.
+        if self.cores.len() > 1 && !self.interest_valid {
+            self.build_interest();
+            self.interest_valid = true;
         }
+        let dyn_before = self.master_dyn.len();
+        self.run_windows(deadline);
         if self.master_dyn.len() != dyn_before {
             self.placement_dirty = true;
         }
@@ -2896,7 +2772,8 @@ impl<P: Protocol + Send> ShardedSim<P> {
         self.flush_traces();
     }
 
-    fn run_windows_serial(&mut self, deadline: SimTime, fan_out: FanOut) {
+    fn run_windows(&mut self, deadline: SimTime) {
+        let threaded = self.uses_worker_threads();
         let ShardedSim {
             cores,
             air,
@@ -2925,339 +2802,49 @@ impl<P: Protocol + Send> ShardedSim<P> {
             deadline,
             owner,
         };
-        let slack = radio.airtime(radio.max_frame_bytes as u32 * 8) * 2;
-        let mut refs: Vec<&mut ShardCore<P>> = cores.iter_mut().collect();
-        let multi = refs.len() > 1;
-        loop {
-            let t_end = match global_min(&refs) {
-                Some(min) if min <= deadline => window_end(min, *lookahead),
-                _ => break,
-            };
-            *windows_executed += 1;
-            // Window start: master dynamics scheduled inside this
-            // window execute now, patching interest refcounts and
-            // backfilling ghosts as they go. Nothing in the window body
-            // reads the master topology, so start-of-window application
-            // is equivalent to the phases' own in-order replays.
-            let deferred = apply_master_dynamics(
-                master_dyn, master, &mut refs, air, owner, t_end, deadline, multi,
-            );
-            if mac.carrier_sense {
-                run_phase1_csma(&mut refs, air, next_seq, &ctx, t_end, obs.as_ref());
-            } else {
-                for core in refs.iter_mut() {
-                    core.mac_was_idle = core.mac_idle(t_end, deadline);
-                    if !core.mac_was_idle {
-                        core.run_phase1(&ctx, t_end, obs.as_ref());
-                    }
-                }
-            }
-            assign_and_broadcast(
-                &mut refs,
-                air,
-                next_seq,
-                frames_sent,
-                trace_main,
-                merge_scratch,
-                obs.as_mut(),
-                owner,
-                ctx.tracing,
-                radio.energy.tx_nj_per_bit,
-                fan_out,
-                multi,
-                mac.dfa_config().is_some(),
-            );
-            apply_interest_decrements(&mut refs, &deferred);
-            let horizon = SimTime::from_micros(t_end.as_micros().saturating_sub(slack.as_micros()));
-            for core in refs.iter_mut() {
-                let rx_was_idle = core.rx_idle(t_end, deadline);
-                if !rx_was_idle {
-                    core.run_phase2(&ctx, t_end, air, obs.as_ref());
-                }
-                if core.mac_was_idle && rx_was_idle {
-                    core.windows_skipped += 1;
-                }
-                if multi {
-                    core.ghost.prune(horizon);
-                }
-            }
-            // Barrier B: air garbage collection (master dynamics moved
-            // to the window start, where their routing is delta-based).
-            air.prune(horizon);
-        }
-    }
-
-    fn run_windows_parallel(&mut self, deadline: SimTime, fan_out: FanOut) {
-        let shards = self.cores.len();
-        // The ghost replicas are maintained across runs (and across
-        // serial/parallel engine switches) — `run_until` rebuilt them
-        // already if placement changed, so nothing to do here.
-        let ShardedSim {
-            cores,
-            air,
+        let mut conductor = Conductor {
+            ctx: &ctx,
+            master,
+            master_dyn,
             next_seq,
             frames_sent,
             trace_main,
-            merge_scratch,
-            master,
-            master_dyn,
-            owner,
-            radio,
-            mac,
-            faults,
-            lookahead,
-            tracer,
+            merge: merge_scratch,
+            obs: obs.as_mut(),
             windows_executed,
-            ..
-        } = self;
-        let ctx = EngineCtx {
-            radio,
-            mac,
-            faults,
-            lookahead: *lookahead,
-            tracing: tracer.is_some(),
-            deadline,
-            owner,
         };
-        let csma = mac.carrier_sense;
-        let cells: Vec<Mutex<&mut ShardCore<P>>> = cores.iter_mut().map(Mutex::new).collect();
-        // Four rendezvous points per window: release workers into the
-        // MAC phase, MAC phase done, merge barrier done (ghosts are
-        // up to date), receive phase done. The global air view stays on
-        // this thread — workers judge against their ghosts — so no
-        // shared lock guards it.
-        let b_start = Barrier::new(shards + 1);
-        let b_mac_done = Barrier::new(shards + 1);
-        let b_merged = Barrier::new(shards + 1);
-        let b_rx_done = Barrier::new(shards + 1);
-        let t_end_micros = AtomicU64::new(0);
-        // Each shard's next-activity time, published by its worker
-        // before the window's last barrier. The main thread picks the
-        // next window from these without taking a single lock, so fully
-        // idle stretches of the timeline fast-forward in O(shards).
-        let next_slots: Vec<AtomicU64> = (0..shards).map(|_| AtomicU64::new(u64::MAX)).collect();
-        let done = AtomicBool::new(false);
-        let panicked = AtomicBool::new(false);
-        let worker_panic: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-        let slack = radio.airtime(radio.max_frame_bytes as u32 * 8) * 2;
-        // A panic on the main thread must not unwind inside the scope:
-        // the workers would be parked at a barrier and the scope's
-        // implicit join would deadlock. Every main-thread segment runs
-        // under catch_unwind, completes the window's rendezvous, and
-        // the payload re-raises after the scope ends.
-        let mut main_panic: Option<Box<dyn std::any::Any + Send>> = None;
-
-        std::thread::scope(|scope| {
-            let ctx = &ctx;
-            let cells = &cells;
-            let b_start = &b_start;
-            let b_mac_done = &b_mac_done;
-            let b_merged = &b_merged;
-            let b_rx_done = &b_rx_done;
-            let t_end_micros = &t_end_micros;
-            let next_slots = &next_slots;
-            let done = &done;
-            let panicked = &panicked;
-            let worker_panic = &worker_panic;
-            for (index, cell) in cells.iter().enumerate().take(shards) {
-                scope.spawn(move || loop {
-                    b_start.wait();
-                    if done.load(AtomicOrdering::Relaxed) {
-                        return;
-                    }
-                    let t_end = SimTime::from_micros(t_end_micros.load(AtomicOrdering::Relaxed));
-                    // Workers always reach every barrier, even after a
-                    // panic somewhere — the main thread re-raises once
-                    // the window's rendezvous completes.
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        if !csma && !panicked.load(AtomicOrdering::Relaxed) {
-                            let mut core = cell
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner);
-                            core.mac_was_idle = core.mac_idle(t_end, ctx.deadline);
-                            if !core.mac_was_idle {
-                                core.run_phase1(ctx, t_end, None);
-                            }
-                        }
-                    }));
-                    if let Err(payload) = result {
-                        panicked.store(true, AtomicOrdering::Relaxed);
-                        worker_panic
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .get_or_insert(payload);
-                    }
-                    b_mac_done.wait();
-                    b_merged.wait();
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        if !panicked.load(AtomicOrdering::Relaxed) {
-                            let mut core = cell
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner);
-                            let rx_was_idle = core.rx_idle(t_end, ctx.deadline);
-                            if !rx_was_idle {
-                                core.run_phase2_ghost(ctx, t_end, None);
-                            }
-                            if core.mac_was_idle && rx_was_idle {
-                                core.windows_skipped += 1;
-                            }
-                            let horizon = SimTime::from_micros(
-                                t_end.as_micros().saturating_sub(slack.as_micros()),
-                            );
-                            core.ghost.prune(horizon);
-                            // Publish this shard's next-activity time:
-                            // every event the merge or the phases could
-                            // push for this window is in by now, so the
-                            // main thread can pick the next window from
-                            // the slots alone.
-                            next_slots[index].store(
-                                core.next_at().map_or(u64::MAX, |t| t.as_micros()),
-                                AtomicOrdering::Release,
-                            );
-                        }
-                    }));
-                    if let Err(payload) = result {
-                        panicked.store(true, AtomicOrdering::Relaxed);
-                        worker_panic
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .get_or_insert(payload);
-                    }
-                    b_rx_done.wait();
-                });
-            }
-
-            let lock_all = || -> Vec<std::sync::MutexGuard<'_, &mut ShardCore<P>>> {
-                cells
-                    .iter()
-                    .map(|c| c.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
-                    .collect()
-            };
-            // Seed the next-activity slots: the workers have not run a
-            // window yet, so nothing has been published. The locks are
-            // uncontended — everyone is parked at the start barrier.
-            {
-                let guards = lock_all();
-                for (slot, guard) in next_slots.iter().zip(guards.iter()) {
-                    slot.store(
-                        guard.next_at().map_or(u64::MAX, |t| t.as_micros()),
-                        AtomicOrdering::Relaxed,
-                    );
-                }
-            }
-            loop {
-                // Pick the next window from the published next-activity
-                // times: no locks, no heap walks, and fully idle
-                // stretches of the timeline are skipped in one step.
-                let mut min = u64::MAX;
-                for slot in next_slots {
-                    min = min.min(slot.load(AtomicOrdering::Acquire));
-                }
-                if min == u64::MAX || min > deadline.as_micros() {
-                    break;
-                }
-                let t_end = window_end(SimTime::from_micros(min), *lookahead);
-                *windows_executed += 1;
-                // Window-start master dynamics: the locks are taken only
-                // when an entry actually falls inside this window.
-                let mut deferred: Vec<(usize, (i64, i64))> = Vec::new();
-                if master_dyn
-                    .peek()
-                    .is_some_and(|d| d.at < t_end && d.at <= deadline)
-                {
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        let mut guards = lock_all();
-                        let mut refs: Vec<&mut ShardCore<P>> =
-                            guards.iter_mut().map(|g| &mut ***g).collect();
-                        apply_master_dynamics(
-                            master_dyn, master, &mut refs, air, owner, t_end, deadline, true,
-                        )
-                    })) {
-                        Ok(d) => deferred = d,
-                        Err(payload) => {
-                            panicked.store(true, AtomicOrdering::Relaxed);
-                            main_panic = Some(payload);
-                        }
-                    }
-                }
-                t_end_micros.store(t_end.as_micros(), AtomicOrdering::Relaxed);
-                b_start.wait();
-                if csma && !panicked.load(AtomicOrdering::Relaxed) {
-                    // Zero-lookahead MAC: globally ordered, on this
-                    // thread, while the workers idle at the barrier.
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        let mut guards = lock_all();
-                        let mut refs: Vec<&mut ShardCore<P>> =
-                            guards.iter_mut().map(|g| &mut ***g).collect();
-                        run_phase1_csma(&mut refs, air, next_seq, ctx, t_end, None);
-                    }));
-                    if let Err(payload) = result {
-                        panicked.store(true, AtomicOrdering::Relaxed);
-                        main_panic = Some(payload);
-                    }
-                }
-                b_mac_done.wait();
-                if !panicked.load(AtomicOrdering::Relaxed) {
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        let mut guards = lock_all();
-                        let mut refs: Vec<&mut ShardCore<P>> =
-                            guards.iter_mut().map(|g| &mut ***g).collect();
-                        assign_and_broadcast(
-                            &mut refs,
-                            air,
-                            next_seq,
-                            frames_sent,
-                            trace_main,
-                            merge_scratch,
-                            None,
-                            owner,
-                            ctx.tracing,
-                            radio.energy.tx_nj_per_bit,
-                            fan_out,
-                            true,
-                            ctx.mac.dfa_config().is_some(),
-                        );
-                        // The barrier routed this window's publications
-                        // with the conservative pre-move ∪ post-move
-                        // interest; the pre-move halves retire now.
-                        apply_interest_decrements(&mut refs, &deferred);
-                    }));
-                    if let Err(payload) = result {
-                        panicked.store(true, AtomicOrdering::Relaxed);
-                        main_panic = Some(payload);
-                    }
-                }
-                b_merged.wait();
-                // The workers run the receive phase against their own
-                // ghosts; the global view is exclusively ours here, so
-                // barrier B (air garbage collection) overlaps with it.
-                if !panicked.load(AtomicOrdering::Relaxed) {
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        let horizon = SimTime::from_micros(
-                            t_end.as_micros().saturating_sub(slack.as_micros()),
-                        );
-                        air.prune(horizon);
-                    }));
-                    if let Err(payload) = result {
-                        panicked.store(true, AtomicOrdering::Relaxed);
-                        main_panic = Some(payload);
-                    }
-                }
-                b_rx_done.wait();
-                if panicked.load(AtomicOrdering::Relaxed) {
-                    break;
-                }
-            }
-            done.store(true, AtomicOrdering::Relaxed);
-            b_start.wait();
-        });
-        if let Some(payload) = main_panic.or_else(|| {
-            worker_panic
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-        }) {
-            std::panic::resume_unwind(payload);
+        if !threaded {
+            conductor.run(&mut Inline {
+                cores: cores.iter_mut().collect(),
+                air,
+                ctx: &ctx,
+            });
+            return;
         }
+        let cores: Vec<Mutex<&mut ShardCore<P>>> = cores.iter_mut().map(Mutex::new).collect();
+        let air = RwLock::new(air);
+        let hub = Hub {
+            go: Barrier::new(cores.len() + 1),
+            done: Barrier::new(cores.len() + 1),
+            phase: AtomicU8::new(PHASE_STOP),
+            t_end_micros: AtomicU64::new(0),
+            next_slots: cores.iter().map(|_| AtomicU64::new(u64::MAX)).collect(),
+            panic: Mutex::new(None),
+        };
+        std::thread::scope(|scope| {
+            for (index, core) in cores.iter().enumerate() {
+                let (air, ctx, hub) = (&air, &ctx, &hub);
+                scope.spawn(move || worker(index, core, air, ctx, hub));
+            }
+            // A panic here or re-raised from a worker unwinds through
+            // `Workers::drop`, which releases the workers so the scope
+            // can join them before the panic propagates.
+            conductor.run(&mut Workers {
+                cores: &cores,
+                air: &air,
+                hub: &hub,
+            });
+        });
     }
 }
 
@@ -3326,7 +2913,7 @@ pub(crate) mod testkit {
                 start: SimTime::from_micros(start),
                 end: SimTime::from_micros(end),
                 bits_on_air: 8,
-                frame: Arc::new(probe(sender.0)),
+                frame: probe(sender.0),
                 cell: cell_of(self.topo.position(sender), self.air.cell_size),
                 ended: false,
             });
@@ -3385,7 +2972,7 @@ pub(crate) mod testkit {
         pub(crate) fn record(&self, seq: u64) -> Option<(NodeId, &Frame)> {
             self.air
                 .get(seq)
-                .map(|record| (record.sender, record.frame.as_ref()))
+                .map(|record| (record.sender, &record.frame))
         }
     }
 }
@@ -3711,7 +3298,7 @@ mod tests {
     }
 
     /// The full invariance digest, but on the worker-thread engine
-    /// (ghost replicas, interest routing once dynamics drain).
+    /// (one shared air view, interest routing of delivery events).
     #[test]
     fn shard_count_invariance_threaded() {
         for (seed, mac) in [(15, MacConfig::aloha()), (16, MacConfig::csma())] {
@@ -3752,6 +3339,108 @@ mod tests {
         let mut single = two_node(41, MacConfig::csma(), 1);
         single.set_force_threads(true);
         assert!(!single.uses_worker_threads());
+    }
+
+    /// Transmissions that start and end inside one window (airtime
+    /// shorter than the lookahead) leave no sequence assignment behind,
+    /// with observability off or on, and every airtime span closes.
+    #[test]
+    fn same_window_transmissions_leave_no_assignment_behind() {
+        for observed in [false, true] {
+            let mut sim = ShardedSimBuilder::new(5)
+                .radio(RadioConfig::ideal(1_000_000, 27))
+                .mac(MacConfig::aloha())
+                .build(|_| Chatter {
+                    to_send: 200,
+                    heard: 0,
+                    payload_bytes: 27,
+                });
+            sim.add_node_at(Position::new(0.0, 0.0));
+            sim.add_node_at(Position::new(10.0, 0.0));
+            let obs = Obs::enabled();
+            if observed {
+                sim.enable_obs(&obs);
+            }
+            sim.run_until(SimTime::from_secs(5));
+            assert_eq!(sim.stats().frames_sent, 400);
+            for node in sim.cores.iter().flat_map(|core| &core.nodes) {
+                assert!(
+                    node.assigned.is_empty(),
+                    "{} kept {} assignments (obs on: {observed})",
+                    node.id,
+                    node.assigned.len()
+                );
+            }
+            if observed {
+                let snap = obs.snapshot().expect("enabled");
+                assert_eq!(snap.counter("netsim_tx_airtime_completed_total"), 400);
+            }
+        }
+    }
+
+    /// A shard's interest set loses and regains the sender's cell while
+    /// its frame is on the air — the receiver moves away and back within
+    /// one airtime — so routing hands that shard the delivery event more
+    /// than once. The receive phase must judge the frame once: one
+    /// shard, two threaded shards and two inline shards all agree.
+    #[test]
+    fn regained_interest_delivers_once() {
+        let run = |shards: usize, threads: bool| {
+            let mut sim = ShardedSimBuilder::new(3)
+                .mac(MacConfig::aloha())
+                .range(100.0)
+                .shards(shards)
+                .build(|id| Chatter {
+                    to_send: u32::from(id == NodeId(1)),
+                    heard: 0,
+                    payload_bytes: 27,
+                });
+            // Stripes by grid cell: {0, sender} | {receiver, 3}.
+            sim.add_node_at(Position::new(-500.0, 50.0));
+            let sender = sim.add_node_at(Position::new(90.0, 50.0));
+            let receiver = sim.add_node_at(Position::new(110.0, 50.0));
+            sim.add_node_at(Position::new(700.0, 50.0));
+            sim.enable_trace(64);
+            if threads {
+                sim.set_force_threads(true);
+            } else {
+                sim.set_force_serial(true);
+            }
+            // The frame is on the air over [0.5 ms, 7.1 ms).
+            sim.schedule_move(
+                SimTime::from_micros(1_200),
+                receiver,
+                Position::new(3_000.0, 3_000.0),
+            );
+            sim.schedule_move(
+                SimTime::from_micros(3_200),
+                receiver,
+                Position::new(110.0, 50.0),
+            );
+            sim.run_until(SimTime::from_micros(3_500));
+            if shards > 1 {
+                let receiver_shard = sim.owner[receiver.index()].0 as usize;
+                assert_ne!(receiver_shard, sim.owner[sender.index()].0 as usize);
+                let copies = sim.cores[receiver_shard]
+                    .rx_heap
+                    .iter()
+                    .filter(|ev| matches!(ev.kind, RxKind::Deliver { .. }))
+                    .count();
+                assert!(copies > 1, "routing must repeat the delivery event");
+            }
+            sim.run_until(SimTime::from_millis(50));
+            sim
+        };
+        let reference = run(1, false);
+        assert_eq!(reference.stats().frames_sent, 1);
+        assert_eq!(reference.protocol(NodeId(2)).heard, 1);
+        let want = digest(&reference);
+        for threads in [true, false] {
+            let sim = run(2, threads);
+            let heard: Vec<u32> = sim.node_ids().map(|id| sim.protocol(id).heard).collect();
+            assert_eq!(heard, want.heard, "threads: {threads}");
+            assert_eq!(digest(&sim), want, "threads: {threads}");
+        }
     }
 
     /// Panics at a fixed sim time on one node.
@@ -3797,62 +3486,49 @@ mod tests {
         assert_eq!(message, "protocol detonated");
     }
 
-    /// Every placement strategy yields valid shard indexes and — the
-    /// engine's core promise — identical output.
+    /// Placement is pure load balancing: forcing a scattered placement
+    /// that spatial stripes would never pick, in the middle of a run,
+    /// leaves the output unchanged on the inline and threaded loops.
     #[test]
     fn placement_strategies_never_change_output() {
         let reference = grid_digest(17, MacConfig::csma(), 1, true);
-        let strategies: Vec<Box<dyn ShardStrategy>> = vec![
-            Box::new(GridHash),
-            Box::new(SpatialStripes),
-            Box::new(DegreeBalanced),
-        ];
-        for strategy in strategies {
-            let name = strategy.name();
-            let topo = Topology::grid(4, 4, 30.0, 45.0);
-            let assignment = strategy.assign(&topo, 45.0, 3);
-            assert_eq!(assignment.len(), 16);
-            assert!(assignment.iter().all(|&s| s < 3), "{name} out of range");
+        let stripes = spatial_stripes(&Topology::grid(4, 4, 30.0, 45.0), 45.0, 3);
+        assert_eq!(stripes.len(), 16);
+        assert!(stripes.iter().all(|&s| s < 3), "stripes out of range");
+        let scattered: Vec<u32> = (0..16).map(|i| i % 3).collect();
+        assert_ne!(scattered, stripes);
+        for threads in [false, true] {
             let mut sim = grid_run(17, MacConfig::csma(), 3, true);
-            sim.strategy = strategy;
-            sim.placement_dirty = true;
+            sim.set_force_threads(threads);
             sim.run_until(SimTime::from_millis(500));
+            sim.reassign(&scattered);
             sim.run_until(SimTime::from_millis(1500));
-            assert_eq!(digest(&sim), reference, "{name} diverged");
+            assert_eq!(
+                digest(&sim),
+                reference,
+                "scattered placement diverged (threads: {threads})"
+            );
         }
     }
 
-    /// SpatialStripes cuts the cell-sorted order into contiguous
+    /// Spatial stripes cut the cell-sorted order into contiguous
     /// near-equal chunks.
     #[test]
     fn spatial_stripes_are_contiguous_and_balanced() {
         let topo = Topology::grid(8, 8, 30.0, 45.0);
-        let assignment = SpatialStripes.assign(&topo, 45.0, 4);
+        let assignment = spatial_stripes(&topo, 45.0, 4);
         let mut sizes = [0usize; 4];
         for &s in &assignment {
             sizes[s as usize] += 1;
         }
         assert_eq!(sizes, [16, 16, 16, 16]);
-    }
-
-    /// DegreeBalanced spreads a hotspot: with one dense cluster and
-    /// isolated outliers, no shard gets the whole cluster plus extras.
-    #[test]
-    fn degree_balanced_splits_hotspots() {
-        let mut topo = Topology::new(50.0);
-        // 12 mutually in-range nodes plus 4 isolated ones.
-        for i in 0..12 {
-            topo.add(Position::new(f64::from(i) * 0.5, 0.0));
-        }
-        for i in 0..4 {
-            topo.add(Position::new(1000.0 + f64::from(i) * 500.0, 0.0));
-        }
-        let assignment = DegreeBalanced.assign(&topo, 50.0, 4);
-        let mut cluster_per_shard = [0usize; 4];
-        for node in 0..12 {
-            cluster_per_shard[assignment[node] as usize] += 1;
-        }
-        assert_eq!(cluster_per_shard, [3, 3, 3, 3]);
+        // Contiguous: ascending grid cells never step back a shard.
+        let mut by_cell: Vec<((i64, i64), u32)> = topo
+            .node_ids()
+            .map(|id| (cell_of(topo.position(id), 45.0), assignment[id.index()]))
+            .collect();
+        by_cell.sort_unstable();
+        assert!(by_cell.windows(2).all(|w| w[0].1 <= w[1].1));
     }
 
     /// Arms two timers at start, cancels one of them.

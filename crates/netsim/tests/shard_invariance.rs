@@ -172,7 +172,7 @@ fn run_one(
 
 /// Like [`run_one`], but stressing the O(active) machinery (ISSUE 7):
 /// randomized mid-run moves — including one that brings a distant node
-/// into the cluster, forcing interest-set gains and ghost backfills —
+/// into the cluster, forcing interest-set gains and delivery backfills —
 /// followed by a long fully-idle tail the engine must fast-forward
 /// through without changing an output byte. Returns the digest plus
 /// the number of synchronization windows actually executed.
@@ -282,7 +282,7 @@ proptest! {
         }
     }
 
-    /// Delta-routed ghost maintenance and O(active) window skipping
+    /// Delta-routed delivery events and O(active) window skipping
     /// (ISSUE 7): randomized cell-crossing moves — inbound, outbound,
     /// mid-flight — plus a ~29 s fully-idle tail must leave the output
     /// byte-identical for every shard count and both engines, and the
@@ -318,8 +318,8 @@ proptest! {
         prop_assert_eq!(w, windows, "threaded window count diverged");
     }
 
-    /// The worker-thread engine (ghost air replicas, interest
-    /// routing, window barriers) must match the inline loop exactly.
+    /// The worker-thread engine (shared air view, interest routing,
+    /// window barriers) must match the inline loop exactly.
     #[test]
     fn threaded_engine_matches_inline_loop(
         seed in 1u64..5_000,
