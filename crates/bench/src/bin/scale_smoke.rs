@@ -1,7 +1,7 @@
 //! Shard-count invariance smoke test on the 10k-node mesh.
 //!
-//! Runs the `sim_mesh_10k` workload twice — once on a single spatial
-//! shard, once on `--shards N` (default: the host's available
+//! Runs a 10,000-node staggered-ALOHA grid twice — once on a single
+//! spatial shard, once on `--shards N` (default: the host's available
 //! parallelism) — and **asserts the two runs' digests are identical**:
 //! same medium stats, same full trace-event stream, same energy totals.
 //! That is the sharded engine's central contract (the event stream is
@@ -15,24 +15,31 @@
 //! frames_sent, wall_ns_serial, wall_ns_sharded, speedup_x1000}` for
 //! the CI artifact diff.
 
-use retri_bench::workloads::{mesh_10k_digest, sharded_workload_shards};
+use std::time::{Duration, Instant};
+
 use retri_bench::EffortLevel;
+use retri_netsim::prelude::*;
 
 fn main() {
     let level = EffortLevel::from_args();
     let quick = level == EffortLevel::Quick;
-    let shards = shards_arg().unwrap_or_else(sharded_workload_shards);
+    let shards = shards_arg().unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(4)
+    });
     let seed = 0xC0FF_EE00_0000_0005;
 
-    eprintln!("sim_mesh_10k: 10,000 nodes, {} effort", level.name());
+    eprintln!("10k-node mesh: {} effort", level.name());
+    let topo = mesh_10k_topology();
     eprintln!("running on 1 shard...");
-    let serial = mesh_10k_digest(seed, quick, 1);
+    let serial = mesh_10k_digest(&topo, seed, quick, 1);
     eprintln!(
         "  digest {:016x}  frames_sent {}  wall {:.2?}",
         serial.digest, serial.frames_sent, serial.wall
     );
     eprintln!("running on {shards} shards...");
-    let sharded = mesh_10k_digest(seed, quick, shards);
+    let sharded = mesh_10k_digest(&topo, seed, quick, shards);
     eprintln!(
         "  digest {:016x}  frames_sent {}  wall {:.2?}",
         sharded.digest, sharded.frames_sent, sharded.wall
@@ -103,4 +110,100 @@ fn shards_arg() -> Option<usize> {
         }
     }
     None
+}
+
+/// A periodic sender for the 10k-node mesh: each node's phase is
+/// staggered by its id so the channel carries steady, overlapping ALOHA
+/// traffic instead of one synchronized burst per period.
+struct MeshSender;
+
+impl Protocol for MeshSender {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        let phase = 10_000 * (u64::from(ctx.node_id().0) % 10) + 1;
+        ctx.set_timer(SimDuration::from_micros(phase), 0);
+    }
+    fn on_frame(&mut self, _ctx: &mut Context<'_>, _frame: &Frame) {}
+    fn on_timer(&mut self, ctx: &mut Context<'_>, _timer: Timer) {
+        let _ = ctx.send(FramePayload::from_bytes(vec![0x5A; 12]).expect("non-empty"));
+        ctx.set_timer(SimDuration::from_millis(100), 0);
+    }
+}
+
+/// The 10k-node topology: a 100x100 grid with 30 m spacing and 45 m
+/// range, so every interior node hears its 8 surrounding neighbors.
+/// Built once and shared by both runs, outside the timed region.
+fn mesh_10k_topology() -> Topology {
+    Topology::grid(100, 100, 30.0, 45.0)
+}
+
+/// Builds and runs the 10k-node mesh on `shards` spatial shards with
+/// tracing on, returning the finished simulator for inspection.
+fn run_mesh_10k(topo: &Topology, seed: u64, quick: bool, shards: usize) -> ShardedSim<MeshSender> {
+    let sim_secs = if quick { 2 } else { 5 };
+    let mut sim = ShardedSimBuilder::new(seed)
+        .mac(MacConfig::aloha())
+        .range(45.0)
+        .shards(shards)
+        .build_with_topology(topo, |_| MeshSender);
+    sim.enable_trace(1 << 18);
+    sim.run_until(SimTime::from_secs(sim_secs));
+    assert!(sim.stats().frames_sent > 0);
+    sim
+}
+
+/// A digest over one run's observable output plus the wall-clock it
+/// took.
+struct MeshDigest {
+    /// FNV-1a over the medium stats, the full trace-event stream, the
+    /// tracer's drop counter, and the summed energy meter.
+    digest: u64,
+    /// Frames the 10k nodes put on the air, for a human-readable check.
+    frames_sent: u64,
+    /// Wall-clock of the build and `run_until` region.
+    wall: Duration,
+}
+
+/// Runs the 10k-node mesh and digests every observable output. Two
+/// calls with the same `(seed, quick)` must return equal digests for
+/// **any** shard counts — that is the sharded engine's byte-identity
+/// contract.
+fn mesh_10k_digest(topo: &Topology, seed: u64, quick: bool, shards: usize) -> MeshDigest {
+    fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *hash ^= u64::from(b);
+            *hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    let started = Instant::now();
+    let sim = run_mesh_10k(topo, seed, quick, shards);
+    let wall = started.elapsed();
+    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
+    let stats = sim.stats();
+    fnv1a(&mut hash, format!("{stats:?}").as_bytes());
+    let tracer = sim.tracer().expect("trace was enabled");
+    for event in tracer.events() {
+        fnv1a(&mut hash, format!("{event:?}").as_bytes());
+    }
+    fnv1a(&mut hash, &tracer.dropped().to_le_bytes());
+    fnv1a(&mut hash, format!("{:?}", sim.total_meter()).as_bytes());
+    MeshDigest {
+        digest: hash,
+        frames_sent: stats.frames_sent,
+        wall,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn mesh_topology_is_10k_nodes() {
+        let topo = mesh_10k_topology();
+        assert_eq!(topo.node_ids().count(), 10_000);
+        // Interior nodes must hear all 8 surrounding neighbors —
+        // otherwise the "mesh" degenerates into disconnected rows.
+        let diagonal = (2.0_f64 * 30.0 * 30.0).sqrt();
+        assert!(diagonal < 45.0);
+    }
 }

@@ -207,36 +207,6 @@ pub fn resolve_worker_count(requested: Option<&str>, jobs: usize) -> usize {
     available.min(jobs).max(1)
 }
 
-/// Peak resident-set size of this process in bytes (the `VmHWM`
-/// high-water mark from `/proc/self/status`), or `None` when the probe
-/// is unavailable — off Linux, without the `mem-probe` feature, or if
-/// procfs cannot be read.
-///
-/// The value is a process-lifetime *high-water* mark: sampled after a
-/// workload it bounds that workload's footprint from above, and for
-/// the scale workloads (whose footprint dwarfs everything that ran
-/// before them) it is an accurate per-workload reading. `bench_summary`
-/// divides it by the simulated node count to record the bytes-per-node
-/// column of the 100k/1M mesh workloads.
-#[must_use]
-pub fn peak_rss_bytes() -> Option<u64> {
-    #[cfg(all(feature = "mem-probe", target_os = "linux"))]
-    {
-        let status = std::fs::read_to_string("/proc/self/status").ok()?;
-        for line in status.lines() {
-            if let Some(rest) = line.strip_prefix("VmHWM:") {
-                let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
-                return Some(kb * 1024);
-            }
-        }
-        None
-    }
-    #[cfg(not(all(feature = "mem-probe", target_os = "linux")))]
-    {
-        None
-    }
-}
-
 /// Per-trial wall-clock, in microseconds, below which fanning out
 /// loses: thread spawn, queue contention, and the shared results
 /// mutex cost more than the trials themselves. Measured on the

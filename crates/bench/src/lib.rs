@@ -11,8 +11,6 @@
 //! - [`differential`] — the statistical differential tests proving the
 //!   simulator against the paper's Eq. 2–4, and the fault-injection
 //!   scenario matrix behind the `fault_matrix` binary.
-//! - [`guard`] — the CI ratio guard over trajectory entries behind the
-//!   `bench_guard` binary (sharded-beats-serial, fault-channel ratio).
 //! - [`harness`] — the deterministic parallel trial executor, the
 //!   single seed-derivation function ([`harness::trial_seed`]), and the
 //!   `--json` provenance document every binary emits.
@@ -21,8 +19,6 @@
 //!   `selector_taxonomy` binary: every identifier-selection family
 //!   scored on correctness (Eq. 4 containment), security
 //!   (attacker-forced collision uplift), and performance.
-//! - [`workloads`] — the fixed wall-clock workload set behind the
-//!   `bench_summary` binary and the `BENCH_netsim.json` trajectory.
 //!
 //! Every experiment takes an [`EffortLevel`] so the same code serves
 //! quick CI smoke runs, the standard reproduction, and the paper's full
@@ -35,11 +31,9 @@ pub mod ablations;
 pub mod audit;
 pub mod differential;
 pub mod figures;
-pub mod guard;
 pub mod harness;
 pub mod table;
 pub mod taxonomy;
-pub mod workloads;
 
 /// How much simulation to spend per experiment point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,12 +144,30 @@ pub fn shards_from_args() -> usize {
 
 /// Parses `--json <path>` from argv: where to additionally write the
 /// experiment's data as JSON for plotting pipelines.
+///
+/// # Panics
+///
+/// Panics if `--json` is present without a value.
 #[must_use]
 pub fn json_path_from_args() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args().skip(1);
+    json_path_from(std::env::args().skip(1))
+}
+
+/// Pure resolution of the `--json` path from an argument list. Split
+/// from [`json_path_from_args`] so the parsing is unit testable without
+/// the process's own argv.
+///
+/// # Panics
+///
+/// Panics if `--json` is the last argument: a flag that asks for a file
+/// and silently writes none would hide a broken pipeline.
+#[must_use]
+fn json_path_from<I: IntoIterator<Item = String>>(args: I) -> Option<std::path::PathBuf> {
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         if arg == "--json" {
-            return args.next().map(std::path::PathBuf::from);
+            let value = args.next().expect("--json needs a value");
+            return Some(std::path::PathBuf::from(value));
         }
     }
     None
@@ -186,5 +198,28 @@ mod tests {
         assert!(EffortLevel::Quick.trial_secs() < EffortLevel::Paper.trial_secs());
         assert_eq!(EffortLevel::Paper.trials(), 10);
         assert_eq!(EffortLevel::Paper.trial_secs(), 120);
+    }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| (*s).to_string()).collect()
+    }
+
+    #[test]
+    fn json_path_reads_the_value_after_the_flag() {
+        assert_eq!(
+            json_path_from(args(&["--quick", "--json", "out.json"])),
+            Some(std::path::PathBuf::from("out.json"))
+        );
+    }
+
+    #[test]
+    fn json_path_is_none_without_the_flag() {
+        assert_eq!(json_path_from(args(&["--quick", "--shards", "4"])), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "--json needs a value")]
+    fn json_flag_without_a_value_panics() {
+        let _ = json_path_from(args(&["--quick", "--json"]));
     }
 }
