@@ -89,28 +89,3 @@ pub use roles::{AffNode, ObservedTrialResult, Testbed, TrialResult};
 pub use sender::{AffSender, SelectorPolicy, Workload};
 pub use service::AffService;
 pub use wire::{Fragment, HeaderScheme, WireConfig};
-
-/// Process-wide default shard count picked up by [`Testbed::paper`].
-///
-/// Trial output is invariant in the shard count (see
-/// [`retri_netsim::shard`]), so this knob only selects how much of each
-/// trial runs in parallel — experiment binaries set it once from their
-/// `--shards` flag instead of threading it through every call site.
-static DEFAULT_SHARDS: core::sync::atomic::AtomicUsize = core::sync::atomic::AtomicUsize::new(1);
-
-/// Sets the process-wide default shard count for newly built testbeds.
-///
-/// # Panics
-///
-/// Panics if `shards` is zero.
-pub fn set_default_shards(shards: usize) {
-    assert!(shards >= 1, "need at least one shard");
-    DEFAULT_SHARDS.store(shards, core::sync::atomic::Ordering::Relaxed);
-}
-
-/// The process-wide default shard count (1 unless
-/// [`set_default_shards`] was called).
-#[must_use]
-pub fn default_shards() -> usize {
-    DEFAULT_SHARDS.load(core::sync::atomic::Ordering::Relaxed)
-}

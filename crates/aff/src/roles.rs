@@ -130,8 +130,8 @@ pub struct Testbed {
     /// Spatial shards for the simulation engine. Trial output is
     /// invariant in this knob (the sharded engine's event stream is
     /// shard-count-independent by construction); it only selects how
-    /// much of the trial runs in parallel. [`Testbed::paper`] reads the
-    /// process-wide [`crate::default_shards`].
+    /// much of the trial runs in parallel. [`Testbed::paper`] runs on one
+    /// shard.
     pub shards: usize,
 }
 
@@ -161,7 +161,7 @@ impl Testbed {
             sender_duty: None,
             faults: FaultModel::none(),
             adversary: None,
-            shards: crate::default_shards(),
+            shards: 1,
         }
     }
 

@@ -304,7 +304,7 @@ pub fn run_cluster(
         .radio(RadioConfig::radiometrix_rpc())
         .mac(MacConfig::csma())
         .range(100.0)
-        .shards(retri_aff::default_shards())
+        .shards(1)
         .build(move |id: NodeId| {
             if id.index() == 0 {
                 CentralAllocNode::controller(config)

@@ -361,7 +361,7 @@ pub fn run_mesh(
         .radio(RadioConfig::radiometrix_rpc())
         .mac(MacConfig::csma())
         .range(100.0)
-        .shards(retri_aff::default_shards())
+        .shards(1)
         .build(move |_| DynamicAddrNode::new(config));
     let topo = Topology::full_mesh(n, 100.0);
     for id in topo.node_ids() {

@@ -234,6 +234,9 @@ pub struct StaticTestbed {
     pub mac: MacConfig,
     /// Reassembly timeout, µs.
     pub reassembly_ttl_micros: u64,
+    /// Spatial shards for the simulation engine; like
+    /// [`retri_aff::Testbed::shards`], it changes wall-clock only.
+    pub shards: usize,
 }
 
 impl StaticTestbed {
@@ -253,6 +256,7 @@ impl StaticTestbed {
             radio: RadioConfig::radiometrix_rpc(),
             mac: MacConfig::csma(),
             reassembly_ttl_micros: 300_000,
+            shards: 1,
         }
     }
 
@@ -270,7 +274,7 @@ impl StaticTestbed {
             .radio(radio)
             .mac(self.mac)
             .range(100.0)
-            .shards(retri_aff::default_shards())
+            .shards(self.shards)
             .build(move |id: NodeId| {
                 if id.index() < transmitters {
                     StaticNode::Sender(StaticSender::new(

@@ -40,8 +40,8 @@ pub struct NodeSpec {
     pub role: Role,
 }
 
-/// Builds and runs an arbitrary AFF scenario; returns the simulator for
-/// inspection.
+/// Builds and runs an arbitrary AFF scenario on `shards` spatial shards;
+/// returns the simulator for inspection.
 ///
 /// # Panics
 ///
@@ -54,6 +54,7 @@ pub fn run_aff_scenario(
     mode: WorkloadMode,
     stop: SimTime,
     seed: u64,
+    shards: usize,
 ) -> ShardedSim<AffNode> {
     let wire = WireConfig::aff(retri::IdentifierSpace::new(id_bits).expect("valid width"));
     let radio = RadioConfig::radiometrix_rpc();
@@ -63,7 +64,7 @@ pub fn run_aff_scenario(
         .radio(radio)
         .mac(MacConfig::csma())
         .range(100.0)
-        .shards(retri_aff::default_shards())
+        .shards(shards)
         .build(move |id: NodeId| match specs_owned[id.index()].role {
             Role::Sender { packet_bytes } => {
                 let workload = Workload {
@@ -120,7 +121,7 @@ pub struct WindowPoint {
 ///
 /// Experiment id: `ablation_listening`.
 #[must_use]
-pub fn listening_window(level: EffortLevel) -> Provenance<WindowPoint> {
+pub fn listening_window(level: EffortLevel, shards: usize) -> Provenance<WindowPoint> {
     let windows = [0usize, 5, 10, 20, 80];
     let runs = harness::run_cells("ablation_listening", level, &windows, |&window, trial| {
         let policy = if window == 0 {
@@ -129,6 +130,7 @@ pub fn listening_window(level: EffortLevel) -> Provenance<WindowPoint> {
             SelectorPolicy::Listening { window }
         };
         let mut testbed = Testbed::paper(4, policy);
+        testbed.shards = shards;
         testbed.workload.stop = SimTime::from_secs(level.trial_secs());
         testbed.run(trial.seed).collision_loss_rate
     });
@@ -165,7 +167,7 @@ pub struct GeometryPoint {
 /// Experiment id: `ablation_hidden`. Cell 0 is the connected geometry,
 /// cell 1 the hidden one.
 #[must_use]
-pub fn hidden_terminal(level: EffortLevel) -> Provenance<GeometryPoint> {
+pub fn hidden_terminal(level: EffortLevel, shards: usize) -> Provenance<GeometryPoint> {
     let stop = SimTime::from_secs(level.trial_secs());
     let policy = SelectorPolicy::Listening { window: 8 };
     let id_bits = 2; // narrow space so identifier collisions are visible
@@ -185,7 +187,7 @@ pub fn hidden_terminal(level: EffortLevel) -> Provenance<GeometryPoint> {
         ("hidden terminals", [sender(-90.0), receiver, sender(90.0)]),
     ];
     let runs = harness::run_cells("ablation_hidden", level, &cells, |(_, specs), trial| {
-        let sim = run_aff_scenario(specs, id_bits, policy, mode, stop, trial.seed);
+        let sim = run_aff_scenario(specs, id_bits, policy, mode, stop, trial.seed, shards);
         (
             receiver_loss(&sim, NodeId(1)),
             sim.stats().rf_collisions as f64,
@@ -233,7 +235,7 @@ pub struct MixedLengthResult {
 /// Panics if the simulation produces no transactions (cannot happen at
 /// the configured workloads).
 #[must_use]
-pub fn mixed_lengths(level: EffortLevel) -> Provenance<MixedLengthResult> {
+pub fn mixed_lengths(level: EffortLevel, shards: usize) -> Provenance<MixedLengthResult> {
     let id_bits = 6u8;
     let sizes = [20usize, 20, 80, 80, 200];
     let stop = SimTime::from_secs(level.trial_secs());
@@ -262,6 +264,7 @@ pub fn mixed_lengths(level: EffortLevel) -> Provenance<MixedLengthResult> {
             },
             stop,
             trial.seed,
+            shards,
         );
         let offered: Vec<f64> = (0..sizes.len())
             .map(|i| {
@@ -344,14 +347,18 @@ fn churn_point(churn: Option<u64>, control: u64, data: u64) -> ChurnPoint {
 /// The churn periods both allocation studies sweep.
 const CHURN_PERIODS: [Option<u64>; 4] = [None, Some(120), Some(60), Some(30)];
 
-/// Runs an allocation protocol on a full mesh of `nodes` for `run_secs`
-/// and returns the network's `(control, data)` bits sent. Under a churn
-/// period, nodes `first_victim..nodes` take turns at 5 s outages, the
-/// first at `period` seconds and the next every `period / nodes + 1`
+/// Nodes in both allocation studies' full mesh.
+const CHURN_NODES: usize = 8;
+
+/// Runs an allocation protocol on a full mesh of [`CHURN_NODES`] on
+/// `shards` spatial shards for `run_secs` and returns the network's
+/// `(control, data)` bits sent. Under a churn period, nodes
+/// `first_victim..CHURN_NODES` take turns at 5 s outages, the first at
+/// `period` seconds and the next every `period / CHURN_NODES + 1`
 /// seconds after.
 fn churned_bits<P, F>(
     seed: u64,
-    nodes: usize,
+    shards: usize,
     first_victim: u32,
     churn: Option<u64>,
     run_secs: u64,
@@ -366,9 +373,9 @@ where
         .radio(RadioConfig::radiometrix_rpc())
         .mac(MacConfig::csma())
         .range(100.0)
-        .shards(retri_aff::default_shards())
+        .shards(shards)
         .build(factory);
-    let topo = Topology::full_mesh(nodes, 100.0);
+    let topo = Topology::full_mesh(CHURN_NODES, 100.0);
     for id in topo.node_ids() {
         sim.add_node_at(topo.position(id));
     }
@@ -378,12 +385,12 @@ where
         while at + 5 < run_secs {
             sim.schedule_set_alive(SimTime::from_secs(at), NodeId(victim), false);
             sim.schedule_set_alive(SimTime::from_secs(at + 5), NodeId(victim), true);
-            victim = if victim + 1 == nodes as u32 {
+            victim = if victim + 1 == CHURN_NODES as u32 {
                 first_victim
             } else {
                 victim + 1
             };
-            at += period / nodes as u64 + 1;
+            at += period / CHURN_NODES as u64 + 1;
         }
     }
     sim.run_until(SimTime::from_secs(run_secs));
@@ -406,7 +413,7 @@ where
 /// long deterministic run per churn rate, so each cell runs one trial
 /// regardless of effort.
 #[must_use]
-pub fn dynamic_churn(level: EffortLevel) -> Provenance<ChurnPoint> {
+pub fn dynamic_churn(level: EffortLevel, shards: usize) -> Provenance<ChurnPoint> {
     let run_secs = (level.trial_secs() * 10).max(120);
     let runs = harness::run_trials(
         "ablation_dynamic_addr",
@@ -416,7 +423,7 @@ pub fn dynamic_churn(level: EffortLevel) -> Provenance<ChurnPoint> {
             let config = DynamicAddrConfig::default();
             churned_bits(
                 trial.seed,
-                8,
+                shards,
                 0,
                 churn,
                 run_secs,
@@ -445,7 +452,7 @@ pub fn dynamic_churn(level: EffortLevel) -> Provenance<ChurnPoint> {
 /// Experiment id: `ablation_central_addr`; one trial per cell, like
 /// [`dynamic_churn`].
 #[must_use]
-pub fn central_churn(level: EffortLevel) -> Provenance<ChurnPoint> {
+pub fn central_churn(level: EffortLevel, shards: usize) -> Provenance<ChurnPoint> {
     use retri_baselines::{CentralAllocConfig, CentralAllocNode};
     let run_secs = (level.trial_secs() * 10).max(120);
     let runs = harness::run_trials(
@@ -456,7 +463,7 @@ pub fn central_churn(level: EffortLevel) -> Provenance<ChurnPoint> {
             let config = CentralAllocConfig::default();
             churned_bits(
                 trial.seed,
-                8,
+                shards,
                 1,
                 churn,
                 run_secs,
@@ -512,7 +519,7 @@ pub struct ScalingPoint {
 ///
 /// Experiment id: `ablation_scaling`.
 #[must_use]
-pub fn density_scaling(level: EffortLevel) -> Provenance<ScalingPoint> {
+pub fn density_scaling(level: EffortLevel, shards: usize) -> Provenance<ScalingPoint> {
     let aff_bits = 6u8;
     let stop = SimTime::from_secs(level.trial_secs());
     let cells: Vec<(usize, Vec<NodeSpec>, Vec<usize>)> = [1usize, 2, 4, 8]
@@ -555,6 +562,7 @@ pub fn density_scaling(level: EffortLevel) -> Provenance<ScalingPoint> {
                 },
                 stop,
                 trial.seed,
+                shards,
             );
             receivers
                 .iter()
@@ -614,7 +622,7 @@ pub struct MacPoint {
 ///
 /// Experiment id: `ablation_mac`.
 #[must_use]
-pub fn mac_robustness(level: EffortLevel) -> Provenance<MacPoint> {
+pub fn mac_robustness(level: EffortLevel, shards: usize) -> Provenance<MacPoint> {
     let mut cells = Vec::new();
     for (label, mac) in [
         ("CSMA", MacConfig::csma()),
@@ -627,6 +635,7 @@ pub fn mac_robustness(level: EffortLevel) -> Provenance<MacPoint> {
     }
     let runs = harness::run_cells("ablation_mac", level, &cells, |&(_, mac, bits), trial| {
         let mut testbed = Testbed::paper(bits, SelectorPolicy::Uniform);
+        testbed.shards = shards;
         testbed.mac = mac;
         // Paced load: each sender offers a packet every 300 ms
         // (~35 ms of airtime each, 5 senders ≈ 60% channel duty).
@@ -676,12 +685,13 @@ pub struct DensityPoint {
 ///
 /// Experiment id: `ablation_density`.
 #[must_use]
-pub fn density_sweep(level: EffortLevel) -> Provenance<DensityPoint> {
+pub fn density_sweep(level: EffortLevel, shards: usize) -> Provenance<DensityPoint> {
     let id_bits = 6u8;
     let h = IdBits::new(id_bits).expect("valid width");
     let cells = [2usize, 3, 5, 8, 12];
     let runs = harness::run_cells("ablation_density", level, &cells, |&transmitters, trial| {
         let mut testbed = Testbed::paper(id_bits, SelectorPolicy::Uniform);
+        testbed.shards = shards;
         testbed.transmitters = transmitters;
         testbed.workload.stop = SimTime::from_secs(level.trial_secs());
         testbed.run(trial.seed).collision_loss_rate
@@ -727,7 +737,7 @@ pub struct DutyCyclePoint {
 ///
 /// Experiment id: `ablation_duty_cycle`.
 #[must_use]
-pub fn duty_cycle(level: EffortLevel) -> Provenance<DutyCyclePoint> {
+pub fn duty_cycle(level: EffortLevel, shards: usize) -> Provenance<DutyCyclePoint> {
     let id_bits = 4u8;
     let h = IdBits::new(id_bits).expect("valid width");
     let t = Density::new(5).expect("five transmitters");
@@ -738,6 +748,7 @@ pub fn duty_cycle(level: EffortLevel) -> Provenance<DutyCyclePoint> {
         &cells,
         |&on_fraction, trial| {
             let mut testbed = Testbed::paper(id_bits, SelectorPolicy::Listening { window: 10 });
+            testbed.shards = shards;
             testbed.workload.stop = SimTime::from_secs(level.trial_secs());
             if on_fraction < 1.0 {
                 testbed.sender_duty = Some((SimDuration::from_millis(200), on_fraction));
@@ -793,10 +804,11 @@ pub struct EnergyPoint {
 ///
 /// Experiment id: `ablation_energy`.
 #[must_use]
-pub fn listening_energy(level: EffortLevel) -> Provenance<EnergyPoint> {
+pub fn listening_energy(level: EffortLevel, shards: usize) -> Provenance<EnergyPoint> {
     let cells = [1.0f64, 0.5, 0.25, 0.1, 0.05];
     let runs = harness::run_cells("ablation_energy", level, &cells, |&on_fraction, trial| {
         let mut testbed = Testbed::paper(4, SelectorPolicy::Listening { window: 10 });
+        testbed.shards = shards;
         testbed.workload.stop = SimTime::from_secs(level.trial_secs());
         if on_fraction < 1.0 {
             testbed.sender_duty = Some((SimDuration::from_millis(200), on_fraction));
@@ -849,7 +861,7 @@ pub struct NotificationPoint {
 ///
 /// Experiment id: `ablation_notification`.
 #[must_use]
-pub fn notification(level: EffortLevel) -> Provenance<NotificationPoint> {
+pub fn notification(level: EffortLevel, shards: usize) -> Provenance<NotificationPoint> {
     let mut cells = Vec::new();
     for bits in [2u8, 3, 4, 5, 6, 8] {
         for notifications in [false, true] {
@@ -862,6 +874,7 @@ pub fn notification(level: EffortLevel) -> Provenance<NotificationPoint> {
         &cells,
         |&(bits, notifications), trial| {
             let mut testbed = Testbed::paper(bits, SelectorPolicy::Uniform);
+            testbed.shards = shards;
             if notifications {
                 testbed = testbed.with_notifications();
             }
@@ -899,7 +912,7 @@ mod tests {
 
     #[test]
     fn listening_window_monotone_improvement() {
-        let provenance = listening_window(EffortLevel::Quick);
+        let provenance = listening_window(EffortLevel::Quick, 1);
         let points: Vec<&WindowPoint> = provenance.points().collect();
         assert_eq!(points.len(), 5);
         let blind = points[0];
@@ -909,7 +922,7 @@ mod tests {
 
     #[test]
     fn hidden_terminals_hurt() {
-        let result = hidden_terminal(EffortLevel::Quick);
+        let result = hidden_terminal(EffortLevel::Quick, 1);
         let connected = &result.cells[0].cell;
         let hidden = &result.cells[1].cell;
         assert!(
@@ -924,7 +937,7 @@ mod tests {
 
     #[test]
     fn mixed_lengths_predictions_are_finite() {
-        let provenance = mixed_lengths(EffortLevel::Quick);
+        let provenance = mixed_lengths(EffortLevel::Quick, 1);
         let result = &provenance.cells[0].cell;
         assert!(result.observed.mean >= 0.0 && result.observed.mean <= 1.0);
         assert!(result.eq4_prediction > 0.0);
@@ -937,7 +950,7 @@ mod tests {
 
     #[test]
     fn churn_increases_overhead() {
-        let provenance = dynamic_churn(EffortLevel::Quick);
+        let provenance = dynamic_churn(EffortLevel::Quick, 1);
         let points: Vec<&ChurnPoint> = provenance.points().collect();
         let stable = points[0];
         let churned = points.last().unwrap();
@@ -949,7 +962,7 @@ mod tests {
 
     #[test]
     fn mac_choice_does_not_create_or_hide_id_collisions() {
-        let provenance = mac_robustness(EffortLevel::Quick);
+        let provenance = mac_robustness(EffortLevel::Quick, 1);
         let points: Vec<&MacPoint> = provenance.points().collect();
         for bits in [3u8, 4, 6] {
             let csma = points
@@ -1006,7 +1019,7 @@ mod tests {
 
     #[test]
     fn scaling_keeps_local_loss_flat_while_static_grows() {
-        let provenance = density_scaling(EffortLevel::Quick);
+        let provenance = density_scaling(EffortLevel::Quick, 1);
         let points: Vec<&ScalingPoint> = provenance.points().collect();
         let first = points[0];
         let last = points.last().unwrap();
@@ -1022,7 +1035,7 @@ mod tests {
 
     #[test]
     fn density_sweep_tracks_eq4_growth() {
-        let provenance = density_sweep(EffortLevel::Quick);
+        let provenance = density_sweep(EffortLevel::Quick, 1);
         let points: Vec<&DensityPoint> = provenance.points().collect();
         assert_eq!(points.len(), 5);
         // The Eq. 4 prediction is strictly increasing in T.
@@ -1033,7 +1046,7 @@ mod tests {
 
     #[test]
     fn provenance_records_a_seed_per_trial() {
-        let provenance = density_sweep(EffortLevel::Quick);
+        let provenance = density_sweep(EffortLevel::Quick, 1);
         for cell in &provenance.cells {
             assert_eq!(cell.seeds.len(), EffortLevel::Quick.trials() as usize);
             assert_eq!(

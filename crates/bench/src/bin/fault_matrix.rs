@@ -15,7 +15,7 @@
 //! bytes.
 //!
 //! Usage: `fault_matrix [--quick | --paper] [--json <path>] [--obs]
-//! [--trace <dir>]`.
+//! [--shards <k>] [--trace <dir>]`.
 //!
 //! `--trace <dir>` additionally re-runs trial 0 of every scenario with
 //! full tracing and metrics enabled and writes one
@@ -23,38 +23,29 @@
 //! `<dir>/trace_<scenario>.json` — the input format of the
 //! `trace_report` lifecycle audit.
 
-use retri_bench::differential;
 use retri_bench::table::{self, f};
-use retri_bench::EffortLevel;
-
-/// Parses `--trace <dir>` from argv.
-fn trace_dir_from_args() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--trace" {
-            return args.next().map(std::path::PathBuf::from);
-        }
-    }
-    None
-}
+use retri_bench::{differential, Cli};
 
 fn main() {
-    let level = EffortLevel::from_args();
-    retri_bench::obs_from_args();
-    retri_bench::shards_from_args();
+    let cli = Cli::from_env(
+        &["--quick", "--paper", "--json", "--obs", "--shards", "--trace"],
+        "usage: fault_matrix [--quick | --paper] [--json <path>] [--obs] [--shards <k>] [--trace <dir>]",
+    );
+    let level = cli.effort;
+    let shards = cli.shards.unwrap_or(1);
     println!(
         "Differential model check + fault matrix ({} trials x {} s per cell)\n",
         level.trials(),
         level.trial_secs()
     );
-    let report = differential::report(level);
-    if let Some(path) = retri_bench::json_path_from_args() {
-        retri_bench::write_json(&path, &report);
+    let report = differential::report(level, shards);
+    if let Some(path) = &cli.json {
+        retri_bench::write_json(path, &report);
     }
-    if let Some(dir) = trace_dir_from_args() {
-        std::fs::create_dir_all(&dir)
+    if let Some(dir) = &cli.trace {
+        std::fs::create_dir_all(dir)
             .unwrap_or_else(|err| panic!("cannot create {}: {err}", dir.display()));
-        for recording in differential::record_fault_traces(level) {
+        for recording in differential::record_fault_traces(level, shards) {
             let path = dir.join(format!("trace_{}.json", recording.scenario));
             retri_bench::write_json(&path, &recording.to_json_value());
         }

@@ -47,6 +47,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut positional = Vec::new();
     let mut safety: u8 = 0;
+    let mut json = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         if arg == "--safety" {
@@ -55,8 +56,7 @@ fn main() {
                 .and_then(|v| v.parse().ok())
                 .unwrap_or_else(|| usage());
         } else if arg == "--json" {
-            // Parsed by json_path_from_args; skip the pair here.
-            iter.next();
+            json = Some(retri_bench::next_value(&mut iter, arg));
         } else {
             positional.push(arg.clone());
         }
@@ -78,7 +78,7 @@ fn main() {
     let opt = optimal_id_bits(data, t);
     let chosen_bits = (opt.id_bits.get() + safety).min(64);
     let chosen = IdBits::new(chosen_bits).expect("within range");
-    if let Some(path) = retri_bench::json_path_from_args() {
+    if let Some(path) = json {
         let point = ProvisionPoint {
             data_bits,
             density,
@@ -87,7 +87,10 @@ fn main() {
             p_success: p_success(chosen, t),
             efficiency: aff_efficiency(data, chosen, t).get(),
         };
-        retri_bench::write_json(&path, &Provenance::analytic("provision", vec![point]));
+        retri_bench::write_json(
+            std::path::Path::new(path),
+            &Provenance::analytic("provision", vec![point]),
+        );
     }
 
     println!(

@@ -9,7 +9,7 @@
 //! cheapest end-to-end proof of it, which is why CI's `scale-smoke`
 //! job runs it on every push.
 //!
-//! Usage: `scale_smoke [--quick] [--shards N] [--json PATH]`
+//! Usage: `scale_smoke [--quick | --paper] [--shards N] [--json PATH]`
 //!
 //! With `--json`, writes `{schema, seed, effort, shards, digest,
 //! frames_sent, wall_ns_serial, wall_ns_sharded, speedup_x1000}` for
@@ -17,13 +17,17 @@
 
 use std::time::{Duration, Instant};
 
-use retri_bench::EffortLevel;
+use retri_bench::{Cli, EffortLevel};
 use retri_netsim::prelude::*;
 
 fn main() {
-    let level = EffortLevel::from_args();
+    let cli = Cli::from_env(
+        &["--quick", "--paper", "--shards", "--json"],
+        "usage: scale_smoke [--quick | --paper] [--shards N] [--json PATH]",
+    );
+    let level = cli.effort;
     let quick = level == EffortLevel::Quick;
-    let shards = shards_arg().unwrap_or_else(|| {
+    let shards = cli.shards.unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(4)
@@ -59,7 +63,7 @@ fn main() {
         serial.wall, sharded.wall
     );
 
-    if let Some(path) = retri_bench::json_path_from_args() {
+    if let Some(path) = &cli.json {
         use serde_json::Value;
         let doc = Value::Object(vec![
             (
@@ -90,26 +94,8 @@ fn main() {
                 Value::UInt((speedup * 1000.0) as u64),
             ),
         ]);
-        retri_bench::write_json(&path, &doc);
+        retri_bench::write_json(path, &doc);
     }
-}
-
-/// The explicit `--shards N` argument, if present.
-fn shards_arg() -> Option<usize> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--shards" {
-            let value = args.next().expect("--shards needs a value");
-            return Some(
-                value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .expect("--shards must be a positive integer"),
-            );
-        }
-    }
-    None
 }
 
 /// A periodic sender for the 10k-node mesh: each node's phase is

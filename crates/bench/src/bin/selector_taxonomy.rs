@@ -14,21 +14,22 @@
 //! [--obs] [--shards <n>]`.
 
 use retri_bench::table::{self, f};
-use retri_bench::taxonomy;
-use retri_bench::EffortLevel;
+use retri_bench::{taxonomy, Cli};
 
 fn main() {
-    let level = EffortLevel::from_args();
-    retri_bench::obs_from_args();
-    retri_bench::shards_from_args();
+    let cli = Cli::from_env(
+        &["--quick", "--paper", "--json", "--obs", "--shards"],
+        "usage: selector_taxonomy [--quick | --paper] [--json <path>] [--obs] [--shards <k>]",
+    );
+    let level = cli.effort;
     println!(
         "Selector taxonomy ({} trials x {} s per cell, 5 policies x 3 cells)\n",
         level.trials(),
         level.trial_secs()
     );
-    let scorecard = taxonomy::taxonomy_sweep(level);
-    if let Some(path) = retri_bench::json_path_from_args() {
-        retri_bench::write_json(&path, &scorecard);
+    let scorecard = taxonomy::taxonomy_sweep(level, cli.shards.unwrap_or(1));
+    if let Some(path) = &cli.json {
+        retri_bench::write_json(path, &scorecard);
     }
 
     let rows: Vec<Vec<String>> = scorecard

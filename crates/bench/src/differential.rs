@@ -157,7 +157,7 @@ fn exact_framing(id_bits: u8, packet_bytes: usize, max_frame_bytes: usize) -> f6
 ///
 /// Panics if a worker thread panics.
 #[must_use]
-pub fn differential_sweep(level: EffortLevel) -> Provenance<DifferentialCell> {
+pub fn differential_sweep(level: EffortLevel, shards: usize) -> Provenance<DifferentialCell> {
     let cells = sweep_cells();
     let runs = harness::run_cells(
         "differential_model",
@@ -165,6 +165,7 @@ pub fn differential_sweep(level: EffortLevel) -> Provenance<DifferentialCell> {
         &cells,
         |&(_, policy, bits, transmitters, packet_bytes), trial| {
             let mut testbed = Testbed::paper(bits, policy);
+            testbed.shards = shards;
             testbed.transmitters = transmitters;
             testbed.workload.packet_bytes = packet_bytes;
             testbed.workload.stop = SimTime::from_secs(level.trial_secs());
@@ -339,7 +340,7 @@ impl Scenario {
 ///
 /// Panics if a worker thread panics.
 #[must_use]
-pub fn fault_matrix(level: EffortLevel) -> Provenance<FaultScenarioCell> {
+pub fn fault_matrix(level: EffortLevel, shards: usize) -> Provenance<FaultScenarioCell> {
     let cells = [
         Scenario::Clean,
         Scenario::IidBer,
@@ -350,6 +351,7 @@ pub fn fault_matrix(level: EffortLevel) -> Provenance<FaultScenarioCell> {
     ];
     let runs = harness::run_cells("fault_matrix", level, &cells, |&scenario, trial| {
         let mut testbed = Testbed::paper(8, SelectorPolicy::Uniform);
+        testbed.shards = shards;
         testbed.workload.stop = SimTime::from_secs(level.trial_secs());
         testbed.faults = scenario.faults(trial.seed, level.trial_secs());
         testbed.run(trial.seed)
@@ -393,7 +395,7 @@ pub fn fault_matrix(level: EffortLevel) -> Provenance<FaultScenarioCell> {
 ///
 /// Panics if the testbed fails to run.
 #[must_use]
-pub fn record_fault_traces(level: EffortLevel) -> Vec<crate::audit::Recording> {
+pub fn record_fault_traces(level: EffortLevel, shards: usize) -> Vec<crate::audit::Recording> {
     let cells = [
         Scenario::Clean,
         Scenario::IidBer,
@@ -408,6 +410,7 @@ pub fn record_fault_traces(level: EffortLevel) -> Vec<crate::audit::Recording> {
         .map(|(cell_index, &scenario)| {
             let seed = harness::trial_seed("fault_matrix", cell_index, 0);
             let mut testbed = Testbed::paper(8, SelectorPolicy::Uniform);
+            testbed.shards = shards;
             testbed.workload.stop = SimTime::from_secs(level.trial_secs());
             testbed.faults = scenario.faults(seed, level.trial_secs());
             let observed = testbed.run_observed(seed, 1 << 20);
@@ -432,10 +435,10 @@ pub struct FaultMatrixDocument {
 
 /// Runs both halves of the fault-matrix report.
 #[must_use]
-pub fn report(level: EffortLevel) -> FaultMatrixDocument {
+pub fn report(level: EffortLevel, shards: usize) -> FaultMatrixDocument {
     FaultMatrixDocument {
-        differential: differential_sweep(level),
-        faults: fault_matrix(level),
+        differential: differential_sweep(level, shards),
+        faults: fault_matrix(level, shards),
     }
 }
 

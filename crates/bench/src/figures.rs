@@ -174,7 +174,11 @@ pub fn fig4_policies() -> Vec<(&'static str, SelectorPolicy)> {
 ///
 /// Panics if a worker thread panics.
 #[must_use]
-pub fn fig4_series(level: EffortLevel, id_sizes: &[u8]) -> Provenance<CollisionPoint> {
+pub fn fig4_series(
+    level: EffortLevel,
+    shards: usize,
+    id_sizes: &[u8],
+) -> Provenance<CollisionPoint> {
     let density = Density::new(5).expect("five transmitters");
     let mut cells = Vec::new();
     for (name, policy) in fig4_policies() {
@@ -184,6 +188,7 @@ pub fn fig4_series(level: EffortLevel, id_sizes: &[u8]) -> Provenance<CollisionP
     }
     let runs = harness::run_cells("fig4", level, &cells, |&(_, policy, bits), trial| {
         let mut testbed = Testbed::paper(bits, policy);
+        testbed.shards = shards;
         testbed.workload.stop = SimTime::from_secs(level.trial_secs());
         testbed.run(trial.seed).collision_loss_rate
     });
@@ -218,9 +223,12 @@ pub struct MeasuredEfficiencyPoint {
 
 /// Measured end-to-end efficiency: AFF at several widths vs. static
 /// addressing, on the same simulated radios and workload (the
-/// `efficiency_measured` binary).
+/// `efficiency_measured` experiment).
 #[must_use]
-pub fn measured_efficiency(level: EffortLevel) -> Provenance<MeasuredEfficiencyPoint> {
+pub fn measured_efficiency(
+    level: EffortLevel,
+    shards: usize,
+) -> Provenance<MeasuredEfficiencyPoint> {
     /// One scheme under test.
     #[derive(Debug, Clone, Copy)]
     enum Scheme {
@@ -238,6 +246,7 @@ pub fn measured_efficiency(level: EffortLevel) -> Provenance<MeasuredEfficiencyP
             |scheme, trial| match *scheme {
                 Scheme::Aff(bits) => {
                     let mut testbed = Testbed::paper(bits, SelectorPolicy::Uniform);
+                    testbed.shards = shards;
                     testbed.workload.stop = SimTime::from_secs(level.trial_secs());
                     let result = testbed.run(trial.seed);
                     let efficiency =
@@ -246,6 +255,7 @@ pub fn measured_efficiency(level: EffortLevel) -> Provenance<MeasuredEfficiencyP
                 }
                 Scheme::Static(bits) => {
                     let mut testbed = StaticTestbed::paper(bits);
+                    testbed.shards = shards;
                     testbed.workload.stop = SimTime::from_secs(level.trial_secs());
                     (testbed.run(trial.seed).measured_efficiency(), 0.0)
                 }
@@ -313,7 +323,7 @@ mod tests {
 
     #[test]
     fn fig4_quick_run_matches_model_shape() {
-        let provenance = fig4_series(EffortLevel::Quick, &[3, 8]);
+        let provenance = fig4_series(EffortLevel::Quick, 1, &[3, 8]);
         let points: Vec<&CollisionPoint> = provenance.points().collect();
         assert_eq!(points.len(), 4);
         for point in &points {

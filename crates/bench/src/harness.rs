@@ -14,7 +14,7 @@
 //!   the `RETRI_BENCH_WORKERS` environment variable) and hands results
 //!   back grouped by cell **in trial order**, so aggregating with
 //!   [`Summary::of`] is bit-identical to the serial loops it replaced.
-//! - [`Provenance`] is the uniform `--json` document each binary
+//! - [`Provenance`] is the uniform `--json` document each experiment
 //!   emits: experiment name, effort, the seed contract, and one entry
 //!   per cell holding its parameters, its seeds, and its observed and
 //!   predicted values. The document is deliberately byte-deterministic:
@@ -49,9 +49,9 @@ const THROUGHPUT_BOUNDS: [f64; 8] = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
 /// [`run_trials`] sweep records per-trial wall-clock histograms
 /// (`bench_trial_wall_micros{experiment,cell}`), trial counters, and a
 /// sweep-throughput histogram (`bench_trials_per_second{experiment}`)
-/// into a process-wide registry. Off by default — the `--obs` flag in
-/// the experiment binaries calls this, and the disabled path costs one
-/// relaxed atomic load per trial.
+/// into a process-wide registry. Off by default — the `--obs` flag of
+/// the bench binaries ([`crate::Cli::from_env`]) calls this, and the
+/// disabled path costs one relaxed atomic load per trial.
 pub fn enable_run_metrics() {
     *RUN_METRICS.lock().expect("no poisoned lock") = Some(Registry::new());
     RUN_METRICS_ON.store(true, Ordering::SeqCst);
@@ -363,7 +363,7 @@ pub struct ProvenanceCell<Cell> {
     pub cell: Cell,
 }
 
-/// The `--json` provenance document every experiment binary emits: what
+/// The `--json` provenance document every experiment emits: what
 /// ran, at what effort, with which seeds, and what came out.
 ///
 /// The document is fully determined by the experiment's code, the

@@ -2,9 +2,11 @@
 //!
 //! One module per evaluation artifact:
 //!
-//! - [`figures`] — data generation for the paper's Figures 1–4. Each
-//!   `figN_*` function returns plain data; the `src/bin/figN` binaries
-//!   print it as the table the figure plots.
+//! - [`experiments`] — the registry behind the `experiments` binary
+//!   and the golden test: one entry per provenance document, returning
+//!   the document's JSON and the table it prints.
+//! - [`figures`] — data generation for the paper's Figures 1–4, which
+//!   the registry prints as the tables the figures plot.
 //! - [`ablations`] — the design-choice studies listed in DESIGN.md:
 //!   listening-window size, hidden terminals, non-uniform transaction
 //!   lengths, dynamic-allocation churn overhead, and density scaling.
@@ -13,7 +15,7 @@
 //!   scenario matrix behind the `fault_matrix` binary.
 //! - [`harness`] — the deterministic parallel trial executor, the
 //!   single seed-derivation function ([`harness::trial_seed`]), and the
-//!   `--json` provenance document every binary emits.
+//!   provenance document every experiment emits.
 //! - [`table`] — plain-text table formatting shared by the binaries.
 //! - [`taxonomy`] — the selector-taxonomy scorecard behind the
 //!   `selector_taxonomy` binary: every identifier-selection family
@@ -22,7 +24,8 @@
 //!
 //! Every experiment takes an [`EffortLevel`] so the same code serves
 //! quick CI smoke runs, the standard reproduction, and the paper's full
-//! parameters (ten 2-minute trials per point).
+//! parameters (ten 2-minute trials per point), and a shard count that
+//! changes wall-clock only. [`Cli`] parses both for every binary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,6 +33,7 @@
 pub mod ablations;
 pub mod audit;
 pub mod differential;
+pub mod experiments;
 pub mod figures;
 pub mod harness;
 pub mod table;
@@ -77,114 +81,128 @@ impl EffortLevel {
             EffortLevel::Paper => "paper",
         }
     }
+}
 
-    /// Parses `--quick` / `--paper` from argv; anything else is the
-    /// standard effort.
+/// The command line of a bench binary.
+///
+/// One parser serves every binary: each passes the flags it accepts,
+/// and an argument outside that list — a typo such as `--quik` — fails
+/// the run instead of silently selecting the standard effort.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Cli {
+    /// `--quick` / `--paper`; [`EffortLevel::Standard`] without either.
+    pub effort: EffortLevel,
+    /// `--obs`: embed a run-metrics snapshot in every provenance
+    /// document ([`harness::enable_run_metrics`]).
+    pub obs: bool,
+    /// `--shards <k>`: spatial shards per simulation. Output is
+    /// invariant in it; it only trades threads for wall-clock.
+    pub shards: Option<usize>,
+    /// `--json <path>`: where to write the provenance.
+    pub json: Option<std::path::PathBuf>,
+    /// `--trace <dir>`: where to write trace recordings.
+    pub trace: Option<std::path::PathBuf>,
+    /// `--only <name>`: the single experiment to run.
+    pub only: Option<String>,
+}
+
+impl Cli {
+    /// Parses `args` (the arguments after the program name), accepting
+    /// only the flags in `accepts`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `usage` appended on an argument outside `accepts`,
+    /// with `<flag> needs a value` when a value-taking flag has none
+    /// ([`next_value`]), and when `--shards` is not a positive integer.
     #[must_use]
-    pub fn from_args() -> Self {
-        let mut level = EffortLevel::Standard;
-        for arg in std::env::args().skip(1) {
-            match arg.as_str() {
-                "--quick" => level = EffortLevel::Quick,
-                "--paper" => level = EffortLevel::Paper,
-                _ => {}
+    pub fn parse(args: &[String], accepts: &[&str], usage: &str) -> Self {
+        let mut cli = Cli {
+            effort: EffortLevel::Standard,
+            obs: false,
+            shards: None,
+            json: None,
+            trace: None,
+            only: None,
+        };
+        let mut iter = args.iter();
+        while let Some(arg) = iter.next() {
+            let arg = arg.as_str();
+            assert!(accepts.contains(&arg), "unknown argument `{arg}`\n{usage}");
+            match arg {
+                "--quick" => cli.effort = EffortLevel::Quick,
+                "--paper" => cli.effort = EffortLevel::Paper,
+                "--obs" => cli.obs = true,
+                "--shards" => {
+                    let value = next_value(&mut iter, arg);
+                    let shards = value.parse::<usize>().ok().filter(|&n| n >= 1);
+                    cli.shards = Some(shards.unwrap_or_else(|| {
+                        panic!("--shards must be a positive integer, not `{value}`")
+                    }));
+                }
+                "--json" => cli.json = Some(next_value(&mut iter, arg).into()),
+                "--trace" => cli.trace = Some(next_value(&mut iter, arg).into()),
+                "--only" => cli.only = Some(next_value(&mut iter, arg).to_string()),
+                _ => panic!("unknown argument `{arg}`\n{usage}"),
             }
         }
-        level
+        cli
     }
-}
 
-/// Parses `--obs` from argv and, when present, enables the process-wide
-/// run-metrics registry ([`harness::enable_run_metrics`]): every sweep
-/// then records per-trial wall-clock and throughput histograms, and
-/// each provenance document embeds its own metrics snapshot under an
-/// `"obs"` key. Without the flag this is a no-op and the emitted JSON
-/// is byte-identical to an un-instrumented build.
-pub fn obs_from_args() -> bool {
-    let on = std::env::args().skip(1).any(|arg| arg == "--obs");
-    if on {
-        harness::enable_run_metrics();
-    }
-    on
-}
-
-/// Parses `--shards <n>` from argv (falling back to the
-/// `RETRI_BENCH_SHARDS` environment variable, then to 1) and installs
-/// it as the process-wide default shard count for every
-/// [`retri_aff::Testbed`] built afterwards. Trial output is invariant
-/// in the shard count — the sharded engine's event stream is
-/// shard-count-independent by construction — so this flag only trades
-/// threads for wall-clock.
-///
-/// # Panics
-///
-/// Panics if `--shards` is present without a positive integer value.
-pub fn shards_from_args() -> usize {
-    let mut shards = std::env::var("RETRI_BENCH_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1);
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--shards" {
-            let value = args.next().expect("--shards needs a value");
-            shards = Some(
-                value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .expect("--shards must be a positive integer"),
-            );
+    /// [`Cli::parse`] over the process's own arguments. With `--obs` it
+    /// also enables the process-wide run-metrics registry
+    /// ([`harness::enable_run_metrics`]); without it the emitted JSON is
+    /// byte-identical to an un-instrumented build.
+    ///
+    /// # Panics
+    ///
+    /// As [`Cli::parse`].
+    #[must_use]
+    pub fn from_env(accepts: &[&str], usage: &str) -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let cli = Cli::parse(&args, accepts, usage);
+        if cli.obs {
+            harness::enable_run_metrics();
         }
+        cli
     }
-    let shards = shards.unwrap_or(1);
-    retri_aff::set_default_shards(shards);
-    shards
 }
 
-/// Parses `--json <path>` from argv: where to additionally write the
-/// experiment's data as JSON for plotting pipelines.
+/// The value of `flag`: the next argument from `args`.
 ///
 /// # Panics
 ///
-/// Panics if `--json` is present without a value.
-#[must_use]
-pub fn json_path_from_args() -> Option<std::path::PathBuf> {
-    json_path_from(std::env::args().skip(1))
+/// Panics with `<flag> needs a value` if `args` is exhausted or the next
+/// argument is itself a flag: a flag that asks for a file and silently
+/// writes none would hide a broken pipeline.
+pub fn next_value<'a>(args: &mut impl Iterator<Item = &'a String>, flag: &str) -> &'a str {
+    match args.next() {
+        Some(value) if !value.starts_with("--") => value,
+        _ => panic!("{flag} needs a value"),
+    }
 }
 
-/// Pure resolution of the `--json` path from an argument list. Split
-/// from [`json_path_from_args`] so the parsing is unit testable without
-/// the process's own argv.
+/// Serializes `data` as pretty JSON to `path` ([`write_file`]).
 ///
 /// # Panics
 ///
-/// Panics if `--json` is the last argument: a flag that asks for a file
-/// and silently writes none would hide a broken pipeline.
-#[must_use]
-fn json_path_from<I: IntoIterator<Item = String>>(args: I) -> Option<std::path::PathBuf> {
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
-        if arg == "--json" {
-            let value = args.next().expect("--json needs a value");
-            return Some(std::path::PathBuf::from(value));
-        }
-    }
-    None
+/// Panics if `data` cannot be serialized or the file cannot be written.
+pub fn write_json<T: serde::Serialize>(path: &std::path::Path, data: &T) {
+    let text = serde_json::to_string_pretty(data)
+        .unwrap_or_else(|err| panic!("cannot serialize to {}: {err}", path.display()));
+    write_file(path, &text);
 }
 
-/// Serializes `data` as pretty JSON to `path`, reporting success on
-/// stderr so it does not pollute the table output.
+/// Writes `text` to `path`, reporting success on stderr so it does not
+/// pollute the table output.
 ///
 /// # Panics
 ///
 /// Panics if the file cannot be written — a misspelled `--json` path
 /// should fail loudly, not silently drop the data.
-pub fn write_json<T: serde::Serialize>(path: &std::path::Path, data: &T) {
-    let file = std::fs::File::create(path)
-        .unwrap_or_else(|err| panic!("cannot create {}: {err}", path.display()));
-    serde_json::to_writer_pretty(file, data)
-        .unwrap_or_else(|err| panic!("cannot serialize to {}: {err}", path.display()));
+pub fn write_file(path: &std::path::Path, text: &str) {
+    std::fs::write(path, text)
+        .unwrap_or_else(|err| panic!("cannot write {}: {err}", path.display()));
     eprintln!("wrote {}", path.display());
 }
 
@@ -204,22 +222,83 @@ mod tests {
         list.iter().map(|s| (*s).to_string()).collect()
     }
 
+    const ALL: [&str; 7] = [
+        "--quick", "--paper", "--obs", "--shards", "--json", "--trace", "--only",
+    ];
+
+    fn parse(list: &[&str]) -> Cli {
+        Cli::parse(&args(list), &ALL, "usage: test")
+    }
+
+    #[test]
+    fn no_arguments_is_the_standard_effort_and_nothing_else() {
+        assert_eq!(
+            parse(&[]),
+            Cli {
+                effort: EffortLevel::Standard,
+                obs: false,
+                shards: None,
+                json: None,
+                trace: None,
+                only: None,
+            }
+        );
+    }
+
+    #[test]
+    fn every_flag_is_read() {
+        let cli = parse(&[
+            "--quick", "--obs", "--shards", "4", "--json", "out", "--trace", "t", "--only", "fig1",
+        ]);
+        assert_eq!(cli.effort, EffortLevel::Quick);
+        assert!(cli.obs);
+        assert_eq!(cli.shards, Some(4));
+        assert_eq!(cli.json, Some(std::path::PathBuf::from("out")));
+        assert_eq!(cli.trace, Some(std::path::PathBuf::from("t")));
+        assert_eq!(cli.only.as_deref(), Some("fig1"));
+        assert_eq!(parse(&["--paper"]).effort, EffortLevel::Paper);
+    }
+
     #[test]
     fn json_path_reads_the_value_after_the_flag() {
         assert_eq!(
-            json_path_from(args(&["--quick", "--json", "out.json"])),
+            parse(&["--quick", "--json", "out.json"]).json,
             Some(std::path::PathBuf::from("out.json"))
         );
     }
 
     #[test]
     fn json_path_is_none_without_the_flag() {
-        assert_eq!(json_path_from(args(&["--quick", "--shards", "4"])), None);
+        assert_eq!(parse(&["--quick", "--shards", "4"]).json, None);
     }
 
     #[test]
     #[should_panic(expected = "--json needs a value")]
     fn json_flag_without_a_value_panics() {
-        let _ = json_path_from(args(&["--quick", "--json"]));
+        let _ = parse(&["--quick", "--json"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--trace needs a value")]
+    fn trace_flag_without_a_value_panics() {
+        let _ = parse(&["--quick", "--trace"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--json needs a value")]
+    fn a_flag_in_value_position_is_not_read_as_a_value() {
+        let _ = parse(&["--json", "--trace", "t"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--shards must be a positive integer, not `0`")]
+    fn zero_shards_are_rejected() {
+        let _ = parse(&["--shards", "0"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown argument `--quik`\nusage: test")]
+    fn a_misspelt_flag_is_rejected_not_read_as_standard_effort() {
+        let _ = parse(&["--quik"]);
     }
 }

@@ -255,7 +255,7 @@ pub fn select_cost_ns(name: &str) -> f64 {
 ///
 /// Panics if a worker thread panics.
 #[must_use]
-pub fn taxonomy_sweep(level: EffortLevel) -> Provenance<SelectorScore> {
+pub fn taxonomy_sweep(level: EffortLevel, shards: usize) -> Provenance<SelectorScore> {
     // Cells are policy-major: [p0×3 kinds, p1×3 kinds, ...].
     let policies = policies();
     let cells: Vec<(&'static str, SelectorPolicy, CellKind)> = policies
@@ -272,6 +272,7 @@ pub fn taxonomy_sweep(level: EffortLevel) -> Provenance<SelectorScore> {
                 _ => SECURITY_BITS,
             };
             let mut testbed = Testbed::paper(bits, policy);
+            testbed.shards = shards;
             testbed.workload.stop = SimTime::from_secs(level.trial_secs());
             // Same rationale as the differential sweep: the default
             // 300 ms reassembly TTL evicts *live* buffers under load,

@@ -19,7 +19,7 @@ use retri_bench::EffortLevel;
 fn sweep() -> &'static [DifferentialCell] {
     static SWEEP: OnceLock<Vec<DifferentialCell>> = OnceLock::new();
     SWEEP.get_or_init(|| {
-        differential::differential_sweep(EffortLevel::Quick)
+        differential::differential_sweep(EffortLevel::Quick, 1)
             .points()
             .cloned()
             .collect()
@@ -29,7 +29,7 @@ fn sweep() -> &'static [DifferentialCell] {
 fn matrix() -> &'static [FaultScenarioCell] {
     static MATRIX: OnceLock<Vec<FaultScenarioCell>> = OnceLock::new();
     MATRIX.get_or_init(|| {
-        differential::fault_matrix(EffortLevel::Quick)
+        differential::fault_matrix(EffortLevel::Quick, 1)
             .points()
             .cloned()
             .collect()

@@ -1,20 +1,18 @@
 //! Byte-identity regression against the golden quick-provenance
-//! capture: with observability *disabled* (the default), the library
-//! functions must serialize exactly the JSON committed under
-//! `tests/golden/quick-provenance/` — proving the obs subsystem's
-//! disabled path changes nothing, not even serialization.
+//! capture: with observability *disabled* (the default), every entry of
+//! the experiment registry must serialize exactly the JSON committed
+//! under `tests/golden/quick-provenance/`, on one shard and on four —
+//! proving the obs subsystem's disabled path changes nothing, not even
+//! serialization, and that the sharded engine perturbs no document.
 //!
 //! This file deliberately never calls
 //! `retri_bench::harness::enable_run_metrics()`; the flag is
 //! process-global, and keeping these tests in their own integration
-//! binary guarantees no other test can flip it under us. CI
-//! complements this with the exhaustive check: it re-runs
-//! `all_experiments --quick --json` and `diff -r`s the whole
-//! directory against the golden capture.
+//! binary guarantees no other test can flip it under us.
 
 use retri_aff::{SelectorPolicy, Testbed};
-use retri_bench::harness::Provenance;
-use retri_bench::{ablations, figures, EffortLevel};
+use retri_bench::experiments::{self, EXPERIMENTS};
+use retri_bench::EffortLevel;
 
 fn golden(name: &str) -> String {
     let path = format!(
@@ -24,22 +22,52 @@ fn golden(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|err| panic!("cannot read {path}: {err}"))
 }
 
+/// Runs the registered experiment `name` at quick effort on `shards`
+/// shards and asserts its document matches the golden file.
+fn assert_golden(name: &str, shards: usize) {
+    let experiment = experiments::find(name).expect("registered experiment");
+    let document = (experiment.run)(EffortLevel::Quick, shards).json;
+    assert!(
+        !document.contains("\"obs\""),
+        "run metrics must be off by default"
+    );
+    assert!(
+        document == golden(name),
+        "{name} provenance on {shards} shard(s) drifted from the golden capture"
+    );
+}
+
 #[test]
 fn analytic_fig1_is_byte_identical_to_golden() {
-    // Replicates the fig1 binary's document construction exactly.
-    let rows = figures::efficiency_vs_width(16, &[16, 256, 65536], &[16, 32], 32);
-    let document = Provenance::analytic("fig1", rows);
-    assert_eq!(
-        serde_json::to_string_pretty(&document).unwrap(),
-        golden("fig1"),
-        "fig1 provenance drifted from the golden capture"
-    );
+    assert_golden("fig1", 1);
+}
+
+#[test]
+fn simulated_ablation_lengths_is_byte_identical_to_golden() {
+    // A full simulated sweep through the parallel harness: seeds,
+    // trial results, and serialization must all reproduce the capture
+    // with observability off.
+    assert_golden("ablation_lengths", 1);
+}
+
+#[test]
+fn every_document_is_byte_identical_to_golden_on_one_shard() {
+    for experiment in &EXPERIMENTS {
+        assert_golden(experiment.name, 1);
+    }
+}
+
+#[test]
+fn every_document_is_byte_identical_to_golden_on_four_shards() {
+    for experiment in &EXPERIMENTS {
+        assert_golden(experiment.name, 4);
+    }
 }
 
 #[test]
 fn golden_sweeps_run_with_the_adversary_disabled() {
     // The golden capture predates the adversary subsystem and the
-    // structured selector families. Both byte-identity tests in this
+    // structured selector families. The byte-identity tests in this
     // file re-verify the capture *with the new code compiled in*, so
     // they prove the additions are inert when unused — but only
     // because the defaults keep them unused. Pin those defaults: a
@@ -55,53 +83,25 @@ fn golden_sweeps_run_with_the_adversary_disabled() {
 
 #[test]
 fn the_golden_capture_is_untouched() {
-    // The byte-identity tests cover two representative documents; this
-    // pins the capture's *shape* so a new experiment can't silently
-    // overwrite or drop a golden artifact without updating this list.
+    // The capture holds exactly one document per registered experiment:
+    // a new experiment cannot ship without its golden file, and a
+    // golden file cannot outlive its experiment.
     let dir = format!("{}/golden/quick-provenance", env!("CARGO_MANIFEST_DIR"));
-    let mut names: Vec<String> = std::fs::read_dir(&dir)
+    let mut stems: Vec<String> = std::fs::read_dir(&dir)
         .unwrap_or_else(|err| panic!("cannot read {dir}: {err}"))
         .map(|entry| {
-            entry
+            let name = entry
                 .expect("readable entry")
                 .file_name()
                 .into_string()
-                .expect("utf-8")
+                .expect("utf-8");
+            name.strip_suffix(".json")
+                .unwrap_or_else(|| panic!("{name} is not a JSON document"))
+                .to_string()
         })
         .collect();
-    names.sort();
-    assert_eq!(
-        names,
-        [
-            "ablation_density.json",
-            "ablation_duty_cycle.json",
-            "ablation_dynamic_addr.json",
-            "ablation_energy.json",
-            "ablation_hidden.json",
-            "ablation_lengths.json",
-            "ablation_listening.json",
-            "ablation_mac.json",
-            "ablation_notification.json",
-            "ablation_scaling.json",
-            "efficiency_measured.json",
-            "fig1.json",
-            "fig2.json",
-            "fig3.json",
-            "fig4.json",
-        ]
-    );
-}
-
-#[test]
-fn simulated_ablation_lengths_is_byte_identical_to_golden() {
-    // A full simulated sweep through the parallel harness: seeds,
-    // trial results, and serialization must all reproduce the capture
-    // with observability off.
-    let document = ablations::mixed_lengths(EffortLevel::Quick);
-    assert!(document.obs.is_none(), "run metrics must be off by default");
-    assert_eq!(
-        serde_json::to_string_pretty(&document).unwrap(),
-        golden("ablation_lengths"),
-        "ablation_lengths provenance drifted from the golden capture"
-    );
+    stems.sort();
+    let mut names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    names.sort_unstable();
+    assert_eq!(stems, names);
 }

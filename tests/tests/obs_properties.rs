@@ -115,9 +115,9 @@ fn observation_never_perturbs_results() {
         "tracing+metrics changed a trial"
     );
 
-    let baseline = ablations::mixed_lengths(EffortLevel::Quick);
+    let baseline = ablations::mixed_lengths(EffortLevel::Quick, 1);
     harness::enable_run_metrics();
-    let instrumented = ablations::mixed_lengths(EffortLevel::Quick);
+    let instrumented = ablations::mixed_lengths(EffortLevel::Quick, 1);
     assert_eq!(
         baseline.cells, instrumented.cells,
         "run metrics changed a sweep's results"
@@ -137,7 +137,7 @@ fn observation_never_perturbs_results() {
 /// after a JSON round-trip through the recording format.
 #[test]
 fn fault_matrix_recordings_audit_clean() {
-    let recordings = differential::record_fault_traces(EffortLevel::Quick);
+    let recordings = differential::record_fault_traces(EffortLevel::Quick, 1);
     assert_eq!(recordings.len(), 6);
     let mut scenarios: Vec<&str> = Vec::new();
     for recording in &recordings {

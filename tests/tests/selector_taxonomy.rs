@@ -19,7 +19,7 @@ use retri_netsim::adversary::adversary_stream_seed;
 fn scorecard() -> &'static [SelectorScore] {
     static SCORECARD: OnceLock<Vec<SelectorScore>> = OnceLock::new();
     SCORECARD.get_or_init(|| {
-        taxonomy::taxonomy_sweep(EffortLevel::Quick)
+        taxonomy::taxonomy_sweep(EffortLevel::Quick, 1)
             .points()
             .cloned()
             .collect()

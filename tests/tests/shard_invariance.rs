@@ -5,16 +5,11 @@
 //! RNG streams and deterministic barrier merges make the partitioning
 //! invisible. These tests pin that contract at three levels: the raw
 //! trace-event stream, a full AFF testbed trial, and the serialized
-//! provenance JSON the experiment binaries emit (which must also still
+//! provenance JSON the experiment registry emits (which must also still
 //! match the committed golden capture when run on four shards).
-//!
-//! The provenance test mutates the process-global default shard count
-//! (`retri_aff::set_default_shards`), so everything that touches the
-//! global lives in one `#[test]` function; the other tests set the
-//! testbed's `shards` field or the builder knob directly.
 
 use retri_aff::{SelectorPolicy, Testbed};
-use retri_bench::{ablations, EffortLevel};
+use retri_bench::{experiments, EffortLevel};
 use retri_netsim::prelude::*;
 use retri_netsim::trace::TraceEvent;
 
@@ -136,13 +131,11 @@ fn provenance_json_bytes_are_identical_across_shard_counts() {
     // four shards: the serialized provenance must agree byte for byte,
     // and both must still match the committed golden file — the sharded
     // engine may not perturb the recorded experiment artifacts.
-    retri_aff::set_default_shards(1);
-    let serial = serde_json::to_string_pretty(&ablations::mixed_lengths(EffortLevel::Quick))
-        .expect("serializes");
-    retri_aff::set_default_shards(4);
-    let sharded = serde_json::to_string_pretty(&ablations::mixed_lengths(EffortLevel::Quick))
-        .expect("serializes");
-    retri_aff::set_default_shards(1);
+    let run = experiments::find("ablation_lengths")
+        .expect("registered experiment")
+        .run;
+    let serial = run(EffortLevel::Quick, 1).json;
+    let sharded = run(EffortLevel::Quick, 4).json;
     assert_eq!(serial, sharded, "provenance JSON diverged across shards");
 
     let golden_path = format!(
