@@ -77,26 +77,46 @@ impl BitWriter {
             width == 64 || value >> width == 0,
             "value {value:#x} does not fit in {width} bits"
         );
-        for i in (0..width).rev() {
-            let bit = (value >> i) & 1;
-            let bit_index = self.bits % 8;
-            if bit_index == 0 {
-                self.bytes.push(0);
-            }
-            if bit == 1 {
-                let last = self.bytes.last_mut().expect("pushed above");
-                *last |= 1 << (7 - bit_index);
-            }
-            self.bits += 1;
+        // `left` counts the bits of `value` still to go; they are always
+        // its low `left` bits. Top up the partial last byte, then move
+        // whole bytes, then start a new byte with the tail.
+        let mut left = width;
+        let used = self.bits % 8;
+        if used != 0 {
+            let free = 8 - used;
+            let take = free.min(left);
+            left -= take;
+            let chunk = (value >> left) as u8;
+            let last = self.bytes.last_mut().expect("a partial byte exists");
+            *last |= chunk << (free - take);
         }
+        while left >= 8 {
+            left -= 8;
+            self.bytes.push((value >> left) as u8);
+        }
+        if left > 0 {
+            self.bytes.push((value << (8 - left)) as u8);
+        }
+        self.bits += width;
     }
 
     /// Appends whole bytes (a convenience for byte-aligned payloads; the
     /// stream need not be aligned).
     pub fn write_bytes(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.write_bits(u64::from(byte), 8);
+        let shift = self.bits % 8;
+        if shift == 0 {
+            self.bytes.extend_from_slice(bytes);
+        } else {
+            // Each byte straddles two buffer bytes: its high part fills
+            // the partial last byte, its low part starts the next one.
+            self.bytes.reserve(bytes.len());
+            for &byte in bytes {
+                let last = self.bytes.last_mut().expect("a partial byte exists");
+                *last |= byte >> shift;
+                self.bytes.push(byte << (8 - shift));
+            }
         }
+        self.bits += bytes.len() as u32 * 8;
     }
 
     /// Finishes the stream, returning the packed buffer and its exact
@@ -159,13 +179,24 @@ impl<'a> BitReader<'a> {
                 available: self.remaining(),
             });
         }
-        let mut value = 0u64;
-        for _ in 0..width {
-            let byte = self.bytes[(self.cursor / 8) as usize];
-            let bit = (byte >> (7 - (self.cursor % 8))) & 1;
-            value = (value << 1) | u64::from(bit);
-            self.cursor += 1;
+        // The first byte may be entered mid-way and the last left
+        // mid-way; every byte between is taken whole.
+        let mut index = (self.cursor / 8) as usize;
+        let offset = (self.cursor % 8) as u32;
+        let head = (8 - offset).min(width);
+        let byte = u64::from(self.bytes[index] << offset);
+        let mut value = byte >> (8 - head);
+        index += 1;
+        let mut left = width - head;
+        while left >= 8 {
+            value = (value << 8) | u64::from(self.bytes[index]);
+            index += 1;
+            left -= 8;
         }
+        if left > 0 {
+            value = (value << left) | u64::from(self.bytes[index] >> (8 - left));
+        }
+        self.cursor += u64::from(width);
         Ok(value)
     }
 
@@ -174,12 +205,30 @@ impl<'a> BitReader<'a> {
     /// # Errors
     ///
     /// Returns [`ReadPastEndError`] if fewer than `8 * len` bits remain.
+    /// The whole bytes that do remain are consumed first, so the error
+    /// reports the final partial byte: `wanted` 8, `available` < 8.
     pub fn read_bytes(&mut self, len: usize) -> Result<Vec<u8>, ReadPastEndError> {
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.read_bits(8)? as u8);
+        let whole = self.remaining() / 8;
+        if len as u64 > whole {
+            self.cursor += whole * 8;
+            return Err(ReadPastEndError {
+                wanted: 8,
+                available: self.remaining(),
+            });
         }
-        Ok(out)
+        let start = (self.cursor / 8) as usize;
+        let shift = (self.cursor % 8) as u32;
+        self.cursor += len as u64 * 8;
+        if shift == 0 {
+            return Ok(self.bytes[start..start + len].to_vec());
+        }
+        // Each output byte is the low part of one buffer byte followed by
+        // the high part of the next; the next byte exists because the
+        // stream's valid bits reach into it.
+        Ok(self.bytes[start..=start + len]
+            .windows(2)
+            .map(|pair| (pair[0] << shift) | (pair[1] >> (8 - shift)))
+            .collect())
     }
 }
 

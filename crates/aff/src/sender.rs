@@ -256,7 +256,7 @@ impl AffSender {
         ctx.rng().fill_bytes(&mut packet);
         let now_micros = ctx.now().as_micros();
         let id = self.selector.select(ctx.rng(), now_micros);
-        self.transmit(ctx, packet.clone(), id);
+        self.transmit(ctx, &packet, id);
         self.stats.packets_sent += 1;
         self.stats.data_bits_sent += packet.len() as u64 * 8;
         if self.fragmenter.wire().notifications_enabled() {
@@ -272,14 +272,14 @@ impl AffSender {
         self.packet_seq = self.packet_seq.wrapping_add(1);
     }
 
-    fn transmit(&mut self, ctx: &mut Context<'_>, packet: Vec<u8>, id: TransactionId) {
+    fn transmit(&mut self, ctx: &mut Context<'_>, packet: &[u8], id: TransactionId) {
         let truth = self.truth_source.map(|source| Truth {
             source,
             packet_seq: self.packet_seq,
         });
         let payloads = self
             .fragmenter
-            .fragment(&packet, id, truth)
+            .fragment(packet, id, truth)
             .expect("workload packet size validated at construction");
         for payload in payloads {
             ctx.send(payload)
@@ -305,7 +305,7 @@ impl AffSender {
         let packet = self.history[index].packet.clone();
         let fresh = self.selector.select(ctx.rng(), now_micros);
         self.history[index].id = fresh;
-        self.transmit(ctx, packet, fresh);
+        self.transmit(ctx, &packet, fresh);
         self.stats.retransmissions += 1;
     }
 }

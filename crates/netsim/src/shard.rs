@@ -73,7 +73,7 @@
 //! per-shard halves run in a `for` loop or on parked worker threads.
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering as AtomicOrdering};
 use std::sync::{Barrier, Mutex, PoisonError, RwLock};
@@ -85,6 +85,7 @@ use retri_obs::Obs;
 use crate::energy::EnergyMeter;
 use crate::fault::{ChurnEvent, FaultModel};
 use crate::frame::{Frame, FramePayload};
+use crate::hash::{FixedMap, FixedSet};
 use crate::mac::{DfaConfig, DfaStats, FrameSizing, MacConfig};
 use crate::node::{Command, Context, NodeId, Protocol, Timer, TimerHandle};
 use crate::obs::NetsimObs;
@@ -387,7 +388,7 @@ struct AirView {
     /// Retained records in seq order; `records[i]` has `base_seq + i`.
     records: VecDeque<AirRecord>,
     base_seq: u64,
-    cells: HashMap<(i64, i64), AirCell>,
+    cells: FixedMap<(i64, i64), AirCell>,
     /// Per-sender record sequence numbers, indexed by node.
     by_node: Vec<VecDeque<u64>>,
     /// Records still on the air, summed over every cell.
@@ -409,7 +410,7 @@ impl AirView {
             cell_size,
             records: VecDeque::new(),
             base_seq: 0,
-            cells: HashMap::new(),
+            cells: FixedMap::default(),
             by_node: Vec::new(),
             on_air: 0,
         }
@@ -640,7 +641,7 @@ struct LocalNode<P> {
     /// Gilbert–Elliott state for this receiver (`true` = bad).
     fault_bad: bool,
     next_timer_handle: u64,
-    cancelled: HashSet<TimerHandle>,
+    cancelled: FixedSet<TimerHandle>,
     /// Orders this node's MAC-phase events.
     mac_seq: u64,
     /// Counts this node's transmissions.
@@ -672,7 +673,7 @@ impl<P> LocalNode<P> {
             fault_rng: StdRng::seed_from_u64(node_stream_seed(seed, "netsim.shard.fault", id)),
             fault_bad: false,
             next_timer_handle: 0,
-            cancelled: HashSet::new(),
+            cancelled: FixedSet::default(),
             mac_seq: 0,
             tx_count: 0,
             assigned: VecDeque::new(),
@@ -749,7 +750,7 @@ struct ShardCore<P> {
     /// transmissions this shard may have to deliver — refcounted by how
     /// many owned nodes contribute each cell, so a move patches the set
     /// with a ±1-ring delta instead of a full rebuild.
-    interest: HashMap<(i64, i64), u32>,
+    interest: FixedMap<(i64, i64), u32>,
     /// Windows this shard fast-forwarded through without dispatching a
     /// single event (no queued MAC work, no pending receive events).
     windows_skipped: u64,
@@ -775,7 +776,7 @@ impl<P: Protocol> ShardCore<P> {
             trace_buf: Vec::new(),
             commands: Vec::new(),
             receiver_scratch: Vec::new(),
-            interest: HashMap::new(),
+            interest: FixedMap::default(),
             windows_skipped: 0,
             mac_was_idle: true,
         }
@@ -1618,6 +1619,7 @@ impl ShardedSimBuilder {
             obs: None,
             trace_main: Vec::new(),
             merge_scratch: Vec::new(),
+            cursor_scratch: BinaryHeap::new(),
             force_serial: false,
             force_threads: false,
             placement_dirty: false,
@@ -1685,6 +1687,9 @@ pub struct ShardedSim<P> {
     obs: Option<NetsimObs>,
     trace_main: Vec<(TraceKey, TraceEvent)>,
     merge_scratch: Vec<PendingTx>,
+    /// The CSMA MAC phase's merge cursors, kept between windows so the
+    /// steady state allocates nothing.
+    cursor_scratch: BinaryHeap<MergeCursor>,
     force_serial: bool,
     force_threads: bool,
     /// Whether node placement may be stale (nodes added or dynamics
@@ -2049,7 +2054,7 @@ impl<P: Protocol> ShardedSim<P> {
         // number and re-broadcast below so the new owner of every
         // receiver sees them. (The next barrier routes fresh ones by
         // the new interest sets.)
-        let mut pending_delivers: HashMap<u64, (SimTime, NodeId)> = HashMap::new();
+        let mut pending_delivers: FixedMap<u64, (SimTime, NodeId)> = FixedMap::default();
         for core in &mut self.cores {
             for node in core.nodes.drain(..) {
                 let index = node.id.index();
@@ -2259,19 +2264,21 @@ type MergeCursor = Reverse<((SimTime, u8, u64, u64), usize)>;
 /// merge in global event order, so carrier sense observes every earlier
 /// transmission start (zero lookahead).
 ///
-/// The merge keeps one cursor per shard in a min-heap. `dispatch_mac`
+/// The merge keeps one cursor per shard in a min-heap, the caller's
+/// scratch heap `cursors`, which every window reuses. `dispatch_mac`
 /// only ever pushes follow-up events onto the shard it ran on, so after
 /// each pop only that one cursor needs refreshing — O(log K) per event
 /// instead of an O(K) peek scan.
 fn csma_mac_phase<P: Protocol>(
     cores: &mut [&mut ShardCore<P>],
     air: &mut AirView,
+    cursors: &mut BinaryHeap<MergeCursor>,
     next_seq: &mut u64,
     ctx: &EngineCtx<'_>,
     t_end: SimTime,
     obs: Option<&NetsimObs>,
 ) {
-    let mut cursors: BinaryHeap<MergeCursor> = BinaryHeap::with_capacity(cores.len());
+    cursors.clear();
     for (i, core) in cores.iter_mut().enumerate() {
         core.mac_was_idle = true;
         if let Some(ev) = core.mac_heap.peek() {
@@ -2491,6 +2498,7 @@ struct Conductor<'a> {
     frames_sent: &'a mut u64,
     trace_main: &'a mut Vec<(TraceKey, TraceEvent)>,
     merge: &'a mut Vec<PendingTx>,
+    cursors: &'a mut BinaryHeap<MergeCursor>,
     obs: Option<&'a mut NetsimObs>,
     windows_executed: &'a mut u64,
 }
@@ -2519,7 +2527,15 @@ impl Conductor<'_> {
             }
             if ctx.mac.carrier_sense {
                 crew.exclusive(|cores, air| {
-                    csma_mac_phase(cores, air, self.next_seq, ctx, t_end, self.obs.as_deref());
+                    csma_mac_phase(
+                        cores,
+                        air,
+                        self.cursors,
+                        self.next_seq,
+                        ctx,
+                        t_end,
+                        self.obs.as_deref(),
+                    );
                 });
             } else {
                 crew.mac_phase(t_end, self.obs.as_deref());
@@ -2781,6 +2797,7 @@ impl<P: Protocol + Send> ShardedSim<P> {
             frames_sent,
             trace_main,
             merge_scratch,
+            cursor_scratch,
             obs,
             tracer,
             owner,
@@ -2810,6 +2827,7 @@ impl<P: Protocol + Send> ShardedSim<P> {
             frames_sent,
             trace_main,
             merge: merge_scratch,
+            cursors: cursor_scratch,
             obs: obs.as_mut(),
             windows_executed,
         };
@@ -3696,7 +3714,7 @@ mod tests {
 
     #[test]
     fn node_streams_are_distinct_per_label_and_node() {
-        let mut seen = HashSet::new();
+        let mut seen = FixedSet::default();
         for label in [
             "netsim.shard.mac",
             "netsim.shard.proto",

@@ -29,8 +29,8 @@
 //! still in range, matching [`Position::distance_to`]` <= range`.
 
 use core::fmt;
-use std::collections::HashMap;
 
+use crate::hash::FixedMap;
 use crate::node::NodeId;
 
 /// A spatial cell key: `floor(coordinate / range)` per axis. The pitch
@@ -130,7 +130,7 @@ pub struct Topology {
     /// position. Bucket order is arbitrary — dynamics sort the scanned
     /// candidates before installing them, so query results never depend
     /// on it.
-    cells: HashMap<Cell, Vec<NodeId>>,
+    cells: FixedMap<Cell, Vec<NodeId>>,
 }
 
 impl Topology {
@@ -149,7 +149,7 @@ impl Topology {
             range,
             range_sq: range * range,
             sites: Vec::new(),
-            cells: HashMap::new(),
+            cells: FixedMap::default(),
         }
     }
 

@@ -18,10 +18,11 @@
 //! Tracing is off by default (zero cost); enable it with
 //! [`crate::shard::ShardedSim::enable_trace`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use retri_obs::{CounterId, Registry, Snapshot};
 
+use crate::hash::FixedMap;
 use crate::node::NodeId;
 use crate::time::SimTime;
 use crate::topology::Position;
@@ -168,12 +169,12 @@ pub struct Tracer {
     /// Total events ever recorded; the ordinal of the next event.
     recorded: u64,
     registry: Registry,
-    delivered: HashMap<(NodeId, NodeId), CounterId>,
-    delivered_evicted: HashMap<(NodeId, NodeId), CounterId>,
-    losses: HashMap<NodeId, CounterId>,
-    losses_evicted: HashMap<NodeId, CounterId>,
+    delivered: FixedMap<(NodeId, NodeId), CounterId>,
+    delivered_evicted: FixedMap<(NodeId, NodeId), CounterId>,
+    losses: FixedMap<NodeId, CounterId>,
+    losses_evicted: FixedMap<NodeId, CounterId>,
     /// Ordinals of retained `Lost` events, per receiver, oldest first.
-    loss_ordinals: HashMap<NodeId, VecDeque<u64>>,
+    loss_ordinals: FixedMap<NodeId, VecDeque<u64>>,
 }
 
 impl Tracer {
@@ -191,11 +192,11 @@ impl Tracer {
             dropped: 0,
             recorded: 0,
             registry: Registry::new(),
-            delivered: HashMap::new(),
-            delivered_evicted: HashMap::new(),
-            losses: HashMap::new(),
-            losses_evicted: HashMap::new(),
-            loss_ordinals: HashMap::new(),
+            delivered: FixedMap::default(),
+            delivered_evicted: FixedMap::default(),
+            losses: FixedMap::default(),
+            losses_evicted: FixedMap::default(),
+            loss_ordinals: FixedMap::default(),
         }
     }
 
