@@ -18,16 +18,24 @@
 //!   (identifier, total length, checksum) followed by *data* fragments
 //!   (identifier, offset, payload), exactly the layout of Section 5,
 //!   plus an optional ground-truth instrumentation trailer (Section 5.1)
-//!   and a static-addressing header variant for baselines;
+//!   and a static-addressing header variant for the baseline;
 //! - [`frag`] — the fragmenter, sized to the radio's frame limit (the
 //!   paper's 27-byte Radiometrix frames fragment an 80-byte packet into
 //!   an introduction plus four data fragments);
 //! - [`reassembly`] — the receiver: per-identifier buffers, checksum
 //!   verification, timeout eviction;
-//! - [`sender`]/[`receiver`] — ready-made [`retri_netsim`] protocols
-//!   that reproduce the paper's testbed workload (saturating streams of
-//!   fixed-size packets) with pluggable identifier-selection policies
-//!   and Section 5.1 instrumentation;
+//! - [`service`] — [`AffService`], the embeddable driver: send under a
+//!   fresh identifier, hear the air, reassemble and deliver, with the
+//!   Section 3.2 collision notifications on wires that carry them;
+//! - [`sender`]/[`receiver`] — the paper's testbed roles as
+//!   [`retri_netsim`] protocols: [`AffSender`] is the driver's send half
+//!   plus a workload (saturating or periodic streams of fixed-size
+//!   packets) under a pluggable [`SelectorPolicy`], [`AffReceiver`] its
+//!   receive half plus the Section 5.1 ground-truth pipeline. The driver
+//!   and both roles run one crate-private copy of each protocol rule;
+//! - [`roles`] — [`Testbed`], the Section 5.1 experiment in a box, which
+//!   also runs the static-address baseline
+//!   ([`SelectorPolicy::StaticAddress`]);
 //! - [`adversary`] — the wire-format codec that arms netsim's
 //!   identifier-predicting eavesdropper with conflicting-introduction
 //!   forgeries (the security axis of the selector taxonomy).
@@ -72,6 +80,7 @@
 pub mod adversary;
 pub mod bitio;
 pub mod crc;
+mod endpoint;
 pub mod frag;
 pub(crate) mod obs;
 pub mod reassembly;

@@ -186,6 +186,11 @@ impl Reassembler {
         }
     }
 
+    /// The wire format fragments are decoded with.
+    pub(crate) fn wire(&self) -> &WireConfig {
+        &self.wire
+    }
+
     /// Counters accumulated so far.
     #[must_use]
     pub fn stats(&self) -> ReassemblyStats {
@@ -230,7 +235,8 @@ impl Reassembler {
     /// Feeds one decoded fragment; returns a completed, checksum-valid
     /// packet if this fragment finished one. Collision notifications
     /// carry no reassembly state and are ignored here — they are sender
-    /// signals, handled by [`crate::sender::AffSender`].
+    /// signals, handled by the endpoints' shared hear rule
+    /// ([`crate::service::AffService::handle_frame`]).
     pub fn accept(&mut self, fragment: &Fragment, now: u64) -> Option<Vec<u8>> {
         self.expire(now);
         if matches!(fragment, Fragment::Notify { .. }) {

@@ -15,12 +15,16 @@
 //! number of packets that would have been lost due to AFF identifier
 //! collisions if the unique ID had not been present" — the paper's
 //! measured collision rate (Figure 4).
+//!
+//! The AFF-only pipeline is the shared receive rule of
+//! [`crate::service::AffService`], collision notifications included.
 
 use std::collections::HashMap;
 
 use retri_netsim::{Context, Frame, NodeId, Protocol, Timer};
 
 use crate::crc::crc16;
+use crate::endpoint::Inbox;
 use crate::obs::ReceiverObs;
 use crate::reassembly::{Reassembler, ReassemblyStats};
 use crate::wire::{Fragment, WireConfig};
@@ -67,8 +71,7 @@ impl TruthAssembly {
 /// The designated receiver of the paper's testbed.
 #[derive(Debug)]
 pub struct AffReceiver {
-    wire: WireConfig,
-    aff: Reassembler,
+    aff: Inbox,
     truth: HashMap<NodeId, TruthAssembly>,
     stats: ReceiverStats,
     obs: Option<ReceiverObs>,
@@ -80,8 +83,7 @@ impl AffReceiver {
     #[must_use]
     pub fn new(wire: WireConfig, reassembly_ttl_micros: u64) -> Self {
         AffReceiver {
-            aff: Reassembler::new(wire.clone(), reassembly_ttl_micros),
-            wire,
+            aff: Inbox::new(wire, reassembly_ttl_micros),
             truth: HashMap::new(),
             stats: ReceiverStats::default(),
             obs: None,
@@ -99,11 +101,12 @@ impl AffReceiver {
     /// observability is on.
     fn record_obs(&mut self) {
         if let Some(obs) = &mut self.obs {
+            let aff = self.aff.reassembler();
             obs.record(
-                self.aff.stats(),
+                aff.stats(),
                 self.stats,
-                self.aff.pending_len(),
-                self.aff.buffered_bytes(),
+                aff.pending_len(),
+                aff.buffered_bytes(),
             );
         }
     }
@@ -112,7 +115,7 @@ impl AffReceiver {
     /// audits.
     #[must_use]
     pub fn reassembler(&self) -> &Reassembler {
-        &self.aff
+        self.aff.reassembler()
     }
 
     /// Counters of the ground-truth pipeline and the decoder.
@@ -124,13 +127,13 @@ impl AffReceiver {
     /// Counters of the AFF-only pipeline.
     #[must_use]
     pub fn aff_stats(&self) -> ReassemblyStats {
-        self.aff.stats()
+        self.reassembler().stats()
     }
 
     /// Packets the AFF-only pipeline delivered.
     #[must_use]
     pub fn aff_delivered(&self) -> u64 {
-        self.aff.stats().delivered
+        self.aff_stats().delivered
     }
 
     /// Packets the ground-truth pipeline delivered.
@@ -209,46 +212,20 @@ impl Protocol for AffReceiver {
     fn on_start(&mut self, _ctx: &mut Context<'_>) {}
 
     fn on_frame(&mut self, ctx: &mut Context<'_>, frame: &Frame) {
-        let fragment = match self.wire.decode(&frame.payload) {
-            Ok(fragment) => fragment,
-            Err(_) => {
-                self.stats.decode_errors += 1;
-                self.record_obs();
-                return;
-            }
-        };
-        self.stats.fragments_parsed += 1;
-        if matches!(fragment, Fragment::Notify { .. }) {
-            self.record_obs();
-            return; // another receiver's notification
-        }
-        let now = ctx.now().as_micros();
-        // Pipeline 1: AFF identifier only.
-        let conflicts_before = self.aff.stats().identifier_conflicts();
-        let _ = self.aff.accept(&fragment, now);
-        // Section 3.2: tell the colliding senders, if the wire supports
-        // it and this fragment just exposed a conflict (a contradicting
-        // introduction or an out-of-bounds byte range — both are proof
-        // of two senders on one key).
-        if self.wire.notifications_enabled()
-            && self.aff.stats().identifier_conflicts() > conflicts_before
-        {
-            let notify = Fragment::Notify {
-                key: fragment.key(),
-                truth: None,
-            };
-            // An undeliverable notification (frame too large cannot
-            // happen: notify is the smallest fragment) is still fallible
-            // in principle; ignore send errors as the paper treats all
-            // feedback as best-effort.
-            if let Ok(payload) = self.wire.encode(&notify) {
-                if ctx.send(payload).is_ok() {
-                    self.stats.notifications_sent += 1;
-                }
+        match self.aff.wire().decode(&frame.payload) {
+            Err(_) => self.stats.decode_errors += 1,
+            // Another receiver's notification: nothing to reassemble.
+            Ok(Fragment::Notify { .. }) => self.stats.fragments_parsed += 1,
+            Ok(fragment) => {
+                self.stats.fragments_parsed += 1;
+                // Pipeline 1: AFF identifier only.
+                let _ = self.aff.receive(ctx, &fragment);
+                self.stats.notifications_sent = self.aff.notifications_sent();
+                // Pipeline 2: ground truth from the simulator's frame
+                // metadata.
+                self.feed_truth(frame.src, &fragment);
             }
         }
-        // Pipeline 2: ground truth from the simulator's frame metadata.
-        self.feed_truth(frame.src, &fragment);
         self.record_obs();
     }
 

@@ -5,10 +5,13 @@
 //! designated receiver can share a network. [`Testbed`] assembles the
 //! exact experiment of Section 5.1 — `n` transmitters saturating the
 //! channel toward one fully connected receiver — and runs one trial.
+//! With [`SelectorPolicy::StaticAddress`] the same testbed runs the
+//! IP-style static-addressing baseline of the efficiency comparisons.
 //! Trials run on the sharded deterministic engine, so [`Testbed::shards`]
 //! scales wall-clock without changing a single output byte.
 
 use retri::IdentifierSpace;
+use retri_model::IdBits;
 use retri_netsim::adversary::adversary_stream_seed;
 use retri_netsim::prelude::*;
 use retri_netsim::trace::TraceEvent;
@@ -95,9 +98,11 @@ impl Protocol for AffNode {
 pub struct Testbed {
     /// Number of transmitters (the paper uses 5).
     pub transmitters: usize,
-    /// Identifier width under test.
+    /// Identifier width under test; the address width under
+    /// [`SelectorPolicy::StaticAddress`].
     pub id_bits: u8,
-    /// Selection policy (the "random" vs "listening" series).
+    /// Selection policy (the "random" vs "listening" series, or the
+    /// static-address baseline).
     pub policy: SelectorPolicy,
     /// Offered workload per transmitter.
     pub workload: Workload,
@@ -202,7 +207,7 @@ impl Testbed {
     #[must_use]
     pub fn run_with_energy(&self, seed: u64) -> EnergyTrialResult {
         let sim = self.run_sim(seed, None, None);
-        self.collect(&sim)
+        self.collect(&sim).0
     }
 
     /// Runs one trial with observability and tracing on: every
@@ -220,19 +225,7 @@ impl Testbed {
     pub fn run_observed(&self, seed: u64, trace_capacity: usize) -> ObservedTrialResult {
         let obs = Obs::enabled();
         let sim = self.run_sim(seed, Some(&obs), Some(trace_capacity));
-        let energy = self.collect(&sim);
-        let mut sender = SenderStats::default();
-        for id in sim.node_ids().take(self.transmitters) {
-            let stats = sim
-                .protocol(id)
-                .as_sender()
-                .expect("first nodes are senders")
-                .stats();
-            sender.packets_sent += stats.packets_sent;
-            sender.fragments_sent += stats.fragments_sent;
-            sender.data_bits_sent += stats.data_bits_sent;
-            sender.retransmissions += stats.retransmissions;
-        }
+        let (energy, sender) = self.collect(&sim);
         // Sender-side totals are folded in once at the end of the run:
         // they change on every queued fragment, and per-event mirroring
         // would buy nothing over the senders' native counters.
@@ -269,11 +262,19 @@ impl Testbed {
         obs: Option<&Obs>,
         trace_capacity: Option<usize>,
     ) -> ShardedSim<AffNode> {
-        let space = IdentifierSpace::new(self.id_bits).expect("valid identifier width");
+        let wire = match self.policy {
+            SelectorPolicy::StaticAddress { seq_bits } => WireConfig::static_address(
+                IdBits::new(self.id_bits).expect("valid address width"),
+                seq_bits,
+            ),
+            _ => {
+                WireConfig::aff(IdentifierSpace::new(self.id_bits).expect("valid identifier width"))
+            }
+        };
         let wire = if self.notifications {
-            WireConfig::aff(space).with_notifications()
+            wire.with_notifications()
         } else {
-            WireConfig::aff(space)
+            wire
         };
         let transmitters = self.transmitters;
         let policy = self.policy;
@@ -358,31 +359,32 @@ impl Testbed {
     }
 
     /// Extracts the trial verdicts and energy readings from a finished
-    /// simulator.
-    fn collect(&self, sim: &ShardedSim<AffNode>) -> EnergyTrialResult {
+    /// simulator, with the transmitters' counters summed.
+    fn collect(&self, sim: &ShardedSim<AffNode>) -> (EnergyTrialResult, SenderStats) {
         let transmitters = self.transmitters;
         let receiver = NodeId(transmitters as u32);
         let rx = sim
             .protocol(receiver)
             .as_receiver()
             .expect("last node is the receiver");
-        let mut packets_offered = 0;
-        let mut retransmissions = 0;
+        let mut sender = SenderStats::default();
         for id in sim.node_ids().take(transmitters) {
             let stats = sim
                 .protocol(id)
                 .as_sender()
                 .expect("first nodes are senders")
                 .stats();
-            packets_offered += stats.packets_sent;
-            retransmissions += stats.retransmissions;
+            sender.packets_sent += stats.packets_sent;
+            sender.fragments_sent += stats.fragments_sent;
+            sender.data_bits_sent += stats.data_bits_sent;
+            sender.retransmissions += stats.retransmissions;
         }
         let trial = TrialResult {
             truth_delivered: rx.truth_delivered(),
             aff_delivered: rx.aff_delivered(),
             collision_loss_rate: rx.collision_loss_rate().unwrap_or(0.0),
-            packets_offered,
-            retransmissions,
+            packets_offered: sender.packets_sent,
+            retransmissions: sender.retransmissions,
             notifications_sent: rx.stats().notifications_sent,
             decode_errors: rx.stats().decode_errors,
             truth_crc_rejections: rx.stats().truth_crc_rejections,
@@ -400,12 +402,13 @@ impl Testbed {
                 .expect("adversary node sits after the receiver")
                 .stats()
         });
-        EnergyTrialResult {
+        let energy = EnergyTrialResult {
             trial,
             mean_sender_energy_nj: sender_energy / transmitters.max(1) as f64,
             receiver_energy_nj: sim.energy_nj(receiver),
             adversary,
-        }
+        };
+        (energy, sender)
     }
 }
 
@@ -783,5 +786,78 @@ mod tests {
             .run(13);
         assert_eq!(result.notifications_sent, 0, "{result:?}");
         assert_eq!(result.retransmissions, 0);
+    }
+
+    /// The static-addressing baseline: fragments keyed IP-style by
+    /// `(static address, per-sender sequence)` — guaranteed unique,
+    /// never colliding, and paying `addr_bits + seq_bits` of header in
+    /// every fragment.
+    mod static_address {
+        use super::*;
+
+        fn quick(addr_bits: u8) -> Testbed {
+            quick_testbed(addr_bits, SelectorPolicy::StaticAddress { seq_bits: 8 })
+        }
+
+        /// Measured Eq. 1 efficiency: useful bits delivered over total
+        /// bits transmitted.
+        fn measured_efficiency(result: &TrialResult) -> f64 {
+            let packet_bits = Workload::paper_trial().packet_bytes as u64 * 8;
+            (result.aff_delivered * packet_bits) as f64 / result.total_bits_sent as f64
+        }
+
+        #[test]
+        fn static_keys_never_collide() {
+            let result = quick(16).run(1);
+            assert!(result.aff_delivered > 20, "{result:?}");
+            assert_eq!(result.checksum_failures, 0);
+        }
+
+        #[test]
+        fn wider_addresses_cost_efficiency() {
+            let narrow = measured_efficiency(&quick(16).run(2));
+            let wide = measured_efficiency(&quick(48).run(2));
+            assert!(
+                wide < narrow,
+                "48-bit addresses must be less efficient: {wide} vs {narrow}"
+            );
+        }
+
+        #[test]
+        fn trials_are_reproducible() {
+            let a = quick(32).run(5);
+            let b = quick(32).run(5);
+            assert_eq!(a, b);
+        }
+
+        #[test]
+        fn sequence_wrap_breaks_the_uniqueness_guarantee() {
+            // The static scheme's fine print: keys are only guaranteed
+            // unique "while the sequence space does not wrap within a
+            // reassembly timeout". A 1-bit sequence wraps every other
+            // packet; with a lossy radio leaving incomplete reassemblies
+            // behind, wrapped keys land on that debris and fail
+            // checksums — the very failure mode AFF's per-transaction
+            // ephemerality is designed to avoid.
+            let mut testbed = quick(16);
+            testbed.policy = SelectorPolicy::StaticAddress { seq_bits: 1 };
+            testbed.radio = testbed.radio.with_frame_loss(0.05);
+            let result = testbed.run(6);
+            assert!(
+                result.checksum_failures > 0,
+                "a wrapping sequence over a lossy link must alias keys: {result:?}"
+            );
+            // The healthy configuration on the same channel stays clean.
+            let mut healthy = quick(16);
+            healthy.radio = healthy.radio.with_frame_loss(0.05);
+            let clean = healthy.run(6);
+            assert_eq!(clean.checksum_failures, 0, "{clean:?}");
+        }
+
+        #[test]
+        fn efficiency_is_a_ratio() {
+            let e = measured_efficiency(&quick(16).run(3));
+            assert!(e > 0.0 && e < 1.0, "efficiency {e}");
+        }
     }
 }

@@ -3,11 +3,13 @@
 //!
 //! An [`AffSender`] reproduces the paper's transmitter workload
 //! (Section 5.1): a stream of fixed-size packets of random bytes, each
-//! fragmented under a fresh ephemeral identifier chosen by a pluggable
+//! fragmented under a fresh key chosen by a pluggable
 //! [`SelectorPolicy`]. In the *saturating* mode a sender tops up its
 //! radio queue whenever it runs dry — "a continuous stream of random
 //! 80-byte packets" — and in the *periodic* mode it offers a fixed
-//! packet rate, which the load-sweep ablations use.
+//! packet rate, which the load-sweep ablations use. Sending, listening
+//! and notification-triggered retransmission are the shared endpoint
+//! rules of [`crate::service::AffService`].
 
 use rand::{Rng, RngCore};
 use retri::permutation::{PermutationSelector, SequentialSelector};
@@ -15,11 +17,13 @@ use retri::select::{AdaptiveListeningSelector, IdSelector, ListeningSelector, Un
 use retri::TransactionId;
 use retri_netsim::{Context, Frame, Protocol, SimDuration, SimTime, Timer};
 
-use crate::frag::{FragmentError, Fragmenter};
+use crate::endpoint::Outbox;
+use crate::frag::FragmentError;
 use crate::wire::{Truth, WireConfig};
 
-/// Which identifier-selection algorithm a sender runs (the two series of
-/// the paper's Figure 4, plus the adaptive variant of Section 5.1).
+/// How a sender picks the key of each packet: the two series of the
+/// paper's Figure 4, the adaptive variant of Section 5.1, two structured
+/// selectors, and the static-address baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SelectorPolicy {
@@ -44,6 +48,16 @@ pub enum SelectorPolicy {
     /// predictable policy, used as the adversarial harness's attack
     /// target.
     Sequential,
+    /// IP-style static addressing, the paper's baseline: the key is
+    /// [`WireConfig::static_key`] of the node's address
+    /// ([`Context::node_id`]) and a per-sender packet counter modulo
+    /// `2^seq_bits`. Draws no randomness and ignores the air. Only valid
+    /// on a [`WireConfig::static_address`] wire with the same
+    /// `seq_bits`.
+    StaticAddress {
+        /// Sequence-number width.
+        seq_bits: u32,
+    },
 }
 
 /// A selector instantiated from a [`SelectorPolicy`].
@@ -54,6 +68,7 @@ pub(crate) enum PolicySelector {
     Adaptive(AdaptiveListeningSelector),
     Permutation(PermutationSelector),
     Sequential(SequentialSelector),
+    StaticAddress { seq_bits: u32, next_seq: u64 },
 }
 
 impl PolicySelector {
@@ -75,16 +90,30 @@ impl PolicySelector {
             SelectorPolicy::Sequential => {
                 PolicySelector::Sequential(SequentialSelector::new(space))
             }
+            SelectorPolicy::StaticAddress { seq_bits } => PolicySelector::StaticAddress {
+                seq_bits,
+                next_seq: 0,
+            },
         }
     }
 
-    pub(crate) fn select(&mut self, rng: &mut dyn RngCore, now_micros: u64) -> TransactionId {
+    /// The key of the next packet `ctx`'s node sends on `wire`.
+    pub(crate) fn select(&mut self, ctx: &mut Context<'_>, wire: &WireConfig) -> TransactionId {
         match self {
-            PolicySelector::Uniform(s) => s.select(rng),
-            PolicySelector::Listening(s) => s.select(rng),
-            PolicySelector::Adaptive(s) => s.select_at(rng, now_micros),
-            PolicySelector::Permutation(s) => s.select(rng),
-            PolicySelector::Sequential(s) => s.select(rng),
+            PolicySelector::Uniform(s) => s.select(ctx.rng()),
+            PolicySelector::Listening(s) => s.select(ctx.rng()),
+            PolicySelector::Adaptive(s) => {
+                let now_micros = ctx.now().as_micros();
+                s.select_at(ctx.rng(), now_micros)
+            }
+            PolicySelector::Permutation(s) => s.select(ctx.rng()),
+            PolicySelector::Sequential(s) => s.select(ctx.rng()),
+            PolicySelector::StaticAddress { seq_bits, next_seq } => {
+                let seq_mask = 1u64.checked_shl(*seq_bits).map_or(u64::MAX, |m| m - 1);
+                let seq = *next_seq & seq_mask;
+                *next_seq = next_seq.wrapping_add(1);
+                wire.static_key(ctx.node_id().index() as u64, seq)
+            }
         }
     }
 
@@ -96,6 +125,7 @@ impl PolicySelector {
             // Structured policies ignore the air by design.
             PolicySelector::Permutation(s) => s.observe(id),
             PolicySelector::Sequential(s) => s.observe(id),
+            PolicySelector::StaticAddress { .. } => {}
         }
     }
 }
@@ -178,31 +208,18 @@ pub struct SenderStats {
 
 const TICK: u64 = 1;
 
-/// How many recently sent packets a sender retains for
-/// notification-triggered retransmission.
-const RETRANSMIT_HISTORY: usize = 4;
-
-#[derive(Debug, Clone)]
-struct SentPacket {
-    id: TransactionId,
-    packet: Vec<u8>,
-    retransmitted: bool,
-}
-
-/// A transmitter node of the paper's testbed.
+/// A transmitter node of the paper's testbed: the shared send and hear
+/// rules plus a [`Workload`] and the Section 5.1 truth trailer.
 ///
 /// # Examples
 ///
 /// See [`crate::roles`] for a complete five-transmitter experiment.
 #[derive(Debug)]
 pub struct AffSender {
-    fragmenter: Fragmenter,
-    selector: PolicySelector,
+    outbox: Outbox,
     workload: Workload,
     truth_source: Option<u64>,
     packet_seq: u32,
-    stats: SenderStats,
-    history: std::collections::VecDeque<SentPacket>,
 }
 
 impl AffSender {
@@ -227,86 +244,37 @@ impl AffSender {
             wire.instrumented(),
             "truth_source must match wire instrumentation"
         );
-        let space = wire.space();
         Ok(AffSender {
-            fragmenter: Fragmenter::new(wire, max_frame_bytes)?,
-            selector: PolicySelector::build(policy, space),
+            outbox: Outbox::new(wire, max_frame_bytes, policy)?,
             workload,
             truth_source,
             packet_seq: 0,
-            stats: SenderStats::default(),
-            history: std::collections::VecDeque::with_capacity(RETRANSMIT_HISTORY),
         })
     }
 
     /// Counters accumulated so far.
     #[must_use]
     pub fn stats(&self) -> SenderStats {
-        self.stats
+        self.outbox.stats()
     }
 
     /// The wire configuration in use.
     #[must_use]
     pub fn wire(&self) -> &WireConfig {
-        self.fragmenter.wire()
+        self.outbox.wire()
     }
 
     fn send_packet(&mut self, ctx: &mut Context<'_>) {
         let mut packet = vec![0u8; self.workload.packet_bytes];
         ctx.rng().fill_bytes(&mut packet);
-        let now_micros = ctx.now().as_micros();
-        let id = self.selector.select(ctx.rng(), now_micros);
-        self.transmit(ctx, &packet, id);
-        self.stats.packets_sent += 1;
-        self.stats.data_bits_sent += packet.len() as u64 * 8;
-        if self.fragmenter.wire().notifications_enabled() {
-            if self.history.len() == RETRANSMIT_HISTORY {
-                self.history.pop_front();
-            }
-            self.history.push_back(SentPacket {
-                id,
-                packet,
-                retransmitted: false,
-            });
-        }
-        self.packet_seq = self.packet_seq.wrapping_add(1);
-    }
-
-    fn transmit(&mut self, ctx: &mut Context<'_>, packet: &[u8], id: TransactionId) {
         let truth = self.truth_source.map(|source| Truth {
             source,
             packet_seq: self.packet_seq,
         });
-        let payloads = self
-            .fragmenter
-            .fragment(packet, id, truth)
-            .expect("workload packet size validated at construction");
-        for payload in payloads {
-            ctx.send(payload)
-                .expect("fragmenter respects the frame limit");
-            self.stats.fragments_sent += 1;
-        }
-    }
-
-    /// Reacts to a Section 3.2 collision notification: if the collided
-    /// identifier belongs to a recently sent packet, retransmit that
-    /// packet once under a fresh identifier, avoiding the burned one.
-    fn on_notify(&mut self, ctx: &mut Context<'_>, key: TransactionId) {
-        let now_micros = ctx.now().as_micros();
-        self.selector.observe(key, now_micros);
-        let Some(index) = self
-            .history
-            .iter()
-            .position(|entry| entry.id == key && !entry.retransmitted)
-        else {
-            return; // someone else's collision, or already handled
-        };
-        self.history[index].retransmitted = true;
-        let packet = self.history[index].packet.clone();
-        let fresh = self.selector.select(ctx.rng(), now_micros);
-        self.history[index].id = fresh;
-        self.transmit(ctx, &packet, fresh);
-        self.stats.retransmissions += 1;
+        self.outbox
+            .send(ctx, &packet, truth)
+            .expect("workload packet size is a valid packet length");
+        self.packet_seq = self.packet_seq.wrapping_add(1);
     }
 }
 
@@ -317,11 +285,8 @@ impl Protocol for AffSender {
     }
 
     fn on_frame(&mut self, ctx: &mut Context<'_>, frame: &Frame) {
-        match self.fragmenter.wire().decode(&frame.payload) {
-            Ok(crate::wire::Fragment::Notify { key, .. }) => self.on_notify(ctx, key),
-            // Listening: learn identifiers other senders are using.
-            Ok(fragment) => self.selector.observe(fragment.key(), ctx.now().as_micros()),
-            Err(_) => {}
+        if let Ok(fragment) = self.wire().decode(&frame.payload) {
+            self.outbox.hear(ctx, &fragment);
         }
     }
 

@@ -1,11 +1,19 @@
 //! The embeddable fragmentation service.
 //!
-//! [`AffSender`]/[`AffReceiver`] reproduce the paper's *experiment*;
 //! [`AffService`] is the *driver* a downstream application embeds — the
 //! equivalent of the paper's kernel fragmentation driver that "accepts
 //! packets of up to 64 Kbytes from applications, fragments them ...
 //! watches for fragments coming in from the radio, reassembles them,
-//! and delivers successfully reconstructed packets" (Section 5).
+//! and delivers successfully reconstructed packets" (Section 5). On a
+//! wire built with [`WireConfig::with_notifications`] it also runs the
+//! Section 3.2 mechanism: it broadcasts a notification when it sees two
+//! senders on one identifier, and retransmits a recent packet of its own
+//! once, under a fresh identifier, when it hears one.
+//!
+//! The experiment roles run the same rules: [`AffSender`] is the send
+//! and hear half plus a workload, [`AffReceiver`] the receive half plus
+//! the ground-truth pipeline. Every rule lives once, in the crate's
+//! shared endpoint halves.
 //!
 //! An application's [`retri_netsim::Protocol`] owns an `AffService` and
 //! forwards its radio callbacks:
@@ -48,9 +56,10 @@ use std::collections::VecDeque;
 use retri::TransactionId;
 use retri_netsim::{Context, Frame};
 
-use crate::frag::{FragmentError, Fragmenter};
-use crate::reassembly::{Reassembler, ReassemblyStats};
-use crate::sender::{PolicySelector, SelectorPolicy};
+use crate::endpoint::{Inbox, Outbox};
+use crate::frag::FragmentError;
+use crate::reassembly::ReassemblyStats;
+use crate::sender::SelectorPolicy;
 use crate::wire::{Fragment, WireConfig};
 
 /// Default reassembly timeout: a few transaction durations on the
@@ -63,12 +72,18 @@ const DEFAULT_REASSEMBLY_TTL_MICROS: u64 = 300_000;
 pub struct ServiceStats {
     /// Packets accepted from the application.
     pub packets_sent: u64,
-    /// Fragments queued at the radio.
+    /// Fragments queued at the radio (retransmissions included).
     pub fragments_sent: u64,
     /// Packets reassembled and delivered to the application.
     pub packets_delivered: u64,
     /// Frames that did not parse as fragments of this wire.
     pub decode_errors: u64,
+    /// Collision notifications broadcast (Section 3.2; only nonzero on
+    /// notifying wires).
+    pub notifications_sent: u64,
+    /// Packets retransmitted under a fresh identifier after a collision
+    /// notification (only nonzero on notifying wires).
+    pub retransmissions: u64,
 }
 
 /// A bidirectional address-free fragmentation endpoint.
@@ -76,11 +91,10 @@ pub struct ServiceStats {
 /// See the [module documentation](self) for the embedding pattern.
 #[derive(Debug)]
 pub struct AffService {
-    fragmenter: Fragmenter,
-    selector: PolicySelector,
-    reassembler: Reassembler,
-    inbox: VecDeque<Vec<u8>>,
-    stats: ServiceStats,
+    outbox: Outbox,
+    inbox: Inbox,
+    delivered: VecDeque<Vec<u8>>,
+    decode_errors: u64,
 }
 
 impl AffService {
@@ -95,13 +109,11 @@ impl AffService {
         max_frame_bytes: usize,
         policy: SelectorPolicy,
     ) -> Result<Self, FragmentError> {
-        let space = wire.space();
         Ok(AffService {
-            fragmenter: Fragmenter::new(wire.clone(), max_frame_bytes)?,
-            selector: PolicySelector::build(policy, space),
-            reassembler: Reassembler::new(wire, DEFAULT_REASSEMBLY_TTL_MICROS),
-            inbox: VecDeque::new(),
-            stats: ServiceStats::default(),
+            inbox: Inbox::new(wire.clone(), DEFAULT_REASSEMBLY_TTL_MICROS),
+            outbox: Outbox::new(wire, max_frame_bytes, policy)?,
+            delivered: VecDeque::new(),
+            decode_errors: 0,
         })
     }
 
@@ -109,28 +121,35 @@ impl AffService {
     /// incomplete packet is discarded).
     #[must_use]
     pub fn with_reassembly_ttl(mut self, ttl_micros: u64) -> Self {
-        let wire = self.fragmenter.wire().clone();
-        self.reassembler = Reassembler::new(wire, ttl_micros);
+        self.inbox = Inbox::new(self.wire().clone(), ttl_micros);
         self
     }
 
     /// The wire configuration in use.
     #[must_use]
     pub fn wire(&self) -> &WireConfig {
-        self.fragmenter.wire()
+        self.outbox.wire()
     }
 
     /// Service counters.
     #[must_use]
     pub fn stats(&self) -> ServiceStats {
-        self.stats
+        let sent = self.outbox.stats();
+        ServiceStats {
+            packets_sent: sent.packets_sent,
+            fragments_sent: sent.fragments_sent,
+            packets_delivered: self.reassembly_stats().delivered,
+            decode_errors: self.decode_errors,
+            notifications_sent: self.inbox.notifications_sent(),
+            retransmissions: sent.retransmissions,
+        }
     }
 
     /// Reassembly counters (checksum failures reveal identifier
     /// collisions).
     #[must_use]
     pub fn reassembly_stats(&self) -> ReassemblyStats {
-        self.reassembler.stats()
+        self.inbox.reassembler().stats()
     }
 
     /// Fragments `packet` under a fresh ephemeral identifier and queues
@@ -145,59 +164,45 @@ impl AffService {
         ctx: &mut Context<'_>,
         packet: &[u8],
     ) -> Result<TransactionId, FragmentError> {
-        let now = ctx.now().as_micros();
-        let id = self.selector.select(ctx.rng(), now);
-        let payloads = self.fragmenter.fragment(packet, id, None)?;
-        for payload in payloads {
-            ctx.send(payload)
-                .expect("fragmenter respects the radio frame limit");
-            self.stats.fragments_sent += 1;
-        }
-        self.stats.packets_sent += 1;
-        Ok(id)
+        self.outbox.send(ctx, packet, None)
     }
 
     /// Feeds a received radio frame through the service. Completed
     /// packets become available from [`AffService::poll_delivered`].
     pub fn handle_frame(&mut self, ctx: &mut Context<'_>, frame: &Frame) {
-        let now = ctx.now().as_micros();
-        match self.wire().decode(&frame.payload) {
-            Ok(Fragment::Notify { key, .. }) => {
-                // Avoid identifiers a receiver reported as collided.
-                self.selector.observe(key, now);
-            }
-            Ok(fragment) => {
-                self.selector.observe(fragment.key(), now);
-                if let Some(packet) = self.reassembler.accept(&fragment, now) {
-                    self.inbox.push_back(packet);
-                    self.stats.packets_delivered += 1;
-                }
-            }
-            Err(_) => {
-                self.stats.decode_errors += 1;
-            }
+        let Ok(fragment) = self.wire().decode(&frame.payload) else {
+            self.decode_errors += 1;
+            return;
+        };
+        self.outbox.hear(ctx, &fragment);
+        if matches!(fragment, Fragment::Notify { .. }) {
+            return;
+        }
+        if let Some(packet) = self.inbox.receive(ctx, &fragment) {
+            self.delivered.push_back(packet);
         }
     }
 
     /// Pops the next fully reassembled, checksum-verified packet, if
     /// any.
     pub fn poll_delivered(&mut self) -> Option<Vec<u8>> {
-        self.inbox.pop_front()
+        self.delivered.pop_front()
     }
 
     /// Packets reassembled but not yet polled.
     #[must_use]
     pub fn pending_deliveries(&self) -> usize {
-        self.inbox.len()
+        self.delivered.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frag::Fragmenter;
     use retri::IdentifierSpace;
     use retri_netsim::node::ContextHarness;
-    use retri_netsim::{NodeId, SimTime};
+    use retri_netsim::{FramePayload, NodeId, SimTime};
 
     fn service(bits: u8) -> AffService {
         let wire = WireConfig::aff(IdentifierSpace::new(bits).unwrap());
@@ -323,5 +328,68 @@ mod tests {
             );
         }
         assert_eq!(svc.poll_delivered(), None);
+    }
+
+    /// Hands `payload`, sent by `from`, to `svc`.
+    fn hear(svc: &mut AffService, air: &mut ContextHarness, from: NodeId, payload: &FramePayload) {
+        let frame = retri_netsim::Frame::new(from, payload.clone());
+        svc.handle_frame(&mut air.context(NodeId(9)), &frame);
+    }
+
+    #[test]
+    fn collision_notification_makes_the_owner_retransmit() {
+        // Section 3.2 on a notifying wire. Alice and Bob draw from the
+        // same RNG stream with fresh selectors, so they send different
+        // packets under one identifier. Carol sees the two conflicting
+        // introductions and notifies; Alice, in earshot, retransmits
+        // under a fresh identifier, and Carol delivers the packet.
+        let wire = WireConfig::aff(IdentifierSpace::new(8).unwrap()).with_notifications();
+        let endpoint =
+            || AffService::new(wire.clone(), 27, SelectorPolicy::Listening { window: 8 }).unwrap();
+        let (mut alice, mut bob, mut carol) = (endpoint(), endpoint(), endpoint());
+        let packet = vec![0xAA; 40];
+        let mut alice_air = ContextHarness::new(11);
+        let mut bob_air = ContextHarness::new(11);
+        let id = alice
+            .send(&mut alice_air.context(NodeId(0)), &packet)
+            .unwrap();
+        let bobs_id = bob
+            .send(&mut bob_air.context(NodeId(1)), &[0xBB; 40])
+            .unwrap();
+        assert_eq!(id, bobs_id);
+
+        let mut carol_air = ContextHarness::new(12);
+        let alice_intro = alice_air.sent_payloads()[0].clone();
+        let bob_intro = bob_air.sent_payloads()[0].clone();
+        hear(&mut carol, &mut carol_air, NodeId(0), &alice_intro);
+        hear(&mut carol, &mut carol_air, NodeId(1), &bob_intro);
+        assert_eq!(carol.stats().notifications_sent, 1);
+        let notify = carol_air.sent_payloads()[0].clone();
+        assert_eq!(
+            wire.decode(&notify).unwrap(),
+            Fragment::Notify {
+                key: id,
+                truth: None
+            }
+        );
+
+        alice_air.clear();
+        hear(&mut alice, &mut alice_air, NodeId(2), &notify);
+        // A repeated notification does not retransmit the packet again.
+        hear(&mut alice, &mut alice_air, NodeId(2), &notify);
+        let stats = alice.stats();
+        assert_eq!(stats.retransmissions, 1);
+        assert_eq!(stats.packets_sent, 1);
+        let resent: Vec<FramePayload> = alice_air.sent_payloads().into_iter().cloned().collect();
+        assert_eq!(stats.fragments_sent, 2 * resent.len() as u64);
+        let fresh = wire.decode(&resent[0]).unwrap().key();
+        assert_ne!(fresh, id, "the retransmission avoids the burned identifier");
+
+        for payload in &resent {
+            hear(&mut carol, &mut carol_air, NodeId(0), payload);
+        }
+        assert_eq!(carol.poll_delivered(), Some(packet));
+        assert_eq!(carol.stats().packets_delivered, 1);
+        assert_eq!(carol.stats().notifications_sent, 1);
     }
 }

@@ -10,9 +10,6 @@
 //!   sized for every device that *exists*, not just those interconnected
 //!   (Section 2.2). Collision-free by construction; pays with header
 //!   bits.
-//! - [`static_net`] — a full sender/receiver testbed running IP-style
-//!   fragmentation keyed by `(static address, sequence)`, the baseline
-//!   of the efficiency comparisons.
 //! - [`dynamic_alloc`] — **dynamic locally unique allocation**: a
 //!   listen/claim/defend protocol that assigns short addresses unique
 //!   within radio range (in the spirit of DHCP/SDR/MASC, Section 2.2).
@@ -24,6 +21,11 @@
 //!   request. Cheap per allocation, but a single point of failure — and
 //!   its address-free bootstrap necessarily leans on RETRI-style random
 //!   request identifiers.
+//!
+//! The measured IP-style fragmentation baseline, keyed by `(static
+//! address, sequence)`, is not a separate stack: it is a key policy of
+//! the AFF testbed (`retri_aff::SelectorPolicy::StaticAddress`), so it
+//! runs the very same sender, receiver and reassembly code.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,9 +33,7 @@
 pub mod central_alloc;
 pub mod dynamic_alloc;
 pub mod static_alloc;
-pub mod static_net;
 
 pub use central_alloc::{CentralAllocConfig, CentralAllocNode, CentralAllocStats};
 pub use dynamic_alloc::{DynamicAddrConfig, DynamicAddrNode, DynamicAddrStats};
 pub use static_alloc::{StaticAllocError, StaticAllocator};
-pub use static_net::{StaticNode, StaticTestbed, StaticTrialResult};

@@ -1,7 +1,6 @@
 //! Data generation for the paper's four evaluation figures.
 
 use retri_aff::{SelectorPolicy, Testbed};
-use retri_baselines::StaticTestbed;
 use retri_model::stats::Summary;
 use retri_model::sweep;
 use retri_model::{p_collision, DataBits, Density, IdBits};
@@ -229,43 +228,41 @@ pub fn measured_efficiency(
     level: EffortLevel,
     shards: usize,
 ) -> Provenance<MeasuredEfficiencyPoint> {
-    /// One scheme under test.
-    #[derive(Debug, Clone, Copy)]
-    enum Scheme {
-        Aff(u8),
-        Static(u8),
-    }
     let packet_bits = 80.0 * 8.0;
-    let mut cells: Vec<Scheme> = [4u8, 6, 8, 10, 12, 16].map(Scheme::Aff).to_vec();
-    cells.extend([16u8, 32, 48].map(Scheme::Static));
-    let runs =
-        harness::run_cells(
-            "efficiency_measured",
-            level,
-            &cells,
-            |scheme, trial| match *scheme {
-                Scheme::Aff(bits) => {
-                    let mut testbed = Testbed::paper(bits, SelectorPolicy::Uniform);
-                    testbed.shards = shards;
-                    testbed.workload.stop = SimTime::from_secs(level.trial_secs());
-                    let result = testbed.run(trial.seed);
-                    let efficiency =
-                        result.aff_delivered as f64 * packet_bits / result.total_bits_sent as f64;
-                    (efficiency, result.collision_loss_rate)
-                }
-                Scheme::Static(bits) => {
-                    let mut testbed = StaticTestbed::paper(bits);
-                    testbed.shards = shards;
-                    testbed.workload.stop = SimTime::from_secs(level.trial_secs());
-                    (testbed.run(trial.seed).measured_efficiency(), 0.0)
-                }
-            },
-        );
+    let static_address = SelectorPolicy::StaticAddress { seq_bits: 8 };
+    let mut cells: Vec<(u8, SelectorPolicy)> = [4u8, 6, 8, 10, 12, 16]
+        .map(|bits| (bits, SelectorPolicy::Uniform))
+        .to_vec();
+    cells.extend([16u8, 32, 48].map(|bits| (bits, static_address)));
+    let runs = harness::run_cells(
+        "efficiency_measured",
+        level,
+        &cells,
+        |&(bits, policy), trial| {
+            let mut testbed = Testbed::paper(bits, policy);
+            testbed.shards = shards;
+            testbed.workload.stop = SimTime::from_secs(level.trial_secs());
+            let result = testbed.run(trial.seed);
+            let efficiency =
+                result.aff_delivered as f64 * packet_bits / result.total_bits_sent as f64;
+            // Static keys never collide. A static trial's `collision_loss_rate`
+            // is not zero: it counts packets whose reassembly expired (or was
+            // still pending at the deadline) while the TTL-free ground-truth
+            // pipeline completed them.
+            let collision_loss = if policy == static_address {
+                0.0
+            } else {
+                result.collision_loss_rate
+            };
+            (efficiency, collision_loss)
+        },
+    );
     let mut provenance = Provenance::new("efficiency_measured", level);
-    for (scheme, cell_runs) in cells.iter().zip(runs) {
-        let scheme = match *scheme {
-            Scheme::Aff(bits) => format!("AFF {bits}-bit"),
-            Scheme::Static(bits) => format!("static {bits}-bit (+8-bit seq)"),
+    for (&(bits, policy), cell_runs) in cells.iter().zip(runs) {
+        let scheme = if policy == static_address {
+            format!("static {bits}-bit (+8-bit seq)")
+        } else {
+            format!("AFF {bits}-bit")
         };
         let efficiency = cell_runs.summarize(|&(eff, _)| eff);
         let collision_loss = cell_runs.summarize(|&(_, loss)| loss);

@@ -3,7 +3,6 @@
 
 use retri_aff::{SelectorPolicy, Testbed};
 use retri_baselines::dynamic_alloc::{run_mesh, DynamicAddrConfig};
-use retri_baselines::StaticTestbed;
 use retri_netsim::{SimDuration, SimTime};
 
 #[test]
@@ -21,10 +20,10 @@ fn aff_testbed_delivers_the_offered_workload() {
 
 #[test]
 fn static_testbed_never_suffers_identifier_collisions() {
-    let mut testbed = StaticTestbed::paper(16);
+    let mut testbed = Testbed::paper(16, SelectorPolicy::StaticAddress { seq_bits: 8 });
     testbed.workload.stop = SimTime::from_secs(20);
     let result = testbed.run(2);
-    assert!(result.delivered > 50);
+    assert!(result.aff_delivered > 50);
     assert_eq!(result.checksum_failures, 0);
 }
 
@@ -37,21 +36,16 @@ fn measured_efficiency_ordering_matches_figure_1() {
     let packet_bits = 80.0 * 8.0;
     let run_secs = 20;
 
-    let measure_aff = |bits: u8, seed: u64| {
-        let mut testbed = Testbed::paper(bits, SelectorPolicy::Uniform);
+    let measure = |bits: u8, policy: SelectorPolicy, seed: u64| {
+        let mut testbed = Testbed::paper(bits, policy);
         testbed.workload.stop = SimTime::from_secs(run_secs);
         let result = testbed.run(seed);
         result.aff_delivered as f64 * packet_bits / result.total_bits_sent as f64
     };
-    let measure_static = |bits: u8, seed: u64| {
-        let mut testbed = StaticTestbed::paper(bits);
-        testbed.workload.stop = SimTime::from_secs(run_secs);
-        testbed.run(seed).measured_efficiency()
-    };
 
-    let aff10 = measure_aff(10, 3);
-    let aff2 = measure_aff(2, 3);
-    let static48 = measure_static(48, 3);
+    let aff10 = measure(10, SelectorPolicy::Uniform, 3);
+    let aff2 = measure(2, SelectorPolicy::Uniform, 3);
+    let static48 = measure(48, SelectorPolicy::StaticAddress { seq_bits: 8 }, 3);
     assert!(
         aff10 > static48,
         "well-sized AFF ({aff10:.4}) must beat 48-bit static ({static48:.4})"

@@ -2,11 +2,12 @@
 //! must uphold cross-crate invariants.
 
 use proptest::prelude::*;
-use retri_aff::sender::{Workload, WorkloadMode};
-use retri_aff::{AffNode, AffReceiver, AffSender, SelectorPolicy, Testbed, WireConfig};
+use retri_aff::sender::Workload;
+use retri_aff::{SelectorPolicy, Testbed};
 use retri_netsim::prelude::*;
-use retri_netsim::topology::Topology;
 
+/// One paper testbed with the scenario's population, width, packet size
+/// and duration; returns `(offered, truth delivered, AFF delivered)`.
 fn run_scenario(
     seed: u64,
     transmitters: usize,
@@ -15,8 +16,6 @@ fn run_scenario(
     listening: bool,
     secs: u64,
 ) -> (u64, u64, u64) {
-    let wire = WireConfig::aff(retri::IdentifierSpace::new(id_bits).unwrap());
-    let radio = RadioConfig::radiometrix_rpc();
     let policy = if listening {
         SelectorPolicy::Listening {
             window: 2 * (transmitters + 1),
@@ -26,54 +25,20 @@ fn run_scenario(
     };
     let workload = Workload {
         packet_bytes,
-        start: SimTime::ZERO,
         stop: SimTime::from_secs(secs),
-        mode: WorkloadMode::Saturate {
-            poll: SimDuration::from_millis(2),
-        },
+        ..Workload::paper_trial()
     };
-    let wire_for_factory = wire.clone();
-    let mut sim = ShardedSimBuilder::new(seed)
-        .radio(radio)
-        .mac(MacConfig::csma())
-        .range(100.0)
-        .build(move |id: NodeId| {
-            if id.index() < transmitters {
-                AffNode::Sender(
-                    AffSender::new(
-                        wire_for_factory.clone(),
-                        radio.max_frame_bytes,
-                        policy,
-                        workload,
-                        None,
-                    )
-                    .expect("wire fits the radio"),
-                )
-            } else {
-                AffNode::Receiver(AffReceiver::new(wire_for_factory.clone(), 300_000))
-            }
-        });
-    let topo = Topology::full_mesh(transmitters + 1, 100.0);
-    for id in topo.node_ids() {
-        sim.add_node_at(topo.position(id));
+    let result = Testbed {
+        transmitters,
+        workload,
+        ..Testbed::paper(id_bits, policy)
     }
-    sim.run_until(SimTime::from_secs(secs + 2));
-    let rx = sim
-        .protocol(NodeId(transmitters as u32))
-        .as_receiver()
-        .expect("receiver node");
-    let offered: u64 = sim
-        .node_ids()
-        .take(transmitters)
-        .map(|id| {
-            sim.protocol(id)
-                .as_sender()
-                .expect("sender node")
-                .stats()
-                .packets_sent
-        })
-        .sum();
-    (offered, rx.truth_delivered(), rx.aff_delivered())
+    .run(seed);
+    (
+        result.packets_offered,
+        result.truth_delivered,
+        result.aff_delivered,
+    )
 }
 
 proptest! {
