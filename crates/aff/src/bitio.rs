@@ -208,17 +208,9 @@ impl<'a> BitReader<'a> {
     /// The whole bytes that do remain are consumed first, so the error
     /// reports the final partial byte: `wanted` 8, `available` < 8.
     pub fn read_bytes(&mut self, len: usize) -> Result<Vec<u8>, ReadPastEndError> {
-        let whole = self.remaining() / 8;
-        if len as u64 > whole {
-            self.cursor += whole * 8;
-            return Err(ReadPastEndError {
-                wanted: 8,
-                available: self.remaining(),
-            });
-        }
         let start = (self.cursor / 8) as usize;
         let shift = (self.cursor % 8) as u32;
-        self.cursor += len as u64 * 8;
+        self.skip_bytes(len)?;
         if shift == 0 {
             return Ok(self.bytes[start..start + len].to_vec());
         }
@@ -229,6 +221,21 @@ impl<'a> BitReader<'a> {
             .windows(2)
             .map(|pair| (pair[0] << shift) | (pair[1] >> (8 - shift)))
             .collect())
+    }
+
+    /// Advances past `len` whole bytes without copying them, consuming
+    /// and failing exactly as [`Self::read_bytes`] does.
+    pub(crate) fn skip_bytes(&mut self, len: usize) -> Result<(), ReadPastEndError> {
+        let whole = self.remaining() / 8;
+        if len as u64 > whole {
+            self.cursor += whole * 8;
+            return Err(ReadPastEndError {
+                wanted: 8,
+                available: self.remaining(),
+            });
+        }
+        self.cursor += len as u64 * 8;
+        Ok(())
     }
 }
 

@@ -97,15 +97,16 @@ impl Outbox {
         Ok(id)
     }
 
-    /// Learns the key of a fragment heard on the air. A Section 3.2
-    /// notification naming a recently sent packet makes that packet go
-    /// out once more under a fresh key; listening policies avoid the
-    /// burned key, which was just observed.
-    pub(crate) fn hear(&mut self, ctx: &mut Context<'_>, fragment: &Fragment) {
-        self.selector.observe(fragment.key(), ctx.now().as_micros());
-        let Fragment::Notify { key, .. } = *fragment else {
+    /// Learns the key of a fragment heard on the air; `notify` says
+    /// whether it was a Section 3.2 notification. One naming a recently
+    /// sent packet makes that packet go out once more under a fresh
+    /// key; listening policies avoid the burned key, which was just
+    /// observed.
+    pub(crate) fn hear(&mut self, ctx: &mut Context<'_>, key: TransactionId, notify: bool) {
+        self.selector.observe(key, ctx.now().as_micros());
+        if !notify {
             return;
-        };
+        }
         let Some(entry) = self
             .history
             .iter_mut()

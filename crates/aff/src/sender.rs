@@ -19,7 +19,7 @@ use retri_netsim::{Context, Frame, Protocol, SimDuration, SimTime, Timer};
 
 use crate::endpoint::Outbox;
 use crate::frag::FragmentError;
-use crate::wire::{Truth, WireConfig};
+use crate::wire::{Body, Truth, WireConfig};
 
 /// How a sender picks the key of each packet: the two series of the
 /// paper's Figure 4, the adaptive variant of Section 5.1, two structured
@@ -285,8 +285,10 @@ impl Protocol for AffSender {
     }
 
     fn on_frame(&mut self, ctx: &mut Context<'_>, frame: &Frame) {
-        if let Ok(fragment) = self.wire().decode(&frame.payload) {
-            self.outbox.hear(ctx, &fragment);
+        // A transmitter only listens for keys: the header is enough.
+        if let Ok(header) = self.wire().decode_header(&frame.payload) {
+            let notify = matches!(header.body, Body::Notify);
+            self.outbox.hear(ctx, header.key, notify);
         }
     }
 

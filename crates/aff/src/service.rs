@@ -174,8 +174,9 @@ impl AffService {
             self.decode_errors += 1;
             return;
         };
-        self.outbox.hear(ctx, &fragment);
-        if matches!(fragment, Fragment::Notify { .. }) {
+        let notify = matches!(fragment, Fragment::Notify { .. });
+        self.outbox.hear(ctx, fragment.key(), notify);
+        if notify {
             return;
         }
         if let Some(packet) = self.inbox.receive(ctx, &fragment) {

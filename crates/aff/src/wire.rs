@@ -513,6 +513,42 @@ impl WireConfig {
     /// Returns a [`WireError`] if the frame is truncated, has an
     /// inconsistent payload length, or carries trailing bits.
     pub fn decode(&self, payload: &FramePayload) -> Result<Fragment, WireError> {
+        let Parsed { key, body, truth } = self.parse(payload, BitReader::read_bytes)?;
+        Ok(match body {
+            Body::Intro {
+                total_len,
+                checksum,
+            } => Fragment::Intro {
+                key,
+                total_len,
+                checksum,
+                truth,
+            },
+            Body::Data { offset, payload } => Fragment::Data {
+                key,
+                offset,
+                payload,
+                truth,
+            },
+            Body::Notify => Fragment::Notify { key, truth },
+        })
+    }
+
+    /// Decodes a frame payload's header, stepping over a data
+    /// fragment's payload instead of copying it: what a node that only
+    /// listens for keys needs. Validates exactly what
+    /// [`Self::decode`] validates and fails with the same error.
+    pub(crate) fn decode_header(&self, payload: &FramePayload) -> Result<Parsed<()>, WireError> {
+        self.parse(payload, BitReader::skip_bytes)
+    }
+
+    /// The one fragment parser: reads every field in wire order and
+    /// hands a data fragment's payload bytes to `take`.
+    fn parse<'a, P>(
+        &self,
+        payload: &'a FramePayload,
+        take: impl FnOnce(&mut BitReader<'a>, usize) -> Result<P, ReadPastEndError>,
+    ) -> Result<Parsed<P>, WireError> {
         let mut reader = BitReader::new(payload.bytes(), payload.bits());
         let kind = reader.read_bits(self.kind_bits())?;
         let key_value = reader.read_bits(self.scheme.key_bits())?;
@@ -520,17 +556,11 @@ impl WireConfig {
             .space()
             .id(key_value)
             .expect("key read with exactly key_bits cannot overflow");
-        let fragment = match kind {
-            KIND_INTRO => {
-                let total_len = reader.read_bits(TOTAL_LEN_BITS)? as u16;
-                let checksum = reader.read_bits(CHECKSUM_BITS)? as u16;
-                Fragment::Intro {
-                    key,
-                    total_len,
-                    checksum,
-                    truth: None,
-                }
-            }
+        let body = match kind {
+            KIND_INTRO => Body::Intro {
+                total_len: reader.read_bits(TOTAL_LEN_BITS)? as u16,
+                checksum: reader.read_bits(CHECKSUM_BITS)? as u16,
+            },
             KIND_DATA => {
                 let offset = reader.read_bits(OFFSET_BITS)? as u16;
                 let declared = reader.read_bits(PAYLOAD_LEN_BITS)? as usize;
@@ -541,20 +571,17 @@ impl WireConfig {
                         available,
                     });
                 }
-                let payload = reader.read_bytes(declared)?;
-                Fragment::Data {
-                    key,
+                Body::Data {
                     offset,
-                    payload,
-                    truth: None,
+                    payload: take(&mut reader, declared)?,
                 }
             }
-            KIND_NOTIFY => Fragment::Notify { key, truth: None },
+            KIND_NOTIFY => Body::Notify,
             other => {
                 return Err(WireError::UnknownKind { kind: other as u8 });
             }
         };
-        let truth = if self.instrument && !matches!(fragment, Fragment::Notify { .. }) {
+        let truth = if self.instrument && !matches!(body, Body::Notify) {
             let source = reader.read_bits(64)?;
             let packet_seq = reader.read_bits(32)? as u32;
             Some(Truth { source, packet_seq })
@@ -566,32 +593,25 @@ impl WireConfig {
                 leftover: reader.remaining(),
             });
         }
-        Ok(match fragment {
-            Fragment::Intro {
-                key,
-                total_len,
-                checksum,
-                ..
-            } => Fragment::Intro {
-                key,
-                total_len,
-                checksum,
-                truth,
-            },
-            Fragment::Data {
-                key,
-                offset,
-                payload,
-                ..
-            } => Fragment::Data {
-                key,
-                offset,
-                payload,
-                truth,
-            },
-            Fragment::Notify { key, .. } => Fragment::Notify { key, truth },
-        })
+        Ok(Parsed { key, body, truth })
     }
+}
+
+/// A fragment's fields as the wire parser reads them, with a data
+/// fragment's payload in whatever form `P` the parse took it.
+#[derive(Debug)]
+pub(crate) struct Parsed<P> {
+    pub(crate) key: TransactionId,
+    pub(crate) body: Body<P>,
+    pub(crate) truth: Option<Truth>,
+}
+
+/// The kind-specific fields of a [`Parsed`] fragment.
+#[derive(Debug)]
+pub(crate) enum Body<P> {
+    Intro { total_len: u16, checksum: u16 },
+    Data { offset: u16, payload: P },
+    Notify,
 }
 
 #[cfg(test)]
@@ -895,5 +915,114 @@ mod tests {
         let config = aff_config(8);
         let key = config.space().id(1).unwrap();
         let _ = config.encode(&Fragment::Notify { key, truth: None });
+    }
+
+    mod header_path {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A well-formed fragment on `wire`, from raw draws: `kind`
+        /// picks intro, data or (on a notifying wire) notify.
+        fn fragment(wire: &WireConfig, kind: u8, raw: u64, payload: Vec<u8>) -> Fragment {
+            let key = wire.space().id(raw & wire.space().mask()).unwrap();
+            let truth = wire.instrumented().then_some(Truth {
+                source: raw.rotate_left(7),
+                packet_seq: raw as u32,
+            });
+            match kind % if wire.notifications_enabled() { 3 } else { 2 } {
+                0 => Fragment::Intro {
+                    key,
+                    total_len: raw as u16,
+                    checksum: (raw >> 16) as u16,
+                    truth,
+                },
+                1 => Fragment::Data {
+                    key,
+                    offset: (raw >> 32) as u16,
+                    payload,
+                    truth,
+                },
+                _ => Fragment::Notify { key, truth: None },
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1024))]
+
+            /// Differential: on well-formed fragments and on every kind
+            /// of malformed payload — truncated, a bad declared length,
+            /// trailing bits, an undefined kind, random bit flips — the
+            /// header path fails exactly as `decode` does, and otherwise
+            /// reads the same key, kind and header fields.
+            #[test]
+            fn header_path_matches_decode(
+                shape in (4u8..=16, any::<bool>(), any::<bool>(), 0u8..3),
+                raw in any::<u64>(),
+                payload in proptest::collection::vec(any::<u8>(), 0..24),
+                damage in (0u8..6, any::<u32>(), 1u32..=12),
+            ) {
+                let (bits, instrumented, notifying, kind) = shape;
+                let mut wire = aff_config(bits);
+                if instrumented {
+                    wire = wire.with_instrumentation();
+                }
+                if notifying {
+                    wire = wire.with_notifications();
+                }
+                let encoded = wire.encode(&fragment(&wire, kind, raw, payload)).unwrap();
+                let (mut bytes, mut len) = (encoded.bytes().to_vec(), encoded.bits());
+                let (how, at, extra) = damage;
+                match how {
+                    // Truncated anywhere, down to a single bit.
+                    0 => {
+                        len = 1 + at % len;
+                        bytes.truncate(len.div_ceil(8) as usize);
+                    }
+                    // Trailing bits.
+                    1 => {
+                        len += extra;
+                        bytes.resize(len.div_ceil(8) as usize, raw as u8);
+                    }
+                    // Any one bit flipped: the kind field (an undefined
+                    // kind on a notifying wire), the key, the declared
+                    // payload length, the payload or the trailer.
+                    2 => bytes[(at % len) as usize / 8] ^= 0x80 >> (at % len % 8),
+                    // An undefined kind where the field allows one.
+                    3 => bytes[0] |= 0xC0,
+                    // A bit of a data fragment's declared payload length
+                    // flipped.
+                    4 => {
+                        let bit = wire.kind_bits() + u32::from(bits) + OFFSET_BITS + at % 8;
+                        if bit < len {
+                            bytes[bit as usize / 8] ^= 0x80 >> (bit % 8);
+                        }
+                    }
+                    _ => {}
+                }
+                let damaged = FramePayload::from_bits(bytes, len).unwrap();
+                let full = wire.decode(&damaged);
+                let header = wire.decode_header(&damaged);
+                match (&full, &header) {
+                    (Ok(fragment), Ok(header)) => {
+                        prop_assert_eq!(fragment.key(), header.key);
+                        prop_assert_eq!(fragment.truth(), header.truth);
+                        let same = match (fragment, &header.body) {
+                            (
+                                Fragment::Intro { total_len, checksum, .. },
+                                Body::Intro { total_len: t, checksum: c },
+                            ) => total_len == t && checksum == c,
+                            (Fragment::Data { offset, .. }, Body::Data { offset: o, .. }) => {
+                                offset == o
+                            }
+                            (Fragment::Notify { .. }, Body::Notify) => true,
+                            _ => false,
+                        };
+                        prop_assert!(same, "{:?} vs {:?}", fragment, header);
+                    }
+                    (Err(a), Err(b)) => prop_assert_eq!(a, b),
+                    _ => prop_assert!(false, "decode {:?}, header {:?}", full, header),
+                }
+            }
+        }
     }
 }

@@ -33,7 +33,7 @@
 //!           | origin (4B, payload) | seq (4B, payload) | value (2B, payload)
 //! ```
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use retri::select::{IdSelector, UniformSelector};
 use retri::{IdentifierSpace, TransactionId};
@@ -169,13 +169,15 @@ pub struct DiffusionNode {
     /// This sink's own current code (sinks only).
     my_code: Option<TransactionId>,
     /// One gradient per live interest code: supports any number of
-    /// concurrent sinks, each with its own ephemeral code.
-    gradients: HashMap<TransactionId, Gradient>,
+    /// concurrent sinks, each with its own ephemeral code. Ordered by
+    /// code, so ties between gradients and the order of per-code sends
+    /// are reproducible.
+    gradients: BTreeMap<TransactionId, Gradient>,
     next_seq: u32,
     /// Duplicate suppression, keyed per (interest code, sample id):
     /// the same sample identifier under two different codes is two
     /// distinct flood transactions.
-    seen: HashMap<(TransactionId, TransactionId), SeenSample>,
+    seen: BTreeMap<(TransactionId, TransactionId), SeenSample>,
     outbox: std::collections::VecDeque<FramePayload>,
     stats: DiffusionStats,
 }
@@ -210,9 +212,9 @@ impl DiffusionNode {
             selector_sample: UniformSelector::new(sample_space),
             origin,
             my_code: None,
-            gradients: HashMap::new(),
+            gradients: BTreeMap::new(),
             next_seq: 0,
-            seen: HashMap::new(),
+            seen: BTreeMap::new(),
             outbox: std::collections::VecDeque::new(),
             stats: DiffusionStats::default(),
         }
@@ -261,7 +263,8 @@ impl DiffusionNode {
     }
 
     /// The interest code currently in effect at this node: a sink's own
-    /// code, or the code of the lowest (nearest) live gradient.
+    /// code, or the code of the lowest (nearest) live gradient, ties
+    /// going to the smaller code.
     #[must_use]
     pub fn current_code(&self) -> Option<TransactionId> {
         if self.role == DiffusionRole::Sink {
@@ -273,7 +276,7 @@ impl DiffusionNode {
             .map(|(code, _)| *code)
     }
 
-    /// All live interest codes known to this node.
+    /// All live interest codes known to this node, in code order.
     pub fn live_codes(&self) -> impl Iterator<Item = TransactionId> + '_ {
         self.gradients.keys().copied()
     }
@@ -788,12 +791,49 @@ mod tests {
         assert_eq!(sim.protocol(NodeId(0)).height(), None);
     }
 
+    /// The `wildfire_watch` example's network: a 5×5 grid at 50 m
+    /// spacing, the sink in one corner and two sources in the other,
+    /// run for 120 s from seed 1610. Sources serve more than one live
+    /// gradient at a time.
+    fn run_wildfire_grid() -> ShardedSim<DiffusionNode> {
+        const SIDE: usize = 5;
+        let config = DiffusionConfig::default();
+        let mut sim = ShardedSimBuilder::new(1610)
+            .radio(RadioConfig::radiometrix_rpc())
+            .mac(MacConfig::csma())
+            .range(60.0)
+            .build(move |id: NodeId| {
+                let role = match id.index() {
+                    0 => DiffusionRole::Sink,
+                    i if i >= SIDE * SIDE - 2 => DiffusionRole::Source,
+                    _ => DiffusionRole::Relay,
+                };
+                DiffusionNode::new(role, config, id.0)
+            });
+        for row in 0..SIDE {
+            for col in 0..SIDE {
+                sim.add_node_at(Position::new(col as f64 * 50.0, row as f64 * 50.0));
+            }
+        }
+        sim.run_until(SimTime::from_secs(120));
+        sim
+    }
+
+    /// Regression: two runs of one seeded scenario in one process agree
+    /// on every counter. The grid case failed while gradients lived in
+    /// a std `HashMap`, whose per-instance random keys ordered a
+    /// source's per-code sends and broke height ties.
     #[test]
     fn runs_are_reproducible() {
-        let a = run_line(3, DiffusionConfig::default(), SimDuration::from_secs(20), 9);
-        let b = run_line(3, DiffusionConfig::default(), SimDuration::from_secs(20), 9);
-        for id in a.node_ids() {
-            assert_eq!(a.protocol(id).stats(), b.protocol(id).stats());
+        let line = || run_line(3, DiffusionConfig::default(), SimDuration::from_secs(20), 9);
+        for run in [line, run_wildfire_grid] {
+            let (a, b) = (run(), run());
+            assert!(a.stats().deliveries > 0);
+            assert_eq!(a.stats(), b.stats());
+            for id in a.node_ids() {
+                assert_eq!(a.protocol(id).stats(), b.protocol(id).stats());
+                assert_eq!(a.protocol(id).height(), b.protocol(id).height());
+            }
         }
     }
 

@@ -50,14 +50,17 @@
 //!
 //! One air view holds every transmission record: a dense record deque
 //! plus per-grid-cell and per-node sequence indexes (cell size = radio
-//! range, so a 3×3 cell scan covers every in-range interferer). Each
-//! cell also counts its transmissions still on the air, so carrier
-//! sense skips silent cells and stops once it has seen them all. The
-//! view is written only while every shard is parked between phases —
-//! by the globally ordered CSMA MAC phase, the epoch barrier and
-//! pruning — and is read-only during the receive phase, so every shard
-//! judges its deliveries against it directly (threaded runs share it
-//! behind a read lock that is never contended).
+//! range, so every in-range interferer of a node originates within one
+//! cell of it). A delivery gathers the records overlapping its airtime
+//! once, from the cells around its receivers, and filters them per
+//! receiver by origin cell and range; DFA slot feedback runs the same
+//! query with the sender as its one receiver. Carrier sense walks the
+//! listener's neighbor list and those neighbors' own records. The view
+//! is written only while every shard is parked between phases — by the
+//! globally ordered CSMA MAC phase, the epoch barrier and pruning — and
+//! is read-only during the receive phase, so every shard judges its
+//! deliveries against it directly (threaded runs share it behind a read
+//! lock that is never contended).
 //!
 //! Delivery *events*, by contrast, are routed: each shard keeps an
 //! interest set of the grid cells within one ring of its nodes, and the
@@ -72,7 +75,8 @@
 //! calling thread; inline and threaded runs differ only in whether the
 //! per-shard halves run in a `for` loop or on parked worker threads.
 
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering as AtomicOrdering};
@@ -91,7 +95,7 @@ use crate::node::{Command, Context, NodeId, Protocol, Timer, TimerHandle};
 use crate::obs::NetsimObs;
 use crate::radio::{DutyCycle, RadioConfig};
 use crate::time::{SimDuration, SimTime};
-use crate::topology::{Position, Topology};
+use crate::topology::{Cell, Position, Topology};
 use crate::trace::{LossReason, TraceEvent, Tracer};
 
 /// Derives the seed of one of a node's dedicated RNG streams.
@@ -240,7 +244,7 @@ enum MacKind {
 /// A phase event, ordered by `(at, lane, a, b)`. In the MAC phase,
 /// node-owned lanes use `a` = node id and `b` = a per-node event
 /// counter, and the dynamics lane uses `a` = the global dynamic index.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct Event<K> {
     at: SimTime,
     lane: u8,
@@ -293,7 +297,7 @@ impl<K> Ord for Event<K> {
 }
 
 /// Receive-phase event payload.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 enum RxKind {
     /// Apply a topology change to this shard's receive replica (the
     /// owner shard also records the trace event and reboots revived
@@ -362,9 +366,9 @@ struct AirRecord {
     bits_on_air: u64,
     frame: Frame,
     /// Grid cell of the sender at transmission start (the interference
-    /// scan bucket; a sender relocating mid-flight keeps its record in
+    /// index bucket; a sender relocating mid-flight keeps its record in
     /// the origin cell).
-    cell: (i64, i64),
+    cell: Cell,
     /// Whether the transmission's MAC `TxEnd` has run (clears carrier
     /// sense; delivery judgments ignore this flag).
     ended: bool,
@@ -376,31 +380,56 @@ impl AirRecord {
     }
 }
 
+/// Whether two grid cells are at most one cell apart on either axis —
+/// the reach of a transmission originating in one at a node in the
+/// other (cell size = radio range).
+fn adjacent(a: Cell, b: Cell) -> bool {
+    a.0.abs_diff(b.0) <= 1 && a.1.abs_diff(b.1) <= 1
+}
+
+/// A retained record that overlaps a judged transmission: what the
+/// per-receiver interference test needs of it.
+#[derive(Debug, Clone, Copy)]
+struct Interferer {
+    sender: NodeId,
+    /// The record's origin cell.
+    cell: Cell,
+}
+
+/// Whether any of `interferers` corrupts a frame at `receiver`, which
+/// sits in grid cell `cell`: a record of another sender, originating
+/// within one cell of the receiver's, whose sender is in range.
+fn interferes(
+    interferers: &[Interferer],
+    receiver: NodeId,
+    cell: Cell,
+    topology: &Topology,
+) -> bool {
+    interferers.iter().any(|other| {
+        other.sender != receiver
+            && adjacent(other.cell, cell)
+            && topology.in_range(other.sender, receiver)
+    })
+}
+
 /// The view of the air every shard judges against.
 ///
 /// Indexes records by the sender's grid cell (cell size = radio range)
-/// so interference queries scan a 3×3 neighborhood instead of every
-/// concurrent transmission — the property that makes the view cheap at
-/// 10k nodes.
+/// so interference queries scan the cells around the receivers instead
+/// of every concurrent transmission — the property that makes the view
+/// cheap at 10k nodes.
 #[derive(Debug)]
 struct AirView {
     cell_size: f64,
     /// Retained records in seq order; `records[i]` has `base_seq + i`.
     records: VecDeque<AirRecord>,
     base_seq: u64,
-    cells: FixedMap<(i64, i64), AirCell>,
+    /// Retained record sequence numbers per origin cell, in insertion
+    /// (= seq) order.
+    cells: FixedMap<Cell, VecDeque<u64>>,
     /// Per-sender record sequence numbers, indexed by node.
     by_node: Vec<VecDeque<u64>>,
-    /// Records still on the air, summed over every cell.
-    on_air: u32,
-}
-
-/// One grid cell of the [`AirView`] index.
-#[derive(Debug, Default)]
-struct AirCell {
-    /// Retained record sequence numbers, in insertion (= seq) order.
-    seqs: VecDeque<u64>,
-    /// How many of those records are still on the air (not ended).
+    /// Records still on the air (not ended).
     on_air: u32,
 }
 
@@ -426,9 +455,10 @@ impl AirView {
             self.base_seq + self.records.len() as u64,
             "records must be inserted in sequence order"
         );
-        let cell = self.cells.entry(record.cell).or_default();
-        cell.seqs.push_back(record.seq);
-        cell.on_air += 1;
+        self.cells
+            .entry(record.cell)
+            .or_default()
+            .push_back(record.seq);
         self.on_air += 1;
         self.by_node[record.sender.index()].push_back(record.seq);
         self.records.push_back(record);
@@ -439,10 +469,6 @@ impl AirView {
         let record = &mut self.records[index];
         debug_assert!(!record.ended, "transmission {seq} ended twice");
         record.ended = true;
-        self.cells
-            .get_mut(&record.cell)
-            .expect("cell index present")
-            .on_air -= 1;
         self.on_air -= 1;
     }
 
@@ -466,56 +492,51 @@ impl AirView {
         })
     }
 
-    /// Whether any foreign transmission audible at `receiver` overlaps
-    /// `[start, end)` other than `exclude_seq`.
-    fn interference_at(
-        &self,
-        receiver: NodeId,
-        position: Position,
-        start: SimTime,
-        end: SimTime,
-        exclude_seq: u64,
-        topology: &Topology,
-    ) -> bool {
-        let (cx, cy) = cell_of(position, self.cell_size);
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                let Some(cell) = self.cells.get(&(cx + dx, cy + dy)) else {
+    /// Collects into `out` every retained record other than `seq` that
+    /// overlaps `seq`'s airtime and originates within one cell of the
+    /// box `lo..=hi`: every record that can interfere at a receiver
+    /// whose cell lies in the box. One gather serves all of a
+    /// transmission's receivers, each filtered by [`interferes`].
+    fn gather_interferers(&self, seq: u64, lo: Cell, hi: Cell, out: &mut Vec<Interferer>) {
+        out.clear();
+        let judged = self.get(seq).expect("judging unknown transmission");
+        for cx in lo.0 - 1..=hi.0 + 1 {
+            for cy in lo.1 - 1..=hi.1 + 1 {
+                let Some(seqs) = self.cells.get(&(cx, cy)) else {
                     continue;
                 };
-                for &seq in &cell.seqs {
-                    let record = self.get(seq).expect("indexed record retained");
-                    if seq != exclude_seq
-                        && record.sender != receiver
-                        && record.overlaps(start, end)
-                        && topology.in_range(record.sender, receiver)
-                    {
-                        return true;
+                for &other in seqs {
+                    let record = self.get(other).expect("indexed record retained");
+                    if other != seq && record.overlaps(judged.start, judged.end) {
+                        out.push(Interferer {
+                            sender: record.sender,
+                            cell: record.cell,
+                        });
                     }
                 }
             }
         }
-        false
     }
 
     /// Per-receiver delivery verdict, in precedence order: half-duplex,
-    /// then RF collision, then random loss.
+    /// then RF collision among `interferers` (gathered for a box
+    /// holding the receiver's cell `cell`), then the receiver's random
+    /// loss draw.
     fn judge(
         &self,
         seq: u64,
         receiver: NodeId,
-        position: Position,
-        loss_draw: f64,
-        frame_loss: f64,
+        cell: Cell,
+        interferers: &[Interferer],
+        random_loss: bool,
         topology: &Topology,
     ) -> Verdict {
         let record = self.get(seq).expect("judging unknown transmission");
         if self.transmitting_during(receiver, record.start, record.end, seq) {
             Verdict::Failed(LossReason::HalfDuplex)
-        } else if self.interference_at(receiver, position, record.start, record.end, seq, topology)
-        {
+        } else if interferes(interferers, receiver, cell, topology) {
             Verdict::Failed(LossReason::RfCollision)
-        } else if loss_draw < frame_loss {
+        } else if random_loss {
             Verdict::Failed(LossReason::RandomLoss)
         } else {
             Verdict::Delivered
@@ -525,11 +546,12 @@ impl AirView {
     /// CSMA carrier sense: whether `listener` (at `position`) hears any
     /// ongoing foreign transmission at `now`.
     ///
-    /// Visits only on-air records: a record satisfying
-    /// `start <= now < end` cannot have ended (its `TxEnd` runs at
-    /// `end > now`), so a silent air answers at once, cells with no
-    /// on-air record are skipped, and the newest-first walk of a cell
-    /// stops after its `on_air` un-ended records.
+    /// Walks the listener's neighbors, which are exactly the live nodes
+    /// in range of it (adjacency is symmetric), and their own records:
+    /// a record is heard if it has not ended, covers `now` and
+    /// originates within one cell of the listener's — the same records
+    /// a 3×3 scan of the cell index would find. A silent air answers at
+    /// once.
     fn busy_for(
         &self,
         listener: NodeId,
@@ -540,33 +562,16 @@ impl AirView {
         if self.on_air == 0 {
             return false;
         }
-        let (cx, cy) = cell_of(position, self.cell_size);
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                let Some(cell) = self.cells.get(&(cx + dx, cy + dy)) else {
-                    continue;
-                };
-                let mut remaining = cell.on_air;
-                for &seq in cell.seqs.iter().rev() {
-                    if remaining == 0 {
-                        break;
-                    }
-                    let record = self.get(seq).expect("indexed record retained");
-                    if record.ended {
-                        continue;
-                    }
-                    if record.sender != listener
-                        && record.start <= now
-                        && record.end > now
-                        && topology.in_range(record.sender, listener)
-                    {
-                        return true;
-                    }
-                    remaining -= 1;
-                }
-            }
-        }
-        false
+        let cell = cell_of(position, self.cell_size);
+        topology.neighbors(listener).any(|sender| {
+            self.by_node[sender.index()].iter().any(|&seq| {
+                let record = self.get(seq).expect("indexed record retained");
+                !record.ended
+                    && record.start <= now
+                    && record.end > now
+                    && adjacent(record.cell, cell)
+            })
+        })
     }
 
     /// Drops front records ended before `horizon`. O(1) per record: the
@@ -579,19 +584,18 @@ impl AirView {
             }
             let record = self.records.pop_front().expect("front exists");
             self.base_seq += 1;
-            let cell = self
+            let seqs = self
                 .cells
                 .get_mut(&record.cell)
                 .expect("cell index present");
-            let popped = cell.seqs.pop_front();
+            let popped = seqs.pop_front();
             debug_assert_eq!(popped, Some(record.seq));
             if !record.ended {
                 // Only carrier-sense runs end records (`mark_ended`);
                 // the rest leave the on-air count here.
-                cell.on_air -= 1;
                 self.on_air -= 1;
             }
-            if cell.seqs.is_empty() {
+            if seqs.is_empty() {
                 self.cells.remove(&record.cell);
             }
             let by_node = &mut self.by_node[record.sender.index()];
@@ -745,7 +749,14 @@ struct ShardCore<P> {
     dfa: DfaStats,
     trace_buf: Vec<(TraceKey, TraceEvent)>,
     commands: Vec<Command>,
-    receiver_scratch: Vec<NodeId>,
+    /// Receive-phase events pushed by the event being dispatched, held
+    /// back until it is done so the first can replace it on the heap.
+    rx_staged: Vec<RxEvent>,
+    /// The owned receivers of the transmission being delivered, with
+    /// their grid cells.
+    receiver_scratch: Vec<(NodeId, Cell)>,
+    /// The records overlapping the transmission being judged.
+    interferer_scratch: Vec<Interferer>,
     /// Grid cells within one ring of any owned node — the cells whose
     /// transmissions this shard may have to deliver — refcounted by how
     /// many owned nodes contribute each cell, so a move patches the set
@@ -775,7 +786,9 @@ impl<P: Protocol> ShardCore<P> {
             dfa: DfaStats::default(),
             trace_buf: Vec::new(),
             commands: Vec::new(),
+            rx_staged: Vec::new(),
             receiver_scratch: Vec::new(),
+            interferer_scratch: Vec::new(),
             interest: FixedMap::default(),
             windows_skipped: 0,
             mac_was_idle: true,
@@ -1033,13 +1046,14 @@ impl<P: Protocol> ShardCore<P> {
         obs: Option<&NetsimObs>,
     ) -> Option<SimTime> {
         let mut rx_was_idle = true;
-        while let Some(ev) = self.rx_heap.peek() {
+        while let Some(&ev) = self.rx_heap.peek() {
             if !ctx.in_window(ev.at, t_end) {
                 break;
             }
             rx_was_idle = false;
-            let ev = self.rx_heap.pop().expect("peeked above");
-            if let RxKind::Deliver { .. } = ev.kind {
+            let deliver = matches!(ev.kind, RxKind::Deliver { .. });
+            if deliver {
+                self.rx_heap.pop();
                 // Routing may hand a shard one transmission more than
                 // once: when its interest set loses and regains the
                 // origin cell, or when a mover's record reaches it again.
@@ -1060,6 +1074,23 @@ impl<P: Protocol> ShardCore<P> {
                 }
             }
             self.dispatch_rx(ev, ctx, air, obs);
+            // Dispatch only stages its pushes, so any other event is
+            // still the heap's top: its first follow-up (a timer
+            // re-arming, typically) takes its place with one sift. The
+            // pop order cannot tell: keys order every pop, and events
+            // that share a key are identical copies.
+            let mut staged = self.rx_staged.drain(..);
+            if !deliver {
+                let mut top = self.rx_heap.peek_mut().expect("dispatched event on top");
+                debug_assert!(top.key() == ev.key(), "dispatch pushed past the stage");
+                match staged.next() {
+                    Some(follow_up) => *top = follow_up,
+                    None => {
+                        PeekMut::pop(top);
+                    }
+                }
+            }
+            self.rx_heap.extend(staged);
         }
         if self.mac_was_idle && rx_was_idle {
             self.windows_skipped += 1;
@@ -1101,7 +1132,7 @@ impl<P: Protocol> ShardCore<P> {
                         }
                         if alive {
                             // A reborn node boots afresh.
-                            self.rx_heap.push(RxEvent {
+                            self.rx_staged.push(RxEvent {
                                 at,
                                 lane: LANE_R_START,
                                 a: u64::from(node.0),
@@ -1150,15 +1181,11 @@ impl<P: Protocol> ShardCore<P> {
         air: &AirView,
     ) {
         let record = air.get(seq).expect("feedback record retained");
-        let position = self.topo_rx.position(sender);
-        let collided = air.interference_at(
-            sender,
-            position,
-            record.start,
-            record.end,
-            seq,
-            &self.topo_rx,
-        );
+        // The sender judges its own transmission as its one receiver.
+        let cell = cell_of(self.topo_rx.position(sender), air.cell_size);
+        let interferers = &mut self.interferer_scratch;
+        air.gather_interferers(seq, cell, cell, interferers);
+        let collided = interferes(interferers, sender, cell, &self.topo_rx);
         let local = ctx.local(self.index, sender);
         if collided {
             self.dfa.collisions += 1;
@@ -1196,19 +1223,29 @@ impl<P: Protocol> ShardCore<P> {
         receivers.extend(
             self.topo_rx
                 .neighbors(sender)
-                .filter(|r| self.owns(ctx, *r)),
+                .filter(|r| self.owns(ctx, *r))
+                .map(|r| (r, cell_of(self.topo_rx.position(r), air.cell_size))),
         );
         if receivers.is_empty() {
             self.receiver_scratch = receivers;
             return;
         }
+        // One gather of the overlapping records serves every receiver:
+        // the box spans the receivers' cells.
+        let (mut lo, mut hi) = (receivers[0].1, receivers[0].1);
+        for &(_, (cx, cy)) in &receivers {
+            lo = (lo.0.min(cx), lo.1.min(cy));
+            hi = (hi.0.max(cx), hi.1.max(cy));
+        }
+        let mut interferers = std::mem::take(&mut self.interferer_scratch);
+        air.gather_interferers(seq, lo, hi, &mut interferers);
         let record = air.get(seq).expect("delivery record retained");
         let bits_on_air = record.bits_on_air;
         let tx_start = record.start;
         let tx_end_at = record.end;
         let airtime_micros = tx_end_at.since(tx_start).as_micros();
         let rx_nj = bits_on_air as f64 * ctx.radio.energy.rx_nj_per_bit;
-        for &receiver in &receivers {
+        for &(receiver, cell) in &receivers {
             let local = ctx.local(self.index, receiver);
             // Draw before any filtering so the stream is identical
             // across duty-cycle and fault configurations.
@@ -1243,13 +1280,12 @@ impl<P: Protocol> ShardCore<P> {
                     continue;
                 }
             }
-            let position = self.topo_rx.position(receiver);
             let verdict = air.judge(
                 seq,
                 receiver,
-                position,
-                draw,
-                ctx.radio.frame_loss,
+                cell,
+                &interferers,
+                draw < ctx.radio.frame_loss,
                 &self.topo_rx,
             );
             match verdict {
@@ -1367,6 +1403,7 @@ impl<P: Protocol> ShardCore<P> {
         }
         receivers.clear();
         self.receiver_scratch = receivers;
+        self.interferer_scratch = interferers;
     }
 
     fn trace_rx(
@@ -1429,7 +1466,7 @@ impl<P: Protocol> ShardCore<P> {
                         );
                     }
                     Command::SetTimer { node, at, timer } => {
-                        self.rx_heap.push(RxEvent {
+                        self.rx_staged.push(RxEvent {
                             at,
                             lane: LANE_R_TIMER,
                             a: u64::from(node.0),
@@ -1619,7 +1656,6 @@ impl ShardedSimBuilder {
             obs: None,
             trace_main: Vec::new(),
             merge_scratch: Vec::new(),
-            cursor_scratch: BinaryHeap::new(),
             force_serial: false,
             force_threads: false,
             placement_dirty: false,
@@ -1687,9 +1723,6 @@ pub struct ShardedSim<P> {
     obs: Option<NetsimObs>,
     trace_main: Vec<(TraceKey, TraceEvent)>,
     merge_scratch: Vec<PendingTx>,
-    /// The CSMA MAC phase's merge cursors, kept between windows so the
-    /// steady state allocates nothing.
-    cursor_scratch: BinaryHeap<MergeCursor>,
     force_serial: bool,
     force_threads: bool,
     /// Whether node placement may be stale (nodes added or dynamics
@@ -2183,7 +2216,7 @@ fn backfill_gained_cell<P: Protocol>(
     since: SimTime,
 ) {
     if let Some(indexed) = air.cells.get(&cell) {
-        for &seq in &indexed.seqs {
+        for &seq in indexed {
             route_deliver(core, air, seq, since);
         }
     }
@@ -2257,48 +2290,41 @@ fn apply_interest_decrements<P: Protocol>(
     }
 }
 
-/// Min-heap entry in the k-way merge: (event sort key, shard index).
-type MergeCursor = Reverse<((SimTime, u8, u64, u64), usize)>;
-
 /// The globally ordered MAC phase of carrier-sense runs: a cross-shard
 /// merge in global event order, so carrier sense observes every earlier
 /// transmission start (zero lookahead).
 ///
-/// The merge keeps one cursor per shard in a min-heap, the caller's
-/// scratch heap `cursors`, which every window reuses. `dispatch_mac`
-/// only ever pushes follow-up events onto the shard it ran on, so after
-/// each pop only that one cursor needs refreshing — O(log K) per event
-/// instead of an O(K) peek scan.
+/// Each step dispatches the smallest in-window head among the shards'
+/// MAC heaps, ties going to the lower shard index (only broadcast
+/// dynamics share a key across shards). The scan costs O(K) per event:
+/// cheaper than a heap of per-shard cursors at K = 1 and 4, dearer at
+/// K = 16 (EXPERIMENTS.md "One engine"). The paper's experiments all
+/// run at K = 1.
 fn csma_mac_phase<P: Protocol>(
     cores: &mut [&mut ShardCore<P>],
     air: &mut AirView,
-    cursors: &mut BinaryHeap<MergeCursor>,
     next_seq: &mut u64,
     ctx: &EngineCtx<'_>,
     t_end: SimTime,
     obs: Option<&NetsimObs>,
 ) {
-    cursors.clear();
-    for (i, core) in cores.iter_mut().enumerate() {
-        core.mac_was_idle = true;
-        if let Some(ev) = core.mac_heap.peek() {
-            if ctx.in_window(ev.at, t_end) {
-                core.mac_was_idle = false;
-                cursors.push(Reverse((ev.key(), i)));
-            }
-        }
+    let in_window = |core: &ShardCore<P>| {
+        core.mac_heap
+            .peek()
+            .filter(|ev| ctx.in_window(ev.at, t_end))
+            .map(MacEvent::key)
+    };
+    for core in cores.iter_mut() {
+        core.mac_was_idle = in_window(core).is_none();
     }
-    while let Some(Reverse((_, i))) = cursors.pop() {
-        let ev = cores[i]
-            .mac_heap
-            .pop()
-            .expect("cursor tracks a peeked event");
+    while let Some((_, i)) = cores
+        .iter()
+        .enumerate()
+        .filter_map(|(i, core)| Some((in_window(core)?, i)))
+        .min()
+    {
+        let ev = cores[i].mac_heap.pop().expect("peeked above");
         cores[i].dispatch_mac(ev, ctx, Some(CsmaAir { air, next_seq }), obs);
-        if let Some(ev) = cores[i].mac_heap.peek() {
-            if ctx.in_window(ev.at, t_end) {
-                cursors.push(Reverse((ev.key(), i)));
-            }
-        }
     }
 }
 
@@ -2498,7 +2524,6 @@ struct Conductor<'a> {
     frames_sent: &'a mut u64,
     trace_main: &'a mut Vec<(TraceKey, TraceEvent)>,
     merge: &'a mut Vec<PendingTx>,
-    cursors: &'a mut BinaryHeap<MergeCursor>,
     obs: Option<&'a mut NetsimObs>,
     windows_executed: &'a mut u64,
 }
@@ -2527,15 +2552,7 @@ impl Conductor<'_> {
             }
             if ctx.mac.carrier_sense {
                 crew.exclusive(|cores, air| {
-                    csma_mac_phase(
-                        cores,
-                        air,
-                        self.cursors,
-                        self.next_seq,
-                        ctx,
-                        t_end,
-                        self.obs.as_deref(),
-                    );
+                    csma_mac_phase(cores, air, self.next_seq, ctx, t_end, self.obs.as_deref());
                 });
             } else {
                 crew.mac_phase(t_end, self.obs.as_deref());
@@ -2797,7 +2814,6 @@ impl<P: Protocol + Send> ShardedSim<P> {
             frames_sent,
             trace_main,
             merge_scratch,
-            cursor_scratch,
             obs,
             tracer,
             owner,
@@ -2827,7 +2843,6 @@ impl<P: Protocol + Send> ShardedSim<P> {
             frames_sent,
             trace_main,
             merge: merge_scratch,
-            cursors: cursor_scratch,
             obs: obs.as_mut(),
             windows_executed,
         };
@@ -2959,11 +2974,19 @@ pub(crate) mod testkit {
             loss_draw: f64,
             frame_loss: f64,
         ) -> Result<(), LossReason> {
-            let position = self.topo.position(receiver);
-            match self
-                .air
-                .judge(seq, receiver, position, loss_draw, frame_loss, &self.topo)
-            {
+            let cell = cell_of(self.topo.position(receiver), self.air.cell_size);
+            let mut interferers = Vec::new();
+            self.air
+                .gather_interferers(seq, cell, cell, &mut interferers);
+            let verdict = self.air.judge(
+                seq,
+                receiver,
+                cell,
+                &interferers,
+                loss_draw < frame_loss,
+                &self.topo,
+            );
+            match verdict {
                 Verdict::Delivered => Ok(()),
                 Verdict::Failed(reason) => Err(reason),
             }
@@ -2992,6 +3015,62 @@ pub(crate) mod testkit {
                 .get(seq)
                 .map(|record| (record.sender, &record.frame))
         }
+    }
+
+    /// Reference RF-collision test: the per-receiver scan of the 3×3
+    /// cells around `receiver` that the engine's gather-and-filter
+    /// replaced. Whether any foreign transmission audible at `receiver`
+    /// overlaps `[start, end)` other than `exclude_seq`.
+    pub(super) fn reference_interference_at(
+        air: &AirView,
+        receiver: NodeId,
+        position: Position,
+        start: SimTime,
+        end: SimTime,
+        exclude_seq: u64,
+        topology: &Topology,
+    ) -> bool {
+        let (cx, cy) = cell_of(position, air.cell_size);
+        (-1..=1).any(|dx| {
+            (-1..=1).any(|dy| {
+                air.cells.get(&(cx + dx, cy + dy)).is_some_and(|seqs| {
+                    seqs.iter().any(|&seq| {
+                        let record = air.get(seq).expect("indexed record retained");
+                        seq != exclude_seq
+                            && record.sender != receiver
+                            && record.overlaps(start, end)
+                            && topology.in_range(record.sender, receiver)
+                    })
+                })
+            })
+        })
+    }
+
+    /// Reference carrier sense: the scan of the 3×3 cells around
+    /// `listener` that the engine's neighbor walk replaced (without the
+    /// per-cell on-air counts, which only cut the scan short).
+    pub(super) fn reference_busy_for(
+        air: &AirView,
+        listener: NodeId,
+        position: Position,
+        now: SimTime,
+        topology: &Topology,
+    ) -> bool {
+        let (cx, cy) = cell_of(position, air.cell_size);
+        (-1..=1).any(|dx| {
+            (-1..=1).any(|dy| {
+                air.cells.get(&(cx + dx, cy + dy)).is_some_and(|seqs| {
+                    seqs.iter().any(|&seq| {
+                        let record = air.get(seq).expect("indexed record retained");
+                        !record.ended
+                            && record.sender != listener
+                            && record.start <= now
+                            && record.end > now
+                            && topology.in_range(record.sender, listener)
+                    })
+                })
+            })
+        })
     }
 }
 
@@ -3730,21 +3809,170 @@ mod tests {
     fn on_air_counts_follow_insert_end_and_prune() {
         let (topo, (a, r, b)) = Topology::hidden_terminal(100.0);
         let mut script = AirScript::new(topo);
-        let on_air = |script: &AirScript, node: NodeId| {
-            let cell = cell_of(script.topo.position(node), script.air.cell_size);
-            script.air.cells.get(&cell).map_or(0, |cell| cell.on_air)
-        };
         let sa = script.tx(a, 0, 100);
         let _sb = script.tx(b, 10, 110);
-        assert_eq!((on_air(&script, a), on_air(&script, b)), (1, 1));
+        assert_eq!(script.air.on_air, 2);
         script.end(sa);
-        assert_eq!((on_air(&script, a), script.air.on_air), (0, 1));
-        // a's cell has nothing left on the air; b's still does.
+        assert_eq!(script.air.on_air, 1);
+        // a has nothing left on the air; b still does.
         assert!(!script.busy_for(b, 50));
         assert!(script.busy_for(r, 50));
         // Pruning an un-ended record releases its count too.
         script.prune(500);
         assert!(script.air.cells.is_empty(), "every record pruned");
-        assert_eq!((on_air(&script, b), script.air.on_air), (0, 0));
+        assert_eq!(script.air.on_air, 0);
+        assert!(!script.busy_for(r, 50));
+    }
+
+    mod air_queries {
+        use super::super::testkit::{reference_busy_for, reference_interference_at, AirScript};
+        use super::super::*;
+        use proptest::prelude::*;
+
+        /// One step of a random air history.
+        #[derive(Debug, Clone)]
+        enum Step {
+            /// `sender` transmits over `[start, start + len)` µs.
+            Tx { sender: usize, start: u64, len: u64 },
+            /// The MAC `TxEnd` of the `pick`-th retained un-ended record.
+            End { pick: usize },
+            /// `node` relocates (its records stay in their origin cells).
+            Move { node: usize, x: f64, y: f64 },
+            /// `node` dies or is revived.
+            SetAlive { node: usize, alive: bool },
+        }
+
+        /// Four in seven steps transmit; the rest end, move or churn.
+        fn step(nodes: usize, extent: f64) -> impl Strategy<Value = Step> {
+            (
+                0u8..7,
+                0..nodes,
+                (0u64..400, 1u64..200),
+                (0.0..extent, 0.0..extent),
+                0usize..64,
+            )
+                .prop_map(|(kind, node, (start, len), (x, y), pick)| match kind {
+                    0..=3 => Step::Tx {
+                        sender: node,
+                        start,
+                        len,
+                    },
+                    4 => Step::End { pick },
+                    5 => Step::Move { node, x, y },
+                    _ => Step::SetAlive {
+                        node,
+                        alive: pick % 2 == 0,
+                    },
+                })
+        }
+
+        fn scenario() -> impl Strategy<Value = (Vec<(f64, f64)>, Vec<Step>)> {
+            // Range 50 on a 4×4-cell field: most nodes have neighbors,
+            // many do not, and cell boundaries are everywhere.
+            (2usize..12).prop_flat_map(|n| {
+                (
+                    proptest::collection::vec((0.0..200.0f64, 0.0..200.0f64), n),
+                    proptest::collection::vec(step(n, 200.0), 1..40),
+                )
+            })
+        }
+
+        fn replay(positions: &[(f64, f64)], steps: &[Step]) -> AirScript {
+            let mut topo = Topology::new(50.0);
+            for &(x, y) in positions {
+                topo.add(Position::new(x, y));
+            }
+            let mut script = AirScript::new(topo);
+            for step in steps {
+                match *step {
+                    Step::Tx { sender, start, len } => {
+                        script.tx(NodeId(sender as u32), start, start + len);
+                    }
+                    Step::End { pick } => {
+                        let open: Vec<u64> = script
+                            .air
+                            .records
+                            .iter()
+                            .filter(|record| !record.ended)
+                            .map(|record| record.seq)
+                            .collect();
+                        if !open.is_empty() {
+                            script.end(open[pick % open.len()]);
+                        }
+                    }
+                    Step::Move { node, x, y } => {
+                        script
+                            .topo
+                            .set_position(NodeId(node as u32), Position::new(x, y));
+                    }
+                    Step::SetAlive { node, alive } => {
+                        script.topo.set_alive(NodeId(node as u32), alive);
+                    }
+                }
+            }
+            script
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The gather-and-filter interference verdict, for a box
+            /// spanning every node (a delivery's receivers) and for the
+            /// sender's own cell (DFA feedback), and the neighbor-walk
+            /// carrier sense agree with the 3×3 cell scans they replaced
+            /// for every record, receiver and instant.
+            #[test]
+            fn air_queries_match_the_cell_scans(case in scenario()) {
+                let script = replay(&case.0, &case.1);
+                let (air, topo) = (&script.air, &script.topo);
+                let nodes: Vec<(NodeId, Cell)> = topo
+                    .node_ids()
+                    .map(|id| (id, cell_of(topo.position(id), air.cell_size)))
+                    .collect();
+                let xs = || nodes.iter().map(|&(_, cell)| cell.0);
+                let ys = || nodes.iter().map(|&(_, cell)| cell.1);
+                let lo = (xs().min().unwrap(), ys().min().unwrap());
+                let hi = (xs().max().unwrap(), ys().max().unwrap());
+                let mut gathered = Vec::new();
+                let mut own = Vec::new();
+                for record in &air.records {
+                    let (seq, start, end) = (record.seq, record.start, record.end);
+                    air.gather_interferers(seq, lo, hi, &mut gathered);
+                    for &(receiver, cell) in &nodes {
+                        let position = topo.position(receiver);
+                        let want =
+                            reference_interference_at(air, receiver, position, start, end, seq, topo);
+                        prop_assert_eq!(
+                            interferes(&gathered, receiver, cell, topo),
+                            want,
+                            "record {} at receiver {}", seq, receiver
+                        );
+                        air.gather_interferers(seq, cell, cell, &mut own);
+                        prop_assert_eq!(interferes(&own, receiver, cell, topo), want);
+                    }
+                }
+                let mut instants: Vec<u64> = air
+                    .records
+                    .iter()
+                    .flat_map(|r| {
+                        let (s, e) = (r.start.as_micros(), r.end.as_micros());
+                        [s.saturating_sub(1), s, s + 1, e.saturating_sub(1), e, e + 1]
+                    })
+                    .collect();
+                instants.sort_unstable();
+                instants.dedup();
+                for now in instants {
+                    let now = SimTime::from_micros(now);
+                    for &(listener, _) in &nodes {
+                        let position = topo.position(listener);
+                        prop_assert_eq!(
+                            air.busy_for(listener, position, now, topo),
+                            reference_busy_for(air, listener, position, now, topo),
+                            "listener {} at {}", listener, now
+                        );
+                    }
+                }
+            }
+        }
     }
 }
