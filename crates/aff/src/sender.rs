@@ -148,11 +148,17 @@ pub struct Workload {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum WorkloadMode {
-    /// Keep the radio queue non-empty: a new packet is fragmented the
-    /// moment the previous one has fully left the queue ("a continuous
-    /// stream", Section 5.1). `poll` is how often the queue is checked.
+    /// Keep the radio queue non-empty: a new packet is fragmented soon
+    /// after the previous one has fully left the queue ("a continuous
+    /// stream", Section 5.1).
+    ///
+    /// `poll` is the grid a new packet starts on, not a busy loop: after
+    /// each packet the sender arms one
+    /// [`Context::set_timer_when_idle`] timer, so the next packet starts
+    /// at the first instant `last + k·poll` at which the queue is empty,
+    /// and the engine skips the instants in between.
     Saturate {
-        /// Queue poll interval.
+        /// Spacing of the instants at which a new packet may start.
         poll: SimDuration,
     },
     /// Offer one packet every `period`, regardless of queue state.
@@ -301,7 +307,7 @@ impl Protocol for AffSender {
                 if ctx.pending_frames() == 0 {
                     self.send_packet(ctx);
                 }
-                ctx.set_timer(poll, TICK);
+                ctx.set_timer_when_idle(poll, TICK);
             }
             WorkloadMode::Periodic { period } => {
                 self.send_packet(ctx);

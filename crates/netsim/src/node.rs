@@ -92,10 +92,13 @@ pub(crate) enum Command {
         node: NodeId,
         payload: FramePayload,
     },
+    /// `idle` is the poll interval of a [`Context::set_timer_when_idle`]
+    /// timer, `None` for a plain [`Context::set_timer`] one.
     SetTimer {
         node: NodeId,
         at: SimTime,
         timer: Timer,
+        idle: Option<SimDuration>,
     },
     CancelTimer {
         handle: TimerHandle,
@@ -154,9 +157,19 @@ impl Context<'_> {
     /// Frames this node has queued or in flight at the radio, including
     /// frames queued earlier in this same callback.
     ///
+    /// The engine's view lags the MAC by up to one window: callbacks run
+    /// in a window's receive phase, after its MAC phase, so they see the
+    /// queue and the frame on the air as of the end of that MAC phase
+    /// (windows tile the timeline at multiples of the lookahead), plus
+    /// any Dynamic-Frame Aloha requeue already made in the receive
+    /// phase. Frames sent in a callback reach the MAC one lookahead
+    /// later, and count here until then only in the callback that sent
+    /// them.
+    ///
     /// Lets a protocol implement a *saturating* workload — "transmit a
     /// continuous stream of packets" (paper Section 5.1) — by topping
-    /// the queue up whenever it runs dry, without modeling the MAC.
+    /// the queue up whenever it runs dry, without modeling the MAC; see
+    /// [`Context::set_timer_when_idle`].
     #[must_use]
     pub fn pending_frames(&self) -> usize {
         self.pending_frames
@@ -190,12 +203,47 @@ impl Context<'_> {
     /// Arms a timer to fire after `delay`, carrying `token` back to
     /// [`Protocol::on_timer`]. Returns a handle for cancellation.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerHandle {
+        self.arm(self.now + delay, token, None)
+    }
+
+    /// Arms a timer that fires at the first instant `now + k·poll`
+    /// (k ≥ 1) at which [`Context::pending_frames`] reads 0 in the
+    /// callback, carrying `token` back to [`Protocol::on_timer`]. Returns
+    /// a handle for cancellation, drawn from the same counter as
+    /// [`Context::set_timer`]'s.
+    ///
+    /// It behaves exactly like re-arming `set_timer(poll)` at every
+    /// instant of that grid and acting only when the queue is empty, but
+    /// the engine skips the instants that would find the queue busy:
+    /// under the view `pending_frames` documents, the count can only
+    /// drop to 0 at a MAC event — a transmission ending on an empty
+    /// queue, or the node's death — so the timer waits off the event
+    /// heap until one happens. It fires at most once, and is dropped if
+    /// the node is dead at a grid instant before that, as the poll
+    /// loop's chain would end there. One node's timers due at the same
+    /// instant fire in handle order; an idle timer keeps the handle it
+    /// was armed with, where a poll loop draws a new one at every
+    /// instant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `poll` is zero.
+    pub fn set_timer_when_idle(&mut self, poll: SimDuration, token: u64) -> TimerHandle {
+        assert!(
+            poll > SimDuration::ZERO,
+            "an idle timer needs a nonzero poll"
+        );
+        self.arm(self.now + poll, token, Some(poll))
+    }
+
+    fn arm(&mut self, at: SimTime, token: u64, idle: Option<SimDuration>) -> TimerHandle {
         let handle = TimerHandle(*self.next_timer_handle);
         *self.next_timer_handle += 1;
         self.commands.push(Command::SetTimer {
             node: self.node,
-            at: self.now + delay,
+            at,
             timer: Timer { token, handle },
+            idle,
         });
         handle
     }
@@ -282,7 +330,7 @@ impl ContextHarness {
             .count()
     }
 
-    /// Timers armed through contexts so far.
+    /// Timers armed through contexts so far, idle timers included.
     #[must_use]
     pub fn armed_timers(&self) -> usize {
         self.commands
@@ -385,6 +433,60 @@ mod tests {
         let h = ctx.set_timer(SimDuration::ZERO, 1);
         ctx.cancel_timer(h);
         assert_eq!(commands.len(), 2);
+    }
+
+    #[test]
+    fn idle_timers_share_the_handle_counter() {
+        let (mut rng, mut commands, mut handles) = context_parts();
+        let mut ctx = Context {
+            now: SimTime::from_micros(100),
+            node: NodeId(3),
+            rng: &mut rng,
+            commands: &mut commands,
+            next_timer_handle: &mut handles,
+            pending_frames: 0,
+            max_frame_bytes: 27,
+        };
+        let plain = ctx.set_timer(SimDuration::from_micros(50), 1);
+        let idle = ctx.set_timer_when_idle(SimDuration::from_micros(300), 2);
+        let after = ctx.set_timer(SimDuration::from_micros(50), 3);
+        assert_eq!((plain.0, idle.0, after.0), (0, 1, 2));
+        match &commands[1] {
+            Command::SetTimer {
+                node,
+                at,
+                timer,
+                idle,
+            } => {
+                assert_eq!(*node, NodeId(3));
+                assert_eq!(at.as_micros(), 400, "first poll instant is now + poll");
+                assert_eq!(timer.token, 2);
+                assert_eq!(*idle, Some(SimDuration::from_micros(300)));
+            }
+            other => panic!("unexpected command {other:?}"),
+        }
+        assert!(matches!(commands[0], Command::SetTimer { idle: None, .. }));
+    }
+
+    #[test]
+    #[should_panic(expected = "nonzero poll")]
+    fn idle_timer_rejects_a_zero_poll() {
+        let mut harness = ContextHarness::new(1);
+        harness
+            .context(NodeId(0))
+            .set_timer_when_idle(SimDuration::ZERO, 1);
+    }
+
+    #[test]
+    fn harness_counts_idle_timers() {
+        let mut harness = ContextHarness::new(1);
+        {
+            let mut ctx = harness.context(NodeId(0));
+            ctx.set_timer(SimDuration::from_millis(1), 1);
+            let idle = ctx.set_timer_when_idle(SimDuration::from_millis(2), 2);
+            ctx.cancel_timer(idle);
+        }
+        assert_eq!(harness.armed_timers(), 2);
     }
 
     #[test]

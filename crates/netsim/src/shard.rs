@@ -65,7 +65,37 @@
 //! Delivery *events*, by contrast, are routed: each shard keeps an
 //! interest set of the grid cells within one ring of its nodes, and the
 //! barrier hands a transmission's `Deliver` event only to the shards
-//! interested in its origin cell.
+//! interested in its origin cell — or in its sender's current cell, when
+//! the sender moved after its transmission began.
+//!
+//! # Idle timers
+//!
+//! [`Context::set_timer_when_idle`] is the poll loop of a saturating
+//! sender — wake every `poll`, send only if the radio queue is empty —
+//! without the wake-ups that would only re-arm. A callback's view of the
+//! queue ([`Context::pending_frames`]) is the node's queue plus its frame
+//! on the air as of the end of its window's MAC phase, plus any
+//! Dynamic-Frame Aloha requeue already made in the receive phase. So:
+//!
+//! - an idle timer armed or dispatched while that count is above zero
+//!   *parks*: it stays off the heap, in its shard's idle-timer table,
+//!   and its poll instants are skipped;
+//! - only a MAC event can bring the count to zero — a `TxEnd` that
+//!   leaves the queue empty, or the node's death — and each pushes the
+//!   node's parked timers back onto the receive heap at their first poll
+//!   instant at or after the **start of the current window** (or the
+//!   point where an earlier `run_until` stopped inside it): every
+//!   receive event of the window already sees the end-of-phase state,
+//!   so an instant before the `TxEnd` itself fires too, as the poll loop
+//!   did;
+//! - a dispatched idle timer is dropped if cancelled or if its node is
+//!   dead (ending the chain, as the poll loop's did), parks again if the
+//!   count is above zero, and otherwise calls the protocol.
+//!
+//! A Dynamic-Frame Aloha requeue can refill a dead node's queue in the
+//! receive phase after the MAC phase released its timers; the
+//! receive-phase death releases anything parked since, so that timer
+//! too meets the dead node at its next instant.
 //!
 //! # Window loop
 //!
@@ -308,8 +338,15 @@ enum RxKind {
     /// Judge delivery of transmission `seq` to this shard's owned
     /// neighbors of `sender`.
     Deliver { seq: u64, sender: NodeId },
-    /// Fire a protocol timer.
-    Timer { node: NodeId, timer: Timer },
+    /// Fire a protocol timer. An `idle` one
+    /// ([`Context::set_timer_when_idle`]) fires only if the node's radio
+    /// queue is empty, and otherwise parks in the shard's
+    /// [`IdleTimers`], which also hold its poll interval.
+    Timer {
+        node: NodeId,
+        timer: Timer,
+        idle: bool,
+    },
     /// Judge Dynamic-Frame Aloha slot feedback for `sender`'s own
     /// transmission `seq` (routed only to the sender's owner shard):
     /// collision requeues the payload, and either way the sender
@@ -325,6 +362,125 @@ impl RxEvent {
             // the sender across rebalances.
             RxKind::DfaFeedback { sender, .. } => Some(sender),
             RxKind::Dynamics { .. } | RxKind::Deliver { .. } => None,
+        }
+    }
+}
+
+/// The receive event that fires `timer` on `node` at `at`.
+fn timer_event(node: NodeId, at: SimTime, timer: Timer, idle: bool) -> RxEvent {
+    RxEvent {
+        at,
+        lane: LANE_R_TIMER,
+        a: u64::from(node.0),
+        b: timer.handle.0,
+        kind: RxKind::Timer { node, timer, idle },
+    }
+}
+
+/// One armed idle timer ([`Context::set_timer_when_idle`]).
+#[derive(Debug, Clone, Copy)]
+struct IdleTimer {
+    timer: Timer,
+    poll: SimDuration,
+    /// While the timer waits off the heap for the node's radio queue to
+    /// drain, the poll instant it would fire at next (and every `poll`
+    /// after it); `None` while its event is on the receive heap.
+    parked: Option<SimTime>,
+}
+
+/// A shard's armed idle timers, keyed by node (a node may hold
+/// several); an entry lives from arming until the timer fires, is
+/// cancelled, or finds its node dead. Kept beside the nodes rather than
+/// in [`LocalNode`], so nodes that never arm one pay nothing for it.
+///
+/// While a timer is parked its node's pending count
+/// ([`Context::pending_frames`]) stays above zero: it parks only when
+/// the count reads above zero, and only two MAC events can bring the
+/// count to zero — a `TxEnd` on an empty queue and the node's death —
+/// each of which releases the node's parked timers. So every poll
+/// instant a parked timer skips is one where the poll loop it replaces
+/// would only have re-armed.
+#[derive(Debug, Default)]
+struct IdleTimers(FixedMap<NodeId, Vec<IdleTimer>>);
+
+impl IdleTimers {
+    /// Arms `node`'s idle timer: parked at `at` if `busy`, otherwise
+    /// returned as its event at `at`.
+    fn arm(
+        &mut self,
+        node: NodeId,
+        at: SimTime,
+        timer: Timer,
+        poll: SimDuration,
+        busy: bool,
+    ) -> Option<RxEvent> {
+        self.0.entry(node).or_default().push(IdleTimer {
+            timer,
+            poll,
+            parked: busy.then_some(at),
+        });
+        (!busy).then(|| timer_event(node, at, timer, true))
+    }
+
+    /// Handles the event of `node`'s idle timer `handle` at `at`:
+    /// whether the protocol should be called. A cancelled timer has no
+    /// entry and is dropped, and so is one whose node is dead; one that
+    /// finds the queue `busy` parks until its next poll instant.
+    fn fire(
+        &mut self,
+        node: NodeId,
+        handle: TimerHandle,
+        at: SimTime,
+        alive: bool,
+        busy: bool,
+    ) -> bool {
+        if alive && busy {
+            if let Some(timer) = self
+                .0
+                .get_mut(&node)
+                .and_then(|timers| timers.iter_mut().find(|t| t.timer.handle == handle))
+            {
+                timer.parked = Some(at + timer.poll);
+            }
+            return false;
+        }
+        self.cancel(node, handle) && alive
+    }
+
+    /// Disarms `node`'s idle timer `handle`; whether it was armed. Its
+    /// event, if on the heap, then finds no entry and is dropped.
+    fn cancel(&mut self, node: NodeId, handle: TimerHandle) -> bool {
+        let Some(timers) = self.0.get_mut(&node) else {
+            return false;
+        };
+        let Some(index) = timers.iter().position(|t| t.timer.handle == handle) else {
+            return false;
+        };
+        timers.swap_remove(index);
+        if timers.is_empty() {
+            self.0.remove(&node);
+        }
+        true
+    }
+
+    /// Moves `node`'s parked timers into `out` as timer events, each at
+    /// its first poll instant at or after `floor`. Their order does not
+    /// matter: every timer event has a key of its own.
+    fn release(&mut self, node: NodeId, floor: SimTime, out: &mut impl Extend<RxEvent>) {
+        if self.0.is_empty() {
+            return;
+        }
+        let Some(timers) = self.0.get_mut(&node) else {
+            return;
+        };
+        for timer in timers {
+            let Some(next) = timer.parked.take() else {
+                continue;
+            };
+            let (next, poll) = (next.as_micros(), timer.poll.as_micros());
+            let late = floor.as_micros().saturating_sub(next);
+            let at = SimTime::from_micros(next + late.div_ceil(poll) * poll);
+            out.extend([timer_event(node, at, timer.timer, true)]);
         }
     }
 }
@@ -686,6 +842,12 @@ impl<P> LocalNode<P> {
         }
     }
 
+    /// Frames queued at the MAC or on the air: what
+    /// [`Context::pending_frames`] reads before the callback sends.
+    fn pending_frames(&self) -> usize {
+        self.queue.len() + usize::from(self.transmitting)
+    }
+
     /// Removes and returns the sequence number assigned to `tx_idx`, if
     /// the assignment barrier has run for it.
     fn take_assigned(&mut self, tx_idx: u64) -> Option<u64> {
@@ -702,6 +864,9 @@ struct EngineCtx<'a> {
     lookahead: SimDuration,
     tracing: bool,
     deadline: SimTime,
+    /// The first instant this run may dispatch: everything before it ran
+    /// in an earlier [`ShardedSim::run_until`].
+    resume: SimTime,
     owner: &'a [(u32, u32)],
 }
 
@@ -710,6 +875,15 @@ impl EngineCtx<'_> {
     /// — the bound of every phase drain.
     fn in_window(&self, at: SimTime, t_end: SimTime) -> bool {
         at < t_end && at <= self.deadline
+    }
+
+    /// The earliest receive-phase instant not yet dispatched while the
+    /// MAC phase of the window holding `at` runs: the window's start,
+    /// unless an earlier run stopped inside the window. Every receive
+    /// event from there on sees the MAC state as of the end of this MAC
+    /// phase, so a timer released here may fire that early.
+    fn rx_floor(&self, at: SimTime) -> SimTime {
+        window_start(at, self.lookahead).max(self.resume)
     }
 
     /// Local index of `node` on shard `shard` (which must own it).
@@ -757,6 +931,8 @@ struct ShardCore<P> {
     receiver_scratch: Vec<(NodeId, Cell)>,
     /// The records overlapping the transmission being judged.
     interferer_scratch: Vec<Interferer>,
+    /// Armed idle timers of owned nodes.
+    idle: IdleTimers,
     /// Grid cells within one ring of any owned node — the cells whose
     /// transmissions this shard may have to deliver — refcounted by how
     /// many owned nodes contribute each cell, so a move patches the set
@@ -789,6 +965,7 @@ impl<P: Protocol> ShardCore<P> {
             rx_staged: Vec::new(),
             receiver_scratch: Vec::new(),
             interferer_scratch: Vec::new(),
+            idle: IdleTimers::default(),
             interest: FixedMap::default(),
             windows_skipped: 0,
             mac_was_idle: true,
@@ -859,6 +1036,7 @@ impl<P: Protocol> ShardCore<P> {
                             state.transmitting = false;
                             state.dfa_slot_at = None;
                             state.dfa_frame_end = SimTime::ZERO;
+                            self.idle.release(node, ctx.rx_floor(at), &mut self.rx_heap);
                         }
                     }
                 }
@@ -876,6 +1054,9 @@ impl<P: Protocol> ShardCore<P> {
             MacKind::TxEnd { node, tx_idx } => {
                 let local = ctx.local(self.index, node);
                 self.nodes[local].transmitting = false;
+                if self.nodes[local].queue.is_empty() {
+                    self.idle.release(node, ctx.rx_floor(at), &mut self.rx_heap);
+                }
                 // No number yet means the transmission started in this
                 // window: the epoch barrier numbers it and closes its
                 // span itself.
@@ -1139,6 +1320,12 @@ impl<P: Protocol> ShardCore<P> {
                                 b: 0,
                                 kind: RxKind::Start { node },
                             });
+                        } else {
+                            // The MAC phase released this node's timers at
+                            // its death; one parked again since, on a
+                            // Dynamic-Frame Aloha requeue, must see the
+                            // node dead at its next instant.
+                            self.idle.release(node, at, &mut self.rx_staged);
                         }
                     }
                 }
@@ -1150,12 +1337,19 @@ impl<P: Protocol> ShardCore<P> {
                     self.drain_commands(local, at, ctx);
                 }
             }
-            RxKind::Timer { node, timer } => {
+            RxKind::Timer { node, timer, idle } => {
                 let local = ctx.local(self.index, node);
                 let state = &mut self.nodes[local];
-                let cancelled =
-                    !state.cancelled.is_empty() && state.cancelled.remove(&timer.handle);
-                if !cancelled && self.topo_rx.is_alive(node) {
+                let alive = self.topo_rx.is_alive(node);
+                let fire = if idle {
+                    let busy = state.pending_frames() > 0;
+                    self.idle.fire(node, timer.handle, at, alive, busy)
+                } else {
+                    let cancelled =
+                        !state.cancelled.is_empty() && state.cancelled.remove(&timer.handle);
+                    !cancelled && alive
+                };
+                if fire {
                     self.with_ctx(local, at, ctx, |protocol, c| protocol.on_timer(c, timer));
                     self.drain_commands(local, at, ctx);
                 }
@@ -1433,7 +1627,7 @@ impl<P: Protocol> ShardCore<P> {
         // Queue depth as of the end of this window's MAC phase — the
         // receive phase's view lags true MAC state by at most one
         // lookahead.
-        let pending_frames = state.queue.len() + usize::from(state.transmitting);
+        let pending_frames = state.pending_frames();
         let mut c = Context {
             now: at,
             node: state.id,
@@ -1465,17 +1659,27 @@ impl<P: Protocol> ShardCore<P> {
                             MacKind::Enqueue { node, payload },
                         );
                     }
-                    Command::SetTimer { node, at, timer } => {
-                        self.rx_staged.push(RxEvent {
-                            at,
-                            lane: LANE_R_TIMER,
-                            a: u64::from(node.0),
-                            b: timer.handle.0,
-                            kind: RxKind::Timer { node, timer },
-                        });
+                    Command::SetTimer {
+                        node,
+                        at,
+                        timer,
+                        idle,
+                    } => {
+                        let event = match idle {
+                            Some(poll) => {
+                                let state = &self.nodes[ctx.local(self.index, node)];
+                                let busy = state.pending_frames() > 0;
+                                self.idle.arm(node, at, timer, poll, busy)
+                            }
+                            None => Some(timer_event(node, at, timer, false)),
+                        };
+                        self.rx_staged.extend(event);
                     }
                     Command::CancelTimer { handle } => {
-                        self.nodes[local].cancelled.insert(handle);
+                        let node = self.nodes[local].id;
+                        if !self.idle.cancel(node, handle) {
+                            self.nodes[local].cancelled.insert(handle);
+                        }
                     }
                 }
             }
@@ -1661,6 +1865,7 @@ impl ShardedSimBuilder {
             placement_dirty: false,
             interest_valid: false,
             windows_executed: 0,
+            resume: SimTime::ZERO,
         };
         let churn: Vec<ChurnEvent> = sim.faults.churn().to_vec();
         for event in churn {
@@ -1736,6 +1941,9 @@ pub struct ShardedSim<P> {
     /// Windows actually executed (a window runs only when some shard
     /// has an event in it — fully idle stretches are skipped in O(1)).
     windows_executed: u64,
+    /// The instant after the last run's deadline: events before it have
+    /// all been dispatched.
+    resume: SimTime,
 }
 
 impl<P> core::fmt::Debug for ShardedSim<P> {
@@ -2088,11 +2296,13 @@ impl<P: Protocol> ShardedSim<P> {
         // receiver sees them. (The next barrier routes fresh ones by
         // the new interest sets.)
         let mut pending_delivers: FixedMap<u64, (SimTime, NodeId)> = FixedMap::default();
+        let mut idle: Vec<(NodeId, Vec<IdleTimer>)> = Vec::new();
         for core in &mut self.cores {
             for node in core.nodes.drain(..) {
                 let index = node.id.index();
                 slots[index] = Some(node);
             }
+            idle.extend(core.idle.0.drain());
             // Node-owned events follow their node; dynamics already
             // exist once per shard and stay put.
             let events: Vec<MacEvent> = core.mac_heap.drain().collect();
@@ -2131,6 +2341,10 @@ impl<P: Protocol> ShardedSim<P> {
             self.cores[self.owner[node.index()].0 as usize]
                 .rx_heap
                 .push(ev);
+        }
+        for (node, timers) in idle {
+            let core = &mut self.cores[self.owner[node.index()].0 as usize];
+            core.idle.0.insert(node, timers);
         }
         for (seq, (at, sender)) in pending_delivers {
             for core in &mut self.cores {
@@ -2201,6 +2415,12 @@ impl<P: Protocol> ShardedSim<P> {
 fn window_end(at: SimTime, lookahead: SimDuration) -> SimTime {
     let l = lookahead.as_micros().max(1);
     SimTime::from_micros((at.as_micros() / l + 1) * l)
+}
+
+/// Start of the synchronization window containing `at`.
+fn window_start(at: SimTime, lookahead: SimDuration) -> SimTime {
+    let l = lookahead.as_micros().max(1);
+    SimTime::from_micros(at.as_micros() / l * l)
 }
 
 /// Routes the delivery events a shard newly needs because its interest
@@ -2558,7 +2778,7 @@ impl Conductor<'_> {
                 crew.mac_phase(t_end, self.obs.as_deref());
             }
             crew.exclusive(|cores, air| {
-                self.barrier(cores, air, t_end);
+                self.barrier(cores, air, t_end, !deferred.is_empty());
                 // The barrier routed this window's publications with the
                 // conservative pre-move ∪ post-move interest; the
                 // pre-move halves retire now.
@@ -2647,11 +2867,18 @@ impl Conductor<'_> {
     /// event for a shard whose interest set lacks the record's origin
     /// cell would be a no-op: the shard owns no neighbor of the sender.
     /// Single-shard runs skip the filter.
+    ///
+    /// `moved` says a node changed cells at this window's start. A
+    /// sender that did so after its transmission began has left the
+    /// record's origin cell, and [`route_mover_records`] ran before the
+    /// record existed, so such a record also goes to the shards
+    /// interested in its sender's current cell.
     fn barrier<P: Protocol>(
         &mut self,
         cores: &mut [&mut ShardCore<P>],
         air: &mut AirView,
         t_end: SimTime,
+        moved: bool,
     ) {
         let ctx = self.ctx;
         let merge = &mut *self.merge;
@@ -2729,8 +2956,16 @@ impl Conductor<'_> {
             // CSMA transmissions were inserted during the MAC phase, ALOHA
             // ones just above — either way the record is published now.
             let cell = air.get(seq).expect("record published at this barrier").cell;
+            let here = if moved {
+                cell_of(self.master.position(p.node), air.cell_size)
+            } else {
+                cell
+            };
             for core in cores.iter_mut() {
-                if routed && !core.interest.contains_key(&cell) {
+                if routed
+                    && !core.interest.contains_key(&cell)
+                    && !core.interest.contains_key(&here)
+                {
                     continue;
                 }
                 core.rx_heap.push(RxEvent {
@@ -2801,6 +3036,7 @@ impl<P: Protocol + Send> ShardedSim<P> {
         if self.master_dyn.len() != dyn_before {
             self.placement_dirty = true;
         }
+        self.resume = self.resume.max(deadline + SimDuration::from_micros(1));
         self.now = self.now.max(deadline);
         self.flush_traces();
     }
@@ -2824,6 +3060,7 @@ impl<P: Protocol + Send> ShardedSim<P> {
             master,
             master_dyn,
             windows_executed,
+            resume,
             ..
         } = self;
         let ctx = EngineCtx {
@@ -2833,6 +3070,7 @@ impl<P: Protocol + Send> ShardedSim<P> {
             lookahead: *lookahead,
             tracing: tracer.is_some(),
             deadline,
+            resume: *resume,
             owner,
         };
         let mut conductor = Conductor {
@@ -2906,6 +3144,108 @@ pub(crate) mod testkit {
             self.heard += 1;
         }
         fn on_timer(&mut self, _ctx: &mut Context<'_>, _timer: Timer) {}
+    }
+
+    /// A saturating sender, the engine-level twin of the AFF senders'
+    /// `Saturate` workload: whenever a tick finds the radio queue empty
+    /// it sends a burst of 1–6 frames of 1–27 random bytes and records
+    /// the instant. Ticks run in chains, each tick arming the next: the
+    /// poll-mode twin re-arms a plain timer every `poll` and checks the
+    /// queue itself, the idle-mode twin arms
+    /// [`Context::set_timer_when_idle`]. A boot starts a chain after
+    /// `offset` and leaves any chain of an earlier life running; a heard
+    /// frame whose first byte is a multiple of four restarts the current
+    /// life's chain (cancel and re-arm).
+    pub(crate) struct Saturator {
+        pub(crate) idle: bool,
+        pub(crate) poll: SimDuration,
+        /// Delay from boot to the first tick.
+        pub(crate) offset: SimDuration,
+        /// No burst starts at or after this instant.
+        pub(crate) stop: SimTime,
+        /// The instants bursts were sent at.
+        pub(crate) sends: Vec<SimTime>,
+        /// Timer callbacks made.
+        pub(crate) ticks: u64,
+        /// Idle-timer callbacks that found the queue busy (the idle
+        /// timer's contract is that there are none).
+        pub(crate) busy_ticks: u64,
+        /// The pending tick of this life's chain.
+        chain: Option<TimerHandle>,
+    }
+
+    /// Token of a chain's first tick, a plain timer in either mode.
+    const FIRST_TICK: u64 = 0;
+    /// Token of every later tick.
+    const TICK: u64 = 1;
+
+    impl Saturator {
+        pub(crate) fn new(
+            idle: bool,
+            poll: SimDuration,
+            offset: SimDuration,
+            stop: SimTime,
+        ) -> Self {
+            Saturator {
+                idle,
+                poll,
+                offset,
+                stop,
+                sends: Vec::new(),
+                ticks: 0,
+                busy_ticks: 0,
+                chain: None,
+            }
+        }
+
+        fn next_tick(&self, ctx: &mut Context<'_>) -> TimerHandle {
+            if self.idle {
+                ctx.set_timer_when_idle(self.poll, TICK)
+            } else {
+                ctx.set_timer(self.poll, TICK)
+            }
+        }
+    }
+
+    impl Protocol for Saturator {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            self.chain = Some(ctx.set_timer(self.offset, FIRST_TICK));
+        }
+
+        fn on_frame(&mut self, ctx: &mut Context<'_>, frame: &Frame) {
+            if frame.payload.bytes()[0].is_multiple_of(4) && ctx.now() < self.stop {
+                if let Some(handle) = self.chain.take() {
+                    ctx.cancel_timer(handle);
+                }
+                self.chain = Some(self.next_tick(ctx));
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut Context<'_>, timer: Timer) {
+            self.ticks += 1;
+            if self.idle && timer.token == TICK && ctx.pending_frames() > 0 {
+                self.busy_ticks += 1;
+            }
+            let current = self.chain == Some(timer.handle);
+            if current {
+                self.chain = None;
+            }
+            if ctx.now() >= self.stop {
+                return;
+            }
+            if ctx.pending_frames() == 0 {
+                for _ in 0..ctx.rng().gen_range(1..=6) {
+                    let len = ctx.rng().gen_range(1..=27);
+                    let bytes = (0..len).map(|_| ctx.rng().gen()).collect();
+                    ctx.send(FramePayload::from_bytes(bytes).unwrap()).unwrap();
+                }
+                self.sends.push(ctx.now());
+            }
+            let next = self.next_tick(ctx);
+            if current {
+                self.chain = Some(next);
+            }
+        }
     }
 
     /// A frame from `src` whose payload is the full `u32` id,
@@ -3659,6 +3999,226 @@ mod tests {
         }
     }
 
+    /// Queues `burst` full frames at boot; 1 ms in, while they are still
+    /// queued, arms one idle timer per entry of `polls` (tokens 10, 11,
+    /// …), and at `cancel_at` cancels them. Records every handle it gets
+    /// and every idle timer that fires, with the pending count it saw.
+    struct Parker {
+        burst: u32,
+        polls: Vec<u64>,
+        cancel_at: Option<SimDuration>,
+        armed: Vec<TimerHandle>,
+        idle: Vec<TimerHandle>,
+        fired: Vec<(u64, SimTime, usize)>,
+    }
+
+    impl Parker {
+        fn new(burst: u32, polls: &[u64], cancel_at: Option<SimDuration>) -> Self {
+            Parker {
+                burst,
+                polls: polls.to_vec(),
+                cancel_at,
+                armed: Vec::new(),
+                idle: Vec::new(),
+                fired: Vec::new(),
+            }
+        }
+    }
+
+    impl Protocol for Parker {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            for _ in 0..self.burst {
+                ctx.send(FramePayload::from_bytes(vec![7; 27]).unwrap())
+                    .unwrap();
+            }
+            self.armed
+                .push(ctx.set_timer(SimDuration::from_millis(1), 1));
+            if let Some(at) = self.cancel_at {
+                self.armed.push(ctx.set_timer(at, 2));
+            }
+        }
+        fn on_frame(&mut self, _ctx: &mut Context<'_>, _frame: &Frame) {}
+        fn on_timer(&mut self, ctx: &mut Context<'_>, timer: Timer) {
+            match timer.token {
+                1 => {
+                    for (i, &poll) in self.polls.iter().enumerate() {
+                        let poll = SimDuration::from_micros(poll);
+                        let handle = ctx.set_timer_when_idle(poll, 10 + i as u64);
+                        self.armed.push(handle);
+                        self.idle.push(handle);
+                    }
+                }
+                2 => {
+                    for &handle in &self.idle {
+                        ctx.cancel_timer(handle);
+                    }
+                }
+                token => self.fired.push((token, ctx.now(), ctx.pending_frames())),
+            }
+        }
+    }
+
+    fn parker_sim(
+        shards: usize,
+        parker: impl Fn(NodeId) -> Parker + 'static,
+    ) -> ShardedSim<Parker> {
+        ShardedSimBuilder::new(41)
+            .mac(MacConfig::aloha())
+            .range(50.0)
+            .shards(shards)
+            .build(parker)
+    }
+
+    /// The armed idle timers of `node`, with the shard holding each and
+    /// whether it is parked.
+    fn idle_on(sim: &ShardedSim<Parker>, node: NodeId) -> Vec<(usize, TimerHandle, bool)> {
+        sim.cores
+            .iter()
+            .enumerate()
+            .flat_map(|(shard, core)| {
+                core.idle
+                    .0
+                    .get(&node)
+                    .into_iter()
+                    .flatten()
+                    .map(move |t| (shard, t.timer.handle, t.parked.is_some()))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn parked_idle_timers_fire_once_the_queue_drains() {
+        let mut sim = parker_sim(1, |_| Parker::new(4, &[300, 700], None));
+        let node = sim.add_node_at(Position::new(0.0, 0.0));
+        sim.run_until(SimTime::from_millis(2));
+        // Armed while four frames were queued: both wait off the heap.
+        let idle = sim.protocol(node).idle.clone();
+        let armed: Vec<(usize, TimerHandle, bool)> =
+            idle.iter().map(|&handle| (0, handle, true)).collect();
+        assert_eq!(idle_on(&sim, node), armed);
+        sim.run_until(SimTime::from_secs(1));
+        assert!(idle_on(&sim, node).is_empty());
+        let fired = &sim.protocol(node).fired;
+        assert_eq!(
+            fired.len(),
+            2,
+            "each idle timer fires exactly once: {fired:?}"
+        );
+        let armed_at = SimTime::from_millis(1);
+        for &(token, at, pending) in fired {
+            let poll = [300, 700][(token - 10) as usize];
+            assert_eq!(pending, 0, "timer {token} fired on a busy queue");
+            assert_eq!(
+                at.since(armed_at).as_micros() % poll,
+                0,
+                "timer {token} off its grid"
+            );
+            assert!(
+                at > SimTime::from_millis(20),
+                "four 27-byte frames take > 20 ms"
+            );
+        }
+        // The first fires on the first instant of either grid after the
+        // queue drained, so the two fire less than a 700 µs poll apart.
+        assert!(fired[1].1.since(fired[0].1) < SimDuration::from_micros(700));
+    }
+
+    #[test]
+    fn idle_timers_draw_handles_from_the_node_counter() {
+        let mut sim = parker_sim(1, |_| {
+            Parker::new(1, &[300, 900], Some(SimDuration::from_millis(5)))
+        });
+        let node = sim.add_node_at(Position::new(0.0, 0.0));
+        sim.run_until(SimTime::from_millis(2));
+        let handles: Vec<u64> = sim.protocol(node).armed.iter().map(|h| h.0).collect();
+        assert_eq!(handles, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn cancelling_a_parked_idle_timer_leaves_nothing_behind() {
+        let cancel_at = Some(SimDuration::from_millis(3));
+        let mut sim = parker_sim(1, move |_| Parker::new(4, &[300], cancel_at));
+        let node = sim.add_node_at(Position::new(0.0, 0.0));
+        sim.run_until(SimTime::from_millis(2));
+        assert_eq!(idle_on(&sim, node).len(), 1);
+        sim.run_until(SimTime::from_millis(4));
+        // Cancelled while parked: no entry and no tombstone.
+        assert!(idle_on(&sim, node).is_empty());
+        assert!(sim.local_node(node).cancelled.is_empty());
+        sim.run_until(SimTime::from_secs(1));
+        assert!(
+            sim.protocol(node).fired.is_empty(),
+            "a cancelled timer fired"
+        );
+        assert_eq!(sim.stats().frames_sent, 4);
+    }
+
+    #[test]
+    fn parked_idle_timers_follow_their_node_across_shards() {
+        // Stripes cut the cell-sorted nodes in half: {0, 1} | {2, 3}.
+        // Node 0, parked, then moves past nodes 2 and 3 while node 2
+        // moves home, so the rebalance at the next run hands node 0 to
+        // the other shard.
+        let mut sim = parker_sim(2, |id| {
+            if id == NodeId(0) {
+                Parker::new(4, &[300], None)
+            } else {
+                Parker::new(0, &[], None)
+            }
+        });
+        for x in [10.0, 20.0, 200.0, 210.0] {
+            sim.add_node_at(Position::new(x, 10.0));
+        }
+        let node = NodeId(0);
+        sim.run_until(SimTime::from_millis(2));
+        let before = idle_on(&sim, node);
+        assert_eq!(before.len(), 1);
+        assert!(before[0].2, "armed while the queue was busy");
+        sim.schedule_move(SimTime::from_millis(3), node, Position::new(220.0, 10.0));
+        sim.schedule_move(SimTime::from_millis(3), NodeId(2), Position::new(5.0, 10.0));
+        sim.run_until(SimTime::from_millis(4));
+        sim.run_until(SimTime::from_millis(5));
+        let after = idle_on(&sim, node);
+        assert_eq!(after.len(), 1);
+        assert_eq!((after[0].1, after[0].2), (before[0].1, before[0].2));
+        assert_ne!(after[0].0, before[0].0, "node 0 changed shards");
+        assert_eq!(after[0].0, sim.owner[node.index()].0 as usize);
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(sim.protocol(node).fired.len(), 1);
+    }
+
+    #[test]
+    fn a_sender_moving_mid_transmission_reaches_every_shard_in_range() {
+        // Node 0 starts its frame at 500 µs (one turnaround after boot)
+        // out of node 1's range, on the other shard, and moves next to
+        // node 1 in the same window. Delivery at the frame's end follows
+        // the sender: the single-shard run delivers, and so must two
+        // shards, whose interest sets never held node 0's origin cell.
+        let run = |shards: usize| {
+            let mut sim = ShardedSimBuilder::new(5)
+                .mac(MacConfig::aloha())
+                .range(50.0)
+                .shards(shards)
+                .build(|id| Chatter {
+                    to_send: u32::from(id == NodeId(0)),
+                    heard: 0,
+                    payload_bytes: 8,
+                });
+            sim.add_node_at(Position::new(200.0, 200.0));
+            sim.add_node_at(Position::new(10.0, 10.0));
+            sim.schedule_move(
+                SimTime::from_micros(700),
+                NodeId(0),
+                Position::new(20.0, 10.0),
+            );
+            sim.run_until(SimTime::from_millis(100));
+            (sim.stats(), sim.protocol(NodeId(1)).heard)
+        };
+        let (stats, heard) = run(1);
+        assert_eq!((stats.deliveries, heard), (1, 1));
+        assert_eq!(run(2), (stats, heard));
+    }
+
     #[test]
     fn moving_out_of_range_stops_delivery() {
         let mut sim = ShardedSimBuilder::new(21)
@@ -3913,9 +4473,9 @@ mod tests {
             script
         }
 
+        // The default config runs 256 cases and honours
+        // `PROPTEST_CASES`, which CI raises to widen this sweep.
         proptest! {
-            #![proptest_config(ProptestConfig::with_cases(256))]
-
             /// The gather-and-filter interference verdict, for a box
             /// spanning every node (a delivery's receivers) and for the
             /// sender's own cell (DFA feedback), and the neighbor-walk
@@ -3972,6 +4532,228 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    mod idle_timer {
+        use super::super::testkit::Saturator;
+        use super::super::*;
+        use proptest::prelude::*;
+
+        /// A scheduled topology change.
+        #[derive(Debug, Clone)]
+        enum Change {
+            Die {
+                node: usize,
+                at: u64,
+                down: u64,
+            },
+            Move {
+                node: usize,
+                at: u64,
+                x: f64,
+                y: f64,
+            },
+        }
+
+        /// One run: a MAC, a poll interval, nodes on a 3×3-cell field
+        /// (range 50) with their first-tick offsets, topology changes,
+        /// and the deadlines `run_until` is called with.
+        #[derive(Debug, Clone)]
+        struct Case {
+            seed: u64,
+            mac: u8,
+            poll: u64,
+            nodes: Vec<(f64, f64, u64)>,
+            changes: Vec<Change>,
+            stops: Vec<u64>,
+        }
+
+        /// The run's end, µs; bursts stop 100 ms earlier.
+        const END: u64 = 400_000;
+
+        fn change(nodes: usize) -> impl Strategy<Value = Change> {
+            (
+                0u8..2,
+                0..nodes,
+                1u64..END,
+                1u64..20_000,
+                (0.0..150.0f64, 0.0..150.0f64),
+            )
+                .prop_map(|(kind, node, at, down, (x, y))| match kind {
+                    0 => Change::Die { node, at, down },
+                    _ => Change::Move { node, at, x, y },
+                })
+        }
+
+        /// The poll interval: under the 500 µs lookahead, equal to it,
+        /// or above it and off its grid.
+        fn poll() -> impl Strategy<Value = u64> {
+            (0u8..3, 1u64..4_000).prop_map(|(kind, p)| match kind {
+                0 => 50 + p % 450,
+                1 => 500,
+                _ => 501 + p + u64::from(p % 500 == 499),
+            })
+        }
+
+        fn case() -> impl Strategy<Value = Case> {
+            (2usize..14).prop_flat_map(|n| {
+                (
+                    (any::<u64>(), 0u8..3, poll()),
+                    proptest::collection::vec((0.0..150.0f64, 0.0..150.0f64, 0u64..6_000), n),
+                    proptest::collection::vec(change(n), 0..8),
+                    proptest::collection::vec(1u64..END, 0..6),
+                )
+                    .prop_map(|((seed, mac, poll), nodes, changes, stops)| Case {
+                        seed,
+                        mac,
+                        poll,
+                        nodes,
+                        changes,
+                        stops,
+                    })
+            })
+        }
+
+        /// Dynamic-Frame Aloha on a clique of 2–4 nodes polling faster
+        /// than the lookahead, with frequent short deaths: slot
+        /// collisions requeue frames in the receive phase, sometimes in
+        /// the window of their node's death.
+        fn dfa_churn() -> impl Strategy<Value = Case> {
+            (2usize..5).prop_flat_map(|n| {
+                (
+                    (any::<u64>(), 50u64..500),
+                    proptest::collection::vec((0.0..30.0f64, 0.0..30.0f64, 0u64..6_000), n),
+                    proptest::collection::vec((0..n, 1u64..END - 100_000, 1u64..5_000), 4..24),
+                    proptest::collection::vec(1u64..END, 0..6),
+                )
+                    .prop_map(|((seed, poll), nodes, deaths, stops)| Case {
+                        seed,
+                        mac: 2,
+                        poll,
+                        nodes,
+                        changes: deaths
+                            .into_iter()
+                            .map(|(node, at, down)| Change::Die { node, at, down })
+                            .collect(),
+                        stops,
+                    })
+            })
+        }
+
+        /// What a run produced.
+        struct Outcome {
+            /// Per node, the instants it sent bursts at.
+            sends: Vec<Vec<SimTime>>,
+            /// Per node, its timer callbacks.
+            ticks: Vec<u64>,
+            /// Idle-timer callbacks that found a busy queue, all nodes.
+            busy_ticks: u64,
+            stats: MediumStats,
+            dfa: DfaStats,
+            trace: Vec<TraceEvent>,
+        }
+
+        fn run(case: &Case, idle: bool, shards: usize) -> Outcome {
+            let mac = match case.mac {
+                0 => MacConfig::aloha(),
+                1 => MacConfig::csma(),
+                _ => MacConfig::dfa_known(SimDuration::from_millis(8), case.nodes.len() as u32),
+            };
+            let poll = SimDuration::from_micros(case.poll);
+            let offsets: Vec<u64> = case.nodes.iter().map(|&(_, _, offset)| offset).collect();
+            let stop = SimTime::from_micros(END - 100_000);
+            let mut sim = ShardedSimBuilder::new(case.seed)
+                .mac(mac)
+                .range(50.0)
+                .shards(shards)
+                .build(move |id| {
+                    let offset = SimDuration::from_micros(offsets[id.index()]);
+                    Saturator::new(idle, poll, offset, stop)
+                });
+            for &(x, y, _) in &case.nodes {
+                sim.add_node_at(Position::new(x, y));
+            }
+            // Worker threads cost barrier waits on every window, so one
+            // case in four runs its four shards on them.
+            if shards > 1 && case.seed.is_multiple_of(4) {
+                sim.set_force_threads(true);
+            }
+            sim.enable_trace(1 << 20);
+            for change in &case.changes {
+                match *change {
+                    Change::Die { node, at, down } => {
+                        sim.schedule_set_alive(
+                            SimTime::from_micros(at),
+                            NodeId(node as u32),
+                            false,
+                        );
+                        let back = SimTime::from_micros(at + down);
+                        sim.schedule_set_alive(back, NodeId(node as u32), true);
+                    }
+                    Change::Move { node, at, x, y } => {
+                        let to = Position::new(x, y);
+                        sim.schedule_move(SimTime::from_micros(at), NodeId(node as u32), to);
+                    }
+                }
+            }
+            // Some deadlines fall on the window grid, some inside a
+            // window; each resumed run may rebalance the shards.
+            let mut stops = case.stops.clone();
+            stops.sort_unstable();
+            for deadline in stops.into_iter().chain([END]) {
+                sim.run_until(SimTime::from_micros(deadline));
+            }
+            let nodes = || sim.node_ids().map(|id| sim.protocol(id));
+            Outcome {
+                sends: nodes().map(|p| p.sends.clone()).collect(),
+                ticks: nodes().map(|p| p.ticks).collect(),
+                busy_ticks: nodes().map(|p| p.busy_ticks).sum(),
+                stats: sim.stats(),
+                dfa: sim.dfa_stats(),
+                trace: sim.tracer().unwrap().events().copied().collect(),
+            }
+        }
+
+        /// An idle timer is the poll loop it replaces: the same bursts
+        /// at the same instants, and the same medium, DFA counters and
+        /// trace, at one shard and at four (inline or threaded), with no
+        /// more timer callbacks and none on a busy queue.
+        fn idle_matches_poll(case: &Case) -> Result<(), TestCaseError> {
+            let poll = run(case, false, 1);
+            prop_assert!(poll.sends.iter().any(|s| !s.is_empty()), "no node sent");
+            for shards in [1, 4] {
+                let idle = run(case, true, shards);
+                prop_assert_eq!(&idle.sends, &poll.sends, "send instants, K = {}", shards);
+                prop_assert_eq!(idle.stats, poll.stats, "medium, K = {}", shards);
+                prop_assert_eq!(idle.dfa, poll.dfa, "DFA, K = {}", shards);
+                prop_assert!(idle.trace == poll.trace, "trace differs, K = {}", shards);
+                prop_assert_eq!(idle.busy_ticks, 0, "idle callbacks on a busy queue");
+                for (node, (idle_ticks, poll_ticks)) in
+                    idle.ticks.iter().zip(&poll.ticks).enumerate()
+                {
+                    prop_assert!(
+                        idle_ticks <= poll_ticks,
+                        "node {} made {} idle callbacks against {} polls",
+                        node,
+                        idle_ticks,
+                        poll_ticks
+                    );
+                }
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #[test]
+            fn idle_timer_matches_the_poll_loop(case in case()) {
+                idle_matches_poll(&case)?;
+            }
+
+            #[test]
+            fn idle_timer_matches_the_poll_loop_under_dfa_churn(case in dfa_churn()) {
+                idle_matches_poll(&case)?;
             }
         }
     }
