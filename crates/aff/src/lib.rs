@@ -94,7 +94,7 @@ pub use adversary::AffForgeCodec;
 pub use frag::Fragmenter;
 pub use reassembly::Reassembler;
 pub use receiver::AffReceiver;
-pub use roles::{AffNode, ObservedTrialResult, Testbed, TrialResult};
+pub use roles::{AffNode, NodeSpec, ObservedTrialResult, Role, Testbed, TrialResult};
 pub use sender::{AffSender, SelectorPolicy, Workload};
 pub use service::AffService;
 pub use wire::{Fragment, HeaderScheme, WireConfig};

@@ -2,13 +2,17 @@
 //!
 //! A [`retri_netsim::ShardedSim`] hosts one protocol type per run;
 //! [`AffNode`] is the sum of the two AFF roles so transmitters and the
-//! designated receiver can share a network. [`Testbed`] assembles the
-//! exact experiment of Section 5.1 — `n` transmitters saturating the
-//! channel toward one fully connected receiver — and runs one trial.
-//! With [`SelectorPolicy::StaticAddress`] the same testbed runs the
-//! IP-style static-addressing baseline of the efficiency comparisons.
-//! Trials run on the sharded deterministic engine, so [`Testbed::shards`]
-//! scales wall-clock without changing a single output byte.
+//! designated receiver can share a network. [`Testbed`] is the one place
+//! an AFF network is built. By default it assembles the exact experiment
+//! of Section 5.1 — `transmitters` senders saturating the channel toward
+//! one fully connected receiver — and runs one trial; a
+//! [`Testbed::layout`] of [`NodeSpec`]s replaces that network with any
+//! other geometry (hidden terminals, mixed packet sizes, many clusters),
+//! run by the same code. With [`SelectorPolicy::StaticAddress`] the same
+//! testbed runs the IP-style static-addressing baseline of the
+//! efficiency comparisons. Trials run on the sharded deterministic
+//! engine, so [`Testbed::shards`] scales wall-clock without changing a
+//! single output byte.
 
 use retri::IdentifierSpace;
 use retri_model::IdBits;
@@ -93,10 +97,32 @@ impl Protocol for AffNode {
     }
 }
 
+/// How a node takes part in a testbed layout.
+#[derive(Debug, Clone, Copy)]
+pub enum Role {
+    /// Transmitter of fixed-size packets under the testbed's workload.
+    Sender {
+        /// Packet size, bytes.
+        packet_bytes: usize,
+    },
+    /// Designated receiver.
+    Receiver,
+}
+
+/// One node of a testbed layout.
+#[derive(Debug, Clone, Copy)]
+pub struct NodeSpec {
+    /// Where the node sits.
+    pub position: Position,
+    /// What it does.
+    pub role: Role,
+}
+
 /// Configuration of one Section 5.1 trial.
 #[derive(Debug, Clone)]
 pub struct Testbed {
-    /// Number of transmitters (the paper uses 5).
+    /// Number of transmitters in the default layout (the paper uses 5).
+    /// Ignored when [`Testbed::layout`] is set.
     pub transmitters: usize,
     /// Identifier width under test; the address width under
     /// [`SelectorPolicy::StaticAddress`].
@@ -104,7 +130,9 @@ pub struct Testbed {
     /// Selection policy (the "random" vs "listening" series, or the
     /// static-address baseline).
     pub policy: SelectorPolicy,
-    /// Offered workload per transmitter.
+    /// Offered workload per transmitter. Its `packet_bytes` sizes the
+    /// default layout's packets only; a [`Testbed::layout`] gives each
+    /// sender its own.
     pub workload: Workload,
     /// Radio model.
     pub radio: RadioConfig,
@@ -120,17 +148,17 @@ pub struct Testbed {
     /// Models Section 3.2's "some nodes may choose to minimize the time
     /// they spend listening": it starves the listening heuristic of
     /// observations without affecting transmission. Phases are staggered
-    /// across transmitters. The designated receiver always listens.
+    /// across transmitters in layout order. Receivers always listen.
     pub sender_duty: Option<(SimDuration, f64)>,
     /// Channel faults to inject (bit errors, bursts, erasures, churn,
     /// partitions). Defaults to [`FaultModel::none`], which leaves the
     /// trial byte-identical to a fault-unaware build.
     pub faults: FaultModel,
-    /// When `Some`, one extra eavesdropper node joins the mesh after
-    /// the receiver and runs the identifier-prediction attack. Its
-    /// randomness comes from the dedicated
-    /// [`adversary_stream_seed`] stream, so `None` leaves the trial
-    /// byte-identical to an adversary-unaware build.
+    /// When `Some`, one extra eavesdropper node joins after the last
+    /// layout node, at the first receiver's position, and runs the
+    /// identifier-prediction attack. Its randomness comes from the
+    /// dedicated [`adversary_stream_seed`] stream, so `None` leaves the
+    /// trial byte-identical to an adversary-unaware build.
     pub adversary: Option<EavesdropperConfig>,
     /// Spatial shards for the simulation engine. Trial output is
     /// invariant in this knob (the sharded engine's event stream is
@@ -138,6 +166,12 @@ pub struct Testbed {
     /// much of the trial runs in parallel. [`Testbed::paper`] runs on one
     /// shard.
     pub shards: usize,
+    /// The network: node positions and roles, in node-id order. `None`
+    /// is the paper's: [`Testbed::transmitters`] senders of
+    /// `workload.packet_bytes` on a fully connected ring, then one
+    /// receiver. [`Testbed::run`] and [`Testbed::run_observed`] need
+    /// exactly one receiver; [`Testbed::simulate`] takes any layout.
+    pub layout: Option<Vec<NodeSpec>>,
 }
 
 impl Testbed {
@@ -167,6 +201,7 @@ impl Testbed {
             faults: FaultModel::none(),
             adversary: None,
             shards: 1,
+            layout: None,
         }
     }
 
@@ -187,27 +222,33 @@ impl Testbed {
     }
 
     /// Runs one trial with the given seed; returns the receiver's
-    /// verdicts and the medium statistics.
+    /// verdicts, the medium statistics and the radio energy (transmit +
+    /// receive + idle listening, honoring duty cycles).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the identifier width is invalid or leaves no payload
+    /// room in the configured radio's frames, or if the layout does not
+    /// hold exactly one receiver (use [`Testbed::simulate`] for those).
+    #[must_use]
+    pub fn run(&self, seed: u64) -> TrialResult {
+        let nodes = self.nodes();
+        let receiver = sole_receiver(&nodes);
+        let sim = self.run_sim(nodes, seed, None, None);
+        collect(&sim, receiver).0
+    }
+
+    /// Builds the testbed network and runs it to the trial deadline
+    /// (`workload.stop` plus 2 s of drain), for callers that read
+    /// per-node state: several receivers, or per-sender counters.
     ///
     /// # Panics
     ///
     /// Panics if the identifier width is invalid or leaves no payload
     /// room in the configured radio's frames.
     #[must_use]
-    pub fn run(&self, seed: u64) -> TrialResult {
-        self.run_with_energy(seed).trial
-    }
-
-    /// Runs one trial and additionally reports per-node radio energy
-    /// (transmit + receive + idle listening, honoring duty cycles).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Testbed::run`].
-    #[must_use]
-    pub fn run_with_energy(&self, seed: u64) -> EnergyTrialResult {
-        let sim = self.run_sim(seed, None, None);
-        self.collect(&sim).0
+    pub fn simulate(&self, seed: u64) -> ShardedSim<AffNode> {
+        self.run_sim(self.nodes(), seed, None, None)
     }
 
     /// Runs one trial with observability and tracing on: every
@@ -223,9 +264,11 @@ impl Testbed {
     /// Panics under the same conditions as [`Testbed::run`].
     #[must_use]
     pub fn run_observed(&self, seed: u64, trace_capacity: usize) -> ObservedTrialResult {
+        let nodes = self.nodes();
+        let receiver_id = sole_receiver(&nodes);
         let obs = Obs::enabled();
-        let sim = self.run_sim(seed, Some(&obs), Some(trace_capacity));
-        let (energy, sender) = self.collect(&sim);
+        let sim = self.run_sim(nodes, seed, Some(&obs), Some(trace_capacity));
+        let (trial, sender, senders) = collect(&sim, receiver_id);
         // Sender-side totals are folded in once at the end of the run:
         // they change on every queued fragment, and per-event mirroring
         // would buy nothing over the senders' native counters.
@@ -238,12 +281,14 @@ impl Testbed {
         obs.counter("aff_retransmissions_total", &[])
             .add(sender.retransmissions);
         let rx = sim
-            .protocol(NodeId(self.transmitters as u32))
+            .protocol(receiver_id)
             .as_receiver()
-            .expect("last node is the receiver");
+            .expect("the layout's receiver");
         let tracer = sim.tracer().expect("run_observed enables tracing");
         ObservedTrialResult {
-            energy,
+            trial,
+            receiver_id,
+            senders,
             snapshot: obs.snapshot().expect("obs was built enabled"),
             trace: tracer.events().copied().collect(),
             trace_dropped: tracer.dropped(),
@@ -254,10 +299,31 @@ impl Testbed {
         }
     }
 
-    /// Builds the testbed network and runs it to the trial deadline,
+    /// The layout, or the paper's full mesh when none is set.
+    fn nodes(&self) -> Vec<NodeSpec> {
+        if let Some(layout) = &self.layout {
+            return layout.clone();
+        }
+        let mesh = Topology::full_mesh(self.transmitters + 1, 100.0);
+        mesh.node_ids()
+            .map(|id| NodeSpec {
+                position: mesh.position(id),
+                role: if id.index() < self.transmitters {
+                    Role::Sender {
+                        packet_bytes: self.workload.packet_bytes,
+                    }
+                } else {
+                    Role::Receiver
+                },
+            })
+            .collect()
+    }
+
+    /// Builds the network of `nodes` and runs it to the trial deadline,
     /// optionally attaching observability and tracing.
     fn run_sim(
         &self,
+        nodes: Vec<NodeSpec>,
         seed: u64,
         obs: Option<&Obs>,
         trace_capacity: Option<usize>,
@@ -276,51 +342,49 @@ impl Testbed {
         } else {
             wire
         };
-        let transmitters = self.transmitters;
         let policy = self.policy;
         let workload = self.workload;
         let radio = self.radio;
         let ttl = self.reassembly_ttl_micros;
-        let wire_for_factory = wire.clone();
         let obs_for_factory = obs.cloned();
         let adversary_config = self.adversary;
         // Derived even when unused so the factory closure stays cheap;
         // the main RNG stream is never involved.
         let adversary_seed = adversary_stream_seed(seed);
+        let roles: Vec<Role> = nodes.iter().map(|node| node.role).collect();
         let mut sim = ShardedSimBuilder::new(seed)
             .radio(radio)
             .mac(self.mac)
             .range(100.0)
             .faults(self.faults.clone())
             .shards(self.shards.max(1))
-            .build(move |id: NodeId| {
-                if (id.index()) < transmitters {
-                    AffNode::Sender(
-                        AffSender::new(
-                            wire_for_factory.clone(),
-                            radio.max_frame_bytes,
-                            policy,
-                            workload,
-                            None,
-                        )
-                        .expect("testbed wire fits the radio"),
+            .build(move |id: NodeId| match roles.get(id.index()) {
+                Some(&Role::Sender { packet_bytes }) => AffNode::Sender(
+                    AffSender::new(
+                        wire.clone(),
+                        radio.max_frame_bytes,
+                        policy,
+                        Workload {
+                            packet_bytes,
+                            ..workload
+                        },
+                        None,
                     )
-                } else if id.index() == transmitters {
-                    let mut receiver = AffReceiver::new(wire_for_factory.clone(), ttl);
+                    .expect("testbed wire fits the radio"),
+                ),
+                Some(Role::Receiver) => {
+                    let mut receiver = AffReceiver::new(wire.clone(), ttl);
                     if let Some(obs) = &obs_for_factory {
                         receiver.enable_obs(obs);
                     }
                     AffNode::Receiver(receiver)
-                } else {
-                    let config = adversary_config.expect(
-                        "nodes past the receiver exist only when an adversary is configured",
-                    );
-                    AffNode::Adversary(Eavesdropper::new(
-                        AffForgeCodec::new(wire_for_factory.clone()),
-                        config,
-                        adversary_seed,
-                    ))
                 }
+                None => AffNode::Adversary(Eavesdropper::new(
+                    AffForgeCodec::new(wire.clone()),
+                    adversary_config
+                        .expect("nodes past the layout exist only when an adversary is configured"),
+                    adversary_seed,
+                )),
             });
         if let Some(obs) = obs {
             sim.enable_obs(obs);
@@ -328,22 +392,29 @@ impl Testbed {
         if let Some(capacity) = trace_capacity {
             sim.enable_trace(capacity);
         }
-        // Fully connected ring: transmitters first, then the receiver,
-        // then (only when configured) the eavesdropper — appending it
-        // keeps every pre-existing node's id, position, and RNG stream
-        // exactly as in an adversary-free run.
-        let extra = usize::from(self.adversary.is_some());
-        let topo = Topology::full_mesh(transmitters + 1 + extra, 100.0);
-        for id in topo.node_ids() {
-            sim.add_node_at(topo.position(id));
+        for node in &nodes {
+            sim.add_node_at(node.position);
+        }
+        // Appending the eavesdropper keeps every layout node's id,
+        // position, and RNG stream exactly as in an adversary-free run.
+        if self.adversary.is_some() {
+            let at = nodes
+                .iter()
+                .find(|node| matches!(node.role, Role::Receiver))
+                .map_or(Position::new(0.0, 0.0), |node| node.position);
+            sim.add_node_at(at);
         }
         if let Some((period, on_fraction)) = self.sender_duty {
-            for i in 0..transmitters {
+            let senders: Vec<NodeId> = (0..nodes.len())
+                .filter(|&i| matches!(nodes[i].role, Role::Sender { .. }))
+                .map(|i| NodeId(i as u32))
+                .collect();
+            for (ordinal, &id) in senders.iter().enumerate() {
                 let phase = SimDuration::from_micros(
-                    period.as_micros() * i as u64 / transmitters.max(1) as u64,
+                    period.as_micros() * ordinal as u64 / senders.len() as u64,
                 );
                 sim.set_duty_cycle(
-                    NodeId(i as u32),
+                    id,
                     Some(retri_netsim::radio::DutyCycle::new(
                         period,
                         on_fraction,
@@ -357,59 +428,64 @@ impl Testbed {
         sim.run_until(deadline);
         sim
     }
+}
 
-    /// Extracts the trial verdicts and energy readings from a finished
-    /// simulator, with the transmitters' counters summed.
-    fn collect(&self, sim: &ShardedSim<AffNode>) -> (EnergyTrialResult, SenderStats) {
-        let transmitters = self.transmitters;
-        let receiver = NodeId(transmitters as u32);
-        let rx = sim
-            .protocol(receiver)
-            .as_receiver()
-            .expect("last node is the receiver");
-        let mut sender = SenderStats::default();
-        for id in sim.node_ids().take(transmitters) {
-            let stats = sim
-                .protocol(id)
-                .as_sender()
-                .expect("first nodes are senders")
-                .stats();
-            sender.packets_sent += stats.packets_sent;
-            sender.fragments_sent += stats.fragments_sent;
-            sender.data_bits_sent += stats.data_bits_sent;
-            sender.retransmissions += stats.retransmissions;
-        }
-        let trial = TrialResult {
-            truth_delivered: rx.truth_delivered(),
-            aff_delivered: rx.aff_delivered(),
-            collision_loss_rate: rx.collision_loss_rate().unwrap_or(0.0),
-            packets_offered: sender.packets_sent,
-            retransmissions: sender.retransmissions,
-            notifications_sent: rx.stats().notifications_sent,
-            decode_errors: rx.stats().decode_errors,
-            truth_crc_rejections: rx.stats().truth_crc_rejections,
-            checksum_failures: rx.aff_stats().checksum_failures,
-            identifier_conflicts: rx.aff_stats().identifier_conflicts(),
-            medium: sim.stats(),
-            total_bits_sent: sim.total_meter().tx_bits(),
-        };
-        let sender_energy: f64 = (0..transmitters)
-            .map(|i| sim.energy_nj(NodeId(i as u32)))
-            .sum();
-        let adversary = self.adversary.map(|_| {
-            sim.protocol(NodeId((transmitters + 1) as u32))
-                .as_adversary()
-                .expect("adversary node sits after the receiver")
-                .stats()
-        });
-        let energy = EnergyTrialResult {
-            trial,
-            mean_sender_energy_nj: sender_energy / transmitters.max(1) as f64,
-            receiver_energy_nj: sim.energy_nj(receiver),
-            adversary,
-        };
-        (energy, sender)
+/// The node id of the layout's one receiver.
+fn sole_receiver(nodes: &[NodeSpec]) -> NodeId {
+    let mut receivers = (0..nodes.len()).filter(|&i| matches!(nodes[i].role, Role::Receiver));
+    match (receivers.next(), receivers.next()) {
+        (Some(index), None) => NodeId(index as u32),
+        _ => panic!(
+            "a trial needs exactly one receiver in the layout; \
+             use Testbed::simulate to run other layouts"
+        ),
     }
+}
+
+/// Extracts the trial verdicts and energy readings from a finished
+/// simulator, with the senders' counters summed; also returns the
+/// sender count.
+fn collect(sim: &ShardedSim<AffNode>, receiver: NodeId) -> (TrialResult, SenderStats, usize) {
+    let rx = sim
+        .protocol(receiver)
+        .as_receiver()
+        .expect("the layout's receiver");
+    let mut sender = SenderStats::default();
+    let mut senders = 0;
+    let mut sender_energy = 0.0;
+    for id in sim.node_ids() {
+        let Some(node) = sim.protocol(id).as_sender() else {
+            continue;
+        };
+        let stats = node.stats();
+        sender.packets_sent += stats.packets_sent;
+        sender.fragments_sent += stats.fragments_sent;
+        sender.data_bits_sent += stats.data_bits_sent;
+        sender.retransmissions += stats.retransmissions;
+        sender_energy += sim.energy_nj(id);
+        senders += 1;
+    }
+    let trial = TrialResult {
+        truth_delivered: rx.truth_delivered(),
+        aff_delivered: rx.aff_delivered(),
+        collision_loss_rate: rx.collision_loss_rate().unwrap_or(0.0),
+        packets_offered: sender.packets_sent,
+        retransmissions: sender.retransmissions,
+        notifications_sent: rx.stats().notifications_sent,
+        decode_errors: rx.stats().decode_errors,
+        truth_crc_rejections: rx.stats().truth_crc_rejections,
+        checksum_failures: rx.aff_stats().checksum_failures,
+        identifier_conflicts: rx.aff_stats().identifier_conflicts(),
+        medium: sim.stats(),
+        total_bits_sent: sim.total_meter().tx_bits(),
+        mean_sender_energy_nj: sender_energy / senders.max(1) as f64,
+        receiver_energy_nj: sim.energy_nj(receiver),
+        adversary: sim
+            .node_ids()
+            .find_map(|id| sim.protocol(id).as_adversary())
+            .map(Eavesdropper::stats),
+    };
+    (trial, sender, senders)
 }
 
 /// Everything one observed trial produces: the ordinary results plus
@@ -418,7 +494,11 @@ impl Testbed {
 #[derive(Debug, Clone)]
 pub struct ObservedTrialResult {
     /// The protocol-level outcome with energy readings.
-    pub energy: EnergyTrialResult,
+    pub trial: TrialResult,
+    /// The layout's receiver.
+    pub receiver_id: NodeId,
+    /// How many senders the layout holds.
+    pub senders: usize,
     /// Every `netsim_*` and `aff_*` metric recorded during the trial.
     pub snapshot: Snapshot,
     /// The retained medium-event window, oldest first.
@@ -435,21 +515,6 @@ pub struct ObservedTrialResult {
     /// Fragments still sitting in incomplete buffers at the deadline
     /// (the "stranded" fate).
     pub pending_fragments: u64,
-}
-
-/// A [`TrialResult`] augmented with measured radio energy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnergyTrialResult {
-    /// The protocol-level outcome.
-    pub trial: TrialResult,
-    /// Mean per-transmitter radio energy, nanojoules (tx + rx + idle,
-    /// honoring duty cycles).
-    pub mean_sender_energy_nj: f64,
-    /// The designated receiver's radio energy, nanojoules.
-    pub receiver_energy_nj: f64,
-    /// What the eavesdropper heard and injected (`None` in clean
-    /// testbeds).
-    pub adversary: Option<AdversaryStats>,
 }
 
 /// Outcome of one testbed trial.
@@ -484,6 +549,14 @@ pub struct TrialResult {
     pub medium: MediumStats,
     /// Total bits transmitted network-wide.
     pub total_bits_sent: u64,
+    /// Mean per-sender radio energy, nanojoules (tx + rx + idle,
+    /// honoring duty cycles).
+    pub mean_sender_energy_nj: f64,
+    /// The receiver's radio energy, nanojoules.
+    pub receiver_energy_nj: f64,
+    /// What the eavesdropper heard and injected (`None` in clean
+    /// testbeds).
+    pub adversary: Option<AdversaryStats>,
 }
 
 impl TrialResult {
@@ -576,15 +649,85 @@ mod tests {
         // engine uses.
         let mut testbed = quick_testbed(4, SelectorPolicy::Listening { window: 10 });
         testbed.workload.stop = SimTime::from_secs(5);
-        let reference = testbed.run_with_energy(19);
+        let reference = testbed.run(19);
         for shards in [2, 4] {
             testbed.shards = shards;
             assert_eq!(
-                testbed.run_with_energy(19),
+                testbed.run(19),
                 reference,
                 "trial diverged at {shards} shards"
             );
         }
+    }
+
+    /// The paper's network, written out as a layout.
+    fn paper_mesh(transmitters: usize) -> Vec<NodeSpec> {
+        let mesh = Topology::full_mesh(transmitters + 1, 100.0);
+        mesh.node_ids()
+            .map(|id| NodeSpec {
+                position: mesh.position(id),
+                role: if id.index() < transmitters {
+                    Role::Sender { packet_bytes: 80 }
+                } else {
+                    Role::Receiver
+                },
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_spelled_out_paper_mesh_runs_the_default_layout() {
+        let mut base = quick_testbed(4, SelectorPolicy::Listening { window: 10 });
+        base.workload.stop = SimTime::from_secs(5);
+        let variants = [
+            base.clone(),
+            base.clone().with_adversary(),
+            base.clone().with_notifications(),
+            Testbed {
+                sender_duty: Some((SimDuration::from_millis(200), 0.25)),
+                ..base.clone()
+            },
+            Testbed {
+                id_bits: 16,
+                policy: SelectorPolicy::StaticAddress { seq_bits: 8 },
+                ..base.clone()
+            },
+        ];
+        for shards in [1, 4] {
+            for variant in &variants {
+                let mut testbed = Testbed {
+                    shards,
+                    ..variant.clone()
+                };
+                let default = testbed.run(29);
+                testbed.layout = Some(paper_mesh(testbed.transmitters));
+                assert_eq!(testbed.run(29), default, "{testbed:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "simulate")]
+    fn run_rejects_a_layout_without_a_receiver() {
+        let mut testbed = quick_testbed(8, SelectorPolicy::Uniform);
+        testbed.layout = Some(vec![NodeSpec {
+            position: Position::new(0.0, 0.0),
+            role: Role::Sender { packet_bytes: 80 },
+        }]);
+        let _ = testbed.run(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "simulate")]
+    fn run_rejects_a_layout_with_two_receivers() {
+        let mut testbed = quick_testbed(8, SelectorPolicy::Uniform);
+        let mut layout = paper_mesh(2);
+        layout.push(NodeSpec {
+            position: Position::new(0.0, 0.0),
+            role: Role::Receiver,
+        });
+        testbed.layout = Some(layout);
+        let _ = testbed.run(1);
     }
 
     #[test]
@@ -634,7 +777,7 @@ mod tests {
         let testbed = quick_testbed(6, SelectorPolicy::Uniform);
         let plain = testbed.run(9);
         let observed = testbed.run_observed(9, 1 << 16);
-        assert_eq!(plain, observed.energy.trial);
+        assert_eq!(plain, observed.trial);
     }
 
     #[test]
@@ -646,7 +789,7 @@ mod tests {
         }));
         let observed = testbed.run_observed(17, 1 << 16);
         let snap = &observed.snapshot;
-        let medium = observed.energy.trial.medium;
+        let medium = observed.trial.medium;
         assert_eq!(snap.counter("netsim_frames_sent_total"), medium.frames_sent);
         assert_eq!(snap.counter("netsim_deliveries_total"), medium.deliveries);
         assert_eq!(
@@ -663,12 +806,36 @@ mod tests {
         );
         assert_eq!(
             snap.counter("aff_truth_delivered_total"),
-            observed.energy.trial.truth_delivered
+            observed.trial.truth_delivered
         );
         // Every frame the receiver heard either parsed or did not.
         assert_eq!(
             observed.receiver.fragments_parsed + observed.receiver.decode_errors,
             snap.counter("aff_fragments_parsed_total") + snap.counter("aff_decode_errors_total")
+        );
+    }
+
+    #[test]
+    fn observed_trial_names_the_layouts_receiver() {
+        let mut testbed = quick_testbed(8, SelectorPolicy::Uniform);
+        testbed.workload.stop = SimTime::from_secs(2);
+        let observed = testbed.run_observed(5, 1 << 16);
+        assert_eq!((observed.receiver_id, observed.senders), (NodeId(5), 5));
+        let sender = |x: f64| NodeSpec {
+            position: Position::new(x, 0.0),
+            role: Role::Sender { packet_bytes: 80 },
+        };
+        let receiver = NodeSpec {
+            position: Position::new(0.0, 0.0),
+            role: Role::Receiver,
+        };
+        testbed.layout = Some(vec![sender(-30.0), receiver, sender(30.0)]);
+        let observed = testbed.run_observed(5, 1 << 16);
+        assert_eq!((observed.receiver_id, observed.senders), (NodeId(1), 2));
+        assert!(
+            observed.receiver.fragments_parsed > 0,
+            "{:?}",
+            observed.receiver
         );
     }
 
@@ -735,18 +902,18 @@ mod tests {
         let clean = quick_testbed(12, SelectorPolicy::Sequential).run(30);
         let attacked = quick_testbed(12, SelectorPolicy::Sequential)
             .with_adversary()
-            .run_with_energy(30);
+            .run(30);
         let stats = attacked.adversary.expect("adversary was configured");
         assert!(stats.frames_heard > 0, "{stats:?}");
         assert!(stats.frames_injected > 0, "{stats:?}");
         assert!(
-            attacked.trial.collision_loss_rate > clean.collision_loss_rate + 0.05,
+            attacked.collision_loss_rate > clean.collision_loss_rate + 0.05,
             "predicted-id spray must force losses: attacked {:?} vs clean {:?}",
-            attacked.trial,
+            attacked,
             clean
         );
         assert!(
-            attacked.trial.truth_delivered > 0,
+            attacked.truth_delivered > 0,
             "the spray contends for airtime but cannot silence the channel"
         );
     }
@@ -765,7 +932,7 @@ mod tests {
     #[test]
     fn adversarial_trials_are_reproducible() {
         let testbed = quick_testbed(12, SelectorPolicy::Sequential).with_adversary();
-        assert_eq!(testbed.run_with_energy(33), testbed.run_with_energy(33));
+        assert_eq!(testbed.run(33), testbed.run(33));
     }
 
     #[test]

@@ -5,9 +5,15 @@
 //! seeds come from [`harness::trial_seed`] under the experiment id named
 //! in each function's documentation. Each study returns a [`Provenance`]
 //! document carrying both the results and the seeds that produced them.
+//!
+//! Every AFF study runs on [`Testbed`], the one place an AFF network is
+//! built: the paper's fully connected mesh, or a [`Testbed::layout`]
+//! for the hidden-terminal, mixed-length and scaling geometries. The
+//! allocation-churn studies run the baselines' protocols on a full mesh
+//! of their own.
 
-use retri_aff::sender::{Workload, WorkloadMode};
-use retri_aff::{AffNode, AffReceiver, AffSender, SelectorPolicy, Testbed, WireConfig};
+use retri_aff::sender::WorkloadMode;
+use retri_aff::{AffNode, NodeSpec, Role, SelectorPolicy, Testbed, WireConfig};
 use retri_baselines::{DynamicAddrConfig, DynamicAddrNode, StaticAllocator};
 use retri_model::lengths::{DurationClass, MixedLengthModel};
 use retri_model::listening::ListeningModel;
@@ -18,82 +24,6 @@ use retri_netsim::topology::Topology;
 
 use crate::harness::{self, Provenance};
 use crate::EffortLevel;
-
-/// How a node participates in a custom AFF scenario.
-#[derive(Debug, Clone, Copy)]
-pub enum Role {
-    /// Saturating transmitter of fixed-size packets.
-    Sender {
-        /// Packet size, bytes.
-        packet_bytes: usize,
-    },
-    /// Designated receiver.
-    Receiver,
-}
-
-/// One node of a custom AFF scenario.
-#[derive(Debug, Clone, Copy)]
-pub struct NodeSpec {
-    /// Where the node sits.
-    pub position: Position,
-    /// What it does.
-    pub role: Role,
-}
-
-/// Builds and runs an arbitrary AFF scenario on `shards` spatial shards;
-/// returns the simulator for inspection.
-///
-/// # Panics
-///
-/// Panics on invalid identifier widths (caller-fixed constants).
-#[must_use]
-pub fn run_aff_scenario(
-    specs: &[NodeSpec],
-    id_bits: u8,
-    policy: SelectorPolicy,
-    mode: WorkloadMode,
-    stop: SimTime,
-    seed: u64,
-    shards: usize,
-) -> ShardedSim<AffNode> {
-    let wire = WireConfig::aff(retri::IdentifierSpace::new(id_bits).expect("valid width"));
-    let radio = RadioConfig::radiometrix_rpc();
-    let specs_owned: Vec<NodeSpec> = specs.to_vec();
-    let wire_for_factory = wire.clone();
-    let mut sim = ShardedSimBuilder::new(seed)
-        .radio(radio)
-        .mac(MacConfig::csma())
-        .range(100.0)
-        .shards(shards)
-        .build(move |id: NodeId| match specs_owned[id.index()].role {
-            Role::Sender { packet_bytes } => {
-                let workload = Workload {
-                    packet_bytes,
-                    start: SimTime::ZERO,
-                    stop,
-                    mode,
-                };
-                AffNode::Sender(
-                    AffSender::new(
-                        wire_for_factory.clone(),
-                        radio.max_frame_bytes,
-                        policy,
-                        workload,
-                        None,
-                    )
-                    .expect("wire fits the radio"),
-                )
-            }
-            Role::Receiver => {
-                AffNode::Receiver(AffReceiver::new(wire_for_factory.clone(), 300_000))
-            }
-        });
-    for spec in specs {
-        sim.add_node_at(spec.position);
-    }
-    sim.run_until(stop + SimDuration::from_secs(2));
-    sim
-}
 
 fn receiver_loss(sim: &ShardedSim<AffNode>, receiver: NodeId) -> f64 {
     sim.protocol(receiver)
@@ -168,33 +98,16 @@ pub struct GeometryPoint {
 /// cell 1 the hidden one.
 #[must_use]
 pub fn hidden_terminal(level: EffortLevel, shards: usize) -> Provenance<GeometryPoint> {
-    let stop = SimTime::from_secs(level.trial_secs());
-    let policy = SelectorPolicy::Listening { window: 8 };
-    let id_bits = 2; // narrow space so identifier collisions are visible
-    let mode = WorkloadMode::Periodic {
-        period: SimDuration::from_millis(100),
-    };
-    let sender = |x: f64| NodeSpec {
-        position: Position::new(x, 0.0),
-        role: Role::Sender { packet_bytes: 40 },
-    };
-    let receiver = NodeSpec {
-        position: Position::new(0.0, 0.0),
-        role: Role::Receiver,
-    };
-    let cells = [
-        ("fully connected", [sender(-30.0), receiver, sender(30.0)]),
-        ("hidden terminals", [sender(-90.0), receiver, sender(90.0)]),
-    ];
-    let runs = harness::run_cells("ablation_hidden", level, &cells, |(_, specs), trial| {
-        let sim = run_aff_scenario(specs, id_bits, policy, mode, stop, trial.seed, shards);
+    let cells = hidden_terminal_cells(level, shards);
+    let runs = harness::run_cells("ablation_hidden", level, &cells, |(_, testbed), trial| {
+        let result = testbed.run(trial.seed);
         (
-            receiver_loss(&sim, NodeId(1)),
-            sim.stats().rf_collisions as f64,
+            result.collision_loss_rate,
+            result.medium.rf_collisions as f64,
         )
     });
     let mut provenance = Provenance::new("ablation_hidden", level);
-    for (&(geometry, _), cell_runs) in cells.iter().zip(runs) {
+    for ((geometry, _), cell_runs) in cells.into_iter().zip(runs) {
         let id_loss = cell_runs.summarize(|&(loss, _)| loss);
         let rf_collisions = cell_runs.summarize(|&(_, rf)| rf);
         provenance.push_cell(
@@ -207,6 +120,34 @@ pub fn hidden_terminal(level: EffortLevel, shards: usize) -> Provenance<Geometry
         );
     }
     provenance.with_run_metrics()
+}
+
+/// The hidden-terminal study's two testbeds: one sender on each side of
+/// the receiver (node 1), 30 m out or 90 m out.
+fn hidden_terminal_cells(level: EffortLevel, shards: usize) -> [(&'static str, Testbed); 2] {
+    let sender = |x: f64| NodeSpec {
+        position: Position::new(x, 0.0),
+        role: Role::Sender { packet_bytes: 40 },
+    };
+    let receiver = NodeSpec {
+        position: Position::new(0.0, 0.0),
+        role: Role::Receiver,
+    };
+    // A narrow space so identifier collisions are visible.
+    let mut testbed = Testbed::paper(2, SelectorPolicy::Listening { window: 8 });
+    testbed.shards = shards;
+    testbed.workload.stop = SimTime::from_secs(level.trial_secs());
+    testbed.workload.mode = WorkloadMode::Periodic {
+        period: SimDuration::from_millis(100),
+    };
+    let geometry = |outer: f64| Testbed {
+        layout: Some(vec![sender(-outer), receiver, sender(outer)]),
+        ..testbed.clone()
+    };
+    [
+        ("fully connected", geometry(30.0)),
+        ("hidden terminals", geometry(90.0)),
+    ]
 }
 
 // ---------------------------------------------------------------------
@@ -238,34 +179,26 @@ pub struct MixedLengthResult {
 pub fn mixed_lengths(level: EffortLevel, shards: usize) -> Provenance<MixedLengthResult> {
     let id_bits = 6u8;
     let sizes = [20usize, 20, 80, 80, 200];
-    let stop = SimTime::from_secs(level.trial_secs());
-    let mut specs: Vec<NodeSpec> = Vec::new();
-    let topo = Topology::full_mesh(sizes.len() + 1, 100.0);
-    for (i, &packet_bytes) in sizes.iter().enumerate() {
-        specs.push(NodeSpec {
-            position: topo.position(NodeId(i as u32)),
-            role: Role::Sender { packet_bytes },
-        });
-    }
-    specs.push(NodeSpec {
-        position: topo.position(NodeId(sizes.len() as u32)),
-        role: Role::Receiver,
-    });
-    let receiver = NodeId(sizes.len() as u32);
-
-    let cells = [specs];
-    let runs = harness::run_cells("ablation_lengths", level, &cells, |specs, trial| {
-        let sim = run_aff_scenario(
-            specs,
-            id_bits,
-            SelectorPolicy::Uniform,
-            WorkloadMode::Saturate {
-                poll: SimDuration::from_millis(2),
+    let mesh = Topology::full_mesh(sizes.len() + 1, 100.0);
+    let layout = mesh
+        .node_ids()
+        .map(|id| NodeSpec {
+            position: mesh.position(id),
+            role: match sizes.get(id.index()) {
+                Some(&packet_bytes) => Role::Sender { packet_bytes },
+                None => Role::Receiver,
             },
-            stop,
-            trial.seed,
-            shards,
-        );
+        })
+        .collect();
+    let receiver = NodeId(sizes.len() as u32);
+    let mut testbed = Testbed::paper(id_bits, SelectorPolicy::Uniform);
+    testbed.shards = shards;
+    testbed.workload.stop = SimTime::from_secs(level.trial_secs());
+    testbed.layout = Some(layout);
+
+    let cells = [testbed];
+    let runs = harness::run_cells("ablation_lengths", level, &cells, |testbed, trial| {
+        let sim = testbed.simulate(trial.seed);
         let offered: Vec<f64> = (0..sizes.len())
             .map(|i| {
                 sim.protocol(NodeId(i as u32))
@@ -521,11 +454,13 @@ pub struct ScalingPoint {
 #[must_use]
 pub fn density_scaling(level: EffortLevel, shards: usize) -> Provenance<ScalingPoint> {
     let aff_bits = 6u8;
-    let stop = SimTime::from_secs(level.trial_secs());
-    let cells: Vec<(usize, Vec<NodeSpec>, Vec<usize>)> = [1usize, 2, 4, 8]
+    let mut testbed = Testbed::paper(aff_bits, SelectorPolicy::Uniform);
+    testbed.shards = shards;
+    testbed.workload.stop = SimTime::from_secs(level.trial_secs());
+    let cells: Vec<(usize, Testbed, Vec<NodeId>)> = [1usize, 2, 4, 8]
         .iter()
         .map(|&clusters| {
-            let mut specs = Vec::new();
+            let mut layout = Vec::new();
             let mut receivers = Vec::new();
             for c in 0..clusters {
                 // Clusters 10 km apart: mutually silent.
@@ -533,53 +468,49 @@ pub fn density_scaling(level: EffortLevel, shards: usize) -> Provenance<ScalingP
                 let cluster_topo = Topology::full_mesh(4, 100.0);
                 for i in 0..3u32 {
                     let p = cluster_topo.position(NodeId(i));
-                    specs.push(NodeSpec {
+                    layout.push(NodeSpec {
                         position: Position::new(base + p.x, p.y),
                         role: Role::Sender { packet_bytes: 80 },
                     });
                 }
                 let p = cluster_topo.position(NodeId(3));
-                receivers.push(specs.len());
-                specs.push(NodeSpec {
+                receivers.push(NodeId(layout.len() as u32));
+                layout.push(NodeSpec {
                     position: Position::new(base + p.x, p.y),
                     role: Role::Receiver,
                 });
             }
-            (clusters, specs, receivers)
+            let testbed = Testbed {
+                layout: Some(layout),
+                ..testbed.clone()
+            };
+            (clusters, testbed, receivers)
         })
         .collect();
     let runs = harness::run_cells(
         "ablation_scaling",
         level,
         &cells,
-        |(_, specs, receivers), trial| {
-            let sim = run_aff_scenario(
-                specs,
-                aff_bits,
-                SelectorPolicy::Uniform,
-                WorkloadMode::Saturate {
-                    poll: SimDuration::from_millis(2),
-                },
-                stop,
-                trial.seed,
-                shards,
-            );
+        |(_, testbed, receivers), trial| {
+            let sim = testbed.simulate(trial.seed);
             receivers
                 .iter()
-                .map(|&r| receiver_loss(&sim, NodeId(r as u32)))
+                .map(|&r| receiver_loss(&sim, r))
                 .collect::<Vec<f64>>()
         },
     );
     let mut provenance = Provenance::new("ablation_scaling", level);
-    for ((clusters, specs, _), cell_runs) in cells.iter().zip(runs) {
+    for (&(clusters, ..), cell_runs) in cells.iter().zip(runs) {
         let losses: Vec<f64> = cell_runs.values.iter().flatten().copied().collect();
+        // Each cluster is three senders and its receiver.
+        let total_nodes = 4 * clusters;
         provenance.push_cell(
             cell_runs.seeds,
             ScalingPoint {
-                clusters: *clusters,
-                total_nodes: specs.len(),
+                clusters,
+                total_nodes,
                 observed_loss: Summary::of(&losses),
-                static_bits_required: StaticAllocator::bits_required(specs.len() as u64),
+                static_bits_required: StaticAllocator::bits_required(total_nodes as u64),
                 aff_bits,
             },
         );
@@ -813,9 +744,9 @@ pub fn listening_energy(level: EffortLevel, shards: usize) -> Provenance<EnergyP
         if on_fraction < 1.0 {
             testbed.sender_duty = Some((SimDuration::from_millis(200), on_fraction));
         }
-        let result = testbed.run_with_energy(trial.seed);
+        let result = testbed.run(trial.seed);
         (
-            result.trial.collision_loss_rate,
+            result.collision_loss_rate,
             result.mean_sender_energy_nj / 1e6,
         )
     });
@@ -933,6 +864,26 @@ mod tests {
             hidden.id_loss.mean >= connected.id_loss.mean,
             "listening cannot work across hidden terminals: {result:?}"
         );
+    }
+
+    #[test]
+    fn hidden_terminal_trials_read_the_middle_receiver() {
+        // `Testbed::run` finds the layout's receiver itself; it must be
+        // the node the geometry puts in the middle.
+        for (geometry, testbed) in hidden_terminal_cells(EffortLevel::Quick, 1) {
+            let result = testbed.run(3);
+            let sim = testbed.simulate(3);
+            assert_eq!(
+                result.collision_loss_rate,
+                receiver_loss(&sim, NodeId(1)),
+                "{geometry}"
+            );
+            assert_eq!(
+                result.medium.rf_collisions,
+                sim.stats().rf_collisions,
+                "{geometry}"
+            );
+        }
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub struct Recording {
     pub scenario: String,
     /// The trial's simulation seed.
     pub seed: u64,
-    /// Transmitter count; nodes `0..transmitters` send.
+    /// How many senders the trial's layout holds.
     pub transmitters: u32,
     /// The designated receiver's node id.
     pub receiver: u32,
@@ -75,19 +75,14 @@ pub struct Recording {
 impl Recording {
     /// Flattens one observed trial.
     #[must_use]
-    pub fn from_observed(
-        scenario: &str,
-        seed: u64,
-        transmitters: u32,
-        observed: &ObservedTrialResult,
-    ) -> Self {
+    pub fn from_observed(scenario: &str, seed: u64, observed: &ObservedTrialResult) -> Self {
         Recording {
             scenario: scenario.to_string(),
             seed,
-            transmitters,
-            receiver: transmitters,
+            transmitters: observed.senders as u32,
+            receiver: observed.receiver_id.0,
             trace_dropped: observed.trace_dropped,
-            medium: observed.energy.trial.medium,
+            medium: observed.trial.medium,
             sender: observed.sender,
             receiver_stats: observed.receiver,
             reassembly: observed.reassembly,
@@ -719,7 +714,7 @@ mod tests {
         let mut testbed = Testbed::paper(6, SelectorPolicy::Uniform);
         testbed.workload.stop = SimTime::from_secs(10);
         let observed = testbed.run_observed(seed, 1 << 20);
-        Recording::from_observed("unit", seed, testbed.transmitters as u32, &observed)
+        Recording::from_observed("unit", seed, &observed)
     }
 
     #[test]

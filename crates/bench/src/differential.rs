@@ -414,12 +414,7 @@ pub fn record_fault_traces(level: EffortLevel, shards: usize) -> Vec<crate::audi
             testbed.workload.stop = SimTime::from_secs(level.trial_secs());
             testbed.faults = scenario.faults(seed, level.trial_secs());
             let observed = testbed.run_observed(seed, 1 << 20);
-            crate::audit::Recording::from_observed(
-                scenario.name(),
-                seed,
-                testbed.transmitters as u32,
-                &observed,
-            )
+            crate::audit::Recording::from_observed(scenario.name(), seed, &observed)
         })
         .collect()
 }

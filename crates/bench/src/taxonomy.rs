@@ -282,7 +282,7 @@ pub fn taxonomy_sweep(level: EffortLevel, shards: usize) -> Provenance<SelectorS
             if kind == CellKind::SecurityAttacked {
                 testbed = testbed.with_adversary();
             }
-            testbed.run_with_energy(trial.seed)
+            testbed.run(trial.seed)
         },
     );
 
@@ -300,35 +300,19 @@ pub fn taxonomy_sweep(level: EffortLevel, shards: usize) -> Provenance<SelectorS
         let clean = &runs[base + 1];
         let attacked = &runs[base + 2];
 
-        let attempts: u64 = correctness
-            .values
-            .iter()
-            .map(|r| r.trial.truth_delivered)
-            .sum();
-        let successes: u64 = correctness
-            .values
-            .iter()
-            .map(|r| r.trial.aff_delivered)
-            .sum();
-        let total_bits: u64 = correctness
-            .values
-            .iter()
-            .map(|r| r.trial.total_bits_sent)
-            .sum();
+        let attempts: u64 = correctness.values.iter().map(|r| r.truth_delivered).sum();
+        let successes: u64 = correctness.values.iter().map(|r| r.aff_delivered).sum();
+        let total_bits: u64 = correctness.values.iter().map(|r| r.total_bits_sent).sum();
         let observed = successes as f64 / attempts as f64;
         let wilson = WilsonInterval::of(successes, attempts, Z_99);
 
-        let clean_attempts: u64 = clean.values.iter().map(|r| r.trial.truth_delivered).sum();
-        let clean_successes: u64 = clean.values.iter().map(|r| r.trial.aff_delivered).sum();
+        let clean_attempts: u64 = clean.values.iter().map(|r| r.truth_delivered).sum();
+        let clean_successes: u64 = clean.values.iter().map(|r| r.aff_delivered).sum();
         let clean_losses = clean_attempts - clean_successes;
         let clean_loss_rate = clean_losses as f64 / clean_attempts as f64;
 
-        let attacked_attempts: u64 = attacked
-            .values
-            .iter()
-            .map(|r| r.trial.truth_delivered)
-            .sum();
-        let attacked_successes: u64 = attacked.values.iter().map(|r| r.trial.aff_delivered).sum();
+        let attacked_attempts: u64 = attacked.values.iter().map(|r| r.truth_delivered).sum();
+        let attacked_successes: u64 = attacked.values.iter().map(|r| r.aff_delivered).sum();
         let attacked_losses = attacked_attempts - attacked_successes;
         let attacked_wilson = WilsonInterval::of(attacked_losses, attacked_attempts, Z_99);
         let stats = attacked

@@ -10,62 +10,47 @@
 //! Run with: `cargo run --release -p retri-examples --bin disaster_relief`
 
 use rand::SeedableRng;
-use retri::IdentifierSpace;
-use retri_aff::sender::{Workload, WorkloadMode};
-use retri_aff::{AffNode, AffReceiver, AffSender, SelectorPolicy, WireConfig};
+use retri_aff::{NodeSpec, Role, SelectorPolicy, Testbed, Workload};
 use retri_netsim::prelude::*;
 
 fn main() {
     const FIELD_NODES: usize = 10;
-    let wire = WireConfig::aff(IdentifierSpace::new(8).expect("8-bit identifiers"));
-    let radio = RadioConfig::radiometrix_rpc().with_frame_loss(0.02); // rough RF
-    let wire_for_factory = wire.clone();
-    let workload = Workload {
-        packet_bytes: 80,
-        start: SimTime::ZERO,
-        stop: SimTime::from_secs(120),
-        mode: WorkloadMode::Periodic {
-            period: SimDuration::from_millis(900),
-        },
-    };
-    let mut sim = ShardedSimBuilder::new(911)
-        .radio(radio)
-        .mac(MacConfig::csma())
-        .range(100.0)
-        .build(move |id: NodeId| {
-            if id.index() < FIELD_NODES {
-                AffNode::Sender(
-                    AffSender::new(
-                        wire_for_factory.clone(),
-                        radio.max_frame_bytes,
-                        SelectorPolicy::AdaptiveListening {
-                            concurrency_ttl_micros: 400_000,
-                        },
-                        workload,
-                        None,
-                    )
-                    .expect("wire fits the radio"),
-                )
-            } else {
-                AffNode::Receiver(AffReceiver::new(wire_for_factory.clone(), 300_000))
-            }
-        });
-
     // Random air-drop inside an 80 m disc around the collector.
     let mut drop_rng = rand::rngs::StdRng::seed_from_u64(42);
-    let drop =
-        retri_netsim::topology::Topology::random_disc(FIELD_NODES, 80.0, 100.0, &mut drop_rng);
-    for id in drop.node_ids() {
-        sim.add_node_at(drop.position(id));
-    }
-    let collector = sim.add_node_at(Position::new(0.0, 0.0));
-
-    // Mission dynamics: two nodes die in the rubble, one is re-dropped.
-    sim.schedule_set_alive(SimTime::from_secs(30), NodeId(2), false);
-    sim.schedule_set_alive(SimTime::from_secs(45), NodeId(7), false);
-    sim.schedule_set_alive(SimTime::from_secs(70), NodeId(2), true);
-
-    sim.run_until(SimTime::from_secs(125));
+    let drop = Topology::random_disc(FIELD_NODES, 80.0, 100.0, &mut drop_rng);
+    let mut layout: Vec<NodeSpec> = drop
+        .node_ids()
+        .map(|id| NodeSpec {
+            position: drop.position(id),
+            role: Role::Sender { packet_bytes: 80 },
+        })
+        .collect();
+    let collector = NodeId(layout.len() as u32);
+    layout.push(NodeSpec {
+        position: Position::new(0.0, 0.0),
+        role: Role::Receiver,
+    });
+    let testbed = Testbed {
+        workload: Workload::periodic(
+            80,
+            SimDuration::from_millis(900),
+            SimDuration::from_secs(120),
+        ),
+        radio: RadioConfig::radiometrix_rpc().with_frame_loss(0.02), // rough RF
+        // Mission dynamics: two nodes die in the rubble, one is re-dropped.
+        faults: FaultModel::none()
+            .with_churn_event(SimTime::from_secs(30), NodeId(2), false)
+            .with_churn_event(SimTime::from_secs(45), NodeId(7), false)
+            .with_churn_event(SimTime::from_secs(70), NodeId(2), true),
+        layout: Some(layout),
+        ..Testbed::paper(
+            8,
+            SelectorPolicy::AdaptiveListening {
+                concurrency_ttl_micros: 400_000,
+            },
+        )
+    };
+    let sim = testbed.simulate(911);
 
     let rx = sim
         .protocol(collector)
@@ -73,14 +58,8 @@ fn main() {
         .expect("collector is the receiver");
     let offered: u64 = sim
         .node_ids()
-        .take(FIELD_NODES)
-        .map(|id| {
-            sim.protocol(id)
-                .as_sender()
-                .expect("field node")
-                .stats()
-                .packets_sent
-        })
+        .filter_map(|id| sim.protocol(id).as_sender())
+        .map(|sender| sender.stats().packets_sent)
         .sum();
     println!("disaster relief: {FIELD_NODES} air-dropped nodes, 2 failures, 1 re-drop, 120 s\n");
     println!("situation reports offered:            {offered}");

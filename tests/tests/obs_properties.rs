@@ -110,10 +110,7 @@ fn observation_never_perturbs_results() {
     testbed.workload.stop = SimTime::from_secs(10);
     let plain = testbed.run(27);
     let observed = testbed.run_observed(27, 1 << 18);
-    assert_eq!(
-        plain, observed.energy.trial,
-        "tracing+metrics changed a trial"
-    );
+    assert_eq!(plain, observed.trial, "tracing+metrics changed a trial");
 
     let baseline = ablations::mixed_lengths(EffortLevel::Quick, 1);
     harness::enable_run_metrics();

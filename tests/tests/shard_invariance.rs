@@ -89,11 +89,11 @@ fn testbed_trial_is_identical_across_shard_counts() {
         frame_erasure: 0.01,
     }));
     testbed.shards = 1;
-    let baseline = testbed.run_with_energy(23);
+    let baseline = testbed.run(23);
     for shards in [2, 4, 8] {
         testbed.shards = shards;
         assert_eq!(
-            testbed.run_with_energy(23),
+            testbed.run(23),
             baseline,
             "trial diverged at {shards} shards"
         );
@@ -109,7 +109,7 @@ fn adversarial_trial_is_identical_across_shard_counts() {
     let mut testbed = Testbed::paper(16, SelectorPolicy::Sequential).with_adversary();
     testbed.workload.stop = SimTime::from_secs(5);
     testbed.shards = 1;
-    let baseline = testbed.run_with_energy(41);
+    let baseline = testbed.run(41);
     let stats = baseline.adversary.expect("adversary stats recorded");
     assert!(
         stats.frames_injected > 0 && stats.predictions_made > 0,
@@ -118,7 +118,7 @@ fn adversarial_trial_is_identical_across_shard_counts() {
     for shards in [2, 4, 8] {
         testbed.shards = shards;
         assert_eq!(
-            testbed.run_with_energy(41),
+            testbed.run(41),
             baseline,
             "adversarial trial diverged at {shards} shards"
         );
