@@ -32,6 +32,9 @@
 //!   instrumentation methodology of the paper's Section 5.1).
 //! - [`codebook`] — ephemeral identifier-to-value codebooks (the
 //!   attribute-based name-compression context of Section 6).
+//! - [`hash`] — the workspace's one map hasher, a multiply-rotate hash
+//!   under a fixed key ([`hash::FixedMap`]) or a per-process key
+//!   ([`hash::KeyedMap`]).
 //! - [`seed`] — labeled seed-stream derivation, so one root seed can
 //!   drive several independent RNG streams (simulation, fault
 //!   injection, workloads) without cross-talk.
@@ -68,6 +71,7 @@
 
 pub mod codebook;
 pub mod density;
+pub mod hash;
 pub mod id;
 pub mod permutation;
 pub mod seed;

@@ -66,7 +66,6 @@ pub mod adversary;
 pub mod energy;
 pub mod fault;
 pub mod frame;
-pub(crate) mod hash;
 pub mod mac;
 pub mod node;
 pub(crate) mod obs;

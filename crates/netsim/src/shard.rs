@@ -114,12 +114,12 @@ use std::sync::{Barrier, Mutex, PoisonError, RwLock};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use retri::hash::{FixedMap, FixedSet};
 use retri_obs::Obs;
 
 use crate::energy::EnergyMeter;
 use crate::fault::{ChurnEvent, FaultModel};
 use crate::frame::{Frame, FramePayload};
-use crate::hash::{FixedMap, FixedSet};
 use crate::mac::{DfaConfig, DfaStats, FrameSizing, MacConfig};
 use crate::node::{Command, Context, NodeId, Protocol, Timer, TimerHandle};
 use crate::obs::NetsimObs;

@@ -30,7 +30,8 @@
 
 use core::fmt;
 
-use crate::hash::FixedMap;
+use retri::hash::FixedMap;
+
 use crate::node::NodeId;
 
 /// A spatial cell key: `floor(coordinate / range)` per axis. The pitch

@@ -20,9 +20,9 @@
 
 use std::collections::VecDeque;
 
+use retri::hash::FixedMap;
 use retri_obs::{CounterId, Registry, Snapshot};
 
-use crate::hash::FixedMap;
 use crate::node::NodeId;
 use crate::time::SimTime;
 use crate::topology::Position;

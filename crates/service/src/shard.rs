@@ -13,21 +13,34 @@
 //! the live set is a ground-truth collision — the service analogue of
 //! two concurrent transactions sharing an identifier on the air. Next
 //! to the observed count every domain accumulates the Eq. 4-form
-//! prediction: at each mint with `L` live transactions the probability
-//! a uniform draw hits one of them is `1 − (1 − 2^−H)^L` (the paper's
-//! per-overlap survival raised to the live-overlap count). Summing that
-//! over mints gives the expected collision count a paper-faithful
-//! uniform strategy would suffer under the *actual* recorded density
-//! trace, so `STATS` can report predicted-vs-observed per strategy: the
-//! uniform strategy must match it, listening must undercut it, and the
-//! structured strategies must undercut it by construction.
+//! prediction: at each mint with `L` *distinct* live values (the live
+//! set's `live_distinct`; holders of one collided value count once) the
+//! probability a uniform draw hits one of them is `1 − (1 − 2^−H)^L`
+//! (the paper's per-overlap survival raised to the live-overlap count).
+//! Summing that over mints gives the expected collision count a
+//! paper-faithful uniform strategy would suffer under the *actual*
+//! recorded density trace, so `STATS` can report predicted-vs-observed
+//! per strategy: the uniform strategy must match it, listening must
+//! undercut it, and the structured strategies must undercut it by
+//! construction. `STATS`' separate `eq4_p_collision` is Eq. 4 itself at
+//! the current density, counted in transactions rather than values:
+//! `T = live_total + 1`, every holder plus the one about to mint.
+//!
+//! **The live set and the survival power.** The live multiset is a
+//! [`KeyedMap`] (the multiply-rotate hasher under a per-process key;
+//! [`retri::hash`] says why that is safe for a table clients can probe
+//! but never insert into). Each domain memoises `(1 − 2^−H)^L` for `L`
+//! below 4,096, each entry made by the same `powf` call it replaces, so
+//! the prediction is bit-identical to evaluating the power at every
+//! mint.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use retri::hash::KeyedMap;
 use retri::seed::stream_seed;
 use retri::IdentifierSpace;
 use retri_model::{p_collision, Density, IdBits};
@@ -76,13 +89,17 @@ impl ServiceConfig {
     }
 }
 
+/// Live-value counts below this read the survival power from a memo
+/// (at most 32 KB per domain); counts at or above it call `powf`.
+const SURVIVAL_MEMO: usize = 4096;
+
 /// One strategy's state inside a shard.
 struct Domain {
     strategy: Box<dyn MintStrategy>,
     rng: StdRng,
     /// Live multiset: value → number of in-flight transactions holding
     /// it (> 1 only after a collision).
-    live: HashMap<u128, u32>,
+    live: KeyedMap<u128, u32>,
     live_total: u64,
     minted: u64,
     collisions: u64,
@@ -92,6 +109,9 @@ struct Domain {
     predicted: f64,
     /// `1 − 2^−H`, precomputed.
     survival: f64,
+    /// `survival.powf(L)` at index `L`, filled up to the largest
+    /// live-value count seen below [`SURVIVAL_MEMO`].
+    survival_pow: Vec<f64>,
     obs_minted: Counter,
     obs_collisions: Counter,
     obs_live: Gauge,
@@ -107,7 +127,7 @@ impl Domain {
         Domain {
             strategy,
             rng: StdRng::seed_from_u64(stream_seed(config.seed, &label)),
-            live: HashMap::new(),
+            live: KeyedMap::default(),
             live_total: 0,
             minted: 0,
             collisions: 0,
@@ -115,6 +135,7 @@ impl Domain {
             release_misses: 0,
             predicted: 0.0,
             survival: 1.0 - (0.5f64).powi(i32::from(bits)),
+            survival_pow: Vec::new(),
             obs_minted: config.obs.counter("svc_minted_total", labels),
             obs_collisions: config.obs.counter("svc_collisions_total", labels),
             obs_live: config.obs.gauge("svc_live_transactions", labels),
@@ -123,7 +144,7 @@ impl Domain {
 
     fn mint(&mut self) -> u128 {
         let value = self.strategy.mint(&mut self.rng);
-        self.predicted += 1.0 - self.survival.powf(self.live.len() as f64);
+        self.predicted += 1.0 - self.survival_power(self.live.len());
         let holders = self.live.entry(value).or_insert(0);
         if *holders > 0 {
             self.collisions += 1;
@@ -138,19 +159,31 @@ impl Domain {
         value
     }
 
+    /// `survival^live`, exactly as `powf` gives it.
+    fn survival_power(&mut self, live: usize) -> f64 {
+        if live >= SURVIVAL_MEMO {
+            return self.survival.powf(live as f64);
+        }
+        while self.survival_pow.len() <= live {
+            let l = self.survival_pow.len();
+            self.survival_pow.push(self.survival.powf(l as f64));
+        }
+        self.survival_pow[live]
+    }
+
     fn release(&mut self, id: u128) -> bool {
-        match self.live.get_mut(&id) {
-            Some(holders) => {
-                *holders -= 1;
-                if *holders == 0 {
-                    self.live.remove(&id);
+        match self.live.entry(id) {
+            Entry::Occupied(mut holders) => {
+                *holders.get_mut() -= 1;
+                if *holders.get() == 0 {
+                    holders.remove();
                 }
                 self.live_total -= 1;
                 self.released += 1;
                 self.obs_live.shift(-1.0);
                 true
             }
-            None => {
+            Entry::Vacant(_) => {
                 self.release_misses += 1;
                 false
             }

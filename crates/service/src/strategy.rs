@@ -193,6 +193,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use retri::hash::FixedSet;
 
     fn space(bits: u8) -> IdentifierSpace {
         IdentifierSpace::new(bits).unwrap()
@@ -239,7 +240,7 @@ mod tests {
         let mut strategy = build_strategy(StrategyKind::Tribles128, space(16), 0);
         let mut rng = StdRng::seed_from_u64(3);
         let mut last_prefix = None;
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = FixedSet::default();
         for _ in 0..10_000 {
             let v = strategy.mint(&mut rng);
             let prefix = (v >> 96) as u32;
@@ -265,7 +266,7 @@ mod tests {
     fn permutation_never_self_collides_within_a_window() {
         let mut strategy = build_strategy(StrategyKind::Permutation, space(8), 0);
         let mut rng = StdRng::seed_from_u64(6);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = FixedSet::default();
         for _ in 0..256 {
             assert!(seen.insert(strategy.mint(&mut rng)));
         }
