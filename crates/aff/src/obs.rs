@@ -1,140 +1,60 @@
-//! Observability wiring for the AFF receiver.
+//! Observability for the paper testbed: the AFF endpoints' own
+//! counters, folded into a [`retri_obs`] registry after a run.
 //!
-//! [`ReceiverObs`] mirrors the receiver's cheap native counters
-//! ([`ReassemblyStats`], [`ReceiverStats`]) into a [`retri_obs`]
-//! registry by *delta*: after each frame it adds the difference since
-//! the last frame to pre-resolved counter handles and refreshes the
-//! buffer-occupancy gauges. The protocol keeps its plain `u64` fields
-//! on the hot path, and a disabled run never constructs a
-//! `ReceiverObs` at all, preserving the zero-cost contract.
+//! Senders and the receiver count every packet and fragment in plain
+//! `u64` fields on their hot paths ([`SenderStats`],
+//! [`ReceiverStats`](crate::receiver::ReceiverStats),
+//! [`ReassemblyStats`](crate::reassembly::ReassemblyStats)). [`record`]
+//! adds the totals once, under the `aff_*` names, when
+//! [`Testbed::run_observed`](crate::roles::Testbed::run_observed)
+//! finishes; per-event mirroring would buy nothing over the native
+//! counters.
 
-use retri_obs::{Counter, Gauge, Obs};
+use retri_obs::Obs;
 
-use crate::reassembly::ReassemblyStats;
-use crate::receiver::ReceiverStats;
+use crate::receiver::AffReceiver;
+use crate::sender::SenderStats;
 
-/// Pre-resolved metric handles for one [`crate::receiver::AffReceiver`].
-#[derive(Debug)]
-pub(crate) struct ReceiverObs {
-    /// `aff_fragments_parsed_total` — frames that decoded as fragments
-    /// (notifications included).
-    fragments_parsed: Counter,
-    /// `aff_decode_errors_total`.
-    decode_errors: Counter,
-    /// `aff_fragments_accepted_total` — fragments entering reassembly.
-    fragments_accepted: Counter,
-    /// `aff_fragments_delivered_total`.
-    fragments_delivered: Counter,
-    /// `aff_fragments_checksum_rejected_total`.
-    fragments_checksum_rejected: Counter,
-    /// `aff_fragments_conflict_discarded_total`.
-    fragments_conflict_discarded: Counter,
-    /// `aff_fragments_expired_total`.
-    fragments_expired: Counter,
-    /// `aff_duplicate_fragments_total`.
-    duplicate_fragments: Counter,
-    /// `aff_packets_delivered_total` — AFF-pipeline deliveries.
-    packets_delivered: Counter,
-    /// `aff_checksum_failures_total` — completed-but-rejected packets.
-    checksum_failures: Counter,
-    /// `aff_identifier_conflicts_total{kind=…}`.
-    conflicting_intros: Counter,
-    bounds_conflicts: Counter,
-    /// `aff_truth_delivered_total` — ground-truth-pipeline deliveries.
-    truth_delivered: Counter,
-    /// `aff_truth_crc_rejections_total`.
-    truth_crc_rejections: Counter,
-    /// `aff_notifications_sent_total`.
-    notifications_sent: Counter,
-    /// `aff_reassembly_pending_buffers` gauge.
-    pending_buffers: Gauge,
-    /// `aff_reassembly_buffered_bytes` gauge.
-    buffered_bytes: Gauge,
-    last_aff: ReassemblyStats,
-    last_rx: ReceiverStats,
-}
-
-impl ReceiverObs {
-    /// Registers every receiver metric on `obs` (which must be
-    /// enabled — callers gate on [`Obs::is_enabled`]).
-    pub fn new(obs: &Obs) -> Self {
-        ReceiverObs {
-            fragments_parsed: obs.counter("aff_fragments_parsed_total", &[]),
-            decode_errors: obs.counter("aff_decode_errors_total", &[]),
-            fragments_accepted: obs.counter("aff_fragments_accepted_total", &[]),
-            fragments_delivered: obs.counter("aff_fragments_delivered_total", &[]),
-            fragments_checksum_rejected: obs.counter("aff_fragments_checksum_rejected_total", &[]),
-            fragments_conflict_discarded: obs
-                .counter("aff_fragments_conflict_discarded_total", &[]),
-            fragments_expired: obs.counter("aff_fragments_expired_total", &[]),
-            duplicate_fragments: obs.counter("aff_duplicate_fragments_total", &[]),
-            packets_delivered: obs.counter("aff_packets_delivered_total", &[]),
-            checksum_failures: obs.counter("aff_checksum_failures_total", &[]),
-            conflicting_intros: obs.counter("aff_identifier_conflicts_total", &[("kind", "intro")]),
-            bounds_conflicts: obs.counter("aff_identifier_conflicts_total", &[("kind", "bounds")]),
-            truth_delivered: obs.counter("aff_truth_delivered_total", &[]),
-            truth_crc_rejections: obs.counter("aff_truth_crc_rejections_total", &[]),
-            notifications_sent: obs.counter("aff_notifications_sent_total", &[]),
-            pending_buffers: obs.gauge("aff_reassembly_pending_buffers", &[]),
-            buffered_bytes: obs.gauge("aff_reassembly_buffered_bytes", &[]),
-            last_aff: ReassemblyStats::default(),
-            last_rx: ReceiverStats::default(),
-        }
-    }
-
-    /// Mirrors the change since the previous call into the registry and
-    /// refreshes the occupancy gauges.
-    pub fn record(
-        &mut self,
-        aff: ReassemblyStats,
-        rx: ReceiverStats,
-        pending_buffers: usize,
-        buffered_bytes: usize,
-    ) {
-        let d = |now: u64, then: u64| now - then;
-        self.fragments_parsed
-            .add(d(rx.fragments_parsed, self.last_rx.fragments_parsed));
-        self.decode_errors
-            .add(d(rx.decode_errors, self.last_rx.decode_errors));
-        self.truth_delivered
-            .add(d(rx.truth_delivered, self.last_rx.truth_delivered));
-        self.truth_crc_rejections.add(d(
-            rx.truth_crc_rejections,
-            self.last_rx.truth_crc_rejections,
-        ));
-        self.notifications_sent
-            .add(d(rx.notifications_sent, self.last_rx.notifications_sent));
-        self.fragments_accepted
-            .add(d(aff.fragments_accepted, self.last_aff.fragments_accepted));
-        self.fragments_delivered.add(d(
-            aff.fragments_delivered,
-            self.last_aff.fragments_delivered,
-        ));
-        self.fragments_checksum_rejected.add(d(
+/// Adds the senders' summed totals and the receiver's totals and final
+/// buffer occupancy to `obs`.
+pub(crate) fn record(obs: &Obs, sender: &SenderStats, receiver: &AffReceiver) {
+    let rx = receiver.stats();
+    let aff = receiver.aff_stats();
+    let counters = [
+        ("aff_packets_offered_total", sender.packets_sent),
+        ("aff_fragments_sent_total", sender.fragments_sent),
+        ("aff_data_bits_sent_total", sender.data_bits_sent),
+        ("aff_retransmissions_total", sender.retransmissions),
+        ("aff_fragments_parsed_total", rx.fragments_parsed),
+        ("aff_decode_errors_total", rx.decode_errors),
+        ("aff_truth_delivered_total", rx.truth_delivered),
+        ("aff_truth_crc_rejections_total", rx.truth_crc_rejections),
+        ("aff_notifications_sent_total", rx.notifications_sent),
+        ("aff_fragments_accepted_total", aff.fragments_accepted),
+        ("aff_fragments_delivered_total", aff.fragments_delivered),
+        (
+            "aff_fragments_checksum_rejected_total",
             aff.fragments_checksum_rejected,
-            self.last_aff.fragments_checksum_rejected,
-        ));
-        self.fragments_conflict_discarded.add(d(
+        ),
+        (
+            "aff_fragments_conflict_discarded_total",
             aff.fragments_conflict_discarded,
-            self.last_aff.fragments_conflict_discarded,
-        ));
-        self.fragments_expired
-            .add(d(aff.fragments_expired, self.last_aff.fragments_expired));
-        self.duplicate_fragments.add(d(
-            aff.duplicate_fragments,
-            self.last_aff.duplicate_fragments,
-        ));
-        self.packets_delivered
-            .add(d(aff.delivered, self.last_aff.delivered));
-        self.checksum_failures
-            .add(d(aff.checksum_failures, self.last_aff.checksum_failures));
-        self.conflicting_intros
-            .add(d(aff.conflicting_intros, self.last_aff.conflicting_intros));
-        self.bounds_conflicts
-            .add(d(aff.bounds_conflicts, self.last_aff.bounds_conflicts));
-        self.pending_buffers.set(pending_buffers as f64);
-        self.buffered_bytes.set(buffered_bytes as f64);
-        self.last_aff = aff;
-        self.last_rx = rx;
+        ),
+        ("aff_fragments_expired_total", aff.fragments_expired),
+        ("aff_duplicate_fragments_total", aff.duplicate_fragments),
+        ("aff_packets_delivered_total", aff.delivered),
+        ("aff_checksum_failures_total", aff.checksum_failures),
+    ];
+    for (name, value) in counters {
+        obs.counter(name, &[]).add(value);
     }
+    obs.counter("aff_identifier_conflicts_total", &[("kind", "intro")])
+        .add(aff.conflicting_intros);
+    obs.counter("aff_identifier_conflicts_total", &[("kind", "bounds")])
+        .add(aff.bounds_conflicts);
+    let reassembler = receiver.reassembler();
+    obs.gauge("aff_reassembly_pending_buffers", &[])
+        .set(reassembler.pending_len() as f64);
+    obs.gauge("aff_reassembly_buffered_bytes", &[])
+        .set(reassembler.buffered_bytes() as f64);
 }

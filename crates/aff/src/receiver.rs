@@ -25,7 +25,6 @@ use retri_netsim::{Context, Frame, NodeId, Protocol, Timer};
 
 use crate::crc::crc16;
 use crate::endpoint::Inbox;
-use crate::obs::ReceiverObs;
 use crate::reassembly::{Reassembler, ReassemblyStats};
 use crate::wire::{Fragment, WireConfig};
 
@@ -74,7 +73,6 @@ pub struct AffReceiver {
     aff: Inbox,
     truth: HashMap<NodeId, TruthAssembly>,
     stats: ReceiverStats,
-    obs: Option<ReceiverObs>,
 }
 
 impl AffReceiver {
@@ -86,28 +84,6 @@ impl AffReceiver {
             aff: Inbox::new(wire, reassembly_ttl_micros),
             truth: HashMap::new(),
             stats: ReceiverStats::default(),
-            obs: None,
-        }
-    }
-
-    /// Mirrors this receiver's counters into `obs` (the `aff_*` metric
-    /// families). A disabled handle is a no-op: nothing is registered,
-    /// and `on_frame` stays on its native-counter path.
-    pub fn enable_obs(&mut self, obs: &retri_obs::Obs) {
-        self.obs = obs.is_enabled().then(|| ReceiverObs::new(obs));
-    }
-
-    /// Pushes the latest counters and occupancy into the registry, if
-    /// observability is on.
-    fn record_obs(&mut self) {
-        if let Some(obs) = &mut self.obs {
-            let aff = self.aff.reassembler();
-            obs.record(
-                aff.stats(),
-                self.stats,
-                aff.pending_len(),
-                aff.buffered_bytes(),
-            );
         }
     }
 
@@ -226,7 +202,6 @@ impl Protocol for AffReceiver {
                 self.feed_truth(frame.src, &fragment);
             }
         }
-        self.record_obs();
     }
 
     fn on_timer(&mut self, _ctx: &mut Context<'_>, _timer: Timer) {}

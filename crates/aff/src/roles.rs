@@ -234,7 +234,7 @@ impl Testbed {
     pub fn run(&self, seed: u64) -> TrialResult {
         let nodes = self.nodes();
         let receiver = sole_receiver(&nodes);
-        let sim = self.run_sim(nodes, seed, None, None);
+        let sim = self.run_sim(nodes, seed, None);
         collect(&sim, receiver).0
     }
 
@@ -248,16 +248,17 @@ impl Testbed {
     /// room in the configured radio's frames.
     #[must_use]
     pub fn simulate(&self, seed: u64) -> ShardedSim<AffNode> {
-        self.run_sim(self.nodes(), seed, None, None)
+        self.run_sim(self.nodes(), seed, None)
     }
 
-    /// Runs one trial with observability and tracing on: every
-    /// `netsim_*` and `aff_*` metric is recorded into a per-trial
-    /// registry, the medium keeps a [`TraceEvent`] ring of
-    /// `trace_capacity` events, and the result carries everything the
-    /// `trace_report` lifecycle audit needs. The registry lives and
-    /// dies inside this call, so the testbed itself stays `Sync` and
-    /// plain [`Testbed::run`] stays on the obs-off zero-cost path.
+    /// Runs one trial with tracing on and observes it: the medium keeps
+    /// a [`TraceEvent`] ring of `trace_capacity` events, every
+    /// `netsim_*` and `aff_*` metric is folded into a per-trial registry
+    /// from the engine's and the nodes' own counters after the run, and
+    /// the result carries everything the `trace_report` lifecycle audit
+    /// needs. The registry lives and dies inside this call, so the
+    /// testbed itself stays `Sync`; the trial's outcome equals
+    /// [`Testbed::run`]'s.
     ///
     /// # Panics
     ///
@@ -266,24 +267,15 @@ impl Testbed {
     pub fn run_observed(&self, seed: u64, trace_capacity: usize) -> ObservedTrialResult {
         let nodes = self.nodes();
         let receiver_id = sole_receiver(&nodes);
-        let obs = Obs::enabled();
-        let sim = self.run_sim(nodes, seed, Some(&obs), Some(trace_capacity));
+        let sim = self.run_sim(nodes, seed, Some(trace_capacity));
         let (trial, sender, senders) = collect(&sim, receiver_id);
-        // Sender-side totals are folded in once at the end of the run:
-        // they change on every queued fragment, and per-event mirroring
-        // would buy nothing over the senders' native counters.
-        obs.counter("aff_packets_offered_total", &[])
-            .add(sender.packets_sent);
-        obs.counter("aff_fragments_sent_total", &[])
-            .add(sender.fragments_sent);
-        obs.counter("aff_data_bits_sent_total", &[])
-            .add(sender.data_bits_sent);
-        obs.counter("aff_retransmissions_total", &[])
-            .add(sender.retransmissions);
         let rx = sim
             .protocol(receiver_id)
             .as_receiver()
             .expect("the layout's receiver");
+        let obs = Obs::enabled();
+        sim.record_metrics(&obs);
+        crate::obs::record(&obs, &sender, rx);
         let tracer = sim.tracer().expect("run_observed enables tracing");
         ObservedTrialResult {
             trial,
@@ -320,12 +312,11 @@ impl Testbed {
     }
 
     /// Builds the network of `nodes` and runs it to the trial deadline,
-    /// optionally attaching observability and tracing.
+    /// optionally with tracing.
     fn run_sim(
         &self,
         nodes: Vec<NodeSpec>,
         seed: u64,
-        obs: Option<&Obs>,
         trace_capacity: Option<usize>,
     ) -> ShardedSim<AffNode> {
         let wire = match self.policy {
@@ -346,7 +337,6 @@ impl Testbed {
         let workload = self.workload;
         let radio = self.radio;
         let ttl = self.reassembly_ttl_micros;
-        let obs_for_factory = obs.cloned();
         let adversary_config = self.adversary;
         // Derived even when unused so the factory closure stays cheap;
         // the main RNG stream is never involved.
@@ -372,13 +362,7 @@ impl Testbed {
                     )
                     .expect("testbed wire fits the radio"),
                 ),
-                Some(Role::Receiver) => {
-                    let mut receiver = AffReceiver::new(wire.clone(), ttl);
-                    if let Some(obs) = &obs_for_factory {
-                        receiver.enable_obs(obs);
-                    }
-                    AffNode::Receiver(receiver)
-                }
+                Some(Role::Receiver) => AffNode::Receiver(AffReceiver::new(wire.clone(), ttl)),
                 None => AffNode::Adversary(Eavesdropper::new(
                     AffForgeCodec::new(wire.clone()),
                     adversary_config
@@ -386,9 +370,6 @@ impl Testbed {
                     adversary_seed,
                 )),
             });
-        if let Some(obs) = obs {
-            sim.enable_obs(obs);
-        }
         if let Some(capacity) = trace_capacity {
             sim.enable_trace(capacity);
         }

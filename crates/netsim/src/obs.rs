@@ -1,24 +1,27 @@
-//! Observability wiring for the simulator.
+//! Observability for the simulator: the engine's own counters, folded
+//! into a [`retri_obs`] registry after a run.
 //!
-//! [`NetsimObs`] holds pre-resolved [`retri_obs`] handles for every
-//! medium-level metric, so the per-event cost when observability is on
-//! is one atomic update on a pre-resolved cell, and the cost when it
-//! is off is nothing at all: the simulator stores `Option<NetsimObs>` and a
-//! disabled run never constructs one (see
-//! [`ShardedSim::enable_obs`](crate::shard::ShardedSim::enable_obs)).
+//! The engine counts every medium event once, in plain per-shard
+//! fields: [`MediumStats`], each node's [`EnergyMeter`], and the
+//! [`TxStats`] below. [`ShardedSim::record_metrics`] adds their totals
+//! to a registry under the `netsim_*` names, so the engine runs one code
+//! path whether or not anyone observes it, observed runs keep their
+//! worker threads, and the snapshot is shard-count invariant by
+//! construction (every total is a sum of exact per-shard counts).
 //!
-//! Metrics are pure observations: no recording call touches any RNG
-//! stream, so enabling observability can never change simulation
-//! output. `shard.rs` proves this with an obs-on-equals-obs-off test.
+//! [`ShardedSim::record_metrics`]: crate::shard::ShardedSim::record_metrics
 
-use retri_obs::{Counter, Gauge, Obs, SpanTracker};
+use retri_obs::{Histogram, Obs};
 
+use crate::energy::EnergyMeter;
+use crate::radio::EnergyModel;
+use crate::shard::MediumStats;
 use crate::trace::LossReason;
 
-/// Bucket bounds (simulated micros) for transmission airtime spans:
+/// Bucket bounds (simulated micros) for transmission airtimes:
 /// geometric from 100 µs to ~1.6 s, covering every radio model in the
 /// workspace.
-const TX_SPAN_BOUNDS: [f64; 8] = [
+const TX_AIRTIME_BOUNDS: [f64; 8] = [
     100.0,
     400.0,
     1_600.0,
@@ -29,70 +32,88 @@ const TX_SPAN_BOUNDS: [f64; 8] = [
     1_638_400.0,
 ];
 
-/// Pre-resolved metric handles for one simulator.
-pub(crate) struct NetsimObs {
-    /// `netsim_frames_sent_total`.
-    pub frames_sent: Counter,
-    /// `netsim_tx_bits_total` — bits on the air (payload + preamble).
-    pub tx_bits: Counter,
-    /// `netsim_airtime_micros_total` — cumulative transmission time.
-    pub airtime_micros: Counter,
-    /// `netsim_deliveries_total` (includes corrupted deliveries).
-    pub deliveries: Counter,
-    /// `netsim_corrupted_deliveries_total`.
-    pub corrupted_deliveries: Counter,
-    /// `netsim_flipped_bits_total`.
-    pub flipped_bits: Counter,
-    /// `netsim_drops_total{reason=…}`, indexed by [`LossReason`].
-    drops: [Counter; LossReason::ALL.len()],
-    /// `netsim_mac_backoffs_total` — CSMA carrier-sense deferrals.
-    pub mac_backoffs: Counter,
-    /// `netsim_mac_backoff_slots_total` — slots waited across backoffs.
-    pub mac_backoff_slots: Counter,
-    /// `netsim_energy_tx_nj` — network-wide transmit energy gauge.
-    pub energy_tx_nj: Gauge,
-    /// `netsim_energy_rx_nj` — network-wide receive energy gauge.
-    pub energy_rx_nj: Gauge,
-    /// `netsim_tx_airtime_*` span per medium sequence number.
-    tx_spans: SpanTracker,
+/// One shard's counts behind the MAC and airtime metrics. They stay out
+/// of [`MediumStats`], which trace recordings serialize.
+#[derive(Debug)]
+pub(crate) struct TxStats {
+    /// CSMA carrier-sense deferrals.
+    pub backoffs: u64,
+    /// Backoff slots waited across those deferrals.
+    pub backoff_slots: u64,
+    /// Airtimes (micros) of the transmissions whose `TxEnd` ran.
+    pub airtimes: Histogram,
 }
 
-impl NetsimObs {
-    /// Registers every simulator metric on `obs` (which must be
-    /// enabled — callers gate on [`Obs::is_enabled`]).
-    pub fn new(obs: &Obs) -> Self {
-        let drops = LossReason::ALL
-            .map(|reason| obs.counter("netsim_drops_total", &[("reason", reason.label())]));
-        let tx_spans = SpanTracker::register(obs, "netsim_tx_airtime", &[], &TX_SPAN_BOUNDS);
-        NetsimObs {
-            frames_sent: obs.counter("netsim_frames_sent_total", &[]),
-            tx_bits: obs.counter("netsim_tx_bits_total", &[]),
-            airtime_micros: obs.counter("netsim_airtime_micros_total", &[]),
-            deliveries: obs.counter("netsim_deliveries_total", &[]),
-            corrupted_deliveries: obs.counter("netsim_corrupted_deliveries_total", &[]),
-            flipped_bits: obs.counter("netsim_flipped_bits_total", &[]),
-            drops,
-            mac_backoffs: obs.counter("netsim_mac_backoffs_total", &[]),
-            mac_backoff_slots: obs.counter("netsim_mac_backoff_slots_total", &[]),
-            energy_tx_nj: obs.gauge("netsim_energy_tx_nj", &[]),
-            energy_rx_nj: obs.gauge("netsim_energy_rx_nj", &[]),
-            tx_spans,
+impl Default for TxStats {
+    fn default() -> Self {
+        TxStats {
+            backoffs: 0,
+            backoff_slots: 0,
+            airtimes: Histogram::with_bounds(&TX_AIRTIME_BOUNDS),
         }
     }
+}
 
-    /// Counts one per-receiver drop with its reason.
-    #[inline]
-    pub fn drop_for(&self, reason: LossReason) {
-        self.drops[reason.index()].inc();
+impl TxStats {
+    /// Adds another shard's counts into these.
+    pub fn merge(&mut self, other: &TxStats) {
+        self.backoffs += other.backoffs;
+        self.backoff_slots += other.backoff_slots;
+        self.airtimes.merge(&other.airtimes);
     }
+}
 
-    /// Opens the airtime span for medium sequence `seq`.
-    pub fn tx_span_start(&mut self, seq: u64, at_micros: u64) {
-        self.tx_spans.start(seq, at_micros);
+/// The [`MediumStats`] counter behind `netsim_drops_total{reason}`.
+fn drops(stats: &MediumStats, reason: LossReason) -> u64 {
+    match reason {
+        LossReason::RfCollision => stats.rf_collisions,
+        LossReason::HalfDuplex => stats.half_duplex_losses,
+        LossReason::RandomLoss => stats.random_losses,
+        LossReason::Asleep => stats.sleep_misses,
+        LossReason::FaultErasure => stats.fault_erasures,
+        LossReason::Partitioned => stats.partition_losses,
     }
+}
 
-    /// Closes the airtime span for medium sequence `seq`.
-    pub fn tx_span_end(&mut self, seq: u64, at_micros: u64) {
-        self.tx_spans.end(seq, at_micros);
+/// Adds one simulator's totals to `obs` (a no-op when it is disabled).
+///
+/// Every transmission counted in `stats.frames_sent` has started; those
+/// whose `TxEnd` has not run yet are still on the air.
+pub(crate) fn record(
+    obs: &Obs,
+    stats: &MediumStats,
+    meter: &EnergyMeter,
+    energy: &EnergyModel,
+    tx: &TxStats,
+) {
+    let counters = [
+        ("netsim_frames_sent_total", stats.frames_sent),
+        ("netsim_tx_bits_total", meter.tx_bits()),
+        ("netsim_airtime_micros_total", meter.tx_micros()),
+        ("netsim_deliveries_total", stats.deliveries),
+        (
+            "netsim_corrupted_deliveries_total",
+            stats.corrupted_deliveries,
+        ),
+        ("netsim_flipped_bits_total", stats.flipped_bits),
+        ("netsim_mac_backoffs_total", tx.backoffs),
+        ("netsim_mac_backoff_slots_total", tx.backoff_slots),
+        ("netsim_tx_airtime_started_total", stats.frames_sent),
+        ("netsim_tx_airtime_completed_total", tx.airtimes.count()),
+    ];
+    for (name, value) in counters {
+        obs.counter(name, &[]).add(value);
     }
+    for reason in LossReason::ALL {
+        obs.counter("netsim_drops_total", &[("reason", reason.label())])
+            .add(drops(stats, reason));
+    }
+    obs.gauge("netsim_energy_tx_nj", &[])
+        .shift(meter.tx_energy_nj(energy));
+    obs.gauge("netsim_energy_rx_nj", &[])
+        .shift(meter.rx_energy_nj(energy));
+    obs.gauge("netsim_tx_airtime_active", &[])
+        .shift((stats.frames_sent - tx.airtimes.count()) as f64);
+    obs.histogram("netsim_tx_airtime_micros", &[], &TX_AIRTIME_BOUNDS)
+        .merge(&tx.airtimes);
 }

@@ -122,7 +122,7 @@ use crate::fault::{ChurnEvent, FaultModel};
 use crate::frame::{Frame, FramePayload};
 use crate::mac::{DfaConfig, DfaStats, FrameSizing, MacConfig};
 use crate::node::{Command, Context, NodeId, Protocol, Timer, TimerHandle};
-use crate::obs::NetsimObs;
+use crate::obs::TxStats;
 use crate::radio::{DutyCycle, RadioConfig};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{Cell, Position, Topology};
@@ -250,6 +250,13 @@ const LANE_R_FEEDBACK: u8 = 4;
 /// magnitude more time in barrier waits than in simulation.
 pub const MIN_NODES_PER_SHARD: usize = 64;
 
+/// The MAC turnaround delay: a frame sent by a protocol callback at `t`
+/// reaches the MAC at `t + LOOKAHEAD`. It is also the conservative
+/// lookahead `L`, the width of every window, and must be positive: a
+/// zero turnaround would let a callback's frame reach the air inside the
+/// window that sent it, so no shard could run a window independently.
+const LOOKAHEAD: SimDuration = SimDuration::from_micros(500);
+
 /// A scheduled liveness or movement change (broadcast to every shard).
 #[derive(Debug, Clone, Copy)]
 enum DynAction {
@@ -265,8 +272,13 @@ enum MacKind {
     /// A frame reaches the node's MAC queue (one turnaround after the
     /// protocol callback that sent it).
     Enqueue { node: NodeId, payload: FramePayload },
-    /// The node's transmission `tx_idx` leaves the air.
-    TxEnd { node: NodeId, tx_idx: u64 },
+    /// The node's transmission leaves the air after `airtime`. `seq` is
+    /// its number when the MAC phase assigned one (carrier sense).
+    TxEnd {
+        node: NodeId,
+        airtime: SimDuration,
+        seq: Option<u64>,
+    },
     /// The node attempts to transmit the head of its queue.
     Try { node: NodeId },
 }
@@ -773,7 +785,6 @@ struct PendingTx {
     start: SimTime,
     end: SimTime,
     bits_on_air: u64,
-    airtime_micros: u64,
     /// Sender position at transmission start (grid-cell bucket).
     pos: Position,
     seq: Option<u64>,
@@ -806,10 +817,6 @@ struct LocalNode<P> {
     mac_seq: u64,
     /// Counts this node's transmissions.
     tx_count: u64,
-    /// `(tx_idx, seq)` pairs of in-flight transmissions whose global
-    /// sequence number is known and whose `TxEnd` has not run yet;
-    /// consumed by `TxEnd`.
-    assigned: VecDeque<(u64, u64)>,
     /// DFA only: the slot this node committed to transmit in within its
     /// current frame (the `MacTry` wakeup is on the heap).
     dfa_slot_at: Option<SimTime>,
@@ -836,7 +843,6 @@ impl<P> LocalNode<P> {
             cancelled: FixedSet::default(),
             mac_seq: 0,
             tx_count: 0,
-            assigned: VecDeque::new(),
             dfa_slot_at: None,
             dfa_frame_end: SimTime::ZERO,
         }
@@ -847,13 +853,6 @@ impl<P> LocalNode<P> {
     fn pending_frames(&self) -> usize {
         self.queue.len() + usize::from(self.transmitting)
     }
-
-    /// Removes and returns the sequence number assigned to `tx_idx`, if
-    /// the assignment barrier has run for it.
-    fn take_assigned(&mut self, tx_idx: u64) -> Option<u64> {
-        let pos = self.assigned.iter().position(|&(t, _)| t == tx_idx)?;
-        self.assigned.remove(pos).map(|(_, seq)| seq)
-    }
 }
 
 /// Read-mostly engine parameters shared by every phase of a run.
@@ -861,7 +860,6 @@ struct EngineCtx<'a> {
     radio: &'a RadioConfig,
     mac: &'a MacConfig,
     faults: &'a FaultModel,
-    lookahead: SimDuration,
     tracing: bool,
     deadline: SimTime,
     /// The first instant this run may dispatch: everything before it ran
@@ -883,7 +881,7 @@ impl EngineCtx<'_> {
     /// event from there on sees the MAC state as of the end of this MAC
     /// phase, so a timer released here may fire that early.
     fn rx_floor(&self, at: SimTime) -> SimTime {
-        window_start(at, self.lookahead).max(self.resume)
+        window_start(at).max(self.resume)
     }
 
     /// Local index of `node` on shard `shard` (which must own it).
@@ -914,13 +912,13 @@ struct ShardCore<P> {
     topo_mac: Topology,
     topo_rx: Topology,
     outbox: Vec<PendingTx>,
-    /// `(at_micros, seq)` airtime-span ends of numbered transmissions,
-    /// buffered for the epoch barrier (observability only).
-    span_ends: Vec<(u64, u64)>,
     stats: MediumStats,
     /// Dynamic-Frame Aloha counters for this shard's owned nodes
     /// (frames/slots counted at the draw, outcomes at the feedback).
     dfa: DfaStats,
+    /// CSMA backoffs and the airtimes of ended transmissions, for
+    /// [`ShardedSim::record_metrics`].
+    tx: TxStats,
     trace_buf: Vec<(TraceKey, TraceEvent)>,
     commands: Vec<Command>,
     /// Receive-phase events pushed by the event being dispatched, held
@@ -957,9 +955,9 @@ impl<P: Protocol> ShardCore<P> {
             topo_mac: Topology::new(range),
             topo_rx: Topology::new(range),
             outbox: Vec::new(),
-            span_ends: Vec::new(),
             stats: MediumStats::default(),
             dfa: DfaStats::default(),
+            tx: TxStats::default(),
             trace_buf: Vec::new(),
             commands: Vec::new(),
             rx_staged: Vec::new(),
@@ -1003,7 +1001,7 @@ impl<P: Protocol> ShardCore<P> {
     /// shards run it in parallel, and new transmissions buffer in the
     /// outbox for the epoch barrier. Records whether the shard had
     /// anything to dispatch.
-    fn mac_phase(&mut self, ctx: &EngineCtx<'_>, t_end: SimTime, obs: Option<&NetsimObs>) {
+    fn mac_phase(&mut self, ctx: &EngineCtx<'_>, t_end: SimTime) {
         self.mac_was_idle = true;
         while let Some(ev) = self.mac_heap.peek() {
             if !ctx.in_window(ev.at, t_end) {
@@ -1011,17 +1009,11 @@ impl<P: Protocol> ShardCore<P> {
             }
             self.mac_was_idle = false;
             let ev = self.mac_heap.pop().expect("peeked above");
-            self.dispatch_mac(ev, ctx, None, obs);
+            self.dispatch_mac(ev, ctx, None);
         }
     }
 
-    fn dispatch_mac(
-        &mut self,
-        ev: MacEvent,
-        ctx: &EngineCtx<'_>,
-        mut csma: Option<CsmaAir<'_>>,
-        obs: Option<&NetsimObs>,
-    ) {
+    fn dispatch_mac(&mut self, ev: MacEvent, ctx: &EngineCtx<'_>, mut csma: Option<CsmaAir<'_>>) {
         let at = ev.at;
         match ev.kind {
             MacKind::Dynamics(action) => match action {
@@ -1051,22 +1043,16 @@ impl<P: Protocol> ShardCore<P> {
                     self.push_mac(at, LANE_M_TRY, node, local, MacKind::Try { node });
                 }
             }
-            MacKind::TxEnd { node, tx_idx } => {
+            MacKind::TxEnd { node, airtime, seq } => {
                 let local = ctx.local(self.index, node);
                 self.nodes[local].transmitting = false;
                 if self.nodes[local].queue.is_empty() {
                     self.idle.release(node, ctx.rx_floor(at), &mut self.rx_heap);
                 }
-                // No number yet means the transmission started in this
-                // window: the epoch barrier numbers it and closes its
-                // span itself.
-                if let Some(seq) = self.nodes[local].take_assigned(tx_idx) {
-                    if let Some(cs) = csma.as_mut() {
-                        cs.air.mark_ended(seq);
-                    }
-                    if obs.is_some() {
-                        self.span_ends.push((at.as_micros(), seq));
-                    }
+                self.tx.airtimes.observe(airtime.as_micros() as f64);
+                if let Some(cs) = csma.as_mut() {
+                    cs.air
+                        .mark_ended(seq.expect("carrier sense numbers at the start"));
                 }
                 if ctx.mac.dfa_config().is_none() {
                     // Next frame, after the inter-frame space. Under DFA
@@ -1076,7 +1062,7 @@ impl<P: Protocol> ShardCore<P> {
                     self.push_mac(retry, LANE_M_TRY, node, local, MacKind::Try { node });
                 }
             }
-            MacKind::Try { node } => self.mac_try(at, node, ctx, csma, obs),
+            MacKind::Try { node } => self.mac_try(at, node, ctx, csma),
         }
     }
 
@@ -1126,7 +1112,6 @@ impl<P: Protocol> ShardCore<P> {
         node: NodeId,
         ctx: &EngineCtx<'_>,
         mut csma: Option<CsmaAir<'_>>,
-        obs: Option<&NetsimObs>,
     ) {
         if !self.topo_mac.is_alive(node) {
             return;
@@ -1152,10 +1137,8 @@ impl<P: Protocol> ShardCore<P> {
                         .mac_rng
                         .gen_range(1..=ctx.mac.max_backoff_slots),
                 );
-                if let Some(o) = obs {
-                    o.mac_backoffs.inc();
-                    o.mac_backoff_slots.add(slots);
-                }
+                self.tx.backoffs += 1;
+                self.tx.backoff_slots += slots;
                 let retry = at + ctx.mac.backoff_slot * slots;
                 self.push_mac(retry, LANE_M_TRY, node, local, MacKind::Try { node });
                 return;
@@ -1176,7 +1159,6 @@ impl<P: Protocol> ShardCore<P> {
             start: at,
             end,
             bits_on_air,
-            airtime_micros: airtime.as_micros(),
             pos,
             seq: None,
             frame: Some(Frame::new(node, payload)),
@@ -1198,16 +1180,16 @@ impl<P: Protocol> ShardCore<P> {
                 cell,
                 ended: false,
             });
-            self.nodes[local].assigned.push_back((tx_idx, seq));
             pending.seq = Some(seq);
         }
+        let seq = pending.seq;
         self.outbox.push(pending);
         self.push_mac(
             end,
             LANE_M_TXEND,
             node,
             local,
-            MacKind::TxEnd { node, tx_idx },
+            MacKind::TxEnd { node, airtime, seq },
         );
     }
 
@@ -1219,13 +1201,7 @@ impl<P: Protocol> ShardCore<P> {
     /// as skipped. Heap emptiness is the complete test: in-flight
     /// airtime always has a pending `TxEnd`, and every transmission the
     /// shard must judge comes with a pending `Deliver`.
-    fn rx_phase(
-        &mut self,
-        ctx: &EngineCtx<'_>,
-        t_end: SimTime,
-        air: &AirView,
-        obs: Option<&NetsimObs>,
-    ) -> Option<SimTime> {
+    fn rx_phase(&mut self, ctx: &EngineCtx<'_>, t_end: SimTime, air: &AirView) -> Option<SimTime> {
         let mut rx_was_idle = true;
         while let Some(&ev) = self.rx_heap.peek() {
             if !ctx.in_window(ev.at, t_end) {
@@ -1254,7 +1230,7 @@ impl<P: Protocol> ShardCore<P> {
                     self.rx_heap.pop();
                 }
             }
-            self.dispatch_rx(ev, ctx, air, obs);
+            self.dispatch_rx(ev, ctx, air);
             // Dispatch only stages its pushes, so any other event is
             // still the heap's top: its first follow-up (a timer
             // re-arming, typically) takes its place with one sift. The
@@ -1283,13 +1259,7 @@ impl<P: Protocol> ShardCore<P> {
         ctx.owner[node.index()].0 as usize == self.index
     }
 
-    fn dispatch_rx(
-        &mut self,
-        ev: RxEvent,
-        ctx: &EngineCtx<'_>,
-        air: &AirView,
-        obs: Option<&NetsimObs>,
-    ) {
+    fn dispatch_rx(&mut self, ev: RxEvent, ctx: &EngineCtx<'_>, air: &AirView) {
         let at = ev.at;
         match ev.kind {
             RxKind::Dynamics { idx, action } => match action {
@@ -1354,7 +1324,7 @@ impl<P: Protocol> ShardCore<P> {
                     self.drain_commands(local, at, ctx);
                 }
             }
-            RxKind::Deliver { seq, sender } => self.deliver(at, seq, sender, ctx, air, obs),
+            RxKind::Deliver { seq, sender } => self.deliver(at, seq, sender, ctx, air),
             RxKind::DfaFeedback { seq, sender } => self.dfa_feedback(at, seq, sender, ctx, air),
         }
     }
@@ -1364,7 +1334,7 @@ impl<P: Protocol> ShardCore<P> {
     /// frame is requeued, and either way the sender re-contends at its frame
     /// boundary — pushed past the current window so the retry never
     /// lands behind this window's already-run MAC phase (the boundary
-    /// `window_end(at, lookahead)` depends only on the lookahead, so
+    /// `window_end(at)` depends only on the lookahead, so
     /// the deferral is shard-count invariant).
     fn dfa_feedback(
         &mut self,
@@ -1391,7 +1361,7 @@ impl<P: Protocol> ShardCore<P> {
             self.dfa.successes += 1;
         }
         let frame_end = self.nodes[local].dfa_frame_end;
-        let retry = frame_end.max(window_end(at, ctx.lookahead));
+        let retry = frame_end.max(window_end(at));
         self.push_mac(
             retry,
             LANE_M_TRY,
@@ -1411,7 +1381,6 @@ impl<P: Protocol> ShardCore<P> {
         sender: NodeId,
         ctx: &EngineCtx<'_>,
         air: &AirView,
-        obs: Option<&NetsimObs>,
     ) {
         let mut receivers = std::mem::take(&mut self.receiver_scratch);
         receivers.extend(
@@ -1438,7 +1407,6 @@ impl<P: Protocol> ShardCore<P> {
         let tx_start = record.start;
         let tx_end_at = record.end;
         let airtime_micros = tx_end_at.since(tx_start).as_micros();
-        let rx_nj = bits_on_air as f64 * ctx.radio.energy.rx_nj_per_bit;
         for &(receiver, cell) in &receivers {
             let local = ctx.local(self.index, receiver);
             // Draw before any filtering so the stream is identical
@@ -1446,9 +1414,6 @@ impl<P: Protocol> ShardCore<P> {
             let draw: f64 = self.nodes[local].chan_rng.gen_range(0.0..1.0);
             if ctx.faults.severs(sender, receiver, at) {
                 self.stats.partition_losses += 1;
-                if let Some(o) = obs {
-                    o.drop_for(LossReason::Partitioned);
-                }
                 self.trace_rx(ctx, at, seq, receiver, || TraceEvent::Lost {
                     at,
                     from: sender,
@@ -1461,9 +1426,6 @@ impl<P: Protocol> ShardCore<P> {
             if let Some(duty) = self.nodes[local].duty_cycle {
                 if !duty.awake_during(tx_start, tx_end_at) {
                     self.stats.sleep_misses += 1;
-                    if let Some(o) = obs {
-                        o.drop_for(LossReason::Asleep);
-                    }
                     self.trace_rx(ctx, at, seq, receiver, || TraceEvent::Lost {
                         at,
                         from: sender,
@@ -1498,12 +1460,6 @@ impl<P: Protocol> ShardCore<P> {
                             self.stats.random_losses += 1;
                         }
                     }
-                    if let Some(o) = obs {
-                        o.drop_for(reason);
-                        if reason != LossReason::HalfDuplex {
-                            o.energy_rx_nj.shift(rx_nj);
-                        }
-                    }
                     self.trace_rx(ctx, at, seq, receiver, || TraceEvent::Lost {
                         at,
                         from: sender,
@@ -1516,9 +1472,6 @@ impl<P: Protocol> ShardCore<P> {
                     self.nodes[local]
                         .meter
                         .record_rx(bits_on_air, airtime_micros);
-                    if let Some(o) = obs {
-                        o.energy_rx_nj.shift(rx_nj);
-                    }
                     // The fault channel judges last, from the receiver's
                     // own fault stream: erasure drops the frame, a
                     // positive BER may flip bits on a per-receiver copy.
@@ -1528,9 +1481,6 @@ impl<P: Protocol> ShardCore<P> {
                         let fault = channel.judge_frame(&mut state.fault_bad, &mut state.fault_rng);
                         if fault.erased {
                             self.stats.fault_erasures += 1;
-                            if let Some(o) = obs {
-                                o.drop_for(LossReason::FaultErasure);
-                            }
                             self.trace_rx(ctx, at, seq, receiver, || TraceEvent::Lost {
                                 at,
                                 from: sender,
@@ -1555,17 +1505,10 @@ impl<P: Protocol> ShardCore<P> {
                         }
                     }
                     self.stats.deliveries += 1;
-                    if let Some(o) = obs {
-                        o.deliveries.inc();
-                    }
                     match corrupted {
                         Some((mangled, flipped)) => {
                             self.stats.corrupted_deliveries += 1;
                             self.stats.flipped_bits += flipped;
-                            if let Some(o) = obs {
-                                o.corrupted_deliveries.inc();
-                                o.flipped_bits.add(flipped);
-                            }
                             self.trace_rx(ctx, at, seq, receiver, || TraceEvent::Corrupted {
                                 at,
                                 from: sender,
@@ -1650,7 +1593,7 @@ impl<P: Protocol> ShardCore<P> {
                         let node_local = ctx.local(self.index, node);
                         // One MAC turnaround after the callback — the
                         // lookahead bound that makes windows independent.
-                        let enqueue_at = at + ctx.lookahead;
+                        let enqueue_at = at + LOOKAHEAD;
                         self.push_mac(
                             enqueue_at,
                             LANE_M_ENQ,
@@ -1721,9 +1664,7 @@ fn spatial_stripes(topology: &Topology, cell_size: f64, shards: usize) -> Vec<u3
 /// Configures and constructs a [`ShardedSim`].
 ///
 /// Besides the radio, MAC, range, and fault model, the builder sets the
-/// sharding knobs: [`shards`](Self::shards) and
-/// [`lookahead`](Self::lookahead) (the MAC turnaround delay that bounds
-/// the synchronization window).
+/// shard count ([`shards`](Self::shards)).
 ///
 /// # Examples
 ///
@@ -1753,12 +1694,11 @@ pub struct ShardedSimBuilder {
     range: f64,
     faults: FaultModel,
     shards: usize,
-    lookahead: SimDuration,
 }
 
 impl ShardedSimBuilder {
     /// Starts a builder with the given seed and defaults: the paper's
-    /// RPC radio, CSMA, 100 m range, one shard, 500 µs turnaround.
+    /// RPC radio, CSMA, 100 m range, one shard.
     #[must_use]
     pub fn new(seed: u64) -> Self {
         ShardedSimBuilder {
@@ -1768,7 +1708,6 @@ impl ShardedSimBuilder {
             range: 100.0,
             faults: FaultModel::none(),
             shards: 1,
-            lookahead: SimDuration::from_micros(500),
         }
     }
 
@@ -1814,21 +1753,6 @@ impl ShardedSimBuilder {
         self
     }
 
-    /// Sets the MAC turnaround delay (the conservative lookahead `L`).
-    /// Larger values mean fewer barrier epochs but more latency between
-    /// a protocol send and its MAC enqueue. Part of the model: changing
-    /// it changes (deterministically) when frames hit the air.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lookahead` is zero.
-    #[must_use]
-    pub fn lookahead(mut self, lookahead: SimDuration) -> Self {
-        assert!(lookahead.as_micros() > 0, "lookahead must be positive");
-        self.lookahead = lookahead;
-        self
-    }
-
     /// Builds the simulator; `factory` creates the protocol instance
     /// for each node added later.
     pub fn build<P, F>(self, factory: F) -> ShardedSim<P>
@@ -1846,7 +1770,6 @@ impl ShardedSimBuilder {
             radio: self.radio,
             mac: self.mac,
             faults: self.faults,
-            lookahead: self.lookahead,
             master: Topology::new(self.range),
             cores,
             owner: Vec::new(),
@@ -1857,7 +1780,6 @@ impl ShardedSimBuilder {
             frames_sent: 0,
             factory: Box::new(factory),
             tracer: None,
-            obs: None,
             trace_main: Vec::new(),
             merge_scratch: Vec::new(),
             force_serial: false,
@@ -1909,7 +1831,6 @@ pub struct ShardedSim<P> {
     radio: RadioConfig,
     mac: MacConfig,
     faults: FaultModel,
-    lookahead: SimDuration,
     /// Authoritative topology for the public accessor and shard
     /// rebalancing; dynamics are applied to it at epoch barriers.
     master: Topology,
@@ -1925,7 +1846,6 @@ pub struct ShardedSim<P> {
     frames_sent: u64,
     factory: Box<dyn FnMut(NodeId) -> P>,
     tracer: Option<Tracer>,
-    obs: Option<NetsimObs>,
     trace_main: Vec<(TraceKey, TraceEvent)>,
     merge_scratch: Vec<PendingTx>,
     force_serial: bool,
@@ -2060,12 +1980,6 @@ impl<P: Protocol> ShardedSim<P> {
     #[must_use]
     pub fn shard_count(&self) -> usize {
         self.cores.len()
-    }
-
-    /// The conservative lookahead (MAC turnaround delay).
-    #[must_use]
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
     }
 
     /// How many `[T, T+L)` windows the engine actually executed. A
@@ -2217,16 +2131,30 @@ impl<P: Protocol> ShardedSim<P> {
         self.tracer.as_ref()
     }
 
-    /// Attaches an observability handle. Observability implies serial
-    /// window execution (metric recording order must be deterministic);
-    /// output is unchanged either way.
-    pub fn enable_obs(&mut self, obs: &Obs) {
-        self.obs = obs.is_enabled().then(|| NetsimObs::new(obs));
+    /// Adds this simulator's totals so far to `obs` under the `netsim_*`
+    /// metric names (EXPERIMENTS.md "Observability"); a disabled handle
+    /// records nothing. The totals come from the engine's own counters
+    /// — [`Self::stats`], [`Self::total_meter`], and per-shard CSMA
+    /// backoff and airtime counts — so observing a run never changes
+    /// how it executes, and the result is the same at any shard count.
+    /// Call it once, after the run: every call adds the totals again.
+    pub fn record_metrics(&self, obs: &Obs) {
+        let mut tx = TxStats::default();
+        for core in &self.cores {
+            tx.merge(&core.tx);
+        }
+        crate::obs::record(
+            obs,
+            &self.stats(),
+            &self.total_meter(),
+            &self.radio.energy,
+            &tx,
+        );
     }
 
     /// Forces the single-threaded window loop even for `shards > 1`.
     /// The windowed algorithm is identical either way — this is a
-    /// validation/debugging knob (and what `enable_obs` implies).
+    /// validation/debugging knob.
     pub fn set_force_serial(&mut self, force: bool) {
         self.force_serial = force;
     }
@@ -2241,14 +2169,15 @@ impl<P: Protocol> ShardedSim<P> {
     }
 
     /// Whether the next [`Self::run_until`] would execute windows on
-    /// worker threads. False for single-shard sims, attached
-    /// observability, forced-serial mode, single-core machines, or
-    /// topologies too small to amortize the per-window barrier traffic
-    /// (< [`MIN_NODES_PER_SHARD`] owned nodes per shard) — the windowed
-    /// algorithm then runs inline, with identical output.
+    /// worker threads. False for single-shard sims, forced-serial mode,
+    /// single-core machines, or topologies too small to amortize the
+    /// per-window barrier traffic (< [`MIN_NODES_PER_SHARD`] owned nodes
+    /// per shard) — the windowed algorithm then runs inline, with
+    /// identical output. Metrics play no part: they are folded in after
+    /// the run ([`Self::record_metrics`]).
     #[must_use]
     pub fn uses_worker_threads(&self) -> bool {
-        if self.cores.len() <= 1 || self.obs.is_some() || self.force_serial {
+        if self.cores.len() <= 1 || self.force_serial {
             return false;
         }
         if self.force_threads {
@@ -2412,14 +2341,14 @@ impl<P: Protocol> ShardedSim<P> {
 /// timeline at multiples of the lookahead, so the window start (and
 /// therefore the whole window sequence) depends only on the global event
 /// set — never on the shard count.
-fn window_end(at: SimTime, lookahead: SimDuration) -> SimTime {
-    let l = lookahead.as_micros().max(1);
+fn window_end(at: SimTime) -> SimTime {
+    let l = LOOKAHEAD.as_micros();
     SimTime::from_micros((at.as_micros() / l + 1) * l)
 }
 
 /// Start of the synchronization window containing `at`.
-fn window_start(at: SimTime, lookahead: SimDuration) -> SimTime {
-    let l = lookahead.as_micros().max(1);
+fn window_start(at: SimTime) -> SimTime {
+    let l = LOOKAHEAD.as_micros();
     SimTime::from_micros(at.as_micros() / l * l)
 }
 
@@ -2526,7 +2455,6 @@ fn csma_mac_phase<P: Protocol>(
     next_seq: &mut u64,
     ctx: &EngineCtx<'_>,
     t_end: SimTime,
-    obs: Option<&NetsimObs>,
 ) {
     let in_window = |core: &ShardCore<P>| {
         core.mac_heap
@@ -2544,7 +2472,7 @@ fn csma_mac_phase<P: Protocol>(
         .min()
     {
         let ev = cores[i].mac_heap.pop().expect("peeked above");
-        cores[i].dispatch_mac(ev, ctx, Some(CsmaAir { air, next_seq }), obs);
+        cores[i].dispatch_mac(ev, ctx, Some(CsmaAir { air, next_seq }));
     }
 }
 
@@ -2558,11 +2486,11 @@ trait Crew<P> {
 
     /// Every shard's [`ShardCore::mac_phase`] for the window ending at
     /// `t_end`.
-    fn mac_phase(&mut self, t_end: SimTime, obs: Option<&NetsimObs>);
+    fn mac_phase(&mut self, t_end: SimTime);
 
     /// Every shard's [`ShardCore::rx_phase`] for the window ending at
     /// `t_end`; returns the earliest next-activity time of any shard.
-    fn rx_phase(&mut self, t_end: SimTime, obs: Option<&NetsimObs>) -> Option<SimTime>;
+    fn rx_phase(&mut self, t_end: SimTime) -> Option<SimTime>;
 }
 
 /// Runs the per-shard steps one shard after another on the calling
@@ -2578,17 +2506,17 @@ impl<P: Protocol> Crew<P> for Inline<'_, P> {
         f(&mut self.cores, self.air)
     }
 
-    fn mac_phase(&mut self, t_end: SimTime, obs: Option<&NetsimObs>) {
+    fn mac_phase(&mut self, t_end: SimTime) {
         for core in &mut self.cores {
-            core.mac_phase(self.ctx, t_end, obs);
+            core.mac_phase(self.ctx, t_end);
         }
     }
 
-    fn rx_phase(&mut self, t_end: SimTime, obs: Option<&NetsimObs>) -> Option<SimTime> {
+    fn rx_phase(&mut self, t_end: SimTime) -> Option<SimTime> {
         // `min` drains the iterator, so every shard runs its phase.
         self.cores
             .iter_mut()
-            .filter_map(|core| core.rx_phase(self.ctx, t_end, self.air, obs))
+            .filter_map(|core| core.rx_phase(self.ctx, t_end, self.air))
             .min()
     }
 }
@@ -2674,13 +2602,11 @@ impl<P: Protocol> Crew<P> for Workers<'_, P> {
         f(&mut cores, &mut air)
     }
 
-    fn mac_phase(&mut self, t_end: SimTime, obs: Option<&NetsimObs>) {
-        debug_assert!(obs.is_none(), "observability runs inline");
+    fn mac_phase(&mut self, t_end: SimTime) {
         self.run_phase(PHASE_MAC, t_end);
     }
 
-    fn rx_phase(&mut self, t_end: SimTime, obs: Option<&NetsimObs>) -> Option<SimTime> {
-        debug_assert!(obs.is_none(), "observability runs inline");
+    fn rx_phase(&mut self, t_end: SimTime) -> Option<SimTime> {
         self.run_phase(PHASE_RX, t_end);
         let next = self
             .hub
@@ -2713,10 +2639,10 @@ fn worker<P: Protocol>(
         let result = catch_unwind(AssertUnwindSafe(|| {
             let mut core = core.lock().expect(POISONED);
             if phase == PHASE_MAC {
-                core.mac_phase(ctx, t_end, None);
+                core.mac_phase(ctx, t_end);
             } else {
                 let air = air.read().expect(POISONED);
-                let next = core.rx_phase(ctx, t_end, &air, None);
+                let next = core.rx_phase(ctx, t_end, &air);
                 hub.next_slots[index].store(
                     next.map_or(u64::MAX, SimTime::as_micros),
                     AtomicOrdering::Relaxed,
@@ -2744,7 +2670,6 @@ struct Conductor<'a> {
     frames_sent: &'a mut u64,
     trace_main: &'a mut Vec<(TraceKey, TraceEvent)>,
     merge: &'a mut Vec<PendingTx>,
-    obs: Option<&'a mut NetsimObs>,
     windows_executed: &'a mut u64,
 }
 
@@ -2755,7 +2680,7 @@ impl Conductor<'_> {
         let slack = ctx.radio.airtime(ctx.radio.max_frame_bytes as u32 * 8) * 2;
         let mut next = crew.exclusive(|cores, _| cores.iter().filter_map(|c| c.next_at()).min());
         while let Some(at) = next.filter(|&at| at <= ctx.deadline) {
-            let t_end = window_end(at, ctx.lookahead);
+            let t_end = window_end(at);
             *self.windows_executed += 1;
             // Window start: master dynamics scheduled inside this window
             // execute now, patching interest refcounts and routing
@@ -2772,19 +2697,19 @@ impl Conductor<'_> {
             }
             if ctx.mac.carrier_sense {
                 crew.exclusive(|cores, air| {
-                    csma_mac_phase(cores, air, self.next_seq, ctx, t_end, self.obs.as_deref());
+                    csma_mac_phase(cores, air, self.next_seq, ctx, t_end);
                 });
             } else {
-                crew.mac_phase(t_end, self.obs.as_deref());
+                crew.mac_phase(t_end);
             }
             crew.exclusive(|cores, air| {
-                self.barrier(cores, air, t_end, !deferred.is_empty());
+                self.barrier(cores, air, !deferred.is_empty());
                 // The barrier routed this window's publications with the
                 // conservative pre-move ∪ post-move interest; the
                 // pre-move halves retire now.
                 apply_interest_decrements(cores, &deferred);
             });
-            next = crew.rx_phase(t_end, self.obs.as_deref());
+            next = crew.rx_phase(t_end);
             // Air garbage collection, once no shard reads the view.
             let horizon = SimTime::from_micros(t_end.as_micros().saturating_sub(slack.as_micros()));
             crew.exclusive(|_, air| air.prune(horizon));
@@ -2858,8 +2783,8 @@ impl Conductor<'_> {
     }
 
     /// The epoch barrier: merges the shards' outboxes in canonical
-    /// order, numbers the transmissions, records stats, traces and
-    /// metrics, publishes the air records, and routes each delivery
+    /// order, numbers the transmissions, records stats and traces,
+    /// publishes the air records, and routes each delivery
     /// event to the shards that can possibly need it.
     ///
     /// Every receiver and every interferable pair sits within one cell
@@ -2877,49 +2802,27 @@ impl Conductor<'_> {
         &mut self,
         cores: &mut [&mut ShardCore<P>],
         air: &mut AirView,
-        t_end: SimTime,
         moved: bool,
     ) {
         let ctx = self.ctx;
         let merge = &mut *self.merge;
         merge.clear();
-        let mut have_span_ends = false;
         for core in cores.iter_mut() {
             merge.append(&mut core.outbox);
-            have_span_ends |= !core.span_ends.is_empty();
         }
-        // Quiet windows (no transmissions started, nothing to resolve)
-        // skip the whole barrier body.
-        if merge.is_empty() && !have_span_ends {
+        // Quiet windows (no transmissions started) skip the whole
+        // barrier body.
+        if merge.is_empty() {
             return;
         }
         merge.sort_unstable_by_key(|p| (p.start, p.node.0, p.tx_idx));
         let routed = cores.len() > 1;
-        // `(at_micros, seq)` airtime-span ends (observability only).
-        let mut span_ends: Vec<(u64, u64)> = Vec::new();
         for p in merge.drain(..) {
-            let seq = match p.seq {
-                Some(seq) => seq,
-                None => {
-                    let seq = *self.next_seq;
-                    *self.next_seq += 1;
-                    if ctx.in_window(p.end, t_end) {
-                        // Its `TxEnd` already ran in this window's MAC
-                        // phase, before the number existed, so nothing
-                        // will consume an assignment: close the span
-                        // here instead.
-                        if self.obs.is_some() {
-                            span_ends.push((p.end.as_micros(), seq));
-                        }
-                    } else {
-                        let (shard, local) = ctx.owner[p.node.index()];
-                        cores[shard as usize].nodes[local as usize]
-                            .assigned
-                            .push_back((p.tx_idx, seq));
-                    }
-                    seq
-                }
-            };
+            let seq = p.seq.unwrap_or_else(|| {
+                let seq = *self.next_seq;
+                *self.next_seq += 1;
+                seq
+            });
             *self.frames_sent += 1;
             if ctx.tracing {
                 self.trace_main.push((
@@ -2931,14 +2834,6 @@ impl Conductor<'_> {
                         bits: p.bits_on_air,
                     },
                 ));
-            }
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.frames_sent.inc();
-                o.tx_bits.add(p.bits_on_air);
-                o.airtime_micros.add(p.airtime_micros);
-                o.energy_tx_nj
-                    .shift(p.bits_on_air as f64 * ctx.radio.energy.tx_nj_per_bit);
-                o.tx_span_start(seq, p.start.as_micros());
             }
             if let Some(frame) = p.frame {
                 let cell = cell_of(p.pos, air.cell_size);
@@ -2996,16 +2891,6 @@ impl Conductor<'_> {
                 });
             }
         }
-        // Close the airtime spans of this window's `TxEnd`s in time order.
-        if let Some(o) = self.obs.as_deref_mut() {
-            for core in cores.iter_mut() {
-                span_ends.append(&mut core.span_ends);
-            }
-            span_ends.sort_unstable();
-            for (at_micros, seq) in span_ends {
-                o.tx_span_end(seq, at_micros);
-            }
-        }
     }
 }
 
@@ -3013,9 +2898,9 @@ impl<P: Protocol + Send> ShardedSim<P> {
     /// Runs all events up to and including `deadline`, then advances
     /// the clock to it.
     ///
-    /// Multi-shard runs execute windows on scoped worker threads unless
-    /// observability is attached (or [`Self::set_force_serial`] was
-    /// called); output is identical either way.
+    /// Multi-shard runs execute windows on scoped worker threads when
+    /// [`Self::uses_worker_threads`] says so; output is identical
+    /// either way.
     ///
     /// # Panics
     ///
@@ -3050,13 +2935,11 @@ impl<P: Protocol + Send> ShardedSim<P> {
             frames_sent,
             trace_main,
             merge_scratch,
-            obs,
             tracer,
             owner,
             radio,
             mac,
             faults,
-            lookahead,
             master,
             master_dyn,
             windows_executed,
@@ -3067,7 +2950,6 @@ impl<P: Protocol + Send> ShardedSim<P> {
             radio,
             mac,
             faults,
-            lookahead: *lookahead,
             tracing: tracer.is_some(),
             deadline,
             resume: *resume,
@@ -3081,7 +2963,6 @@ impl<P: Protocol + Send> ShardedSim<P> {
             frames_sent,
             trace_main,
             merge: merge_scratch,
-            obs: obs.as_mut(),
             windows_executed,
         };
         if !threaded {
@@ -3416,6 +3297,8 @@ pub(crate) mod testkit {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::testkit::{AirScript, Chatter};
     use super::*;
     use crate::fault::{ChannelState, GilbertElliott, PartitionWindow};
@@ -3779,38 +3662,75 @@ mod tests {
     }
 
     /// Transmissions that start and end inside one window (airtime
-    /// shorter than the lookahead) leave no sequence assignment behind,
-    /// with observability off or on, and every airtime span closes.
+    /// shorter than the lookahead) all count as ended airtimes.
     #[test]
     fn same_window_transmissions_leave_no_assignment_behind() {
-        for observed in [false, true] {
-            let mut sim = ShardedSimBuilder::new(5)
-                .radio(RadioConfig::ideal(1_000_000, 27))
-                .mac(MacConfig::aloha())
-                .build(|_| Chatter {
-                    to_send: 200,
-                    heard: 0,
-                    payload_bytes: 27,
-                });
-            sim.add_node_at(Position::new(0.0, 0.0));
-            sim.add_node_at(Position::new(10.0, 0.0));
-            let obs = Obs::enabled();
-            if observed {
-                sim.enable_obs(&obs);
-            }
-            sim.run_until(SimTime::from_secs(5));
-            assert_eq!(sim.stats().frames_sent, 400);
-            for node in sim.cores.iter().flat_map(|core| &core.nodes) {
-                assert!(
-                    node.assigned.is_empty(),
-                    "{} kept {} assignments (obs on: {observed})",
-                    node.id,
-                    node.assigned.len()
-                );
-            }
-            if observed {
-                let snap = obs.snapshot().expect("enabled");
-                assert_eq!(snap.counter("netsim_tx_airtime_completed_total"), 400);
+        let mut sim = ShardedSimBuilder::new(5)
+            .radio(RadioConfig::ideal(1_000_000, 27))
+            .mac(MacConfig::aloha())
+            .build(|_| Chatter {
+                to_send: 200,
+                heard: 0,
+                payload_bytes: 27,
+            });
+        sim.add_node_at(Position::new(0.0, 0.0));
+        sim.add_node_at(Position::new(10.0, 0.0));
+        sim.run_until(SimTime::from_secs(5));
+        assert_eq!(sim.stats().frames_sent, 400);
+        let obs = Obs::enabled();
+        sim.record_metrics(&obs);
+        let snap = obs.snapshot().expect("enabled");
+        assert_eq!(snap.counter("netsim_tx_airtime_completed_total"), 400);
+    }
+
+    /// A run stopped while a frame is on the air counts it as started
+    /// and active, but not as completed or in the airtime histogram.
+    #[test]
+    fn a_frame_on_the_air_at_the_deadline_stays_active() {
+        let mut sim = two_node(8, MacConfig::aloha(), 1);
+        // ALOHA sends the first frame one turnaround after the start and
+        // the second one inter-frame space after the first ends.
+        let airtime = sim.radio().airtime(10 * 8);
+        let second_start = SimTime::ZERO + LOOKAHEAD + airtime + MacConfig::aloha().ifs;
+        sim.run_until(second_start + SimDuration::from_micros(airtime.as_micros() / 2));
+        let obs = Obs::enabled();
+        sim.record_metrics(&obs);
+        let snap = obs.snapshot().expect("enabled");
+        assert_eq!(snap.counter("netsim_tx_airtime_started_total"), 2);
+        assert_eq!(snap.counter("netsim_tx_airtime_completed_total"), 1);
+        assert_eq!(snap.gauge("netsim_tx_airtime_active"), 1.0);
+        let airtimes = snap
+            .histogram_with("netsim_tx_airtime_micros", &[])
+            .expect("airtime histogram registered");
+        assert_eq!(airtimes.count(), 1);
+        assert_eq!(airtimes.sum(), airtime.as_micros() as f64);
+    }
+
+    proptest! {
+        /// Observed runs keep their worker threads, and observing one
+        /// changes neither its output nor, at any shard count, its
+        /// metrics: both equal the inline single-shard run's.
+        #[test]
+        fn threaded_observed_runs_match_one_shard(seed in 0..u64::MAX, faulty in any::<bool>()) {
+            for mac in [MacConfig::aloha(), MacConfig::csma()] {
+                let mut reference = grid_run(seed, mac, 1, faulty);
+                reference.run_until(SimTime::from_millis(500));
+                reference.run_until(SimTime::from_millis(1500));
+                let expected = Obs::enabled();
+                reference.record_metrics(&expected);
+                let expected = expected.snapshot().expect("enabled").to_jsonl();
+                for shards in [2, 4, 8] {
+                    let mut sim = grid_run(seed, mac, shards, faulty);
+                    sim.set_force_threads(true);
+                    prop_assert!(sim.uses_worker_threads());
+                    sim.run_until(SimTime::from_millis(500));
+                    sim.run_until(SimTime::from_millis(1500));
+                    let obs = Obs::enabled();
+                    sim.record_metrics(&obs);
+                    prop_assert_eq!(digest(&sim), digest(&reference), "{:?} at K = {}", mac, shards);
+                    let snapshot = obs.snapshot().expect("enabled").to_jsonl();
+                    prop_assert_eq!(&snapshot, &expected, "{:?} at K = {}", mac, shards);
+                }
             }
         }
     }

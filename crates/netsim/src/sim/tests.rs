@@ -85,10 +85,10 @@ fn csma_serializes_mutually_audible_senders() {
 
 #[test]
 fn backoff_metrics_count_carrier_sense_deferrals() {
-    let obs = Obs::enabled();
     let mut sim = csma_pair_and_listener(42);
-    sim.enable_obs(&obs);
     sim.run_until(SimTime::from_secs(30));
+    let obs = Obs::enabled();
+    sim.record_metrics(&obs);
     let snap = obs.snapshot().expect("enabled");
     let backoffs = snap.counter("netsim_mac_backoffs_total");
     let slots = snap.counter("netsim_mac_backoff_slots_total");
@@ -511,10 +511,10 @@ fn obs_counters_match_medium_stats() {
         bit_error_rate: 0.001,
         frame_erasure: 0.3,
     }));
-    let obs = Obs::enabled();
     let mut sim = faulty_pair(40, faults, 30, 27);
-    sim.enable_obs(&obs);
     sim.run_until(SimTime::from_secs(20));
+    let obs = Obs::enabled();
+    sim.record_metrics(&obs);
     let stats = sim.stats();
     let snap = obs.snapshot().expect("enabled");
     assert_eq!(snap.counter("netsim_frames_sent_total"), stats.frames_sent);
@@ -540,17 +540,20 @@ fn obs_counters_match_medium_stats() {
         .histogram_with("netsim_tx_airtime_micros", &[])
         .expect("span histogram registered");
     assert_eq!(spans.count(), stats.frames_sent);
-    assert!(
-        (spans.sum() - snap.counter("netsim_airtime_micros_total") as f64).abs() < 1e-6,
+    assert_eq!(
+        spans.sum(),
+        snap.counter("netsim_airtime_micros_total") as f64,
         "span durations must sum to total airtime"
     );
-    // Energy gauges agree with the meters.
+    // Energy gauges equal the meters exactly.
     let total = sim.total_meter();
-    assert!(
-        (snap.gauge("netsim_energy_tx_nj") - total.tx_energy_nj(&sim.radio().energy)).abs() < 1e-6
+    assert_eq!(
+        snap.gauge("netsim_energy_tx_nj"),
+        total.tx_energy_nj(&sim.radio().energy)
     );
-    assert!(
-        (snap.gauge("netsim_energy_rx_nj") - total.rx_energy_nj(&sim.radio().energy)).abs() < 1e-6
+    assert_eq!(
+        snap.gauge("netsim_energy_rx_nj"),
+        total.rx_energy_nj(&sim.radio().energy)
     );
 }
 
@@ -560,10 +563,10 @@ fn obs_on_run_is_identical_to_obs_off() {
     // meters of an observed run must equal the unobserved run.
     let mut plain = two_node_sim(41);
     let mut observed = two_node_sim(41);
-    let obs = Obs::enabled();
-    observed.enable_obs(&obs);
     plain.run_until(SimTime::from_secs(2));
     observed.run_until(SimTime::from_secs(2));
+    let obs = Obs::enabled();
+    observed.record_metrics(&obs);
     assert_eq!(plain.stats(), observed.stats());
     assert_eq!(plain.meter(NodeId(0)), observed.meter(NodeId(0)));
     assert_eq!(plain.meter(NodeId(1)), observed.meter(NodeId(1)));
@@ -571,10 +574,12 @@ fn obs_on_run_is_identical_to_obs_off() {
         plain.protocol(NodeId(1)).heard,
         observed.protocol(NodeId(1)).heard
     );
-    // And attaching a *disabled* handle stays on the None path.
+    // And folding into a *disabled* handle records nothing.
     let mut disabled = two_node_sim(41);
-    disabled.enable_obs(&Obs::disabled());
     disabled.run_until(SimTime::from_secs(2));
+    let off = Obs::disabled();
+    disabled.record_metrics(&off);
+    assert!(off.snapshot().is_none());
     assert_eq!(plain.stats(), disabled.stats());
 }
 

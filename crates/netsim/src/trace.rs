@@ -141,17 +141,6 @@ impl LossReason {
             LossReason::Partitioned => "partitioned",
         }
     }
-
-    pub(crate) fn index(self) -> usize {
-        match self {
-            LossReason::RfCollision => 0,
-            LossReason::HalfDuplex => 1,
-            LossReason::RandomLoss => 2,
-            LossReason::Asleep => 3,
-            LossReason::FaultErasure => 4,
-            LossReason::Partitioned => 5,
-        }
-    }
 }
 
 /// A bounded ring buffer of [`TraceEvent`]s with an indexed side table.
@@ -476,9 +465,6 @@ mod tests {
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), LossReason::ALL.len());
-        for reason in LossReason::ALL {
-            assert_eq!(LossReason::ALL[reason.index()], reason);
-        }
     }
 
     #[test]

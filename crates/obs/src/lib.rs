@@ -1,14 +1,11 @@
 //! `retri-obs`: deterministic, allocation-light observability for the
 //! RETRI workspace.
 //!
-//! The crate has three layers:
+//! The crate has two layers:
 //!
 //! - [`Registry`] — counters, gauges, and fixed-bucket histograms
 //!   keyed by `(name, label set)`, updated through dense index handles
 //!   so the hot path never hashes or allocates.
-//! - [`SpanTracker`] — sim-time spans (start/end keyed by `u64`,
-//!   durations in simulated microseconds) folded into registry
-//!   metrics.
 //! - [`Snapshot`] — a frozen, plain-data, `Send` view with JSONL and
 //!   Prometheus-text exporters, a `serde::Serialize` impl for
 //!   embedding in provenance JSON, and a parser for reading
@@ -38,14 +35,12 @@ use std::sync::{Arc, Mutex};
 mod export;
 mod histogram;
 mod registry;
-mod span;
 
 use registry::{CounterCell, GaugeCell, HistogramCell};
 
 pub use export::{MetricKind, MetricValue, Snapshot};
 pub use histogram::Histogram;
 pub use registry::{CounterId, GaugeId, HistogramId, Registry};
-pub use span::SpanTracker;
 
 /// A cloneable handle to a shared registry — or to nothing.
 ///
@@ -210,6 +205,18 @@ impl HistogramHandle {
     pub fn observe(&self, value: f64) {
         if let Some(cell) = &self.cell {
             cell.observe(value);
+        }
+    }
+
+    /// Adds every bucket and total of `histogram`, as if each of its
+    /// observations had been recorded here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bucket bounds differ.
+    pub fn merge(&self, histogram: &Histogram) {
+        if let Some(cell) = &self.cell {
+            cell.merge(histogram);
         }
     }
 }

@@ -125,6 +125,20 @@ impl HistogramCell {
         self.sum.shift(value);
     }
 
+    /// Adds every bucket and the sum of `other`, which must have the
+    /// same bounds.
+    pub(crate) fn merge(&self, other: &Histogram) {
+        assert_eq!(
+            self.bounds,
+            other.bounds(),
+            "cannot merge histograms with different bounds"
+        );
+        for (mine, theirs) in self.counts.iter().zip(other.counts()) {
+            mine.fetch_add(*theirs, Ordering::Relaxed);
+        }
+        self.sum.shift(other.sum());
+    }
+
     pub(crate) fn bounds(&self) -> &[f64] {
         &self.bounds
     }
@@ -174,10 +188,7 @@ impl Clone for MetricData {
             MetricData::Histogram(h) => {
                 let loaded = h.load();
                 let cell = HistogramCell::with_bounds(loaded.bounds());
-                for (slot, count) in loaded.counts().iter().enumerate() {
-                    cell.counts[slot].store(*count, Ordering::Relaxed);
-                }
-                cell.sum.set(loaded.sum());
+                cell.merge(&loaded);
                 MetricData::Histogram(Arc::new(cell))
             }
         }
@@ -451,6 +462,21 @@ mod tests {
         assert_eq!(loaded.counts(), &[1, 1, 1]);
         assert_eq!(loaded.count(), 3);
         assert!((loaded.sum() - 55.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn merging_a_histogram_adds_its_observations() {
+        let mut reg = Registry::new();
+        let h = reg.histogram("airtime", &[], &[1.0, 10.0]);
+        reg.observe(h, 5.0);
+        let mut other = Histogram::with_bounds(&[1.0, 10.0]);
+        other.observe(0.5);
+        other.observe(50.0);
+        reg.histogram_cell(h).merge(&other);
+        let loaded = reg.histogram_value(h);
+        assert_eq!(loaded.counts(), &[1, 1, 1]);
+        assert_eq!(loaded.count(), 3);
+        assert_eq!(loaded.sum(), 55.5);
     }
 
     #[test]

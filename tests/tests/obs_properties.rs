@@ -13,7 +13,8 @@
 //!    recordings all pass the `trace_report` audit: 100% of
 //!    transmitted fragments resolve to exactly one fate, and every
 //!    total cross-validates against the native counters, surviving a
-//!    JSON round-trip.
+//!    JSON round-trip. The recordings are identical at one and four
+//!    shards, and their metrics match pinned digests.
 
 use proptest::prelude::*;
 use retri_aff::{SelectorPolicy, Testbed};
@@ -130,12 +131,54 @@ fn observation_never_perturbs_results() {
     );
 }
 
+/// FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// FNV-1a digests of each scenario's metrics JSONL, captured from a
+/// build that mirrored every medium and receiver event into the registry
+/// as it happened: the fold of the native counters after the run must
+/// export the same bytes.
+const METRIC_DIGESTS: [(&str, u64); 6] = [
+    ("clean", 0x40b0_3f0e_c760_f178),
+    ("iid_ber", 0xceb7_2fa3_0d74_ee7a),
+    ("burst", 0x782e_0c28_81e3_3c12),
+    ("erasure", 0x1702_7727_47a2_a79f),
+    ("churn", 0x65ec_c8bb_b09f_34e6),
+    ("partition", 0x29e6_8639_02b4_8f88),
+];
+
 /// Property 3: the six-scenario fault matrix audits clean, before and
-/// after a JSON round-trip through the recording format.
+/// after a JSON round-trip through the recording format; its recordings
+/// are the same at one and four shards, and its metrics match the
+/// pinned digests.
 #[test]
 fn fault_matrix_recordings_audit_clean() {
     let recordings = differential::record_fault_traces(EffortLevel::Quick, 1);
     assert_eq!(recordings.len(), 6);
+    let sharded = differential::record_fault_traces(EffortLevel::Quick, 4);
+    let as_json = |recordings: &[Recording]| -> Vec<String> {
+        recordings
+            .iter()
+            .map(|r| serde_json::to_string(&r.to_json_value()).unwrap())
+            .collect()
+    };
+    assert_eq!(
+        as_json(&sharded),
+        as_json(&recordings),
+        "recordings differ between one and four shards"
+    );
+    for (recording, (scenario, digest)) in recordings.iter().zip(METRIC_DIGESTS) {
+        assert_eq!(recording.scenario, scenario);
+        assert_eq!(
+            fnv1a(recording.metrics.to_jsonl().as_bytes()),
+            digest,
+            "[{scenario}] metrics changed"
+        );
+    }
     let mut scenarios: Vec<&str> = Vec::new();
     for recording in &recordings {
         scenarios.push(&recording.scenario);
