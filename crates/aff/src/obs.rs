@@ -17,7 +17,7 @@ use crate::sender::SenderStats;
 
 /// Adds the senders' summed totals and the receiver's totals and final
 /// buffer occupancy to `obs`.
-pub(crate) fn record(obs: &Obs, sender: &SenderStats, receiver: &AffReceiver) {
+pub(crate) fn record(obs: &mut Obs, sender: &SenderStats, receiver: &AffReceiver) {
     let rx = receiver.stats();
     let aff = receiver.aff_stats();
     let counters = [
@@ -46,15 +46,23 @@ pub(crate) fn record(obs: &Obs, sender: &SenderStats, receiver: &AffReceiver) {
         ("aff_checksum_failures_total", aff.checksum_failures),
     ];
     for (name, value) in counters {
-        obs.counter(name, &[]).add(value);
+        obs.add_counter(name, &[], value);
     }
-    obs.counter("aff_identifier_conflicts_total", &[("kind", "intro")])
-        .add(aff.conflicting_intros);
-    obs.counter("aff_identifier_conflicts_total", &[("kind", "bounds")])
-        .add(aff.bounds_conflicts);
+    for (kind, value) in [
+        ("intro", aff.conflicting_intros),
+        ("bounds", aff.bounds_conflicts),
+    ] {
+        obs.add_counter("aff_identifier_conflicts_total", &[("kind", kind)], value);
+    }
     let reassembler = receiver.reassembler();
-    obs.gauge("aff_reassembly_pending_buffers", &[])
-        .set(reassembler.pending_len() as f64);
-    obs.gauge("aff_reassembly_buffered_bytes", &[])
-        .set(reassembler.buffered_bytes() as f64);
+    let gauges = [
+        ("aff_reassembly_pending_buffers", reassembler.pending_len()),
+        (
+            "aff_reassembly_buffered_bytes",
+            reassembler.buffered_bytes(),
+        ),
+    ];
+    for (name, value) in gauges {
+        obs.set_gauge(name, &[], value as f64);
+    }
 }

@@ -273,9 +273,9 @@ impl Testbed {
             .protocol(receiver_id)
             .as_receiver()
             .expect("the layout's receiver");
-        let obs = Obs::enabled();
-        sim.record_metrics(&obs);
-        crate::obs::record(&obs, &sender, rx);
+        let mut obs = Obs::enabled();
+        sim.record_metrics(&mut obs);
+        crate::obs::record(&mut obs, &sender, rx);
         let tracer = sim.tracer().expect("run_observed enables tracing");
         ObservedTrialResult {
             trial,

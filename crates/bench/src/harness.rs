@@ -21,23 +21,19 @@
 //!   running an experiment twice produces identical JSON (wall-clock
 //!   timing is reported on stderr instead of being embedded).
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use retri_model::stats::Summary;
-use retri_obs::{Registry, Snapshot};
+use retri_obs::{Histogram, Obs, Snapshot};
 
 use crate::EffortLevel;
 
-/// Whether [`enable_run_metrics`] has been called: the fast-path gate
-/// the worker loop checks before doing any timing work at all, so an
-/// un-instrumented run pays one relaxed atomic load per trial.
-static RUN_METRICS_ON: AtomicBool = AtomicBool::new(false);
-
-/// The process-wide run-metrics registry, populated by the worker
-/// threads while [`RUN_METRICS_ON`] is set.
-static RUN_METRICS: Mutex<Option<Registry>> = Mutex::new(None);
+/// The process-wide run-metrics registry: disabled until
+/// [`enable_run_metrics`], and folded into once per [`run_trials`]
+/// sweep.
+static RUN_METRICS: Mutex<Obs> = Mutex::new(Obs::disabled());
 
 /// Per-trial wall-clock bounds, microseconds: 1 ms to 100 s.
 const TRIAL_WALL_BOUNDS: [f64; 8] = [1e3, 1e4, 1e5, 3e5, 1e6, 3e6, 1e7, 1e8];
@@ -50,17 +46,11 @@ const THROUGHPUT_BOUNDS: [f64; 8] = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
 /// (`bench_trial_wall_micros{experiment,cell}`), trial counters, and a
 /// sweep-throughput histogram (`bench_trials_per_second{experiment}`)
 /// into a process-wide registry. Off by default — the `--obs` flag of
-/// the bench binaries ([`crate::Cli::from_env`]) calls this, and the
-/// disabled path costs one relaxed atomic load per trial.
+/// the bench binaries ([`crate::Cli::from_env`]) calls this. Each sweep
+/// times its trials either way and folds the timings in once, after
+/// the sweep.
 pub fn enable_run_metrics() {
-    *RUN_METRICS.lock().expect("no poisoned lock") = Some(Registry::new());
-    RUN_METRICS_ON.store(true, Ordering::SeqCst);
-}
-
-/// Whether [`enable_run_metrics`] has been called.
-#[must_use]
-pub fn run_metrics_enabled() -> bool {
-    RUN_METRICS_ON.load(Ordering::Relaxed)
+    *RUN_METRICS.lock().expect("no poisoned lock") = Obs::enabled();
 }
 
 /// Drains the accumulated run metrics: returns a snapshot of
@@ -70,38 +60,43 @@ pub fn run_metrics_enabled() -> bool {
 /// `None` when run metrics were never enabled.
 #[must_use]
 pub fn take_run_metrics() -> Option<Snapshot> {
-    if !run_metrics_enabled() {
+    let mut guard = RUN_METRICS.lock().expect("no poisoned lock");
+    if !guard.is_enabled() {
         return None;
     }
-    let mut guard = RUN_METRICS.lock().expect("no poisoned lock");
-    guard.replace(Registry::new()).map(|r| r.snapshot())
+    std::mem::replace(&mut *guard, Obs::enabled()).snapshot()
 }
 
-/// Records one trial's wall clock into the run-metrics registry.
-fn record_trial_metrics(experiment_id: &str, cell_index: usize, elapsed_micros: f64) {
-    let cell = cell_index.to_string();
-    let mut guard = RUN_METRICS.lock().expect("no poisoned lock");
-    let Some(registry) = guard.as_mut() else {
+/// Folds one finished sweep into the run-metrics registry, under one
+/// lock: each cell's trial wall clocks (`flat` is in cell and trial
+/// order), the trial count, the throughput and the worker count.
+fn record_sweep_metrics<T>(
+    experiment_id: &str,
+    flat: &[(Trial, T, f64)],
+    elapsed_secs: f64,
+    workers: usize,
+) {
+    let mut obs = RUN_METRICS.lock().expect("no poisoned lock");
+    if !obs.is_enabled() {
         return;
-    };
-    let labels = [("experiment", experiment_id), ("cell", cell.as_str())];
-    let hist = registry.histogram("bench_trial_wall_micros", &labels, &TRIAL_WALL_BOUNDS);
-    registry.observe(hist, elapsed_micros);
-    let trials = registry.counter("bench_trials_total", &[("experiment", experiment_id)]);
-    registry.add(trials, 1);
-}
-
-/// Records one sweep's overall throughput into the registry.
-fn record_sweep_metrics(experiment_id: &str, jobs: usize, elapsed_secs: f64, workers: usize) {
-    let mut guard = RUN_METRICS.lock().expect("no poisoned lock");
-    let Some(registry) = guard.as_mut() else {
-        return;
-    };
+    }
+    for cell in flat.chunk_by(|a, b| a.0.cell_index == b.0.cell_index) {
+        let mut walls = Histogram::with_bounds(&TRIAL_WALL_BOUNDS);
+        for (_, _, micros) in cell {
+            walls.observe(*micros);
+        }
+        let index = cell[0].0.cell_index.to_string();
+        let labels = [("experiment", experiment_id), ("cell", index.as_str())];
+        obs.merge_histogram("bench_trial_wall_micros", &labels, &walls);
+    }
     let labels = [("experiment", experiment_id)];
-    let hist = registry.histogram("bench_trials_per_second", &labels, &THROUGHPUT_BOUNDS);
-    registry.observe(hist, jobs as f64 / elapsed_secs.max(f64::EPSILON));
-    let gauge = registry.gauge("bench_workers", &labels);
-    registry.set(gauge, workers as f64);
+    if !flat.is_empty() {
+        obs.add_counter("bench_trials_total", &labels, flat.len() as u64);
+    }
+    let mut throughput = Histogram::with_bounds(&THROUGHPUT_BOUNDS);
+    throughput.observe(flat.len() as f64 / elapsed_secs.max(f64::EPSILON));
+    obs.merge_histogram("bench_trials_per_second", &labels, &throughput);
+    obs.set_gauge("bench_workers", &labels, workers as f64);
 }
 
 /// Fixed initial state of the seed chain; an arbitrary constant that
@@ -264,32 +259,24 @@ where
         }
     }
     let started = Instant::now();
-    let execute = |trial: Trial| -> T {
-        if RUN_METRICS_ON.load(Ordering::Relaxed) {
-            let trial_started = Instant::now();
-            let value = run(&cells[trial.cell_index], trial);
-            record_trial_metrics(
-                experiment_id,
-                trial.cell_index,
-                trial_started.elapsed().as_secs_f64() * 1e6,
-            );
-            value
-        } else {
-            run(&cells[trial.cell_index], trial)
-        }
+    // Each trial's wall clock, in microseconds, rides back with its
+    // result.
+    let execute = |trial: Trial| -> (Trial, T, f64) {
+        let trial_started = Instant::now();
+        let value = run(&cells[trial.cell_index], trial);
+        (trial, value, trial_started.elapsed().as_secs_f64() * 1e6)
     };
     let configured = worker_count(jobs.len());
     let mut workers = 1;
-    let mut flat: Vec<(Trial, T)> = Vec::with_capacity(jobs.len());
+    let mut flat: Vec<(Trial, T, f64)> = Vec::with_capacity(jobs.len());
     if let Some((&probe, rest)) = jobs.split_first() {
-        let probe_started = Instant::now();
-        let value = execute(probe);
-        let probe_micros = probe_started.elapsed().as_secs_f64() * 1e6;
-        flat.push((probe, value));
+        let probed = execute(probe);
+        let probe_micros = probed.2;
+        flat.push(probed);
         if !rest.is_empty() && should_fan_out(configured, probe_micros) {
             workers = configured.min(rest.len());
             let next = AtomicUsize::new(0);
-            let results: Mutex<Vec<(Trial, T)>> = Mutex::new(Vec::with_capacity(rest.len()));
+            let results: Mutex<Vec<(Trial, T, f64)>> = Mutex::new(Vec::with_capacity(rest.len()));
             std::thread::scope(|scope| {
                 for _ in 0..workers {
                     scope.spawn(|| loop {
@@ -297,22 +284,19 @@ where
                         let Some(&trial) = rest.get(index) else {
                             break;
                         };
-                        let value = execute(trial);
-                        results
-                            .lock()
-                            .expect("no poisoned lock")
-                            .push((trial, value));
+                        let done = execute(trial);
+                        results.lock().expect("no poisoned lock").push(done);
                     });
                 }
             });
             flat.extend(results.into_inner().expect("threads joined"));
         } else {
-            for &trial in rest {
-                flat.push((trial, execute(trial)));
-            }
+            flat.extend(rest.iter().map(|&trial| execute(trial)));
         }
     }
-    flat.sort_by_key(|(trial, _)| (trial.cell_index, trial.trial));
+    flat.sort_by_key(|(trial, _, _)| (trial.cell_index, trial.trial));
+    let elapsed = started.elapsed().as_secs_f64();
+    record_sweep_metrics(experiment_id, &flat, elapsed, workers);
     let mut grouped: Vec<CellRuns<T>> = (0..cells.len())
         .map(|cell_index| CellRuns {
             cell_index,
@@ -320,13 +304,9 @@ where
             values: Vec::with_capacity(trials as usize),
         })
         .collect();
-    for (trial, value) in flat {
+    for (trial, value, _) in flat {
         grouped[trial.cell_index].seeds.push(trial.seed);
         grouped[trial.cell_index].values.push(value);
-    }
-    let elapsed = started.elapsed().as_secs_f64();
-    if RUN_METRICS_ON.load(Ordering::Relaxed) {
-        record_sweep_metrics(experiment_id, jobs.len(), elapsed, workers);
     }
     eprintln!(
         "[harness] {experiment_id}: {} cells x {trials} trials on {workers} worker(s) in {elapsed:.2} s",

@@ -80,7 +80,7 @@ fn drops(stats: &MediumStats, reason: LossReason) -> u64 {
 /// Every transmission counted in `stats.frames_sent` has started; those
 /// whose `TxEnd` has not run yet are still on the air.
 pub(crate) fn record(
-    obs: &Obs,
+    obs: &mut Obs,
     stats: &MediumStats,
     meter: &EnergyMeter,
     energy: &EnergyModel,
@@ -102,18 +102,15 @@ pub(crate) fn record(
         ("netsim_tx_airtime_completed_total", tx.airtimes.count()),
     ];
     for (name, value) in counters {
-        obs.counter(name, &[]).add(value);
+        obs.add_counter(name, &[], value);
     }
     for reason in LossReason::ALL {
-        obs.counter("netsim_drops_total", &[("reason", reason.label())])
-            .add(drops(stats, reason));
+        let labels = &[("reason", reason.label())];
+        obs.add_counter("netsim_drops_total", labels, drops(stats, reason));
     }
-    obs.gauge("netsim_energy_tx_nj", &[])
-        .shift(meter.tx_energy_nj(energy));
-    obs.gauge("netsim_energy_rx_nj", &[])
-        .shift(meter.rx_energy_nj(energy));
-    obs.gauge("netsim_tx_airtime_active", &[])
-        .shift((stats.frames_sent - tx.airtimes.count()) as f64);
-    obs.histogram("netsim_tx_airtime_micros", &[], &TX_AIRTIME_BOUNDS)
-        .merge(&tx.airtimes);
+    obs.shift_gauge("netsim_energy_tx_nj", &[], meter.tx_energy_nj(energy));
+    obs.shift_gauge("netsim_energy_rx_nj", &[], meter.rx_energy_nj(energy));
+    let active = stats.frames_sent - tx.airtimes.count();
+    obs.shift_gauge("netsim_tx_airtime_active", &[], active as f64);
+    obs.merge_histogram("netsim_tx_airtime_micros", &[], &tx.airtimes);
 }

@@ -2138,7 +2138,7 @@ impl<P: Protocol> ShardedSim<P> {
     /// backoff and airtime counts — so observing a run never changes
     /// how it executes, and the result is the same at any shard count.
     /// Call it once, after the run: every call adds the totals again.
-    pub fn record_metrics(&self, obs: &Obs) {
+    pub fn record_metrics(&self, obs: &mut Obs) {
         let mut tx = TxStats::default();
         for core in &self.cores {
             tx.merge(&core.tx);
@@ -3677,8 +3677,8 @@ mod tests {
         sim.add_node_at(Position::new(10.0, 0.0));
         sim.run_until(SimTime::from_secs(5));
         assert_eq!(sim.stats().frames_sent, 400);
-        let obs = Obs::enabled();
-        sim.record_metrics(&obs);
+        let mut obs = Obs::enabled();
+        sim.record_metrics(&mut obs);
         let snap = obs.snapshot().expect("enabled");
         assert_eq!(snap.counter("netsim_tx_airtime_completed_total"), 400);
     }
@@ -3693,8 +3693,8 @@ mod tests {
         let airtime = sim.radio().airtime(10 * 8);
         let second_start = SimTime::ZERO + LOOKAHEAD + airtime + MacConfig::aloha().ifs;
         sim.run_until(second_start + SimDuration::from_micros(airtime.as_micros() / 2));
-        let obs = Obs::enabled();
-        sim.record_metrics(&obs);
+        let mut obs = Obs::enabled();
+        sim.record_metrics(&mut obs);
         let snap = obs.snapshot().expect("enabled");
         assert_eq!(snap.counter("netsim_tx_airtime_started_total"), 2);
         assert_eq!(snap.counter("netsim_tx_airtime_completed_total"), 1);
@@ -3716,8 +3716,8 @@ mod tests {
                 let mut reference = grid_run(seed, mac, 1, faulty);
                 reference.run_until(SimTime::from_millis(500));
                 reference.run_until(SimTime::from_millis(1500));
-                let expected = Obs::enabled();
-                reference.record_metrics(&expected);
+                let mut expected = Obs::enabled();
+                reference.record_metrics(&mut expected);
                 let expected = expected.snapshot().expect("enabled").to_jsonl();
                 for shards in [2, 4, 8] {
                     let mut sim = grid_run(seed, mac, shards, faulty);
@@ -3725,8 +3725,8 @@ mod tests {
                     prop_assert!(sim.uses_worker_threads());
                     sim.run_until(SimTime::from_millis(500));
                     sim.run_until(SimTime::from_millis(1500));
-                    let obs = Obs::enabled();
-                    sim.record_metrics(&obs);
+                    let mut obs = Obs::enabled();
+                    sim.record_metrics(&mut obs);
                     prop_assert_eq!(digest(&sim), digest(&reference), "{:?} at K = {}", mac, shards);
                     let snapshot = obs.snapshot().expect("enabled").to_jsonl();
                     prop_assert_eq!(&snapshot, &expected, "{:?} at K = {}", mac, shards);

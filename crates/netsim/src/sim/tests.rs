@@ -87,8 +87,8 @@ fn csma_serializes_mutually_audible_senders() {
 fn backoff_metrics_count_carrier_sense_deferrals() {
     let mut sim = csma_pair_and_listener(42);
     sim.run_until(SimTime::from_secs(30));
-    let obs = Obs::enabled();
-    sim.record_metrics(&obs);
+    let mut obs = Obs::enabled();
+    sim.record_metrics(&mut obs);
     let snap = obs.snapshot().expect("enabled");
     let backoffs = snap.counter("netsim_mac_backoffs_total");
     let slots = snap.counter("netsim_mac_backoff_slots_total");
@@ -513,8 +513,8 @@ fn obs_counters_match_medium_stats() {
     }));
     let mut sim = faulty_pair(40, faults, 30, 27);
     sim.run_until(SimTime::from_secs(20));
-    let obs = Obs::enabled();
-    sim.record_metrics(&obs);
+    let mut obs = Obs::enabled();
+    sim.record_metrics(&mut obs);
     let stats = sim.stats();
     let snap = obs.snapshot().expect("enabled");
     assert_eq!(snap.counter("netsim_frames_sent_total"), stats.frames_sent);
@@ -565,8 +565,8 @@ fn obs_on_run_is_identical_to_obs_off() {
     let mut observed = two_node_sim(41);
     plain.run_until(SimTime::from_secs(2));
     observed.run_until(SimTime::from_secs(2));
-    let obs = Obs::enabled();
-    observed.record_metrics(&obs);
+    let mut obs = Obs::enabled();
+    observed.record_metrics(&mut obs);
     assert_eq!(plain.stats(), observed.stats());
     assert_eq!(plain.meter(NodeId(0)), observed.meter(NodeId(0)));
     assert_eq!(plain.meter(NodeId(1)), observed.meter(NodeId(1)));
@@ -577,8 +577,8 @@ fn obs_on_run_is_identical_to_obs_off() {
     // And folding into a *disabled* handle records nothing.
     let mut disabled = two_node_sim(41);
     disabled.run_until(SimTime::from_secs(2));
-    let off = Obs::disabled();
-    disabled.record_metrics(&off);
+    let mut off = Obs::disabled();
+    disabled.record_metrics(&mut off);
     assert!(off.snapshot().is_none());
     assert_eq!(plain.stats(), disabled.stats());
 }

@@ -7,21 +7,16 @@
 //! to assert fine-grained causality that the aggregate
 //! [`crate::shard::MediumStats`] cannot express.
 //!
-//! Alongside the ring buffer the tracer maintains an *index* in a
-//! [`retri_obs::Registry`]: monotonic recorded/evicted counters per
-//! `(from, to)` delivery pair and per-receiver loss lists, so the
-//! query methods ([`Tracer::deliveries_between`],
-//! [`Tracer::losses_at`]) answer from the index instead of scanning
-//! every retained event. The public semantics are unchanged — both
-//! still describe the *retained window* — the linear scans are gone.
+//! The tracer is an event log, not a metrics path: it keeps no counts
+//! beyond the number of events it evicted. Its queries
+//! ([`Tracer::deliveries_between`], [`Tracer::losses_at`]) filter the
+//! *retained window*; the run's totals come from the engine's own
+//! counters ([`crate::shard::ShardedSim::record_metrics`]).
 //!
 //! Tracing is off by default (zero cost); enable it with
 //! [`crate::shard::ShardedSim::enable_trace`].
 
 use std::collections::VecDeque;
-
-use retri::hash::FixedMap;
-use retri_obs::{CounterId, Registry, Snapshot};
 
 use crate::node::NodeId;
 use crate::time::SimTime;
@@ -143,27 +138,15 @@ impl LossReason {
     }
 }
 
-/// A bounded ring buffer of [`TraceEvent`]s with an indexed side table.
+/// A bounded ring buffer of [`TraceEvent`]s.
 ///
 /// When full, the oldest events are discarded (and counted), so a
 /// long-running simulation cannot exhaust memory through its tracer.
-/// The index stays consistent with the window: recorded and evicted
-/// counters both only grow (they live in a [`Registry`]), and a
-/// window count is always `recorded - evicted`.
 #[derive(Debug)]
 pub struct Tracer {
     events: VecDeque<TraceEvent>,
     capacity: usize,
     dropped: u64,
-    /// Total events ever recorded; the ordinal of the next event.
-    recorded: u64,
-    registry: Registry,
-    delivered: FixedMap<(NodeId, NodeId), CounterId>,
-    delivered_evicted: FixedMap<(NodeId, NodeId), CounterId>,
-    losses: FixedMap<NodeId, CounterId>,
-    losses_evicted: FixedMap<NodeId, CounterId>,
-    /// Ordinals of retained `Lost` events, per receiver, oldest first.
-    loss_ordinals: FixedMap<NodeId, VecDeque<u64>>,
 }
 
 impl Tracer {
@@ -179,88 +162,14 @@ impl Tracer {
             events: VecDeque::with_capacity(capacity.min(4096)),
             capacity,
             dropped: 0,
-            recorded: 0,
-            registry: Registry::new(),
-            delivered: FixedMap::default(),
-            delivered_evicted: FixedMap::default(),
-            losses: FixedMap::default(),
-            losses_evicted: FixedMap::default(),
-            loss_ordinals: FixedMap::default(),
         }
     }
 
-    fn delivered_id(&mut self, from: NodeId, to: NodeId, evicted: bool) -> CounterId {
-        let (cache, name) = if evicted {
-            (
-                &mut self.delivered_evicted,
-                "netsim_trace_deliveries_evicted_total",
-            )
-        } else {
-            (&mut self.delivered, "netsim_trace_deliveries_total")
-        };
-        *cache.entry((from, to)).or_insert_with(|| {
-            self.registry.counter(
-                name,
-                &[
-                    ("from", &from.index().to_string()),
-                    ("to", &to.index().to_string()),
-                ],
-            )
-        })
-    }
-
-    fn loss_id(&mut self, to: NodeId, evicted: bool) -> CounterId {
-        let (cache, name) = if evicted {
-            (
-                &mut self.losses_evicted,
-                "netsim_trace_losses_evicted_total",
-            )
-        } else {
-            (&mut self.losses, "netsim_trace_losses_total")
-        };
-        *cache.entry(to).or_insert_with(|| {
-            self.registry
-                .counter(name, &[("to", &to.index().to_string())])
-        })
-    }
-
-    /// Records one event, evicting (and index-adjusting) the oldest
-    /// when the buffer is full.
+    /// Records one event, evicting the oldest when the buffer is full.
     pub fn record(&mut self, event: TraceEvent) {
         if self.events.len() == self.capacity {
-            let evicted = self.events.pop_front().expect("buffer is full");
+            self.events.pop_front();
             self.dropped += 1;
-            match evicted {
-                TraceEvent::Delivered { from, to, .. } => {
-                    let id = self.delivered_id(from, to, true);
-                    self.registry.add(id, 1);
-                }
-                TraceEvent::Lost { to, .. } => {
-                    let id = self.loss_id(to, true);
-                    self.registry.add(id, 1);
-                    let ordinals = self
-                        .loss_ordinals
-                        .get_mut(&to)
-                        .expect("retained loss has an ordinal list");
-                    let front = ordinals.pop_front();
-                    debug_assert_eq!(front, Some(self.dropped - 1));
-                }
-                _ => {}
-            }
-        }
-        let ordinal = self.recorded;
-        self.recorded += 1;
-        match event {
-            TraceEvent::Delivered { from, to, .. } => {
-                let id = self.delivered_id(from, to, false);
-                self.registry.add(id, 1);
-            }
-            TraceEvent::Lost { to, .. } => {
-                let id = self.loss_id(to, false);
-                self.registry.add(id, 1);
-                self.loss_ordinals.entry(to).or_default().push_back(ordinal);
-            }
-            _ => {}
         }
         self.events.push_back(event);
     }
@@ -288,46 +197,21 @@ impl Tracer {
         self.dropped
     }
 
-    /// A snapshot of the index registry (the
-    /// `netsim_trace_deliveries[_evicted]_total` and
-    /// `netsim_trace_losses[_evicted]_total` counter families).
-    #[must_use]
-    pub fn index_snapshot(&self) -> Snapshot {
-        self.registry.snapshot()
-    }
-
     /// Retained losses suffered by `node`, oldest first.
-    ///
-    /// Compatibility shim over the index: walks only that node's
-    /// retained-loss ordinals (O(losses at `node`)) instead of
-    /// filtering every retained event.
     pub fn losses_at(&self, node: NodeId) -> impl Iterator<Item = &TraceEvent> {
-        self.loss_ordinals
-            .get(&node)
-            .into_iter()
-            .flat_map(move |ordinals| {
-                ordinals.iter().map(move |ordinal| {
-                    let slot = (ordinal - self.dropped) as usize;
-                    &self.events[slot]
-                })
-            })
+        self.events()
+            .filter(move |e| matches!(e, TraceEvent::Lost { to, .. } if *to == node))
     }
 
     /// Retained deliveries from `from` to `to`.
-    ///
-    /// Compatibility shim over the index: the answer is the recorded
-    /// minus the evicted counter for the pair — O(1), no scan.
     #[must_use]
     pub fn deliveries_between(&self, from: NodeId, to: NodeId) -> usize {
-        let recorded = self
-            .delivered
-            .get(&(from, to))
-            .map_or(0, |id| self.registry.counter_value(*id));
-        let evicted = self
-            .delivered_evicted
-            .get(&(from, to))
-            .map_or(0, |id| self.registry.counter_value(*id));
-        (recorded - evicted) as usize
+        self.events()
+            .filter(|e| {
+                matches!(e, TraceEvent::Delivered { from: f, to: t, .. }
+                         if *f == from && *t == to)
+            })
+            .count()
     }
 }
 
@@ -363,6 +247,30 @@ mod tests {
         }
     }
 
+    /// Checks both filters, for every receiver the tests use, against a
+    /// linear recount of the retained window.
+    fn assert_filters_match_a_recount(tracer: &Tracer) {
+        for node in 0..3u32 {
+            let node = NodeId(node);
+            let scan_deliveries = tracer
+                .events
+                .iter()
+                .filter(|e| {
+                    matches!(e, TraceEvent::Delivered { from, to, .. }
+                             if *from == NodeId(0) && *to == node)
+                })
+                .count();
+            assert_eq!(tracer.deliveries_between(NodeId(0), node), scan_deliveries);
+            let scan_losses: Vec<&TraceEvent> = tracer
+                .events
+                .iter()
+                .filter(|e| matches!(e, TraceEvent::Lost { to, .. } if *to == node))
+                .collect();
+            let filtered: Vec<&TraceEvent> = tracer.losses_at(node).collect();
+            assert_eq!(filtered, scan_losses);
+        }
+    }
+
     #[test]
     fn ring_buffer_caps_and_counts_drops() {
         let mut tracer = Tracer::new(3);
@@ -390,6 +298,7 @@ mod tests {
         assert_eq!(tracer.deliveries_between(NodeId(0), NodeId(2)), 0);
         assert_eq!(tracer.losses_at(NodeId(2)).count(), 1);
         assert_eq!(tracer.losses_at(NodeId(1)).count(), 0);
+        assert_filters_match_a_recount(&tracer);
     }
 
     #[test]
@@ -403,6 +312,7 @@ mod tests {
         tracer.record(lost(3, NodeId(2)));
         assert_eq!(tracer.deliveries_between(NodeId(0), NodeId(1)), 2);
         assert_eq!(tracer.losses_at(NodeId(2)).count(), 2);
+        assert_filters_match_a_recount(&tracer);
 
         tracer.record(tx(4));
         tracer.record(tx(5));
@@ -416,18 +326,14 @@ mod tests {
             })
             .collect();
         assert_eq!(retained, vec![3], "only the newer loss is retained");
-
-        let snapshot = tracer.index_snapshot();
-        assert_eq!(snapshot.counter("netsim_trace_deliveries_total"), 2);
-        assert_eq!(snapshot.counter("netsim_trace_deliveries_evicted_total"), 1);
-        assert_eq!(snapshot.counter("netsim_trace_losses_total"), 2);
-        assert_eq!(snapshot.counter("netsim_trace_losses_evicted_total"), 1);
+        assert_filters_match_a_recount(&tracer);
     }
 
     #[test]
     fn index_matches_a_linear_recount_under_heavy_eviction() {
-        // Deterministic mixed stream, small capacity: the indexed
-        // answers must always equal what the old linear scans computed.
+        // Deterministic mixed stream, small capacity: the filters must
+        // always answer what a linear recount of the retained window
+        // gives.
         let mut tracer = Tracer::new(7);
         let mut state = 0x9E3779B97F4A7C15u64;
         for seq in 0..200 {
@@ -438,23 +344,7 @@ mod tests {
                 1 => tracer.record(lost(seq, to)),
                 _ => tracer.record(tx(seq)),
             }
-            for node in 0..3u32 {
-                let node = NodeId(node);
-                let scan_deliveries = tracer
-                    .events()
-                    .filter(|e| {
-                        matches!(e, TraceEvent::Delivered { from, to, .. }
-                                 if *from == NodeId(0) && *to == node)
-                    })
-                    .count();
-                assert_eq!(tracer.deliveries_between(NodeId(0), node), scan_deliveries);
-                let scan_losses: Vec<&TraceEvent> = tracer
-                    .events()
-                    .filter(|e| matches!(e, TraceEvent::Lost { to, .. } if *to == node))
-                    .collect();
-                let indexed: Vec<&TraceEvent> = tracer.losses_at(node).collect();
-                assert_eq!(indexed, scan_losses);
-            }
+            assert_filters_match_a_recount(&tracer);
         }
         assert!(tracer.dropped() > 0, "the test must exercise eviction");
     }

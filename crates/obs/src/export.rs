@@ -148,30 +148,6 @@ impl Snapshot {
         })
     }
 
-    /// Folds `other` into `self`: counters and histograms add, gauges
-    /// add (the merged gauge is the sum of final per-run values, which
-    /// is what cross-trial occupancy/energy aggregation wants). Metrics
-    /// present only in `other` are inserted at their sorted position.
-    pub fn merge(&mut self, other: &Snapshot) {
-        for metric in &other.metrics {
-            let key = (&metric.name, &metric.labels);
-            match self
-                .metrics
-                .binary_search_by(|m| (&m.name, &m.labels).cmp(&key))
-            {
-                Ok(slot) => match (&mut self.metrics[slot].value, &metric.value) {
-                    (MetricKind::Counter(mine), MetricKind::Counter(theirs)) => *mine += theirs,
-                    (MetricKind::Gauge(mine), MetricKind::Gauge(theirs)) => *mine += theirs,
-                    (MetricKind::Histogram(mine), MetricKind::Histogram(theirs)) => {
-                        mine.merge(theirs)
-                    }
-                    _ => panic!("metric {:?} changed kind between snapshots", metric.name),
-                },
-                Err(slot) => self.metrics.insert(slot, metric.clone()),
-            }
-        }
-    }
-
     /// JSON-lines export: one compact object per metric, newline
     /// terminated. Suitable for `jq`/`grep` and CI artifacts.
     pub fn to_jsonl(&self) -> String {
@@ -317,14 +293,13 @@ mod tests {
     use crate::registry::Registry;
 
     fn sample() -> Snapshot {
-        let mut reg = Registry::new();
-        let c = reg.counter("netsim_drops_total", &[("reason", "rf_collision")]);
-        let g = reg.gauge("aff_reassembly_pending_buffers", &[]);
-        let h = reg.histogram("netsim_tx_airtime_micros", &[], &[100.0, 1000.0]);
-        reg.add(c, 7);
-        reg.set(g, 3.0);
-        reg.observe(h, 50.0);
-        reg.observe(h, 5000.0);
+        let mut reg = Registry::default();
+        let mut airtime = Histogram::with_bounds(&[100.0, 1000.0]);
+        airtime.observe(50.0);
+        airtime.observe(5000.0);
+        reg.add_counter("netsim_drops_total", &[("reason", "rf_collision")], 7);
+        reg.set_gauge("aff_reassembly_pending_buffers", &[], 3.0);
+        reg.merge_histogram("netsim_tx_airtime_micros", &[], &airtime);
         reg.snapshot()
     }
 
@@ -358,23 +333,5 @@ mod tests {
         let reparsed =
             serde_json::from_str(&value.to_pretty_string()).expect("snapshot JSON parses");
         assert_eq!(Snapshot::from_json_value(&reparsed), Some(snapshot));
-    }
-
-    #[test]
-    fn merge_adds_and_inserts() {
-        let mut a = sample();
-        let b = sample();
-        a.merge(&b);
-        assert_eq!(a.counter("netsim_drops_total"), 14);
-        assert_eq!(a.gauge("aff_reassembly_pending_buffers"), 6.0);
-        assert_eq!(
-            a.histogram_with("netsim_tx_airtime_micros", &[])
-                .unwrap()
-                .count(),
-            4
-        );
-        let mut empty = Snapshot::default();
-        empty.merge(&b);
-        assert_eq!(empty, b);
     }
 }

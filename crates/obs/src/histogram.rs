@@ -1,6 +1,6 @@
 //! Fixed-bucket histograms.
 //!
-//! Buckets are chosen at registration time and never change, so
+//! Buckets are chosen when a histogram is built and never change, so
 //! observation is a bounded scan over a small, cache-resident slice —
 //! no allocation, no rebalancing, and the exported shape is identical
 //! for every run of the same build (a requirement for deterministic
@@ -28,7 +28,7 @@ impl Histogram {
     /// # Panics
     ///
     /// Panics if `bounds` is empty, non-finite, or not strictly
-    /// increasing — all registration-time programming errors.
+    /// increasing — all programming errors, not data.
     pub fn with_bounds(bounds: &[f64]) -> Self {
         assert!(!bounds.is_empty(), "histogram needs at least one bound");
         for pair in bounds.windows(2) {
@@ -47,24 +47,6 @@ impl Histogram {
             count: 0,
             sum: 0.0,
         }
-    }
-
-    /// Geometric bucket bounds: `start, start*factor, ...` (`len`
-    /// bounds total). The usual choice for latency/airtime spans where
-    /// interesting values range over several orders of magnitude.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start <= 0`, `factor <= 1`, or `len == 0`.
-    pub fn exponential_bounds(start: f64, factor: f64, len: usize) -> Vec<f64> {
-        assert!(start > 0.0 && factor > 1.0 && len > 0);
-        let mut bounds = Vec::with_capacity(len);
-        let mut bound = start;
-        for _ in 0..len {
-            bounds.push(bound);
-            bound *= factor;
-        }
-        bounds
     }
 
     /// Reconstructs a histogram from exported parts (the inverse of
@@ -148,14 +130,6 @@ mod tests {
         assert_eq!(h.counts(), &[2, 2, 2, 2]);
         assert_eq!(h.count(), 8);
         assert!((h.sum() - (0.5 + 1.0 + 2.0 + 10.0 + 99.0 + 100.0 + 101.0 + 1e9)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn exponential_bounds_grow_geometrically() {
-        assert_eq!(
-            Histogram::exponential_bounds(1.0, 10.0, 4),
-            vec![1.0, 10.0, 100.0, 1000.0]
-        );
     }
 
     #[test]

@@ -9,23 +9,26 @@
 //! stdin reaches EOF or a line reading `quit` — the daemon analogue of
 //! SIGTERM that works identically under CI, scripts, and a terminal.
 //! On shutdown it drains the shard queues, joins every thread, and
-//! prints the final per-strategy statistics (plus a Prometheus metrics
-//! dump when `--obs` is set).
+//! prints the final per-strategy statistics its shard threads hand
+//! back (plus, with `--obs`, the same statistics as a Prometheus
+//! metrics dump on stdout).
 
 use std::io::BufRead;
 
 use retri_obs::Obs;
-use retri_service::proto::{Reply, Request, ALL_SHARDS};
-use retri_service::{Server, ServiceConfig, TcpClient};
+use retri_service::{Server, ServiceConfig};
 
 struct Args {
     addr: String,
     config: ServiceConfig,
+    /// Print the final statistics as Prometheus text on stdout.
+    obs: bool,
 }
 
 fn parse_args() -> Args {
     let mut addr = "127.0.0.1:4173".to_string();
     let mut config = ServiceConfig::new(0);
+    let mut obs = false;
     let mut argv = std::env::args().skip(1);
     let value = |argv: &mut dyn Iterator<Item = String>, flag: &str| {
         argv.next()
@@ -49,16 +52,15 @@ fn parse_args() -> Args {
                     .parse()
                     .expect("--listen-window: usize");
             }
-            "--obs" => config.obs = Obs::enabled(),
+            "--obs" => obs = true,
             other => panic!("unknown argument {other:?}"),
         }
     }
-    Args { addr, config }
+    Args { addr, config, obs }
 }
 
 fn main() {
     let args = parse_args();
-    let obs = args.config.obs.clone();
     let server = Server::start(&args.config, args.addr.as_str())
         .unwrap_or_else(|err| panic!("cannot bind {}: {err}", args.addr));
     let addr = server.addr();
@@ -78,29 +80,29 @@ fn main() {
         }
     }
 
-    // Final statistics through the service's own front door.
-    let stats = TcpClient::connect(addr)
-        .and_then(|mut client| client.request(&Request::Stats { shard: ALL_SHARDS }));
-    server.shutdown();
-    if let Ok(Reply::Stats(entries)) = stats {
+    // The table and the metrics both come from the statistics the
+    // shard threads return once every queued request is served.
+    let entries = server.shutdown();
+    eprintln!(
+        "[retrid] {:<12} {:>5} {:>6} {:>12} {:>12} {:>12} {:>14}",
+        "strategy", "shard", "bits", "live", "minted", "collisions", "eq4_predicted"
+    );
+    for e in &entries {
         eprintln!(
-            "[retrid] {:<12} {:>5} {:>6} {:>12} {:>12} {:>12} {:>14}",
-            "strategy", "shard", "bits", "live", "minted", "collisions", "eq4_predicted"
+            "[retrid] {:<12} {:>5} {:>6} {:>12} {:>12} {:>12} {:>14.3}",
+            e.strategy.name(),
+            e.shard,
+            e.bits,
+            e.live_total,
+            e.minted,
+            e.collisions,
+            e.predicted_collisions,
         );
-        for e in entries {
-            eprintln!(
-                "[retrid] {:<12} {:>5} {:>6} {:>12} {:>12} {:>12} {:>14.3}",
-                e.strategy.name(),
-                e.shard,
-                e.bits,
-                e.live_total,
-                e.minted,
-                e.collisions,
-                e.predicted_collisions,
-            );
-        }
     }
-    if let Some(snapshot) = obs.snapshot() {
+    if args.obs {
+        let mut obs = Obs::enabled();
+        retri_service::obs::record(&mut obs, &entries);
+        let snapshot = obs.snapshot().expect("obs was built enabled");
         print!("{}", snapshot.to_prometheus());
     }
 }

@@ -33,6 +33,7 @@
 
 pub mod handle;
 pub mod loadgen;
+pub mod obs;
 pub mod proto;
 pub mod shard;
 pub mod strategy;

@@ -6,8 +6,9 @@
 //! in-flight transactions. Because exactly one thread ever touches a
 //! shard (the caller's thread in-process, the shard's event-loop
 //! thread over TCP), the hot path takes no locks at all; the only
-//! shared state is the pre-resolved `retri-obs` atomic cells and the
-//! shard's BUSY counter.
+//! shared state is the shard's BUSY counter. Metrics are folded from
+//! the same per-domain counts `STATS` reports ([`crate::obs::record`]),
+//! so minting records nothing twice.
 //!
 //! **Collision accounting.** A mint that lands on a value already in
 //! the live set is a ground-truth collision — the service analogue of
@@ -44,7 +45,6 @@ use retri::hash::KeyedMap;
 use retri::seed::stream_seed;
 use retri::IdentifierSpace;
 use retri_model::{p_collision, Density, IdBits};
-use retri_obs::{Counter, Gauge, Obs};
 
 use crate::proto::{Reply, Request, StrategyStats};
 use crate::strategy::{build_strategy, MintStrategy, StrategyKind};
@@ -69,8 +69,6 @@ pub struct ServiceConfig {
     /// Bounded per-shard queue depth for the TCP transport; when a
     /// shard's queue is full, requests are shed with `BUSY`.
     pub queue_depth: usize,
-    /// Metrics handle ([`Obs::disabled`] is zero-cost).
-    pub obs: Obs,
 }
 
 impl ServiceConfig {
@@ -84,7 +82,6 @@ impl ServiceConfig {
             bits: 16,
             listen_window: 64,
             queue_depth: 64,
-            obs: Obs::disabled(),
         }
     }
 }
@@ -112,9 +109,6 @@ struct Domain {
     /// `survival.powf(L)` at index `L`, filled up to the largest
     /// live-value count seen below [`SURVIVAL_MEMO`].
     survival_pow: Vec<f64>,
-    obs_minted: Counter,
-    obs_collisions: Counter,
-    obs_live: Gauge,
 }
 
 impl Domain {
@@ -123,7 +117,6 @@ impl Domain {
         let strategy = build_strategy(kind, space, config.listen_window);
         let label = format!("svc.shard{shard}.{}", kind.name());
         let bits = strategy.bits();
-        let labels = &[("strategy", kind.name())];
         Domain {
             strategy,
             rng: StdRng::seed_from_u64(stream_seed(config.seed, &label)),
@@ -136,9 +129,6 @@ impl Domain {
             predicted: 0.0,
             survival: 1.0 - (0.5f64).powi(i32::from(bits)),
             survival_pow: Vec::new(),
-            obs_minted: config.obs.counter("svc_minted_total", labels),
-            obs_collisions: config.obs.counter("svc_collisions_total", labels),
-            obs_live: config.obs.gauge("svc_live_transactions", labels),
         }
     }
 
@@ -148,14 +138,11 @@ impl Domain {
         let holders = self.live.entry(value).or_insert(0);
         if *holders > 0 {
             self.collisions += 1;
-            self.obs_collisions.inc();
         }
         *holders += 1;
         self.live_total += 1;
         self.minted += 1;
         self.strategy.observe(value);
-        self.obs_minted.inc();
-        self.obs_live.shift(1.0);
         value
     }
 
@@ -180,7 +167,6 @@ impl Domain {
                 }
                 self.live_total -= 1;
                 self.released += 1;
-                self.obs_live.shift(-1.0);
                 true
             }
             Entry::Vacant(_) => {
@@ -438,15 +424,23 @@ mod tests {
 
     #[test]
     fn obs_metrics_mirror_native_counters() {
-        let mut c = config();
-        c.obs = Obs::enabled();
-        let mut shards = build_shards(&c);
+        let mut shards = build_shards(&config());
         let _ = alloc(&mut shards[0], StrategyKind::Uniform, 300);
         let _ = alloc(&mut shards[1], StrategyKind::Uniform, 200);
-        let snapshot = c.obs.snapshot().unwrap();
+        let stats: Vec<StrategyStats> = shards.iter().flat_map(Shard::stats).collect();
+        let mut obs = retri_obs::Obs::enabled();
+        crate::obs::record(&mut obs, &stats);
+        let snapshot = obs.snapshot().unwrap();
         assert_eq!(
             snapshot.counter_with("svc_minted_total", &[("strategy", "uniform")]),
             Some(500)
+        );
+        let live: u64 = stats.iter().map(|e| e.live_total).sum();
+        assert_eq!(snapshot.gauge("svc_live_transactions"), live as f64);
+        // Strategies nothing minted from still get every series.
+        assert_eq!(
+            snapshot.counter_with("svc_collisions_total", &[("strategy", "tribles128")]),
+            Some(0)
         );
     }
 

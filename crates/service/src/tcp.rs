@@ -26,7 +26,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::handle::{bad_shard, route};
-use crate::proto::{decode_request, encode_reply, ErrCode, Reply, Request, MAX_FRAME_BYTES};
+use crate::proto::{
+    decode_request, encode_reply, ErrCode, Reply, Request, StrategyStats, MAX_FRAME_BYTES,
+};
 use crate::shard::{build_shards, ServiceConfig};
 
 /// How long a connection may sit without completing a frame before the
@@ -52,7 +54,7 @@ pub struct Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
-    shard_threads: Vec<JoinHandle<()>>,
+    shard_threads: Vec<JoinHandle<Vec<StrategyStats>>>,
     conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
     shard_txs: Vec<SyncSender<Job>>,
 }
@@ -92,6 +94,7 @@ impl Server {
                             // loses its reply; the shard keeps serving.
                             let _ = job.reply_tx.send(reply);
                         }
+                        shard.stats()
                     })
                     .expect("spawn shard thread"),
             );
@@ -148,13 +151,18 @@ impl Server {
     /// Graceful shutdown: stop accepting, let every connection thread
     /// notice within one poll interval, drain the shard queues, and
     /// join every thread.
-    pub fn shutdown(mut self) {
-        self.shutdown_impl();
+    ///
+    /// Returns each shard's final statistics, taken by its own thread
+    /// after its queue drained, in shard order: the same entries an
+    /// all-shard `STATS` would answer once every request is served. A
+    /// shard whose thread panicked contributes no entries.
+    pub fn shutdown(mut self) -> Vec<StrategyStats> {
+        self.shutdown_impl()
     }
 
-    fn shutdown_impl(&mut self) {
+    fn shutdown_impl(&mut self) -> Vec<StrategyStats> {
         if self.stop.swap(true, Ordering::SeqCst) {
-            return;
+            return Vec::new();
         }
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
@@ -172,9 +180,11 @@ impl Server {
         }
         // With every producer gone the shard loops drain and exit.
         self.shard_txs.clear();
-        for handle in self.shard_threads.drain(..) {
-            let _ = handle.join();
-        }
+        self.shard_threads
+            .drain(..)
+            .filter_map(|handle| handle.join().ok())
+            .flatten()
+            .collect()
     }
 }
 

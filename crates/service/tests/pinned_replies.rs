@@ -9,15 +9,30 @@
 //! thousand live values. Each reply is folded, in its wire encoding
 //! (floats as IEEE-754 bits), into one FNV-1a digest; the final
 //! `STATS` floats are also pinned one by one through [`f64::to_bits`]
-//! so a drift names the domain it happened in.
+//! so a drift names the domain it happened in. The final `STATS` is
+//! also folded into a metrics registry ([`retri_service::obs::record`])
+//! and its Prometheus text pinned by digest, to the bytes the daemon
+//! printed when it mirrored every mint into the registry as it went.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use retri_obs::Obs;
 use retri_service::proto::{encode_reply, ALL_SHARDS};
 use retri_service::{Reply, Request, ServiceConfig, ServiceHandle, StrategyKind};
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a digest `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 struct Run {
     digest: u64,
+    /// FNV-1a digest of the final STATS folded into Prometheus text.
+    prometheus: u64,
     replies: u64,
     /// Final all-shard STATS as `(predicted_collisions, eq4_p_collision)` bits.
     floats: Vec<(u64, u64)>,
@@ -51,7 +66,7 @@ impl Client {
             shards,
             held: vec![Vec::new(); usize::from(shards) * StrategyKind::ALL.len()],
             released: Vec::new(),
-            digest: 0xcbf2_9ce4_8422_2325,
+            digest: FNV_OFFSET,
             replies: 0,
             bytes: Vec::new(),
         }
@@ -62,10 +77,7 @@ impl Client {
         let reply = self.handle.request(req);
         self.bytes.clear();
         encode_reply(&reply, &mut self.bytes);
-        for &b in &self.bytes {
-            self.digest ^= u64::from(b);
-            self.digest = self.digest.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.digest = fnv1a(self.digest, &self.bytes);
         self.replies += 1;
         reply
     }
@@ -143,8 +155,12 @@ fn drive(seed: u64, bits: u8, shards: u16, steps: usize, pushed: StrategyKind) -
         panic!("expected STATS");
     };
     assert_eq!(entries.len(), usize::from(shards) * StrategyKind::ALL.len());
+    let mut obs = Obs::enabled();
+    retri_service::obs::record(&mut obs, &entries);
+    let text = obs.snapshot().expect("enabled").to_prometheus();
     Run {
         digest: client.digest,
+        prometheus: fnv1a(FNV_OFFSET, text.as_bytes()),
         replies: client.replies,
         floats: entries
             .iter()
@@ -161,7 +177,7 @@ fn drive(seed: u64, bits: u8, shards: u16, steps: usize, pushed: StrategyKind) -
     }
 }
 
-fn check(run: &Run, digest: u64, replies: u64, floats: &[(u64, u64)]) {
+fn check(run: &Run, digest: u64, prometheus: u64, replies: u64, floats: &[(u64, u64)]) {
     // The stream must reach the paths it pins.
     assert!(run.collisions > 0, "no collision was minted");
     assert!(run.release_misses > 0, "no release missed");
@@ -181,6 +197,11 @@ fn check(run: &Run, digest: u64, replies: u64, floats: &[(u64, u64)]) {
         );
     }
     assert_eq!(run.digest, digest, "reply digest {:#018x}", run.digest);
+    assert_eq!(
+        run.prometheus, prometheus,
+        "metrics digest {:#018x}",
+        run.prometheus
+    );
 }
 
 #[test]
@@ -189,6 +210,7 @@ fn eight_bit_stream_on_two_shards_matches_its_pin() {
     check(
         &run,
         0x0a5c_59e4_3c99_07f2,
+        0x4c83_cf6a_3720_01be,
         3026,
         &[
             (0x40b8_aadf_c0a5_d5ba, 0x3ff0_0000_0000_0000),
@@ -211,6 +233,7 @@ fn sixteen_bit_stream_on_three_shards_matches_its_pin() {
     check(
         &run,
         0xd566_c614_8120_2ec4,
+        0x550d_fc2b_df11_ed42,
         2026,
         &[
             (0x4077_9d85_93e8_23df, 0x3fc9_02d6_5912_0c74),
