@@ -16,7 +16,7 @@
 //!   a node-group boundary are severed deterministically.
 //!
 //! All random fault decisions are drawn from each receiver's
-//! *dedicated* fault stream (see [`crate::shard`]), so enabling faults
+//! *dedicated* fault stream (see [`crate::sim`]), so enabling faults
 //! never moves a draw of any other stream, and a run with
 //! [`FaultModel::none`] stays byte-identical to one with no fault model
 //! at all.

@@ -6,7 +6,7 @@
 //! experiments actually depend on:
 //!
 //! - a **broadcast medium** with limited radio range, so hidden
-//!   terminals arise naturally ([`topology`], [`shard`]);
+//!   terminals arise naturally ([`topology`], [`medium`]);
 //! - **RF frame collisions**: overlapping transmissions audible at the
 //!   same receiver corrupt each other;
 //! - **half-duplex radios** with small, fixed maximum frame sizes (the
@@ -15,7 +15,7 @@
 //! - **per-bit energy metering**, because in sensor networks *every bit
 //!   transmitted reduces the lifetime of the network* ([`energy`]);
 //! - **network dynamics**: scheduled node movement, death, and birth
-//!   ([`topology`], [`shard`]);
+//!   ([`topology`], [`sim`]);
 //! - **adversarial nodes**: an identifier-predicting eavesdropper that
 //!   injects forged frames through a protocol-supplied codec
 //!   ([`adversary`]).
@@ -67,26 +67,15 @@ pub mod energy;
 pub mod fault;
 pub mod frame;
 pub mod mac;
+pub mod medium;
 pub mod node;
 pub(crate) mod obs;
 pub mod radio;
-pub mod shard;
+pub mod sim;
 pub mod time;
+pub(crate) mod timers;
 pub mod topology;
 pub mod trace;
-
-/// Scenario tests of the whole simulator, run through its public API.
-#[cfg(test)]
-mod sim {
-    mod tests;
-}
-
-/// Verdict, carrier-sense and pruning tests of the shared air medium,
-/// driven by hand without an engine.
-#[cfg(test)]
-mod medium {
-    mod tests;
-}
 
 /// Commonly used simulator types, importable in one line.
 pub mod prelude {
@@ -95,9 +84,10 @@ pub mod prelude {
     pub use crate::fault::{ChannelState, FaultModel, GilbertElliott, PartitionWindow};
     pub use crate::frame::{Frame, FramePayload};
     pub use crate::mac::{DfaStats, FrameSizing, MacConfig, MacMode};
+    pub use crate::medium::MediumStats;
     pub use crate::node::{Context, NodeId, Protocol, Timer};
     pub use crate::radio::RadioConfig;
-    pub use crate::shard::{MediumStats, ShardedSim, ShardedSimBuilder};
+    pub use crate::sim::{ShardedSim, ShardedSimBuilder};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{Position, Topology};
 }
@@ -108,6 +98,6 @@ pub use frame::{Frame, FramePayload};
 pub use mac::{DfaConfig, DfaStats, FrameSizing, MacConfig, MacMode};
 pub use node::{Context, NodeId, Protocol, Timer};
 pub use radio::RadioConfig;
-pub use shard::{ShardedSim, ShardedSimBuilder, MIN_NODES_PER_SHARD};
+pub use sim::{ShardedSim, ShardedSimBuilder, MIN_NODES_PER_SHARD};
 pub use time::{SimDuration, SimTime};
 pub use topology::Position;

@@ -57,7 +57,7 @@ pub struct TimerHandle(pub(crate) u64);
 /// The behavior a node runs.
 ///
 /// Implementations contain all protocol state; the simulator owns the
-/// instances and exposes them through [`crate::shard::ShardedSim::protocol`]
+/// instances and exposes them through [`crate::sim::ShardedSim::protocol`]
 /// for post-run inspection.
 pub trait Protocol {
     /// Called once when the node boots (simulation start, or the moment

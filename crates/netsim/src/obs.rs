@@ -9,13 +9,13 @@
 //! worker threads, and the snapshot is shard-count invariant by
 //! construction (every total is a sum of exact per-shard counts).
 //!
-//! [`ShardedSim::record_metrics`]: crate::shard::ShardedSim::record_metrics
+//! [`ShardedSim::record_metrics`]: crate::sim::ShardedSim::record_metrics
 
 use retri_obs::{Histogram, Obs};
 
 use crate::energy::EnergyMeter;
+use crate::medium::MediumStats;
 use crate::radio::EnergyModel;
-use crate::shard::MediumStats;
 use crate::trace::LossReason;
 
 /// Bucket bounds (simulated micros) for transmission airtimes:

@@ -1,15 +1,124 @@
-use retri_obs::Obs;
+use proptest::prelude::*;
 
-use crate::fault::{ChannelState, FaultModel, GilbertElliott, PartitionWindow};
-use crate::frame::{Frame, FramePayload};
-use crate::mac::MacConfig;
-use crate::node::{Context, NodeId, Protocol, Timer};
-use crate::radio::{DutyCycle, RadioConfig};
-use crate::shard::testkit::Chatter;
-use crate::shard::{ShardedSim, ShardedSimBuilder};
-use crate::time::{SimDuration, SimTime};
-use crate::topology::Position;
-use crate::trace::{LossReason, TraceEvent};
+use super::*;
+use crate::fault::{ChannelState, GilbertElliott, PartitionWindow};
+
+/// Sends `to_send` frames at start; counts frames heard.
+struct Chatter {
+    to_send: u32,
+    heard: u32,
+    payload_bytes: usize,
+}
+
+impl Protocol for Chatter {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        for _ in 0..self.to_send {
+            ctx.send(FramePayload::from_bytes(vec![0xAA; self.payload_bytes]).unwrap())
+                .unwrap();
+        }
+    }
+    fn on_frame(&mut self, _ctx: &mut Context<'_>, _frame: &Frame) {
+        self.heard += 1;
+    }
+    fn on_timer(&mut self, _ctx: &mut Context<'_>, _timer: Timer) {}
+}
+
+/// A saturating sender, the engine-level twin of the AFF senders'
+/// `Saturate` workload: whenever a tick finds the radio queue empty
+/// it sends a burst of 1–6 frames of 1–27 random bytes and records
+/// the instant. Ticks run in chains, each tick arming the next: the
+/// poll-mode twin re-arms a plain timer every `poll` and checks the
+/// queue itself, the idle-mode twin arms
+/// [`Context::set_timer_when_idle`]. A boot starts a chain after
+/// `offset` and leaves any chain of an earlier life running; a heard
+/// frame whose first byte is a multiple of four restarts the current
+/// life's chain (cancel and re-arm).
+struct Saturator {
+    idle: bool,
+    poll: SimDuration,
+    /// Delay from boot to the first tick.
+    offset: SimDuration,
+    /// No burst starts at or after this instant.
+    stop: SimTime,
+    /// The instants bursts were sent at.
+    sends: Vec<SimTime>,
+    /// Timer callbacks made.
+    ticks: u64,
+    /// Idle-timer callbacks that found the queue busy (the idle
+    /// timer's contract is that there are none).
+    busy_ticks: u64,
+    /// The pending tick of this life's chain.
+    chain: Option<TimerHandle>,
+}
+
+/// Token of a chain's first tick, a plain timer in either mode.
+const FIRST_TICK: u64 = 0;
+/// Token of every later tick.
+const TICK: u64 = 1;
+
+impl Saturator {
+    fn new(idle: bool, poll: SimDuration, offset: SimDuration, stop: SimTime) -> Self {
+        Saturator {
+            idle,
+            poll,
+            offset,
+            stop,
+            sends: Vec::new(),
+            ticks: 0,
+            busy_ticks: 0,
+            chain: None,
+        }
+    }
+
+    fn next_tick(&self, ctx: &mut Context<'_>) -> TimerHandle {
+        if self.idle {
+            ctx.set_timer_when_idle(self.poll, TICK)
+        } else {
+            ctx.set_timer(self.poll, TICK)
+        }
+    }
+}
+
+impl Protocol for Saturator {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        self.chain = Some(ctx.set_timer(self.offset, FIRST_TICK));
+    }
+
+    fn on_frame(&mut self, ctx: &mut Context<'_>, frame: &Frame) {
+        if frame.payload.bytes()[0].is_multiple_of(4) && ctx.now() < self.stop {
+            if let Some(handle) = self.chain.take() {
+                ctx.cancel_timer(handle);
+            }
+            self.chain = Some(self.next_tick(ctx));
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, timer: Timer) {
+        self.ticks += 1;
+        if self.idle && timer.token == TICK && ctx.pending_frames() > 0 {
+            self.busy_ticks += 1;
+        }
+        let current = self.chain == Some(timer.handle);
+        if current {
+            self.chain = None;
+        }
+        if ctx.now() >= self.stop {
+            return;
+        }
+        if ctx.pending_frames() == 0 {
+            for _ in 0..ctx.rng().gen_range(1..=6) {
+                let len = ctx.rng().gen_range(1..=27);
+                let bytes = (0..len).map(|_| ctx.rng().gen()).collect();
+                ctx.send(FramePayload::from_bytes(bytes).unwrap()).unwrap();
+            }
+            self.sends.push(ctx.now());
+        }
+        let next = self.next_tick(ctx);
+        if current {
+            self.chain = Some(next);
+        }
+    }
+}
 
 /// Node 0 sends three 10-byte frames to node 1, 10 m away, over CSMA on
 /// one shard.
@@ -604,4 +713,1316 @@ fn oversized_send_is_rejected_at_send_time() {
         Some(Err(crate::frame::FrameError::TooLarge { .. }))
     ));
     assert_eq!(sim.stats().frames_sent, 0);
+}
+
+fn two_node(seed: u64, mac: MacConfig, shards: usize) -> ShardedSim<Chatter> {
+    let mut sim = ShardedSimBuilder::new(seed)
+        .mac(mac)
+        .shards(shards)
+        .build(|id| Chatter {
+            to_send: if id == NodeId(0) { 3 } else { 0 },
+            heard: 0,
+            payload_bytes: 10,
+        });
+    sim.add_node_at(Position::new(0.0, 0.0));
+    sim.add_node_at(Position::new(10.0, 0.0));
+    sim
+}
+
+#[test]
+fn aloha_two_node_delivery() {
+    let mut sim = two_node(1, MacConfig::aloha(), 2);
+    sim.run_until(SimTime::from_secs(2));
+    assert_eq!(sim.protocol(NodeId(1)).heard, 3);
+    assert_eq!(sim.stats().frames_sent, 3);
+    assert_eq!(sim.stats().deliveries, 3);
+}
+
+/// The O(active) contract, global half (ISSUE 7): advancing the
+/// clock across a fully idle stretch must execute zero windows —
+/// a naive engine would walk ~200k empty lookahead windows here,
+/// scanning every shard in each.
+#[test]
+fn fully_idle_stretches_execute_zero_windows() {
+    let mut sim = two_node(7, MacConfig::aloha(), 2);
+    sim.run_until(SimTime::from_secs(1));
+    let active = sim.windows_executed();
+    assert!(active > 0, "the chatter phase must execute windows");
+    assert_eq!(sim.protocol(NodeId(1)).heard, 3);
+    sim.run_until(SimTime::from_secs(101));
+    assert_eq!(
+        sim.windows_executed(),
+        active,
+        "idle time must be skipped, not walked window by window"
+    );
+}
+
+/// The O(active) contract, per-shard half: a shard owning only
+/// silent nodes fast-forwards through windows its busy siblings
+/// execute, without perturbing their deliveries.
+#[test]
+fn idle_shards_skip_windows_inside_active_ones() {
+    let mut sim = ShardedSimBuilder::new(9)
+        .mac(MacConfig::aloha())
+        .shards(2)
+        .build(|id| Chatter {
+            to_send: if id.0 == 0 { 2 } else { 0 },
+            heard: 0,
+            payload_bytes: 10,
+        });
+    // Two clusters far apart: the default spatial-stripe placement
+    // gives the silent right-hand pair its own shard.
+    sim.add_node_at(Position::new(0.0, 0.0));
+    sim.add_node_at(Position::new(10.0, 0.0));
+    sim.add_node_at(Position::new(1000.0, 0.0));
+    sim.add_node_at(Position::new(1010.0, 0.0));
+    sim.run_until(SimTime::from_secs(1));
+    assert_eq!(sim.protocol(NodeId(1)).heard, 2);
+    assert_eq!(sim.protocol(NodeId(2)).heard, 0);
+    assert!(
+        sim.shard_windows_skipped() > 0,
+        "the silent shard must skip, not walk, the busy windows"
+    );
+}
+
+#[test]
+fn csma_two_node_delivery() {
+    let mut sim = two_node(1, MacConfig::csma(), 2);
+    sim.run_until(SimTime::from_secs(2));
+    assert_eq!(sim.protocol(NodeId(1)).heard, 3);
+    assert_eq!(sim.stats().deliveries, 3);
+}
+
+/// An uncontended DFA sender: every slot transmission succeeds,
+/// every transmission gets exactly one feedback verdict, and the
+/// frame/slot accounting holds.
+#[test]
+fn dfa_two_node_delivery() {
+    let mac = MacConfig::dfa_known(SimDuration::from_millis(8), 2);
+    let mut sim = two_node(1, mac, 2);
+    sim.run_until(SimTime::from_secs(2));
+    assert_eq!(sim.protocol(NodeId(1)).heard, 3);
+    assert_eq!(sim.stats().frames_sent, 3);
+    assert_eq!(sim.stats().deliveries, 3);
+    let dfa = sim.dfa_stats();
+    assert_eq!(dfa.successes, 3);
+    assert_eq!(dfa.collisions, 0);
+    assert_eq!(dfa.attempts(), sim.stats().frames_sent);
+    assert!(dfa.frames >= 3, "one frame draw per attempt at least");
+    assert_eq!(
+        dfa.slots,
+        dfa.frames * 2,
+        "known N=2 sizes every frame at 2"
+    );
+}
+
+/// A saturated DFA clique: collided frames are requeued and
+/// re-contend in later frames until every payload is through —
+/// the engine must drain completely, with exactly one feedback
+/// verdict per transmission.
+#[test]
+fn dfa_clique_requeues_collisions_until_drained() {
+    let mac = MacConfig::dfa_known(SimDuration::from_millis(8), 4);
+    let mut sim = ShardedSimBuilder::new(3)
+        .mac(mac)
+        .shards(2)
+        .build(|_| Chatter {
+            to_send: 3,
+            heard: 0,
+            payload_bytes: 10,
+        });
+    sim.add_node_at(Position::new(0.0, 0.0));
+    sim.add_node_at(Position::new(10.0, 0.0));
+    sim.add_node_at(Position::new(0.0, 10.0));
+    sim.add_node_at(Position::new(10.0, 10.0));
+    sim.run_until(SimTime::from_secs(30));
+    for id in sim.node_ids() {
+        assert_eq!(
+            sim.protocol(id).heard,
+            9,
+            "{id} must hear all 3 frames of its 3 peers"
+        );
+    }
+    let dfa = sim.dfa_stats();
+    assert_eq!(
+        dfa.successes, 12,
+        "12 distinct payloads eventually got through"
+    );
+    assert_eq!(
+        dfa.attempts(),
+        sim.stats().frames_sent,
+        "one verdict per transmission"
+    );
+    assert_eq!(
+        sim.stats().frames_sent,
+        12 + dfa.collisions,
+        "every extra transmission is a requeued collision"
+    );
+}
+
+/// DFA digests — including the DFA counters — are shard-count
+/// invariant (the deterministic cousin of the proptests in
+/// `tests/shard_invariance.rs`).
+#[test]
+fn dfa_is_shard_count_invariant() {
+    let mac = MacConfig::dfa_known(SimDuration::from_millis(8), 16);
+    let mut reference = grid_run(11, mac, 1, false);
+    reference.run_until(SimTime::from_secs(20));
+    let want = (digest(&reference), reference.dfa_stats());
+    for shards in [2usize, 4] {
+        let mut sim = grid_run(11, mac, shards, false);
+        sim.run_until(SimTime::from_secs(20));
+        assert_eq!(
+            (digest(&sim), sim.dfa_stats()),
+            want,
+            "diverged at {shards} shards"
+        );
+    }
+}
+
+/// The condensed output of one run: everything the engine promises
+/// to keep invariant across shard counts.
+#[derive(Debug, PartialEq)]
+struct RunDigest {
+    stats: MediumStats,
+    heard: Vec<u32>,
+    total: EnergyMeter,
+    traces: Vec<TraceEvent>,
+}
+
+fn digest(sim: &ShardedSim<Chatter>) -> RunDigest {
+    RunDigest {
+        stats: sim.stats(),
+        heard: sim.node_ids().map(|id| sim.protocol(id).heard).collect(),
+        total: sim.total_meter(),
+        traces: sim
+            .tracer()
+            .map(|t| t.events().copied().collect())
+            .unwrap_or_default(),
+    }
+}
+
+/// A saturated 4×4 grid with mobility, churn, partitions, duty
+/// cycling, and a lossy fault channel — every code path at once.
+fn grid_run(seed: u64, mac: MacConfig, shards: usize, faulty: bool) -> ShardedSim<Chatter> {
+    let topo = Topology::grid(4, 4, 30.0, 45.0);
+    let mut builder = ShardedSimBuilder::new(seed).mac(mac).range(45.0);
+    if faulty {
+        builder = builder.faults(
+            FaultModel::none()
+                .with_channel(GilbertElliott::bursty(
+                    ChannelState {
+                        frame_erasure: 0.02,
+                        bit_error_rate: 1e-3,
+                    },
+                    ChannelState {
+                        frame_erasure: 0.3,
+                        bit_error_rate: 1e-2,
+                    },
+                    0.1,
+                    0.4,
+                ))
+                .with_churn_event(SimTime::from_millis(300), NodeId(5), false)
+                .with_churn_event(SimTime::from_millis(700), NodeId(5), true)
+                .with_partition(PartitionWindow::new(
+                    SimTime::from_millis(200),
+                    SimTime::from_millis(600),
+                    vec![NodeId(0), NodeId(1), NodeId(4)],
+                )),
+        );
+    }
+    let mut sim = builder
+        .shards(shards)
+        .build_with_topology(&topo, |id| Chatter {
+            to_send: 2 + id.0 % 3,
+            heard: 0,
+            payload_bytes: 12,
+        });
+    sim.enable_trace(100_000);
+    sim.schedule_move(
+        SimTime::from_millis(250),
+        NodeId(3),
+        Position::new(200.0, 200.0),
+    );
+    sim.schedule_move(
+        SimTime::from_millis(800),
+        NodeId(3),
+        Position::new(30.0, 0.0),
+    );
+    if faulty {
+        sim.set_duty_cycle(
+            NodeId(7),
+            Some(DutyCycle::new(
+                SimDuration::from_millis(50),
+                0.5,
+                SimDuration::ZERO,
+            )),
+        );
+    }
+    sim
+}
+
+fn grid_digest(seed: u64, mac: MacConfig, shards: usize, faulty: bool) -> RunDigest {
+    let mut sim = grid_run(seed, mac, shards, faulty);
+    // Split the run so rebalancing after the mid-run move happens.
+    sim.run_until(SimTime::from_millis(500));
+    sim.run_until(SimTime::from_millis(1500));
+    digest(&sim)
+}
+
+#[test]
+fn shard_count_invariance_aloha() {
+    let reference = grid_digest(11, MacConfig::aloha(), 1, false);
+    assert!(reference.stats.frames_sent > 0);
+    assert!(reference.stats.deliveries > 0);
+    assert!(!reference.traces.is_empty());
+    for shards in [2, 4, 8] {
+        assert_eq!(
+            grid_digest(11, MacConfig::aloha(), shards, false),
+            reference,
+            "ALOHA run diverged at {shards} shards"
+        );
+    }
+}
+
+#[test]
+fn shard_count_invariance_csma() {
+    let reference = grid_digest(12, MacConfig::csma(), 1, false);
+    assert!(reference.stats.frames_sent > 0);
+    assert!(reference.stats.deliveries > 0);
+    for shards in [2, 4, 8] {
+        assert_eq!(
+            grid_digest(12, MacConfig::csma(), shards, false),
+            reference,
+            "CSMA run diverged at {shards} shards"
+        );
+    }
+}
+
+#[test]
+fn shard_count_invariance_with_faults() {
+    for mac in [MacConfig::aloha(), MacConfig::csma()] {
+        let reference = grid_digest(13, mac, 1, true);
+        assert!(reference.stats.frames_sent > 0);
+        for shards in [2, 4] {
+            assert_eq!(
+                grid_digest(13, mac, shards, true),
+                reference,
+                "faulty run diverged at {shards} shards"
+            );
+        }
+    }
+}
+
+#[test]
+fn parallel_matches_forced_serial() {
+    for mac in [MacConfig::aloha(), MacConfig::csma()] {
+        // The 16-node grid is far below the threading threshold, so
+        // it runs inline by default: force the worker-thread path to
+        // pin serial == threaded.
+        let mut parallel = grid_run(14, mac, 4, true);
+        parallel.set_force_threads(true);
+        let mut serial = grid_run(14, mac, 4, true);
+        assert!(!serial.uses_worker_threads());
+        parallel.run_until(SimTime::from_secs(1));
+        serial.run_until(SimTime::from_secs(1));
+        assert_eq!(digest(&parallel), digest(&serial));
+    }
+}
+
+/// The full invariance digest, but on the worker-thread engine
+/// (one shared air view, interest routing of delivery events).
+#[test]
+fn shard_count_invariance_threaded() {
+    for (seed, mac) in [(15, MacConfig::aloha()), (16, MacConfig::csma())] {
+        let reference = grid_digest(seed, mac, 1, true);
+        assert!(reference.stats.frames_sent > 0);
+        for shards in [2, 4, 8] {
+            let mut sim = grid_run(seed, mac, shards, true);
+            sim.set_force_threads(true);
+            sim.run_until(SimTime::from_millis(500));
+            sim.run_until(SimTime::from_millis(1500));
+            assert_eq!(
+                digest(&sim),
+                reference,
+                "threaded {mac:?} run diverged at {shards} shards"
+            );
+        }
+    }
+}
+
+/// Regression test for the PR 5 `sim_fault_channel` blowup: a
+/// testbed-sized topology sharded four ways must run the windowed
+/// loop inline — worker threads and their per-window barriers cost
+/// orders of magnitude more than such a simulation does.
+#[test]
+fn small_topologies_gate_to_the_inline_loop() {
+    let mut sim = two_node(41, MacConfig::csma(), 4);
+    assert!(
+        !sim.uses_worker_threads(),
+        "a 2-node sim must not spin up worker threads"
+    );
+    // The debugging knob still overrides the cost model.
+    sim.set_force_threads(true);
+    assert!(sim.uses_worker_threads());
+    // Single-shard sims never thread, whatever the knobs say.
+    let mut single = two_node(41, MacConfig::csma(), 1);
+    single.set_force_threads(true);
+    assert!(!single.uses_worker_threads());
+}
+
+/// Transmissions that start and end inside one window (airtime
+/// shorter than the lookahead) all count as ended airtimes.
+#[test]
+fn same_window_transmissions_leave_no_assignment_behind() {
+    let mut sim = ShardedSimBuilder::new(5)
+        .radio(RadioConfig::ideal(1_000_000, 27))
+        .mac(MacConfig::aloha())
+        .build(|_| Chatter {
+            to_send: 200,
+            heard: 0,
+            payload_bytes: 27,
+        });
+    sim.add_node_at(Position::new(0.0, 0.0));
+    sim.add_node_at(Position::new(10.0, 0.0));
+    sim.run_until(SimTime::from_secs(5));
+    assert_eq!(sim.stats().frames_sent, 400);
+    let mut obs = Obs::enabled();
+    sim.record_metrics(&mut obs);
+    let snap = obs.snapshot().expect("enabled");
+    assert_eq!(snap.counter("netsim_tx_airtime_completed_total"), 400);
+}
+
+/// A run stopped while a frame is on the air counts it as started
+/// and active, but not as completed or in the airtime histogram.
+#[test]
+fn a_frame_on_the_air_at_the_deadline_stays_active() {
+    let mut sim = two_node(8, MacConfig::aloha(), 1);
+    // ALOHA sends the first frame one turnaround after the start and
+    // the second one inter-frame space after the first ends.
+    let airtime = sim.radio().airtime(10 * 8);
+    let second_start = SimTime::ZERO + LOOKAHEAD + airtime + MacConfig::aloha().ifs;
+    sim.run_until(second_start + SimDuration::from_micros(airtime.as_micros() / 2));
+    let mut obs = Obs::enabled();
+    sim.record_metrics(&mut obs);
+    let snap = obs.snapshot().expect("enabled");
+    assert_eq!(snap.counter("netsim_tx_airtime_started_total"), 2);
+    assert_eq!(snap.counter("netsim_tx_airtime_completed_total"), 1);
+    assert_eq!(snap.gauge("netsim_tx_airtime_active"), 1.0);
+    let airtimes = snap
+        .histogram_with("netsim_tx_airtime_micros", &[])
+        .expect("airtime histogram registered");
+    assert_eq!(airtimes.count(), 1);
+    assert_eq!(airtimes.sum(), airtime.as_micros() as f64);
+}
+
+proptest! {
+    /// Observed runs keep their worker threads, and observing one
+    /// changes neither its output nor, at any shard count, its
+    /// metrics: both equal the inline single-shard run's.
+    #[test]
+    fn threaded_observed_runs_match_one_shard(seed in 0..u64::MAX, faulty in any::<bool>()) {
+        for mac in [MacConfig::aloha(), MacConfig::csma()] {
+            let mut reference = grid_run(seed, mac, 1, faulty);
+            reference.run_until(SimTime::from_millis(500));
+            reference.run_until(SimTime::from_millis(1500));
+            let mut expected = Obs::enabled();
+            reference.record_metrics(&mut expected);
+            let expected = expected.snapshot().expect("enabled").to_jsonl();
+            for shards in [2, 4, 8] {
+                let mut sim = grid_run(seed, mac, shards, faulty);
+                sim.set_force_threads(true);
+                prop_assert!(sim.uses_worker_threads());
+                sim.run_until(SimTime::from_millis(500));
+                sim.run_until(SimTime::from_millis(1500));
+                let mut obs = Obs::enabled();
+                sim.record_metrics(&mut obs);
+                prop_assert_eq!(digest(&sim), digest(&reference), "{:?} at K = {}", mac, shards);
+                let snapshot = obs.snapshot().expect("enabled").to_jsonl();
+                prop_assert_eq!(&snapshot, &expected, "{:?} at K = {}", mac, shards);
+            }
+        }
+    }
+}
+
+/// A shard's interest set loses and regains the sender's cell while
+/// its frame is on the air — the receiver moves away and back within
+/// one airtime — so routing hands that shard the delivery event more
+/// than once. The receive phase must judge the frame once: one
+/// shard, two threaded shards and two inline shards all agree.
+#[test]
+fn regained_interest_delivers_once() {
+    let run = |shards: usize, threads: bool| {
+        let mut sim = ShardedSimBuilder::new(3)
+            .mac(MacConfig::aloha())
+            .range(100.0)
+            .shards(shards)
+            .build(|id| Chatter {
+                to_send: u32::from(id == NodeId(1)),
+                heard: 0,
+                payload_bytes: 27,
+            });
+        // Stripes by grid cell: {0, sender} | {receiver, 3}.
+        sim.add_node_at(Position::new(-500.0, 50.0));
+        let sender = sim.add_node_at(Position::new(90.0, 50.0));
+        let receiver = sim.add_node_at(Position::new(110.0, 50.0));
+        sim.add_node_at(Position::new(700.0, 50.0));
+        sim.enable_trace(64);
+        // Four nodes on two shards run inline unless forced.
+        sim.set_force_threads(threads);
+        assert_eq!(sim.uses_worker_threads(), threads && shards > 1);
+        // The frame is on the air over [0.5 ms, 7.1 ms).
+        sim.schedule_move(
+            SimTime::from_micros(1_200),
+            receiver,
+            Position::new(3_000.0, 3_000.0),
+        );
+        sim.schedule_move(
+            SimTime::from_micros(3_200),
+            receiver,
+            Position::new(110.0, 50.0),
+        );
+        sim.run_until(SimTime::from_micros(3_500));
+        if shards > 1 {
+            let receiver_shard = sim.owner[receiver.index()].0 as usize;
+            assert_ne!(receiver_shard, sim.owner[sender.index()].0 as usize);
+            let copies = sim.cores[receiver_shard]
+                .rx_heap
+                .iter()
+                .filter(|ev| matches!(ev.kind, RxKind::Deliver { .. }))
+                .count();
+            assert!(copies > 1, "routing must repeat the delivery event");
+        }
+        sim.run_until(SimTime::from_millis(50));
+        sim
+    };
+    let reference = run(1, false);
+    assert_eq!(reference.stats().frames_sent, 1);
+    assert_eq!(reference.protocol(NodeId(2)).heard, 1);
+    let want = digest(&reference);
+    for threads in [true, false] {
+        let sim = run(2, threads);
+        let heard: Vec<u32> = sim.node_ids().map(|id| sim.protocol(id).heard).collect();
+        assert_eq!(heard, want.heard, "threads: {threads}");
+        assert_eq!(digest(&sim), want, "threads: {threads}");
+    }
+}
+
+/// Panics at a fixed sim time on one node.
+struct Grenade {
+    armed: bool,
+}
+
+impl Protocol for Grenade {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        if self.armed {
+            ctx.set_timer(SimDuration::from_millis(7), 99);
+        }
+    }
+    fn on_frame(&mut self, _ctx: &mut Context<'_>, _frame: &Frame) {}
+    fn on_timer(&mut self, _ctx: &mut Context<'_>, _timer: Timer) {
+        panic!("protocol detonated");
+    }
+}
+
+/// A panic inside a protocol callback on a worker thread must
+/// propagate to the caller with its original payload — not hang the
+/// barrier protocol, and not surface as a generic secondhand
+/// message.
+#[test]
+fn worker_panic_propagates_instead_of_hanging() {
+    let result = std::panic::catch_unwind(|| {
+        let mut sim = ShardedSimBuilder::new(43)
+            .shards(4)
+            .build(|id| Grenade { armed: id.0 == 2 });
+        for i in 0..8 {
+            sim.add_node_at(Position::new(f64::from(i) * 30.0, 0.0));
+        }
+        sim.set_force_threads(true);
+        sim.run_until(SimTime::from_secs(1));
+    });
+    let payload = result.expect_err("the protocol panic must propagate");
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .map(String::from)
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_default();
+    assert_eq!(message, "protocol detonated");
+}
+
+/// Placement is pure load balancing: forcing a scattered placement
+/// that spatial stripes would never pick, in the middle of a run,
+/// leaves the output unchanged on the inline and threaded loops.
+#[test]
+fn placement_strategies_never_change_output() {
+    let reference = grid_digest(17, MacConfig::csma(), 1, true);
+    let stripes = spatial_stripes(&Topology::grid(4, 4, 30.0, 45.0), 3);
+    assert_eq!(stripes.len(), 16);
+    assert!(stripes.iter().all(|&s| s < 3), "stripes out of range");
+    let scattered: Vec<u32> = (0..16).map(|i| i % 3).collect();
+    assert_ne!(scattered, stripes);
+    for threads in [false, true] {
+        let mut sim = grid_run(17, MacConfig::csma(), 3, true);
+        sim.set_force_threads(threads);
+        sim.run_until(SimTime::from_millis(500));
+        sim.reassign(&scattered);
+        sim.run_until(SimTime::from_millis(1500));
+        assert_eq!(
+            digest(&sim),
+            reference,
+            "scattered placement diverged (threads: {threads})"
+        );
+    }
+}
+
+/// Spatial stripes cut the cell-sorted order into contiguous
+/// near-equal chunks.
+#[test]
+fn spatial_stripes_are_contiguous_and_balanced() {
+    let topo = Topology::grid(8, 8, 30.0, 45.0);
+    let assignment = spatial_stripes(&topo, 4);
+    let mut sizes = [0usize; 4];
+    for &s in &assignment {
+        sizes[s as usize] += 1;
+    }
+    assert_eq!(sizes, [16, 16, 16, 16]);
+    // Contiguous: ascending grid cells never step back a shard.
+    let mut by_cell: Vec<((i64, i64), u32)> = topo
+        .node_ids()
+        .map(|id| (topo.cell(id), assignment[id.index()]))
+        .collect();
+    by_cell.sort_unstable();
+    assert!(by_cell.windows(2).all(|w| w[0].1 <= w[1].1));
+}
+
+/// Arms two timers at start, cancels one of them.
+struct Ticker {
+    fired: Vec<u64>,
+}
+
+impl Protocol for Ticker {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        ctx.set_timer(SimDuration::from_millis(10), 1);
+        let doomed = ctx.set_timer(SimDuration::from_millis(20), 2);
+        ctx.set_timer(SimDuration::from_millis(30), 3);
+        ctx.cancel_timer(doomed);
+    }
+    fn on_frame(&mut self, _ctx: &mut Context<'_>, _frame: &Frame) {}
+    fn on_timer(&mut self, _ctx: &mut Context<'_>, timer: Timer) {
+        self.fired.push(timer.token);
+    }
+}
+
+#[test]
+fn timers_fire_in_order_and_cancel_works() {
+    let mut sim = ShardedSimBuilder::new(9)
+        .shards(2)
+        .build(|_| Ticker { fired: Vec::new() });
+    sim.add_node_at(Position::new(0.0, 0.0));
+    sim.add_node_at(Position::new(10.0, 0.0));
+    sim.run_until(SimTime::from_millis(100));
+    for id in [NodeId(0), NodeId(1)] {
+        assert_eq!(sim.protocol(id).fired, vec![1, 3]);
+    }
+}
+
+/// Queues `burst` full frames at boot; 1 ms in, while they are still
+/// queued, arms one idle timer per entry of `polls` (tokens 10, 11,
+/// …), and at `cancel_at` cancels them. Records every handle it gets
+/// and every idle timer that fires, with the pending count it saw.
+struct Parker {
+    burst: u32,
+    polls: Vec<u64>,
+    cancel_at: Option<SimDuration>,
+    armed: Vec<TimerHandle>,
+    idle: Vec<TimerHandle>,
+    fired: Vec<(u64, SimTime, usize)>,
+}
+
+impl Parker {
+    fn new(burst: u32, polls: &[u64], cancel_at: Option<SimDuration>) -> Self {
+        Parker {
+            burst,
+            polls: polls.to_vec(),
+            cancel_at,
+            armed: Vec::new(),
+            idle: Vec::new(),
+            fired: Vec::new(),
+        }
+    }
+}
+
+impl Protocol for Parker {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        for _ in 0..self.burst {
+            ctx.send(FramePayload::from_bytes(vec![7; 27]).unwrap())
+                .unwrap();
+        }
+        self.armed
+            .push(ctx.set_timer(SimDuration::from_millis(1), 1));
+        if let Some(at) = self.cancel_at {
+            self.armed.push(ctx.set_timer(at, 2));
+        }
+    }
+    fn on_frame(&mut self, _ctx: &mut Context<'_>, _frame: &Frame) {}
+    fn on_timer(&mut self, ctx: &mut Context<'_>, timer: Timer) {
+        match timer.token {
+            1 => {
+                for (i, &poll) in self.polls.iter().enumerate() {
+                    let poll = SimDuration::from_micros(poll);
+                    let handle = ctx.set_timer_when_idle(poll, 10 + i as u64);
+                    self.armed.push(handle);
+                    self.idle.push(handle);
+                }
+            }
+            2 => {
+                for &handle in &self.idle {
+                    ctx.cancel_timer(handle);
+                }
+            }
+            token => self.fired.push((token, ctx.now(), ctx.pending_frames())),
+        }
+    }
+}
+
+fn parker_sim(shards: usize, parker: impl Fn(NodeId) -> Parker + 'static) -> ShardedSim<Parker> {
+    ShardedSimBuilder::new(41)
+        .mac(MacConfig::aloha())
+        .range(50.0)
+        .shards(shards)
+        .build(parker)
+}
+
+/// The armed idle timers of `node`, with the shard holding each and
+/// whether it is parked.
+fn idle_on(sim: &ShardedSim<Parker>, node: NodeId) -> Vec<(usize, TimerHandle, bool)> {
+    sim.cores
+        .iter()
+        .enumerate()
+        .flat_map(|(shard, core)| {
+            core.idle
+                .armed(node)
+                .map(move |(handle, parked)| (shard, handle, parked))
+        })
+        .collect()
+}
+
+#[test]
+fn parked_idle_timers_fire_once_the_queue_drains() {
+    let mut sim = parker_sim(1, |_| Parker::new(4, &[300, 700], None));
+    let node = sim.add_node_at(Position::new(0.0, 0.0));
+    sim.run_until(SimTime::from_millis(2));
+    // Armed while four frames were queued: both wait off the heap.
+    let idle = sim.protocol(node).idle.clone();
+    let armed: Vec<(usize, TimerHandle, bool)> =
+        idle.iter().map(|&handle| (0, handle, true)).collect();
+    assert_eq!(idle_on(&sim, node), armed);
+    sim.run_until(SimTime::from_secs(1));
+    assert!(idle_on(&sim, node).is_empty());
+    let fired = &sim.protocol(node).fired;
+    assert_eq!(
+        fired.len(),
+        2,
+        "each idle timer fires exactly once: {fired:?}"
+    );
+    let armed_at = SimTime::from_millis(1);
+    for &(token, at, pending) in fired {
+        let poll = [300, 700][(token - 10) as usize];
+        assert_eq!(pending, 0, "timer {token} fired on a busy queue");
+        assert_eq!(
+            at.since(armed_at).as_micros() % poll,
+            0,
+            "timer {token} off its grid"
+        );
+        assert!(
+            at > SimTime::from_millis(20),
+            "four 27-byte frames take > 20 ms"
+        );
+    }
+    // The first fires on the first instant of either grid after the
+    // queue drained, so the two fire less than a 700 µs poll apart.
+    assert!(fired[1].1.since(fired[0].1) < SimDuration::from_micros(700));
+}
+
+#[test]
+fn idle_timers_draw_handles_from_the_node_counter() {
+    let mut sim = parker_sim(1, |_| {
+        Parker::new(1, &[300, 900], Some(SimDuration::from_millis(5)))
+    });
+    let node = sim.add_node_at(Position::new(0.0, 0.0));
+    sim.run_until(SimTime::from_millis(2));
+    let handles: Vec<u64> = sim.protocol(node).armed.iter().map(|h| h.0).collect();
+    assert_eq!(handles, vec![0, 1, 2, 3]);
+}
+
+#[test]
+fn cancelling_a_parked_idle_timer_leaves_nothing_behind() {
+    let cancel_at = Some(SimDuration::from_millis(3));
+    let mut sim = parker_sim(1, move |_| Parker::new(4, &[300], cancel_at));
+    let node = sim.add_node_at(Position::new(0.0, 0.0));
+    sim.run_until(SimTime::from_millis(2));
+    assert_eq!(idle_on(&sim, node).len(), 1);
+    sim.run_until(SimTime::from_millis(4));
+    // Cancelled while parked: no entry and no tombstone.
+    assert!(idle_on(&sim, node).is_empty());
+    assert!(sim.local_node(node).cancelled.is_empty());
+    sim.run_until(SimTime::from_secs(1));
+    assert!(
+        sim.protocol(node).fired.is_empty(),
+        "a cancelled timer fired"
+    );
+    assert_eq!(sim.stats().frames_sent, 4);
+}
+
+#[test]
+fn parked_idle_timers_follow_their_node_across_shards() {
+    // Stripes cut the cell-sorted nodes in half: {0, 1} | {2, 3}.
+    // Node 0, parked, then moves past nodes 2 and 3 while node 2
+    // moves home, so the rebalance at the next run hands node 0 to
+    // the other shard.
+    let mut sim = parker_sim(2, |id| {
+        if id == NodeId(0) {
+            Parker::new(4, &[300], None)
+        } else {
+            Parker::new(0, &[], None)
+        }
+    });
+    for x in [10.0, 20.0, 200.0, 210.0] {
+        sim.add_node_at(Position::new(x, 10.0));
+    }
+    let node = NodeId(0);
+    sim.run_until(SimTime::from_millis(2));
+    let before = idle_on(&sim, node);
+    assert_eq!(before.len(), 1);
+    assert!(before[0].2, "armed while the queue was busy");
+    sim.schedule_move(SimTime::from_millis(3), node, Position::new(220.0, 10.0));
+    sim.schedule_move(SimTime::from_millis(3), NodeId(2), Position::new(5.0, 10.0));
+    sim.run_until(SimTime::from_millis(4));
+    sim.run_until(SimTime::from_millis(5));
+    let after = idle_on(&sim, node);
+    assert_eq!(after.len(), 1);
+    assert_eq!((after[0].1, after[0].2), (before[0].1, before[0].2));
+    assert_ne!(after[0].0, before[0].0, "node 0 changed shards");
+    assert_eq!(after[0].0, sim.owner[node.index()].0 as usize);
+    sim.run_until(SimTime::from_secs(1));
+    assert_eq!(sim.protocol(node).fired.len(), 1);
+}
+
+#[test]
+fn a_sender_moving_mid_transmission_reaches_every_shard_in_range() {
+    // Node 0 starts its frame at 500 µs (one turnaround after boot)
+    // out of node 1's range, on the other shard, and moves next to
+    // node 1 in the same window. Delivery at the frame's end follows
+    // the sender: the single-shard run delivers, and so must two
+    // shards, whose interest sets never held node 0's origin cell.
+    let run = |shards: usize| {
+        let mut sim = ShardedSimBuilder::new(5)
+            .mac(MacConfig::aloha())
+            .range(50.0)
+            .shards(shards)
+            .build(|id| Chatter {
+                to_send: u32::from(id == NodeId(0)),
+                heard: 0,
+                payload_bytes: 8,
+            });
+        sim.add_node_at(Position::new(200.0, 200.0));
+        sim.add_node_at(Position::new(10.0, 10.0));
+        sim.schedule_move(
+            SimTime::from_micros(700),
+            NodeId(0),
+            Position::new(20.0, 10.0),
+        );
+        sim.run_until(SimTime::from_millis(100));
+        (sim.stats(), sim.protocol(NodeId(1)).heard)
+    };
+    let (stats, heard) = run(1);
+    assert_eq!((stats.deliveries, heard), (1, 1));
+    assert_eq!(run(2), (stats, heard));
+}
+
+#[test]
+fn moving_out_of_range_stops_delivery() {
+    let mut sim = ShardedSimBuilder::new(21)
+        .mac(MacConfig::aloha())
+        .shards(2)
+        .build(|id| Chatter {
+            to_send: if id == NodeId(0) { 1 } else { 0 },
+            heard: 0,
+            payload_bytes: 8,
+        });
+    sim.add_node_at(Position::new(0.0, 0.0));
+    sim.add_node_at(Position::new(10.0, 0.0));
+    sim.enable_trace(64);
+    sim.schedule_move(
+        SimTime::from_millis(0),
+        NodeId(1),
+        Position::new(900.0, 0.0),
+    );
+    sim.run_until(SimTime::from_secs(1));
+    assert_eq!(sim.stats().frames_sent, 1);
+    assert_eq!(sim.stats().deliveries, 0);
+    assert!(sim.tracer().unwrap().events().any(|e| matches!(
+        e,
+        TraceEvent::Moved {
+            node: NodeId(1),
+            ..
+        }
+    )));
+}
+
+#[test]
+fn dead_nodes_do_not_hear_and_revival_reboots() {
+    // Node 1 dies before the frame, revives, and re-runs on_start
+    // (sending its own frame after rebirth).
+    let mut sim = ShardedSimBuilder::new(22)
+        .mac(MacConfig::aloha())
+        .shards(2)
+        .build(|_| Chatter {
+            to_send: 1,
+            heard: 0,
+            payload_bytes: 8,
+        });
+    sim.add_node_at(Position::new(0.0, 0.0));
+    sim.add_node_at(Position::new(10.0, 0.0));
+    sim.enable_trace(64);
+    sim.schedule_set_alive(SimTime::from_micros(1), NodeId(1), false);
+    sim.schedule_set_alive(SimTime::from_millis(500), NodeId(1), true);
+    sim.run_until(SimTime::from_secs(1));
+    // Node 0's start-of-run frame found node 1 dead; node 1's
+    // rebirth re-ran on_start, and that frame was heard by node 0.
+    assert_eq!(sim.protocol(NodeId(0)).heard, 1);
+    let liveness: Vec<bool> = sim
+        .tracer()
+        .unwrap()
+        .events()
+        .filter_map(|e| match e {
+            TraceEvent::Liveness {
+                node: NodeId(1),
+                alive,
+                ..
+            } => Some(*alive),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(liveness, vec![false, true]);
+}
+
+#[test]
+fn duty_cycle_sleep_misses_and_awake_micros() {
+    let mut sim = two_node(23, MacConfig::aloha(), 2);
+    sim.set_duty_cycle(
+        NodeId(1),
+        Some(DutyCycle::new(
+            // Asleep whenever anything is on the air: period 1 s,
+            // on only in the last half, frames start near t=0.
+            SimDuration::from_secs(1),
+            0.5,
+            SimDuration::from_millis(500),
+        )),
+    );
+    sim.run_until(SimTime::from_millis(400));
+    assert_eq!(sim.stats().sleep_misses, 3);
+    assert_eq!(sim.protocol(NodeId(1)).heard, 0);
+    assert_eq!(sim.awake_micros(NodeId(1)), 200_000);
+    assert_eq!(sim.awake_micros(NodeId(0)), 400_000);
+}
+
+#[test]
+fn hidden_terminals_collide_in_sharded_engine() {
+    let mut sim = ShardedSimBuilder::new(24)
+        .range(100.0)
+        .shards(4)
+        .build(|id| Chatter {
+            to_send: if id != NodeId(1) { 40 } else { 0 },
+            heard: 0,
+            payload_bytes: 27,
+        });
+    sim.add_node_at(Position::new(-90.0, 0.0));
+    sim.add_node_at(Position::new(0.0, 0.0));
+    sim.add_node_at(Position::new(90.0, 0.0));
+    sim.run_until(SimTime::from_secs(10));
+    assert!(
+        sim.stats().rf_collisions > 0,
+        "hidden terminals must produce RF collisions: {}",
+        sim.stats()
+    );
+}
+
+#[test]
+fn builder_bulk_topology_matches_incremental_adds() {
+    let topo = Topology::grid(3, 3, 30.0, 45.0);
+    let mk_chatter = |id: NodeId| Chatter {
+        to_send: 1 + id.0 % 2,
+        heard: 0,
+        payload_bytes: 6,
+    };
+    let mut bulk = ShardedSimBuilder::new(31)
+        .range(45.0)
+        .shards(3)
+        .build_with_topology(&topo, mk_chatter);
+    let mut incremental = ShardedSimBuilder::new(31)
+        .range(45.0)
+        .shards(3)
+        .build(mk_chatter);
+    for id in topo.node_ids() {
+        incremental.add_node_at(topo.position(id));
+    }
+    bulk.run_until(SimTime::from_secs(1));
+    incremental.run_until(SimTime::from_secs(1));
+    assert_eq!(digest(&bulk), digest(&incremental));
+}
+
+/// A hidden-terminal triple at x = 0, 250 and 500 m on a 300 m
+/// topology, built by a builder set to `builder_range`: both ends send
+/// one 20-byte ALOHA frame at start.
+fn wide_triple(builder_range: f64, shards: usize) -> ShardedSim<Chatter> {
+    let mut topo = Topology::new(300.0);
+    for x in [0.0, 250.0, 500.0] {
+        topo.add(Position::new(x, 0.0));
+    }
+    let mut sim = ShardedSimBuilder::new(9)
+        .mac(MacConfig::aloha())
+        .range(builder_range)
+        .shards(shards)
+        .build_with_topology(&topo, |id| Chatter {
+            to_send: u32::from(id != NodeId(1)),
+            heard: 0,
+            payload_bytes: 20,
+        });
+    sim.run_until(SimTime::from_secs(1));
+    sim
+}
+
+/// `build_with_topology` keys the air, the interest sets and the
+/// placement by the given topology's grid, whatever range the builder
+/// holds: the two frames collide at the middle node on one shard and on
+/// three, as when the two ranges agree.
+#[test]
+fn build_with_topology_takes_the_topologys_range() {
+    let reference = wide_triple(300.0, 1);
+    assert_eq!(reference.stats().rf_collisions, 2);
+    assert_eq!(reference.protocol(NodeId(1)).heard, 0);
+    for shards in [1, 3] {
+        let sim = wide_triple(100.0, shards);
+        assert_eq!(sim.stats(), reference.stats(), "K = {shards}");
+        assert_eq!(sim.stats().rf_collisions, 2, "K = {shards}");
+        assert_eq!(sim.protocol(NodeId(1)).heard, 0, "K = {shards}");
+    }
+}
+
+/// The last representable instant is a valid deadline: the run delivers
+/// its one frame once and stops there, and a second run to it is a
+/// no-op.
+#[test]
+fn running_to_the_last_instant_stops_there() {
+    let end = SimTime::from_micros(u64::MAX);
+    let mut sim = ShardedSimBuilder::new(6)
+        .mac(MacConfig::aloha())
+        .build(|id| Chatter {
+            to_send: u32::from(id == NodeId(0)),
+            heard: 0,
+            payload_bytes: 10,
+        });
+    sim.add_node_at(Position::new(0.0, 0.0));
+    sim.add_node_at(Position::new(10.0, 0.0));
+    sim.run_until(end);
+    let stats = sim.stats();
+    assert_eq!((stats.frames_sent, stats.deliveries), (1, 1));
+    assert_eq!(sim.protocol(NodeId(1)).heard, 1);
+    assert_eq!(sim.now(), end);
+    let windows = sim.windows_executed();
+    sim.run_until(end);
+    assert_eq!(sim.stats(), stats);
+    assert_eq!(sim.protocol(NodeId(1)).heard, 1);
+    assert_eq!(sim.windows_executed(), windows);
+    assert_eq!(sim.now(), end);
+}
+
+/// Dynamics scheduled for one instant apply in the order they were
+/// scheduled: two moves of one node leave it at the second destination,
+/// and a death then a revival leave it alive, traced in that order — on
+/// one shard and on two threaded ones.
+#[test]
+fn same_instant_dynamics_apply_in_schedule_order() {
+    let (first, second) = (SimTime::from_millis(20), SimTime::from_millis(40));
+    let (away, back) = (Position::new(500.0, 0.0), Position::new(20.0, 0.0));
+    let run = |shards: usize| {
+        let mut sim = ShardedSimBuilder::new(4)
+            .mac(MacConfig::aloha())
+            .shards(shards)
+            .build(|_| Chatter {
+                to_send: 1,
+                heard: 0,
+                payload_bytes: 8,
+            });
+        sim.add_node_at(Position::new(0.0, 0.0));
+        let mover = sim.add_node_at(Position::new(10.0, 0.0));
+        sim.set_force_threads(true);
+        assert_eq!(sim.uses_worker_threads(), shards > 1);
+        sim.enable_trace(64);
+        sim.schedule_move(first, mover, away);
+        sim.schedule_move(first, mover, back);
+        sim.schedule_set_alive(second, mover, false);
+        sim.schedule_set_alive(second, mover, true);
+        sim.run_until(SimTime::from_millis(100));
+        sim
+    };
+    let mover = NodeId(1);
+    let one = run(1);
+    assert_eq!(one.topology().position(mover), back);
+    assert!(one.topology().is_alive(mover));
+    let dynamics: Vec<TraceEvent> = one
+        .tracer()
+        .unwrap()
+        .events()
+        .filter(|e| matches!(e, TraceEvent::Moved { .. } | TraceEvent::Liveness { .. }))
+        .copied()
+        .collect();
+    let moved = |to| TraceEvent::Moved {
+        at: first,
+        node: mover,
+        to,
+    };
+    let liveness = |alive| TraceEvent::Liveness {
+        at: second,
+        node: mover,
+        alive,
+    };
+    assert_eq!(
+        dynamics,
+        vec![moved(away), moved(back), liveness(false), liveness(true)]
+    );
+    let two = run(2);
+    assert_eq!(two.topology().position(mover), back);
+    assert!(two.topology().is_alive(mover));
+    assert_eq!(digest(&two), digest(&one));
+}
+
+#[test]
+fn node_streams_are_distinct_per_label_and_node() {
+    let mut seen = FixedSet::default();
+    for label in [
+        "netsim.shard.mac",
+        "netsim.shard.proto",
+        "netsim.shard.chan",
+    ] {
+        for node in 0..64 {
+            assert!(seen.insert(node_stream_seed(42, label, NodeId(node))));
+        }
+    }
+}
+
+mod idle_timer {
+    use super::*;
+
+    /// A scheduled topology change.
+    #[derive(Debug, Clone)]
+    enum Change {
+        Die {
+            node: usize,
+            at: u64,
+            down: u64,
+        },
+        Move {
+            node: usize,
+            at: u64,
+            x: f64,
+            y: f64,
+        },
+    }
+
+    /// One run: a MAC, a poll interval, nodes on a 3×3-cell field
+    /// (range 50) with their first-tick offsets, topology changes,
+    /// and the deadlines `run_until` is called with.
+    #[derive(Debug, Clone)]
+    struct Case {
+        seed: u64,
+        mac: u8,
+        poll: u64,
+        nodes: Vec<(f64, f64, u64)>,
+        changes: Vec<Change>,
+        stops: Vec<u64>,
+    }
+
+    /// The run's end, µs; bursts stop 100 ms earlier.
+    const END: u64 = 400_000;
+
+    fn change(nodes: usize) -> impl Strategy<Value = Change> {
+        (
+            0u8..2,
+            0..nodes,
+            1u64..END,
+            1u64..20_000,
+            (0.0..150.0f64, 0.0..150.0f64),
+        )
+            .prop_map(|(kind, node, at, down, (x, y))| match kind {
+                0 => Change::Die { node, at, down },
+                _ => Change::Move { node, at, x, y },
+            })
+    }
+
+    /// The poll interval: under the 500 µs lookahead, equal to it,
+    /// or above it and off its grid.
+    fn poll() -> impl Strategy<Value = u64> {
+        (0u8..3, 1u64..4_000).prop_map(|(kind, p)| match kind {
+            0 => 50 + p % 450,
+            1 => 500,
+            _ => 501 + p + u64::from(p % 500 == 499),
+        })
+    }
+
+    fn case() -> impl Strategy<Value = Case> {
+        (2usize..14).prop_flat_map(|n| {
+            (
+                (any::<u64>(), 0u8..3, poll()),
+                proptest::collection::vec((0.0..150.0f64, 0.0..150.0f64, 0u64..6_000), n),
+                proptest::collection::vec(change(n), 0..8),
+                proptest::collection::vec(1u64..END, 0..6),
+            )
+                .prop_map(|((seed, mac, poll), nodes, changes, stops)| Case {
+                    seed,
+                    mac,
+                    poll,
+                    nodes,
+                    changes,
+                    stops,
+                })
+        })
+    }
+
+    /// Dynamic-Frame Aloha on a clique of 2–4 nodes polling faster
+    /// than the lookahead, with frequent short deaths: slot
+    /// collisions requeue frames in the receive phase, sometimes in
+    /// the window of their node's death.
+    fn dfa_churn() -> impl Strategy<Value = Case> {
+        (2usize..5).prop_flat_map(|n| {
+            (
+                (any::<u64>(), 50u64..500),
+                proptest::collection::vec((0.0..30.0f64, 0.0..30.0f64, 0u64..6_000), n),
+                proptest::collection::vec((0..n, 1u64..END - 100_000, 1u64..5_000), 4..24),
+                proptest::collection::vec(1u64..END, 0..6),
+            )
+                .prop_map(|((seed, poll), nodes, deaths, stops)| Case {
+                    seed,
+                    mac: 2,
+                    poll,
+                    nodes,
+                    changes: deaths
+                        .into_iter()
+                        .map(|(node, at, down)| Change::Die { node, at, down })
+                        .collect(),
+                    stops,
+                })
+        })
+    }
+
+    /// What a run produced.
+    struct Outcome {
+        /// Per node, the instants it sent bursts at.
+        sends: Vec<Vec<SimTime>>,
+        /// Per node, its timer callbacks.
+        ticks: Vec<u64>,
+        /// Idle-timer callbacks that found a busy queue, all nodes.
+        busy_ticks: u64,
+        stats: MediumStats,
+        dfa: DfaStats,
+        trace: Vec<TraceEvent>,
+    }
+
+    fn run(case: &Case, idle: bool, shards: usize) -> Outcome {
+        let mac = match case.mac {
+            0 => MacConfig::aloha(),
+            1 => MacConfig::csma(),
+            _ => MacConfig::dfa_known(SimDuration::from_millis(8), case.nodes.len() as u32),
+        };
+        let poll = SimDuration::from_micros(case.poll);
+        let offsets: Vec<u64> = case.nodes.iter().map(|&(_, _, offset)| offset).collect();
+        let stop = SimTime::from_micros(END - 100_000);
+        let mut sim = ShardedSimBuilder::new(case.seed)
+            .mac(mac)
+            .range(50.0)
+            .shards(shards)
+            .build(move |id| {
+                let offset = SimDuration::from_micros(offsets[id.index()]);
+                Saturator::new(idle, poll, offset, stop)
+            });
+        for &(x, y, _) in &case.nodes {
+            sim.add_node_at(Position::new(x, y));
+        }
+        // Worker threads cost barrier waits on every window, so one
+        // case in four runs its four shards on them.
+        if shards > 1 && case.seed.is_multiple_of(4) {
+            sim.set_force_threads(true);
+        }
+        sim.enable_trace(1 << 20);
+        for change in &case.changes {
+            match *change {
+                Change::Die { node, at, down } => {
+                    sim.schedule_set_alive(SimTime::from_micros(at), NodeId(node as u32), false);
+                    let back = SimTime::from_micros(at + down);
+                    sim.schedule_set_alive(back, NodeId(node as u32), true);
+                }
+                Change::Move { node, at, x, y } => {
+                    let to = Position::new(x, y);
+                    sim.schedule_move(SimTime::from_micros(at), NodeId(node as u32), to);
+                }
+            }
+        }
+        // Some deadlines fall on the window grid, some inside a
+        // window; each resumed run may rebalance the shards.
+        let mut stops = case.stops.clone();
+        stops.sort_unstable();
+        for deadline in stops.into_iter().chain([END]) {
+            sim.run_until(SimTime::from_micros(deadline));
+        }
+        let nodes = || sim.node_ids().map(|id| sim.protocol(id));
+        Outcome {
+            sends: nodes().map(|p| p.sends.clone()).collect(),
+            ticks: nodes().map(|p| p.ticks).collect(),
+            busy_ticks: nodes().map(|p| p.busy_ticks).sum(),
+            stats: sim.stats(),
+            dfa: sim.dfa_stats(),
+            trace: sim.tracer().unwrap().events().copied().collect(),
+        }
+    }
+
+    /// An idle timer is the poll loop it replaces: the same bursts
+    /// at the same instants, and the same medium, DFA counters and
+    /// trace, at one shard and at four (inline or threaded), with no
+    /// more timer callbacks and none on a busy queue.
+    fn idle_matches_poll(case: &Case) -> Result<(), TestCaseError> {
+        let poll = run(case, false, 1);
+        prop_assert!(poll.sends.iter().any(|s| !s.is_empty()), "no node sent");
+        for shards in [1, 4] {
+            let idle = run(case, true, shards);
+            prop_assert_eq!(&idle.sends, &poll.sends, "send instants, K = {}", shards);
+            prop_assert_eq!(idle.stats, poll.stats, "medium, K = {}", shards);
+            prop_assert_eq!(idle.dfa, poll.dfa, "DFA, K = {}", shards);
+            prop_assert!(idle.trace == poll.trace, "trace differs, K = {}", shards);
+            prop_assert_eq!(idle.busy_ticks, 0, "idle callbacks on a busy queue");
+            for (node, (idle_ticks, poll_ticks)) in idle.ticks.iter().zip(&poll.ticks).enumerate() {
+                prop_assert!(
+                    idle_ticks <= poll_ticks,
+                    "node {} made {} idle callbacks against {} polls",
+                    node,
+                    idle_ticks,
+                    poll_ticks
+                );
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn idle_timer_matches_the_poll_loop(case in case()) {
+            idle_matches_poll(&case)?;
+        }
+
+        #[test]
+        fn idle_timer_matches_the_poll_loop_under_dfa_churn(case in dfa_churn()) {
+            idle_matches_poll(&case)?;
+        }
+    }
 }

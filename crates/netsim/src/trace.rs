@@ -5,16 +5,16 @@
 //! changes. Protocol authors use it to answer "what actually happened
 //! on the air?" without instrumenting their own code, and tests use it
 //! to assert fine-grained causality that the aggregate
-//! [`crate::shard::MediumStats`] cannot express.
+//! [`crate::medium::MediumStats`] cannot express.
 //!
 //! The tracer is an event log, not a metrics path: it keeps no counts
 //! beyond the number of events it evicted. Its queries
 //! ([`Tracer::deliveries_between`], [`Tracer::losses_at`]) filter the
 //! *retained window*; the run's totals come from the engine's own
-//! counters ([`crate::shard::ShardedSim::record_metrics`]).
+//! counters ([`crate::sim::ShardedSim::record_metrics`]).
 //!
 //! Tracing is off by default (zero cost); enable it with
-//! [`crate::shard::ShardedSim::enable_trace`].
+//! [`crate::sim::ShardedSim::enable_trace`].
 
 use std::collections::VecDeque;
 

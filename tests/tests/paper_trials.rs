@@ -10,7 +10,7 @@
 //! change that claims not to move output.
 
 use retri_aff::{SelectorPolicy, Testbed, TrialResult};
-use retri_netsim::shard::MediumStats;
+use retri_netsim::prelude::MediumStats;
 
 /// The pinned fields of one trial.
 #[derive(Debug, PartialEq, Eq)]

@@ -1,6 +1,6 @@
 //! Shard-count invariance of the parallel engine, end to end.
 //!
-//! The sharded simulator's contract (`retri_netsim::shard`) is that the
+//! The sharded simulator's contract (`retri_netsim::sim`) is that the
 //! merged event stream is **identical for every shard count** — per-node
 //! RNG streams and deterministic barrier merges make the partitioning
 //! invisible. These tests pin that contract at three levels: the raw
