@@ -102,10 +102,10 @@ impl Recording {
             ("transmitters", u64::from(self.transmitters).to_json_value()),
             ("receiver", u64::from(self.receiver).to_json_value()),
             ("trace_dropped", self.trace_dropped.to_json_value()),
-            ("medium", medium_to_json(&self.medium)),
-            ("sender", sender_to_json(&self.sender)),
-            ("receiver_stats", receiver_to_json(&self.receiver_stats)),
-            ("reassembly", reassembly_to_json(&self.reassembly)),
+            ("medium", self.medium.to_json_value()),
+            ("sender", self.sender.to_json_value()),
+            ("receiver_stats", self.receiver_stats.to_json_value()),
+            ("reassembly", self.reassembly.to_json_value()),
             ("pending_fragments", self.pending_fragments.to_json_value()),
             ("metrics", self.metrics.to_json_value()),
             (
@@ -158,27 +158,6 @@ fn u64_field(value: &Value, key: &str) -> Option<u64> {
     value.get(key)?.as_u64()
 }
 
-fn medium_to_json(stats: &MediumStats) -> Value {
-    obj(vec![
-        ("frames_sent", stats.frames_sent.to_json_value()),
-        ("deliveries", stats.deliveries.to_json_value()),
-        ("rf_collisions", stats.rf_collisions.to_json_value()),
-        (
-            "half_duplex_losses",
-            stats.half_duplex_losses.to_json_value(),
-        ),
-        ("random_losses", stats.random_losses.to_json_value()),
-        ("sleep_misses", stats.sleep_misses.to_json_value()),
-        ("fault_erasures", stats.fault_erasures.to_json_value()),
-        ("partition_losses", stats.partition_losses.to_json_value()),
-        (
-            "corrupted_deliveries",
-            stats.corrupted_deliveries.to_json_value(),
-        ),
-        ("flipped_bits", stats.flipped_bits.to_json_value()),
-    ])
-}
-
 fn medium_from_json(value: &Value) -> Option<MediumStats> {
     Some(MediumStats {
         frames_sent: u64_field(value, "frames_sent")?,
@@ -194,15 +173,6 @@ fn medium_from_json(value: &Value) -> Option<MediumStats> {
     })
 }
 
-fn sender_to_json(stats: &SenderStats) -> Value {
-    obj(vec![
-        ("packets_sent", stats.packets_sent.to_json_value()),
-        ("fragments_sent", stats.fragments_sent.to_json_value()),
-        ("data_bits_sent", stats.data_bits_sent.to_json_value()),
-        ("retransmissions", stats.retransmissions.to_json_value()),
-    ])
-}
-
 fn sender_from_json(value: &Value) -> Option<SenderStats> {
     Some(SenderStats {
         packets_sent: u64_field(value, "packets_sent")?,
@@ -210,22 +180,6 @@ fn sender_from_json(value: &Value) -> Option<SenderStats> {
         data_bits_sent: u64_field(value, "data_bits_sent")?,
         retransmissions: u64_field(value, "retransmissions")?,
     })
-}
-
-fn receiver_to_json(stats: &ReceiverStats) -> Value {
-    obj(vec![
-        ("truth_delivered", stats.truth_delivered.to_json_value()),
-        ("decode_errors", stats.decode_errors.to_json_value()),
-        (
-            "truth_crc_rejections",
-            stats.truth_crc_rejections.to_json_value(),
-        ),
-        (
-            "notifications_sent",
-            stats.notifications_sent.to_json_value(),
-        ),
-        ("fragments_parsed", stats.fragments_parsed.to_json_value()),
-    ])
 }
 
 fn receiver_from_json(value: &Value) -> Option<ReceiverStats> {
@@ -236,40 +190,6 @@ fn receiver_from_json(value: &Value) -> Option<ReceiverStats> {
         notifications_sent: u64_field(value, "notifications_sent")?,
         fragments_parsed: u64_field(value, "fragments_parsed")?,
     })
-}
-
-fn reassembly_to_json(stats: &ReassemblyStats) -> Value {
-    obj(vec![
-        ("delivered", stats.delivered.to_json_value()),
-        ("checksum_failures", stats.checksum_failures.to_json_value()),
-        ("expired", stats.expired.to_json_value()),
-        (
-            "fragments_accepted",
-            stats.fragments_accepted.to_json_value(),
-        ),
-        (
-            "duplicate_fragments",
-            stats.duplicate_fragments.to_json_value(),
-        ),
-        (
-            "conflicting_intros",
-            stats.conflicting_intros.to_json_value(),
-        ),
-        ("bounds_conflicts", stats.bounds_conflicts.to_json_value()),
-        (
-            "fragments_delivered",
-            stats.fragments_delivered.to_json_value(),
-        ),
-        (
-            "fragments_checksum_rejected",
-            stats.fragments_checksum_rejected.to_json_value(),
-        ),
-        (
-            "fragments_conflict_discarded",
-            stats.fragments_conflict_discarded.to_json_value(),
-        ),
-        ("fragments_expired", stats.fragments_expired.to_json_value()),
-    ])
 }
 
 fn reassembly_from_json(value: &Value) -> Option<ReassemblyStats> {

@@ -17,6 +17,7 @@
 
 use std::time::{Duration, Instant};
 
+use retri::hash::{fnv1a, FNV_OFFSET};
 use retri_bench::{Cli, EffortLevel};
 use retri_netsim::prelude::*;
 
@@ -154,24 +155,17 @@ struct MeshDigest {
 /// **any** shard counts — that is the sharded engine's byte-identity
 /// contract.
 fn mesh_10k_digest(topo: &Topology, seed: u64, quick: bool, shards: usize) -> MeshDigest {
-    fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-        for &b in bytes {
-            *hash ^= u64::from(b);
-            *hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
     let started = Instant::now();
     let sim = run_mesh_10k(topo, seed, quick, shards);
     let wall = started.elapsed();
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
     let stats = sim.stats();
-    fnv1a(&mut hash, format!("{stats:?}").as_bytes());
+    let mut hash = fnv1a(FNV_OFFSET, format!("{stats:?}").as_bytes());
     let tracer = sim.tracer().expect("trace was enabled");
     for event in tracer.events() {
-        fnv1a(&mut hash, format!("{event:?}").as_bytes());
+        hash = fnv1a(hash, format!("{event:?}").as_bytes());
     }
-    fnv1a(&mut hash, &tracer.dropped().to_le_bytes());
-    fnv1a(&mut hash, format!("{:?}", sim.total_meter()).as_bytes());
+    hash = fnv1a(hash, &tracer.dropped().to_le_bytes());
+    hash = fnv1a(hash, format!("{:?}", sim.total_meter()).as_bytes());
     MeshDigest {
         digest: hash,
         frames_sent: stats.frames_sent,

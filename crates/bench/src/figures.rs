@@ -2,7 +2,6 @@
 
 use retri_aff::{SelectorPolicy, Testbed};
 use retri_model::stats::Summary;
-use retri_model::sweep;
 use retri_model::{p_collision, DataBits, Density, IdBits};
 use retri_netsim::SimTime;
 
@@ -27,6 +26,20 @@ pub struct EfficiencyRow {
 /// Figure 1 is `data_bits = 16`; Figure 2 is `data_bits = 128`. Both
 /// use `densities = [16, 256, 65536]` and static comparators of 16 and
 /// 32 bits.
+///
+/// # Examples
+///
+/// ```
+/// use retri_bench::figures::efficiency_vs_width;
+///
+/// let rows = efficiency_vs_width(16, &[16], &[], 32);
+/// // The T = 16 curve rises to a peak at 9 bits, then declines (Section 4.2).
+/// let peak = rows
+///     .iter()
+///     .max_by(|a, b| a.aff[0].total_cmp(&b.aff[0]))
+///     .unwrap();
+/// assert_eq!(peak.id_bits, 9);
+/// ```
 ///
 /// # Panics
 ///
@@ -98,6 +111,19 @@ pub struct LoadRow {
 
 /// Figure 3: efficiency vs. load for 16-bit data.
 ///
+/// Loads run `1, 2, 4, ...` up to `max_load`.
+///
+/// # Examples
+///
+/// ```
+/// use retri_bench::figures::efficiency_vs_load;
+///
+/// let rows = efficiency_vs_load(16, &[], &[4], 32);
+/// assert_eq!(rows[4].density, 16);
+/// assert!(rows[4].static_lines[0].is_some()); // T = 16 = 2^4 still fits
+/// assert!(rows[5].static_lines[0].is_none()); // T = 32 exhausts the space
+/// ```
+///
 /// # Panics
 ///
 /// Panics on invalid parameter values.
@@ -109,8 +135,7 @@ pub fn efficiency_vs_load(
     max_load: u64,
 ) -> Vec<LoadRow> {
     let data = DataBits::new(data_bits).expect("positive data size");
-    let loads = sweep::geometric_loads(max_load);
-    loads
+    geometric_loads(max_load)
         .iter()
         .map(|&t| LoadRow {
             density: t.get(),
@@ -134,6 +159,21 @@ pub fn efficiency_vs_load(
                 .collect(),
         })
         .collect()
+}
+
+/// Geometrically spaced densities `1, 2, 4, ...` up to and including
+/// `max`: Figure 3's log-scale load axis.
+fn geometric_loads(max: u64) -> Vec<Density> {
+    let mut loads = Vec::new();
+    let mut t = 1u64;
+    while t <= max {
+        loads.push(Density::new(t).expect("nonzero"));
+        match t.checked_mul(2) {
+            Some(next) => t = next,
+            None => break,
+        }
+    }
+    loads
 }
 
 /// One point of Figure 4: a (policy, identifier-width) cell.
@@ -300,6 +340,44 @@ mod tests {
     }
 
     #[test]
+    fn width_sweep_covers_requested_widths_in_order() {
+        let rows = efficiency_vs_width(16, &[16], &[], 32);
+        let widths: Vec<u8> = rows.iter().map(|row| row.id_bits).collect();
+        assert_eq!(widths, (1..=32).collect::<Vec<u8>>());
+    }
+
+    #[test]
+    fn width_sweep_is_unimodal_for_paper_scenarios() {
+        // Every AFF curve rises to its one peak and falls after it: the
+        // "consistent shape" described in Section 4.2.
+        let rows = efficiency_vs_width(16, &[16, 256, 65536], &[], 32);
+        for curve in 0..3 {
+            let peak = rows
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.aff[curve].total_cmp(&b.1.aff[curve]))
+                .map(|(i, _)| i)
+                .unwrap();
+            for w in rows.windows(2).take(peak) {
+                assert!(w[0].aff[curve] <= w[1].aff[curve]);
+            }
+            for w in rows.windows(2).skip(peak) {
+                assert!(w[0].aff[curve] >= w[1].aff[curve]);
+            }
+        }
+    }
+
+    #[test]
+    fn static_line_is_flat() {
+        // Figure 2's static lines: D / (D + address) at every width.
+        let rows = efficiency_vs_width(128, &[16], &[16, 32], 32);
+        for row in &rows {
+            assert!((row.static_lines[0] - 128.0 / 144.0).abs() < 1e-12);
+            assert!((row.static_lines[1] - 0.8).abs() < 1e-12);
+        }
+    }
+
+    #[test]
     fn fig2_larger_data_moves_optimum_right() {
         let o16 = optima(16, &[16]);
         let o128 = optima(128, &[16]);
@@ -316,6 +394,60 @@ mod tests {
                 assert!(row.static_lines[0].is_none(), "T={}", row.density);
             }
         }
+    }
+
+    #[test]
+    fn load_sweep_is_monotone_decreasing() {
+        // The AFF curve at H = 9 never rises with load.
+        let rows = efficiency_vs_load(16, &[9], &[], 1 << 20);
+        assert_eq!(rows.len(), 21);
+        for w in rows.windows(2) {
+            assert!(w[0].aff[0] >= w[1].aff[0], "T={}", w[1].density);
+        }
+    }
+
+    #[test]
+    fn static_load_line_cuts_off_at_space_exhaustion() {
+        // A 3-bit space names 8 transactions: defined up to T = 8, cut off
+        // from T = 16 on.
+        let rows = efficiency_vs_load(16, &[], &[3], 16);
+        let defined: Vec<(u64, bool)> = rows
+            .iter()
+            .map(|row| (row.density, row.static_lines[0].is_some()))
+            .collect();
+        assert_eq!(
+            defined,
+            vec![(1, true), (2, true), (4, true), (8, true), (16, false)]
+        );
+    }
+
+    #[test]
+    fn figure3_crossover_visible_in_series() {
+        // Past the point a 5-bit static space is exhausted (T > 32), AFF at
+        // H = 9 still has an efficiency. It underflows to 0.0 at T = 2^20,
+        // so "defined" is "in [0, 1]".
+        let rows = efficiency_vs_load(16, &[9], &[5], 1 << 20);
+        let exhausted = rows
+            .iter()
+            .filter(|row| row.static_lines[0].is_none())
+            .count();
+        assert_eq!(exhausted, 15); // T = 2^6 ..= 2^20
+        for row in &rows {
+            assert!((0.0..=1.0).contains(&row.aff[0]), "T={}", row.density);
+        }
+    }
+
+    #[test]
+    fn geometric_loads_doubles_up_to_max() {
+        let loads = |max| {
+            geometric_loads(max)
+                .iter()
+                .map(|t| t.get())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(loads(16), vec![1, 2, 4, 8, 16]);
+        // max not itself a power of two: stops below it.
+        assert_eq!(loads(20), vec![1, 2, 4, 8, 16]);
     }
 
     #[test]

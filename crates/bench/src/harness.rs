@@ -25,6 +25,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use retri::seed;
 use retri_model::stats::Summary;
 use retri_obs::{Histogram, Obs, Snapshot};
 
@@ -115,24 +116,18 @@ const SEED_DOMAIN: u64 = 0x1CDC_2001_AFF5_EEDD;
 ///   counted from 0 in the order the experiment defines its sweep.
 /// - `trial` — the zero-based trial number within the cell.
 ///
-/// The derivation is a SplitMix64 absorb chain: starting from a fixed
-/// domain constant, each byte of `experiment_id`, then `cell_index`,
-/// then `trial` is XOR-absorbed into the state and diffused with one
-/// SplitMix64 step. Unlike the ad-hoc schemes this replaced, seeds
-/// carry no structure from the parameters (no arithmetic on widths,
-/// trial numbers, or — worst of all — policy-name lengths), so cells
-/// can never alias and adjacent trials are fully decorrelated.
+/// The derivation is the workspace's one seed chain ([`retri::seed`]):
+/// starting from a fixed domain constant, [`seed::stream_seed`] absorbs
+/// each byte of `experiment_id`, then [`seed::absorb`] takes
+/// `cell_index` and then `trial`. Unlike the ad-hoc schemes this
+/// replaced, seeds carry no structure from the parameters (no
+/// arithmetic on widths, trial numbers, or — worst of all —
+/// policy-name lengths), so cells can never alias and adjacent trials
+/// are fully decorrelated.
 #[must_use]
 pub fn trial_seed(experiment_id: &str, cell_index: usize, trial: u64) -> u64 {
-    let mut state = SEED_DOMAIN;
-    for &byte in experiment_id.as_bytes() {
-        state ^= u64::from(byte);
-        state = rand::splitmix64(&mut state);
-    }
-    state ^= cell_index as u64;
-    state = rand::splitmix64(&mut state);
-    state ^= trial;
-    rand::splitmix64(&mut state)
+    let state = seed::stream_seed(SEED_DOMAIN, experiment_id);
+    seed::absorb(seed::absorb(state, cell_index as u64), trial)
 }
 
 /// Execution context handed to the experiment closure for one trial.
@@ -487,6 +482,9 @@ mod tests {
     #[test]
     fn seeds_are_stable_across_calls() {
         assert_eq!(trial_seed("fig4", 3, 7), trial_seed("fig4", 3, 7));
+        // Provenance: every golden document's trials depend on this
+        // derivation, so pin one value as well as its purity.
+        assert_eq!(trial_seed("fig4", 3, 7), 0xc19a_5f3b_014d_2ff7);
     }
 
     #[test]

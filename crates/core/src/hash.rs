@@ -16,6 +16,10 @@
 //! Tables whose keys arrive from outside (anything a transmitter or a
 //! client can insert) keep std's SipHash. Neither map here may be
 //! iterated where the order reaches an output.
+//!
+//! Output digests (a run's fingerprint, a pinned reply stream) are not
+//! table hashes: they use [`fnv1a`], which is stable across versions
+//! and platforms by definition.
 
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
@@ -95,6 +99,30 @@ impl BuildHasher for ProcessKey {
     fn build_hasher(&self) -> FixedHasher {
         FixedHasher(self.0)
     }
+}
+
+/// The FNV-1a 64-bit offset basis: the digest of no bytes.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the 64-bit FNV-1a digest `hash`; start a digest
+/// at [`FNV_OFFSET`].
+///
+/// # Examples
+///
+/// ```
+/// use retri::hash::{fnv1a, FNV_OFFSET};
+///
+/// assert_eq!(fnv1a(FNV_OFFSET, b""), FNV_OFFSET);
+/// assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+/// // Folding in pieces equals folding the whole.
+/// assert_eq!(fnv1a(fnv1a(FNV_OFFSET, b"ab"), b"c"), fnv1a(FNV_OFFSET, b"abc"));
+/// ```
+#[inline]
+#[must_use]
+pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 #[cfg(test)]

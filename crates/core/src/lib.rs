@@ -27,17 +27,15 @@
 //! - [`density`] — [`density::DensityEstimator`]: a node's running
 //!   estimate of the transaction density `T` it observes, used to size
 //!   adaptive listening windows.
-//! - [`track`] — receiver-side [`track::TransactionTracker`]: transaction
-//!   lifecycle bookkeeping and ground-truth collision detection (the
-//!   instrumentation methodology of the paper's Section 5.1).
 //! - [`codebook`] — ephemeral identifier-to-value codebooks (the
 //!   attribute-based name-compression context of Section 6).
 //! - [`hash`] — the workspace's one map hasher, a multiply-rotate hash
 //!   under a fixed key ([`hash::FixedMap`]) or a per-process key
 //!   ([`hash::KeyedMap`]).
-//! - [`seed`] — labeled seed-stream derivation, so one root seed can
-//!   drive several independent RNG streams (simulation, fault
-//!   injection, workloads) without cross-talk.
+//! - [`seed`] — the workspace's one seed derivation, so one root seed
+//!   can drive several independent RNG streams (simulated nodes, fault
+//!   injection, adversaries, benchmark trials, service shards) without
+//!   cross-talk.
 //!
 //! # Quick start
 //!
@@ -76,7 +74,6 @@ pub mod id;
 pub mod permutation;
 pub mod seed;
 pub mod select;
-pub mod track;
 
 pub use id::{IdentifierSpace, TransactionId};
 pub use retri_model::{DataBits, Density, IdBits, ModelError};

@@ -7,7 +7,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use retri::permutation::PermutationSelector;
 use retri::select::{AdaptiveListeningSelector, IdSelector, ListeningSelector, UniformSelector};
-use retri::track::{PacketOutcome, SourceId, TransactionTracker};
 use retri::IdentifierSpace;
 
 proptest! {
@@ -123,36 +122,6 @@ proptest! {
         }
         selector.set_window(shrink_to);
         prop_assert!(selector.avoided_len() <= shrink_to);
-    }
-
-    /// Tracker invariant: collisions are counted exactly when two
-    /// distinct sources interleave on a live identifier, and completed
-    /// transactions never exceed started ones.
-    #[test]
-    fn tracker_accounting_is_consistent(
-        events in proptest::collection::vec(
-            (0u64..8, 0u64..4, 1u64..20), 1..200
-        ),
-    ) {
-        let space = IdentifierSpace::new(3).unwrap();
-        let mut tracker = TransactionTracker::new(50);
-        let mut now = 0u64;
-        let mut observed_collisions = 0u64;
-        for (raw_id, source, dt) in events {
-            now += dt;
-            let id = space.id(raw_id).unwrap();
-            match tracker.packet(id, SourceId(source), now) {
-                PacketOutcome::Collided { previous } => {
-                    observed_collisions += 1;
-                    prop_assert_ne!(previous, SourceId(source));
-                }
-                PacketOutcome::Started | PacketOutcome::Continued => {}
-            }
-        }
-        let stats = tracker.stats();
-        prop_assert_eq!(stats.collisions, observed_collisions);
-        prop_assert!(stats.completed <= stats.started);
-        prop_assert!(tracker.active_len() as u64 <= stats.started);
     }
 
     /// Identifier round trip: any value masked into a space is accepted

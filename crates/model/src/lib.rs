@@ -52,11 +52,10 @@
 //!
 //! - [`params`] — validated parameter newtypes ([`IdBits`], [`DataBits`],
 //!   [`Density`]).
-//! - [`efficiency`] — the core equations (Eqs. 1–4) and [`AffModel`].
+//! - [`efficiency`] — the core equations (Eqs. 1–4) and [`AffModel`];
+//!   `retri_bench::figures` sweeps them into the paper's Figures 1–3.
 //! - [`optimal`] — optimal identifier sizing, break-even and crossover
 //!   analysis ([`optimal::optimal_id_bits`], [`optimal::crossover_density`]).
-//! - [`sweep`] — series generators that regenerate the paper's Figures
-//!   1–3 point-by-point.
 //! - [`listening`] — extension: a model of the *listening* heuristic
 //!   (Section 3.2 / future work in Section 8).
 //! - [`lengths`] — extension: non-uniform transaction lengths (relaxes the
@@ -90,7 +89,6 @@ pub mod listening;
 pub mod optimal;
 pub mod params;
 pub mod stats;
-pub mod sweep;
 
 pub use efficiency::{
     aff_efficiency, p_collision, p_success, static_efficiency, AffModel, Efficiency,

@@ -80,6 +80,7 @@ use std::sync::{Barrier, Mutex, PoisonError, RwLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use retri::hash::{FixedMap, FixedSet};
+use retri::seed::{absorb, stream_seed};
 use retri_obs::Obs;
 
 use crate::energy::EnergyMeter;
@@ -95,24 +96,18 @@ use crate::timers::{timer_event, IdleTimers};
 use crate::topology::{Cell, Position, Topology};
 use crate::trace::{LossReason, TraceEvent, Tracer};
 
-/// Derives the seed of one of a node's dedicated RNG streams.
-///
-/// Mirrors [`crate::adversary::adversary_stream_seed`]: fold the label
-/// bytes and then the node id (little-endian) through SplitMix64.
-/// Distinct labels and distinct nodes land in unrelated streams, and the
-/// derivation depends only on `(seed, label, node)` — never on shard
-/// placement.
+/// Derives the seed of one of a node's dedicated RNG streams:
+/// [`retri::seed::stream_seed`] under the label, then the node id's
+/// little-endian bytes absorbed one at a time. Distinct labels and
+/// distinct nodes land in unrelated streams, and the derivation depends
+/// only on `(seed, label, node)` — never on shard placement.
 fn node_stream_seed(seed: u64, label: &str, node: NodeId) -> u64 {
-    let mut state = seed;
-    for &byte in label.as_bytes() {
-        state ^= u64::from(byte);
-        state = rand::splitmix64(&mut state);
-    }
-    for byte in node.0.to_le_bytes() {
-        state ^= u64::from(byte);
-        state = rand::splitmix64(&mut state);
-    }
-    state
+    node.0
+        .to_le_bytes()
+        .into_iter()
+        .fold(stream_seed(seed, label), |state, byte| {
+            absorb(state, u64::from(byte))
+        })
 }
 
 /// The next multiple of `slot` at or after `t` — the absolute slot grid
@@ -386,9 +381,10 @@ struct EngineCtx<'a> {
 
 impl EngineCtx<'_> {
     /// Whether an event at `at` belongs to the window ending at `t_end`
-    /// — the bound of every phase drain.
+    /// — the bound of every phase drain. The last window ends at the top
+    /// of time and, unlike every other, holds its end instant.
     fn in_window(&self, at: SimTime, t_end: SimTime) -> bool {
-        at < t_end && at <= self.deadline
+        (at < t_end || t_end == TOP_OF_TIME) && at <= self.deadline
     }
 
     /// The earliest receive-phase instant not yet dispatched while the
@@ -1839,13 +1835,17 @@ impl<P: Protocol> ShardedSim<P> {
     }
 }
 
+/// The last instant a simulation can reach, `u64::MAX` µs.
+const TOP_OF_TIME: SimTime = SimTime::from_micros(u64::MAX);
+
 /// End of the synchronization window containing `at`: windows tile the
 /// timeline at multiples of the lookahead, so the window start (and
 /// therefore the whole window sequence) depends only on the global event
-/// set — never on the shard count.
+/// set — never on the shard count. The last window, which the next
+/// multiple would overflow, ends at [`TOP_OF_TIME`].
 fn window_end(at: SimTime) -> SimTime {
     let l = LOOKAHEAD.as_micros();
-    SimTime::from_micros((at.as_micros() / l + 1) * l)
+    SimTime::from_micros((at.as_micros() / l + 1).saturating_mul(l))
 }
 
 /// Start of the synchronization window containing `at`.
@@ -2039,8 +2039,8 @@ struct Hub {
     done: Barrier,
     phase: AtomicU8,
     t_end_micros: AtomicU64,
-    /// Each shard's next-activity time in µs (`u64::MAX` for none),
-    /// published at the end of its receive phase.
+    /// Each shard's next-activity time in µs (`u64::MAX` for none, or
+    /// for the top of time), published at the end of its receive phase.
     next_slots: Vec<AtomicU64>,
     /// The first panic a worker caught, re-raised on the calling thread.
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
@@ -2115,7 +2115,12 @@ impl<P: Protocol> Crew<P> for Workers<'_, P> {
             .map(|slot| slot.load(AtomicOrdering::Relaxed))
             .min()
             .unwrap_or(u64::MAX);
-        (next != u64::MAX).then(|| SimTime::from_micros(next))
+        if next != u64::MAX {
+            return Some(SimTime::from_micros(next));
+        }
+        // The slot value `u64::MAX` also names the top of time, where an
+        // event may still be pending: ask the parked cores.
+        self.exclusive(|cores, _| cores.iter().filter_map(|c| c.next_at()).min())
     }
 }
 

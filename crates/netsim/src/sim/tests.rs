@@ -1739,6 +1739,62 @@ fn running_to_the_last_instant_stops_there() {
     assert_eq!(sim.now(), end);
 }
 
+/// Arms one timer per delay at start, tokens counted from 1.
+struct DelayTicker {
+    delays: Vec<u64>,
+    fired: Vec<(u64, SimTime)>,
+}
+
+impl Protocol for DelayTicker {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        for (token, &delay) in (1..).zip(&self.delays) {
+            ctx.set_timer(SimDuration::from_micros(delay), token);
+        }
+    }
+    fn on_frame(&mut self, _ctx: &mut Context<'_>, _frame: &Frame) {}
+    fn on_timer(&mut self, ctx: &mut Context<'_>, timer: Timer) {
+        self.fired.push((timer.token, ctx.now()));
+    }
+}
+
+/// Timers inside the last lookahead before `u64::MAX` µs, and at it,
+/// fire once each: the last window ends at the top of time instead of
+/// overflowing, on one shard and on two threaded ones — also when the
+/// top instant is all a threaded run has left after an earlier window.
+#[test]
+fn timers_at_the_top_of_time_fire_once() {
+    let end = SimTime::from_micros(u64::MAX);
+    let run = |delays: &[u64], shards: usize| {
+        let delays = delays.to_vec();
+        let mut sim = ShardedSimBuilder::new(3)
+            .shards(shards)
+            .build(move |_| DelayTicker {
+                delays: delays.clone(),
+                fired: Vec::new(),
+            });
+        sim.add_node_at(Position::new(0.0, 0.0));
+        sim.add_node_at(Position::new(500.0, 0.0));
+        sim.set_force_threads(true);
+        assert_eq!(sim.uses_worker_threads(), shards > 1);
+        sim.run_until(end);
+        assert_eq!(sim.now(), end);
+        let fired: Vec<_> = sim
+            .node_ids()
+            .map(|id| sim.protocol(id).fired.clone())
+            .collect();
+        let windows = sim.windows_executed();
+        sim.run_until(end);
+        assert_eq!(sim.windows_executed(), windows);
+        (fired, windows)
+    };
+    for delays in [[u64::MAX - 100, u64::MAX], [1_000, u64::MAX]] {
+        let (fired, windows) = run(&delays, 1);
+        let expected: Vec<_> = (1..).zip(delays.map(SimTime::from_micros)).collect();
+        assert_eq!(fired, vec![expected.clone(), expected], "{delays:?}");
+        assert_eq!(run(&delays, 2), (fired, windows), "{delays:?}");
+    }
+}
+
 /// Dynamics scheduled for one instant apply in the order they were
 /// scheduled: two moves of one node leave it at the second destination,
 /// and a death then a revival leave it alive, traced in that order — on
@@ -1811,6 +1867,11 @@ fn node_streams_are_distinct_per_label_and_node() {
             assert!(seen.insert(node_stream_seed(42, label, NodeId(node))));
         }
     }
+    // Provenance: every simulated trial's draws depend on this value.
+    assert_eq!(
+        node_stream_seed(7, "netsim.shard.mac", NodeId(5)),
+        0xc4ba_bf2a_1b29_d98f
+    );
 }
 
 mod idle_timer {

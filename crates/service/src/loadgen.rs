@@ -14,6 +14,8 @@ use std::collections::VecDeque;
 use std::io;
 use std::time::Instant;
 
+use retri::hash::{fnv1a, FNV_OFFSET};
+
 use crate::handle::ServiceHandle;
 use crate::proto::{Reply, Request};
 use crate::strategy::StrategyKind;
@@ -111,13 +113,6 @@ impl LoadReport {
     }
 }
 
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
-
 fn percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
@@ -160,7 +155,7 @@ fn request_retrying(
 /// Propagates transport failures and unexpected reply types.
 pub fn run_load(transport: &mut dyn Transport, plan: &LoadPlan) -> io::Result<LoadReport> {
     assert!(plan.batch >= 1 && !plan.strategies.is_empty() && plan.shards >= 1);
-    let mut digest: u64 = 0xCBF2_9CE4_8422_2325;
+    let mut digest = FNV_OFFSET;
     let mut latencies: Vec<u64> = Vec::new();
     let mut pending: Vec<VecDeque<Vec<u128>>> =
         vec![VecDeque::new(); plan.strategies.len() * plan.shards as usize];
@@ -190,7 +185,7 @@ pub fn run_load(transport: &mut dyn Transport, plan: &LoadPlan) -> io::Result<Lo
         };
         allocs += ids.len() as u64;
         for id in &ids {
-            fnv1a(&mut digest, &id.to_le_bytes());
+            digest = fnv1a(digest, &id.to_le_bytes());
         }
         let slot = turn % pending.len();
         pending[slot].push_back(ids);

@@ -16,18 +16,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use retri::hash::{fnv1a, FNV_OFFSET};
 use retri_obs::Obs;
 use retri_service::proto::{encode_reply, ALL_SHARDS};
 use retri_service::{Reply, Request, ServiceConfig, ServiceHandle, StrategyKind};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Folds `bytes` into the FNV-1a digest `hash`.
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(hash, |hash, &b| {
-        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 struct Run {
     digest: u64,

@@ -17,6 +17,7 @@
 //!    shards, and their metrics match pinned digests.
 
 use proptest::prelude::*;
+use retri::hash::{fnv1a, FNV_OFFSET};
 use retri_aff::{SelectorPolicy, Testbed};
 use retri_bench::audit::{audit, Recording};
 use retri_bench::{ablations, differential, harness, EffortLevel};
@@ -131,13 +132,6 @@ fn observation_never_perturbs_results() {
     );
 }
 
-/// FNV-1a over `bytes`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
-        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// FNV-1a digests of each scenario's metrics JSONL, captured from a
 /// build that mirrored every medium and receiver event into the registry
 /// as it happened: the fold of the native counters after the run must
@@ -174,7 +168,7 @@ fn fault_matrix_recordings_audit_clean() {
     for (recording, (scenario, digest)) in recordings.iter().zip(METRIC_DIGESTS) {
         assert_eq!(recording.scenario, scenario);
         assert_eq!(
-            fnv1a(recording.metrics.to_jsonl().as_bytes()),
+            fnv1a(FNV_OFFSET, recording.metrics.to_jsonl().as_bytes()),
             digest,
             "[{scenario}] metrics changed"
         );

@@ -3,16 +3,14 @@
 //! These tests run the same quick sweep the `selector_taxonomy` binary
 //! runs in CI (`cargo run -p retri-bench --release --bin
 //! selector_taxonomy -- --quick`) and assert its verdicts plus the
-//! structural properties the scorecard's security axis depends on: the
-//! adversary draws from its own labelled RNG stream, and disabling it
-//! leaves trials byte-identical.
+//! structural property the scorecard's security axis depends on:
+//! disabling the adversary leaves trials byte-identical.
 
 use std::sync::OnceLock;
 
 use retri_aff::{SelectorPolicy, Testbed};
 use retri_bench::taxonomy::{self, SelectorScore, CORRECTNESS_BITS, SECURITY_BITS};
 use retri_bench::EffortLevel;
-use retri_netsim::adversary::adversary_stream_seed;
 
 /// The sweep is deterministic, so every test asserts against one
 /// shared run instead of re-simulating the 15-cell grid per test.
@@ -77,19 +75,6 @@ fn the_attack_needs_predictions_to_matter() {
             other.policy,
             sequential.attacked_loss_rate,
             other.attacked_loss_rate
-        );
-    }
-}
-
-#[test]
-fn adversary_seed_is_the_core_stream_derivation() {
-    // The netsim crate cannot depend on retri, so it re-derives the
-    // labelled stream seed locally; pin the two derivations together
-    // so they can never drift apart silently.
-    for root in [0, 1, 42, u64::MAX] {
-        assert_eq!(
-            adversary_stream_seed(root),
-            retri::seed::stream_seed(root, "netsim.adversary")
         );
     }
 }
