@@ -180,7 +180,9 @@ impl Context<'_> {
                 .count()
     }
 
-    /// Queues a frame for broadcast through the MAC.
+    /// Queues a frame for broadcast through the MAC. A frame whose
+    /// turnaround or airtime would end past the last instant
+    /// (`u64::MAX` µs) never reaches the air.
     ///
     /// # Errors
     ///
@@ -201,9 +203,10 @@ impl Context<'_> {
     }
 
     /// Arms a timer to fire after `delay`, carrying `token` back to
-    /// [`Protocol::on_timer`]. Returns a handle for cancellation.
+    /// [`Protocol::on_timer`]. Returns a handle for cancellation. A
+    /// timer due past the last instant (`u64::MAX` µs) never fires.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerHandle {
-        self.arm(self.now + delay, token, None)
+        self.arm(self.now.checked_add(delay), token, None)
     }
 
     /// Arms a timer that fires at the first instant `now + k·poll`
@@ -217,13 +220,15 @@ impl Context<'_> {
     /// the engine skips the instants that would find the queue busy:
     /// under the view `pending_frames` documents, the count can only
     /// drop to 0 at a MAC event — a transmission ending on an empty
-    /// queue, or the node's death — so the timer waits off the event
+    /// queue (or, at the top of time, the last queued frame dropped), or
+    /// the node's death — so the timer waits off the event
     /// heap until one happens. It fires at most once, and is dropped if
     /// the node is dead at a grid instant before that, as the poll
     /// loop's chain would end there. One node's timers due at the same
     /// instant fire in handle order; an idle timer keeps the handle it
     /// was armed with, where a poll loop draws a new one at every
-    /// instant.
+    /// instant. Like the poll loop's, its instants end at the last one
+    /// (`u64::MAX` µs).
     ///
     /// # Panics
     ///
@@ -233,18 +238,22 @@ impl Context<'_> {
             poll > SimDuration::ZERO,
             "an idle timer needs a nonzero poll"
         );
-        self.arm(self.now + poll, token, Some(poll))
+        self.arm(self.now.checked_add(poll), token, Some(poll))
     }
 
-    fn arm(&mut self, at: SimTime, token: u64, idle: Option<SimDuration>) -> TimerHandle {
+    /// Draws the next handle and, unless `at` is past the last instant,
+    /// arms the timer.
+    fn arm(&mut self, at: Option<SimTime>, token: u64, idle: Option<SimDuration>) -> TimerHandle {
         let handle = TimerHandle(*self.next_timer_handle);
         *self.next_timer_handle += 1;
-        self.commands.push(Command::SetTimer {
-            node: self.node,
-            at,
-            timer: Timer { token, handle },
-            idle,
-        });
+        if let Some(at) = at {
+            self.commands.push(Command::SetTimer {
+                node: self.node,
+                at,
+                timer: Timer { token, handle },
+                idle,
+            });
+        }
         handle
     }
 

@@ -75,7 +75,7 @@ use std::collections::binary_heap::PeekMut;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering as AtomicOrdering};
-use std::sync::{Barrier, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Barrier, Mutex, PoisonError, RwLock};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -96,26 +96,45 @@ use crate::timers::{timer_event, IdleTimers};
 use crate::topology::{Cell, Position, Topology};
 use crate::trace::{LossReason, TraceEvent, Tracer};
 
-/// Derives the seed of one of a node's dedicated RNG streams:
-/// [`retri::seed::stream_seed`] under the label, then the node id's
-/// little-endian bytes absorbed one at a time. Distinct labels and
-/// distinct nodes land in unrelated streams, and the derivation depends
-/// only on `(seed, label, node)` — never on shard placement.
-fn node_stream_seed(seed: u64, label: &str, node: NodeId) -> u64 {
+/// The labels of a node's four RNG streams: MAC backoff, protocol
+/// callbacks, channel loss and the fault channel, in [`LocalNode`]'s
+/// field order.
+const NODE_STREAM_LABELS: [&str; 4] = [
+    "netsim.shard.mac",
+    "netsim.shard.proto",
+    "netsim.shard.chan",
+    "netsim.shard.fault",
+];
+
+/// The root of each of [`NODE_STREAM_LABELS`]' streams under the
+/// builder seed: [`retri::seed::stream_seed`] of the label, computed
+/// once per simulation rather than once per node.
+fn stream_roots(seed: u64) -> [u64; 4] {
+    NODE_STREAM_LABELS.map(|label| stream_seed(seed, label))
+}
+
+/// Derives the seed of one of a node's dedicated RNG streams from the
+/// stream's root ([`stream_roots`]): the node id's little-endian bytes
+/// absorbed one at a time. Distinct labels and distinct nodes land in
+/// unrelated streams, and the derivation depends only on
+/// `(seed, label, node)` — never on shard placement.
+fn node_stream_seed(root: u64, node: NodeId) -> u64 {
     node.0
         .to_le_bytes()
         .into_iter()
-        .fold(stream_seed(seed, label), |state, byte| {
-            absorb(state, u64::from(byte))
-        })
+        .fold(root, |state, byte| absorb(state, u64::from(byte)))
 }
 
 /// The next multiple of `slot` at or after `t` — the absolute slot grid
-/// every DFA node aligns its frames to.
-fn align_up(t: SimTime, slot: SimDuration) -> SimTime {
+/// every DFA node aligns its frames to — or `None` past the last
+/// instant.
+fn align_up(t: SimTime, slot: SimDuration) -> Option<SimTime> {
     let step = slot.as_micros();
     debug_assert!(step > 0, "validated by MacConfig::validate");
-    SimTime::from_micros(t.as_micros().div_ceil(step) * step)
+    t.as_micros()
+        .div_ceil(step)
+        .checked_mul(step)
+        .map(SimTime::from_micros)
 }
 
 /// Sorting key of a buffered trace event: `(microseconds, lane, a, b)`.
@@ -337,7 +356,11 @@ struct LocalNode<P> {
 }
 
 impl<P> LocalNode<P> {
-    fn new(seed: u64, id: NodeId, protocol: P) -> Self {
+    /// A fresh node whose streams derive from the simulation's
+    /// [`stream_roots`].
+    fn new(roots: &[u64; 4], id: NodeId, protocol: P) -> Self {
+        let [mac_rng, proto_rng, chan_rng, fault_rng] =
+            roots.map(|root| StdRng::seed_from_u64(node_stream_seed(root, id)));
         LocalNode {
             id,
             protocol,
@@ -345,10 +368,10 @@ impl<P> LocalNode<P> {
             queue: VecDeque::new(),
             transmitting: false,
             duty_cycle: None,
-            mac_rng: StdRng::seed_from_u64(node_stream_seed(seed, "netsim.shard.mac", id)),
-            proto_rng: StdRng::seed_from_u64(node_stream_seed(seed, "netsim.shard.proto", id)),
-            chan_rng: StdRng::seed_from_u64(node_stream_seed(seed, "netsim.shard.chan", id)),
-            fault_rng: StdRng::seed_from_u64(node_stream_seed(seed, "netsim.shard.fault", id)),
+            mac_rng,
+            proto_rng,
+            chan_rng,
+            fault_rng,
             fault_bad: false,
             next_timer_handle: 0,
             cancelled: FixedSet::default(),
@@ -413,16 +436,18 @@ struct CsmaAir<'a> {
     next_seq: &'a mut u64,
 }
 
-/// One spatial shard: its owned nodes, both event heaps, and private
-/// topology replicas for each phase (the MAC and receive phases apply
-/// broadcast dynamics independently, so each needs its own copy).
+/// One spatial shard: its owned nodes, both event heaps, and a
+/// topology replica for each phase. The MAC and receive phases apply
+/// broadcast dynamics independently, so each may need a copy of its
+/// own; until a dynamic event writes to one ([`Arc::make_mut`]), every
+/// replica shares the master's [`ShardedSim::topology`].
 struct ShardCore<P> {
     index: usize,
     nodes: Vec<LocalNode<P>>,
     mac_heap: BinaryHeap<MacEvent>,
     rx_heap: BinaryHeap<RxEvent>,
-    topo_mac: Topology,
-    topo_rx: Topology,
+    topo_mac: Arc<Topology>,
+    topo_rx: Arc<Topology>,
     outbox: Vec<PendingTx>,
     stats: MediumStats,
     /// Dynamic-Frame Aloha counters for this shard's owned nodes
@@ -458,14 +483,15 @@ struct ShardCore<P> {
 }
 
 impl<P: Protocol> ShardCore<P> {
-    fn new(index: usize, range: f64) -> Self {
+    /// An empty shard whose replicas share `master`.
+    fn new(index: usize, master: &Arc<Topology>) -> Self {
         ShardCore {
             index,
             nodes: Vec::new(),
             mac_heap: BinaryHeap::new(),
             rx_heap: BinaryHeap::new(),
-            topo_mac: Topology::new(range),
-            topo_rx: Topology::new(range),
+            topo_mac: Arc::clone(master),
+            topo_rx: Arc::clone(master),
             outbox: Vec::new(),
             stats: MediumStats::default(),
             dfa: DfaStats::default(),
@@ -529,9 +555,11 @@ impl<P: Protocol> ShardCore<P> {
         let at = ev.at;
         match ev.kind {
             MacKind::Dynamics(action) => match action {
-                DynAction::Move { node, to } => self.topo_mac.set_position(node, to),
+                DynAction::Move { node, to } => {
+                    Arc::make_mut(&mut self.topo_mac).set_position(node, to)
+                }
                 DynAction::SetAlive { node, alive } => {
-                    self.topo_mac.set_alive(node, alive);
+                    Arc::make_mut(&mut self.topo_mac).set_alive(node, alive);
                     if !alive {
                         let (shard, local) = ctx.owner[node.index()];
                         if shard as usize == self.index {
@@ -570,8 +598,9 @@ impl<P: Protocol> ShardCore<P> {
                     // Next frame, after the inter-frame space. Under DFA
                     // the slot feedback (receive phase) schedules the
                     // re-contention at the frame boundary instead.
-                    let retry = at + ctx.mac.ifs;
-                    self.push_mac(retry, LANE_M_TRY, node, local, MacKind::Try { node });
+                    if let Some(retry) = at.checked_add(ctx.mac.ifs) {
+                        self.push_mac(retry, LANE_M_TRY, node, local, MacKind::Try { node });
+                    }
                 }
             }
             MacKind::Try { node } => self.mac_try(at, node, ctx, csma),
@@ -582,7 +611,8 @@ impl<P: Protocol> ShardCore<P> {
     /// uniformly drawn slot of its next frame (drawn from the node's
     /// private MAC stream, so the draw is shard-placement invariant)
     /// and schedules the wakeup. Returns `true` when `mac_try` should
-    /// transmit right now — the committed slot has arrived.
+    /// transmit right now — the committed slot has arrived. A frame
+    /// that would end past the last instant is never drawn.
     fn dfa_frame_step(&mut self, at: SimTime, node: NodeId, local: usize, dfa: DfaConfig) -> bool {
         if let Some(slot_at) = self.nodes[local].dfa_slot_at {
             if at == slot_at {
@@ -605,10 +635,16 @@ impl<P: Protocol> ShardCore<P> {
         // and the previous frame's end, on the absolute slot grid every
         // node shares.
         let begin = at.max(self.nodes[local].dfa_frame_end);
-        let frame_start = align_up(begin, dfa.slot);
+        let Some(frame_start) = align_up(begin, dfa.slot) else {
+            return false;
+        };
         let slot_index = self.nodes[local].mac_rng.gen_range(0..slots);
-        let slot_at = frame_start + dfa.slot * slot_index;
-        let frame_end = frame_start + dfa.slot * slots;
+        let (Some(slot_at), Some(frame_end)) = (
+            frame_start.checked_add(dfa.slot * slot_index),
+            frame_start.checked_add(dfa.slot * slots),
+        ) else {
+            return false;
+        };
         let state = &mut self.nodes[local];
         state.dfa_slot_at = Some(slot_at);
         state.dfa_frame_end = frame_end;
@@ -650,8 +686,9 @@ impl<P: Protocol> ShardCore<P> {
                 );
                 self.tx.backoffs += 1;
                 self.tx.backoff_slots += slots;
-                let retry = at + ctx.mac.backoff_slot * slots;
-                self.push_mac(retry, LANE_M_TRY, node, local, MacKind::Try { node });
+                if let Some(retry) = at.checked_add(ctx.mac.backoff_slot * slots) {
+                    self.push_mac(retry, LANE_M_TRY, node, local, MacKind::Try { node });
+                }
                 return;
             }
         }
@@ -659,7 +696,18 @@ impl<P: Protocol> ShardCore<P> {
         let payload = state.queue.pop_front().expect("checked non-empty above");
         let bits_on_air = ctx.radio.bits_on_air(payload.bits());
         let airtime = ctx.radio.airtime(payload.bits());
-        let end = at + airtime;
+        let Some(end) = at.checked_add(airtime) else {
+            // Its airtime would end past the last instant: the frame
+            // never reaches the air, and the next one, if any, tries
+            // now. An emptied queue releases idle timers, as a
+            // transmission ending on one does.
+            if state.queue.is_empty() {
+                self.idle.release(node, ctx.rx_floor(at), &mut self.rx_heap);
+            } else {
+                self.push_mac(at, LANE_M_TRY, node, local, MacKind::Try { node });
+            }
+            return;
+        };
         let tx_idx = state.tx_count;
         state.tx_count += 1;
         state.transmitting = true;
@@ -774,7 +822,7 @@ impl<P: Protocol> ShardCore<P> {
         match ev.kind {
             RxKind::Dynamics { idx, action } => match action {
                 DynAction::Move { node, to } => {
-                    self.topo_rx.set_position(node, to);
+                    Arc::make_mut(&mut self.topo_rx).set_position(node, to);
                     if ctx.tracing && self.owns(ctx, node) {
                         self.trace_buf.push((
                             (at.as_micros(), LANE_T_DYN, idx, 0),
@@ -783,7 +831,7 @@ impl<P: Protocol> ShardCore<P> {
                     }
                 }
                 DynAction::SetAlive { node, alive } => {
-                    self.topo_rx.set_alive(node, alive);
+                    Arc::make_mut(&mut self.topo_rx).set_alive(node, alive);
                     if self.owns(ctx, node) {
                         if ctx.tracing {
                             self.trace_buf.push((
@@ -1103,7 +1151,11 @@ impl<P: Protocol> ShardCore<P> {
                         let node_local = ctx.local(self.index, node);
                         // One MAC turnaround after the callback — the
                         // lookahead bound that makes windows independent.
-                        let enqueue_at = at + LOOKAHEAD;
+                        // A frame whose turnaround would end past the
+                        // last instant never reaches the MAC.
+                        let Some(enqueue_at) = at.checked_add(LOOKAHEAD) else {
+                            continue;
+                        };
                         self.push_mac(
                             enqueue_at,
                             LANE_M_ENQ,
@@ -1265,17 +1317,29 @@ impl ShardedSimBuilder {
         P: Protocol,
         F: FnMut(NodeId) -> P + 'static,
     {
+        let range = self.range;
+        self.build_on(Topology::new(range), factory)
+    }
+
+    /// Builds the simulator on `master`, whose nodes are not admitted
+    /// yet; every shard's replicas share it.
+    fn build_on<P, F>(self, master: Topology, factory: F) -> ShardedSim<P>
+    where
+        P: Protocol,
+        F: FnMut(NodeId) -> P + 'static,
+    {
         self.mac.validate();
+        let master = Arc::new(master);
         let cores = (0..self.shards)
-            .map(|i| ShardCore::new(i, self.range))
+            .map(|i| ShardCore::new(i, &master))
             .collect();
         let mut sim = ShardedSim {
             now: SimTime::ZERO,
-            seed: self.seed,
+            stream_roots: stream_roots(self.seed),
             radio: self.radio,
             mac: self.mac,
             faults: self.faults,
-            master: Topology::new(self.range),
+            master,
             cores,
             owner: Vec::new(),
             air: AirView::default(),
@@ -1303,22 +1367,22 @@ impl ShardedSimBuilder {
     /// Builds the simulator pre-populated with every node of `topology`
     /// (positions and liveness), creating protocols via `factory`.
     ///
-    /// Equivalent to adding each node individually but O(topology) —
-    /// the replicas clone the finished adjacency instead of relinking
-    /// per added node, which matters at 10k nodes.
+    /// Equivalent to adding each node individually but O(topology): the
+    /// engine keeps one copy of the finished adjacency, which the
+    /// master and every shard's replicas share until a dynamic event
+    /// writes to one, instead of relinking per added node — which
+    /// matters at 10k nodes.
     pub fn build_with_topology<P, F>(self, topology: &Topology, factory: F) -> ShardedSim<P>
     where
         P: Protocol,
         F: FnMut(NodeId) -> P + 'static,
     {
-        let mut sim = self.build(factory);
-        sim.master = topology.clone();
-        for core in &mut sim.cores {
-            core.topo_mac = topology.clone();
-            core.topo_rx = topology.clone();
-        }
-        let ids: Vec<NodeId> = topology.node_ids().collect();
-        for id in ids {
+        let mut sim = self.build_on(topology.clone(), factory);
+        let n = topology.len();
+        sim.owner.reserve_exact(n);
+        sim.cores[0].nodes.reserve_exact(n);
+        sim.cores[0].rx_heap.reserve_exact(n);
+        for id in topology.node_ids() {
             let protocol = (sim.factory)(id);
             sim.admit(id, protocol);
         }
@@ -1331,13 +1395,17 @@ impl ShardedSimBuilder {
 /// model.
 pub struct ShardedSim<P> {
     now: SimTime,
-    seed: u64,
+    /// The builder seed's [`stream_roots`], from which every node's RNG
+    /// streams derive.
+    stream_roots: [u64; 4],
     radio: RadioConfig,
     mac: MacConfig,
     faults: FaultModel,
     /// Authoritative topology for the public accessor and shard
-    /// rebalancing; dynamics are applied to it at epoch barriers.
-    master: Topology,
+    /// rebalancing; dynamics are applied to it at epoch barriers. The
+    /// shards' replicas share it until a dynamic event writes to one,
+    /// and share it again once nodes are added (at the next run).
+    master: Arc<Topology>,
     cores: Vec<ShardCore<P>>,
     /// `node -> (shard, local index)`.
     owner: Vec<(u32, u32)>,
@@ -1392,11 +1460,8 @@ impl<P: Protocol> ShardedSim<P> {
 
     /// Adds a node with an explicitly constructed protocol instance.
     pub fn add_node_with(&mut self, position: Position, protocol: P) -> NodeId {
-        let id = self.master.add(position);
-        for core in &mut self.cores {
-            core.topo_mac.add(position);
-            core.topo_rx.add(position);
-        }
+        // The replicas catch up at the next run (`share_master`).
+        let id = Arc::make_mut(&mut self.master).add(position);
         self.admit(id, protocol)
     }
 
@@ -1410,7 +1475,8 @@ impl<P: Protocol> ShardedSim<P> {
         let core = &mut self.cores[0];
         self.owner.push((0, core.nodes.len() as u32));
         self.air.add_node();
-        core.nodes.push(LocalNode::new(self.seed, id, protocol));
+        core.nodes
+            .push(LocalNode::new(&self.stream_roots, id, protocol));
         let at = self.now;
         core.rx_heap.push(RxEvent {
             at,
@@ -1685,6 +1751,22 @@ impl<P: Protocol> ShardedSim<P> {
             && self.owner.len() >= self.cores.len() * MIN_NODES_PER_SHARD
     }
 
+    /// Points every replica that lacks nodes added since the last run at
+    /// the master again. This is exact: between runs every replica
+    /// equals the master but for those nodes, because each copy applied
+    /// every dynamic event up to the deadline in the same
+    /// `(instant, index)` order, and [`Topology`] keeps each neighbor
+    /// list sorted by id.
+    fn share_master(&mut self) {
+        for core in &mut self.cores {
+            for replica in [&mut core.topo_mac, &mut core.topo_rx] {
+                if replica.len() != self.master.len() {
+                    *replica = Arc::clone(&self.master);
+                }
+            }
+        }
+    }
+
     /// Re-buckets node ownership into spatial stripes (see
     /// [`spatial_stripes`]). Called at the start of every run (and
     /// skipped unless nodes were added or dynamics ran since the last
@@ -1717,12 +1799,6 @@ impl<P: Protocol> ShardedSim<P> {
         let mut slots: Vec<Option<LocalNode<P>>> = (0..self.owner.len()).map(|_| None).collect();
         let mut mac_orphans: Vec<MacEvent> = Vec::new();
         let mut rx_orphans: Vec<RxEvent> = Vec::new();
-        // Pending delivery events may exist on only the cores that were
-        // interested under the OLD placement; dedup them by sequence
-        // number and re-broadcast below so the new owner of every
-        // receiver sees them. (The next barrier routes fresh ones by
-        // the new interest sets.)
-        let mut pending_delivers: FixedMap<u64, (SimTime, NodeId)> = FixedMap::default();
         let mut idle = Vec::new();
         for core in &mut self.cores {
             for node in core.nodes.drain(..) {
@@ -1730,8 +1806,11 @@ impl<P: Protocol> ShardedSim<P> {
                 slots[index] = Some(node);
             }
             idle.extend(core.idle.drain());
-            // Node-owned events follow their node; dynamics already
-            // exist once per shard and stay put.
+            // Node-owned events follow their node. Dynamics already
+            // exist once per shard, and delivery events stay with the
+            // shards they were routed to: the interest rebuild that
+            // follows every ownership change hands each shard those of
+            // the cells it gains (`build_interest`).
             let events: Vec<MacEvent> = core.mac_heap.drain().collect();
             for ev in events {
                 if ev.node().is_some() {
@@ -1744,8 +1823,6 @@ impl<P: Protocol> ShardedSim<P> {
             for ev in events {
                 if ev.node().is_some() {
                     rx_orphans.push(ev);
-                } else if let RxKind::Deliver { seq, sender } = ev.kind {
-                    pending_delivers.insert(seq, (ev.at, sender));
                 } else {
                     core.rx_heap.push(ev);
                 }
@@ -1772,17 +1849,6 @@ impl<P: Protocol> ShardedSim<P> {
         for (node, timers) in idle {
             let core = &mut self.cores[self.owner[node.index()].0 as usize];
             core.idle.adopt(node, timers);
-        }
-        for (seq, (at, sender)) in pending_delivers {
-            for core in &mut self.cores {
-                core.rx_heap.push(RxEvent {
-                    at,
-                    lane: LANE_R_DELIVER,
-                    a: seq,
-                    b: 0,
-                    kind: RxKind::Deliver { seq, sender },
-                });
-            }
         }
     }
 
@@ -1815,10 +1881,17 @@ impl<P: Protocol> ShardedSim<P> {
     /// is filtered by it. Only placement changes (node
     /// adds, ownership rebalances) pay this full rebuild; scheduled
     /// moves patch the refcounts incrementally as they execute.
+    ///
+    /// A shard that gains a cell gets the delivery events of the
+    /// records still in flight there ([`backfill_gained_cell`]): a node
+    /// added between runs hears the rest of a frame already on the air,
+    /// as on one shard.
     fn build_interest(&mut self) {
-        for core in &mut self.cores {
-            core.interest.clear();
-        }
+        let before: Vec<_> = self
+            .cores
+            .iter_mut()
+            .map(|core| std::mem::take(&mut core.interest))
+            .collect();
         for index in 0..self.owner.len() {
             let node = NodeId(index as u32);
             let shard = self.owner[index].0 as usize;
@@ -1830,6 +1903,17 @@ impl<P: Protocol> ShardedSim<P> {
                         .entry((cx + dx, cy + dy))
                         .or_insert(0) += 1;
                 }
+            }
+        }
+        for (core, before) in self.cores.iter_mut().zip(&before) {
+            let gained: Vec<Cell> = core
+                .interest
+                .keys()
+                .filter(|cell| !before.contains_key(cell))
+                .copied()
+                .collect();
+            for cell in gained {
+                backfill_gained_cell(core, &self.air, &self.master, cell, self.resume);
             }
         }
     }
@@ -2169,7 +2253,7 @@ fn worker<P: Protocol>(
 /// while the shards are parked — and the state those steps own.
 struct Conductor<'a> {
     ctx: &'a EngineCtx<'a>,
-    master: &'a mut Topology,
+    master: &'a mut Arc<Topology>,
     master_dyn: &'a mut BTreeMap<(SimTime, u64), DynAction>,
     next_seq: &'a mut u64,
     frames_sent: &'a mut u64,
@@ -2253,7 +2337,8 @@ impl Conductor<'_> {
             let (_, action) = self.master_dyn.pop_first().expect("peeked above");
             match action {
                 DynAction::Move { node, to } => {
-                    let (old_cell, new_cell) = self.master.set_position_tracked(node, to);
+                    let (old_cell, new_cell) =
+                        Arc::make_mut(self.master).set_position_tracked(node, to);
                     if !routed || old_cell == new_cell {
                         continue;
                     }
@@ -2275,7 +2360,9 @@ impl Conductor<'_> {
                     }
                     route_mover_records(cores, air, node, new_cell, at);
                 }
-                DynAction::SetAlive { node, alive } => self.master.set_alive(node, alive),
+                DynAction::SetAlive { node, alive } => {
+                    Arc::make_mut(self.master).set_alive(node, alive);
+                }
             }
         }
         deferred
@@ -2405,6 +2492,7 @@ impl<P: Protocol + Send> ShardedSim<P> {
     /// Propagates panics from protocol callbacks (on worker threads,
     /// re-raised on the caller).
     pub fn run_until(&mut self, deadline: SimTime) {
+        self.share_master();
         self.rebalance_ownership();
         // Multi-shard runs route delivery events by interest: scheduled
         // dynamics patch the refcounted sets incrementally as they

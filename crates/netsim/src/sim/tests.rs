@@ -1208,6 +1208,40 @@ fn regained_interest_delivers_once() {
     }
 }
 
+/// A node added between runs while a frame is on the air hears the rest
+/// of it, as on one shard. At K = 2 the new node joins shard 0 and no
+/// rebalance moves anything, so shard 0, which the frame was never
+/// routed to, gains the sender's cell only when its interest is rebuilt
+/// at the next run.
+#[test]
+fn a_node_added_mid_frame_hears_it_on_every_shard_count() {
+    let run = |shards: usize| {
+        let mut sim = ShardedSimBuilder::new(5)
+            .mac(MacConfig::aloha())
+            .range(100.0)
+            .shards(shards)
+            .build(|id| Chatter {
+                to_send: u32::from(id == NodeId(1)),
+                heard: 0,
+                payload_bytes: 27,
+            });
+        sim.add_node_at(Position::new(0.0, 0.0));
+        sim.add_node_at(Position::new(1000.0, 0.0));
+        // The frame is on the air from 0.5 ms to 7.1 ms.
+        sim.run_until(SimTime::from_millis(2));
+        let late = sim.add_node_at(Position::new(950.0, 0.0));
+        sim.run_until(SimTime::from_millis(100));
+        (sim.protocol(late).heard, digest(&sim))
+    };
+    let (heard, reference) = run(1);
+    assert_eq!(heard, 1);
+    for shards in [2, 4] {
+        let (late_heard, outcome) = run(shards);
+        assert_eq!(late_heard, heard, "K = {shards}");
+        assert_eq!(outcome, reference, "K = {shards}");
+    }
+}
+
 /// Panics at a fixed sim time on one node.
 struct Grenade {
     armed: bool,
@@ -1795,6 +1829,132 @@ fn timers_at_the_top_of_time_fire_once() {
     }
 }
 
+/// Token of [`TopSender`]'s timer armed past the top of time.
+const PAST_THE_TOP: u64 = 100;
+/// Token of [`TopSender`]'s idle timer.
+const IDLE_AT_THE_TOP: u64 = 200;
+
+/// Sends a 10-byte frame from a timer at each of `sends` (µs after
+/// start). The first such callback also arms a timer `u64::MAX` µs
+/// ahead, and with `idle` every one arms an idle timer polling every
+/// `idle` µs.
+struct TopSender {
+    sends: Vec<u64>,
+    idle: Option<u64>,
+    fired: Vec<(u64, SimTime)>,
+    heard: u32,
+}
+
+impl Protocol for TopSender {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        for (token, &at) in (0..).zip(&self.sends) {
+            ctx.set_timer(SimDuration::from_micros(at), token);
+        }
+    }
+    fn on_frame(&mut self, _ctx: &mut Context<'_>, _frame: &Frame) {
+        self.heard += 1;
+    }
+    fn on_timer(&mut self, ctx: &mut Context<'_>, timer: Timer) {
+        self.fired.push((timer.token, ctx.now()));
+        if timer.token >= PAST_THE_TOP {
+            return;
+        }
+        ctx.send(FramePayload::from_bytes(vec![0x5A; 10]).unwrap())
+            .unwrap();
+        if timer.token == 0 {
+            ctx.set_timer(SimDuration::from_micros(u64::MAX), PAST_THE_TOP);
+        }
+        if let Some(poll) = self.idle {
+            ctx.set_timer_when_idle(SimDuration::from_micros(poll), IDLE_AT_THE_TOP);
+        }
+    }
+}
+
+/// Nothing is scheduled past the last instant. Nodes send from timers
+/// near the top of time:
+///
+/// - node 0 at 1 ms, which also arms a timer past the top from
+///   `now > 0`, and at `u64::MAX − 100` µs, whose turnaround would
+///   end past the top;
+/// - node 1 at `u64::MAX −` half an airtime, whose airtime would;
+/// - nodes 2 and 3 (out of everyone's range) one turnaround and one
+///   airtime before `u64::MAX − 10` µs, each with an idle timer that
+///   finds its frame on the air: node 2's next poll instant is past the
+///   top, and node 3's is not, but the next one at or after its frame's
+///   end is; so is the inter-frame space after either frame;
+/// - node 4 during node 2's frame: under CSMA its backoffs end on a
+///   busy channel or past the top, and under ALOHA its airtime would.
+///
+/// Under ALOHA and CSMA only the 1 ms frame and the frames of nodes 2
+/// and 3 reach the air, and no timer past the top fires;
+/// `run_until(u64::MAX)` returns on one shard and on two threaded ones,
+/// with the same output. Dynamic-Frame Aloha, whose slot grid ends
+/// before the frames near the top would, sends the 1 ms frame alone.
+#[test]
+fn sends_and_timers_past_the_top_of_time_never_happen() {
+    let end = SimTime::from_micros(u64::MAX);
+    let airtime = RadioConfig::radiometrix_rpc().airtime(80).as_micros();
+    let turnaround = LOOKAHEAD.as_micros();
+    let last = u64::MAX - 10 - airtime - turnaround;
+    let plans = [
+        (0.0, vec![1_000, u64::MAX - 100], None),
+        (10.0, vec![u64::MAX - airtime / 2], None),
+        (20.0, vec![last], Some(turnaround + airtime / 2)),
+        (500.0, vec![last], Some(1_500)),
+        (30.0, vec![last + 100], None),
+    ];
+    let run = |mac: MacConfig, shards: usize| {
+        let nodes = plans.clone();
+        let mut sim = ShardedSimBuilder::new(17)
+            .mac(mac)
+            .shards(shards)
+            .build(move |id| {
+                let (_, sends, idle) = nodes[id.index()].clone();
+                TopSender {
+                    sends,
+                    idle,
+                    fired: Vec::new(),
+                    heard: 0,
+                }
+            });
+        for &(x, _, _) in &plans {
+            sim.add_node_at(Position::new(x, 0.0));
+        }
+        sim.set_force_threads(true);
+        assert_eq!(sim.uses_worker_threads(), shards > 1);
+        sim.run_until(end);
+        assert_eq!(sim.now(), end);
+        let nodes: Vec<_> = sim
+            .node_ids()
+            .map(|id| (sim.protocol(id).fired.clone(), sim.protocol(id).heard))
+            .collect();
+        (nodes, sim.stats(), sim.dfa_stats())
+    };
+    let at = SimTime::from_micros;
+    let expected_fired = vec![
+        vec![(0, at(1_000)), (1, at(u64::MAX - 100))],
+        vec![(0, at(u64::MAX - airtime / 2))],
+        vec![(0, at(last))],
+        vec![(0, at(last))],
+        vec![(0, at(last + 100))],
+    ];
+    let dfa = MacConfig::dfa_known(SimDuration::from_millis(8), 5);
+    for mac in [MacConfig::aloha(), MacConfig::csma(), dfa] {
+        let (nodes, stats, dfa_stats) = run(mac, 1);
+        let fired: Vec<_> = nodes.iter().map(|(fired, _)| fired.clone()).collect();
+        assert_eq!(fired, expected_fired, "{mac:?}");
+        let heard: Vec<_> = nodes.iter().map(|&(_, heard)| heard).collect();
+        if mac.dfa_config().is_some() {
+            assert_eq!(stats.frames_sent, 1, "{mac:?}");
+            assert_eq!(heard, [0, 1, 1, 0, 1], "{mac:?}");
+        } else {
+            assert_eq!(stats.frames_sent, 3, "{mac:?}");
+            assert_eq!(heard, [1, 2, 1, 0, 2], "{mac:?}");
+        }
+        assert_eq!(run(mac, 2), (nodes, stats, dfa_stats), "{mac:?}");
+    }
+}
+
 /// Dynamics scheduled for one instant apply in the order they were
 /// scheduled: two moves of one node leave it at the second destination,
 /// and a death then a revival leave it alive, traced in that order — on
@@ -1858,20 +2018,23 @@ fn same_instant_dynamics_apply_in_schedule_order() {
 #[test]
 fn node_streams_are_distinct_per_label_and_node() {
     let mut seen = FixedSet::default();
-    for label in [
-        "netsim.shard.mac",
-        "netsim.shard.proto",
-        "netsim.shard.chan",
-    ] {
+    for root in stream_roots(42) {
         for node in 0..64 {
-            assert!(seen.insert(node_stream_seed(42, label, NodeId(node))));
+            assert!(seen.insert(node_stream_seed(root, NodeId(node))));
         }
     }
-    // Provenance: every simulated trial's draws depend on this value.
-    assert_eq!(
-        node_stream_seed(7, "netsim.shard.mac", NodeId(5)),
-        0xc4ba_bf2a_1b29_d98f
-    );
+    // Provenance: every simulated trial's draws depend on these values,
+    // one per label, in `NODE_STREAM_LABELS` order.
+    let pins = [
+        0xc4ba_bf2a_1b29_d98f,
+        0x0c2b_09d5_2a24_87cb,
+        0x1f4f_0f3f_cc81_6f22,
+        0xbd24_3eea_62f9_ea9b,
+    ];
+    for ((label, root), pin) in NODE_STREAM_LABELS.iter().zip(stream_roots(7)).zip(pins) {
+        assert_eq!(root, stream_seed(7, label), "{label}");
+        assert_eq!(node_stream_seed(root, NodeId(5)), pin, "{label}");
+    }
 }
 
 mod idle_timer {
@@ -2084,6 +2247,295 @@ mod idle_timer {
         #[test]
         fn idle_timer_matches_the_poll_loop_under_dfa_churn(case in dfa_churn()) {
             idle_matches_poll(&case)?;
+        }
+    }
+}
+
+mod shared_topology {
+    use super::*;
+
+    /// What a topology holds: each node's position, liveness, cell and
+    /// neighbors, and the bucket of every cell within one ring of a
+    /// node, as a sorted set.
+    type Content = (
+        Vec<(Position, bool, Cell, Vec<NodeId>)>,
+        Vec<(Cell, Vec<NodeId>)>,
+    );
+
+    fn content(topology: &Topology) -> Content {
+        let nodes = topology
+            .node_ids()
+            .map(|id| {
+                let neighbors = topology.neighbors(id).collect();
+                (
+                    topology.position(id),
+                    topology.is_alive(id),
+                    topology.cell(id),
+                    neighbors,
+                )
+            })
+            .collect();
+        let mut cells: Vec<Cell> = topology
+            .node_ids()
+            .flat_map(|id| {
+                let (cx, cy) = topology.cell(id);
+                (-1..=1).flat_map(move |dx| (-1..=1).map(move |dy| (cx + dx, cy + dy)))
+            })
+            .collect();
+        cells.sort_unstable();
+        cells.dedup();
+        let buckets = cells
+            .into_iter()
+            .map(|cell| {
+                let mut bucket: Vec<NodeId> = topology.nodes_in(cell).collect();
+                bucket.sort_unstable();
+                (cell, bucket)
+            })
+            .collect();
+        (nodes, buckets)
+    }
+
+    /// Whether the master and every shard's replicas are one allocation.
+    fn shared<P>(sim: &ShardedSim<P>) -> bool {
+        sim.cores.iter().all(|core| {
+            Arc::ptr_eq(&core.topo_mac, &sim.master) && Arc::ptr_eq(&core.topo_rx, &sim.master)
+        })
+    }
+
+    fn chatter(_: NodeId) -> Chatter {
+        Chatter {
+            to_send: 1,
+            heard: 0,
+            payload_bytes: 8,
+        }
+    }
+
+    /// The master and every replica stay one allocation until a dynamic
+    /// event writes to one: after `build_with_topology`, after a run
+    /// without dynamics, and after nodes are added and the next run
+    /// starts, at K = 1, 2 and 4. A run with dynamics leaves the master
+    /// and the 2K replicas a copy each, and the next node add shares
+    /// them again. A network built empty and then populated, like the
+    /// paper testbed, shares its one topology from its first run on.
+    #[test]
+    fn replicas_share_the_master_until_a_dynamic_event() {
+        let ms = SimTime::from_millis;
+        for shards in [1, 2, 4] {
+            let topology = Topology::grid(4, 4, 30.0, 45.0);
+            let mut sim = ShardedSimBuilder::new(21)
+                .mac(MacConfig::aloha())
+                .shards(shards)
+                .build_with_topology(&topology, chatter);
+            assert!(shared(&sim), "built, K = {shards}");
+            sim.run_until(ms(100));
+            assert!(shared(&sim), "no dynamics, K = {shards}");
+            sim.add_node_at(Position::new(15.0, 15.0));
+            sim.run_until(ms(200));
+            assert!(shared(&sim), "node added, K = {shards}");
+            assert_eq!(sim.topology().len(), 17);
+            sim.schedule_move(ms(250), NodeId(0), Position::new(100.0, 100.0));
+            sim.schedule_set_alive(ms(260), NodeId(1), false);
+            sim.run_until(ms(300));
+            let mut copies: Vec<*const Topology> = sim
+                .cores
+                .iter()
+                .flat_map(|core| [Arc::as_ptr(&core.topo_mac), Arc::as_ptr(&core.topo_rx)])
+                .chain([Arc::as_ptr(&sim.master)])
+                .collect();
+            copies.sort_unstable();
+            copies.dedup();
+            assert_eq!(copies.len(), 2 * shards + 1, "dynamics, K = {shards}");
+            sim.add_node_at(Position::new(45.0, 45.0));
+            sim.run_until(ms(400));
+            assert!(shared(&sim), "node added after dynamics, K = {shards}");
+
+            let mut incremental = ShardedSimBuilder::new(21)
+                .mac(MacConfig::aloha())
+                .shards(shards)
+                .build(chatter);
+            for id in topology.node_ids() {
+                incremental.add_node_at(topology.position(id));
+            }
+            incremental.run_until(ms(100));
+            assert!(shared(&incremental), "built empty, K = {shards}");
+        }
+    }
+
+    /// A scheduled topology change of node `node` modulo the node count,
+    /// `at` µs after the run that schedules it starts.
+    #[derive(Debug, Clone)]
+    enum Change {
+        Die {
+            node: usize,
+            at: u64,
+            down: u64,
+        },
+        Move {
+            node: usize,
+            at: u64,
+            x: f64,
+            y: f64,
+        },
+    }
+
+    /// One `run_until`: the nodes added and the changes scheduled
+    /// before it, and how far past the previous deadline it runs, µs.
+    #[derive(Debug, Clone)]
+    struct Step {
+        adds: Vec<(f64, f64)>,
+        changes: Vec<Change>,
+        length: u64,
+    }
+
+    /// A MAC (ALOHA, CSMA or Dynamic-Frame Aloha), saturating senders
+    /// on a 3×3-cell field (range 50) and the runs that follow.
+    #[derive(Debug, Clone)]
+    struct Case {
+        seed: u64,
+        mac: u8,
+        nodes: Vec<(f64, f64)>,
+        steps: Vec<Step>,
+    }
+
+    fn position() -> (std::ops::Range<f64>, std::ops::Range<f64>) {
+        (0.0..150.0, 0.0..150.0)
+    }
+
+    fn change() -> impl Strategy<Value = Change> {
+        (0u8..2, 0usize..64, 1u64..60_000, 1u64..30_000, position()).prop_map(
+            |(kind, node, at, down, (x, y))| match kind {
+                0 => Change::Die { node, at, down },
+                _ => Change::Move { node, at, x, y },
+            },
+        )
+    }
+
+    fn case() -> impl Strategy<Value = Case> {
+        let step = (
+            proptest::collection::vec(position(), 0..3),
+            proptest::collection::vec(change(), 0..5),
+            1u64..60_000,
+        )
+            .prop_map(|(adds, changes, length)| Step {
+                adds,
+                changes,
+                length,
+            });
+        (
+            (any::<u64>(), 0u8..3),
+            proptest::collection::vec(position(), 1..10),
+            proptest::collection::vec(step, 1..6),
+        )
+            .prop_map(|((seed, mac), nodes, steps)| Case {
+                seed,
+                mac,
+                nodes,
+                steps,
+            })
+    }
+
+    /// What a run produced.
+    struct Outcome {
+        sends: Vec<Vec<SimTime>>,
+        stats: MediumStats,
+        dfa: DfaStats,
+        trace: Vec<TraceEvent>,
+        topology: Content,
+    }
+
+    /// Runs `case` on `shards` shards (on worker threads when more than
+    /// one), checking after every `run_until` that each replica holds
+    /// what the master holds.
+    fn run(case: &Case, shards: usize) -> Result<Outcome, TestCaseError> {
+        let mac = match case.mac {
+            0 => MacConfig::aloha(),
+            1 => MacConfig::csma(),
+            _ => MacConfig::dfa_known(SimDuration::from_millis(8), 8),
+        };
+        let idle = case.seed.is_multiple_of(2);
+        let mut sim = ShardedSimBuilder::new(case.seed)
+            .mac(mac)
+            .range(50.0)
+            .shards(shards)
+            .build(move |id| {
+                let offset = SimDuration::from_micros(u64::from(id.0) * 397 % 5_000);
+                Saturator::new(
+                    idle,
+                    SimDuration::from_millis(5),
+                    offset,
+                    SimTime::from_secs(60),
+                )
+            });
+        for &(x, y) in &case.nodes {
+            sim.add_node_at(Position::new(x, y));
+        }
+        sim.set_force_threads(true);
+        sim.enable_trace(1 << 20);
+        for step in &case.steps {
+            for &(x, y) in &step.adds {
+                sim.add_node_at(Position::new(x, y));
+            }
+            let (now, nodes) = (sim.now(), sim.node_count());
+            let after = |micros| now + SimDuration::from_micros(micros);
+            for change in &step.changes {
+                match *change {
+                    Change::Die { node, at, down } => {
+                        let node = NodeId((node % nodes) as u32);
+                        sim.schedule_set_alive(after(at), node, false);
+                        sim.schedule_set_alive(after(at + down), node, true);
+                    }
+                    Change::Move { node, at, x, y } => {
+                        let node = NodeId((node % nodes) as u32);
+                        sim.schedule_move(after(at), node, Position::new(x, y));
+                    }
+                }
+            }
+            sim.run_until(after(step.length));
+            let master = content(sim.topology());
+            for core in &sim.cores {
+                let index = core.index;
+                prop_assert!(
+                    content(&core.topo_mac) == master,
+                    "MAC replica of shard {} differs from the master, K = {}",
+                    index,
+                    shards
+                );
+                prop_assert!(
+                    content(&core.topo_rx) == master,
+                    "receive replica of shard {} differs from the master, K = {}",
+                    index,
+                    shards
+                );
+            }
+        }
+        Ok(Outcome {
+            sends: sim
+                .node_ids()
+                .map(|id| sim.protocol(id).sends.clone())
+                .collect(),
+            stats: sim.stats(),
+            dfa: sim.dfa_stats(),
+            trace: sim.tracer().unwrap().events().copied().collect(),
+            topology: content(sim.topology()),
+        })
+    }
+
+    proptest! {
+        /// Every replica equals the master at every run boundary, under
+        /// random moves, deaths, revivals and node adds between runs —
+        /// what lets a replica share the master again after an add —
+        /// and the runs at K = 2 and 4 on worker threads equal K = 1's.
+        #[test]
+        fn replicas_match_the_master_at_every_run_boundary(case in case()) {
+            let reference = run(&case, 1)?;
+            for shards in [2, 4] {
+                let outcome = run(&case, shards)?;
+                prop_assert_eq!(&outcome.sends, &reference.sends, "sends, K = {}", shards);
+                prop_assert_eq!(outcome.stats, reference.stats, "medium, K = {}", shards);
+                prop_assert_eq!(outcome.dfa, reference.dfa, "DFA, K = {}", shards);
+                prop_assert!(outcome.trace == reference.trace, "trace differs, K = {}", shards);
+                prop_assert!(outcome.topology == reference.topology, "topology differs, K = {}", shards);
+            }
         }
     }
 }

@@ -64,6 +64,24 @@ impl SimTime {
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
+
+    /// The instant `duration` after this one, or `None` past the last
+    /// instant (`u64::MAX` µs), which the engine never schedules.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use retri_netsim::{SimDuration, SimTime};
+    ///
+    /// let top = SimTime::from_micros(u64::MAX);
+    /// let d = SimDuration::from_micros(1);
+    /// assert_eq!(SimTime::ZERO.checked_add(d), Some(SimTime::from_micros(1)));
+    /// assert_eq!(top.checked_add(d), None);
+    /// ```
+    #[must_use]
+    pub fn checked_add(self, duration: SimDuration) -> Option<SimTime> {
+        self.0.checked_add(duration.0).map(SimTime)
+    }
 }
 
 impl fmt::Display for SimTime {

@@ -12,13 +12,14 @@
 //!   *parks*: it stays off the heap, in its shard's idle-timer table,
 //!   and its poll instants are skipped;
 //! - only a MAC event can bring the count to zero — a `TxEnd` that
-//!   leaves the queue empty, or the node's death — and each pushes the
-//!   node's parked timers back onto the receive heap at their first poll
-//!   instant at or after the **start of the current window** (or the
-//!   point where an earlier `run_until` stopped inside it): every
-//!   receive event of the window already sees the end-of-phase state,
-//!   so an instant before the `TxEnd` itself fires too, as the poll loop
-//!   did;
+//!   leaves the queue empty (or the drop of the last queued frame,
+//!   whose airtime would end past the last instant), or the node's
+//!   death — and each pushes the node's parked timers back onto the
+//!   receive heap at their first poll instant at or after the **start
+//!   of the current window** (or the point where an earlier
+//!   `run_until` stopped inside it): every receive event of the window
+//!   already sees the end-of-phase state, so an instant before the
+//!   `TxEnd` itself fires too, as the poll loop did;
 //! - a dispatched idle timer is dropped if cancelled or if its node is
 //!   dead (ending the chain, as the poll loop's did), parks again if the
 //!   count is above zero, and otherwise calls the protocol.
@@ -69,9 +70,10 @@ pub(crate) struct IdleTimer {
 ///
 /// While a timer is parked its node's pending count
 /// ([`Context::pending_frames`]) stays above zero: it parks only when
-/// the count reads above zero, and only two MAC events can bring the
-/// count to zero — a `TxEnd` on an empty queue and the node's death —
-/// each of which releases the node's parked timers. So every poll
+/// the count reads above zero, and only MAC events can bring the count
+/// to zero — a `TxEnd` on an empty queue (or the drop of the last
+/// queued frame at the top of time) and the node's death — each of
+/// which releases the node's parked timers. So every poll
 /// instant a parked timer skips is one where the poll loop it replaces
 /// would only have re-armed.
 ///
@@ -101,7 +103,8 @@ impl IdleTimers {
     /// Handles the event of `node`'s idle timer `handle` at `at`:
     /// whether the protocol should be called. A cancelled timer has no
     /// entry and is dropped, and so is one whose node is dead; one that
-    /// finds the queue `busy` parks until its next poll instant.
+    /// finds the queue `busy` parks until its next poll instant, or is
+    /// dropped if that is past the last instant.
     pub(crate) fn fire(
         &mut self,
         node: NodeId,
@@ -111,12 +114,16 @@ impl IdleTimers {
         busy: bool,
     ) -> bool {
         if alive && busy {
-            if let Some(timer) = self
+            let past_the_top = self
                 .0
                 .get_mut(&node)
                 .and_then(|timers| timers.iter_mut().find(|t| t.timer.handle == handle))
-            {
-                timer.parked = Some(at + timer.poll);
+                .is_some_and(|timer| {
+                    timer.parked = at.checked_add(timer.poll);
+                    timer.parked.is_none()
+                });
+            if past_the_top {
+                self.cancel(node, handle);
             }
             return false;
         }
@@ -140,7 +147,8 @@ impl IdleTimers {
     }
 
     /// Moves `node`'s parked timers into `out` as timer events, each at
-    /// its first poll instant at or after `floor`. Their order does not
+    /// its first poll instant at or after `floor`; a timer with no such
+    /// instant before the last one is dropped. Their order does not
     /// matter: every timer event has a key of its own.
     pub(crate) fn release(&mut self, node: NodeId, floor: SimTime, out: &mut impl Extend<RxEvent>) {
         if self.0.is_empty() {
@@ -149,14 +157,29 @@ impl IdleTimers {
         let Some(timers) = self.0.get_mut(&node) else {
             return;
         };
-        for timer in timers {
+        timers.retain_mut(|timer| {
             let Some(next) = timer.parked.take() else {
-                continue;
+                return true;
             };
             let (next, poll) = (next.as_micros(), timer.poll.as_micros());
             let late = floor.as_micros().saturating_sub(next);
-            let at = SimTime::from_micros(next + late.div_ceil(poll) * poll);
-            out.extend([timer_event(node, at, timer.timer, true)]);
+            let Some(at) = late
+                .div_ceil(poll)
+                .checked_mul(poll)
+                .and_then(|skip| next.checked_add(skip))
+            else {
+                return false;
+            };
+            out.extend([timer_event(
+                node,
+                SimTime::from_micros(at),
+                timer.timer,
+                true,
+            )]);
+            true
+        });
+        if timers.is_empty() {
+            self.0.remove(&node);
         }
     }
 
