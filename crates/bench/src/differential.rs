@@ -15,11 +15,12 @@
 //! [`differential_sweep`] runs a grid of `(policy, H, T, D)` cells
 //! through the full simulator stack and scores each cell:
 //!
-//! - the observed success proportion gets a 99% Wilson score interval
-//!   ([`retri_model::stats::WilsonInterval`]); `model_within_interval`
-//!   records whether Eq. 4 lands inside it. The *attempt* denominator
-//!   is ground-truth deliveries — packets that survived the radio —
-//!   because Eq. 4 models identifier collisions, not RF loss.
+//! - the observed success proportion gets a 99% Wilson score interval,
+//!   and `model_within_interval` records whether Eq. 4 lands inside it
+//!   (a [`Verdict`] allowing [`SERIALIZATION_BIAS_ALLOWANCE`]). The
+//!   *attempt* denominator is ground-truth deliveries — packets that
+//!   survived the radio — because Eq. 4 models identifier collisions,
+//!   not RF loss.
 //! - `framing_observed` strips the physical-layer preamble from the
 //!   measured bit meter and compares against the exact bit count the
 //!   [`Fragmenter`] produces for one packet.
@@ -38,28 +39,15 @@
 //! identifier/bounds conflicts — never as silently delivered wrong
 //! bytes.
 //!
-//! [`crate::taxonomy`] extends this harness adversarially: the same
-//! Wilson-verdict rules (including [`SERIALIZATION_BIAS_ALLOWANCE`])
-//! score every selector family across clean *and* attacked cells.
-//!
-//! Calibration note: Eq. 4 counts `2(T-1)` collision exposures as if
-//! every concurrent transaction overlapped destructively, but the CSMA
-//! testbed serializes transmissions, so two transactions sharing an
-//! identifier often complete back-to-back without their fragments ever
-//! interleaving — the simulator *beats* Eq. 4 by a percent or two,
-//! most visibly for short packets. The containment verdict is
-//! therefore asymmetric: the model may undershoot the Wilson interval
-//! by at most [`SERIALIZATION_BIAS_ALLOWANCE`] (the documented rescue
-//! effect), but may never overshoot it — the simulator losing *more*
-//! transactions than Eq. 4 predicts would be a real bug (see
-//! EXPERIMENTS.md, "Fault model and differential tests").
+//! [`crate::taxonomy`] extends this harness adversarially, scoring
+//! every selector family across clean *and* attacked cells.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use retri::IdentifierSpace;
 use retri_aff::wire::WireConfig;
 use retri_aff::{Fragmenter, SelectorPolicy, Testbed, TrialResult};
-use retri_model::stats::{WilsonInterval, Z_99};
+use retri_model::stats::{Verdict, Z_99};
 use retri_model::{p_success, Density, IdBits};
 use retri_netsim::prelude::*;
 
@@ -67,10 +55,15 @@ use crate::harness::{self, Provenance};
 use crate::EffortLevel;
 
 /// How far Eq. 4 may sit *below* the observed Wilson interval before a
-/// cell fails: the CSMA serialization rescue (see the module docs)
-/// makes the simulator succeed slightly more often than the model's
-/// always-destructive overlap assumption, and this absolute allowance
-/// is its measured ceiling across the sweep grid.
+/// cell fails (the [`Verdict`] allowance). Eq. 4 counts `2(T-1)`
+/// collision exposures as if every concurrent transaction overlapped
+/// destructively, but the CSMA testbed serializes transmissions, so two
+/// transactions sharing an identifier often complete back-to-back
+/// unharmed and the simulator *beats* Eq. 4 by a percent or two, most
+/// visibly for short packets. This absolute allowance is that rescue's
+/// measured ceiling across the sweep grid. Nothing widens the upper
+/// side: the simulator losing *more* than Eq. 4 predicts would be a
+/// real bug (EXPERIMENTS.md, "Fault model and differential tests").
 pub const SERIALIZATION_BIAS_ALLOWANCE: f64 = 0.02;
 
 /// One `(policy, H, T, D)` cell of the differential sweep, with every
@@ -98,10 +91,8 @@ pub struct DifferentialCell {
     pub wilson_low: f64,
     /// 99% Wilson interval upper bound around `observed`.
     pub wilson_high: f64,
-    /// Whether Eq. 4 is consistent with the Wilson interval: at most
-    /// [`SERIALIZATION_BIAS_ALLOWANCE`] below `wilson_low` (the
-    /// documented CSMA rescue effect) and never above `wilson_high`
-    /// (the simulator must not lose more than the model predicts).
+    /// Whether Eq. 4 is inside the Wilson interval, allowing
+    /// [`SERIALIZATION_BIAS_ALLOWANCE`] below it.
     pub model_within_interval: bool,
     /// Listening cells only: observed success exceeds the uniform
     /// Eq. 4 bound (Section 3.2's claim). Always `false` for uniform.
@@ -196,7 +187,8 @@ pub fn differential_sweep(level: EffortLevel, shards: usize) -> Provenance<Diffe
             IdBits::new(bits).expect("valid width"),
             Density::new(transmitters as u64).expect("positive density"),
         );
-        let wilson = WilsonInterval::of(successes, attempts, Z_99);
+        let verdict = Verdict::of(successes, attempts, Z_99, predicted)
+            .allowing(SERIALIZATION_BIAS_ALLOWANCE);
         let packet_bits = packet_bytes as f64 * 8.0;
         let header_bits = (total_bits - frames * preamble_bits) as f64;
         provenance.push_cell(
@@ -210,10 +202,9 @@ pub fn differential_sweep(level: EffortLevel, shards: usize) -> Provenance<Diffe
                 successes,
                 observed,
                 predicted,
-                wilson_low: wilson.low,
-                wilson_high: wilson.high,
-                model_within_interval: predicted >= wilson.low - SERIALIZATION_BIAS_ALLOWANCE
-                    && predicted <= wilson.high,
+                wilson_low: verdict.low,
+                wilson_high: verdict.high,
+                model_within_interval: verdict.inside(),
                 beats_uniform_bound: name == "listening" && observed > predicted,
                 framing_observed: offered as f64 * packet_bits / header_bits,
                 framing_predicted: exact_framing(bits, packet_bytes, 27),

@@ -17,9 +17,10 @@
 //! - [`Provenance`] is the uniform `--json` document each experiment
 //!   emits: experiment name, effort, the seed contract, and one entry
 //!   per cell holding its parameters, its seeds, and its observed and
-//!   predicted values. The document is deliberately byte-deterministic:
-//!   running an experiment twice produces identical JSON (wall-clock
-//!   timing is reported on stderr instead of being embedded).
+//!   predicted values. Running an experiment twice produces identical
+//!   JSON, except for the wall-clock run metrics `--obs` embeds
+//!   (`bench_trial_wall_micros`, `bench_trials_per_second`,
+//!   `bench_workers`); without it, timing goes to stderr.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -197,13 +198,12 @@ pub fn resolve_worker_count(requested: Option<&str>, jobs: usize) -> usize {
     available.min(jobs).max(1)
 }
 
-/// Per-trial wall-clock, in microseconds, below which fanning out
-/// loses: thread spawn, queue contention, and the shared results
-/// mutex cost more than the trials themselves. Measured on the
-/// `selector_churn` / `wire_roundtrip` workloads, whose sub-millisecond
-/// trials ran *slower* parallel than serial in the `pr5-sharded`
-/// trajectory entry; 1 ms keeps every simulation-backed sweep parallel
-/// while sending micro-trials down the inline loop.
+/// Per-trial wall-clock, in microseconds, below which a sweep stays on
+/// the calling thread: for micro-trials, thread spawn, queue contention
+/// and the shared results mutex cost as much as the trials themselves.
+/// At quick effort the two sweeps of the `ablation_dynamic_addr`
+/// experiment run under it (first trials of ~0.4 ms and ~0.13 ms on a
+/// 2-vCPU host); every other sweep's first trial takes 2–13 ms.
 pub const SERIAL_TRIAL_THRESHOLD_MICROS: f64 = 1_000.0;
 
 /// Whether a sweep should fan out, given the configured worker count
@@ -341,9 +341,10 @@ pub struct ProvenanceCell<Cell> {
 /// The `--json` provenance document every experiment emits: what
 /// ran, at what effort, with which seeds, and what came out.
 ///
-/// The document is fully determined by the experiment's code, the
-/// effort level, and the seed contract — two runs of the same binary
-/// with the same flags serialize byte-identically.
+/// Two runs of the same binary with the same flags serialize
+/// byte-identically, except for the wall-clock [`Self::obs`] snapshot
+/// that `--obs` adds: the rest is fully determined by the experiment's
+/// code, the effort level, and the seed contract.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Provenance<Cell> {
     /// The experiment id the seeds were derived from.

@@ -25,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use retri::select::AdaptiveListeningSelector;
 use retri::IdentifierSpace;
-use retri_model::stats::{WilsonInterval, Z_99};
+use retri_model::stats::{Side, Verdict, Z_99};
 
 /// Concurrency horizon, µs: 10 beacon periods, so every live foreign
 /// transaction is comfortably inside it in steady state.
@@ -62,12 +62,12 @@ fn steady_state_estimate(seed: u64, bits: u8, transmitters: u64) -> u64 {
 /// seeds: the 99% Wilson lower bound on the proportion clears 0.9.
 fn assert_mostly(regime: &str, success: impl Fn(u64) -> bool) {
     let successes = (0..TRIALS).filter(|&trial| success(trial)).count() as u64;
-    let wilson = WilsonInterval::of(successes, TRIALS, Z_99);
+    let verdict = Verdict::of(successes, TRIALS, Z_99, 0.9);
     assert!(
-        wilson.low > 0.9,
+        verdict.side() == Side::Below,
         "{regime}: only {successes}/{TRIALS} trials tracked density \
          (99% Wilson lower bound {:.4})",
-        wilson.low
+        verdict.low
     );
 }
 

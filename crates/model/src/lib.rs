@@ -71,9 +71,10 @@
 //! - [`dfa`] — extension: Dynamic-Frame Aloha closed forms (optimal
 //!   frame setting `L* = N` and throughput predictions, after Barletta,
 //!   Borgonovo & Cesana) backing the netsim adaptive MAC.
-//! - [`stats`] — small summary-statistics helpers shared by the
-//!   experiment harness (means, standard deviations, model-vs-measured
-//!   agreement checks).
+//! - [`stats`] — summary statistics shared by the experiment harness
+//!   (means, standard deviations, mean-vs-model agreement) and
+//!   [`stats::Verdict`], the one check of a closed form against the
+//!   Wilson interval of an observed count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,98 +3,11 @@
 //! The paper's Figure 4 reports, for each identifier size, the mean
 //! collision rate over ten trials with error bars showing one standard
 //! deviation. [`Summary`] computes exactly those quantities, and
-//! [`Summary::agrees_with`] is the acceptance test the integration suite
-//! uses to declare the simulation "validated against the model".
+//! [`Summary::agrees_with`] judges their mean against a model.
+//! [`Verdict`] is the one check of a closed form against an observed
+//! count.
 
 use core::fmt;
-
-/// Streaming mean/variance accumulator (Welford's algorithm).
-///
-/// Numerically stable for long experiment runs; used by the simulator's
-/// per-trial metrics as well as the figure harness.
-///
-/// # Examples
-///
-/// ```
-/// use retri_model::stats::Welford;
-///
-/// let mut acc = Welford::new();
-/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     acc.push(x);
-/// }
-/// let summary = acc.summary();
-/// assert_eq!(summary.mean, 5.0);
-/// assert!((summary.std_dev - 2.138089935299395).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Welford {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Welford {
-    /// Creates an empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        Welford {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations so far.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Finalizes into a [`Summary`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no observations were pushed; an empty sample has no
-    /// defined mean.
-    #[must_use]
-    pub fn summary(&self) -> Summary {
-        assert!(self.count > 0, "cannot summarize an empty sample");
-        let variance = if self.count > 1 {
-            self.m2 / (self.count - 1) as f64
-        } else {
-            0.0
-        };
-        Summary {
-            n: self.count,
-            mean: self.mean,
-            std_dev: variance.sqrt(),
-            min: self.min,
-            max: self.max,
-        }
-    }
-}
-
-impl Extend<f64> for Welford {
-    fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
-        for x in iter {
-            self.push(x);
-        }
-    }
-}
 
 /// Summary statistics of a sample: count, mean, sample standard
 /// deviation, and range.
@@ -114,16 +27,43 @@ pub struct Summary {
 }
 
 impl Summary {
-    /// Summarizes a slice of observations.
+    /// Summarizes a slice of observations in one pass (Welford's
+    /// algorithm, numerically stable for long runs).
     ///
     /// # Panics
     ///
-    /// Panics if `sample` is empty.
+    /// Panics if `sample` is empty; an empty sample has no defined mean.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use retri_model::stats::Summary;
+    ///
+    /// let summary = Summary::of(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
+    /// assert_eq!(summary.mean, 5.0);
+    /// assert!((summary.std_dev - 2.138089935299395).abs() < 1e-12);
+    /// ```
     #[must_use]
     pub fn of(sample: &[f64]) -> Self {
-        let mut acc = Welford::new();
-        acc.extend(sample.iter().copied());
-        acc.summary()
+        assert!(!sample.is_empty(), "cannot summarize an empty sample");
+        let (mut mean, mut m2) = (0.0, 0.0);
+        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+        for (count, &x) in (1u64..).zip(sample) {
+            let delta = x - mean;
+            mean += delta / count as f64;
+            m2 += delta * (x - mean);
+            min = min.min(x);
+            max = max.max(x);
+        }
+        let n = sample.len() as u64;
+        let variance = if n > 1 { m2 / (n - 1) as f64 } else { 0.0 };
+        Summary {
+            n,
+            mean,
+            std_dev: variance.sqrt(),
+            min,
+            max,
+        }
     }
 
     /// Standard error of the mean, `s / sqrt(n)`.
@@ -169,67 +109,97 @@ impl fmt::Display for Summary {
 /// Two-sided z critical value for a 99% confidence level.
 pub const Z_99: f64 = 2.575_829_303_548_901;
 
-/// A Wilson score interval for a binomial proportion.
-///
-/// The differential harness uses it to ask "is the analytic success
-/// probability of Eq. 4 statistically consistent with the simulator's
-/// observed success count?" — the Wilson interval stays well-behaved at
-/// proportions near 0 or 1 and at the modest trial counts of a quick
-/// sweep, where the normal approximation interval collapses or escapes
-/// `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct WilsonInterval {
-    /// Lower bound (clamped to `[0, 1]` by construction).
-    pub low: f64,
-    /// Upper bound (clamped to `[0, 1]` by construction).
-    pub high: f64,
+/// Where a prediction falls against an observed interval.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    /// Under `low - allowance`.
+    Below,
+    /// From `low - allowance` up to `high`, both ends included.
+    Inside,
+    /// Over `high`, or not a number.
+    Above,
 }
 
-impl WilsonInterval {
-    /// Computes the interval for `successes` out of `trials` at the
-    /// two-sided critical value `z` (e.g. [`Z_99`]).
+/// A closed-form prediction judged against the Wilson score interval
+/// `[low, high]` of an observed count: [`Side::Inside`] when
+/// `low - allowance <= predicted <= high`. The allowance
+/// ([`Self::allowing`], 0 by default) is one-sided, for a model that
+/// ignores an effect known to help; it never widens the upper side. A
+/// one-sided claim reads [`Self::side`]: "clears a floor" is
+/// `side() == Side::Below` with the floor as the prediction.
+///
+/// ```
+/// use retri_model::stats::{Side, Verdict, Z_99};
+///
+/// // 80 of 100 succeeded: a model at 0.60 undershoots the interval,
+/// // unless an allowance covers the gap.
+/// let verdict = Verdict::of(80, 100, Z_99, 0.60);
+/// assert_eq!(verdict.side(), Side::Below);
+/// assert!(verdict.allowing(0.10).inside());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Verdict {
+    /// Lower bound of the interval, clamped to `[0, 1]`.
+    pub low: f64,
+    /// Upper bound of the interval, clamped to `[0, 1]`.
+    pub high: f64,
+    predicted: f64,
+    allowance: f64,
+}
+
+impl Verdict {
+    /// Judges `predicted` against the interval of `observed` out of
+    /// `trials` at the two-sided critical value `z` (e.g. [`Z_99`]).
     ///
     /// # Panics
     ///
-    /// Panics if `trials` is zero, `successes > trials`, or `z` is not
+    /// Panics if `trials` is zero, `observed > trials`, or `z` is not
     /// positive.
     #[must_use]
-    pub fn of(successes: u64, trials: u64, z: f64) -> Self {
+    pub fn of(observed: u64, trials: u64, z: f64, predicted: f64) -> Self {
         assert!(trials > 0, "Wilson interval needs at least one trial");
         assert!(
-            successes <= trials,
-            "successes {successes} exceed trials {trials}"
+            observed <= trials,
+            "observed count {observed} must not exceed trials {trials}"
         );
         assert!(z > 0.0, "critical value must be positive, got {z}");
         let n = trials as f64;
-        let p = successes as f64 / n;
+        let p = observed as f64 / n;
         let z2 = z * z;
         let denom = 1.0 + z2 / n;
         let center = (p + z2 / (2.0 * n)) / denom;
         let half = (z / denom) * (p * (1.0 - p) / n + z2 / (4.0 * n * n)).sqrt();
-        WilsonInterval {
+        Verdict {
             low: (center - half).max(0.0),
             high: (center + half).min(1.0),
+            predicted,
+            allowance: 0.0,
         }
     }
 
-    /// Whether `p` lies inside the interval (inclusive).
+    /// The same verdict, letting the prediction sit up to `allowance`
+    /// under the lower bound.
     #[must_use]
-    pub fn contains(&self, p: f64) -> bool {
-        self.low <= p && p <= self.high
+    pub fn allowing(self, allowance: f64) -> Self {
+        Verdict { allowance, ..self }
     }
 
-    /// The interval's width.
+    /// Where the prediction falls.
     #[must_use]
-    pub fn width(&self) -> f64 {
-        self.high - self.low
+    pub fn side(&self) -> Side {
+        if self.predicted < self.low - self.allowance {
+            Side::Below
+        } else if self.predicted <= self.high {
+            Side::Inside
+        } else {
+            Side::Above
+        }
     }
-}
 
-impl fmt::Display for WilsonInterval {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{:.4}, {:.4}]", self.low, self.high)
+    /// Whether the prediction is [`Side::Inside`].
+    #[must_use]
+    pub fn inside(&self) -> bool {
+        self.side() == Side::Inside
     }
 }
 
@@ -292,25 +262,22 @@ mod tests {
     }
 
     #[test]
-    fn extend_accepts_iterators() {
-        let mut acc = Welford::new();
-        acc.extend((1..=5).map(|i| i as f64));
-        assert_eq!(acc.count(), 5);
-        assert_eq!(acc.summary().mean, 3.0);
-    }
-
-    #[test]
     fn display_includes_mean_and_n() {
         let text = Summary::of(&[1.0, 2.0]).to_string();
         assert!(text.contains("1.5"));
         assert!(text.contains("n=2"));
     }
 
+    /// The interval alone: a verdict on a prediction of 0.
+    fn wilson(observed: u64, trials: u64) -> Verdict {
+        Verdict::of(observed, trials, Z_99, 0.0)
+    }
+
     #[test]
     fn wilson_matches_reference_values() {
         // Classic textbook case: 8 successes in 10 trials at 95%
         // (z = 1.959964): Wilson gives [0.4901, 0.9433].
-        let w = WilsonInterval::of(8, 10, 1.959_964);
+        let w = Verdict::of(8, 10, 1.959_964, 0.0);
         assert!((w.low - 0.4901).abs() < 5e-4, "low {}", w.low);
         assert!((w.high - 0.9433).abs() < 5e-4, "high {}", w.high);
     }
@@ -318,29 +285,29 @@ mod tests {
     #[test]
     fn wilson_contains_the_sample_proportion() {
         for &(s, n) in &[(0u64, 5u64), (1, 7), (50, 100), (99, 100), (100, 100)] {
-            let w = WilsonInterval::of(s, n, Z_99);
             let p = s as f64 / n as f64;
-            assert!(w.contains(p), "{w} must contain {p}");
-            assert!((0.0..=1.0).contains(&w.low));
-            assert!((0.0..=1.0).contains(&w.high));
+            let verdict = Verdict::of(s, n, Z_99, p);
+            assert!(verdict.inside(), "{verdict:?} must contain {p}");
+            assert!((0.0..=1.0).contains(&verdict.low));
+            assert!((0.0..=1.0).contains(&verdict.high));
         }
     }
 
     #[test]
     fn wilson_narrows_with_more_trials() {
-        let small = WilsonInterval::of(8, 10, Z_99);
-        let large = WilsonInterval::of(800, 1000, Z_99);
-        assert!(large.width() < small.width());
-        assert!(large.contains(0.8));
+        let small = wilson(8, 10);
+        let large = Verdict::of(800, 1000, Z_99, 0.8);
+        assert!(large.high - large.low < small.high - small.low);
+        assert!(large.inside());
     }
 
     #[test]
     fn wilson_extremes_stay_informative() {
         // All failures / all successes still give nondegenerate bounds.
-        let none = WilsonInterval::of(0, 20, Z_99);
+        let none = wilson(0, 20);
         assert_eq!(none.low, 0.0);
         assert!(none.high > 0.0 && none.high < 0.5);
-        let all = WilsonInterval::of(20, 20, Z_99);
+        let all = wilson(20, 20);
         assert_eq!(all.high, 1.0);
         assert!(all.low > 0.5);
     }
@@ -348,12 +315,58 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one trial")]
     fn wilson_rejects_empty_samples() {
-        let _ = WilsonInterval::of(0, 0, Z_99);
+        let _ = wilson(0, 0);
     }
 
     #[test]
     #[should_panic(expected = "exceed trials")]
     fn wilson_rejects_impossible_counts() {
-        let _ = WilsonInterval::of(5, 4, Z_99);
+        let _ = wilson(5, 4);
+    }
+
+    /// An allowance of 0.02 below a 30-of-100 interval, as the
+    /// differential harness uses it.
+    const ALLOWANCE: f64 = 0.02;
+
+    #[test]
+    fn verdict_bounds_are_inclusive() {
+        let interval = wilson(30, 100);
+        let at_low = interval.low - ALLOWANCE;
+        let verdict = |p: f64| Verdict::of(30, 100, Z_99, p).allowing(ALLOWANCE).side();
+        assert_eq!(verdict(at_low), Side::Inside);
+        assert_eq!(verdict(interval.high), Side::Inside);
+        assert_eq!(verdict(at_low.next_down()), Side::Below);
+        assert_eq!(verdict(interval.high.next_up()), Side::Above);
+        assert_eq!(verdict(f64::NAN), Side::Above);
+    }
+
+    #[test]
+    fn an_allowance_never_widens_the_upper_side() {
+        for allowance in [0.0, ALLOWANCE, 0.5, 1.0] {
+            let side = |p: f64| Verdict::of(30, 100, Z_99, p).allowing(allowance).side();
+            let high = wilson(30, 100).high;
+            assert_eq!(side(high.next_up()), Side::Above, "allowance {allowance}");
+            assert_eq!(side(high), Side::Inside, "allowance {allowance}");
+        }
+    }
+
+    #[test]
+    fn one_sided_use_matches_the_lower_bound_comparison() {
+        // "Not significantly above the prediction": the observed rate's
+        // lower bound is at most the prediction.
+        for trials in [1u64, 7, 100, 10_000] {
+            for observed in [0, 1, trials / 3, trials / 2, trials - 1, trials] {
+                let low = wilson(observed, trials).low;
+                let grid = [0.0, 1e-4, 0.01, 0.2, 0.33, 0.5, 0.9, 1.0];
+                for p in grid.into_iter().chain([low, low.next_down()]) {
+                    let verdict = Verdict::of(observed, trials, Z_99, p);
+                    assert_eq!(
+                        verdict.side() != Side::Below,
+                        low <= p,
+                        "{observed}/{trials} against {p}"
+                    );
+                }
+            }
+        }
     }
 }

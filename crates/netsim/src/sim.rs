@@ -1781,7 +1781,8 @@ impl<P: Protocol> ShardedSim<P> {
     }
 
     /// Moves every node to shard `desired[id]`, together with its state
-    /// and its node-owned events.
+    /// and its node-owned events, into tables reserved at each shard's
+    /// exact count.
     fn reassign(&mut self, desired: &[u32]) {
         self.placement_dirty = false;
         debug_assert_eq!(desired.len(), self.owner.len());
@@ -1796,15 +1797,14 @@ impl<P: Protocol> ShardedSim<P> {
         // Ownership actually moves: the interest refcounts reflect the
         // old placement, so they rebuild at the start of the run.
         self.interest_valid = false;
-        let mut slots: Vec<Option<LocalNode<P>>> = (0..self.owner.len()).map(|_| None).collect();
+        let mut old_tables = Vec::with_capacity(self.cores.len());
         let mut mac_orphans: Vec<MacEvent> = Vec::new();
         let mut rx_orphans: Vec<RxEvent> = Vec::new();
         let mut idle = Vec::new();
-        for core in &mut self.cores {
-            for node in core.nodes.drain(..) {
-                let index = node.id.index();
-                slots[index] = Some(node);
-            }
+        for (shard, core) in self.cores.iter_mut().enumerate() {
+            let count = desired.iter().filter(|&&s| s as usize == shard).count();
+            let table = std::mem::replace(&mut core.nodes, Vec::with_capacity(count));
+            old_tables.push(table.into_iter());
             idle.extend(core.idle.drain());
             // Node-owned events follow their node. Dynamics already
             // exist once per shard, and delivery events stay with the
@@ -1828,11 +1828,17 @@ impl<P: Protocol> ShardedSim<P> {
                 }
             }
         }
-        for (index, slot) in slots.into_iter().enumerate() {
-            let node = slot.expect("every node drained into a slot");
-            let shard = desired[index] as usize;
-            self.owner[index] = (desired[index], self.cores[shard].nodes.len() as u32);
-            self.cores[shard].nodes.push(node);
+        // Every table lists its nodes by ascending id (admits append
+        // new ids to shard 0, and this merge refills in id order), so
+        // node `index` is the next one its old table yields.
+        for (index, &shard) in desired.iter().enumerate() {
+            let node = old_tables[self.owner[index].0 as usize]
+                .next()
+                .expect("every node is in its owner's table");
+            debug_assert_eq!(node.id.index(), index);
+            let core = &mut self.cores[shard as usize];
+            self.owner[index] = (shard, core.nodes.len() as u32);
+            core.nodes.push(node);
         }
         for ev in mac_orphans {
             let node = ev.node().expect("partitioned as node-owned");

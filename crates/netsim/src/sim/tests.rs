@@ -1330,6 +1330,27 @@ fn spatial_stripes_are_contiguous_and_balanced() {
     assert!(by_cell.windows(2).all(|w| w[0].1 <= w[1].1));
 }
 
+/// The first run's rebalance moves every node into a table reserved at
+/// its shard's exact count: no doubling slack on the receiving shard,
+/// and shard 0 keeps none of the capacity it was built with.
+#[test]
+fn rebalanced_node_tables_hold_no_spare_capacity() {
+    let topo = Topology::grid(20, 20, 30.0, 45.0);
+    let mut sim = ShardedSimBuilder::new(3)
+        .range(45.0)
+        .shards(2)
+        .build_with_topology(&topo, |_| Chatter {
+            to_send: 1,
+            heard: 0,
+            payload_bytes: 12,
+        });
+    sim.run_until(SimTime::ZERO);
+    for (shard, core) in sim.cores.iter().enumerate() {
+        assert_eq!(core.nodes.len(), 200, "shard {shard}");
+        assert_eq!(core.nodes.capacity(), core.nodes.len(), "shard {shard}");
+    }
+}
+
 /// Arms two timers at start, cancels one of them.
 struct Ticker {
     fired: Vec<u64>,

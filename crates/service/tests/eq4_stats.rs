@@ -13,11 +13,12 @@
 //!   tribles-128) must not collide *significantly more* than the
 //!   uniform prediction (one-sided — avoidance can only help).
 //!
-//! Reuses the PR 3 statistics helpers
-//! ([`retri_model::stats::WilsonInterval`], [`Z_99`]).
+//! Both checks are a [`Verdict`] of the prediction against the 99%
+//! ([`Z_99`]) Wilson interval of the observed count: the first must be
+//! inside it, the second must not fall below it.
 
 use proptest::prelude::*;
-use retri_model::stats::{WilsonInterval, Z_99};
+use retri_model::stats::{Side, Verdict, Z_99};
 use retri_service::proto::{Reply, Request};
 use retri_service::{ServiceConfig, ServiceHandle, StrategyKind, StrategyStats};
 
@@ -77,14 +78,14 @@ proptest! {
         const MINTS: u64 = 30_000;
         let stats = run_strategy(seed, StrategyKind::Uniform, MINTS);
         prop_assert!(stats.collisions > 0, "steady density ~190/4096 must collide");
-        let wilson = WilsonInterval::of(stats.collisions, stats.minted, Z_99);
         let predicted_rate = stats.predicted_collisions / stats.minted as f64;
+        let verdict = Verdict::of(stats.collisions, stats.minted, Z_99, predicted_rate);
         prop_assert!(
-            wilson.contains(predicted_rate),
+            verdict.inside(),
             "predicted rate {predicted_rate:.5} outside Wilson [{:.5}, {:.5}] \
              ({} collisions / {} mints, seed {seed})",
-            wilson.low,
-            wilson.high,
+            verdict.low,
+            verdict.high,
             stats.collisions,
             stats.minted,
         );
@@ -105,16 +106,16 @@ proptest! {
             StrategyKind::Tribles128,
         ] {
             let stats = run_strategy(seed, kind, MINTS);
-            let wilson = WilsonInterval::of(stats.collisions, stats.minted, Z_99);
             let predicted_rate = stats.predicted_collisions / stats.minted as f64;
+            let verdict = Verdict::of(stats.collisions, stats.minted, Z_99, predicted_rate);
             prop_assert!(
-                wilson.low <= predicted_rate,
+                verdict.side() != Side::Below,
                 "{:?} collides significantly above the uniform prediction: \
                  observed {} / {} (Wilson low {:.5}) vs predicted {predicted_rate:.5}",
                 kind,
                 stats.collisions,
                 stats.minted,
-                wilson.low,
+                verdict.low,
             );
         }
     }

@@ -2,43 +2,48 @@
 //! the paper's closed-form model (Eq. 2–4), and the fault-injection
 //! matrix's loss accounting.
 //!
-//! These assert on the same provenance documents the `fault_matrix`
-//! binary emits, at quick effort, so CI and the integration suite
-//! judge exactly the data a user can regenerate with
+//! These assert on the same document the `fault_matrix` binary emits,
+//! at quick effort, so CI and the integration suite judge exactly the
+//! data a user can regenerate with
 //! `cargo run -p retri-bench --release --bin fault_matrix -- --quick`.
-//! The trial seeds are fully deterministic, so every number below is
-//! reproducible bit-for-bit.
+//! The trial seeds are fully deterministic, so the whole document is
+//! pinned byte for byte in `tests/golden/fault_matrix-quick.json`.
 
 use std::sync::OnceLock;
 
-use retri_bench::differential::{self, DifferentialCell, FaultScenarioCell};
+use retri_bench::differential::{self, DifferentialCell, FaultMatrixDocument, FaultScenarioCell};
 use retri_bench::EffortLevel;
 
-/// The sweep is deterministic, so every test asserts against one shared
-/// run instead of re-simulating the grid per test.
-fn sweep() -> &'static [DifferentialCell] {
-    static SWEEP: OnceLock<Vec<DifferentialCell>> = OnceLock::new();
-    SWEEP.get_or_init(|| {
-        differential::differential_sweep(EffortLevel::Quick, 1)
-            .points()
-            .cloned()
-            .collect()
-    })
+/// `fault_matrix --quick --json`, as committed.
+const GOLDEN: &str = include_str!("../golden/fault_matrix-quick.json");
+
+/// The report is deterministic, so every test asserts against one
+/// shared run instead of re-simulating the grid per test.
+fn report() -> &'static FaultMatrixDocument {
+    static REPORT: OnceLock<FaultMatrixDocument> = OnceLock::new();
+    REPORT.get_or_init(|| differential::report(EffortLevel::Quick, 1))
 }
 
-fn matrix() -> &'static [FaultScenarioCell] {
-    static MATRIX: OnceLock<Vec<FaultScenarioCell>> = OnceLock::new();
-    MATRIX.get_or_init(|| {
-        differential::fault_matrix(EffortLevel::Quick, 1)
-            .points()
-            .cloned()
-            .collect()
-    })
+fn sweep() -> impl Iterator<Item = &'static DifferentialCell> {
+    report().differential.points()
+}
+
+fn matrix() -> impl Iterator<Item = &'static FaultScenarioCell> {
+    report().faults.points()
+}
+
+#[test]
+fn the_quick_document_is_byte_identical_to_the_pinned_one() {
+    let document = serde_json::to_string_pretty(report()).expect("the report serializes");
+    assert!(
+        document == GOLDEN,
+        "fault_matrix --quick --json drifted from tests/golden/fault_matrix-quick.json"
+    );
 }
 
 #[test]
 fn eq4_lands_inside_the_wilson_interval_for_every_uniform_cell() {
-    for cell in sweep().iter().filter(|c| c.policy == "uniform") {
+    for cell in sweep().filter(|c| c.policy == "uniform") {
         assert!(cell.attempts > 100, "cell must gather real data: {cell:?}");
         assert!(
             cell.model_within_interval,
@@ -53,9 +58,7 @@ fn eq4_lands_inside_the_wilson_interval_for_every_uniform_cell() {
 
 #[test]
 fn listening_beats_the_uniform_bound_at_high_density() {
-    let cells = sweep();
-    let listening: Vec<&DifferentialCell> =
-        cells.iter().filter(|c| c.policy == "listening").collect();
+    let listening: Vec<&DifferentialCell> = sweep().filter(|c| c.policy == "listening").collect();
     assert!(
         !listening.is_empty(),
         "the sweep must include listening cells"
@@ -106,10 +109,8 @@ fn efficiency_composes_framing_with_eq4() {
 
 #[test]
 fn fault_matrix_accounts_for_every_injected_fault() {
-    let cells = matrix();
     let get = |name: &str| {
-        cells
-            .iter()
+        matrix()
             .find(|c| c.scenario == name)
             .unwrap_or_else(|| panic!("scenario {name} missing"))
     };

@@ -7,7 +7,7 @@
 use rand::Rng;
 use retri::density::DensityEstimator;
 use retri_aff::{SelectorPolicy, Testbed};
-use retri_model::stats::{Summary, WilsonInterval, Z_99};
+use retri_model::stats::{Summary, Verdict, Z_99};
 use retri_model::{p_collision, Density, IdBits};
 use retri_netsim::prelude::*;
 
@@ -243,12 +243,12 @@ fn sim_dfa_saturated(seed: u64) -> DfaDetail {
     let (aloha_stats, _) = dfa_clique_run(seed, sim_secs, MacConfig::aloha());
     let n = u64::from(DFA_CLIQUE);
     let predicted = retri_model::dfa::attempt_success_probability(n, n);
-    let wilson = WilsonInterval::of(known.successes, known.attempts(), Z_99);
+    let verdict = Verdict::of(known.successes, known.attempts(), Z_99, predicted);
     DfaDetail {
         known_attempts: known.attempts(),
         known_successes: known.successes,
         estimated_successes: estimated.successes,
-        wilson_ok: predicted >= wilson.low && predicted <= wilson.high,
+        wilson_ok: verdict.inside(),
         known_deliveries: known_stats.deliveries,
         csma_deliveries: csma_stats.deliveries,
         aloha_deliveries: aloha_stats.deliveries,

@@ -2,26 +2,39 @@
 //!
 //! These tests run the same quick sweep the `selector_taxonomy` binary
 //! runs in CI (`cargo run -p retri-bench --release --bin
-//! selector_taxonomy -- --quick`) and assert its verdicts plus the
-//! structural property the scorecard's security axis depends on:
-//! disabling the adversary leaves trials byte-identical.
+//! selector_taxonomy -- --quick`), pin its document byte for byte in
+//! `tests/golden/selector_taxonomy-quick.json`, and assert its verdicts
+//! plus the structural property the scorecard's security axis depends
+//! on: disabling the adversary leaves trials byte-identical.
 
 use std::sync::OnceLock;
 
 use retri_aff::{SelectorPolicy, Testbed};
+use retri_bench::harness::Provenance;
 use retri_bench::taxonomy::{self, SelectorScore, CORRECTNESS_BITS, SECURITY_BITS};
 use retri_bench::EffortLevel;
 
+/// `selector_taxonomy --quick --json`, as committed.
+const GOLDEN: &str = include_str!("../golden/selector_taxonomy-quick.json");
+
 /// The sweep is deterministic, so every test asserts against one
 /// shared run instead of re-simulating the 15-cell grid per test.
-fn scorecard() -> &'static [SelectorScore] {
-    static SCORECARD: OnceLock<Vec<SelectorScore>> = OnceLock::new();
-    SCORECARD.get_or_init(|| {
-        taxonomy::taxonomy_sweep(EffortLevel::Quick, 1)
-            .points()
-            .cloned()
-            .collect()
-    })
+fn document() -> &'static Provenance<SelectorScore> {
+    static DOCUMENT: OnceLock<Provenance<SelectorScore>> = OnceLock::new();
+    DOCUMENT.get_or_init(|| taxonomy::taxonomy_sweep(EffortLevel::Quick, 1))
+}
+
+fn scorecard() -> impl Iterator<Item = &'static SelectorScore> {
+    document().points()
+}
+
+#[test]
+fn the_quick_document_is_byte_identical_to_the_pinned_one() {
+    let document = serde_json::to_string_pretty(document()).expect("the scorecard serializes");
+    assert!(
+        document == GOLDEN,
+        "selector_taxonomy --quick --json drifted from tests/golden/selector_taxonomy-quick.json"
+    );
 }
 
 #[test]
@@ -31,7 +44,7 @@ fn every_scorecard_verdict_holds_at_quick_effort() {
 
 #[test]
 fn the_scorecard_covers_all_five_families_once() {
-    let mut names: Vec<&str> = scorecard().iter().map(|s| s.policy.as_str()).collect();
+    let mut names: Vec<&str> = scorecard().map(|s| s.policy.as_str()).collect();
     names.sort_unstable();
     assert_eq!(
         names,
@@ -65,10 +78,9 @@ fn the_attack_needs_predictions_to_matter() {
         );
     }
     let sequential = scorecard()
-        .iter()
         .find(|s| s.policy == "sequential")
         .expect("sequential row");
-    for other in scorecard().iter().filter(|s| s.policy != "sequential") {
+    for other in scorecard().filter(|s| s.policy != "sequential") {
         assert!(
             sequential.attacked_loss_rate > other.attacked_loss_rate + 0.1,
             "sequential should lose far more than {}: {:.4} vs {:.4}",
