@@ -9,9 +9,6 @@
 //! probability is 2⁻¹⁶, negligible next to the collision rates under
 //! study.
 
-/// The CRC width in bits, as carried in the introduction fragment.
-pub const CRC_BITS: u32 = 16;
-
 /// Computes CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF, no
 /// reflection).
 ///

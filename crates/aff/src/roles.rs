@@ -63,7 +63,7 @@ impl AffNode {
 
     /// The eavesdropper inside, if this node attacks.
     #[must_use]
-    pub fn as_adversary(&self) -> Option<&Eavesdropper<AffForgeCodec>> {
+    pub(crate) fn as_adversary(&self) -> Option<&Eavesdropper<AffForgeCodec>> {
         match self {
             AffNode::Adversary(adversary) => Some(adversary),
             _ => None,

@@ -49,7 +49,7 @@ pub enum SelectorPolicy {
     /// target.
     Sequential,
     /// IP-style static addressing, the paper's baseline: the key is
-    /// [`WireConfig::static_key`] of the node's address
+    /// `WireConfig::static_key` of the node's address
     /// ([`Context::node_id`]) and a per-sender packet counter modulo
     /// `2^seq_bits`. Draws no randomness and ignores the air. Only valid
     /// on a [`WireConfig::static_address`] wire with the same

@@ -189,12 +189,6 @@ impl AffService {
     pub fn poll_delivered(&mut self) -> Option<Vec<u8>> {
         self.delivered.pop_front()
     }
-
-    /// Packets reassembled but not yet polled.
-    #[must_use]
-    pub fn pending_deliveries(&self) -> usize {
-        self.delivered.len()
-    }
 }
 
 #[cfg(test)]

@@ -32,21 +32,21 @@ use crate::bitio::{BitReader, BitWriter, ReadPastEndError};
 
 /// Width of the `total_len` field: packets up to 64 KiB, as in the
 /// paper's driver.
-pub const TOTAL_LEN_BITS: u32 = 16;
+pub(crate) const TOTAL_LEN_BITS: u32 = 16;
 /// Width of the `offset` field.
-pub const OFFSET_BITS: u32 = 16;
+pub(crate) const OFFSET_BITS: u32 = 16;
 /// Width of the checksum field.
-pub const CHECKSUM_BITS: u32 = 16;
+pub(crate) const CHECKSUM_BITS: u32 = 16;
 /// Width of the per-fragment payload length field.
-pub const PAYLOAD_LEN_BITS: u32 = 8;
+pub(crate) const PAYLOAD_LEN_BITS: u32 = 8;
 /// Width of the fragment-kind marker (without collision notifications).
-pub const KIND_BITS: u32 = 1;
+pub(crate) const KIND_BITS: u32 = 1;
 /// Width of the fragment-kind marker when collision notifications are
 /// enabled (a third kind needs a second bit — enabling the mechanism
 /// costs one bit on every fragment).
-pub const KIND_BITS_WITH_NOTIFY: u32 = 2;
+pub(crate) const KIND_BITS_WITH_NOTIFY: u32 = 2;
 /// Ground-truth trailer width (64-bit node id + 32-bit packet number).
-pub const TRUTH_BITS: u32 = 96;
+pub(crate) const TRUTH_BITS: u32 = 96;
 
 /// Kind-field values.
 const KIND_DATA: u64 = 0;
@@ -148,7 +148,7 @@ pub enum HeaderScheme {
 impl HeaderScheme {
     /// Total key width on the wire, bits.
     #[must_use]
-    pub fn key_bits(&self) -> u32 {
+    pub(crate) fn key_bits(&self) -> u32 {
         match *self {
             HeaderScheme::Aff { space } => u32::from(space.bits().get()),
             HeaderScheme::StaticAddress {
@@ -226,15 +226,6 @@ impl Fragment {
             | Fragment::Notify { truth, .. } => truth,
         }
     }
-
-    /// Data bytes carried (zero for introductions and notifications).
-    #[must_use]
-    pub fn payload_len(&self) -> usize {
-        match self {
-            Fragment::Intro { .. } | Fragment::Notify { .. } => 0,
-            Fragment::Data { payload, .. } => payload.len(),
-        }
-    }
 }
 
 /// A complete wire-format configuration: header scheme plus whether the
@@ -301,13 +292,13 @@ impl WireConfig {
 
     /// Whether collision notifications are part of this wire format.
     #[must_use]
-    pub fn notifications_enabled(&self) -> bool {
+    pub(crate) fn notifications_enabled(&self) -> bool {
         self.notifications
     }
 
     /// Width of the kind field under this configuration.
     #[must_use]
-    pub fn kind_bits(&self) -> u32 {
+    pub(crate) fn kind_bits(&self) -> u32 {
         if self.notifications {
             KIND_BITS_WITH_NOTIFY
         } else {
@@ -352,7 +343,7 @@ impl WireConfig {
     /// scheme is AFF (whose keys come from a selector, not from an
     /// address).
     #[must_use]
-    pub fn static_key(&self, addr: u64, seq: u64) -> TransactionId {
+    pub(crate) fn static_key(&self, addr: u64, seq: u64) -> TransactionId {
         match self.scheme {
             HeaderScheme::StaticAddress {
                 addr_bits,
@@ -380,29 +371,16 @@ impl WireConfig {
         }
     }
 
-    /// Protocol header bits of an introduction fragment (excludes the
-    /// instrumentation trailer).
-    #[must_use]
-    pub fn intro_header_bits(&self) -> u32 {
-        self.kind_bits() + self.scheme.key_bits() + TOTAL_LEN_BITS + CHECKSUM_BITS
-    }
-
     /// Protocol header bits of a data fragment (excludes payload and
     /// trailer).
     #[must_use]
-    pub fn data_header_bits(&self) -> u32 {
+    pub(crate) fn data_header_bits(&self) -> u32 {
         self.kind_bits() + self.scheme.key_bits() + OFFSET_BITS + PAYLOAD_LEN_BITS
-    }
-
-    /// Bits of a collision-notification fragment (kind + key only).
-    #[must_use]
-    pub fn notify_bits(&self) -> u32 {
-        self.kind_bits() + self.scheme.key_bits()
     }
 
     /// Trailer bits actually on the air per fragment.
     #[must_use]
-    pub fn trailer_bits(&self) -> u32 {
+    pub(crate) fn trailer_bits(&self) -> u32 {
         if self.instrument {
             TRUTH_BITS
         } else {
@@ -618,6 +596,18 @@ pub(crate) enum Body<P> {
 mod tests {
     use super::*;
 
+    /// Protocol header bits of an introduction fragment (excludes the
+    /// instrumentation trailer): the reference the encoder's output is
+    /// checked against.
+    fn intro_header_bits(config: &WireConfig) -> u32 {
+        config.kind_bits() + config.scheme.key_bits() + TOTAL_LEN_BITS + CHECKSUM_BITS
+    }
+
+    /// Bits of a collision-notification fragment (kind + key only).
+    fn notify_bits(config: &WireConfig) -> u32 {
+        config.kind_bits() + config.scheme.key_bits()
+    }
+
     fn aff_config(bits: u8) -> WireConfig {
         WireConfig::aff(IdentifierSpace::new(bits).unwrap())
     }
@@ -633,7 +623,7 @@ mod tests {
             truth: None,
         };
         let payload = config.encode(&fragment).unwrap();
-        assert_eq!(payload.bits(), config.intro_header_bits());
+        assert_eq!(payload.bits(), intro_header_bits(&config));
         assert_eq!(config.decode(&payload).unwrap(), fragment);
     }
 
@@ -816,7 +806,7 @@ mod tests {
         // format adds the fixed framing fields. Check the arithmetic the
         // experiments rely on.
         let config = aff_config(9);
-        assert_eq!(config.intro_header_bits(), 1 + 9 + 16 + 16);
+        assert_eq!(intro_header_bits(&config), 1 + 9 + 16 + 16);
         assert_eq!(config.data_header_bits(), 1 + 9 + 16 + 8);
         assert_eq!(config.trailer_bits(), 0);
         assert_eq!(config.with_instrumentation().trailer_bits(), 96);
@@ -851,7 +841,7 @@ mod tests {
         let key = config.space().id(0x7F).unwrap();
         let fragment = Fragment::Notify { key, truth: None };
         let encoded = config.encode(&fragment).unwrap();
-        assert_eq!(encoded.bits(), config.notify_bits());
+        assert_eq!(encoded.bits(), notify_bits(&config));
         assert_eq!(encoded.bits(), 2 + 8);
         assert_eq!(config.decode(&encoded).unwrap(), fragment);
     }
@@ -860,7 +850,7 @@ mod tests {
     fn notifications_cost_one_bit_on_every_fragment() {
         let plain = aff_config(9);
         let notifying = aff_config(9).with_notifications();
-        assert_eq!(notifying.intro_header_bits(), plain.intro_header_bits() + 1);
+        assert_eq!(intro_header_bits(&notifying), intro_header_bits(&plain) + 1);
         assert_eq!(notifying.data_header_bits(), plain.data_header_bits() + 1);
         assert_eq!(notifying.kind_bits(), 2);
         assert_eq!(plain.kind_bits(), 1);
@@ -894,7 +884,7 @@ mod tests {
         let key = config.space().id(3).unwrap();
         let fragment = Fragment::Notify { key, truth: None };
         let encoded = config.encode(&fragment).unwrap();
-        assert_eq!(encoded.bits(), config.notify_bits());
+        assert_eq!(encoded.bits(), notify_bits(&config));
         assert_eq!(config.decode(&encoded).unwrap(), fragment);
     }
 

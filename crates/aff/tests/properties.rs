@@ -158,13 +158,13 @@ mod reference {
     use retri_aff::bitio::ReadPastEndError;
 
     #[derive(Default)]
-    pub struct Writer {
-        pub bytes: Vec<u8>,
-        pub bits: u32,
+    pub(crate) struct Writer {
+        pub(crate) bytes: Vec<u8>,
+        pub(crate) bits: u32,
     }
 
     impl Writer {
-        pub fn write_bits(&mut self, value: u64, width: u32) {
+        pub(crate) fn write_bits(&mut self, value: u64, width: u32) {
             for i in (0..width).rev() {
                 let bit_index = self.bits % 8;
                 if bit_index == 0 {
@@ -177,25 +177,25 @@ mod reference {
             }
         }
 
-        pub fn write_bytes(&mut self, bytes: &[u8]) {
+        pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
             for &byte in bytes {
                 self.write_bits(u64::from(byte), 8);
             }
         }
     }
 
-    pub struct Reader<'a> {
-        pub bytes: &'a [u8],
-        pub bit_len: u64,
-        pub cursor: u64,
+    pub(crate) struct Reader<'a> {
+        pub(crate) bytes: &'a [u8],
+        pub(crate) bit_len: u64,
+        pub(crate) cursor: u64,
     }
 
     impl Reader<'_> {
-        pub fn remaining(&self) -> u64 {
+        pub(crate) fn remaining(&self) -> u64 {
             self.bit_len - self.cursor
         }
 
-        pub fn read_bits(&mut self, width: u32) -> Result<u64, ReadPastEndError> {
+        pub(crate) fn read_bits(&mut self, width: u32) -> Result<u64, ReadPastEndError> {
             if u64::from(width) > self.remaining() {
                 return Err(ReadPastEndError {
                     wanted: width,
@@ -211,7 +211,7 @@ mod reference {
             Ok(value)
         }
 
-        pub fn read_bytes(&mut self, len: usize) -> Result<Vec<u8>, ReadPastEndError> {
+        pub(crate) fn read_bytes(&mut self, len: usize) -> Result<Vec<u8>, ReadPastEndError> {
             let mut out = Vec::new();
             for _ in 0..len {
                 out.push(self.read_bits(8)? as u8);

@@ -252,35 +252,6 @@ impl DiffusionNode {
         self.gradients.values().map(|g| g.height).min()
     }
 
-    /// Hop distance to the sink flooding `code`, if that gradient is
-    /// live at this node.
-    #[must_use]
-    pub fn height_for(&self, code: TransactionId) -> Option<u8> {
-        if self.role == DiffusionRole::Sink && self.my_code == Some(code) {
-            return Some(0);
-        }
-        self.gradients.get(&code).map(|g| g.height)
-    }
-
-    /// The interest code currently in effect at this node: a sink's own
-    /// code, or the code of the lowest (nearest) live gradient, ties
-    /// going to the smaller code.
-    #[must_use]
-    pub fn current_code(&self) -> Option<TransactionId> {
-        if self.role == DiffusionRole::Sink {
-            return self.my_code;
-        }
-        self.gradients
-            .iter()
-            .min_by_key(|(_, g)| g.height)
-            .map(|(code, _)| *code)
-    }
-
-    /// All live interest codes known to this node, in code order.
-    pub fn live_codes(&self) -> impl Iterator<Item = TransactionId> + '_ {
-        self.gradients.keys().copied()
-    }
-
     fn encode_interest(code: TransactionId, height: u8) -> FramePayload {
         let raw = code.value() as u16;
         FramePayload::from_bytes(vec![KIND_INTEREST, (raw >> 8) as u8, raw as u8, height])
@@ -625,6 +596,24 @@ pub fn run_line(
 mod tests {
     use super::*;
 
+    /// The interest code in effect at `node`: a sink's own code, or the
+    /// code of the lowest (nearest) live gradient, ties going to the
+    /// smaller code.
+    fn current_code(node: &DiffusionNode) -> Option<TransactionId> {
+        if node.role == DiffusionRole::Sink {
+            return node.my_code;
+        }
+        node.gradients
+            .iter()
+            .min_by_key(|(_, g)| g.height)
+            .map(|(code, _)| *code)
+    }
+
+    /// All live interest codes known to `node`, in code order.
+    fn live_codes(node: &DiffusionNode) -> impl Iterator<Item = TransactionId> + '_ {
+        node.gradients.keys().copied()
+    }
+
     #[test]
     fn interest_flood_builds_heights_along_the_line() {
         let sim = run_line(4, DiffusionConfig::default(), SimDuration::from_secs(10), 1);
@@ -636,9 +625,9 @@ mod tests {
             );
         }
         // Everyone converged on the sink's code.
-        let code = sim.protocol(NodeId(0)).current_code();
+        let code = current_code(sim.protocol(NodeId(0)));
         for i in 1..=4u32 {
-            assert_eq!(sim.protocol(NodeId(i)).current_code(), code);
+            assert_eq!(current_code(sim.protocol(NodeId(i))), code);
         }
     }
 
@@ -681,19 +670,19 @@ mod tests {
             ..DiffusionConfig::default()
         };
         let mut sim = run_line(2, config, SimDuration::from_secs(4), 4);
-        let first_code = sim.protocol(NodeId(0)).current_code();
+        let first_code = current_code(sim.protocol(NodeId(0)));
         // Run past the next epoch *and* one re-flood, so the relay has
         // seen the fresh code even if the first flood frame was lost to
         // a hidden-terminal collision with the source's data.
         sim.run_until(SimTime::from_secs(17));
-        let later_code = sim.protocol(NodeId(0)).current_code();
+        let later_code = current_code(sim.protocol(NodeId(0)));
         // With 8-bit codes the chance of re-drawing the same one across
         // two epochs is 2/256 over this window; the fixed seed makes
         // the assertion deterministic.
         assert_ne!(first_code, later_code, "epoch must pick a fresh code");
         // Relays learned the new code (the old gradient may linger until
         // its ttl — multi-sink support keeps every live code).
-        let relay_codes: Vec<_> = sim.protocol(NodeId(1)).live_codes().collect();
+        let relay_codes: Vec<_> = live_codes(sim.protocol(NodeId(1))).collect();
         assert!(relay_codes.contains(&later_code.unwrap()));
     }
 
@@ -760,7 +749,7 @@ mod tests {
         let left = sim.protocol(NodeId(0));
         let right = sim.protocol(NodeId(4));
         // Distinct ephemeral codes (8-bit space, fixed seed).
-        assert_ne!(left.current_code(), right.current_code());
+        assert_ne!(current_code(left), current_code(right));
         // Both sinks receive a healthy share of the source's readings.
         let produced = sim.protocol(NodeId(2)).stats().samples_produced;
         assert!(produced >= 15, "{produced}");
@@ -772,7 +761,7 @@ mod tests {
             );
         }
         // The source is serving two live gradients.
-        assert!(sim.protocol(NodeId(2)).live_codes().count() >= 2);
+        assert!(live_codes(sim.protocol(NodeId(2))).count() >= 2);
     }
 
     #[test]

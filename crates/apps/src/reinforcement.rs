@@ -141,13 +141,6 @@ impl ReinforcementNode {
             ReinforcementNode::Sensor(_) => None,
         }
     }
-
-    /// Whether a sensor is currently boosted (its last reinforcement has
-    /// not yet expired with the epoch).
-    #[must_use]
-    pub fn is_boosted(&self) -> bool {
-        matches!(self, ReinforcementNode::Sensor(s) if s.boosted)
-    }
 }
 
 /// Wire: kind (8) + identifier (H, bit-packed into 2 bytes here for

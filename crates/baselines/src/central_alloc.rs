@@ -154,12 +154,6 @@ impl CentralAllocNode {
         }
     }
 
-    /// Whether this node is the controller.
-    #[must_use]
-    pub fn is_controller(&self) -> bool {
-        matches!(self.kind, NodeKind::Controller { .. })
-    }
-
     /// Per-node counters.
     #[must_use]
     pub fn stats(&self) -> CentralAllocStats {
@@ -290,48 +284,31 @@ impl Protocol for CentralAllocNode {
     }
 }
 
-/// Builds a star cluster (controller in the middle, `clients` around
-/// it, fully connected) and runs it for `duration`. Node 0 is the
-/// controller.
-#[must_use]
-pub fn run_cluster(
-    clients: usize,
-    config: CentralAllocConfig,
-    duration: SimDuration,
-    seed: u64,
-) -> ShardedSim<CentralAllocNode> {
-    let mut sim = ShardedSimBuilder::new(seed)
-        .radio(RadioConfig::radiometrix_rpc())
-        .mac(MacConfig::csma())
-        .range(100.0)
-        .shards(1)
-        .build(move |id: NodeId| {
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::full_mesh;
+
+    /// A star cluster, not yet run: the controller is node 0, and
+    /// `clients` clients surround it.
+    fn cluster(
+        clients: usize,
+        config: CentralAllocConfig,
+        seed: u64,
+    ) -> ShardedSim<CentralAllocNode> {
+        full_mesh(clients + 1, seed, 1, move |id: NodeId| {
             if id.index() == 0 {
                 CentralAllocNode::controller(config)
             } else {
                 CentralAllocNode::client(config)
             }
-        });
-    let topo = retri_netsim::topology::Topology::full_mesh(clients + 1, 100.0);
-    for id in topo.node_ids() {
-        sim.add_node_at(topo.position(id));
+        })
     }
-    sim.run_until(SimTime::ZERO + duration);
-    sim
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn clients_obtain_distinct_addresses() {
-        let sim = run_cluster(
-            8,
-            CentralAllocConfig::default(),
-            SimDuration::from_secs(20),
-            1,
-        );
+        let mut sim = cluster(8, CentralAllocConfig::default(), 1);
+        sim.run_until(SimTime::from_secs(20));
         let mut addrs: Vec<u16> = (1..=8u32)
             .map(|i| {
                 sim.protocol(NodeId(i))
@@ -353,20 +330,7 @@ mod tests {
         // The paper's Section 7 contrast with WINS: no controller, no
         // addresses, no communication.
         let config = CentralAllocConfig::default();
-        let mut sim = ShardedSimBuilder::new(2)
-            .radio(RadioConfig::radiometrix_rpc())
-            .range(100.0)
-            .build(move |id: NodeId| {
-                if id.index() == 0 {
-                    CentralAllocNode::controller(config)
-                } else {
-                    CentralAllocNode::client(config)
-                }
-            });
-        let topo = retri_netsim::topology::Topology::full_mesh(5, 100.0);
-        for id in topo.node_ids() {
-            sim.add_node_at(topo.position(id));
-        }
+        let mut sim = cluster(4, config, 2);
         sim.schedule_set_alive(SimTime::ZERO, NodeId(0), false);
         sim.run_until(SimTime::from_secs(30));
         for i in 1..=4u32 {
@@ -390,7 +354,8 @@ mod tests {
         };
         let mut duplicate_seen = false;
         for seed in 0..20 {
-            let sim = run_cluster(8, config, SimDuration::from_secs(10), 100 + seed);
+            let mut sim = cluster(8, config, 100 + seed);
+            sim.run_until(SimTime::from_secs(10));
             let mut addrs: Vec<u16> = (1..=8u32)
                 .filter_map(|i| sim.protocol(NodeId(i)).address())
                 .collect();
@@ -411,20 +376,7 @@ mod tests {
     #[test]
     fn churned_client_rebinds_at_linear_cost() {
         let config = CentralAllocConfig::default();
-        let mut sim = ShardedSimBuilder::new(4)
-            .radio(RadioConfig::radiometrix_rpc())
-            .range(100.0)
-            .build(move |id: NodeId| {
-                if id.index() == 0 {
-                    CentralAllocNode::controller(config)
-                } else {
-                    CentralAllocNode::client(config)
-                }
-            });
-        let topo = retri_netsim::topology::Topology::full_mesh(4, 100.0);
-        for id in topo.node_ids() {
-            sim.add_node_at(topo.position(id));
-        }
+        let mut sim = cluster(3, config, 4);
         for round in 0..4u64 {
             sim.schedule_set_alive(SimTime::from_secs(10 + round * 20), NodeId(1), false);
             sim.schedule_set_alive(SimTime::from_secs(15 + round * 20), NodeId(1), true);
@@ -441,12 +393,8 @@ mod tests {
 
     #[test]
     fn overhead_is_lower_than_decentralized_but_not_free() {
-        let sim = run_cluster(
-            6,
-            CentralAllocConfig::default(),
-            SimDuration::from_secs(60),
-            5,
-        );
+        let mut sim = cluster(6, CentralAllocConfig::default(), 5);
+        sim.run_until(SimTime::from_secs(60));
         let mut control = 0u64;
         let mut data = 0u64;
         for id in sim.node_ids() {
@@ -468,18 +416,10 @@ mod tests {
 
     #[test]
     fn runs_are_reproducible() {
-        let a = run_cluster(
-            5,
-            CentralAllocConfig::default(),
-            SimDuration::from_secs(15),
-            9,
-        );
-        let b = run_cluster(
-            5,
-            CentralAllocConfig::default(),
-            SimDuration::from_secs(15),
-            9,
-        );
+        let mut a = cluster(5, CentralAllocConfig::default(), 9);
+        a.run_until(SimTime::from_secs(15));
+        let mut b = cluster(5, CentralAllocConfig::default(), 9);
+        b.run_until(SimTime::from_secs(15));
         for id in a.node_ids() {
             assert_eq!(a.protocol(id).address(), b.protocol(id).address());
             assert_eq!(a.protocol(id).stats(), b.protocol(id).stats());

@@ -330,59 +330,20 @@ impl Protocol for DynamicAddrNode {
     }
 }
 
-/// Builds a full-mesh network of `n` dynamic-allocation nodes and runs
-/// it for `duration`, returning the simulator for inspection.
-///
-/// # Examples
-///
-/// ```
-/// use retri_baselines::dynamic_alloc::{run_mesh, DynamicAddrConfig};
-/// use retri_netsim::SimDuration;
-///
-/// let sim = run_mesh(4, DynamicAddrConfig::default(), SimDuration::from_secs(20), 7);
-/// // Every node ends up bound, to mutually distinct addresses.
-/// let addrs: Vec<u16> = sim
-///     .node_ids()
-///     .map(|id| sim.protocol(id).address().expect("bound"))
-///     .collect();
-/// let mut unique = addrs.clone();
-/// unique.sort_unstable();
-/// unique.dedup();
-/// assert_eq!(unique.len(), addrs.len());
-/// ```
-#[must_use]
-pub fn run_mesh(
-    n: usize,
-    config: DynamicAddrConfig,
-    duration: SimDuration,
-    seed: u64,
-) -> ShardedSim<DynamicAddrNode> {
-    let mut sim = ShardedSimBuilder::new(seed)
-        .radio(RadioConfig::radiometrix_rpc())
-        .mac(MacConfig::csma())
-        .range(100.0)
-        .shards(1)
-        .build(move |_| DynamicAddrNode::new(config));
-    let topo = Topology::full_mesh(n, 100.0);
-    for id in topo.node_ids() {
-        sim.add_node_at(topo.position(id));
-    }
-    sim.run_until(SimTime::ZERO + duration);
-    sim
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::full_mesh;
+
+    /// A full mesh of `n` dynamic-allocation nodes, not yet run.
+    fn mesh(n: usize, config: DynamicAddrConfig, seed: u64) -> ShardedSim<DynamicAddrNode> {
+        full_mesh(n, seed, 1, move |_| DynamicAddrNode::new(config))
+    }
 
     #[test]
     fn lone_node_binds_after_listen_and_claim() {
-        let sim = run_mesh(
-            1,
-            DynamicAddrConfig::default(),
-            SimDuration::from_secs(5),
-            1,
-        );
+        let mut sim = mesh(1, DynamicAddrConfig::default(), 1);
+        sim.run_until(SimTime::from_secs(5));
         let node = sim.protocol(NodeId(0));
         assert!(node.is_bound());
         assert_eq!(node.stats().claims_sent, 1);
@@ -391,12 +352,8 @@ mod tests {
 
     #[test]
     fn mesh_converges_to_distinct_addresses() {
-        let sim = run_mesh(
-            8,
-            DynamicAddrConfig::default(),
-            SimDuration::from_secs(30),
-            2,
-        );
+        let mut sim = mesh(8, DynamicAddrConfig::default(), 2);
+        sim.run_until(SimTime::from_secs(30));
         let mut addrs = Vec::new();
         for id in sim.node_ids() {
             let node = sim.protocol(id);
@@ -414,7 +371,8 @@ mod tests {
             addr_bits: 2, // 4 addresses for 4 nodes: heavy contention
             ..DynamicAddrConfig::default()
         };
-        let sim = run_mesh(4, config, SimDuration::from_secs(60), 3);
+        let mut sim = mesh(4, config, 3);
+        sim.run_until(SimTime::from_secs(60));
         let total_claims: u64 = sim
             .node_ids()
             .map(|id| sim.protocol(id).stats().claims_sent)
@@ -437,14 +395,7 @@ mod tests {
         // Kill and rebirth one node repeatedly: every rebirth pays
         // listen + claim again.
         let config = DynamicAddrConfig::default();
-        let mut sim = ShardedSimBuilder::new(4)
-            .radio(RadioConfig::radiometrix_rpc())
-            .range(100.0)
-            .build(move |_| DynamicAddrNode::new(config));
-        let topo = Topology::full_mesh(4, 100.0);
-        for id in topo.node_ids() {
-            sim.add_node_at(topo.position(id));
-        }
+        let mut sim = mesh(4, config, 4);
         let victim = NodeId(0);
         for round in 0..5u64 {
             sim.schedule_set_alive(SimTime::from_secs(10 + round * 20), victim, false);
@@ -465,12 +416,8 @@ mod tests {
         // The paper's core argument (Section 2.3): with a few bits of
         // data per minute, allocation overhead is a large fraction of
         // all bits sent.
-        let sim = run_mesh(
-            6,
-            DynamicAddrConfig::default(),
-            SimDuration::from_secs(60),
-            5,
-        );
+        let mut sim = mesh(6, DynamicAddrConfig::default(), 5);
+        sim.run_until(SimTime::from_secs(60));
         let mut control = 0u64;
         let mut data = 0u64;
         for id in sim.node_ids() {
@@ -496,18 +443,10 @@ mod tests {
 
     #[test]
     fn runs_are_reproducible() {
-        let a = run_mesh(
-            5,
-            DynamicAddrConfig::default(),
-            SimDuration::from_secs(20),
-            9,
-        );
-        let b = run_mesh(
-            5,
-            DynamicAddrConfig::default(),
-            SimDuration::from_secs(20),
-            9,
-        );
+        let mut a = mesh(5, DynamicAddrConfig::default(), 9);
+        a.run_until(SimTime::from_secs(20));
+        let mut b = mesh(5, DynamicAddrConfig::default(), 9);
+        b.run_until(SimTime::from_secs(20));
         for id in a.node_ids() {
             assert_eq!(a.protocol(id).address(), b.protocol(id).address());
             assert_eq!(a.protocol(id).stats(), b.protocol(id).stats());

@@ -6,119 +6,23 @@
 //! collision-free by construction — and carries the full address width
 //! in every packet for it.
 
-use core::fmt;
-
-use retri::TransactionId;
-use retri_model::{IdBits, ModelError};
-
-/// Error returned when a static address space is exhausted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StaticAllocError {
-    /// The space that ran out.
-    pub bits: IdBits,
-}
-
-impl fmt::Display for StaticAllocError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "static address space of {} is exhausted", self.bits)
-    }
-}
-
-impl std::error::Error for StaticAllocError {}
-
-/// A central, guaranteed-unique address allocator.
-///
-/// In a real deployment this is the manufacturer (Ethernet) or a
-/// registry; in experiments it hands out addresses `0, 1, 2, ...` so
-/// the allocation is "optimal" in the paper's sense — the tightest
-/// space that can name every node.
+/// Minimum address bits for `nodes` distinct nodes — the paper's
+/// "optimal" static allocation, handing out addresses `0, 1, 2, ...`
+/// from the tightest space that can name every node.
 ///
 /// # Examples
 ///
 /// ```
-/// use retri_baselines::StaticAllocator;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut allocator = StaticAllocator::new(16)?;
-/// let a = allocator.allocate()?;
-/// let b = allocator.allocate()?;
-/// assert_ne!(a, b);
+/// use retri_baselines::static_alloc::bits_required;
 ///
 /// // 16 bits suffice for the paper's "tens of thousands of nodes".
-/// assert_eq!(StaticAllocator::bits_required(40_000), 16);
-/// # Ok(())
-/// # }
+/// assert_eq!(bits_required(40_000), 16);
 /// ```
-#[derive(Debug, Clone)]
-pub struct StaticAllocator {
-    bits: IdBits,
-    next: u64,
-    allocated: u64,
-}
-
-impl StaticAllocator {
-    /// Creates an allocator over a `bits`-wide address space.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::IdBitsOutOfRange`] for invalid widths.
-    pub fn new(bits: u8) -> Result<Self, ModelError> {
-        Ok(StaticAllocator {
-            bits: IdBits::new(bits)?,
-            next: 0,
-            allocated: 0,
-        })
-    }
-
-    /// The address width.
-    #[must_use]
-    pub fn bits(&self) -> IdBits {
-        self.bits
-    }
-
-    /// Addresses handed out so far.
-    #[must_use]
-    pub fn allocated(&self) -> u64 {
-        self.allocated
-    }
-
-    /// Allocates the next unique address.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StaticAllocError`] when the space is exhausted.
-    pub fn allocate(&mut self) -> Result<u64, StaticAllocError> {
-        if u128::from(self.next) >= self.bits.space_len() {
-            return Err(StaticAllocError { bits: self.bits });
-        }
-        let addr = self.next;
-        self.next += 1;
-        self.allocated += 1;
-        Ok(addr)
-    }
-
-    /// Allocates and wraps the address as a [`TransactionId`] in the
-    /// address space (useful when addresses are used directly as
-    /// identifiers).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StaticAllocError`] when the space is exhausted.
-    pub fn allocate_id(&mut self) -> Result<TransactionId, StaticAllocError> {
-        let addr = self.allocate()?;
-        Ok(retri::IdentifierSpace::from_bits(self.bits)
-            .id(addr)
-            .expect("allocator stays within the space"))
-    }
-
-    /// Minimum address bits for `nodes` distinct nodes — the paper's
-    /// "optimal" static allocation.
-    #[must_use]
-    pub fn bits_required(nodes: u64) -> u8 {
-        match nodes {
-            0 | 1 => 1,
-            n => (64 - (n - 1).leading_zeros()) as u8,
-        }
+#[must_use]
+pub fn bits_required(nodes: u64) -> u8 {
+    match nodes {
+        0 | 1 => 1,
+        n => (64 - (n - 1).leading_zeros()) as u8,
     }
 }
 
@@ -127,49 +31,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn addresses_are_sequential_and_unique() {
-        let mut allocator = StaticAllocator::new(4).unwrap();
-        let addrs: Vec<u64> = (0..16).map(|_| allocator.allocate().unwrap()).collect();
-        assert_eq!(addrs, (0..16).collect::<Vec<u64>>());
-        assert_eq!(allocator.allocated(), 16);
-    }
-
-    #[test]
-    fn exhaustion_is_an_error() {
-        let mut allocator = StaticAllocator::new(2).unwrap();
-        for _ in 0..4 {
-            allocator.allocate().unwrap();
-        }
-        let err = allocator.allocate().unwrap_err();
-        assert_eq!(err.bits.get(), 2);
-        assert!(err.to_string().contains("exhausted"));
-    }
-
-    #[test]
-    fn allocate_id_produces_ids_in_the_address_space() {
-        let mut allocator = StaticAllocator::new(9).unwrap();
-        let id = allocator.allocate_id().unwrap();
-        assert_eq!(id.bits().get(), 9);
-        assert_eq!(id.value(), 0);
-    }
-
-    #[test]
     fn bits_required_matches_paper_scenarios() {
         // "tens of thousands of nodes ... about 16 bits will be
         // sufficient" (Section 4.2).
-        assert_eq!(StaticAllocator::bits_required(40_000), 16);
-        assert_eq!(StaticAllocator::bits_required(65_536), 16);
-        assert_eq!(StaticAllocator::bits_required(65_537), 17);
-        assert_eq!(StaticAllocator::bits_required(2), 1);
-        assert_eq!(StaticAllocator::bits_required(1), 1);
-        assert_eq!(StaticAllocator::bits_required(0), 1);
-        assert_eq!(StaticAllocator::bits_required(256), 8);
-        assert_eq!(StaticAllocator::bits_required(257), 9);
-    }
-
-    #[test]
-    fn invalid_width_rejected() {
-        assert!(StaticAllocator::new(0).is_err());
-        assert!(StaticAllocator::new(65).is_err());
+        assert_eq!(bits_required(40_000), 16);
+        assert_eq!(bits_required(65_536), 16);
+        assert_eq!(bits_required(65_537), 17);
+        assert_eq!(bits_required(2), 1);
+        assert_eq!(bits_required(1), 1);
+        assert_eq!(bits_required(0), 1);
+        assert_eq!(bits_required(256), 8);
+        assert_eq!(bits_required(257), 9);
     }
 }

@@ -1,8 +1,8 @@
 //! Ablation studies for the design choices called out in DESIGN.md.
 //!
-//! Every study runs through [`harness::run_cells`]: cells are the sweep
+//! Every study runs through `harness::run_cells`: cells are the sweep
 //! points in definition order, trials fan out across OS threads, and
-//! seeds come from [`harness::trial_seed`] under the experiment id named
+//! seeds come from `harness::trial_seed` under the experiment id named
 //! in each function's documentation. Each study returns a [`Provenance`]
 //! document carrying both the results and the seeds that produced them.
 //!
@@ -14,7 +14,7 @@
 
 use retri_aff::sender::WorkloadMode;
 use retri_aff::{AffNode, NodeSpec, Role, SelectorPolicy, Testbed, WireConfig};
-use retri_baselines::{DynamicAddrConfig, DynamicAddrNode, StaticAllocator};
+use retri_baselines::{full_mesh, static_alloc, DynamicAddrConfig, DynamicAddrNode};
 use retri_model::lengths::{DurationClass, MixedLengthModel};
 use retri_model::listening::ListeningModel;
 use retri_model::stats::Summary;
@@ -39,7 +39,7 @@ fn receiver_loss(sim: &ShardedSim<AffNode>, receiver: NodeId) -> f64 {
 
 /// One window size's measured collision rate.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
-pub struct WindowPoint {
+pub(crate) struct WindowPoint {
     /// Avoidance window, in observations (0 = uniform selection).
     pub window: usize,
     /// Observed collision rates across trials.
@@ -51,7 +51,7 @@ pub struct WindowPoint {
 ///
 /// Experiment id: `ablation_listening`.
 #[must_use]
-pub fn listening_window(level: EffortLevel, shards: usize) -> Provenance<WindowPoint> {
+pub(crate) fn listening_window(level: EffortLevel, shards: usize) -> Provenance<WindowPoint> {
     let windows = [0usize, 5, 10, 20, 80];
     let runs = harness::run_cells("ablation_listening", level, &windows, |&window, trial| {
         let policy = if window == 0 {
@@ -252,7 +252,7 @@ pub fn mixed_lengths(level: EffortLevel, shards: usize) -> Provenance<MixedLengt
 
 /// One churn rate's overhead accounting.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
-pub struct ChurnPoint {
+pub(crate) struct ChurnPoint {
     /// Mean time between one node's death-rebirth cycles, seconds
     /// (`u64::MAX` encodes "no churn").
     pub churn_period_secs: u64,
@@ -283,7 +283,7 @@ const CHURN_PERIODS: [Option<u64>; 4] = [None, Some(120), Some(60), Some(30)];
 /// Nodes in both allocation studies' full mesh.
 const CHURN_NODES: usize = 8;
 
-/// Runs an allocation protocol on a full mesh of [`CHURN_NODES`] on
+/// Runs an allocation protocol on a [`full_mesh`] of [`CHURN_NODES`] on
 /// `shards` spatial shards for `run_secs` and returns the network's
 /// `(control, data)` bits sent. Under a churn period, nodes
 /// `first_victim..CHURN_NODES` take turns at 5 s outages, the first at
@@ -302,16 +302,7 @@ where
     P: Protocol + Send,
     F: FnMut(NodeId) -> P + 'static,
 {
-    let mut sim = ShardedSimBuilder::new(seed)
-        .radio(RadioConfig::radiometrix_rpc())
-        .mac(MacConfig::csma())
-        .range(100.0)
-        .shards(shards)
-        .build(factory);
-    let topo = Topology::full_mesh(CHURN_NODES, 100.0);
-    for id in topo.node_ids() {
-        sim.add_node_at(topo.position(id));
-    }
+    let mut sim = full_mesh(CHURN_NODES, seed, shards, factory);
     if let Some(period) = churn {
         let mut at = period;
         let mut victim = first_victim;
@@ -346,7 +337,7 @@ where
 /// long deterministic run per churn rate, so each cell runs one trial
 /// regardless of effort.
 #[must_use]
-pub fn dynamic_churn(level: EffortLevel, shards: usize) -> Provenance<ChurnPoint> {
+pub(crate) fn dynamic_churn(level: EffortLevel, shards: usize) -> Provenance<ChurnPoint> {
     let run_secs = (level.trial_secs() * 10).max(120);
     let runs = harness::run_trials(
         "ablation_dynamic_addr",
@@ -385,7 +376,7 @@ pub fn dynamic_churn(level: EffortLevel, shards: usize) -> Provenance<ChurnPoint
 /// Experiment id: `ablation_central_addr`; one trial per cell, like
 /// [`dynamic_churn`].
 #[must_use]
-pub fn central_churn(level: EffortLevel, shards: usize) -> Provenance<ChurnPoint> {
+pub(crate) fn central_churn(level: EffortLevel, shards: usize) -> Provenance<ChurnPoint> {
     use retri_baselines::{CentralAllocConfig, CentralAllocNode};
     let run_secs = (level.trial_secs() * 10).max(120);
     let runs = harness::run_trials(
@@ -429,7 +420,7 @@ pub fn central_churn(level: EffortLevel, shards: usize) -> Provenance<ChurnPoint
 
 /// One network size's scaling comparison.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
-pub struct ScalingPoint {
+pub(crate) struct ScalingPoint {
     /// Independent clusters in the network.
     pub clusters: usize,
     /// Total nodes in the network.
@@ -452,7 +443,7 @@ pub struct ScalingPoint {
 ///
 /// Experiment id: `ablation_scaling`.
 #[must_use]
-pub fn density_scaling(level: EffortLevel, shards: usize) -> Provenance<ScalingPoint> {
+pub(crate) fn density_scaling(level: EffortLevel, shards: usize) -> Provenance<ScalingPoint> {
     let aff_bits = 6u8;
     let mut testbed = Testbed::paper(aff_bits, SelectorPolicy::Uniform);
     testbed.shards = shards;
@@ -510,7 +501,7 @@ pub fn density_scaling(level: EffortLevel, shards: usize) -> Provenance<ScalingP
                 clusters,
                 total_nodes,
                 observed_loss: Summary::of(&losses),
-                static_bits_required: StaticAllocator::bits_required(total_nodes as u64),
+                static_bits_required: static_alloc::bits_required(total_nodes as u64),
                 aff_bits,
             },
         );
@@ -524,7 +515,7 @@ pub fn density_scaling(level: EffortLevel, shards: usize) -> Provenance<ScalingP
 
 /// One (MAC, width) cell of the MAC-robustness study.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
-pub struct MacPoint {
+pub(crate) struct MacPoint {
     /// MAC label ("CSMA" / "ALOHA" / "DFA").
     pub mac: &'static str,
     /// Identifier width.
@@ -553,7 +544,7 @@ pub struct MacPoint {
 ///
 /// Experiment id: `ablation_mac`.
 #[must_use]
-pub fn mac_robustness(level: EffortLevel, shards: usize) -> Provenance<MacPoint> {
+pub(crate) fn mac_robustness(level: EffortLevel, shards: usize) -> Provenance<MacPoint> {
     let mut cells = Vec::new();
     for (label, mac) in [
         ("CSMA", MacConfig::csma()),
@@ -600,7 +591,7 @@ pub fn mac_robustness(level: EffortLevel, shards: usize) -> Provenance<MacPoint>
 
 /// One transmitter count's observed vs. predicted collision rate.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
-pub struct DensityPoint {
+pub(crate) struct DensityPoint {
     /// Concurrent transmitters (the model's T).
     pub transmitters: usize,
     /// Observed collision rates across trials.
@@ -616,7 +607,7 @@ pub struct DensityPoint {
 ///
 /// Experiment id: `ablation_density`.
 #[must_use]
-pub fn density_sweep(level: EffortLevel, shards: usize) -> Provenance<DensityPoint> {
+pub(crate) fn density_sweep(level: EffortLevel, shards: usize) -> Provenance<DensityPoint> {
     let id_bits = 6u8;
     let h = IdBits::new(id_bits).expect("valid width");
     let cells = [2usize, 3, 5, 8, 12];
@@ -719,7 +710,7 @@ pub fn duty_cycle(level: EffortLevel, shards: usize) -> Provenance<DutyCyclePoin
 
 /// One duty-cycle setting's collision loss and measured radio energy.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
-pub struct EnergyPoint {
+pub(crate) struct EnergyPoint {
     /// Fraction of time the listening radio is on.
     pub radio_on: f64,
     /// Observed collision loss across trials.
@@ -735,7 +726,7 @@ pub struct EnergyPoint {
 ///
 /// Experiment id: `ablation_energy`.
 #[must_use]
-pub fn listening_energy(level: EffortLevel, shards: usize) -> Provenance<EnergyPoint> {
+pub(crate) fn listening_energy(level: EffortLevel, shards: usize) -> Provenance<EnergyPoint> {
     let cells = [1.0f64, 0.5, 0.25, 0.1, 0.05];
     let runs = harness::run_cells("ablation_energy", level, &cells, |&on_fraction, trial| {
         let mut testbed = Testbed::paper(4, SelectorPolicy::Listening { window: 10 });

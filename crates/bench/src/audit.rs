@@ -75,7 +75,7 @@ pub struct Recording {
 impl Recording {
     /// Flattens one observed trial.
     #[must_use]
-    pub fn from_observed(scenario: &str, seed: u64, observed: &ObservedTrialResult) -> Self {
+    pub(crate) fn from_observed(scenario: &str, seed: u64, observed: &ObservedTrialResult) -> Self {
         Recording {
             scenario: scenario.to_string(),
             seed,
@@ -210,7 +210,7 @@ fn reassembly_from_json(value: &Value) -> Option<ReassemblyStats> {
 
 /// Serializes one [`TraceEvent`] (the recording's `trace` entries).
 #[must_use]
-pub fn trace_event_to_json(event: &TraceEvent) -> Value {
+pub(crate) fn trace_event_to_json(event: &TraceEvent) -> Value {
     match event {
         TraceEvent::TxStart {
             at,
@@ -285,7 +285,7 @@ fn time_field(value: &Value) -> Option<SimTime> {
 
 /// Parses one trace event; `None` on unknown type or missing field.
 #[must_use]
-pub fn trace_event_from_json(value: &Value) -> Option<TraceEvent> {
+pub(crate) fn trace_event_from_json(value: &Value) -> Option<TraceEvent> {
     let at = time_field(value)?;
     Some(match value.get("type")?.as_str()? {
         "tx_start" => TraceEvent::TxStart {

@@ -12,12 +12,12 @@
 //! - **Eq. 3** — end-to-end efficiency composes framing with the Eq. 4
 //!   success probability.
 //!
-//! [`differential_sweep`] runs a grid of `(policy, H, T, D)` cells
+//! `differential_sweep` runs a grid of `(policy, H, T, D)` cells
 //! through the full simulator stack and scores each cell:
 //!
 //! - the observed success proportion gets a 99% Wilson score interval,
 //!   and `model_within_interval` records whether Eq. 4 lands inside it
-//!   (a [`Verdict`] allowing [`SERIALIZATION_BIAS_ALLOWANCE`]). The
+//!   (a [`Verdict`] allowing `SERIALIZATION_BIAS_ALLOWANCE`). The
 //!   *attempt* denominator is ground-truth deliveries — packets that
 //!   survived the radio — because Eq. 4 models identifier collisions,
 //!   not RF loss.
@@ -64,7 +64,7 @@ use crate::EffortLevel;
 /// measured ceiling across the sweep grid. Nothing widens the upper
 /// side: the simulator losing *more* than Eq. 4 predicts would be a
 /// real bug (EXPERIMENTS.md, "Fault model and differential tests").
-pub const SERIALIZATION_BIAS_ALLOWANCE: f64 = 0.02;
+pub(crate) const SERIALIZATION_BIAS_ALLOWANCE: f64 = 0.02;
 
 /// One `(policy, H, T, D)` cell of the differential sweep, with every
 /// verdict the integration suite asserts on.
@@ -92,7 +92,7 @@ pub struct DifferentialCell {
     /// 99% Wilson interval upper bound around `observed`.
     pub wilson_high: f64,
     /// Whether Eq. 4 is inside the Wilson interval, allowing
-    /// [`SERIALIZATION_BIAS_ALLOWANCE`] below it.
+    /// `SERIALIZATION_BIAS_ALLOWANCE` below it.
     pub model_within_interval: bool,
     /// Listening cells only: observed success exceeds the uniform
     /// Eq. 4 bound (Section 3.2's claim). Always `false` for uniform.
@@ -148,7 +148,10 @@ fn exact_framing(id_bits: u8, packet_bytes: usize, max_frame_bytes: usize) -> f6
 ///
 /// Panics if a worker thread panics.
 #[must_use]
-pub fn differential_sweep(level: EffortLevel, shards: usize) -> Provenance<DifferentialCell> {
+pub(crate) fn differential_sweep(
+    level: EffortLevel,
+    shards: usize,
+) -> Provenance<DifferentialCell> {
     let cells = sweep_cells();
     let runs = harness::run_cells(
         "differential_model",
@@ -378,7 +381,7 @@ pub fn fault_matrix(level: EffortLevel, shards: usize) -> Provenance<FaultScenar
 /// Records one observed trial per fault scenario for the
 /// `trace_report` lifecycle audit: trial 0 of each scenario cell is
 /// re-run with tracing and metrics enabled (the same
-/// [`harness::trial_seed`] derivation as [`fault_matrix`], so the
+/// `harness::trial_seed` derivation as [`fault_matrix`], so the
 /// recording replays exactly what the matrix measured) and flattened
 /// into an [`audit::Recording`](crate::audit::Recording).
 ///

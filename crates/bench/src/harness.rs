@@ -5,11 +5,11 @@
 //! 8) ^ name.len()`, ...) and, in one case, a scoped-thread work queue.
 //! This module centralizes both:
 //!
-//! - [`trial_seed`] derives every simulation seed in the workspace from
+//! - `trial_seed` derives every simulation seed in the workspace from
 //!   the triple `(experiment_id, cell_index, trial)` via a SplitMix64
 //!   absorb chain. Seeds are stable across runs and machines, and
 //!   distinct across experiments, cells, and trials.
-//! - [`run_cells`] fans the full `cells × trials` grid out across
+//! - `run_cells` fans the full `cells × trials` grid out across
 //!   `std::thread::available_parallelism()` OS threads (override with
 //!   the `RETRI_BENCH_WORKERS` environment variable) and hands results
 //!   back grouped by cell **in trial order**, so aggregating with
@@ -44,7 +44,7 @@ const TRIAL_WALL_BOUNDS: [f64; 8] = [1e3, 1e4, 1e5, 3e5, 1e6, 3e6, 1e7, 1e8];
 const THROUGHPUT_BOUNDS: [f64; 8] = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
 
 /// Turns on run metrics for this process: every subsequent
-/// [`run_trials`] sweep records per-trial wall-clock histograms
+/// `run_trials` sweep records per-trial wall-clock histograms
 /// (`bench_trial_wall_micros{experiment,cell}`), trial counters, and a
 /// sweep-throughput histogram (`bench_trials_per_second{experiment}`)
 /// into a process-wide registry. Off by default — the `--obs` flag of
@@ -61,7 +61,7 @@ pub fn enable_run_metrics() {
 /// experiments in one process each embed only their own timings.
 /// `None` when run metrics were never enabled.
 #[must_use]
-pub fn take_run_metrics() -> Option<Snapshot> {
+pub(crate) fn take_run_metrics() -> Option<Snapshot> {
     let mut guard = RUN_METRICS.lock().expect("no poisoned lock");
     if !guard.is_enabled() {
         return None;
@@ -126,7 +126,7 @@ const SEED_DOMAIN: u64 = 0x1CDC_2001_AFF5_EEDD;
 /// policy-name lengths), so cells can never alias and adjacent trials
 /// are fully decorrelated.
 #[must_use]
-pub fn trial_seed(experiment_id: &str, cell_index: usize, trial: u64) -> u64 {
+pub(crate) fn trial_seed(experiment_id: &str, cell_index: usize, trial: u64) -> u64 {
     let state = seed::stream_seed(SEED_DOMAIN, experiment_id);
     seed::absorb(seed::absorb(state, cell_index as u64), trial)
 }
@@ -138,13 +138,13 @@ pub struct Trial {
     pub cell_index: usize,
     /// Zero-based trial number within the cell.
     pub trial: u64,
-    /// The seed from [`trial_seed`]; pass it to the simulator.
+    /// The seed from `trial_seed`; pass it to the simulator.
     pub seed: u64,
 }
 
 /// One cell's completed trials, in trial order.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CellRuns<T> {
+pub(crate) struct CellRuns<T> {
     /// Index of the cell in the experiment's cell list.
     pub cell_index: usize,
     /// The seed of each trial, in trial order.
@@ -164,7 +164,7 @@ impl<T> CellRuns<T> {
     /// Panics if the cell ran zero trials (an empty sample has no
     /// defined mean).
     #[must_use]
-    pub fn summarize(&self, observable: impl Fn(&T) -> f64) -> Summary {
+    pub(crate) fn summarize(&self, observable: impl Fn(&T) -> f64) -> Summary {
         let series: Vec<f64> = self.values.iter().map(observable).collect();
         Summary::of(&series)
     }
@@ -174,7 +174,7 @@ impl<T> CellRuns<T> {
 /// count, overridable with `RETRI_BENCH_WORKERS` (useful for
 /// parallel-vs-serial timing and for pinning CI).
 #[must_use]
-pub fn worker_count(jobs: usize) -> usize {
+pub(crate) fn worker_count(jobs: usize) -> usize {
     resolve_worker_count(std::env::var("RETRI_BENCH_WORKERS").ok().as_deref(), jobs)
 }
 
@@ -186,7 +186,7 @@ pub fn worker_count(jobs: usize) -> usize {
 /// one. Split from [`worker_count`] so the override handling is unit
 /// testable without mutating process-global environment.
 #[must_use]
-pub fn resolve_worker_count(requested: Option<&str>, jobs: usize) -> usize {
+pub(crate) fn resolve_worker_count(requested: Option<&str>, jobs: usize) -> usize {
     let available = requested
         .and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&n| n >= 1)
@@ -198,21 +198,6 @@ pub fn resolve_worker_count(requested: Option<&str>, jobs: usize) -> usize {
     available.min(jobs).max(1)
 }
 
-/// Per-trial wall-clock, in microseconds, below which a sweep stays on
-/// the calling thread: for micro-trials, thread spawn, queue contention
-/// and the shared results mutex cost as much as the trials themselves.
-/// At quick effort the two sweeps of the `ablation_dynamic_addr`
-/// experiment run under it (first trials of ~0.4 ms and ~0.13 ms on a
-/// 2-vCPU host); every other sweep's first trial takes 2–13 ms.
-pub const SERIAL_TRIAL_THRESHOLD_MICROS: f64 = 1_000.0;
-
-/// Whether a sweep should fan out, given the configured worker count
-/// and the measured wall-clock of its first (probe) trial.
-#[must_use]
-pub fn should_fan_out(workers: usize, probe_trial_micros: f64) -> bool {
-    workers > 1 && probe_trial_micros >= SERIAL_TRIAL_THRESHOLD_MICROS
-}
-
 /// Runs `trials` trials of every cell, fanned out across OS threads,
 /// and returns the results grouped by cell in trial order.
 ///
@@ -220,20 +205,16 @@ pub fn should_fan_out(workers: usize, probe_trial_micros: f64) -> bool {
 /// cells cannot serialize the sweep behind one slow worker. Each trial
 /// gets its seed from [`trial_seed`]; the closure must derive all of
 /// its randomness from that seed for the run to be reproducible.
-/// Wall-clock and worker count are reported on stderr.
-///
-/// The first trial runs inline as a cost probe: when it finishes in
-/// under [`SERIAL_TRIAL_THRESHOLD_MICROS`] (or only one worker is
-/// configured) the whole sweep stays on the calling thread, because
-/// for micro-trials the fan-out machinery costs more than the work
-/// (see [`should_fan_out`]). Scheduling never affects results: values
-/// are grouped by `(cell, trial)` regardless of execution order.
+/// Wall-clock and worker count are reported on stderr. Every sweep
+/// runs on [`worker_count`] scoped workers, one worker included.
+/// Scheduling never affects results: values are grouped by
+/// `(cell, trial)` regardless of execution order.
 ///
 /// # Panics
 ///
 /// Panics if a worker thread panics (the experiment closure itself
 /// panicked).
-pub fn run_trials<C, T>(
+pub(crate) fn run_trials<C, T>(
     experiment_id: &str,
     trials: u64,
     cells: &[C],
@@ -261,34 +242,22 @@ where
         let value = run(&cells[trial.cell_index], trial);
         (trial, value, trial_started.elapsed().as_secs_f64() * 1e6)
     };
-    let configured = worker_count(jobs.len());
-    let mut workers = 1;
-    let mut flat: Vec<(Trial, T, f64)> = Vec::with_capacity(jobs.len());
-    if let Some((&probe, rest)) = jobs.split_first() {
-        let probed = execute(probe);
-        let probe_micros = probed.2;
-        flat.push(probed);
-        if !rest.is_empty() && should_fan_out(configured, probe_micros) {
-            workers = configured.min(rest.len());
-            let next = AtomicUsize::new(0);
-            let results: Mutex<Vec<(Trial, T, f64)>> = Mutex::new(Vec::with_capacity(rest.len()));
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&trial) = rest.get(index) else {
-                            break;
-                        };
-                        let done = execute(trial);
-                        results.lock().expect("no poisoned lock").push(done);
-                    });
-                }
+    let workers = worker_count(jobs.len());
+    let next = AtomicUsize::new(0);
+    let results: Mutex<Vec<(Trial, T, f64)>> = Mutex::new(Vec::with_capacity(jobs.len()));
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&trial) = jobs.get(index) else {
+                    break;
+                };
+                let done = execute(trial);
+                results.lock().expect("no poisoned lock").push(done);
             });
-            flat.extend(results.into_inner().expect("threads joined"));
-        } else {
-            flat.extend(rest.iter().map(|&trial| execute(trial)));
         }
-    }
+    });
+    let mut flat = results.into_inner().expect("threads joined");
     flat.sort_by_key(|(trial, _, _)| (trial.cell_index, trial.trial));
     let elapsed = started.elapsed().as_secs_f64();
     record_sweep_metrics(experiment_id, &flat, elapsed, workers);
@@ -312,7 +281,7 @@ where
 
 /// [`run_trials`] with the trial count taken from the effort level —
 /// the call shape almost every experiment uses.
-pub fn run_cells<C, T>(
+pub(crate) fn run_cells<C, T>(
     experiment_id: &str,
     level: EffortLevel,
     cells: &[C],
@@ -361,7 +330,7 @@ pub struct Provenance<Cell> {
     pub seed_algorithm: String,
     /// One entry per experiment cell, in sweep order.
     pub cells: Vec<ProvenanceCell<Cell>>,
-    /// Run-metrics snapshot ([`take_run_metrics`]) when the binary ran
+    /// Run-metrics snapshot (`take_run_metrics`) when the binary ran
     /// with `--obs`; `None` — and **absent from the JSON** — otherwise,
     /// so un-instrumented documents stay byte-identical to before the
     /// field existed.
@@ -406,7 +375,7 @@ impl<Cell> Provenance<Cell> {
     }
 
     /// Appends one cell with the seeds of the runs that produced it.
-    pub fn push_cell(&mut self, seeds: Vec<u64>, cell: Cell) {
+    pub(crate) fn push_cell(&mut self, seeds: Vec<u64>, cell: Cell) {
         self.cells.push(ProvenanceCell {
             cell_index: self.cells.len(),
             seeds,
@@ -425,7 +394,7 @@ impl<Cell> Provenance<Cell> {
     /// [`enable_run_metrics`]. Every experiment returns through this,
     /// so each document carries only its own sweep's timings.
     #[must_use]
-    pub fn with_run_metrics(mut self) -> Self {
+    pub(crate) fn with_run_metrics(mut self) -> Self {
         self.obs = take_run_metrics();
         self
     }
@@ -433,7 +402,7 @@ impl<Cell> Provenance<Cell> {
 
 /// Human-readable statement of the [`trial_seed`] contract, embedded in
 /// every provenance document.
-pub const SEED_ALGORITHM: &str = "trial_seed(experiment_id, cell_index, trial): SplitMix64 \
+pub(crate) const SEED_ALGORITHM: &str = "trial_seed(experiment_id, cell_index, trial): SplitMix64 \
      absorb chain over the id bytes, then cell_index, then trial";
 
 // The shim serde derive does not support generic types, so the
@@ -565,23 +534,12 @@ mod tests {
     }
 
     #[test]
-    fn micro_trials_stay_serial_and_slow_trials_fan_out() {
-        // The threshold gate is pure and directly testable.
-        assert!(!should_fan_out(8, 0.0));
-        assert!(!should_fan_out(8, SERIAL_TRIAL_THRESHOLD_MICROS - 1.0));
-        assert!(should_fan_out(8, SERIAL_TRIAL_THRESHOLD_MICROS));
-        assert!(should_fan_out(2, 1e6));
-        // One worker never fans out, however slow the trials.
-        assert!(!should_fan_out(1, 1e9));
-    }
-
-    #[test]
-    fn serial_gated_sweeps_produce_identical_results() {
-        // Micro-trials (gated serial) and slow trials (fanned out) must
+    fn fast_and_slow_trials_group_identically() {
+        // Micro-trials, which finish in any order, and slow ones must
         // group results identically.
         let cells = vec![5u64, 6];
-        let fast = run_trials("harness_gate_test", 4, &cells, |&cell, t| cell + t.trial);
-        let slow = run_trials("harness_gate_test", 4, &cells, |&cell, t| {
+        let fast = run_trials("harness_group_test", 4, &cells, |&cell, t| cell + t.trial);
+        let slow = run_trials("harness_group_test", 4, &cells, |&cell, t| {
             std::thread::sleep(std::time::Duration::from_micros(1_100));
             cell + t.trial
         });

@@ -14,7 +14,7 @@
 //!   simulator against the paper's Eq. 2–4, and the fault-injection
 //!   scenario matrix behind the `fault_matrix` binary.
 //! - [`harness`] — the deterministic parallel trial executor, the
-//!   single seed-derivation function ([`harness::trial_seed`]), and the
+//!   single seed-derivation function (`harness::trial_seed`), and the
 //!   provenance document every experiment emits.
 //! - [`table`] — plain-text table formatting shared by the binaries.
 //! - [`taxonomy`] — the selector-taxonomy scorecard behind the

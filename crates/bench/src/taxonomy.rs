@@ -12,7 +12,7 @@
 //!   differential sweep's proven Eq. 4 containment point). The
 //!   observed transaction-success proportion gets a 99% Wilson
 //!   interval; for the uniform policy Eq. 4 must land inside it (a
-//!   [`Verdict`] allowing [`SERIALIZATION_BIAS_ALLOWANCE`]). Structured
+//!   [`Verdict`] allowing `SERIALIZATION_BIAS_ALLOWANCE`). Structured
 //!   and listening policies legitimately *beat* the uniform model, so
 //!   the verdict is recorded but only asserted for uniform.
 //! - **Security** — a pair of `H = 16` cells, one clean and one with
@@ -22,7 +22,7 @@
 //!   (see [`retri_aff::adversary`]). The score is the attacker-forced
 //!   loss uplift: `uplift_significant` holds when the attacked cell's
 //!   99% Wilson lower bound on the loss rate clears the clean cell's
-//!   rate plus [`STRAY_FIRE_ALLOWANCE`]. Sequential selection should
+//!   rate plus `STRAY_FIRE_ALLOWANCE`. Sequential selection should
 //!   be crippled; uniform and permutation draws are unpredictable
 //!   without the key, so their uplift must *not* be significant.
 //! - **Performance** — the structural self-collision count over one
@@ -71,7 +71,7 @@ pub const SECURITY_BITS: u8 = 16;
 /// against stray forgery hits (a blind forgery still lands on a live
 /// transaction with probability `~2^-H` per injection) and run-length
 /// noise in the clean baseline.
-pub const STRAY_FIRE_ALLOWANCE: f64 = 0.02;
+pub(crate) const STRAY_FIRE_ALLOWANCE: f64 = 0.02;
 
 /// Listening-policy window used across the taxonomy (matches the
 /// figure sweeps' default).
@@ -105,7 +105,7 @@ pub struct SelectorScore {
     /// 99% Wilson upper bound around `observed`.
     pub wilson_high: f64,
     /// Eq. 4 inside the interval, allowing
-    /// [`SERIALIZATION_BIAS_ALLOWANCE`] below it. Asserted only for the
+    /// `SERIALIZATION_BIAS_ALLOWANCE` below it. Asserted only for the
     /// uniform policy.
     pub eq4_within_interval: bool,
 
@@ -129,7 +129,7 @@ pub struct SelectorScore {
     /// 99% Wilson upper bound on the attacked loss rate.
     pub attacked_wilson_high: f64,
     /// The attack verdict: the attacked Wilson lower bound clears the
-    /// clean rate plus [`STRAY_FIRE_ALLOWANCE`].
+    /// clean rate plus `STRAY_FIRE_ALLOWANCE`.
     pub uplift_significant: bool,
     /// Forged frames the eavesdropper injected, summed over trials.
     pub frames_injected: u64,

@@ -123,11 +123,6 @@ impl<V: Eq + Hash + Clone> SenderCodebook<V> {
         self.bindings.remove(value)
     }
 
-    /// Drops all bindings (e.g. on an epoch boundary).
-    pub fn retire_all(&mut self) {
-        self.bindings.clear();
-    }
-
     /// Reports a code heard in a definition from another node, so this
     /// sender avoids it for future bindings.
     pub fn observe(&mut self, code: TransactionId) {
@@ -138,7 +133,6 @@ impl<V: Eq + Hash + Clone> SenderCodebook<V> {
 #[derive(Debug, Clone)]
 struct Binding<V> {
     value: V,
-    bound_at: u64,
     last_used: u64,
 }
 
@@ -213,7 +207,6 @@ impl<V: Eq + Clone> ReceiverCodebook<V> {
                     code,
                     Binding {
                         value,
-                        bound_at: now,
                         last_used: now,
                     },
                 );
@@ -225,7 +218,6 @@ impl<V: Eq + Clone> ReceiverCodebook<V> {
             }
             Some(binding) => {
                 binding.value = value;
-                binding.bound_at = now;
                 binding.last_used = now;
                 self.conflicts += 1;
                 LearnOutcome::Conflict
@@ -244,14 +236,6 @@ impl<V: Eq + Clone> ReceiverCodebook<V> {
             }
             None => None,
         }
-    }
-
-    /// Age of a live binding at `now`.
-    #[must_use]
-    pub fn bound_for(&self, code: TransactionId, now: u64) -> Option<u64> {
-        self.bindings
-            .get(&code)
-            .map(|b| now.saturating_sub(b.bound_at))
     }
 
     /// Drops bindings idle longer than the ttl; returns how many
@@ -313,18 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn sender_retire_all_clears() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut book: SenderCodebook<u32> = SenderCodebook::new(space(8), 0);
-        book.encode(1, &mut rng);
-        book.encode(2, &mut rng);
-        assert!(!book.is_empty());
-        book.retire_all();
-        assert!(book.is_empty());
-        assert_eq!(book.code_of(&1), None);
-    }
-
-    #[test]
     fn receiver_binds_resolves_refreshes() {
         let s = space(8);
         let code = s.id(9).unwrap();
@@ -369,18 +341,6 @@ mod tests {
         assert!(book.resolve(code, 80).is_some());
         // But silence past the ttl kills it.
         assert!(book.resolve(code, 200).is_none());
-    }
-
-    #[test]
-    fn bound_for_reports_binding_age() {
-        let s = space(8);
-        let code = s.id(3).unwrap();
-        let mut book: ReceiverCodebook<u32> = ReceiverCodebook::new(1000);
-        book.learn(code, 5, 100);
-        assert_eq!(book.bound_for(code, 150), Some(50));
-        // Conflict rebinds: age resets.
-        book.learn(code, 6, 160);
-        assert_eq!(book.bound_for(code, 170), Some(10));
     }
 
     #[test]

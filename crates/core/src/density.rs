@@ -9,9 +9,8 @@
 //! optionally smooths the count with an exponentially weighted moving
 //! average.
 //!
-//! Reads are **pure**: [`DensityEstimator::estimated_density`] and
-//! [`DensityEstimator::active_count`] take `&self` and may be called
-//! any number of times at the same instant without changing the
+//! Reads are **pure**: [`DensityEstimator::estimated_density`] takes
+//! `&self` and may be called any number of times at the same instant without changing the
 //! estimate — a property the Dynamic-Frame Aloha controller, which
 //! queries density every frame, depends on. Between observations the
 //! smoothed estimate decays toward the live count as a function of
@@ -130,13 +129,6 @@ impl DensityEstimator {
         self.last_update = now;
     }
 
-    /// Drops entries that expired before `now`. Optional: expired
-    /// entries are already invisible to every read; this only releases
-    /// their memory.
-    pub fn advance(&mut self, now: u64) {
-        self.prune(now);
-    }
-
     fn prune(&mut self, now: u64) {
         let ttl = self.ttl;
         self.last_seen
@@ -146,7 +138,7 @@ impl DensityEstimator {
     /// Number of distinct foreign transactions heard within the horizon.
     /// Pure: expired entries are skipped, not pruned.
     #[must_use]
-    pub fn active_count(&self, now: u64) -> usize {
+    pub(crate) fn active_count(&self, now: u64) -> usize {
         self.last_seen
             .values()
             .filter(|&&seen| now.saturating_sub(seen) <= self.ttl)
@@ -297,19 +289,6 @@ mod tests {
             hammered.estimated_density(150),
             pristine.estimated_density(150)
         );
-    }
-
-    #[test]
-    fn advance_releases_memory_without_changing_reads() {
-        let mut est = DensityEstimator::with_smoothing(50, 0.4);
-        for key in 0..5u64 {
-            est.observe(key, 0);
-        }
-        est.observe(9, 200); // the only entry still alive at 200
-        let before = est.estimated_density(220);
-        est.advance(220);
-        assert_eq!(est.active_count(220), 1);
-        assert_eq!(est.estimated_density(220), before);
     }
 
     #[test]

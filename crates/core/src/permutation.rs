@@ -209,16 +209,6 @@ impl SequentialSelector {
     pub fn new(space: IdentifierSpace) -> Self {
         SequentialSelector { space, next: None }
     }
-
-    /// Creates a sequential selector starting at `start` (masked into
-    /// the space), for reproducible tests.
-    #[must_use]
-    pub fn with_start(space: IdentifierSpace, start: u64) -> Self {
-        SequentialSelector {
-            space,
-            next: Some(start & space.mask()),
-        }
-    }
 }
 
 impl IdSelector for SequentialSelector {
@@ -371,7 +361,10 @@ mod tests {
     #[test]
     fn sequential_increments_modulo_space() {
         let s = space(4);
-        let mut selector = SequentialSelector::with_start(s, 14);
+        let mut selector = SequentialSelector {
+            space: s,
+            next: Some(14),
+        };
         let mut rng = StdRng::seed_from_u64(8);
         let values: Vec<u64> = (0..4).map(|_| selector.select(&mut rng).value()).collect();
         assert_eq!(values, vec![14, 15, 0, 1], "wraps at the space boundary");
@@ -394,7 +387,10 @@ mod tests {
     #[test]
     fn sequential_ignores_observations() {
         let s = space(8);
-        let mut selector = SequentialSelector::with_start(s, 10);
+        let mut selector = SequentialSelector {
+            space: s,
+            next: Some(10),
+        };
         let mut rng = StdRng::seed_from_u64(9);
         selector.observe(s.id(11).unwrap());
         assert_eq!(selector.select(&mut rng).value(), 10);
@@ -404,7 +400,10 @@ mod tests {
     #[test]
     fn sequential_works_at_full_width() {
         let s = space(64);
-        let mut selector = SequentialSelector::with_start(s, u64::MAX);
+        let mut selector = SequentialSelector {
+            space: s,
+            next: Some(u64::MAX),
+        };
         let mut rng = StdRng::seed_from_u64(10);
         assert_eq!(selector.select(&mut rng).value(), u64::MAX);
         assert_eq!(selector.select(&mut rng).value(), 0);

@@ -29,7 +29,7 @@ use core::fmt;
 
 /// Closed-form predictions for one DFA operating point `(N, L)`.
 ///
-/// Produced by [`predict`] / [`predict_optimal`].
+/// Produced by [`predict`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DfaPoint {
@@ -100,7 +100,7 @@ pub fn attempt_success_probability(n: u64, l: u64) -> f64 {
 
 /// Expected number of successful slots in one frame: `n · (1-1/l)^(n-1)`.
 #[must_use]
-pub fn expected_successes(n: u64, l: u64) -> f64 {
+pub(crate) fn expected_successes(n: u64, l: u64) -> f64 {
     n as f64 * attempt_success_probability(n, l)
 }
 
@@ -115,6 +115,18 @@ pub fn slot_throughput(n: u64, l: u64) -> f64 {
 }
 
 /// Closed-form predictions at an explicit operating point `(n, l)`.
+///
+/// # Examples
+///
+/// ```
+/// use retri_model::dfa::{optimal_frame_length, predict};
+///
+/// let p = predict(16, optimal_frame_length(16));
+/// assert_eq!(p.frame_length, 16);
+/// // Optimal throughput approaches 1/e from above as N grows.
+/// assert!(p.throughput > 1.0 / std::f64::consts::E);
+/// assert!(p.throughput < 0.4);
+/// ```
 #[must_use]
 pub fn predict(n: u64, l: u64) -> DfaPoint {
     DfaPoint {
@@ -124,24 +136,6 @@ pub fn predict(n: u64, l: u64) -> DfaPoint {
         expected_successes: expected_successes(n, l),
         throughput: slot_throughput(n, l),
     }
-}
-
-/// Closed-form predictions at the optimal frame setting `L* = N`.
-///
-/// # Examples
-///
-/// ```
-/// use retri_model::dfa::predict_optimal;
-///
-/// let p = predict_optimal(16);
-/// assert_eq!(p.frame_length, 16);
-/// // Optimal throughput approaches 1/e from above as N grows.
-/// assert!(p.throughput > 1.0 / std::f64::consts::E);
-/// assert!(p.throughput < 0.4);
-/// ```
-#[must_use]
-pub fn predict_optimal(n: u64) -> DfaPoint {
-    predict(n, optimal_frame_length(n))
 }
 
 #[cfg(test)]
@@ -184,12 +178,12 @@ mod tests {
         let inv_e = 1.0 / std::f64::consts::E;
         let mut prev = f64::INFINITY;
         for n in 1..=256u64 {
-            let f = predict_optimal(n).throughput;
+            let f = slot_throughput(n, optimal_frame_length(n));
             assert!(f > inv_e, "N={n}: {f} <= 1/e");
             assert!(f <= prev, "optimal throughput must be nonincreasing");
             prev = f;
         }
-        assert!((predict_optimal(4096).throughput - inv_e).abs() < 1e-3);
+        assert!((slot_throughput(4096, optimal_frame_length(4096)) - inv_e).abs() < 1e-3);
     }
 
     #[test]
@@ -203,7 +197,7 @@ mod tests {
 
     #[test]
     fn display_reads_naturally() {
-        let text = predict_optimal(8).to_string();
+        let text = predict(8, 8).to_string();
         assert!(text.contains("N=8"));
         assert!(text.contains("L=8"));
     }

@@ -55,7 +55,7 @@ impl Efficiency {
 
     /// Returns the efficiency as a percentage in `[0, 100]`.
     #[must_use]
-    pub fn as_percent(self) -> f64 {
+    pub(crate) fn as_percent(self) -> f64 {
         self.0 * 100.0
     }
 

@@ -14,10 +14,6 @@
 //!   `T` concurrent transactions hold mutually distinct identifiers:
 //!   `∏_{i=1}^{T-1} (1 - i/2^H)`, exactly zero once `T` exceeds the
 //!   pool (pigeonhole).
-//! - [`expected_colliding_pairs`] — the expected number of colliding
-//!   pairs among `T` concurrent transactions, `C(T,2) / 2^H`, useful
-//!   for sizing how many *simultaneous* losses a burst of collisions
-//!   can cause.
 
 use crate::params::{Density, IdBits};
 
@@ -78,28 +74,6 @@ pub fn p_all_distinct(id: IdBits, density: Density) -> f64 {
         }
     }
     p
-}
-
-/// Expected number of colliding identifier pairs among `T` concurrent
-/// transactions: `T(T-1)/2 · 2^-H`.
-///
-/// # Examples
-///
-/// ```
-/// use retri_model::exact::expected_colliding_pairs;
-/// use retri_model::{Density, IdBits};
-///
-/// # fn main() -> Result<(), retri_model::ModelError> {
-/// // 16 transactions over 512 identifiers: 120 pairs / 512.
-/// let pairs = expected_colliding_pairs(IdBits::new(9)?, Density::new(16)?);
-/// assert!((pairs - 120.0 / 512.0).abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
-#[must_use]
-pub fn expected_colliding_pairs(id: IdBits, density: Density) -> f64 {
-    let t = density.get() as f64;
-    t * (t - 1.0) / 2.0 / id.space_size()
 }
 
 #[cfg(test)]
@@ -163,15 +137,6 @@ mod tests {
             assert_eq!(p_all_distinct(h(bits), t(1)), 1.0);
             assert_eq!(p_success_snapshot(h(bits), t(1)), 1.0);
         }
-    }
-
-    #[test]
-    fn expected_pairs_scales_quadratically() {
-        let one = expected_colliding_pairs(h(10), t(10));
-        let double = expected_colliding_pairs(h(10), t(20));
-        // 20·19 / 10·9 ≈ 4.22.
-        assert!((double / one - (20.0 * 19.0) / (10.0 * 9.0)).abs() < 1e-12);
-        assert_eq!(expected_colliding_pairs(h(10), t(1)), 0.0);
     }
 
     #[test]

@@ -151,16 +151,10 @@ impl MixedLengthModel {
         &self.classes
     }
 
-    /// The mean transaction duration `E[L]`.
-    #[must_use]
-    pub fn mean_duration(&self) -> f64 {
-        self.mean_duration
-    }
-
     /// Expected number of overlapping transactions seen by a tagged
     /// transaction of duration `duration` at density `density`.
     #[must_use]
-    pub fn expected_overlaps(&self, duration: f64, density: Density) -> f64 {
+    pub(crate) fn expected_overlaps(&self, duration: f64, density: Density) -> f64 {
         let lambda = (density.get() - 1) as f64 / self.mean_duration;
         lambda * (duration + self.mean_duration)
     }
@@ -241,7 +235,7 @@ mod tests {
     #[test]
     fn mean_duration_is_weighted_average() {
         let m = MixedLengthModel::new(vec![class(1.0, 2.0), class(1.0, 4.0)]).unwrap();
-        assert!((m.mean_duration() - 3.0).abs() < 1e-12);
+        assert!((m.mean_duration - 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -50,8 +50,8 @@
 //!
 //! # Crate layout
 //!
-//! - [`params`] — validated parameter newtypes ([`IdBits`], [`DataBits`],
-//!   [`Density`]).
+//! - [`IdBits`], [`DataBits`], [`Density`] — validated parameter
+//!   newtypes.
 //! - [`efficiency`] — the core equations (Eqs. 1–4) and [`AffModel`];
 //!   `retri_bench::figures` sweeps them into the paper's Figures 1–3.
 //! - [`optimal`] — optimal identifier sizing, break-even and crossover
@@ -88,7 +88,7 @@ pub mod lengths;
 pub mod lifetime;
 pub mod listening;
 pub mod optimal;
-pub mod params;
+pub(crate) mod params;
 pub mod stats;
 
 pub use efficiency::{

@@ -19,10 +19,13 @@ use crate::efficiency::Efficiency;
 ///
 /// ```
 /// use retri_model::lifetime::EnergyBudget;
+/// use retri_model::Efficiency;
 ///
-/// // Two AA cells (~20 kJ) on a 1 µJ/bit radio.
+/// // Two AA cells (~20 kJ) on a 1 µJ/bit radio afford 2·10^10 bits:
+/// // 100 days of 10^8 useful bits a day sent at 50% efficiency.
 /// let budget = EnergyBudget::new(20_000.0, 1_000.0);
-/// assert!((budget.bits_affordable() - 2e10).abs() < 1.0);
+/// let days = budget.lifetime_days(1e8, Efficiency::new(0.5));
+/// assert!((days - 100.0).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -56,7 +59,7 @@ impl EnergyBudget {
 
     /// Total bits the battery can transmit.
     #[must_use]
-    pub fn bits_affordable(&self) -> f64 {
+    pub(crate) fn bits_affordable(&self) -> f64 {
         self.battery_joules * 1e9 / self.tx_nj_per_bit
     }
 

@@ -35,8 +35,7 @@
 
 use core::fmt;
 
-use crate::efficiency::Efficiency;
-use crate::params::{DataBits, Density, IdBits};
+use crate::params::{Density, IdBits};
 
 /// Error returned when listening-model parameters are out of domain.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -149,7 +148,7 @@ impl ListeningModel {
     /// Returns [`ListeningError::WindowExhaustsPool`] if the avoidance
     /// window is at least the pool size: a sender that refuses every
     /// identifier cannot transmit at all.
-    pub fn try_p_collision_per_overlap(&self, id: IdBits) -> Result<f64, ListeningError> {
+    pub(crate) fn try_p_collision_per_overlap(&self, id: IdBits) -> Result<f64, ListeningError> {
         let pool = id.space_size();
         let window = self.window as f64;
         if window >= pool {
@@ -165,8 +164,7 @@ impl ListeningModel {
     ///
     /// # Panics
     ///
-    /// Panics if the avoidance window exhausts the identifier pool; use
-    /// [`ListeningModel::try_p_success`] to handle that case.
+    /// Panics if the avoidance window exhausts the identifier pool.
     #[must_use]
     pub fn p_success(&self, id: IdBits, density: Density) -> f64 {
         self.try_p_success(id, density)
@@ -179,27 +177,13 @@ impl ListeningModel {
     ///
     /// Returns [`ListeningError::WindowExhaustsPool`] if the window is at
     /// least the pool size.
-    pub fn try_p_success(&self, id: IdBits, density: Density) -> Result<f64, ListeningError> {
-        let c = self.try_p_collision_per_overlap(id)?;
-        Ok((1.0 - c).powf(density.contending_overlaps() as f64))
-    }
-
-    /// AFF efficiency (Eq. 3) with the listening success probability.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ListeningError::WindowExhaustsPool`] if the window is at
-    /// least the pool size.
-    pub fn try_efficiency(
+    pub(crate) fn try_p_success(
         &self,
-        data: DataBits,
         id: IdBits,
         density: Density,
-    ) -> Result<Efficiency, ListeningError> {
-        let p = self.try_p_success(id, density)?;
-        let d = data.get() as f64;
-        let h = id.get() as f64;
-        Ok(Efficiency::new(d / (d + h) * p))
+    ) -> Result<f64, ListeningError> {
+        let c = self.try_p_collision_per_overlap(id)?;
+        Ok((1.0 - c).powf(density.contending_overlaps() as f64))
     }
 }
 
@@ -297,15 +281,6 @@ mod tests {
     fn p_success_panics_on_exhausted_pool() {
         let m = ListeningModel::new(0.5, 300).unwrap();
         let _ = m.p_success(h(8), t(5));
-    }
-
-    #[test]
-    fn efficiency_scales_with_success() {
-        let d = DataBits::new(16).unwrap();
-        let listen = ListeningModel::with_adaptive_window(0.95, t(5)).unwrap();
-        let e = listen.try_efficiency(d, h(8), t(5)).unwrap();
-        let blind = crate::efficiency::aff_efficiency(d, h(8), t(5));
-        assert!(e >= blind);
     }
 
     #[test]

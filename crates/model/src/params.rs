@@ -18,7 +18,7 @@ use core::fmt;
 /// comparator is Ethernet's 48-bit address space) but lets the model
 /// express every realistic design point while keeping identifier values
 /// representable in a `u64`.
-pub const MAX_ID_BITS: u8 = 64;
+pub(crate) const MAX_ID_BITS: u8 = 64;
 
 /// Error returned when a model parameter is outside its valid domain.
 ///
@@ -70,7 +70,7 @@ impl std::error::Error for ModelError {}
 /// # fn main() -> Result<(), retri_model::ModelError> {
 /// let h = IdBits::new(9)?;
 /// assert_eq!(h.get(), 9);
-/// assert_eq!(h.space_size(), 512.0);
+/// assert_eq!(h.space_len(), 512);
 /// # Ok(())
 /// # }
 /// ```
@@ -105,13 +105,13 @@ impl IdBits {
     /// A float is used because `2^64` overflows `u64` by one; every use in
     /// the model is in floating-point arithmetic anyway.
     #[must_use]
-    pub fn space_size(self) -> f64 {
+    pub(crate) fn space_size(self) -> f64 {
         (self.0 as f64).exp2()
     }
 
     /// Returns the number of distinct identifiers as a `u128`.
     ///
-    /// Unlike [`IdBits::space_size`] this is exact for all valid widths.
+    /// Exact for all valid widths, where an `f64` power of two is not.
     #[must_use]
     pub fn space_len(self) -> u128 {
         1u128 << self.0
@@ -237,7 +237,6 @@ impl From<DataBits> for u32 {
 /// # fn main() -> Result<(), retri_model::ModelError> {
 /// let t = Density::new(16)?;
 /// assert_eq!(t.get(), 16);
-/// assert_eq!(t.contending_overlaps(), 30); // 2 * (T - 1)
 /// # Ok(())
 /// # }
 /// ```
@@ -272,7 +271,7 @@ impl Density {
     /// overlaps the beginning or end of at most `2(T-1)` others (paper
     /// Section 4.1); this is the exponent of Eq. 4.
     #[must_use]
-    pub fn contending_overlaps(self) -> u64 {
+    pub(crate) fn contending_overlaps(self) -> u64 {
         2 * (self.0 - 1)
     }
 }

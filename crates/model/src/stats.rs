@@ -68,7 +68,7 @@ impl Summary {
 
     /// Standard error of the mean, `s / sqrt(n)`.
     #[must_use]
-    pub fn std_error(&self) -> f64 {
+    pub(crate) fn std_error(&self) -> f64 {
         self.std_dev / (self.n as f64).sqrt()
     }
 

@@ -35,14 +35,14 @@ use crate::time::{SimDuration, SimTime};
 
 /// Label absorbed into the simulation seed to derive the adversary RNG
 /// stream (see [`adversary_stream_seed`]).
-pub const ADVERSARY_STREAM_LABEL: &str = "netsim.adversary";
+pub(crate) const ADVERSARY_STREAM_LABEL: &str = "netsim.adversary";
 
 /// Timer token used for the periodic injection tick.
 const INJECT_TICK: u64 = 1;
 
 /// Derives the seed of the dedicated adversary RNG stream from the
-/// simulation seed: [`retri::seed::stream_seed`] under
-/// [`ADVERSARY_STREAM_LABEL`].
+/// simulation seed: [`retri::seed::stream_seed`] under the adversary
+/// stream's own label.
 #[must_use]
 pub fn adversary_stream_seed(seed: u64) -> u64 {
     retri::seed::stream_seed(seed, ADVERSARY_STREAM_LABEL)
@@ -162,12 +162,6 @@ impl<C: InjectionCodec> Eavesdropper<C> {
         self.stats
     }
 
-    /// The identifiers currently predicted to appear next on the air.
-    #[must_use]
-    pub fn predicted_ids(&self) -> Vec<u64> {
-        self.predictions.iter().map(|&(id, _)| id).collect()
-    }
-
     fn arm_tick(&mut self, ctx: &mut Context<'_>) {
         // Jitter desynchronizes the spray from the victims' MAC timing;
         // drawn from the adversary's own stream, never the main RNG.
@@ -266,6 +260,11 @@ mod tests {
         Frame::new(NodeId(0), FramePayload::from_bytes(vec![id]).unwrap())
     }
 
+    /// The identifiers currently predicted to appear next on the air.
+    fn predicted_ids<C: InjectionCodec>(adv: &Eavesdropper<C>) -> Vec<u64> {
+        adv.predictions.iter().map(|&(id, _)| id).collect()
+    }
+
     #[test]
     fn stream_seed_absorbs_the_label() {
         // Provenance: recorded adversarial runs depend on this value.
@@ -278,7 +277,7 @@ mod tests {
         let mut adv = Eavesdropper::new(ByteCodec, config(), 1);
         let mut harness = ContextHarness::new(0);
         adv.on_frame(&mut harness.context(NodeId(9)), &frame(10));
-        assert_eq!(adv.predicted_ids(), vec![11, 12]);
+        assert_eq!(predicted_ids(&adv), vec![11, 12]);
         assert_eq!(adv.stats().ids_extracted, 1);
         assert_eq!(adv.stats().predictions_made, 2);
     }
@@ -288,7 +287,7 @@ mod tests {
         let mut adv = Eavesdropper::new(ByteCodec, config(), 1);
         let mut harness = ContextHarness::new(0);
         adv.on_frame(&mut harness.context(NodeId(9)), &frame(255));
-        assert_eq!(adv.predicted_ids(), vec![0, 1]);
+        assert_eq!(predicted_ids(&adv), vec![0, 1]);
     }
 
     #[test]
@@ -311,7 +310,7 @@ mod tests {
         );
 
         assert_eq!(adv.stats().frames_injected, 2);
-        assert_eq!(harness.sent_frames(), 2);
+        assert_eq!(harness.sent_payloads().len(), 2);
         let sent: Vec<u8> = harness
             .sent_payloads()
             .iter()
@@ -326,7 +325,7 @@ mod tests {
         let mut adv = Eavesdropper::new(ByteCodec, config(), 1);
         let mut harness = ContextHarness::new(0);
         adv.on_frame(&mut harness.context(NodeId(9)), &frame(5));
-        assert_eq!(adv.predicted_ids().len(), 2);
+        assert_eq!(predicted_ids(&adv).len(), 2);
 
         // Far past the prediction TTL, a tick injects nothing.
         harness.set_now(SimTime::from_secs(60));
@@ -338,7 +337,7 @@ mod tests {
             },
         );
         assert_eq!(adv.stats().frames_injected, 0);
-        assert!(adv.predicted_ids().is_empty());
+        assert!(predicted_ids(&adv).is_empty());
     }
 
     #[test]
@@ -351,9 +350,9 @@ mod tests {
                 adv.on_frame(&mut ctx, &frame(id * 10));
             }
         }
-        assert!(adv.predicted_ids().len() <= config().max_tracked);
+        assert!(predicted_ids(&adv).len() <= config().max_tracked);
         // The newest observation's predictions are still tracked.
-        assert!(adv.predicted_ids().contains(&191));
+        assert!(predicted_ids(&adv).contains(&191));
     }
 
     #[test]
@@ -365,7 +364,7 @@ mod tests {
             adv.on_frame(&mut ctx, &frame(30));
             adv.on_frame(&mut ctx, &frame(30));
         }
-        assert_eq!(adv.predicted_ids(), vec![31, 32]);
+        assert_eq!(predicted_ids(&adv), vec![31, 32]);
         assert_eq!(adv.stats().predictions_made, 4);
     }
 
@@ -385,6 +384,6 @@ mod tests {
         adv.on_frame(&mut harness.context(NodeId(9)), &frame(1));
         assert_eq!(adv.stats().frames_heard, 1);
         assert_eq!(adv.stats().ids_extracted, 0);
-        assert!(adv.predicted_ids().is_empty());
+        assert!(predicted_ids(&adv).is_empty());
     }
 }

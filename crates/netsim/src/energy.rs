@@ -9,23 +9,35 @@ use core::fmt;
 
 use crate::radio::EnergyModel;
 
-/// Accumulated radio activity of one node.
+/// Accumulated radio activity of one node, as the simulator records it
+/// ([`crate::sim::ShardedSim::meter`]).
 ///
 /// # Examples
 ///
 /// ```
-/// use retri_netsim::energy::EnergyMeter;
-/// use retri_netsim::radio::EnergyModel;
+/// use retri_netsim::prelude::*;
 ///
-/// let mut meter = EnergyMeter::new();
-/// meter.record_tx(216, 5_400);
-/// meter.record_rx(216, 5_400);
-/// assert_eq!(meter.tx_bits(), 216);
-/// assert_eq!(meter.tx_micros(), 5_400);
+/// /// Node 0 sends one full frame at boot.
+/// struct OneFrame;
 ///
-/// let model = EnergyModel { tx_nj_per_bit: 1000.0, rx_nj_per_bit: 500.0, idle_nw: 0.0 };
-/// // 216 bits * (1000 + 500) nJ = 324 µJ.
-/// assert!((meter.total_energy_nj(&model) - 324_000.0).abs() < 1e-9);
+/// impl Protocol for OneFrame {
+///     fn on_start(&mut self, ctx: &mut Context<'_>) {
+///         if ctx.node_id() == NodeId(0) {
+///             ctx.send(FramePayload::from_bytes(vec![0; 27]).unwrap()).unwrap();
+///         }
+///     }
+///     fn on_frame(&mut self, _ctx: &mut Context<'_>, _frame: &Frame) {}
+///     fn on_timer(&mut self, _ctx: &mut Context<'_>, _timer: Timer) {}
+/// }
+///
+/// let mut sim = ShardedSimBuilder::new(1).build(|_| OneFrame);
+/// sim.add_node_at(Position::new(0.0, 0.0));
+/// sim.add_node_at(Position::new(10.0, 0.0));
+/// sim.run_until(SimTime::from_secs(1));
+/// // 27 bytes behind the RPC radio's 48-bit preamble, at both ends.
+/// assert_eq!(sim.meter(NodeId(0)).tx_bits(), 27 * 8 + 48);
+/// assert_eq!(sim.meter(NodeId(1)).rx_bits(), 27 * 8 + 48);
+/// assert_eq!(sim.total_meter().tx_frames(), 1);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -47,7 +59,7 @@ impl EnergyMeter {
 
     /// Records the transmission of a frame of `bits` (including
     /// preamble) lasting `airtime_micros` on the air.
-    pub fn record_tx(&mut self, bits: u64, airtime_micros: u64) {
+    pub(crate) fn record_tx(&mut self, bits: u64, airtime_micros: u64) {
         self.tx_bits += bits;
         self.tx_frames += 1;
         self.tx_micros += airtime_micros;
@@ -56,7 +68,7 @@ impl EnergyMeter {
     /// Records the reception of a frame of `bits` (including preamble)
     /// lasting `airtime_micros`. Corrupted receptions cost energy too
     /// and should be recorded.
-    pub fn record_rx(&mut self, bits: u64, airtime_micros: u64) {
+    pub(crate) fn record_rx(&mut self, bits: u64, airtime_micros: u64) {
         self.rx_bits += bits;
         self.rx_frames += 1;
         self.rx_micros += airtime_micros;
@@ -80,33 +92,21 @@ impl EnergyMeter {
         self.tx_frames
     }
 
-    /// Frames received so far.
-    #[must_use]
-    pub fn rx_frames(&self) -> u64 {
-        self.rx_frames
-    }
-
     /// Microseconds spent transmitting.
     #[must_use]
-    pub fn tx_micros(&self) -> u64 {
+    pub(crate) fn tx_micros(&self) -> u64 {
         self.tx_micros
-    }
-
-    /// Microseconds spent actively receiving frames.
-    #[must_use]
-    pub fn rx_micros(&self) -> u64 {
-        self.rx_micros
     }
 
     /// Transmit energy under `model`, nanojoules.
     #[must_use]
-    pub fn tx_energy_nj(&self, model: &EnergyModel) -> f64 {
+    pub(crate) fn tx_energy_nj(&self, model: &EnergyModel) -> f64 {
         self.tx_bits as f64 * model.tx_nj_per_bit
     }
 
     /// Receive energy under `model`, nanojoules.
     #[must_use]
-    pub fn rx_energy_nj(&self, model: &EnergyModel) -> f64 {
+    pub(crate) fn rx_energy_nj(&self, model: &EnergyModel) -> f64 {
         self.rx_bits as f64 * model.rx_nj_per_bit
     }
 
@@ -115,7 +115,7 @@ impl EnergyMeter {
     /// [`EnergyMeter::total_energy_with_idle_nj`], which needs to know
     /// the node's awake time.
     #[must_use]
-    pub fn total_energy_nj(&self, model: &EnergyModel) -> f64 {
+    pub(crate) fn total_energy_nj(&self, model: &EnergyModel) -> f64 {
         self.tx_energy_nj(model) + self.rx_energy_nj(model)
     }
 
@@ -124,7 +124,7 @@ impl EnergyMeter {
     /// the idle power. "All communication — even passive listening —
     /// will have a significant effect" (paper Section 1).
     #[must_use]
-    pub fn idle_energy_nj(&self, model: &EnergyModel, awake_micros: u64) -> f64 {
+    pub(crate) fn idle_energy_nj(&self, model: &EnergyModel, awake_micros: u64) -> f64 {
         let idle_micros = awake_micros.saturating_sub(self.tx_micros + self.rx_micros);
         // nW × µs = 1e-9 W × 1e-6 s = 1e-15 J = 1e-6 nJ.
         model.idle_nw * idle_micros as f64 * 1e-6
@@ -132,7 +132,7 @@ impl EnergyMeter {
 
     /// Total radio energy including idle listening, nanojoules.
     #[must_use]
-    pub fn total_energy_with_idle_nj(&self, model: &EnergyModel, awake_micros: u64) -> f64 {
+    pub(crate) fn total_energy_with_idle_nj(&self, model: &EnergyModel, awake_micros: u64) -> f64 {
         self.total_energy_nj(model) + self.idle_energy_nj(model, awake_micros)
     }
 
@@ -170,9 +170,9 @@ mod tests {
         assert_eq!(meter.tx_bits(), 150);
         assert_eq!(meter.tx_frames(), 2);
         assert_eq!(meter.rx_bits(), 30);
-        assert_eq!(meter.rx_frames(), 1);
+        assert_eq!(meter.rx_frames, 1);
         assert_eq!(meter.tx_micros(), 1_500);
-        assert_eq!(meter.rx_micros(), 300);
+        assert_eq!(meter.rx_micros, 300);
     }
 
     #[test]
@@ -206,9 +206,9 @@ mod tests {
         assert_eq!(a.tx_bits(), 6);
         assert_eq!(a.rx_bits(), 7);
         assert_eq!(a.tx_frames(), 2);
-        assert_eq!(a.rx_frames(), 1);
+        assert_eq!(a.rx_frames, 1);
         assert_eq!(a.tx_micros(), 60);
-        assert_eq!(a.rx_micros(), 70);
+        assert_eq!(a.rx_micros, 70);
     }
 
     #[test]

@@ -227,7 +227,7 @@ impl PartitionWindow {
 
     /// Whether this window severs a frame from `from` to `to` at `at`.
     #[must_use]
-    pub fn severs(&self, from: NodeId, to: NodeId, at: SimTime) -> bool {
+    pub(crate) fn severs(&self, from: NodeId, to: NodeId, at: SimTime) -> bool {
         self.start <= at && at < self.end && (self.contains(from) != self.contains(to))
     }
 }
@@ -298,7 +298,7 @@ impl FaultModel {
 
     /// Whether any partition window severs `from → to` at `at`.
     #[must_use]
-    pub fn severs(&self, from: NodeId, to: NodeId, at: SimTime) -> bool {
+    pub(crate) fn severs(&self, from: NodeId, to: NodeId, at: SimTime) -> bool {
         !self.partitions.is_empty() && self.partitions.iter().any(|w| w.severs(from, to, at))
     }
 }

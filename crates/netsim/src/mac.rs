@@ -135,7 +135,7 @@ pub enum MacMode {
 /// # Examples
 ///
 /// ```
-/// use retri_netsim::mac::MacConfig;
+/// use retri_netsim::mac::{MacConfig, MacMode};
 ///
 /// let csma = MacConfig::default();
 /// assert!(csma.carrier_sense);
@@ -144,7 +144,7 @@ pub enum MacMode {
 /// assert!(!aloha.carrier_sense);
 ///
 /// let dfa = MacConfig::dfa_known(retri_netsim::SimDuration::from_millis(8), 16);
-/// assert!(dfa.dfa_config().is_some());
+/// assert!(matches!(dfa.mode, MacMode::Dfa(_)));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -232,18 +232,11 @@ impl MacConfig {
 
     /// The DFA parameters, when this MAC runs Dynamic-Frame Aloha.
     #[must_use]
-    pub fn dfa_config(&self) -> Option<&DfaConfig> {
+    pub(crate) fn dfa_config(&self) -> Option<&DfaConfig> {
         match &self.mode {
             MacMode::Dfa(dfa) => Some(dfa),
             MacMode::Contention => None,
         }
-    }
-
-    /// Whether this MAC carrier-senses before transmitting (CSMA). DFA
-    /// never does: slot discipline replaces listening.
-    #[must_use]
-    pub fn is_csma(&self) -> bool {
-        self.carrier_sense && self.dfa_config().is_none()
     }
 
     /// Validates the configuration.
@@ -256,7 +249,7 @@ impl MacConfig {
     /// duration (zero-length slots or a zero-slot clamp). Also rejects
     /// carrier sensing combined with DFA (slot discipline replaces
     /// listening) and an inverted DFA clamp.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         if self.carrier_sense {
             assert!(
                 self.backoff_slot > SimDuration::ZERO,
@@ -463,8 +456,5 @@ mod tests {
     #[test]
     fn contention_macs_have_no_dfa_config() {
         assert!(MacConfig::csma().dfa_config().is_none());
-        assert!(MacConfig::csma().is_csma());
-        assert!(!MacConfig::aloha().is_csma());
-        assert!(!MacConfig::dfa_known(SimDuration::from_millis(8), 4).is_csma());
     }
 }

@@ -38,15 +38,15 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// A pending timer: the caller's token plus a unique handle usable for
-/// cancellation.
+/// A pending timer: the caller's token plus the unique handle its
+/// arming returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Timer {
     /// Caller-chosen discriminator (protocols multiplex their timers on
     /// it).
     pub token: u64,
-    /// Unique handle for this arming, usable with
-    /// [`Context::cancel_timer`].
+    /// Unique handle for this arming, as [`Context::set_timer`] or
+    /// [`Context::set_timer_when_idle`] returned it.
     pub handle: TimerHandle,
 }
 
@@ -99,9 +99,6 @@ pub(crate) enum Command {
         at: SimTime,
         timer: Timer,
         idle: Option<SimDuration>,
-    },
-    CancelTimer {
-        handle: TimerHandle,
     },
 }
 
@@ -203,7 +200,7 @@ impl Context<'_> {
     }
 
     /// Arms a timer to fire after `delay`, carrying `token` back to
-    /// [`Protocol::on_timer`]. Returns a handle for cancellation. A
+    /// [`Protocol::on_timer`]. Returns the timer's handle. A
     /// timer due past the last instant (`u64::MAX` µs) never fires.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerHandle {
         self.arm(self.now.checked_add(delay), token, None)
@@ -212,7 +209,7 @@ impl Context<'_> {
     /// Arms a timer that fires at the first instant `now + k·poll`
     /// (k ≥ 1) at which [`Context::pending_frames`] reads 0 in the
     /// callback, carrying `token` back to [`Protocol::on_timer`]. Returns
-    /// a handle for cancellation, drawn from the same counter as
+    /// its handle, drawn from the same counter as
     /// [`Context::set_timer`]'s.
     ///
     /// It behaves exactly like re-arming `set_timer(poll)` at every
@@ -256,12 +253,6 @@ impl Context<'_> {
         }
         handle
     }
-
-    /// Cancels a previously armed timer. Cancelling an already-fired or
-    /// unknown handle is a no-op.
-    pub fn cancel_timer(&mut self, handle: TimerHandle) {
-        self.commands.push(Command::CancelTimer { handle });
-    }
 }
 
 /// A standalone harness for unit-testing [`Protocol`] implementations
@@ -281,7 +272,7 @@ impl Context<'_> {
 /// let mut ctx = harness.context(NodeId(0));
 /// ctx.send(FramePayload::from_bytes(vec![1, 2, 3]).unwrap()).unwrap();
 /// drop(ctx);
-/// assert_eq!(harness.sent_frames(), 1);
+/// assert_eq!(harness.sent_payloads().len(), 1);
 /// ```
 #[derive(Debug)]
 pub struct ContextHarness {
@@ -289,7 +280,6 @@ pub struct ContextHarness {
     commands: Vec<Command>,
     next_timer_handle: u64,
     now: SimTime,
-    max_frame_bytes: usize,
 }
 
 impl ContextHarness {
@@ -303,18 +293,12 @@ impl ContextHarness {
             commands: Vec::new(),
             next_timer_handle: 0,
             now: SimTime::ZERO,
-            max_frame_bytes: 27,
         }
     }
 
     /// Sets the time subsequent contexts will report.
     pub fn set_now(&mut self, now: SimTime) {
         self.now = now;
-    }
-
-    /// Sets the frame limit subsequent contexts will enforce.
-    pub fn set_max_frame_bytes(&mut self, max_frame_bytes: usize) {
-        self.max_frame_bytes = max_frame_bytes;
     }
 
     /// Borrows a context for one protocol callback on `node`.
@@ -325,23 +309,14 @@ impl ContextHarness {
             rng: &mut self.rng,
             commands: &mut self.commands,
             next_timer_handle: &mut self.next_timer_handle,
-            max_frame_bytes: self.max_frame_bytes,
+            max_frame_bytes: 27,
             pending_frames: 0,
         }
     }
 
-    /// Frames sent through contexts so far.
-    #[must_use]
-    pub fn sent_frames(&self) -> usize {
-        self.commands
-            .iter()
-            .filter(|c| matches!(c, Command::Send { .. }))
-            .count()
-    }
-
     /// Timers armed through contexts so far, idle timers included.
-    #[must_use]
-    pub fn armed_timers(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn armed_timers(&self) -> usize {
         self.commands
             .iter()
             .filter(|c| matches!(c, Command::SetTimer { .. }))
@@ -428,23 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_pushes_command() {
-        let (mut rng, mut commands, mut handles) = context_parts();
-        let mut ctx = Context {
-            now: SimTime::ZERO,
-            node: NodeId(0),
-            rng: &mut rng,
-            commands: &mut commands,
-            next_timer_handle: &mut handles,
-            pending_frames: 0,
-            max_frame_bytes: 27,
-        };
-        let h = ctx.set_timer(SimDuration::ZERO, 1);
-        ctx.cancel_timer(h);
-        assert_eq!(commands.len(), 2);
-    }
-
-    #[test]
     fn idle_timers_share_the_handle_counter() {
         let (mut rng, mut commands, mut handles) = context_parts();
         let mut ctx = Context {
@@ -492,8 +450,7 @@ mod tests {
         {
             let mut ctx = harness.context(NodeId(0));
             ctx.set_timer(SimDuration::from_millis(1), 1);
-            let idle = ctx.set_timer_when_idle(SimDuration::from_millis(2), 2);
-            ctx.cancel_timer(idle);
+            ctx.set_timer_when_idle(SimDuration::from_millis(2), 2);
         }
         assert_eq!(harness.armed_timers(), 2);
     }

@@ -56,7 +56,7 @@ impl Default for TxStats {
 
 impl TxStats {
     /// Adds another shard's counts into these.
-    pub fn merge(&mut self, other: &TxStats) {
+    pub(crate) fn merge(&mut self, other: &TxStats) {
         self.backoffs += other.backoffs;
         self.backoff_slots += other.backoff_slots;
         self.airtimes.merge(&other.airtimes);

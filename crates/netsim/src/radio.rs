@@ -34,7 +34,7 @@ impl EnergyModel {
     /// Typical first-generation sensor radio figures (~1 µJ/bit tx,
     /// ~0.5 µJ/bit rx).
     #[must_use]
-    pub const fn low_power_default() -> Self {
+    pub(crate) const fn low_power_default() -> Self {
         EnergyModel {
             tx_nj_per_bit: 1_000.0,
             rx_nj_per_bit: 500.0,
@@ -127,7 +127,11 @@ impl DutyCycle {
     /// `[start, end)` (a frame reception needs the radio on
     /// throughout).
     #[must_use]
-    pub fn awake_during(&self, start: crate::time::SimTime, end: crate::time::SimTime) -> bool {
+    pub(crate) fn awake_during(
+        &self,
+        start: crate::time::SimTime,
+        end: crate::time::SimTime,
+    ) -> bool {
         if !self.awake_at(start) {
             return false;
         }
@@ -188,19 +192,6 @@ impl RadioConfig {
         }
     }
 
-    /// An idealized lossless radio with no preamble: useful in unit
-    /// tests where only protocol logic matters.
-    #[must_use]
-    pub fn ideal(bitrate_bps: u64, max_frame_bytes: usize) -> Self {
-        RadioConfig {
-            bitrate_bps,
-            max_frame_bytes,
-            preamble_bits: 0,
-            frame_loss: 0.0,
-            energy: EnergyModel::low_power_default(),
-        }
-    }
-
     /// Returns a copy with the given random frame-loss probability.
     ///
     /// # Panics
@@ -216,13 +207,6 @@ impl RadioConfig {
         self
     }
 
-    /// Returns a copy with a different energy model.
-    #[must_use]
-    pub fn with_energy(mut self, energy: EnergyModel) -> Self {
-        self.energy = energy;
-        self
-    }
-
     /// On-air time of a frame carrying `payload_bits`, including the
     /// preamble.
     #[must_use]
@@ -235,7 +219,7 @@ impl RadioConfig {
 
     /// Total bits on the air for a frame carrying `payload_bits`.
     #[must_use]
-    pub fn bits_on_air(&self, payload_bits: u32) -> u64 {
+    pub(crate) fn bits_on_air(&self, payload_bits: u32) -> u64 {
         u64::from(payload_bits) + u64::from(self.preamble_bits)
     }
 }
@@ -339,22 +323,15 @@ mod tests {
     }
 
     #[test]
-    fn ideal_radio_has_no_overhead() {
-        let radio = RadioConfig::ideal(1_000_000, 64);
-        assert_eq!(radio.airtime(8).as_micros(), 8);
-        assert_eq!(radio.preamble_bits, 0);
-    }
-
-    #[test]
     fn with_frame_loss_validates() {
-        let radio = RadioConfig::ideal(1000, 27).with_frame_loss(0.25);
+        let radio = RadioConfig::radiometrix_rpc().with_frame_loss(0.25);
         assert_eq!(radio.frame_loss, 0.25);
     }
 
     #[test]
     #[should_panic(expected = "outside [0, 1]")]
     fn with_frame_loss_rejects_out_of_range() {
-        let _ = RadioConfig::ideal(1000, 27).with_frame_loss(1.5);
+        let _ = RadioConfig::radiometrix_rpc().with_frame_loss(1.5);
     }
 
     #[test]

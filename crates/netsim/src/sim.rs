@@ -79,7 +79,7 @@ use std::sync::{Arc, Barrier, Mutex, PoisonError, RwLock};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use retri::hash::{FixedMap, FixedSet};
+use retri::hash::FixedMap;
 use retri::seed::{absorb, stream_seed};
 use retri_obs::Obs;
 
@@ -88,7 +88,7 @@ use crate::fault::{ChurnEvent, FaultModel};
 use crate::frame::{Frame, FramePayload};
 use crate::mac::{DfaConfig, DfaStats, FrameSizing, MacConfig};
 use crate::medium::{interferes, AirRecord, AirView, Interferer, MediumStats, Verdict};
-use crate::node::{Command, Context, NodeId, Protocol, Timer, TimerHandle};
+use crate::node::{Command, Context, NodeId, Protocol, Timer};
 use crate::obs::TxStats;
 use crate::radio::{DutyCycle, RadioConfig};
 use crate::time::{SimDuration, SimTime};
@@ -342,7 +342,6 @@ struct LocalNode<P> {
     /// Gilbert–Elliott state for this receiver (`true` = bad).
     fault_bad: bool,
     next_timer_handle: u64,
-    cancelled: FixedSet<TimerHandle>,
     /// Orders this node's MAC-phase events.
     mac_seq: u64,
     /// Counts this node's transmissions.
@@ -374,7 +373,6 @@ impl<P> LocalNode<P> {
             fault_rng,
             fault_bad: false,
             next_timer_handle: 0,
-            cancelled: FixedSet::default(),
             mac_seq: 0,
             tx_count: 0,
             dfa_slot_at: None,
@@ -862,24 +860,21 @@ impl<P: Protocol> ShardCore<P> {
                 if self.topo_rx.is_alive(node) {
                     let local = ctx.local(self.index, node);
                     self.with_ctx(local, at, ctx, |protocol, c| protocol.on_start(c));
-                    self.drain_commands(local, at, ctx);
+                    self.drain_commands(at, ctx);
                 }
             }
             RxKind::Timer { node, timer, idle } => {
                 let local = ctx.local(self.index, node);
-                let state = &mut self.nodes[local];
                 let alive = self.topo_rx.is_alive(node);
                 let fire = if idle {
-                    let busy = state.pending_frames() > 0;
+                    let busy = self.nodes[local].pending_frames() > 0;
                     self.idle.fire(node, timer.handle, at, alive, busy)
                 } else {
-                    let cancelled =
-                        !state.cancelled.is_empty() && state.cancelled.remove(&timer.handle);
-                    !cancelled && alive
+                    alive
                 };
                 if fire {
                     self.with_ctx(local, at, ctx, |protocol, c| protocol.on_timer(c, timer));
-                    self.drain_commands(local, at, ctx);
+                    self.drain_commands(at, ctx);
                 }
             }
             RxKind::Deliver { seq, sender } => self.deliver(at, seq, sender, ctx, air),
@@ -1077,7 +1072,7 @@ impl<P: Protocol> ShardCore<P> {
                             self.with_ctx(local, at, ctx, |protocol, c| {
                                 protocol.on_frame(c, &mangled);
                             });
-                            self.drain_commands(local, at, ctx);
+                            self.drain_commands(at, ctx);
                         }
                         None => {
                             self.trace_rx(ctx, at, seq, receiver, || TraceEvent::Delivered {
@@ -1090,7 +1085,7 @@ impl<P: Protocol> ShardCore<P> {
                             self.with_ctx(local, at, ctx, |protocol, c| {
                                 protocol.on_frame(c, frame);
                             });
-                            self.drain_commands(local, at, ctx);
+                            self.drain_commands(at, ctx);
                         }
                     }
                 }
@@ -1141,7 +1136,7 @@ impl<P: Protocol> ShardCore<P> {
         f(&mut state.protocol, &mut c);
     }
 
-    fn drain_commands(&mut self, local: usize, at: SimTime, ctx: &EngineCtx<'_>) {
+    fn drain_commands(&mut self, at: SimTime, ctx: &EngineCtx<'_>) {
         while !self.commands.is_empty() {
             let mut batch = std::mem::take(&mut self.commands);
             for command in batch.drain(..) {
@@ -1179,12 +1174,6 @@ impl<P: Protocol> ShardCore<P> {
                             None => Some(timer_event(node, at, timer, false)),
                         };
                         self.rx_staged.extend(event);
-                    }
-                    Command::CancelTimer { handle } => {
-                        let node = self.nodes[local].id;
-                        if !self.idle.cancel(node, handle) {
-                            self.nodes[local].cancelled.insert(handle);
-                        }
                     }
                 }
             }
@@ -1459,7 +1448,7 @@ impl<P: Protocol> ShardedSim<P> {
     }
 
     /// Adds a node with an explicitly constructed protocol instance.
-    pub fn add_node_with(&mut self, position: Position, protocol: P) -> NodeId {
+    pub(crate) fn add_node_with(&mut self, position: Position, protocol: P) -> NodeId {
         // The replicas catch up at the next run (`share_master`).
         let id = Arc::make_mut(&mut self.master).add(position);
         self.admit(id, protocol)
@@ -1548,12 +1537,6 @@ impl<P: Protocol> ShardedSim<P> {
         &self.master
     }
 
-    /// The shard count.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.cores.len()
-    }
-
     /// How many `[T, T+L)` windows the engine actually executed. A
     /// window runs only when some shard has a pending event in it, so
     /// fully idle stretches of simulated time cost zero windows — the
@@ -1606,12 +1589,6 @@ impl<P: Protocol> ShardedSim<P> {
         total
     }
 
-    /// Number of nodes added so far.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.owner.len()
-    }
-
     /// All node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
         (0..self.owner.len() as u32).map(NodeId)
@@ -1630,16 +1607,6 @@ impl<P: Protocol> ShardedSim<P> {
     #[must_use]
     pub fn protocol(&self, node: NodeId) -> &P {
         &self.local_node(node).protocol
-    }
-
-    /// Mutable access to a node's protocol.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` was never added.
-    pub fn protocol_mut(&mut self, node: NodeId) -> &mut P {
-        let (shard, local) = self.owner[node.index()];
-        &mut self.cores[shard as usize].nodes[local as usize].protocol
     }
 
     /// A node's energy meter.
@@ -1670,7 +1637,7 @@ impl<P: Protocol> ShardedSim<P> {
     ///
     /// Panics if `node` was never added.
     #[must_use]
-    pub fn awake_micros(&self, node: NodeId) -> u64 {
+    pub(crate) fn awake_micros(&self, node: NodeId) -> u64 {
         let elapsed = self.now.as_micros();
         match self.local_node(node).duty_cycle {
             Some(duty) => (elapsed as f64 * duty.on_fraction()) as u64,
@@ -1740,7 +1707,7 @@ impl<P: Protocol> ShardedSim<P> {
     /// identical output. Metrics play no part: they are folded in after
     /// the run ([`Self::record_metrics`]).
     #[must_use]
-    pub fn uses_worker_threads(&self) -> bool {
+    pub(crate) fn uses_worker_threads(&self) -> bool {
         if self.cores.len() <= 1 {
             return false;
         }
@@ -2490,7 +2457,8 @@ impl<P: Protocol + Send> ShardedSim<P> {
     /// the clock to it.
     ///
     /// Multi-shard runs execute windows on scoped worker threads when
-    /// [`Self::uses_worker_threads`] says so; output is identical
+    /// the machine has more than one core and every shard owns at least
+    /// [`MIN_NODES_PER_SHARD`] nodes on average; output is identical
     /// either way.
     ///
     /// # Panics

@@ -168,7 +168,7 @@ impl SimDuration {
     ///
     /// Panics if `bitrate_bps` is zero.
     #[must_use]
-    pub fn of_bits(bits: u64, bitrate_bps: u64) -> Self {
+    pub(crate) fn of_bits(bits: u64, bitrate_bps: u64) -> Self {
         assert!(bitrate_bps > 0, "bitrate must be positive");
         // micros = bits * 1e6 / rate, rounded up.
         let micros = (bits as u128 * 1_000_000).div_ceil(bitrate_bps as u128);

@@ -20,8 +20,8 @@
 //!   `run_until` stopped inside it): every receive event of the window
 //!   already sees the end-of-phase state, so an instant before the
 //!   `TxEnd` itself fires too, as the poll loop did;
-//! - a dispatched idle timer is dropped if cancelled or if its node is
-//!   dead (ending the chain, as the poll loop's did), parks again if the
+//! - a dispatched idle timer is dropped if its node is dead (ending
+//!   the chain, as the poll loop's did), parks again if the
 //!   count is above zero, and otherwise calls the protocol.
 //!
 //! A Dynamic-Frame Aloha requeue can refill a dead node's queue in the
@@ -63,8 +63,8 @@ pub(crate) struct IdleTimer {
 }
 
 /// A shard's armed idle timers, keyed by node (a node may hold
-/// several); an entry lives from arming until the timer fires, is
-/// cancelled, or finds its node dead. Kept beside the nodes rather than
+/// several); an entry lives from arming until the timer fires or finds
+/// its node dead. Kept beside the nodes rather than
 /// in the engine's per-node state, so nodes that never arm one pay
 /// nothing for it.
 ///
@@ -101,10 +101,9 @@ impl IdleTimers {
     }
 
     /// Handles the event of `node`'s idle timer `handle` at `at`:
-    /// whether the protocol should be called. A cancelled timer has no
-    /// entry and is dropped, and so is one whose node is dead; one that
-    /// finds the queue `busy` parks until its next poll instant, or is
-    /// dropped if that is past the last instant.
+    /// whether the protocol should be called. One whose node is dead is
+    /// dropped; one that finds the queue `busy` parks until its next
+    /// poll instant, or is dropped if that is past the last instant.
     pub(crate) fn fire(
         &mut self,
         node: NodeId,
@@ -123,16 +122,15 @@ impl IdleTimers {
                     timer.parked.is_none()
                 });
             if past_the_top {
-                self.cancel(node, handle);
+                self.disarm(node, handle);
             }
             return false;
         }
-        self.cancel(node, handle) && alive
+        self.disarm(node, handle) && alive
     }
 
-    /// Disarms `node`'s idle timer `handle`; whether it was armed. Its
-    /// event, if on the heap, then finds no entry and is dropped.
-    pub(crate) fn cancel(&mut self, node: NodeId, handle: TimerHandle) -> bool {
+    /// Disarms `node`'s idle timer `handle`; whether it was armed.
+    fn disarm(&mut self, node: NodeId, handle: TimerHandle) -> bool {
         let Some(timers) = self.0.get_mut(&node) else {
             return false;
         };

@@ -26,7 +26,7 @@
 //!
 //! Distance tests compare squared distances (`d² ≤ range²`), avoiding
 //! the square root on the hot path. The boundary case `d == range` is
-//! still in range, matching [`Position::distance_to`]` <= range`.
+//! still in range.
 
 use core::fmt;
 
@@ -49,7 +49,7 @@ pub type Cell = (i64, i64);
 ///
 /// let a = Position::new(0.0, 0.0);
 /// let b = Position::new(3.0, 4.0);
-/// assert_eq!(a.distance_to(b), 5.0);
+/// assert_eq!(a.distance_sq_to(b), 25.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -65,12 +65,6 @@ impl Position {
     #[must_use]
     pub fn new(x: f64, y: f64) -> Self {
         Position { x, y }
-    }
-
-    /// Euclidean distance to another position, meters.
-    #[must_use]
-    pub fn distance_to(self, other: Position) -> f64 {
-        self.distance_sq_to(other).sqrt()
     }
 
     /// Squared Euclidean distance, meters² — the radius comparison the
@@ -175,7 +169,7 @@ impl Topology {
     /// The cell containing `position` on this topology's range-pitched
     /// grid.
     #[must_use]
-    pub fn cell_of(&self, position: Position) -> Cell {
+    pub(crate) fn cell_of(&self, position: Position) -> Cell {
         (
             (position.x / self.range).floor() as i64,
             (position.y / self.range).floor() as i64,
@@ -194,7 +188,7 @@ impl Topology {
 
     /// The nodes (alive or dead) currently positioned in `cell`, in
     /// arbitrary bucket order. Callers needing determinism must sort.
-    pub fn nodes_in(&self, cell: Cell) -> impl Iterator<Item = NodeId> + '_ {
+    pub(crate) fn nodes_in(&self, cell: Cell) -> impl Iterator<Item = NodeId> + '_ {
         self.cells.get(&cell).into_iter().flatten().copied()
     }
 
@@ -274,7 +268,11 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `node` was never added.
-    pub fn set_position_tracked(&mut self, node: NodeId, position: Position) -> (Cell, Cell) {
+    pub(crate) fn set_position_tracked(
+        &mut self,
+        node: NodeId,
+        position: Position,
+    ) -> (Cell, Cell) {
         let new_cell = self.cell_of(position);
         let site = self.site_mut(node);
         let old_cell = site.cell;
@@ -483,11 +481,11 @@ mod tests {
     #[test]
     fn distance_is_euclidean() {
         assert_eq!(
-            Position::new(0.0, 0.0).distance_to(Position::new(3.0, 4.0)),
-            5.0
+            Position::new(0.0, 0.0).distance_sq_to(Position::new(3.0, 4.0)),
+            25.0
         );
         assert_eq!(
-            Position::new(1.0, 1.0).distance_to(Position::new(1.0, 1.0)),
+            Position::new(1.0, 1.0).distance_sq_to(Position::new(1.0, 1.0)),
             0.0
         );
     }
@@ -709,12 +707,12 @@ mod tests {
         assert_eq!(topo.len(), 200);
         let origin = Position::new(0.0, 0.0);
         for id in topo.node_ids() {
-            assert!(topo.position(id).distance_to(origin) <= 80.0 + 1e-9);
+            assert!(topo.position(id).distance_sq_to(origin) <= 80.0 * 80.0 + 1e-6);
         }
         // Area-uniform: roughly a quarter of nodes within half radius.
         let inner = topo
             .node_ids()
-            .filter(|&id| topo.position(id).distance_to(origin) <= 40.0)
+            .filter(|&id| topo.position(id).distance_sq_to(origin) <= 40.0 * 40.0)
             .count();
         assert!((30..=70).contains(&inner), "inner count {inner}");
     }

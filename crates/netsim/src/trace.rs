@@ -8,10 +8,9 @@
 //! [`crate::medium::MediumStats`] cannot express.
 //!
 //! The tracer is an event log, not a metrics path: it keeps no counts
-//! beyond the number of events it evicted. Its queries
-//! ([`Tracer::deliveries_between`], [`Tracer::losses_at`]) filter the
-//! *retained window*; the run's totals come from the engine's own
-//! counters ([`crate::sim::ShardedSim::record_metrics`]).
+//! beyond the number of events it evicted, and [`Tracer::events`] yields
+//! only the *retained window*; the run's totals come from the engine's
+//! own counters ([`crate::sim::ShardedSim::record_metrics`]).
 //!
 //! Tracing is off by default (zero cost); enable it with
 //! [`crate::sim::ShardedSim::enable_trace`].
@@ -196,23 +195,6 @@ impl Tracer {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    /// Retained losses suffered by `node`, oldest first.
-    pub fn losses_at(&self, node: NodeId) -> impl Iterator<Item = &TraceEvent> {
-        self.events()
-            .filter(move |e| matches!(e, TraceEvent::Lost { to, .. } if *to == node))
-    }
-
-    /// Retained deliveries from `from` to `to`.
-    #[must_use]
-    pub fn deliveries_between(&self, from: NodeId, to: NodeId) -> usize {
-        self.events()
-            .filter(|e| {
-                matches!(e, TraceEvent::Delivered { from: f, to: t, .. }
-                         if *f == from && *t == to)
-            })
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -225,49 +207,6 @@ mod tests {
             node: NodeId(0),
             seq,
             bits: 8,
-        }
-    }
-
-    fn lost(seq: u64, to: NodeId) -> TraceEvent {
-        TraceEvent::Lost {
-            at: SimTime::from_micros(seq),
-            from: NodeId(0),
-            to,
-            seq,
-            reason: LossReason::RfCollision,
-        }
-    }
-
-    fn delivered(seq: u64, to: NodeId) -> TraceEvent {
-        TraceEvent::Delivered {
-            at: SimTime::from_micros(seq),
-            from: NodeId(0),
-            to,
-            seq,
-        }
-    }
-
-    /// Checks both filters, for every receiver the tests use, against a
-    /// linear recount of the retained window.
-    fn assert_filters_match_a_recount(tracer: &Tracer) {
-        for node in 0..3u32 {
-            let node = NodeId(node);
-            let scan_deliveries = tracer
-                .events
-                .iter()
-                .filter(|e| {
-                    matches!(e, TraceEvent::Delivered { from, to, .. }
-                             if *from == NodeId(0) && *to == node)
-                })
-                .count();
-            assert_eq!(tracer.deliveries_between(NodeId(0), node), scan_deliveries);
-            let scan_losses: Vec<&TraceEvent> = tracer
-                .events
-                .iter()
-                .filter(|e| matches!(e, TraceEvent::Lost { to, .. } if *to == node))
-                .collect();
-            let filtered: Vec<&TraceEvent> = tracer.losses_at(node).collect();
-            assert_eq!(filtered, scan_losses);
         }
     }
 
@@ -287,66 +226,6 @@ mod tests {
             })
             .collect();
         assert_eq!(seqs, vec![2, 3, 4], "oldest must be discarded first");
-    }
-
-    #[test]
-    fn filters_select_by_node() {
-        let mut tracer = Tracer::new(16);
-        tracer.record(delivered(1, NodeId(1)));
-        tracer.record(lost(1, NodeId(2)));
-        assert_eq!(tracer.deliveries_between(NodeId(0), NodeId(1)), 1);
-        assert_eq!(tracer.deliveries_between(NodeId(0), NodeId(2)), 0);
-        assert_eq!(tracer.losses_at(NodeId(2)).count(), 1);
-        assert_eq!(tracer.losses_at(NodeId(1)).count(), 0);
-        assert_filters_match_a_recount(&tracer);
-    }
-
-    #[test]
-    fn index_tracks_the_retained_window_across_eviction() {
-        let mut tracer = Tracer::new(4);
-        // Fill: D(1→a) L(→b) D(1→a) L(→b); then two more events evict
-        // the first delivery and the first loss.
-        tracer.record(delivered(0, NodeId(1)));
-        tracer.record(lost(1, NodeId(2)));
-        tracer.record(delivered(2, NodeId(1)));
-        tracer.record(lost(3, NodeId(2)));
-        assert_eq!(tracer.deliveries_between(NodeId(0), NodeId(1)), 2);
-        assert_eq!(tracer.losses_at(NodeId(2)).count(), 2);
-        assert_filters_match_a_recount(&tracer);
-
-        tracer.record(tx(4));
-        tracer.record(tx(5));
-        assert_eq!(tracer.dropped(), 2);
-        assert_eq!(tracer.deliveries_between(NodeId(0), NodeId(1)), 1);
-        let retained: Vec<u64> = tracer
-            .losses_at(NodeId(2))
-            .map(|e| match e {
-                TraceEvent::Lost { seq, .. } => *seq,
-                other => panic!("losses_at returned {other:?}"),
-            })
-            .collect();
-        assert_eq!(retained, vec![3], "only the newer loss is retained");
-        assert_filters_match_a_recount(&tracer);
-    }
-
-    #[test]
-    fn index_matches_a_linear_recount_under_heavy_eviction() {
-        // Deterministic mixed stream, small capacity: the filters must
-        // always answer what a linear recount of the retained window
-        // gives.
-        let mut tracer = Tracer::new(7);
-        let mut state = 0x9E3779B97F4A7C15u64;
-        for seq in 0..200 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let to = NodeId((state >> 32) as u32 % 3);
-            match state % 3 {
-                0 => tracer.record(delivered(seq, to)),
-                1 => tracer.record(lost(seq, to)),
-                _ => tracer.record(tx(seq)),
-            }
-            assert_filters_match_a_recount(&tracer);
-        }
-        assert!(tracer.dropped() > 0, "the test must exercise eviction");
     }
 
     #[test]

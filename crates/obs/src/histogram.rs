@@ -53,7 +53,12 @@ impl Histogram {
     /// the snapshot exporters). Returns `None` when the parts are
     /// inconsistent — wrong slot count or bucket totals that do not
     /// add up to `count`.
-    pub fn from_parts(bounds: Vec<f64>, counts: Vec<u64>, count: u64, sum: f64) -> Option<Self> {
+    pub(crate) fn from_parts(
+        bounds: Vec<f64>,
+        counts: Vec<u64>,
+        count: u64,
+        sum: f64,
+    ) -> Option<Self> {
         if counts.len() != bounds.len() + 1 || counts.iter().sum::<u64>() != count {
             return None;
         }

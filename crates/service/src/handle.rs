@@ -27,7 +27,7 @@ pub fn route(req: &Request) -> Option<u16> {
 
 /// The out-of-range-shard error both transports reply with.
 #[must_use]
-pub fn bad_shard(shard: u16, shards: u16) -> Reply {
+pub(crate) fn bad_shard(shard: u16, shards: u16) -> Reply {
     Reply::Err {
         code: ErrCode::BadShard as u8,
         msg: format!("shard {shard} out of range (service has {shards})"),

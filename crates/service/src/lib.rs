@@ -32,7 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod handle;
-pub mod loadgen;
+pub(crate) mod loadgen;
 pub mod obs;
 pub mod proto;
 pub mod shard;

@@ -41,7 +41,7 @@ pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
 /// Per-request identifier-count ceiling (ALLOC `count`, RELEASE `n`).
 /// Keeps every reply under [`MAX_FRAME_BYTES`] with room to spare.
-pub const MAX_BATCH: u32 = 32_768;
+pub(crate) const MAX_BATCH: u32 = 32_768;
 
 /// Marker for "every shard" in a STATS request.
 pub const ALL_SHARDS: u16 = u16::MAX;
@@ -141,7 +141,8 @@ pub enum Reply {
     Busy,
     /// The request could not be served.
     Err {
-        /// Machine-readable error code (an [`ErrCode`] as `u8`).
+        /// Machine-readable error code: 1 malformed payload, 2 shard out
+        /// of range, 3 count out of range.
         code: u8,
         /// Human-readable detail.
         msg: String,
@@ -150,7 +151,7 @@ pub enum Reply {
 
 /// Error codes carried by [`Reply::Err`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ErrCode {
+pub(crate) enum ErrCode {
     /// Opcode or field failed to decode.
     Malformed = 1,
     /// Shard index out of range.
@@ -170,7 +171,7 @@ pub enum ProtoError {
     /// Unknown strategy code.
     BadStrategy(u8),
     /// Declared element count disagrees with the payload length or
-    /// exceeds [`MAX_BATCH`].
+    /// exceeds the 32,768-identifier batch limit.
     BadCount(u32),
     /// Trailing bytes after a complete message.
     TrailingBytes,

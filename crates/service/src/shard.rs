@@ -269,7 +269,7 @@ impl Shard {
     /// The shared BUSY counter transports bump when shedding a request
     /// bound for this shard.
     #[must_use]
-    pub fn busy_counter(&self) -> Arc<AtomicU64> {
+    pub(crate) fn busy_counter(&self) -> Arc<AtomicU64> {
         Arc::clone(&self.busy)
     }
 }

@@ -65,7 +65,7 @@ impl StrategyKind {
 
     /// Decodes a wire code.
     #[must_use]
-    pub fn from_code(code: u8) -> Option<StrategyKind> {
+    pub(crate) fn from_code(code: u8) -> Option<StrategyKind> {
         StrategyKind::ALL.iter().copied().find(|k| k.code() == code)
     }
 

@@ -14,7 +14,7 @@
 //! serving; a truncated frame or mid-request disconnect closes only
 //! that connection; the listener and shard loops outlive every client.
 //! Connections are polled with a short read timeout so an idle or
-//! half-dead peer is dropped after [`IDLE_TIMEOUT`] and shutdown is
+//! half-dead peer is dropped after 30 s without a frame and shutdown is
 //! never blocked on a silent socket.
 
 use std::io::{self, Read, Write};
@@ -27,13 +27,14 @@ use std::time::{Duration, Instant};
 
 use crate::handle::{bad_shard, route};
 use crate::proto::{
-    decode_request, encode_reply, ErrCode, Reply, Request, StrategyStats, MAX_FRAME_BYTES,
+    decode_request, encode_reply, ErrCode, ProtoError, Reply, Request, StrategyStats,
+    MAX_FRAME_BYTES,
 };
 use crate::shard::{build_shards, ServiceConfig};
 
 /// How long a connection may sit without completing a frame before the
 /// server drops it.
-pub const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
+pub(crate) const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Poll granularity for connection reads; bounds both shutdown latency
 /// and idle-timeout resolution.
@@ -288,12 +289,18 @@ fn serve_connection(
         }
         let reply = match decode_request(&payload) {
             Ok(req) => serve_request(&req, shard_txs, busy),
-            // Malformed payload: answer ERR and keep the connection —
+            // Undecodable payload: answer ERR and keep the connection —
             // one bad frame must not cost the client its session.
-            Err(err) => Some(Reply::Err {
-                code: ErrCode::Malformed as u8,
-                msg: err.to_string(),
-            }),
+            Err(err) => {
+                let code = match err {
+                    ProtoError::BadCount(_) => ErrCode::BadCount,
+                    _ => ErrCode::Malformed,
+                };
+                Some(Reply::Err {
+                    code: code as u8,
+                    msg: err.to_string(),
+                })
+            }
         };
         match reply {
             Some(reply) => {

@@ -219,6 +219,7 @@ fn bad_shard_and_bad_count_get_structured_errors() {
     write_raw_frame(&mut stream, &payload);
     let raw_reply = read_raw_reply(&mut stream);
     assert_eq!(raw_reply[0], 0x86, "zero count must decode to ERR");
+    assert_eq!(raw_reply[1], 3, "zero count must get the BadCount code");
 
     assert_server_serves(server.addr());
     server.shutdown();

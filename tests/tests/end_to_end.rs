@@ -2,8 +2,8 @@
 //! crates.
 
 use retri_aff::{SelectorPolicy, Testbed};
-use retri_baselines::dynamic_alloc::{run_mesh, DynamicAddrConfig};
-use retri_netsim::{SimDuration, SimTime};
+use retri_baselines::{full_mesh, DynamicAddrConfig, DynamicAddrNode};
+use retri_netsim::SimTime;
 
 #[test]
 fn aff_testbed_delivers_the_offered_workload() {
@@ -58,12 +58,10 @@ fn measured_efficiency_ordering_matches_figure_1() {
 
 #[test]
 fn dynamic_allocation_converges_but_costs_bits() {
-    let sim = run_mesh(
-        6,
-        DynamicAddrConfig::default(),
-        SimDuration::from_secs(30),
-        4,
-    );
+    let mut sim = full_mesh(6, 4, 1, |_| {
+        DynamicAddrNode::new(DynamicAddrConfig::default())
+    });
+    sim.run_until(SimTime::from_secs(30));
     let mut addresses = Vec::new();
     let mut control_bits = 0u64;
     for id in sim.node_ids() {
