@@ -1,147 +1,82 @@
-//! Transaction-lifecycle audit over recorded traces.
+//! Transaction-lifecycle audit over observed trials.
 //!
-//! A [`Recording`] is one observed testbed trial flattened to plain
-//! data: the medium-event trace, the metrics snapshot, and every
-//! native counter the protocol stack kept. [`audit`] replays it and
-//! reconstructs the lifecycle ledger the paper's loss accounting
-//! implies:
+//! [`audit`] replays one observed testbed trial — the medium-event
+//! trace, the metrics snapshot, and every native counter the protocol
+//! stack kept — and reconstructs the lifecycle ledger the paper's loss
+//! accounting implies:
 //!
 //! - **frame level** — every `(seq, receiver)` pair in the trace must
 //!   carry exactly one fate (delivered, corrupted, or lost with a
 //!   reason), and the per-fate totals must equal the
-//!   [`MediumStats`] counters and the `netsim_*` metrics bit for bit;
+//!   [`MediumStats`](retri_netsim::prelude::MediumStats) counters and
+//!   the `netsim_*` metrics bit for bit;
 //! - **fragment level** — every fragment the receiver accepted must
 //!   resolve to exactly one of delivered, checksum-rejected,
 //!   conflict-discarded, expired, or stranded-in-buffer, and the
-//!   totals must match [`ReassemblyStats`];
+//!   totals must match [`ReassemblyStats`](retri_aff::reassembly::ReassemblyStats);
 //! - **receiver level** — every frame the medium delivered to the
 //!   designated receiver is either a decode error or a parsed
 //!   fragment.
 //!
 //! Any discrepancy becomes one line in [`AuditReport::errors`]; the
-//! `trace_report --check` binary turns a non-empty list into a
-//! non-zero exit. Recordings serialize through
-//! [`Recording::to_json_value`] / [`Recording::from_json_value`] so
-//! `fault_matrix --trace` and `trace_report` agree on the format
-//! ([`RECORDING_SCHEMA`]).
+//! `trace_report` binary records the fault matrix's trials
+//! ([`crate::differential::record_fault_traces`]), audits them, and
+//! exits non-zero on a non-empty list. [`Recording::to_json_value`]
+//! writes a trial out as a `retri-trace-recording/v1` document for
+//! inspection.
 
 use std::collections::HashMap;
 
-use retri_aff::reassembly::ReassemblyStats;
-use retri_aff::receiver::ReceiverStats;
 use retri_aff::roles::ObservedTrialResult;
-use retri_aff::sender::SenderStats;
-use retri_netsim::prelude::MediumStats;
-use retri_netsim::topology::Position;
 use retri_netsim::trace::{LossReason, TraceEvent};
-use retri_netsim::{NodeId, SimTime};
-use retri_obs::Snapshot;
+use retri_netsim::NodeId;
 use serde::json::Value;
 use serde::Serialize;
 
 /// Schema tag every recording document carries.
-pub const RECORDING_SCHEMA: &str = "retri-trace-recording/v1";
+const RECORDING_SCHEMA: &str = "retri-trace-recording/v1";
 
-/// One observed trial, flattened for (de)serialization and audit.
+/// One observed fault-matrix trial and what it ran.
 #[derive(Debug, Clone)]
 pub struct Recording {
-    /// Scenario name (e.g. a fault-matrix scenario).
-    pub scenario: String,
+    /// The fault-matrix scenario's name.
+    pub scenario: &'static str,
     /// The trial's simulation seed.
     pub seed: u64,
-    /// How many senders the trial's layout holds.
-    pub transmitters: u32,
-    /// The designated receiver's node id.
-    pub receiver: u32,
-    /// Trace events evicted by the ring buffer (must be 0 for a
-    /// complete audit).
-    pub trace_dropped: u64,
-    /// Medium-level counters.
-    pub medium: MediumStats,
-    /// Aggregated transmitter counters.
-    pub sender: SenderStats,
-    /// The receiver's frame-level counters.
-    pub receiver_stats: ReceiverStats,
-    /// The receiver's fragment-fate counters.
-    pub reassembly: ReassemblyStats,
-    /// Fragments stranded in incomplete buffers at the deadline.
-    pub pending_fragments: u64,
-    /// Every metric recorded during the trial.
-    pub metrics: Snapshot,
-    /// The retained medium-event window, oldest first.
-    pub trace: Vec<TraceEvent>,
+    /// The trial itself: trace, metrics and native counters.
+    pub observed: ObservedTrialResult,
 }
 
 impl Recording {
-    /// Flattens one observed trial.
-    #[must_use]
-    pub(crate) fn from_observed(scenario: &str, seed: u64, observed: &ObservedTrialResult) -> Self {
-        Recording {
-            scenario: scenario.to_string(),
-            seed,
-            transmitters: observed.senders as u32,
-            receiver: observed.receiver_id.0,
-            trace_dropped: observed.trace_dropped,
-            medium: observed.trial.medium,
-            sender: observed.sender,
-            receiver_stats: observed.receiver,
-            reassembly: observed.reassembly,
-            pending_fragments: observed.pending_fragments,
-            metrics: observed.snapshot.clone(),
-            trace: observed.trace.clone(),
-        }
-    }
-
-    /// Serializes the recording (the `fault_matrix --trace` format).
+    /// Serializes the recording as a `retri-trace-recording/v1`
+    /// document.
     #[must_use]
     pub fn to_json_value(&self) -> Value {
+        let observed = &self.observed;
         obj(vec![
             ("schema", RECORDING_SCHEMA.to_string().to_json_value()),
-            ("scenario", self.scenario.to_json_value()),
+            ("scenario", self.scenario.to_string().to_json_value()),
             ("seed", self.seed.to_json_value()),
-            ("transmitters", u64::from(self.transmitters).to_json_value()),
-            ("receiver", u64::from(self.receiver).to_json_value()),
-            ("trace_dropped", self.trace_dropped.to_json_value()),
-            ("medium", self.medium.to_json_value()),
-            ("sender", self.sender.to_json_value()),
-            ("receiver_stats", self.receiver_stats.to_json_value()),
-            ("reassembly", self.reassembly.to_json_value()),
-            ("pending_fragments", self.pending_fragments.to_json_value()),
-            ("metrics", self.metrics.to_json_value()),
+            ("transmitters", (observed.senders as u64).to_json_value()),
+            (
+                "receiver",
+                u64::from(observed.receiver_id.0).to_json_value(),
+            ),
+            ("trace_dropped", observed.trace_dropped.to_json_value()),
+            ("medium", observed.trial.medium.to_json_value()),
+            ("sender", observed.sender.to_json_value()),
+            ("receiver_stats", observed.receiver.to_json_value()),
+            ("reassembly", observed.reassembly.to_json_value()),
+            (
+                "pending_fragments",
+                observed.pending_fragments.to_json_value(),
+            ),
+            ("metrics", observed.snapshot.to_json_value()),
             (
                 "trace",
-                Value::Array(self.trace.iter().map(trace_event_to_json).collect()),
+                Value::Array(observed.trace.iter().map(trace_event_to_json).collect()),
             ),
         ])
-    }
-
-    /// Parses a recording; `None` on a missing field, a wrong schema
-    /// tag, or a malformed trace event.
-    #[must_use]
-    pub fn from_json_value(value: &Value) -> Option<Self> {
-        if value.get("schema")?.as_str()? != RECORDING_SCHEMA {
-            return None;
-        }
-        let trace = value
-            .get("trace")?
-            .as_array()?
-            .iter()
-            .map(trace_event_from_json)
-            .collect::<Option<Vec<_>>>()?;
-        Some(Recording {
-            scenario: value.get("scenario")?.as_str()?.to_string(),
-            seed: value.get("seed")?.as_u64()?,
-            transmitters: u32::try_from(value.get("transmitters")?.as_u64()?).ok()?,
-            receiver: u32::try_from(value.get("receiver")?.as_u64()?).ok()?,
-            trace_dropped: value.get("trace_dropped")?.as_u64()?,
-            medium: medium_from_json(value.get("medium")?)?,
-            sender: sender_from_json(value.get("sender")?)?,
-            receiver_stats: receiver_from_json(value.get("receiver_stats")?)?,
-            reassembly: reassembly_from_json(value.get("reassembly")?)?,
-            pending_fragments: value.get("pending_fragments")?.as_u64()?,
-            metrics: Snapshot::from_json_value(value.get("metrics")?)?,
-            trace,
-        })
     }
 }
 
@@ -154,63 +89,8 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
     )
 }
 
-fn u64_field(value: &Value, key: &str) -> Option<u64> {
-    value.get(key)?.as_u64()
-}
-
-fn medium_from_json(value: &Value) -> Option<MediumStats> {
-    Some(MediumStats {
-        frames_sent: u64_field(value, "frames_sent")?,
-        deliveries: u64_field(value, "deliveries")?,
-        rf_collisions: u64_field(value, "rf_collisions")?,
-        half_duplex_losses: u64_field(value, "half_duplex_losses")?,
-        random_losses: u64_field(value, "random_losses")?,
-        sleep_misses: u64_field(value, "sleep_misses")?,
-        fault_erasures: u64_field(value, "fault_erasures")?,
-        partition_losses: u64_field(value, "partition_losses")?,
-        corrupted_deliveries: u64_field(value, "corrupted_deliveries")?,
-        flipped_bits: u64_field(value, "flipped_bits")?,
-    })
-}
-
-fn sender_from_json(value: &Value) -> Option<SenderStats> {
-    Some(SenderStats {
-        packets_sent: u64_field(value, "packets_sent")?,
-        fragments_sent: u64_field(value, "fragments_sent")?,
-        data_bits_sent: u64_field(value, "data_bits_sent")?,
-        retransmissions: u64_field(value, "retransmissions")?,
-    })
-}
-
-fn receiver_from_json(value: &Value) -> Option<ReceiverStats> {
-    Some(ReceiverStats {
-        truth_delivered: u64_field(value, "truth_delivered")?,
-        decode_errors: u64_field(value, "decode_errors")?,
-        truth_crc_rejections: u64_field(value, "truth_crc_rejections")?,
-        notifications_sent: u64_field(value, "notifications_sent")?,
-        fragments_parsed: u64_field(value, "fragments_parsed")?,
-    })
-}
-
-fn reassembly_from_json(value: &Value) -> Option<ReassemblyStats> {
-    Some(ReassemblyStats {
-        delivered: u64_field(value, "delivered")?,
-        checksum_failures: u64_field(value, "checksum_failures")?,
-        expired: u64_field(value, "expired")?,
-        fragments_accepted: u64_field(value, "fragments_accepted")?,
-        duplicate_fragments: u64_field(value, "duplicate_fragments")?,
-        conflicting_intros: u64_field(value, "conflicting_intros")?,
-        bounds_conflicts: u64_field(value, "bounds_conflicts")?,
-        fragments_delivered: u64_field(value, "fragments_delivered")?,
-        fragments_checksum_rejected: u64_field(value, "fragments_checksum_rejected")?,
-        fragments_conflict_discarded: u64_field(value, "fragments_conflict_discarded")?,
-        fragments_expired: u64_field(value, "fragments_expired")?,
-    })
-}
-
 /// Serializes one [`TraceEvent`] (the recording's `trace` entries).
-#[must_use]
-pub(crate) fn trace_event_to_json(event: &TraceEvent) -> Value {
+fn trace_event_to_json(event: &TraceEvent) -> Value {
     match event {
         TraceEvent::TxStart {
             at,
@@ -275,61 +155,6 @@ pub(crate) fn trace_event_to_json(event: &TraceEvent) -> Value {
     }
 }
 
-fn node_field(value: &Value, key: &str) -> Option<NodeId> {
-    Some(NodeId(u32::try_from(u64_field(value, key)?).ok()?))
-}
-
-fn time_field(value: &Value) -> Option<SimTime> {
-    Some(SimTime::from_micros(u64_field(value, "at_micros")?))
-}
-
-/// Parses one trace event; `None` on unknown type or missing field.
-#[must_use]
-pub(crate) fn trace_event_from_json(value: &Value) -> Option<TraceEvent> {
-    let at = time_field(value)?;
-    Some(match value.get("type")?.as_str()? {
-        "tx_start" => TraceEvent::TxStart {
-            at,
-            node: node_field(value, "node")?,
-            seq: u64_field(value, "seq")?,
-            bits: u64_field(value, "bits")?,
-        },
-        "delivered" => TraceEvent::Delivered {
-            at,
-            from: node_field(value, "from")?,
-            to: node_field(value, "to")?,
-            seq: u64_field(value, "seq")?,
-        },
-        "corrupted" => TraceEvent::Corrupted {
-            at,
-            from: node_field(value, "from")?,
-            to: node_field(value, "to")?,
-            seq: u64_field(value, "seq")?,
-            flipped_bits: u64_field(value, "flipped_bits")?,
-        },
-        "lost" => TraceEvent::Lost {
-            at,
-            from: node_field(value, "from")?,
-            to: node_field(value, "to")?,
-            seq: u64_field(value, "seq")?,
-            reason: *LossReason::ALL.iter().find(|reason| {
-                reason.label() == value.get("reason").and_then(Value::as_str).unwrap_or("")
-            })?,
-        },
-        "liveness" => TraceEvent::Liveness {
-            at,
-            node: node_field(value, "node")?,
-            alive: value.get("alive")?.as_bool()?,
-        },
-        "moved" => TraceEvent::Moved {
-            at,
-            node: node_field(value, "node")?,
-            to: Position::new(value.get("x")?.as_f64()?, value.get("y")?.as_f64()?),
-        },
-        _ => return None,
-    })
-}
-
 /// Per-frame fate totals reconstructed from the trace.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrameFates {
@@ -380,14 +205,12 @@ impl FragmentFates {
     }
 }
 
-/// The outcome of auditing one [`Recording`].
+/// The outcome of auditing one observed trial.
 #[derive(Debug, Clone, Default)]
 pub struct AuditReport {
-    /// The recording's scenario name.
-    pub scenario: String,
     /// Frame-level fate totals from the trace.
     pub frames: FrameFates,
-    /// Fragment-level fate totals from [`ReassemblyStats`].
+    /// Fragment-level fate totals from the receiver's `ReassemblyStats`.
     pub fragments: FragmentFates,
     /// Frames the medium handed to the designated receiver.
     pub receiver_frames: u64,
@@ -413,28 +236,25 @@ enum Fate {
     Lost(LossReason),
 }
 
-/// Audits one recording: reconstructs frame and fragment lifecycles
+/// Audits one observed trial: reconstructs frame and fragment lifecycles
 /// and cross-validates them against the native counters and the
 /// metrics snapshot. Every discrepancy becomes one
 /// [`AuditReport::errors`] line.
 #[must_use]
-pub fn audit(recording: &Recording) -> AuditReport {
-    let mut report = AuditReport {
-        scenario: recording.scenario.clone(),
-        ..AuditReport::default()
-    };
+pub fn audit(observed: &ObservedTrialResult) -> AuditReport {
+    let mut report = AuditReport::default();
     let errors = &mut report.errors;
-    if recording.trace_dropped > 0 {
+    if observed.trace_dropped > 0 {
         errors.push(format!(
             "trace evicted {} events; the ledger cannot close (raise the trace capacity)",
-            recording.trace_dropped
+            observed.trace_dropped
         ));
     }
 
     // Frame level: every (seq, receiver) pair gets exactly one fate.
     let mut transmitted: HashMap<u64, u64> = HashMap::new();
     let mut fates: HashMap<(u64, NodeId), Fate> = HashMap::new();
-    for event in &recording.trace {
+    for event in &observed.trace {
         match *event {
             TraceEvent::TxStart { seq, bits, .. } => {
                 if transmitted.insert(seq, bits).is_some() {
@@ -472,7 +292,7 @@ pub fn audit(recording: &Recording) -> AuditReport {
     }
 
     // Cross-check the trace totals against the medium counters.
-    let medium = &recording.medium;
+    let medium = &observed.trial.medium;
     let reason_totals = [
         ("rf_collision", medium.rf_collisions),
         ("half_duplex", medium.half_duplex_losses),
@@ -509,7 +329,7 @@ pub fn audit(recording: &Recording) -> AuditReport {
     }
 
     // ... and against the metrics snapshot.
-    let metrics = &recording.metrics;
+    let metrics = &observed.snapshot;
     check(
         errors,
         "netsim_frames_sent_total",
@@ -535,12 +355,12 @@ pub fn audit(recording: &Recording) -> AuditReport {
 
     // Receiver level: every frame the medium handed to the designated
     // receiver either parsed or counted as a decode error.
-    let receiver = NodeId(recording.receiver);
+    let receiver = observed.receiver_id;
     report.receiver_frames = fates
         .iter()
         .filter(|(&(_, to), fate)| to == receiver && !matches!(fate, Fate::Lost(_)))
         .count() as u64;
-    let rx = &recording.receiver_stats;
+    let rx = &observed.receiver;
     check(
         errors,
         "receiver frames = decode_errors + fragments_parsed",
@@ -550,14 +370,14 @@ pub fn audit(recording: &Recording) -> AuditReport {
 
     // Fragment level: 100% of accepted fragments resolve to exactly
     // one fate.
-    let stats = &recording.reassembly;
+    let stats = &observed.reassembly;
     report.fragments = FragmentFates {
         accepted: stats.fragments_accepted,
         delivered: stats.fragments_delivered,
         checksum_rejected: stats.fragments_checksum_rejected,
         conflict_discarded: stats.fragments_conflict_discarded,
         expired: stats.fragments_expired,
-        stranded: recording.pending_fragments,
+        stranded: observed.pending_fragments,
     };
     check(
         errors,
@@ -581,15 +401,15 @@ pub fn audit(recording: &Recording) -> AuditReport {
         errors,
         "aff_fragments_sent_total",
         metrics.counter("aff_fragments_sent_total"),
-        recording.sender.fragments_sent,
+        observed.sender.fragments_sent,
     );
     // Frames on the air all originate from queued fragments or
     // notifications; the queue may still hold fragments at the
     // deadline, so this bound is one-sided.
-    if medium.frames_sent > recording.sender.fragments_sent + rx.notifications_sent {
+    if medium.frames_sent > observed.sender.fragments_sent + rx.notifications_sent {
         errors.push(format!(
             "{} frames on the air but only {} fragments + {} notifications were queued",
-            medium.frames_sent, recording.sender.fragments_sent, rx.notifications_sent
+            medium.frames_sent, observed.sender.fragments_sent, rx.notifications_sent
         ));
     }
     report
@@ -629,18 +449,17 @@ fn check(errors: &mut Vec<String>, what: &str, got: u64, expected: u64) {
 mod tests {
     use super::*;
     use retri_aff::{SelectorPolicy, Testbed};
+    use retri_netsim::SimTime;
 
-    fn observed_recording(seed: u64) -> Recording {
+    fn observed_trial(seed: u64) -> ObservedTrialResult {
         let mut testbed = Testbed::paper(6, SelectorPolicy::Uniform);
         testbed.workload.stop = SimTime::from_secs(10);
-        let observed = testbed.run_observed(seed, 1 << 20);
-        Recording::from_observed("unit", seed, &observed)
+        testbed.run_observed(seed, 1 << 20)
     }
 
     #[test]
     fn clean_trial_audits_clean() {
-        let recording = observed_recording(5);
-        let report = audit(&recording);
+        let report = audit(&observed_trial(5));
         assert!(report.is_clean(), "{:#?}", report.errors);
         assert!(report.frames.transmitted > 0);
         assert!(report.frames.outcomes() > 0);
@@ -649,22 +468,30 @@ mod tests {
 
     #[test]
     fn recording_round_trips_through_json() {
-        let recording = observed_recording(6);
-        let json = serde_json::to_string_pretty(&recording.to_json_value()).unwrap();
-        let parsed = Recording::from_json_value(&serde_json::from_str(&json).unwrap())
-            .expect("recording parses back");
-        assert_eq!(parsed.trace, recording.trace);
-        assert_eq!(parsed.medium, recording.medium);
-        assert_eq!(parsed.reassembly, recording.reassembly);
-        assert_eq!(parsed.receiver_stats, recording.receiver_stats);
-        assert!(audit(&parsed).is_clean());
+        // The written document parses back to the very value it was
+        // written from: every count and float survives the text.
+        let recording = Recording {
+            scenario: "unit",
+            seed: 6,
+            observed: observed_trial(6),
+        };
+        let value = recording.to_json_value();
+        let json = serde_json::to_string_pretty(&value).unwrap();
+        assert_eq!(serde_json::from_str(&json).unwrap(), value);
+        assert_eq!(
+            value
+                .get("trace")
+                .and_then(Value::as_array)
+                .map(<[Value]>::len),
+            Some(recording.observed.trace.len())
+        );
     }
 
     #[test]
     fn tampered_counters_fail_the_audit() {
-        let mut recording = observed_recording(7);
-        recording.reassembly.fragments_delivered += 1;
-        let report = audit(&recording);
+        let mut observed = observed_trial(7);
+        observed.reassembly.fragments_delivered += 1;
+        let report = audit(&observed);
         assert!(!report.is_clean());
         assert!(
             report.errors.iter().any(|e| e.contains("fragment fates")),
@@ -675,23 +502,23 @@ mod tests {
 
     #[test]
     fn truncated_trace_is_reported() {
-        let mut recording = observed_recording(8);
-        recording.trace_dropped = 3;
-        let report = audit(&recording);
+        let mut observed = observed_trial(8);
+        observed.trace_dropped = 3;
+        let report = audit(&observed);
         assert!(report.errors.iter().any(|e| e.contains("evicted")));
     }
 
     #[test]
     fn duplicate_fate_is_reported() {
-        let mut recording = observed_recording(9);
-        let dup = recording
+        let mut observed = observed_trial(9);
+        let dup = observed
             .trace
             .iter()
             .find(|e| matches!(e, TraceEvent::Delivered { .. }))
             .copied()
             .expect("a delivery exists");
-        recording.trace.push(dup);
-        let report = audit(&recording);
+        observed.trace.push(dup);
+        let report = audit(&observed);
         assert!(report.errors.iter().any(|e| e.contains("two fates")));
     }
 }

@@ -43,6 +43,12 @@ struct ProvisionPoint {
     efficiency: f64,
 }
 
+/// The optimum widened by `safety` headroom bits, capped at the
+/// 64-bit identifier limit.
+fn chosen_width(optimum: u8, safety: u8) -> u8 {
+    optimum.saturating_add(safety).min(64)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut positional = Vec::new();
@@ -76,7 +82,7 @@ fn main() {
     };
 
     let opt = optimal_id_bits(data, t);
-    let chosen_bits = (opt.id_bits.get() + safety).min(64);
+    let chosen_bits = chosen_width(opt.id_bits.get(), safety);
     let chosen = IdBits::new(chosen_bits).expect("within range");
     if let Some(path) = json {
         let point = ProvisionPoint {
@@ -150,4 +156,19 @@ fn main() {
          wide (--safety). Listening selection (retri::select) pushes\n\
          P(success) above the Eq. 4 floor shown here."
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::chosen_width;
+
+    #[test]
+    fn safety_bits_widen_the_optimum_up_to_64() {
+        assert_eq!(chosen_width(9, 0), 9);
+        assert_eq!(chosen_width(9, 2), 11);
+        assert_eq!(chosen_width(9, 60), 64);
+        // 9 + 250 does not fit a u8: it must cap, not wrap to 3 bits.
+        assert_eq!(chosen_width(9, 250), 64);
+        assert_eq!(chosen_width(u8::MAX, u8::MAX), 64);
+    }
 }

@@ -1,109 +1,75 @@
-//! Replays recorded traces and audits every transaction's lifecycle.
+//! Records the fault matrix's trials and audits every transaction's
+//! lifecycle.
 //!
-//! Input: `retri-trace-recording/v1` documents as written by
-//! `fault_matrix --trace <dir>` — one per fault scenario, each holding
-//! the medium-event trace, the metrics snapshot, and the protocol
-//! stack's native counters for one observed trial.
+//! Trial 0 of every fault-matrix scenario is re-run with tracing and
+//! metrics on ([`retri_bench::differential::record_fault_traces`]), and
+//! each observed trial goes through the audit ([`retri_bench::audit`]),
+//! which reconstructs the ledger at three levels — frames on the
+//! medium, frames at the designated receiver, fragments in the
+//! reassembler — and cross-validates every total against the native
+//! counters and the metrics snapshot. 100% of transmitted fragments
+//! must resolve to exactly one fate: delivered, lost with a reason,
+//! corrupted and rejected, conflict-discarded, expired, or stranded in
+//! an incomplete buffer at the deadline. Any discrepancy fails the
+//! process.
 //!
-//! For each recording the audit ([`retri_bench::audit`]) reconstructs
-//! the ledger at three levels — frames on the medium, frames at the
-//! designated receiver, fragments in the reassembler — and
-//! cross-validates every total against the native counters and the
-//! metrics snapshot. 100% of transmitted fragments must resolve to
-//! exactly one fate: delivered, lost with a reason, corrupted and
-//! rejected, conflict-discarded, expired, or stranded in an incomplete
-//! buffer at the deadline.
+//! Usage: `trace_report [--quick | --paper] [--shards <k>] [--trace <dir>]`.
 //!
-//! Usage: `trace_report [--check] [--export <dir>] <dir-or-file>...`
-//!
-//! Directories are expanded to their `*.json` files. With `--check`
-//! the process exits non-zero if any recording fails the audit (or no
-//! recordings were found) — the CI gate. With `--export <dir>` each
-//! recording's metrics snapshot is also written through both exporters
+//! `--trace <dir>` also writes each scenario's trial as
+//! `<dir>/trace_<scenario>.json` (a `retri-trace-recording/v1`
+//! document) and its metrics snapshot through both exporters
 //! (`<scenario>.metrics.jsonl` and `<scenario>.prom`) for scrape-side
 //! tooling.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 
-use retri_bench::audit::{audit, AuditReport, Recording};
-use retri_bench::table;
+use retri_bench::audit::{audit, Recording};
+use retri_bench::{differential, table, Cli};
 use retri_netsim::trace::LossReason;
 
-/// Expands arguments to the list of recording files.
-fn recording_paths() -> (bool, Option<PathBuf>, Vec<PathBuf>) {
-    let mut check = false;
-    let mut export = None;
-    let mut paths = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--check" {
-            check = true;
-            continue;
-        }
-        if arg == "--export" {
-            let dir = args.next().expect("--export requires a directory");
-            export = Some(PathBuf::from(dir));
-            continue;
-        }
-        let path = PathBuf::from(arg);
-        if path.is_dir() {
-            let mut entries: Vec<PathBuf> = std::fs::read_dir(&path)
-                .unwrap_or_else(|err| panic!("cannot read {}: {err}", path.display()))
-                .filter_map(Result::ok)
-                .map(|entry| entry.path())
-                .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
-                .collect();
-            entries.sort();
-            paths.extend(entries);
-        } else {
-            paths.push(path);
-        }
+fn main() -> ExitCode {
+    let cli = Cli::from_env(
+        &["--quick", "--paper", "--shards", "--trace"],
+        "usage: trace_report [--quick | --paper] [--shards <k>] [--trace <dir>]",
+    );
+    let mut recordings = differential::record_fault_traces(cli.effort, cli.shards.unwrap_or(1));
+    // Scenario-name order, the order of the files `--trace` writes.
+    recordings.sort_by_key(|recording| recording.scenario);
+    if let Some(dir) = &cli.trace {
+        write_recordings(dir, &recordings);
     }
-    (check, export, paths)
+    report(&recordings)
 }
 
-/// Writes one recording's metrics snapshot through both exporters.
-fn export_snapshot(dir: &Path, recording: &Recording) {
+/// Writes each recording and both exports of its metrics snapshot.
+fn write_recordings(dir: &Path, recordings: &[Recording]) {
     std::fs::create_dir_all(dir)
         .unwrap_or_else(|err| panic!("cannot create {}: {err}", dir.display()));
-    let jsonl = dir.join(format!("{}.metrics.jsonl", recording.scenario));
-    std::fs::write(&jsonl, recording.metrics.to_jsonl())
-        .unwrap_or_else(|err| panic!("cannot write {}: {err}", jsonl.display()));
-    let prom = dir.join(format!("{}.prom", recording.scenario));
-    std::fs::write(&prom, recording.metrics.to_prometheus())
-        .unwrap_or_else(|err| panic!("cannot write {}: {err}", prom.display()));
-}
-
-fn load(path: &Path) -> Recording {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|err| panic!("cannot read {}: {err}", path.display()));
-    let value = serde_json::from_str(&text)
-        .unwrap_or_else(|err| panic!("{} is not JSON: {err}", path.display()));
-    Recording::from_json_value(&value).unwrap_or_else(|| {
-        panic!(
-            "{} is not a {} document",
-            path.display(),
-            retri_bench::audit::RECORDING_SCHEMA
-        )
-    })
-}
-
-fn main() -> ExitCode {
-    let (check, export, paths) = recording_paths();
-    if paths.is_empty() {
-        eprintln!("usage: trace_report [--check] [--export <dir>] <dir-or-file>...");
-        return ExitCode::FAILURE;
+    for recording in recordings {
+        let scenario = recording.scenario;
+        let metrics = &recording.observed.snapshot;
+        retri_bench::write_json(
+            &dir.join(format!("trace_{scenario}.json")),
+            &recording.to_json_value(),
+        );
+        retri_bench::write_file(
+            &dir.join(format!("{scenario}.metrics.jsonl")),
+            &metrics.to_jsonl(),
+        );
+        retri_bench::write_file(
+            &dir.join(format!("{scenario}.prom")),
+            &metrics.to_prometheus(),
+        );
     }
-    let reports: Vec<AuditReport> = paths
+}
+
+/// Audits every recording, prints the fate and loss tables, and fails
+/// on any discrepancy.
+fn report(recordings: &[Recording]) -> ExitCode {
+    let reports: Vec<_> = recordings
         .iter()
-        .map(|path| {
-            let recording = load(path);
-            if let Some(dir) = &export {
-                export_snapshot(dir, &recording);
-            }
-            audit(&recording)
-        })
+        .map(|recording| (recording.scenario, audit(&recording.observed)))
         .collect();
 
     println!(
@@ -112,10 +78,10 @@ fn main() -> ExitCode {
     );
     let rows: Vec<Vec<String>> = reports
         .iter()
-        .map(|r| {
+        .map(|(scenario, r)| {
             let lost: u64 = r.frames.lost.iter().sum();
             vec![
-                r.scenario.clone(),
+                scenario.to_string(),
                 r.frames.transmitted.to_string(),
                 r.frames.delivered_clean.to_string(),
                 r.frames.delivered_corrupted.to_string(),
@@ -146,8 +112,8 @@ fn main() -> ExitCode {
     println!("\nLoss reasons (per receiver outcome):");
     let rows: Vec<Vec<String>> = reports
         .iter()
-        .map(|r| {
-            let mut row = vec![r.scenario.clone()];
+        .map(|(scenario, r)| {
+            let mut row = vec![scenario.to_string()];
             row.extend(r.frames.lost.iter().map(u64::to_string));
             row
         })
@@ -157,23 +123,50 @@ fn main() -> ExitCode {
     print!("{}", table::render(&header, &rows));
 
     let mut failed = false;
-    for report in &reports {
+    for (scenario, report) in &reports {
         for error in &report.errors {
             failed = true;
-            eprintln!("[{}] {error}", report.scenario);
+            eprintln!("[{scenario}] {error}");
         }
     }
     if failed {
         eprintln!("\naudit FAILED: at least one fragment is unaccounted for");
-        if check {
-            return ExitCode::FAILURE;
-        }
-    } else {
-        println!(
-            "\nAll fragments accounted for: every transmitted fragment resolved\n\
-             to exactly one fate, consistent with the native counters and the\n\
-             metrics snapshot."
-        );
+        return ExitCode::FAILURE;
     }
+    println!(
+        "\nAll fragments accounted for: every transmitted fragment resolved\n\
+         to exactly one fate, consistent with the native counters and the\n\
+         metrics snapshot."
+    );
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use retri_aff::{SelectorPolicy, Testbed};
+    use retri_netsim::SimTime;
+
+    fn recording() -> Recording {
+        let mut testbed = Testbed::paper(8, SelectorPolicy::Uniform);
+        testbed.workload.stop = SimTime::from_secs(5);
+        Recording {
+            scenario: "unit",
+            seed: 3,
+            observed: testbed.run_observed(3, 1 << 18),
+        }
+    }
+
+    #[test]
+    fn a_clean_audit_exits_zero() {
+        assert_eq!(report(&[recording()]), ExitCode::SUCCESS);
+    }
+
+    #[test]
+    fn an_unclean_audit_exits_non_zero() {
+        let clean = recording();
+        let mut tampered = clean.clone();
+        tampered.observed.reassembly.fragments_delivered += 1;
+        assert_eq!(report(&[clean, tampered]), ExitCode::FAILURE);
+    }
 }

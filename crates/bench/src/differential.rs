@@ -39,6 +39,10 @@
 //! identifier/bounds conflicts — never as silently delivered wrong
 //! bytes.
 //!
+//! [`report`] combines the two into the registry's `fault_matrix`
+//! document, and [`record_fault_traces`] re-runs each scenario's first
+//! trial observed for the `trace_report` lifecycle audit.
+//!
 //! [`crate::taxonomy`] extends this harness adversarially, scoring
 //! every selector family across clean *and* attacked cells.
 
@@ -51,6 +55,7 @@ use retri_model::stats::{Verdict, Z_99};
 use retri_model::{p_success, Density, IdBits};
 use retri_netsim::prelude::*;
 
+use crate::audit::Recording;
 use crate::harness::{self, Provenance};
 use crate::EffortLevel;
 
@@ -262,6 +267,16 @@ enum Scenario {
 }
 
 impl Scenario {
+    /// Every scenario, in matrix order.
+    const ALL: [Scenario; 6] = [
+        Scenario::Clean,
+        Scenario::IidBer,
+        Scenario::Burst,
+        Scenario::Erasure,
+        Scenario::Churn,
+        Scenario::Partition,
+    ];
+
     fn name(self) -> &'static str {
         match self {
             Scenario::Clean => "clean",
@@ -325,6 +340,16 @@ impl Scenario {
             )),
         }
     }
+
+    /// The paper testbed (`H = 8`, `T = 5`, `D = 80`) under this
+    /// scenario's faults for the trial seeded `trial_seed`.
+    fn testbed(self, level: EffortLevel, shards: usize, trial_seed: u64) -> Testbed {
+        let mut testbed = Testbed::paper(8, SelectorPolicy::Uniform);
+        testbed.shards = shards;
+        testbed.workload.stop = SimTime::from_secs(level.trial_secs());
+        testbed.faults = self.faults(trial_seed, level.trial_secs());
+        testbed
+    }
 }
 
 /// Runs every fault scenario on the paper testbed (`H = 8`, `T = 5`,
@@ -335,23 +360,11 @@ impl Scenario {
 /// Panics if a worker thread panics.
 #[must_use]
 pub fn fault_matrix(level: EffortLevel, shards: usize) -> Provenance<FaultScenarioCell> {
-    let cells = [
-        Scenario::Clean,
-        Scenario::IidBer,
-        Scenario::Burst,
-        Scenario::Erasure,
-        Scenario::Churn,
-        Scenario::Partition,
-    ];
-    let runs = harness::run_cells("fault_matrix", level, &cells, |&scenario, trial| {
-        let mut testbed = Testbed::paper(8, SelectorPolicy::Uniform);
-        testbed.shards = shards;
-        testbed.workload.stop = SimTime::from_secs(level.trial_secs());
-        testbed.faults = scenario.faults(trial.seed, level.trial_secs());
-        testbed.run(trial.seed)
+    let runs = harness::run_cells("fault_matrix", level, &Scenario::ALL, |&scenario, trial| {
+        scenario.testbed(level, shards, trial.seed).run(trial.seed)
     });
     let mut provenance = Provenance::new("fault_matrix", level);
-    for (scenario, cell_runs) in cells.iter().zip(runs) {
+    for (scenario, cell_runs) in Scenario::ALL.iter().zip(runs) {
         let sum =
             |field: fn(&TrialResult) -> u64| -> u64 { cell_runs.values.iter().map(field).sum() };
         let offered = sum(|r| r.packets_offered);
@@ -380,40 +393,32 @@ pub fn fault_matrix(level: EffortLevel, shards: usize) -> Provenance<FaultScenar
 
 /// Records one observed trial per fault scenario for the
 /// `trace_report` lifecycle audit: trial 0 of each scenario cell is
-/// re-run with tracing and metrics enabled (the same
-/// `harness::trial_seed` derivation as [`fault_matrix`], so the
-/// recording replays exactly what the matrix measured) and flattened
-/// into an [`audit::Recording`](crate::audit::Recording).
+/// re-run with tracing and metrics enabled on the testbed
+/// [`fault_matrix`] builds from the same `harness::trial_seed`, so the
+/// recording replays exactly what the matrix measured.
 ///
 /// # Panics
 ///
 /// Panics if the testbed fails to run.
 #[must_use]
-pub fn record_fault_traces(level: EffortLevel, shards: usize) -> Vec<crate::audit::Recording> {
-    let cells = [
-        Scenario::Clean,
-        Scenario::IidBer,
-        Scenario::Burst,
-        Scenario::Erasure,
-        Scenario::Churn,
-        Scenario::Partition,
-    ];
-    cells
+pub fn record_fault_traces(level: EffortLevel, shards: usize) -> Vec<Recording> {
+    Scenario::ALL
         .iter()
         .enumerate()
         .map(|(cell_index, &scenario)| {
             let seed = harness::trial_seed("fault_matrix", cell_index, 0);
-            let mut testbed = Testbed::paper(8, SelectorPolicy::Uniform);
-            testbed.shards = shards;
-            testbed.workload.stop = SimTime::from_secs(level.trial_secs());
-            testbed.faults = scenario.faults(seed, level.trial_secs());
-            let observed = testbed.run_observed(seed, 1 << 20);
-            crate::audit::Recording::from_observed(scenario.name(), seed, &observed)
+            Recording {
+                scenario: scenario.name(),
+                seed,
+                observed: scenario
+                    .testbed(level, shards, seed)
+                    .run_observed(seed, 1 << 20),
+            }
         })
         .collect()
 }
 
-/// The combined document the `fault_matrix` binary emits with `--json`.
+/// The `fault_matrix` document of the experiment registry.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct FaultMatrixDocument {
     /// The Eq. 2–4 differential sweep.
@@ -480,15 +485,7 @@ mod tests {
 
     #[test]
     fn scenario_names_are_unique() {
-        let names = [
-            Scenario::Clean,
-            Scenario::IidBer,
-            Scenario::Burst,
-            Scenario::Erasure,
-            Scenario::Churn,
-            Scenario::Partition,
-        ]
-        .map(Scenario::name);
+        let names = Scenario::ALL.map(Scenario::name);
         let mut sorted = names.to_vec();
         sorted.sort_unstable();
         sorted.dedup();

@@ -1,18 +1,22 @@
 //! The experiment registry: one entry per provenance document of the
-//! paper's evaluation — Figures 1–4, the measured-efficiency comparison
-//! and ten ablations — in the order the `experiments` binary runs them.
+//! paper's evaluation — Figures 1–4, the measured-efficiency comparison,
+//! ten ablations, the Eq. 2–4 differential check with the fault matrix,
+//! and the selector taxonomy — in the order the `experiments` binary
+//! runs them.
 //!
 //! Each entry runs its sweep at the given effort on the given number of
 //! spatial shards and returns the document as pretty JSON together with
 //! the table it prints. At quick effort every document is byte-identical
-//! to `tests/golden/quick-provenance/<name>.json` on any shard count.
+//! to `tests/golden/quick-provenance/<name>.json` on any shard count, and
+//! at standard and paper effort to the documents under
+//! `tests/golden/standard-provenance/` and `tests/golden/paper-provenance/`.
 //! The analytic figures ignore both arguments.
 //!
 //! ```
 //! use retri_bench::experiments::{find, EXPERIMENTS};
 //! use retri_bench::EffortLevel;
 //!
-//! assert_eq!(EXPERIMENTS.len(), 15);
+//! assert_eq!(EXPERIMENTS.len(), 17);
 //! let fig1 = find("fig1").expect("registered");
 //! let output = (fig1.run)(EffortLevel::Quick, 1);
 //! assert!(output.json.contains("\"experiment\": \"fig1\""));
@@ -21,7 +25,7 @@
 
 use crate::harness::Provenance;
 use crate::table::{self, f, opt};
-use crate::{ablations, figures, EffortLevel};
+use crate::{ablations, differential, figures, taxonomy, EffortLevel};
 
 /// What one experiment produces.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,7 +61,7 @@ impl Experiment {
 }
 
 /// Every experiment, in evaluation order.
-pub static EXPERIMENTS: [Experiment; 15] = [
+pub static EXPERIMENTS: [Experiment; 17] = [
     Experiment::new("fig1", fig1),
     Experiment::new("fig2", fig2),
     Experiment::new("fig3", fig3),
@@ -73,6 +77,8 @@ pub static EXPERIMENTS: [Experiment; 15] = [
     Experiment::new("ablation_energy", ablation_energy),
     Experiment::new("ablation_mac", ablation_mac),
     Experiment::new("ablation_density", ablation_density),
+    Experiment::new("fault_matrix", fault_matrix),
+    Experiment::new("selector_taxonomy", selector_taxonomy),
 ];
 
 /// The registered experiment called `name`.
@@ -623,6 +629,162 @@ fn ablation_density(level: EffortLevel, shards: usize) -> Output {
         )
     );
     Output::new(&provenance, text)
+}
+
+/// The simulator against Eq. 2–4 cell by cell, then the paper testbed
+/// under every fault scenario with its loss accounting.
+fn fault_matrix(level: EffortLevel, shards: usize) -> Output {
+    let report = differential::report(level, shards);
+    let rows: Vec<Vec<String>> = report
+        .differential
+        .points()
+        .map(|c| {
+            vec![
+                c.policy.clone(),
+                c.id_bits.to_string(),
+                c.transmitters.to_string(),
+                c.packet_bytes.to_string(),
+                f(c.observed),
+                f(c.predicted),
+                format!("[{}, {}]", f(c.wilson_low), f(c.wilson_high)),
+                if c.policy == "listening" {
+                    if c.beats_uniform_bound {
+                        "beats"
+                    } else {
+                        "NO"
+                    }
+                } else if c.model_within_interval {
+                    "yes"
+                } else {
+                    "NO"
+                }
+                .to_string(),
+                f(c.framing_observed),
+                f(c.framing_predicted),
+            ]
+        })
+        .collect();
+    let sweep_table = table::render(
+        &[
+            "policy",
+            "H",
+            "T",
+            "D",
+            "observed",
+            "Eq. 4",
+            "99% Wilson",
+            "verdict",
+            "framing",
+            "exact",
+        ],
+        &rows,
+    );
+    let rows: Vec<Vec<String>> = report
+        .faults
+        .points()
+        .map(|c| {
+            vec![
+                c.scenario.clone(),
+                f(c.delivery_ratio),
+                c.decode_errors.to_string(),
+                c.truth_crc_rejections.to_string(),
+                c.checksum_failures.to_string(),
+                c.identifier_conflicts.to_string(),
+                c.corrupted_deliveries.to_string(),
+                c.fault_erasures.to_string(),
+                c.partition_losses.to_string(),
+            ]
+        })
+        .collect();
+    let fault_table = table::render(
+        &[
+            "scenario",
+            "delivered",
+            "parse err",
+            "truth CRC",
+            "aff CRC",
+            "conflicts",
+            "corrupted",
+            "erased",
+            "severed",
+        ],
+        &rows,
+    );
+    let text = format!(
+        "Differential model check + fault matrix ({} trials x {} s per cell)\n\n{sweep_table}\n\
+         Uniform cells: Eq. 4 must sit inside the Wilson interval.\n\
+         Listening cells: the observed rate should instead *beat* the\n\
+         uniform bound (Section 3.2).\n\n{fault_table}\n\
+         Paper check: every injected fault lands in an accounting\n\
+         column; the clean scenario shows zeros in all fault counters.\n",
+        level.trials(),
+        level.trial_secs(),
+    );
+    Output::new(&report, text)
+}
+
+/// Every selector family scored on correctness, security and
+/// performance; a verdict the scorecard does not meet panics
+/// ([`taxonomy::assert_verdicts`]).
+fn selector_taxonomy(level: EffortLevel, shards: usize) -> Output {
+    let scorecard = taxonomy::taxonomy_sweep(level, shards);
+    let rows: Vec<Vec<String>> = scorecard
+        .points()
+        .map(|s| {
+            vec![
+                s.policy.clone(),
+                f(s.observed),
+                f(s.predicted),
+                if s.policy == "uniform" {
+                    if s.eq4_within_interval { "yes" } else { "NO" }.to_string()
+                } else {
+                    "n/a".to_string()
+                },
+                f(s.clean_loss_rate),
+                f(s.attacked_loss_rate),
+                format!(
+                    "[{}, {}]",
+                    f(s.attacked_wilson_low),
+                    f(s.attacked_wilson_high)
+                ),
+                if s.uplift_significant { "UPLIFT" } else { "no" }.to_string(),
+                s.self_collisions_in_window.to_string(),
+                // Wall-clock, so measured outside the provenance
+                // document (which must stay byte-deterministic).
+                format!("{:.0}", taxonomy::select_cost_ns(&s.policy)),
+                f(s.efficiency_observed),
+            ]
+        })
+        .collect();
+    taxonomy::assert_verdicts(scorecard.points());
+    let text = format!(
+        "Selector taxonomy ({} trials x {} s per cell, 5 policies x 3 cells)\n\n{}\n\
+         Correctness: uniform must contain Eq. 4 in its Wilson interval.\n\
+         Security: only the sequential row should show UPLIFT — the\n\
+         eavesdropper predicts counters, not keyed or random draws.\n\
+         Structure: repeats counts re-drawn ids over one full window\n\
+         (a permutation must show 0; memoryless draws pile up).\n\n\
+         All scorecard verdicts hold.\n",
+        level.trials(),
+        level.trial_secs(),
+        table::render(
+            &[
+                "policy",
+                "observed",
+                "Eq. 4",
+                "in CI",
+                "clean loss",
+                "atk loss",
+                "atk 99% Wilson",
+                "uplift",
+                "repeats",
+                "ns/draw",
+                "E",
+            ],
+            &rows,
+        )
+    );
+    Output::new(&scorecard, text)
 }
 
 #[cfg(test)]

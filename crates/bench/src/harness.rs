@@ -273,8 +273,9 @@ where
         grouped[trial.cell_index].values.push(value);
     }
     eprintln!(
-        "[harness] {experiment_id}: {} cells x {trials} trials on {workers} worker(s) in {elapsed:.2} s",
+        "[harness] {experiment_id}: {} cells x {trials} trials on {workers} worker(s) in {:.1} ms",
         cells.len(),
+        elapsed * 1e3,
     );
     grouped
 }

@@ -4,21 +4,24 @@
 //!
 //! - [`experiments`] — the registry behind the `experiments` binary
 //!   and the golden test: one entry per provenance document, returning
-//!   the document's JSON and the table it prints.
+//!   the document's JSON and the table it prints. Every evaluation
+//!   document comes from it.
 //! - [`figures`] — data generation for the paper's Figures 1–4, which
 //!   the registry prints as the tables the figures plot.
 //! - [`ablations`] — the design-choice studies listed in DESIGN.md:
 //!   listening-window size, hidden terminals, non-uniform transaction
 //!   lengths, dynamic-allocation churn overhead, and density scaling.
 //! - [`differential`] — the statistical differential tests proving the
-//!   simulator against the paper's Eq. 2–4, and the fault-injection
-//!   scenario matrix behind the `fault_matrix` binary.
+//!   simulator against the paper's Eq. 2–4 and the fault-injection
+//!   scenario matrix (the registry's `fault_matrix` document), and the
+//!   observed fault-matrix trials the `trace_report` binary audits.
+//! - [`audit`] — the transaction-lifecycle audit of one observed trial.
 //! - [`harness`] — the deterministic parallel trial executor, the
 //!   single seed-derivation function (`harness::trial_seed`), and the
 //!   provenance document every experiment emits.
 //! - [`table`] — plain-text table formatting shared by the binaries.
-//! - [`taxonomy`] — the selector-taxonomy scorecard behind the
-//!   `selector_taxonomy` binary: every identifier-selection family
+//! - [`taxonomy`] — the selector-taxonomy scorecard (the registry's
+//!   `selector_taxonomy` document): every identifier-selection family
 //!   scored on correctness (Eq. 4 containment), security
 //!   (attacker-forced collision uplift), and performance.
 //!

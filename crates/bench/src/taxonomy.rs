@@ -230,8 +230,8 @@ fn self_collisions(name: &str, policy_index: usize) -> (u64, u64) {
 /// Wall-clock timing is inherently machine- and run-dependent, so it
 /// is **not** part of [`SelectorScore`] — the provenance document must
 /// stay byte-deterministic from `(seed, configuration)` like every
-/// other experiment artifact. The `selector_taxonomy` binary calls
-/// this separately for the printed scorecard's `ns/draw` column.
+/// other experiment artifact. The registry's `selector_taxonomy` entry
+/// calls this separately for the printed scorecard's `ns/draw` column.
 ///
 /// # Panics
 ///
@@ -369,8 +369,8 @@ pub fn taxonomy_sweep(level: EffortLevel, shards: usize) -> Provenance<SelectorS
 }
 
 /// Asserts every scorecard verdict the taxonomy claims. Shared by the
-/// `selector_taxonomy` binary and the integration suite so CI and a
-/// user-run sweep judge identical rules.
+/// registry's `selector_taxonomy` entry and the integration suite so CI
+/// and a user-run sweep judge identical rules.
 ///
 /// # Panics
 ///

@@ -1,10 +1,9 @@
 //! Plain-data snapshots and the two export formats.
 //!
 //! A [`Snapshot`] is what crosses thread/process boundaries: it owns
-//! its strings, implements `serde::Serialize` (for embedding in the
-//! bench provenance JSON), and can be re-read from parsed JSON (for
-//! `trace_report`). Metrics are sorted by `(name, labels)`, so equal
-//! registries export equal bytes.
+//! its strings and implements `serde::Serialize` (for embedding in the
+//! bench provenance JSON and the trace recordings). Metrics are sorted
+//! by `(name, labels)`, so equal registries export equal bytes.
 
 use serde::json::Value;
 
@@ -234,57 +233,6 @@ impl Snapshot {
         }
         out
     }
-
-    /// Rebuilds a snapshot from the JSON produced by the `Serialize`
-    /// impl (an array of metric objects). Returns `None` on any shape
-    /// mismatch — callers treat that as a corrupt recording.
-    pub fn from_json_value(value: &Value) -> Option<Snapshot> {
-        let mut metrics = Vec::new();
-        for entry in value.as_array()? {
-            let name = entry.get("name")?.as_str()?.to_string();
-            let labels = entry
-                .get("labels")?
-                .as_object()?
-                .iter()
-                .map(|(k, v)| Some((k.clone(), v.as_str()?.to_string())))
-                .collect::<Option<Vec<_>>>()?;
-            let value = match entry.get("type")?.as_str()? {
-                "counter" => MetricKind::Counter(entry.get("value")?.as_u64()?),
-                "gauge" => MetricKind::Gauge(entry.get("value")?.as_f64()?),
-                "histogram" => {
-                    let bounds = entry
-                        .get("bounds")?
-                        .as_array()?
-                        .iter()
-                        .map(Value::as_f64)
-                        .collect::<Option<Vec<_>>>()?;
-                    let counts = entry
-                        .get("counts")?
-                        .as_array()?
-                        .iter()
-                        .map(Value::as_u64)
-                        .collect::<Option<Vec<_>>>()?;
-                    let mut histogram = Histogram::with_bounds(&bounds);
-                    let observed = Histogram::from_parts(
-                        bounds,
-                        counts,
-                        entry.get("count")?.as_u64()?,
-                        entry.get("sum")?.as_f64()?,
-                    )?;
-                    histogram.merge(&observed);
-                    MetricKind::Histogram(histogram)
-                }
-                _ => return None,
-            };
-            metrics.push(MetricValue {
-                name,
-                labels,
-                value,
-            });
-        }
-        metrics.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
-        Some(Snapshot { metrics })
-    }
 }
 
 #[cfg(test)]
@@ -330,8 +278,8 @@ mod tests {
     fn serialize_round_trips_through_json() {
         let snapshot = sample();
         let value = serde::Serialize::to_json_value(&snapshot);
-        let reparsed =
+        let reparsed: Value =
             serde_json::from_str(&value.to_pretty_string()).expect("snapshot JSON parses");
-        assert_eq!(Snapshot::from_json_value(&reparsed), Some(snapshot));
+        assert_eq!(reparsed, value);
     }
 }

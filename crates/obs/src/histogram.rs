@@ -49,28 +49,6 @@ impl Histogram {
         }
     }
 
-    /// Reconstructs a histogram from exported parts (the inverse of
-    /// the snapshot exporters). Returns `None` when the parts are
-    /// inconsistent — wrong slot count or bucket totals that do not
-    /// add up to `count`.
-    pub(crate) fn from_parts(
-        bounds: Vec<f64>,
-        counts: Vec<u64>,
-        count: u64,
-        sum: f64,
-    ) -> Option<Self> {
-        if counts.len() != bounds.len() + 1 || counts.iter().sum::<u64>() != count {
-            return None;
-        }
-        let shape = Histogram::with_bounds(&bounds);
-        Some(Histogram {
-            bounds: shape.bounds,
-            counts,
-            count,
-            sum,
-        })
-    }
-
     /// Records one observation.
     pub fn observe(&mut self, value: f64) {
         let slot = self

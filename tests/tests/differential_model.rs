@@ -2,20 +2,20 @@
 //! the paper's closed-form model (Eq. 2–4), and the fault-injection
 //! matrix's loss accounting.
 //!
-//! These assert on the same document the `fault_matrix` binary emits,
-//! at quick effort, so CI and the integration suite judge exactly the
-//! data a user can regenerate with
-//! `cargo run -p retri-bench --release --bin fault_matrix -- --quick`.
-//! The trial seeds are fully deterministic, so the whole document is
-//! pinned byte for byte in `tests/golden/fault_matrix-quick.json`.
+//! These assert on the registry's `fault_matrix` document at quick
+//! effort, so CI and the integration suite judge exactly the data a
+//! user can regenerate with `cargo run -p retri-bench --release --bin
+//! experiments -- --only fault_matrix --quick`. The trial seeds are
+//! fully deterministic, so `golden_bytes.rs` pins the whole document
+//! byte for byte in `tests/golden/quick-provenance/fault_matrix.json`.
 
 use std::sync::OnceLock;
 
 use retri_bench::differential::{self, DifferentialCell, FaultMatrixDocument, FaultScenarioCell};
 use retri_bench::EffortLevel;
 
-/// `fault_matrix --quick --json`, as committed.
-const GOLDEN: &str = include_str!("../golden/fault_matrix-quick.json");
+/// The registry's quick `fault_matrix` document, as committed.
+const GOLDEN: &str = include_str!("../golden/quick-provenance/fault_matrix.json");
 
 /// The report is deterministic, so every test asserts against one
 /// shared run instead of re-simulating the grid per test.
@@ -37,7 +37,7 @@ fn the_quick_document_is_byte_identical_to_the_pinned_one() {
     let document = serde_json::to_string_pretty(report()).expect("the report serializes");
     assert!(
         document == GOLDEN,
-        "fault_matrix --quick --json drifted from tests/golden/fault_matrix-quick.json"
+        "the quick fault_matrix document drifted from tests/golden/quick-provenance/fault_matrix.json"
     );
 }
 

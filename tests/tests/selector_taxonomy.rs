@@ -1,11 +1,12 @@
 //! The selector-taxonomy scorecard, asserted end to end.
 //!
-//! These tests run the same quick sweep the `selector_taxonomy` binary
-//! runs in CI (`cargo run -p retri-bench --release --bin
-//! selector_taxonomy -- --quick`), pin its document byte for byte in
-//! `tests/golden/selector_taxonomy-quick.json`, and assert its verdicts
-//! plus the structural property the scorecard's security axis depends
-//! on: disabling the adversary leaves trials byte-identical.
+//! These tests run the same quick sweep as the registry's
+//! `selector_taxonomy` document (`cargo run -p retri-bench --release
+//! --bin experiments -- --only selector_taxonomy --quick`; its bytes are
+//! pinned in `tests/golden/quick-provenance/selector_taxonomy.json` by
+//! `golden_bytes.rs`) and assert its verdicts plus the structural
+//! property the scorecard's security axis depends on: disabling the
+//! adversary leaves trials byte-identical.
 
 use std::sync::OnceLock;
 
@@ -14,8 +15,8 @@ use retri_bench::harness::Provenance;
 use retri_bench::taxonomy::{self, SelectorScore, CORRECTNESS_BITS, SECURITY_BITS};
 use retri_bench::EffortLevel;
 
-/// `selector_taxonomy --quick --json`, as committed.
-const GOLDEN: &str = include_str!("../golden/selector_taxonomy-quick.json");
+/// The registry's quick `selector_taxonomy` document, as committed.
+const GOLDEN: &str = include_str!("../golden/quick-provenance/selector_taxonomy.json");
 
 /// The sweep is deterministic, so every test asserts against one
 /// shared run instead of re-simulating the 15-cell grid per test.
@@ -33,7 +34,7 @@ fn the_quick_document_is_byte_identical_to_the_pinned_one() {
     let document = serde_json::to_string_pretty(document()).expect("the scorecard serializes");
     assert!(
         document == GOLDEN,
-        "selector_taxonomy --quick --json drifted from tests/golden/selector_taxonomy-quick.json"
+        "the quick selector_taxonomy document drifted from tests/golden/quick-provenance/selector_taxonomy.json"
     );
 }
 
