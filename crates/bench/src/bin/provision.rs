@@ -37,6 +37,8 @@ fn usage() -> ! {
 struct ProvisionPoint {
     data_bits: u32,
     density: u64,
+    /// The headroom applied above the optimum: the requested
+    /// `--safety` bits, or fewer where the 64-bit cap cuts them.
     safety_bits: u8,
     chosen_id_bits: u8,
     p_success: f64,
@@ -47,6 +49,22 @@ struct ProvisionPoint {
 /// 64-bit identifier limit.
 fn chosen_width(optimum: u8, safety: u8) -> u8 {
     optimum.saturating_add(safety).min(64)
+}
+
+/// Sizes the identifier for `data` bits at density `t` with `safety`
+/// requested headroom bits.
+fn provision(data: DataBits, t: Density, safety: u8) -> ProvisionPoint {
+    let optimum = optimal_id_bits(data, t).id_bits.get();
+    let chosen_id_bits = chosen_width(optimum, safety);
+    let chosen = IdBits::new(chosen_id_bits).expect("within range");
+    ProvisionPoint {
+        data_bits: data.get(),
+        density: t.get(),
+        safety_bits: chosen_id_bits - optimum,
+        chosen_id_bits,
+        p_success: p_success(chosen, t),
+        efficiency: aff_efficiency(data, chosen, t).get(),
+    }
 }
 
 fn main() {
@@ -81,34 +99,28 @@ fn main() {
         std::process::exit(2);
     };
 
-    let opt = optimal_id_bits(data, t);
-    let chosen_bits = chosen_width(opt.id_bits.get(), safety);
-    let chosen = IdBits::new(chosen_bits).expect("within range");
+    let point = provision(data, t, safety);
+    let chosen = IdBits::new(point.chosen_id_bits).expect("within range");
     if let Some(path) = json {
-        let point = ProvisionPoint {
-            data_bits,
-            density,
-            safety_bits: safety,
-            chosen_id_bits: chosen_bits,
-            p_success: p_success(chosen, t),
-            efficiency: aff_efficiency(data, chosen, t).get(),
-        };
         retri_bench::write_json(
             std::path::Path::new(path),
-            &Provenance::analytic("provision", vec![point]),
+            &Provenance::analytic("provision", vec![point.clone()]),
         );
     }
 
     println!(
         "Provisioning for D = {data_bits} data bits/transaction, T = {density} concurrent transactions\n"
     );
-    println!("optimal identifier width : {}", opt.id_bits);
+    println!(
+        "optimal identifier width : {}",
+        optimal_id_bits(data, t).id_bits
+    );
     if safety > 0 {
-        println!("with +{safety} safety bits     : {chosen}");
+        println!("with +{} safety bits     : {chosen}", point.safety_bits);
     }
     println!(
         "P(transaction success)   : {:.6}  (Eq. 4, uniform selection; listening does better)",
-        p_success(chosen, t)
+        point.p_success
     );
     println!(
         "efficiency (Eq. 3)       : {}",
@@ -160,7 +172,22 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::chosen_width;
+    use super::{chosen_width, provision};
+    use retri_model::{optimal_id_bits, DataBits, Density};
+
+    #[test]
+    fn the_applied_headroom_is_what_the_cap_leaves() {
+        let data = DataBits::new(16).unwrap();
+        let t = Density::new(16).unwrap();
+        let optimum = optimal_id_bits(data, t).id_bits.get();
+        assert_eq!(optimum, 9);
+        let asked = provision(data, t, 2);
+        assert_eq!((asked.safety_bits, asked.chosen_id_bits), (2, 11));
+        // 250 bits asked, but the width stops at 64: 55 are applied.
+        let capped = provision(data, t, 250);
+        assert_eq!((capped.safety_bits, capped.chosen_id_bits), (55, 64));
+        assert_eq!(provision(data, t, 0).safety_bits, 0);
+    }
 
     #[test]
     fn safety_bits_widen_the_optimum_up_to_64() {

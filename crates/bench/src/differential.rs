@@ -32,7 +32,7 @@
 //!   the heuristic outperforms blind selection, so its observed success
 //!   rate should exceed the uniform Eq. 4 bound.
 //!
-//! [`fault_matrix`] runs the same testbed under each fault-injection
+//! `fault_matrix` runs the same testbed under each fault-injection
 //! scenario ([`retri_netsim::fault`]) and reports the loss-accounting
 //! counters, proving corrupted frames flow through real decode: bit
 //! errors surface as parse failures, CRC rejections, and
@@ -359,7 +359,7 @@ impl Scenario {
 ///
 /// Panics if a worker thread panics.
 #[must_use]
-pub fn fault_matrix(level: EffortLevel, shards: usize) -> Provenance<FaultScenarioCell> {
+pub(crate) fn fault_matrix(level: EffortLevel, shards: usize) -> Provenance<FaultScenarioCell> {
     let runs = harness::run_cells("fault_matrix", level, &Scenario::ALL, |&scenario, trial| {
         scenario.testbed(level, shards, trial.seed).run(trial.seed)
     });
@@ -394,7 +394,7 @@ pub fn fault_matrix(level: EffortLevel, shards: usize) -> Provenance<FaultScenar
 /// Records one observed trial per fault scenario for the
 /// `trace_report` lifecycle audit: trial 0 of each scenario cell is
 /// re-run with tracing and metrics enabled on the testbed
-/// [`fault_matrix`] builds from the same `harness::trial_seed`, so the
+/// `fault_matrix` builds from the same `harness::trial_seed`, so the
 /// recording replays exactly what the matrix measured.
 ///
 /// # Panics

@@ -22,7 +22,7 @@ use retri::hash::FixedMap;
 use crate::frame::Frame;
 use crate::node::NodeId;
 use crate::time::SimTime;
-use crate::topology::{Cell, Topology};
+use crate::topology::{adjacent, Cell, Topology};
 use crate::trace::LossReason;
 
 /// Medium-level counters for a whole run.
@@ -104,13 +104,6 @@ impl AirRecord {
     fn overlaps(&self, start: SimTime, end: SimTime) -> bool {
         self.start < end && self.end > start
     }
-}
-
-/// Whether two grid cells are at most one cell apart on either axis —
-/// the reach of a transmission originating in one at a node in the
-/// other (cell size = radio range).
-fn adjacent(a: Cell, b: Cell) -> bool {
-    a.0.abs_diff(b.0) <= 1 && a.1.abs_diff(b.1) <= 1
 }
 
 /// A retained record that overlaps a judged transmission: what the
@@ -229,8 +222,9 @@ impl AirView {
     ) {
         out.clear();
         let judged = self.get(seq).expect("judging unknown transmission");
-        for cx in lo.0 - 1..=hi.0 + 1 {
-            for cy in lo.1 - 1..=hi.1 + 1 {
+        // Saturating: no position maps to a cell past the i64 range.
+        for cx in lo.0.saturating_sub(1)..=hi.0.saturating_add(1) {
+            for cy in lo.1.saturating_sub(1)..=hi.1.saturating_add(1) {
                 let Some(seqs) = self.cells.get(&(cx, cy)) else {
                     continue;
                 };

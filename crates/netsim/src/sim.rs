@@ -93,7 +93,7 @@ use crate::obs::TxStats;
 use crate::radio::{DutyCycle, RadioConfig};
 use crate::time::{SimDuration, SimTime};
 use crate::timers::{timer_event, IdleTimers};
-use crate::topology::{Cell, Position, Topology};
+use crate::topology::{block, Cell, Position, Topology};
 use crate::trace::{LossReason, TraceEvent, Tracer};
 
 /// The labels of a node's four RNG streams: MAC backoff, protocol
@@ -1868,14 +1868,8 @@ impl<P: Protocol> ShardedSim<P> {
         for index in 0..self.owner.len() {
             let node = NodeId(index as u32);
             let shard = self.owner[index].0 as usize;
-            let (cx, cy) = self.master.cell(node);
-            for dx in -1..=1 {
-                for dy in -1..=1 {
-                    *self.cores[shard]
-                        .interest
-                        .entry((cx + dx, cy + dy))
-                        .or_insert(0) += 1;
-                }
+            for cell in block(self.master.cell(node)) {
+                *self.cores[shard].interest.entry(cell).or_insert(0) += 1;
             }
         }
         for (core, before) in self.cores.iter_mut().zip(&before) {
@@ -2316,19 +2310,12 @@ impl Conductor<'_> {
                         continue;
                     }
                     let shard = self.ctx.owner[node.index()].0 as usize;
-                    for dx in -1..=1 {
-                        for dy in -1..=1 {
-                            deferred.push((shard, (old_cell.0 + dx, old_cell.1 + dy)));
-                        }
-                    }
-                    for dx in -1..=1 {
-                        for dy in -1..=1 {
-                            let cell = (new_cell.0 + dx, new_cell.1 + dy);
-                            let count = cores[shard].interest.entry(cell).or_insert(0);
-                            *count += 1;
-                            if *count == 1 {
-                                backfill_gained_cell(cores[shard], air, self.master, cell, at);
-                            }
+                    deferred.extend(block(old_cell).map(|cell| (shard, cell)));
+                    for cell in block(new_cell) {
+                        let count = cores[shard].interest.entry(cell).or_insert(0);
+                        *count += 1;
+                        if *count == 1 {
+                            backfill_gained_cell(cores[shard], air, self.master, cell, at);
                         }
                     }
                     route_mover_records(cores, air, node, new_cell, at);

@@ -2520,3 +2520,60 @@ mod shared_topology {
         }
     }
 }
+
+/// Infinite, NaN and ±1e300 m coordinates saturate onto cells at the
+/// edge of the `i64` plane. A K = 2 run over such nodes, on every MAC,
+/// must neither overflow the cell arithmetic of the interest sets, the
+/// move path or the interference gather, nor link anyone new: the two
+/// nodes sharing the far corner hear only each other.
+#[test]
+fn edge_cell_positions_run_on_two_shards() {
+    let mut positions: Vec<Position> = (0..9)
+        .map(|i| Position::new(f64::from(i % 3) * 30.0, f64::from(i / 3) * 30.0))
+        .collect();
+    positions.extend([
+        Position::new(f64::INFINITY, 0.0),
+        Position::new(1e300, 1e300),
+        Position::new(1e300, 1e300),
+        Position::new(-1e300, f64::NEG_INFINITY),
+    ]);
+    let topo = Topology::from_positions(45.0, positions);
+    let (corner_a, corner_b) = (NodeId(10), NodeId(11));
+    // Under ALOHA the pair's simultaneous start-up frames collide.
+    for (mac, heard_by_corner) in [
+        (MacConfig::aloha(), 0),
+        (MacConfig::csma(), 2),
+        (MacConfig::dfa_known(SimDuration::from_millis(8), 4), 2),
+    ] {
+        let mut sim = ShardedSimBuilder::new(5)
+            .mac(mac)
+            .range(45.0)
+            .shards(2)
+            .build_with_topology(&topo, |_| Chatter {
+                to_send: 2,
+                heard: 0,
+                payload_bytes: 12,
+            });
+        sim.schedule_move(
+            SimTime::from_millis(1),
+            NodeId(4),
+            Position::new(f64::NAN, 1e300),
+        );
+        sim.schedule_move(
+            SimTime::from_millis(2),
+            NodeId(12),
+            Position::new(-1e300, -1e300),
+        );
+        sim.run_until(SimTime::from_secs(2));
+        let heard = |node: NodeId| sim.protocol(node).heard;
+        assert_eq!(heard(NodeId(9)), 0, "{mac:?}");
+        assert_eq!(heard(NodeId(12)), 0, "{mac:?}");
+        assert_eq!(heard(corner_a), heard_by_corner, "{mac:?}");
+        assert_eq!(heard(corner_b), heard_by_corner, "{mac:?}");
+        assert_eq!(sim.topology().degree(NodeId(4)), 0, "{mac:?}");
+        assert_eq!(
+            sim.topology().neighbors(corner_a).collect::<Vec<_>>(),
+            [corner_b]
+        );
+    }
+}

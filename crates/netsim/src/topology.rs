@@ -27,6 +27,37 @@
 //! Distance tests compare squared distances (`d² ≤ range²`), avoiding
 //! the square root on the hot path. The boundary case `d == range` is
 //! still in range.
+//!
+//! # The bulk build
+//!
+//! A whole layout is built in one pass by [`Topology::from_positions`],
+//! which every convenience layout ([`Topology::grid`],
+//! [`Topology::full_mesh`], [`Topology::random_disc`],
+//! [`Topology::hidden_terminal`]) goes through; [`Topology::add`] is for
+//! a single join. The pass computes each node's cell once and
+//! counting-sorts the node ids into `n` slots, keyed by the cell's
+//! linear index in the layout's bounding box of cells taken modulo `n`,
+//! so memory never grows with the box of a sparse layout. A neighbour
+//! cell's slot is then the node's own slot plus one of nine fixed
+//! offsets, modulo `n`; offsets that coincide name one slot, scanned
+//! once. A slot can also hold cells outside the node's 3×3 block (a
+//! wrapped index, or the next column past the box's edge). Their nodes
+//! are two or more cells away, so the distance test alone would reject
+//! them; the scan also keeps only candidates in adjacent cells, which
+//! makes it see exactly the block that [`Topology::add`] scans. As `add`
+//! does, each node tests only the lower ids, so every pair is tested
+//! once: a first pass collects each node's lower neighbours and counts
+//! every degree, and a second allocates each neighbour list once at its
+//! final length and fills it in id order, so no list is sorted whole.
+//! The cell index is filled in the first pass, each bucket in ascending
+//! id order. The result — every position, cell, neighbour list and
+//! bucket — is exactly what `n` calls of [`Topology::add`] leave.
+//!
+//! Cells come from `floor(coordinate / range)` cast with saturation, so
+//! a non-finite or huge coordinate lands on an edge cell of the `i64`
+//! plane. Every 3×3 block is enumerated by one helper that leaves out
+//! the cells past that edge, so no position makes the cell arithmetic
+//! overflow.
 
 use core::fmt;
 
@@ -39,6 +70,51 @@ use crate::node::NodeId;
 /// cell apart on either axis. This is the same grid the sharded
 /// engine's air index and interest sets use.
 pub type Cell = (i64, i64);
+
+/// The most nodes one topology holds: node ids are `u32`.
+const MAX_NODES: usize = u32::MAX as usize;
+
+/// Offsets of a cell's 3×3 block, `dx` outer and `dy` inner.
+const BLOCK: [(i64, i64); 9] = [
+    (-1, -1),
+    (-1, 0),
+    (-1, 1),
+    (0, -1),
+    (0, 0),
+    (0, 1),
+    (1, -1),
+    (1, 0),
+    (1, 1),
+];
+
+/// The cells of the 3×3 block around `cell`, `dx` outer and `dy`
+/// inner, leaving out every offset past the `i64` range: no position
+/// maps to a cell there, so nothing can be indexed under one.
+pub(crate) fn block(cell: Cell) -> impl Iterator<Item = Cell> {
+    BLOCK
+        .into_iter()
+        .filter_map(move |(dx, dy)| Some((cell.0.checked_add(dx)?, cell.1.checked_add(dy)?)))
+}
+
+/// Whether two cells are at most one apart on either axis: the only
+/// cells whose nodes can be in range of each other (cell size = radio
+/// range).
+pub(crate) fn adjacent(a: Cell, b: Cell) -> bool {
+    a.0.abs_diff(b.0) <= 1 && a.1.abs_diff(b.1) <= 1
+}
+
+/// A layout's node count, if ids can number it.
+///
+/// # Panics
+///
+/// Panics if `count` is `None` (it overflowed `usize`) or above
+/// `u32::MAX`.
+fn checked_node_count(count: Option<usize>) -> usize {
+    match count {
+        Some(n) if n <= MAX_NODES => n,
+        _ => panic!("a topology holds at most {MAX_NODES} nodes (node ids are u32)"),
+    }
+}
 
 /// A node position in meters on a 2-D plane.
 ///
@@ -201,19 +277,17 @@ impl Topology {
         skip: Option<NodeId>,
     ) -> Vec<NodeId> {
         let mut found = Vec::new();
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                let Some(bucket) = self.cells.get(&(cell.0 + dx, cell.1 + dy)) else {
+        for around in block(cell) {
+            let Some(bucket) = self.cells.get(&around) else {
+                continue;
+            };
+            for &other in bucket {
+                if Some(other) == skip {
                     continue;
-                };
-                for &other in bucket {
-                    if Some(other) == skip {
-                        continue;
-                    }
-                    let site = &self.sites[other.0 as usize];
-                    if site.alive && site.position.distance_sq_to(position) <= self.range_sq {
-                        found.push(other);
-                    }
+                }
+                let site = &self.sites[other.0 as usize];
+                if site.alive && site.position.distance_sq_to(position) <= self.range_sq {
+                    found.push(other);
                 }
             }
         }
@@ -221,8 +295,15 @@ impl Topology {
         found
     }
 
-    /// Adds a node at `position`, returning its id.
+    /// Adds a node at `position`, returning its id. This is a single
+    /// join; a whole layout builds faster through
+    /// [`from_positions`](Self::from_positions).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the topology already holds `u32::MAX` nodes.
     pub fn add(&mut self, position: Position) -> NodeId {
+        checked_node_count(self.sites.len().checked_add(1));
         let id = NodeId(self.sites.len() as u32);
         let cell = self.cell_of(position);
         let neighbors = self.scan_neighborhood(position, cell, None);
@@ -407,8 +488,184 @@ impl Topology {
     }
 }
 
-/// Convenience layouts used by the experiments.
+/// Bulk construction and the convenience layouts used by the
+/// experiments.
 impl Topology {
+    /// Builds the topology of a whole layout in one pass: node `i` sits
+    /// alive at the `i`-th position. The result is exactly what as many
+    /// calls of [`add`](Self::add) would leave (see the module docs,
+    /// "The bulk build").
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `range` is positive and finite, and if `positions`
+    /// holds more than `u32::MAX` nodes; the count is checked before
+    /// anything is allocated.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use retri_netsim::topology::Topology;
+    /// use retri_netsim::{NodeId, Position};
+    ///
+    /// let positions = [0.0, 60.0, 120.0].map(|x| Position::new(x, 0.0));
+    /// let topo = Topology::from_positions(100.0, positions);
+    /// let heard: Vec<NodeId> = topo.neighbors(NodeId(1)).collect();
+    /// assert_eq!(heard, [NodeId(0), NodeId(2)]);
+    /// assert!(!topo.in_range(NodeId(0), NodeId(2)));
+    /// ```
+    #[must_use]
+    pub fn from_positions<I>(range: f64, positions: I) -> Self
+    where
+        I: IntoIterator<Item = Position>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let positions = positions.into_iter();
+        let n = checked_node_count(Some(positions.len()));
+        let mut topo = Topology::new(range);
+        topo.sites.reserve_exact(n);
+        for position in positions {
+            let cell = topo.cell_of(position);
+            topo.sites.push(NodeSite {
+                position,
+                alive: true,
+                cell,
+                neighbors: Vec::new(),
+            });
+        }
+        topo.link_all();
+        topo
+    }
+
+    /// Fills every neighbour list and the cell index of sites that are
+    /// all alive and not yet linked or indexed: the one pass of
+    /// [`from_positions`](Self::from_positions).
+    fn link_all(&mut self) {
+        let n = self.sites.len();
+        let Some(first) = self.sites.first() else {
+            return;
+        };
+        let (mut lo, mut hi) = (first.cell, first.cell);
+        for site in &self.sites {
+            lo = (lo.0.min(site.cell.0), lo.1.min(site.cell.1));
+            hi = (hi.0.max(site.cell.0), hi.1.max(site.cell.1));
+        }
+        // A cell's slot is its linear index in the box, column by
+        // column, modulo `n`. The index fits a u128: at most
+        // (2^64 − 1) · 2^64 + 2^64 − 1.
+        let height = u128::from(hi.1.abs_diff(lo.1)) + 1;
+        let slots = n as u128;
+        let node_slot: Vec<u32> = self
+            .sites
+            .iter()
+            .map(|site| {
+                let linear = u128::from(site.cell.0.abs_diff(lo.0)) * height
+                    + u128::from(site.cell.1.abs_diff(lo.1));
+                // In a dense box the index is already below `n`, and
+                // the u128 remainder is skipped.
+                let slot = if linear < slots {
+                    linear
+                } else {
+                    linear % slots
+                };
+                slot as u32
+            })
+            .collect();
+        // A block neighbour's slot is the node's own slot plus a fixed
+        // offset, modulo `n`. Offsets that coincide modulo `n` name the
+        // same slot, which is scanned once. An offset can also land on
+        // a slot whose cells lie outside the node's block (past the
+        // box's edge, or wrapped); the adjacency test rejects their
+        // nodes.
+        let mut offsets: Vec<usize> = block((0, 0))
+            .map(|(dx, dy)| {
+                let offset = i128::from(dx) * height as i128 + i128::from(dy);
+                offset.rem_euclid(slots as i128) as usize
+            })
+            .collect();
+        offsets.sort_unstable();
+        offsets.dedup();
+
+        // Counting sort: `order[start[s]..start[s + 1]]` holds the ids
+        // in slot `s`, ascending.
+        let mut start = vec![0u32; n + 1];
+        for &slot in &node_slot {
+            start[slot as usize + 1] += 1;
+        }
+        for slot in 0..n {
+            start[slot + 1] += start[slot];
+        }
+        let mut fill = start[..n].to_vec();
+        let mut order = vec![0u32; n];
+        for (id, &slot) in node_slot.iter().enumerate() {
+            let at = &mut fill[slot as usize];
+            order[*at as usize] = id as u32;
+            *at += 1;
+        }
+        drop(fill);
+        let in_slot = |slot: usize| &order[start[slot] as usize..start[slot + 1] as usize];
+
+        // Pass one, in id order: each node's lower-id neighbours, sorted,
+        // into one flat list, and every node's degree. Ids ascend within
+        // a slot, so a slot's scan stops at the node's own id. The
+        // lowest id of a cell also opens the cell's bucket: every node
+        // of the cell shares its slot.
+        let mut lower: Vec<NodeId> = Vec::new();
+        let mut lower_end: Vec<u32> = Vec::with_capacity(n);
+        let mut degree = vec![0u32; n];
+        for (id, &own_slot) in node_slot.iter().enumerate() {
+            let own_slot = own_slot as usize;
+            let NodeSite { position, cell, .. } = self.sites[id];
+            let begin = lower.len();
+            for &offset in &offsets {
+                let slot = own_slot + offset;
+                let slot = if slot >= n { slot - n } else { slot };
+                for &other in in_slot(slot) {
+                    if other as usize >= id {
+                        break;
+                    }
+                    let site = &self.sites[other as usize];
+                    if adjacent(site.cell, cell)
+                        && site.position.distance_sq_to(position) <= self.range_sq
+                    {
+                        lower.push(NodeId(other));
+                        degree[other as usize] += 1;
+                    }
+                }
+            }
+            lower[begin..].sort_unstable();
+            degree[id] += (lower.len() - begin) as u32;
+            lower_end.push(lower.len() as u32);
+
+            let mut same_cell = in_slot(own_slot)
+                .iter()
+                .filter(|&&other| self.sites[other as usize].cell == cell);
+            if same_cell.next() == Some(&(id as u32)) {
+                let bucket = std::iter::once(NodeId(id as u32))
+                    .chain(same_cell.map(|&other| NodeId(other)))
+                    .collect();
+                self.cells.insert(cell, bucket);
+            }
+        }
+
+        // Pass two, in id order: each list opens at its final length
+        // with its lower neighbours, and the node appends itself to
+        // theirs, which keeps every list sorted.
+        let mut begin = 0;
+        for (id, &end) in lower_end.iter().enumerate() {
+            let lower = &lower[begin..end as usize];
+            let mut list = Vec::with_capacity(degree[id] as usize);
+            list.extend_from_slice(lower);
+            self.sites[id].neighbors = list;
+            for &neighbor in lower {
+                self.sites[neighbor.0 as usize]
+                    .neighbors
+                    .push(NodeId(id as u32));
+            }
+            begin = end as usize;
+        }
+    }
+
     /// A fully connected cluster: `n` nodes evenly spaced on a circle
     /// whose diameter is well inside the radio range.
     ///
@@ -417,25 +674,31 @@ impl Topology {
     /// Section 5.1).
     #[must_use]
     pub fn full_mesh(n: usize, range: f64) -> Self {
-        let mut topo = Topology::new(range);
         let radius = range / 4.0;
-        for i in 0..n {
-            let angle = 2.0 * std::f64::consts::PI * i as f64 / n.max(1) as f64;
-            topo.add(Position::new(radius * angle.cos(), radius * angle.sin()));
-        }
-        topo
+        Topology::from_positions(
+            range,
+            (0..n).map(|i| {
+                let angle = 2.0 * std::f64::consts::PI * i as f64 / n.max(1) as f64;
+                Position::new(radius * angle.cos(), radius * angle.sin())
+            }),
+        )
     }
 
-    /// A regular `cols × rows` grid with the given spacing in meters.
+    /// A regular `cols × rows` grid with the given spacing in meters,
+    /// row by row: node `row · cols + col` sits at
+    /// `(col · spacing, row · spacing)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cols · rows` exceeds `u32::MAX`, before anything is
+    /// allocated.
     #[must_use]
     pub fn grid(cols: usize, rows: usize, spacing: f64, range: f64) -> Self {
-        let mut topo = Topology::new(range);
-        for row in 0..rows {
-            for col in 0..cols {
-                topo.add(Position::new(col as f64 * spacing, row as f64 * spacing));
-            }
-        }
-        topo
+        let n = checked_node_count(cols.checked_mul(rows));
+        Topology::from_positions(
+            range,
+            (0..n).map(|i| Position::new((i % cols) as f64 * spacing, (i / cols) as f64 * spacing)),
+        )
     }
 
     /// The canonical hidden-terminal triple: two senders at `±range`
@@ -444,11 +707,11 @@ impl Topology {
     /// Returns the topology and `(sender_a, receiver, sender_b)`.
     #[must_use]
     pub fn hidden_terminal(range: f64) -> (Self, (NodeId, NodeId, NodeId)) {
-        let mut topo = Topology::new(range);
-        let a = topo.add(Position::new(-range * 0.9, 0.0));
-        let r = topo.add(Position::new(0.0, 0.0));
-        let b = topo.add(Position::new(range * 0.9, 0.0));
-        (topo, (a, r, b))
+        let topo = Topology::from_positions(
+            range,
+            [-range * 0.9, 0.0, range * 0.9].map(|x| Position::new(x, 0.0)),
+        );
+        (topo, (NodeId(0), NodeId(1), NodeId(2)))
     }
 
     /// An air-drop deployment: `n` nodes uniformly distributed over a
@@ -464,13 +727,14 @@ impl Topology {
         rng: &mut R,
     ) -> Self {
         use rand::Rng as _;
-        let mut topo = Topology::new(range);
-        for _ in 0..n {
-            let r = disc_radius * rng.gen::<f64>().sqrt();
-            let theta = rng.gen::<f64>() * std::f64::consts::TAU;
-            topo.add(Position::new(r * theta.cos(), r * theta.sin()));
-        }
-        topo
+        Topology::from_positions(
+            range,
+            (0..n).map(|_| {
+                let r = disc_radius * rng.gen::<f64>().sqrt();
+                let theta = rng.gen::<f64>() * std::f64::consts::TAU;
+                Position::new(r * theta.cos(), r * theta.sin())
+            }),
+        )
     }
 }
 
@@ -651,6 +915,161 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every site and every cell bucket of `bulk` equals `incremental`'s,
+    /// positions bit for bit.
+    fn assert_same_sites_and_buckets(bulk: &Topology, incremental: &Topology) {
+        assert_eq!(bulk.range.to_bits(), incremental.range.to_bits());
+        assert_eq!(bulk.len(), incremental.len());
+        for (id, (b, i)) in bulk.sites.iter().zip(&incremental.sites).enumerate() {
+            assert_eq!(b.position.x.to_bits(), i.position.x.to_bits(), "x of {id}");
+            assert_eq!(b.position.y.to_bits(), i.position.y.to_bits(), "y of {id}");
+            assert_eq!(b.alive, i.alive, "liveness of {id}");
+            assert_eq!(b.cell, i.cell, "cell of {id}");
+            assert_eq!(b.neighbors, i.neighbors, "neighbours of {id}");
+        }
+        assert_eq!(bulk.cells, incremental.cells, "cell buckets");
+    }
+
+    /// The one bulk pass against `n` single joins, and then against
+    /// the same dynamics applied to both.
+    mod bulk_vs_incremental {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A raw draw: `(kind, a, b, u, v)`.
+        type Draw = (u8, i64, i64, f64, f64);
+
+        fn draw() -> impl Strategy<Value = Draw> {
+            (0u8..7, -8i64..=8, -8i64..=8, -1.0f64..=1.0, -1.0f64..=1.0)
+        }
+
+        /// Coordinates that land on the edge cells of the `i64` plane.
+        const EDGES: [f64; 6] = [
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            1e300,
+            -1e300,
+            0.0,
+        ];
+
+        /// A position for `draw` among `placed`: a lattice point (pairs
+        /// exactly `range` apart), a continuous point within a few
+        /// ranges, a point of a sparse ±1e12 m spread, a duplicate, a
+        /// point near an earlier one, one exactly `range` from it, or
+        /// one on an edge cell.
+        fn position(draw: Draw, placed: &[Position], range: f64) -> Position {
+            let (kind, a, b, u, v) = draw;
+            let edge = |i: i64| EDGES[i.unsigned_abs() as usize % EDGES.len()];
+            let earlier =
+                (!placed.is_empty()).then(|| placed[a.unsigned_abs() as usize % placed.len()]);
+            let lattice = Position::new(a as f64 * range / 5.0, b as f64 * range / 5.0);
+            match (kind, earlier) {
+                (1, _) => Position::new(u * 3.0 * range, v * 3.0 * range),
+                (2, _) => Position::new(u * 1e12, v * 1e12),
+                (3, Some(p)) => p,
+                (4, Some(p)) => Position::new(p.x + u * range, p.y + v * range),
+                (5, Some(p)) if b % 2 == 0 => Position::new(p.x + range, p.y),
+                (5, Some(p)) => Position::new(p.x, p.y - range),
+                (6, _) => Position::new(edge(a), edge(b)),
+                _ => lattice,
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn bulk_topology_matches_incremental_adds(
+                wide in 0u8..2,
+                draws in proptest::collection::vec(draw(), 0..80),
+                ops in proptest::collection::vec((0u8..3, any::<u16>(), draw()), 0..24),
+            ) {
+                // 50 m keeps the lattice's 30-40-50 pairs exact; 1 m
+                // makes the sparse spread a box of 2e12 × 2e12 cells.
+                let range = if wide == 0 { 50.0 } else { 1.0 };
+                let mut positions = Vec::new();
+                for d in draws {
+                    let p = position(d, &positions, range);
+                    positions.push(p);
+                }
+                let mut bulk = Topology::from_positions(range, positions.iter().copied());
+                let mut incremental = Topology::new(range);
+                for &p in &positions {
+                    incremental.add(p);
+                }
+                assert_same_sites_and_buckets(&bulk, &incremental);
+                assert_cache_matches_brute_force(&bulk);
+                for (op, pick, d) in ops {
+                    if bulk.is_empty() {
+                        break;
+                    }
+                    let node = NodeId(u32::from(pick) % bulk.len() as u32);
+                    match op {
+                        0 => {
+                            let p = position(d, &positions, range);
+                            bulk.set_position(node, p);
+                            incremental.set_position(node, p);
+                        }
+                        op => {
+                            bulk.set_alive(node, op == 2);
+                            incremental.set_alive(node, op == 2);
+                        }
+                    }
+                    assert_same_sites_and_buckets(&bulk, &incremental);
+                }
+                assert_cache_matches_brute_force(&bulk);
+            }
+        }
+    }
+
+    /// Every node's neighbour list, by id.
+    fn lists(topo: &Topology) -> Vec<Vec<NodeId>> {
+        topo.node_ids()
+            .map(|n| topo.neighbors(n).collect())
+            .collect()
+    }
+
+    /// Infinite, NaN and 1e300 m coordinates saturate onto cells at the
+    /// edge of the `i64` plane. The 3×3 scan around them must skip the
+    /// cells past the edge instead of overflowing, and they link to
+    /// nobody.
+    #[test]
+    fn edge_cell_positions_link_to_nobody() {
+        let mut topo = Topology::grid(3, 3, 30.0, 45.0);
+        let before = lists(&topo);
+        let far = topo.add(Position::new(f64::INFINITY, 0.0));
+        assert_eq!(topo.cell(far), (i64::MAX, 0));
+        assert_eq!(topo.degree(far), 0);
+        assert_eq!(lists(&topo)[..9], before[..]);
+
+        let moved = NodeId(4);
+        topo.set_position(moved, Position::new(f64::NAN, 1e300));
+        assert_eq!(topo.cell(moved), (0, i64::MAX));
+        assert_eq!(topo.degree(moved), 0);
+        assert_eq!(topo.degree(far), 0);
+        for node in topo.node_ids().take(9).filter(|&n| n != moved) {
+            let expected: Vec<NodeId> = before[node.index()]
+                .iter()
+                .copied()
+                .filter(|&n| n != moved)
+                .collect();
+            assert_eq!(topo.neighbors(node).collect::<Vec<_>>(), expected);
+        }
+        assert_cell_index_consistent(&topo);
+
+        let positions: Vec<Position> = topo.node_ids().map(|n| topo.position(n)).collect();
+        let bulk = Topology::from_positions(45.0, positions);
+        assert_eq!(lists(&bulk), lists(&topo));
+        assert_eq!(bulk.cells, topo.cells);
+    }
+
+    #[test]
+    #[should_panic(expected = "a topology holds at most 4294967295 nodes")]
+    fn a_grid_past_the_id_space_panics_before_allocating() {
+        // 2^34 nodes: building them would ask for a terabyte, so the
+        // check has to come first.
+        let _ = Topology::grid(1 << 17, 1 << 17, 30.0, 45.0);
     }
 
     #[test]
